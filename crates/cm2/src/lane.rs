@@ -133,11 +133,16 @@ impl LaneView {
     /// Lane words a [`LaneMemory::scatter`] copies back per node
     /// (writable, non-private ranges).
     pub fn scatter_words(&self) -> usize {
+        self.scatter_ranges().map(|r| r.len()).sum()
+    }
+
+    /// The node-memory address ranges a [`LaneMemory::scatter`] writes
+    /// (writable, non-private ranges), in view order.
+    pub fn scatter_ranges(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
         self.ranges
             .iter()
             .filter(|r| r.writable && !r.private)
-            .map(|r| r.len)
-            .sum()
+            .map(|r| r.node_base..r.node_base + r.len)
     }
 
     /// The mirrored ranges, in insertion order.

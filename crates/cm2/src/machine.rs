@@ -22,12 +22,23 @@ use crate::exec::{
 };
 use crate::grid::{NodeGrid, NodeId};
 use crate::isa::Kernel;
-use crate::kernels::{run_lockstep_groups_kernelized, CoeffStreams, StripKernels};
-use crate::lane::{LaneMirror, LaneView};
-use crate::memory::{Field, FieldAllocator, NodeMemory, OutOfMemory};
+use crate::lane::{LaneMirror, LaneView, RegionStage};
+use crate::memory::{copy_between, Field, FieldAllocator, NodeMemory, OutOfMemory, WriteStamps};
+use std::ops::Range;
 
 /// A simulated CM-2: `rows × cols` nodes, each with its own memory,
 /// executing identical instruction streams (SIMD).
+///
+/// Every write to node memory leaves a word-exact write stamp: a
+/// monotone epoch per written address span, split exactly at write
+/// boundaries, in bounded memory. Writers that can name their ranges go
+/// through [`Machine::write_nodes`] and stamp exactly those; raw
+/// accessors that cannot ([`Machine::mem_mut`],
+/// [`Machine::par_nodes_mut`], [`Machine::exec_parts_mut`], …) stamp all
+/// of memory. Readers that keep snapshots — execution plans' lane
+/// mirrors — compare the stamps against the [`Machine::write_epoch`]
+/// they synced at ([`Machine::written_since`]) and re-read only what
+/// moved on.
 ///
 /// # Examples
 ///
@@ -47,11 +58,11 @@ pub struct Machine {
     grid: NodeGrid,
     nodes: Vec<NodeMemory>,
     allocator: FieldAllocator,
-    /// Generation counter bumped by every host-initiated write to node
-    /// memory (array scatter/fill). Resident execution plans compare it
-    /// against the generation they last synchronized their lane mirror
-    /// at, so a host write between executes invalidates the snapshot.
-    host_writes: u64,
+    /// Word-exact stamps of every write to node memory. Resident
+    /// execution plans compare them against the epoch their lane mirror
+    /// was last synced at, so a write by anyone — host, another plan,
+    /// this plan — to a range a mirror holds is seen at the next execute.
+    stamps: WriteStamps,
 }
 
 impl Machine {
@@ -73,23 +84,43 @@ impl Machine {
             grid,
             nodes,
             allocator,
-            host_writes: 0,
+            stamps: WriteStamps::default(),
         })
     }
 
-    /// Records one host-initiated write to node memory. Called by the
-    /// host-side array API (scatter/fill); engine-internal stores (halo
-    /// copies, mirror scatter) do not count — they are part of plan
-    /// execution, not external mutation.
-    pub fn note_host_write(&mut self) {
-        self.host_writes += 1;
+    /// The epoch of the newest write stamp. A reader records it when it
+    /// snapshots node memory and later asks
+    /// [`Machine::written_since`] whether its words moved on.
+    pub fn write_epoch(&self) -> u64 {
+        self.stamps.epoch()
     }
 
-    /// The host-write generation (see [`Machine::note_host_write`]).
-    /// Two equal readings bracket a span with no external mutation of
-    /// node memory.
-    pub fn host_writes(&self) -> u64 {
-        self.host_writes
+    /// Whether any address in `range` (on any node) was written after
+    /// `epoch`.
+    pub fn written_since(&self, range: Range<usize>, epoch: u64) -> bool {
+        self.stamps.written_since(range, epoch)
+    }
+
+    /// Every node memory, mutably, for stores confined to `ranges`: stamps
+    /// exactly those address ranges as written. The caller promises to
+    /// store nowhere else — this is the accessor every writer that can
+    /// name its ranges goes through (array scatter, plan build, halo
+    /// refresh, execute scatter), so a write to one array never
+    /// invalidates snapshots of another.
+    pub fn write_nodes(
+        &mut self,
+        ranges: impl IntoIterator<Item = Range<usize>>,
+    ) -> &mut [NodeMemory] {
+        for range in ranges {
+            self.stamps.stamp(range);
+        }
+        &mut self.nodes
+    }
+
+    /// Stamps all of node memory: what a raw accessor that cannot name
+    /// its range records.
+    fn stamp_all(&mut self) {
+        self.stamps.stamp(0..self.config.node_memory_words);
     }
 
     /// The machine configuration.
@@ -170,22 +201,26 @@ impl Machine {
         &self.nodes[id.0]
     }
 
-    /// One node's memory, mutably.
+    /// One node's memory, mutably. Stamps all of memory as written;
+    /// writers that know their range use [`Machine::write_nodes`].
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
     pub fn mem_mut(&mut self, id: NodeId) -> &mut NodeMemory {
+        self.stamp_all();
         &mut self.nodes[id.0]
     }
 
-    /// Two distinct nodes' memories, mutably (for exchanges).
+    /// Two distinct nodes' memories, mutably. Stamps all of memory as
+    /// written.
     ///
     /// # Panics
     ///
     /// Panics if the ids are equal or out of range.
     pub fn mem_pair_mut(&mut self, a: NodeId, b: NodeId) -> (&mut NodeMemory, &mut NodeMemory) {
         assert_ne!(a, b, "mem_pair_mut requires distinct nodes");
+        self.stamp_all();
         if a.0 < b.0 {
             let (lo, hi) = self.nodes.split_at_mut(b.0);
             (&mut lo[a.0], &mut hi[0])
@@ -198,6 +233,7 @@ impl Machine {
     /// Copies `len` words from `src_addr` on node `src` to `dst_addr` on
     /// node `dst`. This is the data-movement half of a grid exchange; the
     /// caller separately charges the cycle cost from [`crate::news`].
+    /// Stamps the destination run.
     ///
     /// # Panics
     ///
@@ -210,22 +246,19 @@ impl Machine {
         dst_addr: usize,
         len: usize,
     ) {
-        if src == dst {
-            self.mem_mut(src).copy_within(src_addr, dst_addr, len);
-            return;
-        }
-        let (s, d) = self.mem_pair_mut(src, dst);
-        d.copy_from(dst_addr, s.slice(src_addr, len));
+        let mems = self.write_nodes(std::iter::once(dst_addr..dst_addr + len));
+        copy_between(mems, src.0, src_addr, dst.0, dst_addr, len);
     }
 
     /// Every node's memory, mutably, each exactly once, in node order.
     ///
     /// The disjointness is structural (one `&mut` per vector element), so
     /// overlapping access is unrepresentable: the iterator is the only
-    /// borrow of `self` while it lives.
+    /// borrow of `self` while it lives. Stamps all of memory as written.
     pub fn par_nodes_mut(
         &mut self,
     ) -> impl ExactSizeIterator<Item = (NodeId, &mut NodeMemory)> + '_ {
+        self.stamp_all();
         self.nodes
             .iter_mut()
             .enumerate()
@@ -236,8 +269,9 @@ impl Machine {
     /// slices (the unit of work one host thread takes in
     /// [`Machine::run_schedule_all`]). `parts` is clamped to
     /// `1..=node_count`; every node appears in exactly one slice, in node
-    /// order.
+    /// order. Stamps all of memory as written.
     pub fn node_slices_mut(&mut self, parts: usize) -> Vec<NodeSlice<'_>> {
+        self.stamp_all();
         let parts = parts.clamp(1, self.nodes.len());
         let chunk = self.nodes.len().div_ceil(parts);
         self.nodes
@@ -252,8 +286,10 @@ impl Machine {
 
     /// The machine configuration together with every node memory as one
     /// disjoint mutable slice — the split borrow the parallel engine
-    /// needs (config shared and immutable, node state exclusive).
+    /// needs (config shared and immutable, node state exclusive). Stamps
+    /// all of memory as written.
     pub fn exec_parts_mut(&mut self) -> (&MachineConfig, &mut [NodeMemory]) {
+        self.stamp_all();
         (&self.config, &mut self.nodes)
     }
 
@@ -322,6 +358,8 @@ impl Machine {
         if schedule.is_empty() {
             return Ok(Vec::new());
         }
+        // Kernels store wherever their contexts point: stamp everything.
+        self.stamp_all();
         let threads = threads.clamp(1, self.nodes.len());
         let config = &self.config;
         let run_node = |mem: &mut NodeMemory| -> Result<Vec<StripRun>, HazardError> {
@@ -359,6 +397,10 @@ impl Machine {
     /// agree across the lockstep SIMD nodes; the per-node totals are
     /// absorbed into one [`StripRun`]).
     ///
+    /// `writes` names the address ranges the strips store into (an
+    /// execution plan passes its writable lease ranges); exactly those
+    /// are stamped.
+    ///
     /// # Errors
     ///
     /// Returns [`HazardError`] if a strip is miscompiled (cycle mode);
@@ -371,11 +413,15 @@ impl Machine {
     pub fn run_resolved_all(
         &mut self,
         strips: &[ResolvedStrip],
+        writes: impl IntoIterator<Item = Range<usize>>,
         mode: ExecMode,
         threads: usize,
     ) -> Result<StripRun, HazardError> {
         if strips.is_empty() {
             return Ok(StripRun::default());
+        }
+        for range in writes {
+            self.stamps.stamp(range);
         }
         let _t = cmcc_obs::trace::scope(cmcc_obs::trace::TraceOp::KernelSweep, strips.len() as u64);
         cmcc_obs::add(
@@ -431,7 +477,7 @@ impl Machine {
     /// Executes a lane-translated strip sequence on every node through
     /// the lockstep broadcast engine: nodes are gathered into node-major
     /// lane storage per `view`, each step runs across all lanes at once,
-    /// and writable ranges are scattered back.
+    /// and writable ranges are scattered back (and stamped).
     ///
     /// With `threads > 1` the *lanes within each step* are split: each
     /// worker owns a contiguous group of nodes as its own lane block and
@@ -470,45 +516,19 @@ impl Machine {
         mirror.ensure(view.words(), self.nodes.len(), threads);
         mirror.gather(view, &self.nodes);
         let run = run_resolved_lockstep_groups(lane_strips, mirror.groups_mut());
-        mirror.scatter(view, &mut self.nodes);
+        mirror.scatter(view, self.write_nodes(view.scatter_ranges()));
         run
     }
 
-    /// [`Machine::run_resolved_lockstep_all`] with the kernel tier:
-    /// `kernels[i]`, when present, replaces interpretation of
-    /// `lane_strips[i]` with its compiled form (pass `&[]` to run fully
-    /// interpreted). `streams` caches the packed coefficient streams
-    /// across executes — the caller invalidates it when a coefficient
-    /// binding or node memory changes. Results are bit-identical either
-    /// way; only the `kernelized_steps` / `interpreted_steps` telemetry
-    /// split differs.
+    /// Commits a region-leased execute's staged scatter (see
+    /// [`RegionStage::apply`]), stamping exactly the staged ranges.
     ///
     /// # Panics
     ///
-    /// Panics if a lane address is out of the view's bounds or a worker
-    /// thread panics.
-    pub fn run_resolved_lockstep_all_kernelized(
-        &mut self,
-        lane_strips: &[ResolvedStrip],
-        kernels: &[Option<StripKernels>],
-        streams: &mut CoeffStreams,
-        view: &LaneView,
-        threads: usize,
-        mirror: &mut LaneMirror,
-    ) -> StripRun {
-        if lane_strips.is_empty() {
-            return StripRun::default();
-        }
-        let _t = cmcc_obs::trace::scope(
-            cmcc_obs::trace::TraceOp::KernelSweep,
-            lane_strips.len() as u64,
-        );
-        mirror.ensure(view.words(), self.nodes.len(), threads);
-        mirror.gather(view, &self.nodes);
-        let run =
-            run_lockstep_groups_kernelized(lane_strips, kernels, streams, mirror.groups_mut());
-        mirror.scatter(view, &mut self.nodes);
-        run
+    /// Panics if the stage was shaped for a different node count.
+    pub fn apply_stage(&mut self, stage: &RegionStage) {
+        let ranges = stage.ranges().iter().map(|&(base, len)| base..base + len);
+        stage.apply(self.write_nodes(ranges));
     }
 }
 
@@ -839,7 +859,9 @@ mod tests {
             };
             let strips = vec![ResolvedStrip::new(&kernel, &ctx); 3];
             let run = match lockstep_threads {
-                None => m.run_resolved_all(&strips, ExecMode::Fast, 1).unwrap(),
+                None => m
+                    .run_resolved_all(&strips, std::iter::once(res.range()), ExecMode::Fast, 1)
+                    .unwrap(),
                 Some(threads) => {
                     let view = LaneView::new(&[
                         (consts.base(), consts.len(), false),

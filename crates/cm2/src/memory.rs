@@ -6,7 +6,9 @@
 //! node interprets the address identically. [`FieldAllocator`] hands out
 //! those shared addresses; [`NodeMemory`] is one node's storage.
 
+use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 /// A shared per-node memory region descriptor.
 ///
@@ -31,6 +33,11 @@ impl Field {
     /// Whether the field is zero-length.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The node-memory addresses the field occupies.
+    pub fn range(&self) -> Range<usize> {
+        self.base..self.base + self.len
     }
 
     /// The address of word `offset` within the field.
@@ -290,6 +297,94 @@ impl FieldAllocator {
     }
 }
 
+/// Stamped spans beyond which [`WriteStamps`] merges neighbors.
+const MAX_STAMP_SPANS: usize = 4096;
+
+/// Word-exact write stamps over node-memory addresses.
+///
+/// Every write to node memory is recorded as a span of addresses plus a
+/// monotone epoch (SIMD addressing: one stamp covers that span on every
+/// node). A holder of a snapshot — a lane mirror, a packed coefficient
+/// stream — remembers the [`WriteStamps::epoch`] it was taken at and later
+/// asks [`WriteStamps::written_since`] whether any of its words moved on.
+///
+/// Spans are disjoint and split exactly at write boundaries, so stamping
+/// one array never makes an adjacent array look written. Memory stays
+/// bounded: past `MAX_STAMP_SPANS` spans, neighbors merge pairwise under
+/// the newer epoch — a conservative answer (a reader may re-read words
+/// nobody wrote), never a missed write.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WriteStamps {
+    epoch: u64,
+    /// Disjoint stamped spans keyed by start address: `start → (end, epoch)`.
+    spans: BTreeMap<usize, (usize, u64)>,
+}
+
+impl WriteStamps {
+    /// The epoch of the newest stamp (0 before the first). A reader that
+    /// syncs now records this value and passes it to
+    /// [`WriteStamps::written_since`] later.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Records a write to every address in `range` under a fresh epoch.
+    pub(crate) fn stamp(&mut self, range: Range<usize>) {
+        if range.is_empty() {
+            return;
+        }
+        self.epoch += 1;
+        // A span straddling the start keeps its head (and, if it also
+        // straddles the end, its tail).
+        if let Some((&start, &(end, epoch))) = self.spans.range(..range.start).next_back() {
+            if end > range.start {
+                self.spans.insert(start, (range.start, epoch));
+                if end > range.end {
+                    self.spans.insert(range.end, (end, epoch));
+                }
+            }
+        }
+        // Spans starting inside the range go; the last one's tail stays.
+        while let Some((&start, &(end, epoch))) = self.spans.range(range.clone()).next() {
+            self.spans.remove(&start);
+            if end > range.end {
+                self.spans.insert(range.end, (end, epoch));
+            }
+        }
+        self.spans.insert(range.start, (range.end, self.epoch));
+        if self.spans.len() > MAX_STAMP_SPANS {
+            self.merge_pairs();
+        }
+    }
+
+    /// Whether any address in `range` was stamped after `epoch`.
+    pub(crate) fn written_since(&self, range: Range<usize>, epoch: u64) -> bool {
+        if range.is_empty() {
+            return false;
+        }
+        let straddles = self
+            .spans
+            .range(..range.start)
+            .next_back()
+            .is_some_and(|(_, &(end, e))| end > range.start && e > epoch);
+        straddles || self.spans.range(range).any(|(_, &(_, e))| e > epoch)
+    }
+
+    /// Halves the span count by merging neighbors pairwise (gap included)
+    /// under the newer epoch.
+    fn merge_pairs(&mut self) {
+        let spans = std::mem::take(&mut self.spans);
+        let mut it = spans.into_iter();
+        while let Some((start, (end, epoch))) = it.next() {
+            let merged = match it.next() {
+                Some((_, (end2, epoch2))) => (end2, epoch.max(epoch2)),
+                None => (end, epoch),
+            };
+            self.spans.insert(start, merged);
+        }
+    }
+}
+
 /// One node's memory: a flat array of 32-bit floating-point words.
 ///
 /// The real CM-2 stored data slicewise (one bit per bit-serial processor,
@@ -392,6 +487,32 @@ impl NodeMemory {
     /// Panics if either range is out of bounds.
     pub fn copy_within(&mut self, src_addr: usize, dst_addr: usize, len: usize) {
         self.words.copy_within(src_addr..src_addr + len, dst_addr);
+    }
+}
+
+/// Copies `len` words from `src_addr` on node `src` to `dst_addr` on node
+/// `dst` — one grid-exchange copy over a machine's node memories. The two
+/// nodes may coincide (the runs may then overlap).
+///
+/// # Panics
+///
+/// Panics on out-of-range nodes or addresses.
+pub fn copy_between(
+    mems: &mut [NodeMemory],
+    src: usize,
+    src_addr: usize,
+    dst: usize,
+    dst_addr: usize,
+    len: usize,
+) {
+    if src == dst {
+        mems[src].copy_within(src_addr, dst_addr, len);
+    } else if src < dst {
+        let (lo, hi) = mems.split_at_mut(dst);
+        hi[0].copy_from(dst_addr, lo[src].slice(src_addr, len));
+    } else {
+        let (lo, hi) = mems.split_at_mut(src);
+        lo[dst].copy_from(dst_addr, hi[0].slice(src_addr, len));
     }
 }
 
@@ -498,6 +619,56 @@ mod tests {
         let before = a.alloc_count();
         a.alloc(1000).unwrap_err();
         assert_eq!(a.alloc_count(), before); // failures don't count
+    }
+
+    #[test]
+    fn write_stamps_are_word_exact_between_adjacent_ranges() {
+        let mut s = WriteStamps::default();
+        s.stamp(0..10);
+        let a = s.epoch();
+        s.stamp(10..20);
+        // The adjacent range is newer; the first is not.
+        assert!(!s.written_since(0..10, a));
+        assert!(s.written_since(10..20, a));
+        assert!(s.written_since(9..11, a));
+        assert!(!s.written_since(20..30, 0), "never-written words");
+        // A write inside an older span splits it exactly.
+        s.stamp(3..5);
+        let b = s.epoch();
+        assert!(s.written_since(4..5, a));
+        assert!(!s.written_since(0..3, a) && !s.written_since(5..10, a));
+        assert!(!s.written_since(0..20, b));
+        // A covering write replaces everything beneath it.
+        s.stamp(0..100);
+        assert_eq!(s.spans.len(), 1);
+        assert!(s.written_since(50..51, b));
+    }
+
+    #[test]
+    fn write_stamps_stay_bounded_and_conservative() {
+        let mut s = WriteStamps::default();
+        for i in 0..3 * MAX_STAMP_SPANS {
+            s.stamp(2 * i..2 * i + 1);
+        }
+        assert!(s.spans.len() <= MAX_STAMP_SPANS);
+        let before = s.epoch();
+        s.stamp(1..2);
+        // Merging may over-report, but every real write is still seen.
+        assert!(s.written_since(1..2, before));
+        assert!(s.written_since(0..1, before - 1));
+        assert!(!s.written_since(0..6 * MAX_STAMP_SPANS, s.epoch()));
+    }
+
+    #[test]
+    fn copy_between_handles_either_node_order() {
+        let mut mems = vec![NodeMemory::new(4), NodeMemory::new(4)];
+        mems[1].write(0, 5.0);
+        copy_between(&mut mems, 1, 0, 0, 2, 1);
+        assert_eq!(mems[0].read(2), 5.0);
+        copy_between(&mut mems, 0, 2, 1, 3, 1);
+        assert_eq!(mems[1].read(3), 5.0);
+        copy_between(&mut mems, 1, 3, 1, 1, 1);
+        assert_eq!(mems[1].read(1), 5.0);
     }
 
     #[test]

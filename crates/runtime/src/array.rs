@@ -141,19 +141,20 @@ impl CmArray {
             .read(self.field.addr(lr * self.sub_cols + lc))
     }
 
-    /// Writes global element `(r, c)`.
+    /// Writes global element `(r, c)`, stamping the array's field as
+    /// written (see [`Machine::written_since`]).
     ///
     /// # Panics
     ///
     /// Panics if out of bounds.
     pub fn set(&self, machine: &mut Machine, r: usize, c: usize, value: f32) {
-        machine.note_host_write();
         let (node, lr, lc) = self.locate(machine, r, c);
         let addr = self.field.addr(lr * self.sub_cols + lc);
-        machine.mem_mut(node).write(addr, value);
+        machine.write_nodes([self.field.range()])[node.0].write(addr, value);
     }
 
-    /// Scatters a row-major host buffer into the distributed array.
+    /// Scatters a row-major host buffer into the distributed array,
+    /// stamping exactly the array's field as written.
     ///
     /// # Panics
     ///
@@ -164,10 +165,13 @@ impl CmArray {
             self.rows * self.cols,
             "host buffer length mismatch"
         );
-        machine.note_host_write();
         let grid = machine.grid();
-        for (node, mem) in machine.par_nodes_mut() {
-            let (gr, gc) = grid.coords(node);
+        for (i, mem) in machine
+            .write_nodes([self.field.range()])
+            .iter_mut()
+            .enumerate()
+        {
+            let (gr, gc) = grid.coords(NodeId(i));
             let sub = mem.field_mut(self.field);
             for lr in 0..self.sub_rows {
                 let global_row = gr * self.sub_rows + lr;
@@ -194,10 +198,9 @@ impl CmArray {
         out
     }
 
-    /// Fills every element with `value`.
+    /// Fills every element with `value`, stamping the array's field.
     pub fn fill(&self, machine: &mut Machine, value: f32) {
-        machine.note_host_write();
-        for (_, mem) in machine.par_nodes_mut() {
+        for mem in machine.write_nodes([self.field.range()]) {
             mem.fill_field(self.field, value);
         }
     }

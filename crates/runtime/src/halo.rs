@@ -22,11 +22,12 @@ use cmcc_cm2::config::MachineConfig;
 use cmcc_cm2::exec::FieldLayout;
 use cmcc_cm2::grid::{Direction, NodeGrid, NodeId};
 use cmcc_cm2::machine::Machine;
-use cmcc_cm2::memory::Field;
+use cmcc_cm2::memory::{copy_between, Field};
 use cmcc_cm2::news::{
     corner_exchange_cycles, news_exchange_cycles, old_exchange_cycles, ExchangeShape,
 };
 use cmcc_core::stencil::Boundary;
+use std::ops::Range;
 
 /// Which grid-communication primitive prices the exchange (the data moved
 /// is identical; §4.1 describes the new primitive's advantage).
@@ -173,7 +174,8 @@ impl HaloBuffer {
         self.field.base() + padded_row * (self.sub_cols + 2 * self.pad) + padded_col
     }
 
-    /// Copies each node's subgrid of `src` into the buffer interior.
+    /// Copies each node's subgrid of `src` into the buffer interior,
+    /// stamping the interior rows as written.
     ///
     /// SIMD addressing makes the copy plan node-independent, so the
     /// addresses are computed once and replayed on every node.
@@ -190,14 +192,14 @@ impl HaloBuffer {
             cmcc_obs::trace::TraceOp::InteriorRefresh,
             (rows * cols) as u64,
         );
-        let mut nodes = 0;
-        for (_, mem) in machine.par_nodes_mut() {
+        let interior = dst0..dst0 + (rows - 1) * dst_stride + cols;
+        let mems = machine.write_nodes([interior]);
+        for mem in mems.iter_mut() {
             for lr in 0..rows {
                 mem.copy_within(src0 + lr * src_stride, dst0 + lr * dst_stride, cols);
             }
-            nodes += 1;
         }
-        let words = rows * cols * nodes;
+        let words = rows * cols * mems.len();
         cmcc_obs::add(cmcc_obs::Counter::InteriorRefreshWords, words as u64);
         words
     }
@@ -312,6 +314,9 @@ pub struct ExchangeProgram {
     /// `copies` built before the corner step) — `words_moved()` minus
     /// this is the corner traffic.
     edge_words: usize,
+    /// The address span every copy and fill stores into (the halo
+    /// buffer), stamped by each run.
+    writes: Range<usize>,
 }
 
 impl ExchangeProgram {
@@ -427,12 +432,19 @@ impl ExchangeProgram {
                 fills = boundary_fill_spans(halo, grid);
             }
         }
+        let writes = hull(
+            copies
+                .iter()
+                .map(|c| (c.dst, c.len))
+                .chain(fills.iter().map(|&(_, addr, len)| (addr, len))),
+        );
         ExchangeProgram {
             copies,
             fills,
             fill,
             cycles,
             edge_words,
+            writes,
         }
     }
 
@@ -459,7 +471,8 @@ impl ExchangeProgram {
         self.words_moved() - self.edge_words
     }
 
-    /// Executes the exchange and returns the cycles charged.
+    /// Executes the exchange and returns the cycles charged. Stamps the
+    /// halo buffer it writes.
     pub fn run(&self, machine: &mut Machine) -> u64 {
         let _t = cmcc_obs::trace::scope(
             cmcc_obs::trace::TraceOp::HaloExchange,
@@ -471,11 +484,12 @@ impl ExchangeProgram {
             cmcc_obs::Counter::ExchangeCornerWords,
             self.corner_words() as u64,
         );
+        let mems = machine.write_nodes([self.writes.clone()]);
         for op in &self.copies {
-            machine.copy_region(op.from, op.src, op.to, op.dst, op.len);
+            copy_between(mems, op.from.0, op.src, op.to.0, op.dst, op.len);
         }
         for &(node, addr, len) in &self.fills {
-            machine.mem_mut(node).fill_range(addr, len, self.fill);
+            mems[node.0].fill_range(addr, len, self.fill);
         }
         self.cycles
     }
@@ -520,6 +534,18 @@ fn boundary_fill_spans(halo: &HaloBuffer, grid: NodeGrid) -> Vec<(NodeId, usize,
     fills
 }
 
+/// The smallest address span covering every `(addr, len)` run (empty
+/// when there are none).
+fn hull(runs: impl Iterator<Item = (usize, usize)>) -> Range<usize> {
+    runs.fold(None, |acc: Option<Range<usize>>, (addr, len)| {
+        Some(match acc {
+            Some(r) => r.start.min(addr)..r.end.max(addr + len),
+            None => addr..addr + len,
+        })
+    })
+    .unwrap_or(0..0)
+}
+
 /// A precomputed batch of constant-value node-memory fills: the
 /// beyond-global-edge frame of one padded buffer.
 ///
@@ -534,6 +560,8 @@ fn boundary_fill_spans(halo: &HaloBuffer, grid: NodeGrid) -> Vec<(NodeId, usize,
 pub struct FillProgram {
     fills: Vec<(NodeId, usize, usize)>,
     fill: f32,
+    /// The address span the fills store into, stamped by each run.
+    writes: Range<usize>,
 }
 
 impl FillProgram {
@@ -545,7 +573,12 @@ impl FillProgram {
             Boundary::ZeroFill => boundary_fill_spans(halo, grid),
             Boundary::Circular => Vec::new(),
         };
-        FillProgram { fills, fill }
+        let writes = hull(fills.iter().map(|&(_, addr, len)| (addr, len)));
+        FillProgram {
+            fills,
+            fill,
+            writes,
+        }
     }
 
     /// Whether one run writes anything at all.
@@ -553,10 +586,11 @@ impl FillProgram {
         self.fills.is_empty()
     }
 
-    /// Executes the fills against node memory.
+    /// Executes the fills against node memory, stamping their span.
     pub fn run(&self, machine: &mut Machine) {
+        let mems = machine.write_nodes([self.writes.clone()]);
         for &(node, addr, len) in &self.fills {
-            machine.mem_mut(node).fill_range(addr, len, self.fill);
+            mems[node.0].fill_range(addr, len, self.fill);
         }
     }
 }

@@ -35,7 +35,7 @@ use crate::halo::{ExchangeProgram, FillProgram, HaloBuffer, LaneExchangeProgram,
 use crate::strips::{full_strip, halfstrips, plan_strips};
 use cmcc_cm2::exec::{ExecEngine, ExecMode, FieldLayout, ResolvedStrip, StripContext, StripRun};
 use cmcc_cm2::kernels::{run_lockstep_groups_kernelized, CoeffStreams, StripKernels};
-use cmcc_cm2::lane::{LaneMirror, LaneView, RectCopy, RegionStage};
+use cmcc_cm2::lane::{LaneMirror, LaneRange, LaneView, RectCopy, RegionStage};
 use cmcc_cm2::machine::Machine;
 use cmcc_cm2::memory::{Field, NodeMemory};
 use cmcc_cm2::timing::{CycleBreakdown, Measurement};
@@ -272,7 +272,7 @@ struct TemporalPlan {
 /// The mutable half of an execution plan: one tenant's binding and
 /// execution state over a shared [`CompiledPlan`] — the rebased strip
 /// schedule, the lane view over the tenant's arrays, the persistent lane
-/// mirror with its primed/stale flags, and the packed coefficient
+/// mirror with the record of what it holds, and the packed coefficient
 /// streams.
 ///
 /// Instances are cheap to create (no machine allocation — they reuse the
@@ -282,8 +282,15 @@ struct TemporalPlan {
 /// by the caller (the session's machine lock).
 #[derive(Debug, Clone)]
 pub struct PlanInstance {
-    /// The shared schedule rebased onto this instance's binding.
+    /// The shared schedule rebased onto this instance's binding — once
+    /// `pending_rebase` is applied.
     strips: Vec<ResolvedStrip>,
+    /// Rebase deltas (result, then one per coefficient slot) that
+    /// rebinds accumulated but `strips` does not reflect yet. Only the
+    /// node-domain paths read `strips`, so a rebind stays O(ranges) and
+    /// those paths apply the sum first (rebasing is a translation, so
+    /// deltas add).
+    pending_rebase: Option<(i64, Vec<i64>)>,
     /// A private lane translation (strips plus kernel classifications),
     /// used only when the shared plan has none to offer — it was built
     /// from an aliased binding (empty `lane_strips`) and this instance's
@@ -309,8 +316,8 @@ pub struct PlanInstance {
     lane_resident: bool,
     /// The instance-owned persistent lane mirror. Shaped on first
     /// execute, recycled afterwards (zero steady-state allocations);
-    /// contents are invalidated — not freed — by rebind via
-    /// `lane_primed`. Poolable across instances via
+    /// `lane_held` and `lane_refreshed` record what it holds. Poolable
+    /// across instances via
     /// [`ExecutionPlan::take_mirror`] / [`ExecutionPlan::install_mirror`].
     lane_mirror: LaneMirror,
     /// The halo exchange translated onto the mirror — one per source,
@@ -326,38 +333,33 @@ pub struct PlanInstance {
     /// parallel to the shared plan's `TemporalPlan::scratch_fills`.
     /// Empty unless `lane_resident` on a temporal plan.
     lane_scratch_fills: Vec<LaneFillProgram>,
-    /// Whether the mirror currently holds the bound operands. Set by the
-    /// priming gather of the first execute after build.
-    lane_primed: bool,
-    /// Whether a rebind left the mirror's read-only non-halo ranges
-    /// (constants, literal pages, named coefficients) possibly stale.
-    /// The next execute re-gathers just `lane_reprime` — halo contents
-    /// are redefined by the interior refresh + exchange every iteration
-    /// and the result range is fully overwritten by the kernels, so
-    /// neither needs the full priming gather again.
-    lane_stale: bool,
-    /// The read-only non-halo ranges as single-run rectangle copies, for
-    /// the partial re-prime above. Recomputed by rebind (bases move).
-    lane_reprime: Vec<RectCopy>,
-    /// Whether the mirror's source interiors and halos already hold this
-    /// binding's current values. While true, steady-state executes skip
-    /// the interior refresh and the halo exchange entirely: sources are
-    /// read-only, the kernels write only the result range, and the
-    /// scatter writes only writable node ranges, so the refreshed state
-    /// is a fixed point. Cleared by rebinds that move a base and by host
-    /// writes (detected via [`Machine::host_writes`]).
-    lane_halos_current: bool,
-    /// The [`Machine::host_writes`] generation the mirror was last
-    /// synchronized at. A newer generation at execute time means the
-    /// host mutated node memory since — the snapshot is re-read.
-    lane_synced_writes: u64,
+    /// The node base each viewed range's lane words were last gathered
+    /// from, parallel to the view's ranges. Empty while the mirror holds
+    /// garbage (before the first execute, after a pool swap): the next
+    /// execute then gathers the whole view. Only the *gathered* ranges
+    /// (read-only, not lane-private, not a halo buffer) are consulted
+    /// afterwards — halo words come from the refresh and exchange,
+    /// writable words from the kernels.
+    lane_held: Vec<Option<usize>>,
+    /// The base of the array each refresh pair (`lane_interiors` and
+    /// `lane_exchanges`) last refreshed its halo from. `None` makes the
+    /// next execute refresh and exchange that halo.
+    lane_refreshed: Vec<Option<usize>>,
+    /// The [`Machine::write_epoch`] the mirror was last synced at: a
+    /// held range or refreshed array stamped later holds newer words.
+    lane_epoch: u64,
+    /// Machine-total words the last rebind added to the next execute's
+    /// re-read beyond a ping-pong swap: the named coefficients it moved
+    /// (gathered ranges, or coefficient-halo refreshes on temporal
+    /// plans).
+    lane_rebind_moved: usize,
     /// The packed coefficient streams the kernel tier reads (the
     /// paper's §4 access-order coefficient layout), cached across
     /// executes — one per fused inner step (a single entry for classic
     /// plans; the stream cache is keyed on a step's kernel list, so
-    /// steps cannot share one). Invalidated when a rebind moves a
-    /// coefficient base, when strips are retranslated, and when the
-    /// host writes node memory; result/source-only rebinds keep it.
+    /// steps cannot share one). Invalidated in one place: when an
+    /// execute re-reads a coefficient range because it moved or was
+    /// written. Result/source-only rebinds keep it.
     lane_streams: Vec<CoeffStreams>,
     result: CmArray,
     sources: Vec<CmArray>,
@@ -371,7 +373,7 @@ pub struct PlanInstance {
 /// Internally an `ExecutionPlan` is a shared immutable [`CompiledPlan`]
 /// (held through an [`Arc`], so cloned plans and concurrent tenants share
 /// one compiled artifact) plus a private mutable [`PlanInstance`] (this
-/// plan's binding, lane mirror, and primed/stale state).
+/// plan's binding, lane mirror, and the record of what the mirror holds).
 ///
 /// Build once with [`ExecutionPlan::build`], run any number of times with
 /// [`ExecutionPlan::execute`], retarget to other same-shape arrays with
@@ -527,7 +529,8 @@ impl CompiledPlan {
         }
         let ones_addr = consts.addr(0);
         let zeros_addr = consts.addr(1);
-        for (_, mem) in machine.par_nodes_mut() {
+        let filled = pages.iter().flatten().map(|(page, _)| page.range());
+        for mem in machine.write_nodes(filled.chain([consts.range()])) {
             mem.write(ones_addr, 1.0);
             mem.write(zeros_addr, 0.0);
             for &(page, value) in pages.iter().flatten() {
@@ -853,6 +856,16 @@ impl CompiledPlan {
         Ok(())
     }
 
+    /// Whether `base` starts one of the plan's halo buffers (source or,
+    /// temporal plans, coefficient halos): ranges whose mirror words the
+    /// interior refresh and exchange define, never a gather.
+    fn is_halo(&self, base: usize) -> bool {
+        self.halos
+            .iter()
+            .chain(self.temporal.iter().flat_map(|tp| &tp.coeff_halos))
+            .any(|h| h.field().base() == base)
+    }
+
     /// The [`CompiledStencil::fingerprint`] this artifact was built from.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
@@ -942,20 +955,13 @@ impl CompiledPlan {
 impl PlanInstance {
     /// Creates the per-tenant state for `cp` bound to the given arrays:
     /// rebases the shared schedule onto this binding, recomputes the
-    /// lane view over these arrays, and retranslates the resident
+    /// lane view over these arrays, and translates the resident
     /// exchange/interior programs. Performs no machine allocation.
-    ///
-    /// `populate_reprime` selects whether the partial re-prime rectangle
-    /// list is computed up front (instances attached to an existing
-    /// artifact) or left empty exactly as a fresh build leaves it (the
-    /// build path — the first execute primes the whole mirror, and a
-    /// rebind populates the list).
     fn for_binding(
         cp: &CompiledPlan,
         result: &CmArray,
         sources: &[CmArray],
         coeffs: &[CmArray],
-        populate_reprime: bool,
     ) -> Self {
         // Rebase the shared schedule onto this binding. Same-shape
         // arrays differ only in their base addresses, so the deltas
@@ -999,84 +1005,139 @@ impl PlanInstance {
             }
         }
 
-        let mut lane_exchanges = Vec::new();
-        let mut lane_interiors = Vec::new();
-        let mut lane_scratch_fills = Vec::new();
-        let mut lane_resident = false;
-        let mut lane_reprime = Vec::new();
-        if cp.opts.lane_resident {
-            if let Some(view) = &lane_view {
-                if let Some(programs) = resident_programs(cp, view, sources, coeffs) {
-                    lane_exchanges = programs.exchanges;
-                    lane_interiors = programs.interiors;
-                    lane_scratch_fills = programs.scratch_fills;
-                    lane_resident = true;
-                    // Temporal plans have nothing to re-prime: the view's
-                    // read-only non-halo ranges are all plan-owned, and
-                    // coefficient-halo contents flow through the interior
-                    // refresh, never through a node-memory gather.
-                    if populate_reprime && cp.temporal.is_none() {
-                        lane_reprime = reprime_copies(view, cp.halos.len());
-                    }
-                }
-            }
-        }
-
-        PlanInstance {
+        let mut inst = PlanInstance {
             strips,
+            pending_rebase: None,
             lane_strips_override,
             kernel_tier: true,
             lane_view,
-            lane_resident,
+            lane_resident: false,
             lane_mirror: LaneMirror::new(),
-            lane_exchanges,
-            lane_interiors,
-            lane_scratch_fills,
-            lane_primed: false,
-            lane_stale: false,
-            lane_reprime,
-            lane_halos_current: false,
-            lane_synced_writes: 0,
+            lane_exchanges: Vec::new(),
+            lane_interiors: Vec::new(),
+            lane_scratch_fills: Vec::new(),
+            lane_held: Vec::new(),
+            lane_refreshed: Vec::new(),
+            lane_epoch: 0,
+            lane_rebind_moved: 0,
             lane_streams: (0..cp.temporal_depth())
                 .map(|_| CoeffStreams::new())
                 .collect(),
             result: *result,
             sources: sources.to_vec(),
             coeffs: coeffs.to_vec(),
+        };
+        inst.map_resident(cp);
+        inst
+    }
+
+    /// Recomputes the lane-resident programs for the current lane view:
+    /// the interior copies read the bound arrays, so they follow every
+    /// rebind; the exchange and scratch-fill programs address only
+    /// plan-owned halo and scratch buffers at rebind-invariant lane
+    /// words, so they are translated once and kept. Leaves the instance
+    /// non-resident when any part fails to translate.
+    fn map_resident(&mut self, cp: &CompiledPlan) {
+        self.lane_resident = false;
+        self.lane_interiors.clear();
+        let Some(view) = self.lane_view.as_ref().filter(|_| cp.opts.lane_resident) else {
+            return;
+        };
+        if self.lane_exchanges.is_empty() {
+            let Some((exchanges, scratch_fills)) = resident_programs(cp, view) else {
+                return;
+            };
+            self.lane_exchanges = exchanges;
+            self.lane_scratch_fills = scratch_fills;
+        }
+        // Refresh pairs: each source into its halo, then (temporal
+        // plans) each named coefficient into its coefficient halo.
+        let coeffs: &[CmArray] = if cp.temporal.is_some() {
+            &self.coeffs
+        } else {
+            &[]
+        };
+        let halos = cp
+            .halos
+            .iter()
+            .chain(cp.temporal.iter().flat_map(|tp| &tp.coeff_halos));
+        let pairs = halos.zip(self.sources.iter().chain(coeffs));
+        if let Some(interiors) = lane_interior_copies(view, pairs) {
+            self.lane_interiors = interiors;
+            self.lane_refreshed.resize(self.lane_interiors.len(), None);
+            self.lane_resident = true;
         }
     }
 
-    /// Folds a host-write generation bump into the instance's cached
-    /// node-memory snapshots: a host write since the last execute (array
-    /// scatter/fill/set) invalidates the packed coefficient streams, and
-    /// on the resident path the source fixed point is re-read and the
-    /// read-only non-halo ranges are re-primed, as a rebind would.
-    fn sync_host_writes(&mut self, host_writes: u64) {
-        if self.lane_view.is_some() && self.lane_synced_writes != host_writes {
-            self.lane_synced_writes = host_writes;
-            for streams in &mut self.lane_streams {
-                streams.invalidate();
-            }
-            self.lane_halos_current = false;
-            if self.lane_primed {
-                self.lane_stale = true;
+    /// Brings `strips` onto the current binding: applies the rebase
+    /// deltas rebinds accumulated. Runs before anything reads `strips`.
+    fn apply_pending_rebase(&mut self) {
+        if let Some((result_delta, coeff_deltas)) = self.pending_rebase.take() {
+            for strip in &mut self.strips {
+                strip.rebase(result_delta, &coeff_deltas);
             }
         }
     }
 
-    /// The lane-resident execute body, shared between the exclusive
+    /// The bound array refresh pair `k` copies into its halo: sources
+    /// first, then (temporal plans) the named coefficients.
+    fn refresh_array(&self, k: usize) -> CmArray {
+        match k.checked_sub(self.sources.len()) {
+            None => self.sources[k],
+            Some(c) => self.coeffs[c],
+        }
+    }
+
+    /// Marks the mirror's contents as garbage: the next execute gathers
+    /// the whole view and refreshes every halo.
+    fn forget_mirror(&mut self) {
+        self.lane_held.clear();
+        self.lane_refreshed.fill(None);
+    }
+
+    /// Forgets every held range and refreshed halo whose node-memory
+    /// source moved or was written since the mirror's last sync, and
+    /// records this sync's epoch. Runs before the execute takes node
+    /// memory, so the epoch precedes the execute's own stamps.
+    fn invalidate_stale(&mut self, machine: &Machine) {
+        let since = std::mem::replace(&mut self.lane_epoch, machine.write_epoch());
+        let view = self
+            .lane_view
+            .as_ref()
+            .expect("mirrored plans are lane-mapped");
+        for (held, range) in self.lane_held.iter_mut().zip(view.ranges()) {
+            let words = range.node_base..range.node_base + range.len;
+            if *held != Some(range.node_base) || machine.written_since(words, since) {
+                *held = None;
+            }
+        }
+        for k in 0..self.lane_refreshed.len() {
+            let f = self.refresh_array(k).field();
+            if self.lane_refreshed[k] != Some(f.base()) || machine.written_since(f.range(), since) {
+                self.lane_refreshed[k] = None;
+            }
+        }
+    }
+
+    /// The lane-mirror execute body, shared between the exclusive
     /// write-lock path and the region-leased shared-lock path — the two
     /// differ only in how the final scatter reaches node memory (see
-    /// [`ResidentAccess`]). Returns the kernel run plus the modeled
-    /// exchange cycles and the halo words this execute actually moved.
-    fn run_resident(
+    /// [`ResidentAccess`]) — and, with `gather_all`, the non-resident
+    /// lockstep path that re-gathers the whole view every execute.
+    ///
+    /// Re-reads exactly what [`Self::invalidate_stale`] left unheld: the
+    /// gathered ranges and the halos (interior refresh + exchange) whose
+    /// arrays moved or were written. Packed coefficient streams are
+    /// dropped here, and only here, when a coefficient range was re-read.
+    fn run_mirror(
         &mut self,
         cp: &CompiledPlan,
         access: ResidentAccess<'_, '_>,
-    ) -> (StripRun, u64, usize) {
+        gather_all: bool,
+    ) -> MirrorRun {
         let depth = cp.temporal_depth();
-        let mut exchange_words = 0usize;
-        let mut comm = 0u64;
+        let nodes = cp.nodes;
+        let mut out = MirrorRun::default();
         // The effective lane schedule: the instance's private
         // translation when the shared artifact has none (it was built
         // from an aliased binding and this binding is clean), else the
@@ -1085,74 +1146,83 @@ impl PlanInstance {
             Some((s, k)) => (s.as_slice(), k.as_slice()),
             None => (cp.lane_strips.as_slice(), cp.lane_kernels.as_slice()),
         };
-        // Lane-resident steady state: operands live in the plan's
-        // mirror between executes. Read-only ranges were gathered
-        // when the mirror was primed; the source interiors and the
-        // halo exchange are refreshed once and then treated as a
-        // fixed point — sources are read-only, the kernels write
-        // only the result range, and the scatter writes only
-        // writable node ranges, so nothing the refresh produced can
-        // change until a rebind moves a base or the host writes
-        // node memory (tracked by `Machine::host_writes`). Only
-        // writable ranges are scattered back each iteration.
         let view = self
             .lane_view
             .as_ref()
-            .expect("resident plans are lane-mapped");
+            .expect("mirrored plans are lane-mapped");
         self.lane_mirror
-            .ensure(view.words(), cp.nodes, cp.opts.threads);
+            .ensure(view.words(), nodes, cp.opts.threads);
         let mems: &[NodeMemory] = match &access {
             ResidentAccess::Exclusive(m) => m,
             ResidentAccess::Shared(m, _) => m,
         };
-        if !self.lane_primed {
+        let gathered = |r: &LaneRange| !r.writable && !r.private && !cp.is_halo(r.node_base);
+        let mut coeffs_reread = false;
+        if gather_all || self.lane_held.is_empty() {
+            coeffs_reread = self.lane_held.is_empty()
+                || view
+                    .ranges()
+                    .iter()
+                    .zip(&self.lane_held)
+                    .any(|(r, held)| gathered(r) && held.is_none());
             self.lane_mirror.gather(view, mems);
-            self.lane_primed = true;
-            self.lane_stale = false;
-        } else if self.lane_stale {
-            // Partial re-prime after a rebind: only the read-only
-            // non-halo ranges can hold stale contents (see the
-            // `lane_stale` field). Far cheaper than a full gather —
-            // this is what keeps plan-cache hits in steady state.
-            for rect in &self.lane_reprime {
-                self.lane_mirror.gather_rect(mems, rect);
+            out.predicted += view.gather_words() * nodes;
+            self.lane_held.clear();
+            self.lane_held
+                .extend(view.ranges().iter().map(|r| Some(r.node_base)));
+        } else {
+            for (range, held) in view.ranges().iter().zip(&mut self.lane_held) {
+                if held.is_none() && gathered(range) {
+                    let rect = RectCopy {
+                        src0: range.node_base,
+                        src_stride: 0,
+                        dst0: range.lane_base,
+                        dst_stride: 0,
+                        rows: 1,
+                        cols: range.len,
+                    };
+                    self.lane_mirror.gather_rect(mems, &rect);
+                    out.predicted += range.len * nodes;
+                    *held = Some(range.node_base);
+                    coeffs_reread = true;
+                }
             }
-            self.lane_stale = false;
         }
-        let refreshed = !self.lane_halos_current;
-        for (interior, exchange) in self.lane_interiors.iter().zip(&self.lane_exchanges) {
+        for (k, (interior, exchange)) in self
+            .lane_interiors
+            .iter()
+            .zip(&self.lane_exchanges)
+            .enumerate()
+        {
             // The modeled NEWS cycles are charged every iteration —
             // the CM-2 exchanges every time. Skipping the host-side
-            // copies is an emulator fixed-point optimization and
-            // must not perturb the `Measurement`.
-            comm += exchange.cycles();
-            if !self.lane_halos_current {
-                {
-                    let _t = cmcc_obs::trace::scope(
-                        cmcc_obs::trace::TraceOp::InteriorRefresh,
-                        (interior.rows * interior.cols) as u64,
-                    );
-                    self.lane_mirror.gather_rows(mems, interior);
-                }
-                exchange_words += exchange.words_moved();
-                let _ = exchange.run(&mut self.lane_mirror);
+            // copies of an unchanged source is an emulator optimization
+            // and must not perturb the `Measurement`.
+            out.comm += exchange.cycles();
+            if self.lane_refreshed[k].is_some() {
+                continue;
             }
+            {
+                let _t = cmcc_obs::trace::scope(
+                    cmcc_obs::trace::TraceOp::InteriorRefresh,
+                    (interior.rows * interior.cols) as u64,
+                );
+                self.lane_mirror.gather_rows(mems, interior);
+            }
+            out.exchange_words += exchange.words_moved();
+            out.predicted += interior.rows * interior.cols * nodes + exchange.words_moved();
+            let _ = exchange.run(&mut self.lane_mirror);
+            // Pairs past the sources refresh coefficient halos, which
+            // the packed streams read.
+            coeffs_reread |= k >= self.sources.len();
+            self.lane_refreshed[k] = Some(self.refresh_array(k).field().base());
         }
-        self.lane_halos_current = true;
-        if refreshed
-            && cp
-                .temporal
-                .as_ref()
-                .is_some_and(|tp| !tp.coeff_halos.is_empty())
-        {
-            // The refresh rewrote the coefficient halos on the
-            // mirror; the packed streams hold the old values.
+        if coeffs_reread {
             for streams in &mut self.lane_streams {
                 streams.invalidate();
             }
         }
         let kernels: &[Option<StripKernels>] = if self.kernel_tier { lane_kernels } else { &[] };
-        let mut run = StripRun::default();
         for step in 0..depth {
             let (lo, hi) = match &cp.temporal {
                 Some(tp) => (tp.step_bounds[step], tp.step_bounds[step + 1]),
@@ -1164,7 +1234,7 @@ impl PlanInstance {
                 &kernels[lo..hi]
             };
             let _t = cmcc_obs::trace::scope(cmcc_obs::trace::TraceOp::KernelSweep, step as u64);
-            run.absorb(&run_lockstep_groups_kernelized(
+            out.run.absorb(&run_lockstep_groups_kernelized(
                 &lane_strips[lo..hi],
                 step_kernels,
                 &mut self.lane_streams[step],
@@ -1174,6 +1244,7 @@ impl PlanInstance {
                 self.lane_scratch_fills[step % 2].run(&mut self.lane_mirror);
             }
         }
+        out.predicted += view.scatter_words() * nodes;
         match access {
             ResidentAccess::Exclusive(mems) => {
                 // In debug builds, prove the scatter honors the view's
@@ -1232,7 +1303,7 @@ impl PlanInstance {
                 );
             }
         }
-        (run, comm, exchange_words)
+        out
     }
 
     /// Runs one region-leased iteration over the shared artifact `cp`:
@@ -1250,23 +1321,19 @@ impl PlanInstance {
     ) -> Measurement {
         let _span = cmcc_obs::span(cmcc_obs::Phase::Execute);
         assert!(self.lane_resident, "region executes require lane residency");
-        self.sync_host_writes(machine.host_writes());
-        let steady_at_entry = self.lane_primed && !self.lane_stale;
-        let rebind_at_entry = self.lane_primed && self.lane_stale;
+        self.invalidate_stale(machine);
         let mirror_base = MirrorWords::of(&self.lane_mirror);
         let (_, mems) = machine.exec_parts();
-        let (run, comm, exchange_words) =
-            self.run_resident(cp, ResidentAccess::Shared(mems, stage));
+        let m = self.run_mirror(cp, ResidentAccess::Shared(mems, stage), false);
         self.finish(
             cp,
             ExecTally {
-                run,
-                comm,
+                run: m.run,
+                comm: m.comm,
                 interior_words: 0,
-                exchange_words,
+                exchange_words: m.exchange_words,
                 mirror_base,
-                steady_at_entry,
-                rebind_at_entry,
+                predicted: m.predicted as u64,
             },
         )
     }
@@ -1279,29 +1346,25 @@ impl PlanInstance {
         machine: &mut Machine,
     ) -> Result<Measurement, RuntimeError> {
         let _span = cmcc_obs::span(cmcc_obs::Phase::Execute);
-        self.sync_host_writes(machine.host_writes());
-        // Whether this execute is a steady-state iteration (no priming
-        // or re-priming gather): the analytic `steady_state_copy_words`
-        // prediction applies exactly, and debug builds cross-check it
-        // in `finish`.
-        let steady_at_entry = !self.lane_resident || (self.lane_primed && !self.lane_stale);
-        // A rebind (or host write) cycle: the mirror is primed but its
-        // read-only snapshot is stale. The analytic
-        // `rebind_cycle_copy_words` prediction applies exactly here.
-        let rebind_at_entry = self.lane_resident && self.lane_primed && self.lane_stale;
         let mirror_base = MirrorWords::of(&self.lane_mirror);
         let mut interior_words = 0usize;
         let mut exchange_words = 0usize;
         let mut comm = 0;
+        // Off the resident path every execute pays the full refresh, so
+        // the analytic steady-state figure is the exact prediction.
+        let mut predicted = self.steady_copy_words(cp);
         let depth = cp.temporal_depth();
         let run = if self.lane_resident {
-            let (_, mems) = machine.exec_parts_mut();
-            let (run, resident_comm, resident_exchange) =
-                self.run_resident(cp, ResidentAccess::Exclusive(mems));
-            comm = resident_comm;
-            exchange_words = resident_exchange;
-            run
+            self.invalidate_stale(machine);
+            let view = self.lane_view.as_ref().expect("resident plans are mapped");
+            let mems = machine.write_nodes(view.scatter_ranges());
+            let m = self.run_mirror(cp, ResidentAccess::Exclusive(mems), false);
+            comm = m.comm;
+            exchange_words = m.exchange_words;
+            predicted = m.predicted;
+            m.run
         } else if let Some(tp) = &cp.temporal {
+            self.apply_pending_rebase();
             // The node-domain fused loop: the fallback for temporal
             // plans whose binding cannot ride the lane mirror (aliased
             // arrays, a failed translation). One deepened exchange per
@@ -1323,11 +1386,17 @@ impl PlanInstance {
                 exchange_words += program.words_moved();
                 comm += program.run(machine);
             }
+            let writes = tp
+                .scratch
+                .iter()
+                .map(Field::range)
+                .chain([self.result.field().range()]);
             let mut run = StripRun::default();
             for step in 0..depth {
                 let (lo, hi) = (tp.step_bounds[step], tp.step_bounds[step + 1]);
                 run.absorb(&machine.run_resolved_all(
                     &self.strips[lo..hi],
+                    writes.clone(),
                     cp.opts.mode,
                     cp.opts.threads,
                 )?);
@@ -1342,26 +1411,23 @@ impl PlanInstance {
                 exchange_words += program.words_moved();
                 comm += program.run(machine);
             }
-            // The effective lane schedule: the instance's private
-            // translation when the shared artifact has none, else the
-            // shared one (see `run_resident`).
-            let (lane_strips, lane_kernels) = match &self.lane_strips_override {
-                Some((s, k)) => (s.as_slice(), k.as_slice()),
-                None => (cp.lane_strips.as_slice(), cp.lane_kernels.as_slice()),
-            };
-            match &self.lane_view {
+            if self.lane_view.is_some() {
                 // The lockstep engine without residency: every node
                 // gathered into lane storage per execute, each resolved
                 // step broadcast across all lanes at once.
-                Some(view) => machine.run_resolved_lockstep_all_kernelized(
-                    lane_strips,
-                    if self.kernel_tier { lane_kernels } else { &[] },
-                    &mut self.lane_streams[0],
-                    view,
+                self.invalidate_stale(machine);
+                let view = self.lane_view.as_ref().expect("checked above");
+                let mems = machine.write_nodes(view.scatter_ranges());
+                self.run_mirror(cp, ResidentAccess::Exclusive(mems), true)
+                    .run
+            } else {
+                self.apply_pending_rebase();
+                machine.run_resolved_all(
+                    &self.strips,
+                    [self.result.field().range()],
+                    cp.opts.mode,
                     cp.opts.threads,
-                    &mut self.lane_mirror,
-                ),
-                None => machine.run_resolved_all(&self.strips, cp.opts.mode, cp.opts.threads)?,
+                )?
             }
         };
         Ok(self.finish(
@@ -1372,15 +1438,14 @@ impl PlanInstance {
                 interior_words,
                 exchange_words,
                 mirror_base,
-                steady_at_entry,
-                rebind_at_entry,
+                predicted: predicted as u64,
             },
         ))
     }
 
     /// The execute epilogue shared by the exclusive and region paths:
-    /// telemetry, the analytic copy-word cross-checks, and the paper's
-    /// cycle accounting rolled into a [`Measurement`].
+    /// telemetry, the copy-word cross-check, and the paper's cycle
+    /// accounting rolled into a [`Measurement`].
     fn finish(&self, cp: &CompiledPlan, tally: ExecTally) -> Measurement {
         let ExecTally {
             run,
@@ -1388,8 +1453,7 @@ impl PlanInstance {
             interior_words,
             exchange_words,
             mirror_base,
-            steady_at_entry,
-            rebind_at_entry,
+            predicted,
         } = tally;
         let d = MirrorWords::of(&self.lane_mirror).minus(&mirror_base);
         cmcc_obs::add(
@@ -1416,19 +1480,20 @@ impl PlanInstance {
             cmcc_obs::add(WIDTH_COUNTERS[slot], n);
         }
 
-        // Debug builds prove the analytic prediction against observed
-        // traffic: in steady state (no priming gather) the words this
-        // execute moved are exactly `steady_state_copy_words`. Staged
-        // scatters count at stage time, so the check is path-independent.
-        if cfg!(debug_assertions) && steady_at_entry {
+        // Debug builds prove the copy model against observed traffic:
+        // the words this execute moved are exactly what its re-reads
+        // predict — the analytic `steady_state_copy_words` off the
+        // resident path, and scatter plus the re-gathered ranges and
+        // refreshed halos on it. Staged scatters count at stage time, so
+        // the check is path-independent.
+        if cfg!(debug_assertions) {
             let observed = (interior_words + exchange_words) as u64
                 + d.row_gathered
                 + d.gathered
                 + d.scattered;
             assert_eq!(
-                observed,
-                self.steady_copy_words(cp) as u64,
-                "steady-state copy words diverged from the analytic prediction"
+                observed, predicted,
+                "execute copy words diverged from the copy model"
             );
             if self.lane_resident {
                 assert_eq!(
@@ -1436,19 +1501,6 @@ impl PlanInstance {
                     "lane exchange moved a different word count than its program records"
                 );
             }
-        } else if cfg!(debug_assertions) && rebind_at_entry {
-            // The rebind-cycle counterpart: a primed-but-stale entry
-            // re-primes, refreshes, exchanges, and scatters — exactly
-            // the amortized traffic `rebind_cycle_copy_words` models.
-            let observed = (interior_words + exchange_words) as u64
-                + d.row_gathered
-                + d.gathered
-                + d.scattered;
-            assert_eq!(
-                observed,
-                self.rebind_cycle_copy_words(cp) as u64,
-                "rebind-cycle copy words diverged from the analytic prediction"
-            );
         }
 
         // One front-end microcode dispatch per half-strip, exactly as the
@@ -1481,36 +1533,40 @@ impl PlanInstance {
 
         let result_delta = result.field().base() as i64 - self.result.field().base() as i64;
         let mut coeff_deltas = vec![0i64; cp.coeff_slot_count];
-        let mut any_coeff = false;
-        for ((&slot, old), new) in cp.named_slots.iter().zip(&self.coeffs).zip(coeffs) {
+        let mut moved_coeffs = Vec::new();
+        for (k, ((&slot, old), new)) in cp
+            .named_slots
+            .iter()
+            .zip(&self.coeffs)
+            .zip(coeffs)
+            .enumerate()
+        {
             let delta = new.field().base() as i64 - old.field().base() as i64;
             coeff_deltas[slot as usize] = delta;
-            any_coeff |= delta != 0;
+            if delta != 0 {
+                moved_coeffs.push(k);
+            }
         }
         let any_source = self
             .sources
             .iter()
             .zip(sources)
             .any(|(old, new)| old.field().base() != new.field().base());
-        if result_delta == 0 && !any_coeff && !any_source {
+        if result_delta == 0 && moved_coeffs.is_empty() && !any_source {
             // Identical binding (the plan-cache hit replaying the same
-            // arrays): nothing to rebase, the lane view is unchanged,
-            // and the resident mirror stays valid — host writes are
-            // tracked separately by `execute`, so even the source
-            // fixed point survives.
+            // arrays): nothing to rebase and the lane view is unchanged.
+            // Writes to the bound arrays are caught by the execute's
+            // write-stamp check, not here.
+            self.lane_rebind_moved = 0;
             return Ok(());
         }
-        if result_delta != 0 || any_coeff {
-            for strip in &mut self.strips {
-                strip.rebase(result_delta, &coeff_deltas);
-            }
-        }
-        if any_coeff {
-            // The packed coefficient streams hold the *old* coefficient
-            // values; result/source-only rebinds keep them (the stream
-            // is a pure function of the coefficient bindings).
-            for streams in &mut self.lane_streams {
-                streams.invalidate();
+        if result_delta != 0 || !moved_coeffs.is_empty() {
+            let (result_sum, coeff_sums) = self
+                .pending_rebase
+                .get_or_insert_with(|| (0, vec![0; cp.coeff_slot_count]));
+            *result_sum += result_delta;
+            for (sum, delta) in coeff_sums.iter_mut().zip(&coeff_deltas) {
+                *sum += delta;
             }
         }
 
@@ -1536,68 +1592,53 @@ impl PlanInstance {
                     // Lane addresses are rebind-invariant, so the kept
                     // translation keeps its compiled kernels too.
                     self.lane_view = Some(view);
-                } else if let Some(translated) = self
-                    .strips
-                    .iter()
-                    .map(|s| s.translate(&view))
-                    .collect::<Option<Vec<_>>>()
-                {
-                    let kernels = translated.iter().map(StripKernels::compile).collect();
-                    self.lane_strips_override = Some((translated, kernels));
-                    for streams in &mut self.lane_streams {
-                        streams.invalidate();
+                } else {
+                    self.apply_pending_rebase();
+                    if let Some(translated) = self
+                        .strips
+                        .iter()
+                        .map(|s| s.translate(&view))
+                        .collect::<Option<Vec<_>>>()
+                    {
+                        let kernels = translated.iter().map(StripKernels::compile).collect();
+                        self.lane_strips_override = Some((translated, kernels));
+                        self.lane_view = Some(view);
                     }
-                    self.lane_view = Some(view);
                 }
             }
         }
 
-        // Mark the resident mirror stale: lane *addresses* survive a
-        // rebind (range lengths and order are unchanged), and of the
-        // *contents* only the read-only non-halo ranges can matter — the
-        // halo words are redefined by the next interior refresh +
-        // exchange (`lane_halos_current` is cleared below) and the
-        // result is fully overwritten — so the next execute re-primes
-        // just those (see `lane_stale`), keeping
-        // plan-cache hits in steady state. The mirror's buffers are
-        // kept; re-priming allocates nothing. Interior copies read the
-        // new source bases; the exchange programs depend only on the
-        // halo buffers, which never move, but retranslating is cheap and
-        // keeps one code path.
-        self.lane_stale = true;
-        self.lane_halos_current = false;
-        self.lane_resident = false;
-        self.lane_exchanges.clear();
-        self.lane_interiors.clear();
-        self.lane_scratch_fills.clear();
-        self.lane_reprime.clear();
-        if cp.opts.lane_resident {
-            if let Some(view) = &self.lane_view {
-                if let Some(programs) = resident_programs(cp, view, &self.sources, &self.coeffs) {
-                    self.lane_exchanges = programs.exchanges;
-                    self.lane_interiors = programs.interiors;
-                    self.lane_scratch_fills = programs.scratch_fills;
-                    self.lane_resident = true;
-                    if cp.temporal.is_none() {
-                        self.lane_reprime = reprime_copies(view, cp.halos.len());
+        // The mirror keeps its contents: the next execute compares what
+        // it holds against the new bases (and write stamps) and re-reads
+        // only what moved. Only the interior copies change here.
+        self.map_resident(cp);
+        let nodes = cp.nodes;
+        self.lane_rebind_moved = if self.lane_resident {
+            moved_coeffs
+                .iter()
+                .map(|&k| {
+                    let c = self.coeffs[k];
+                    match cp.temporal {
+                        // Temporal plans read coefficients through their
+                        // halos: a moved array re-runs that refresh pair.
+                        Some(_) => {
+                            c.sub_rows() * c.sub_cols() * nodes
+                                + self.lane_exchanges[self.sources.len() + k].words_moved()
+                        }
+                        None => c.field().len() * nodes,
                     }
-                }
-            }
-        }
+                })
+                .sum()
+        } else {
+            0
+        };
         Ok(())
     }
 
     /// Machine-total words copied per steady-state `execute` — the body
     /// behind [`ExecutionPlan::steady_state_copy_words`].
     fn steady_copy_words(&self, cp: &CompiledPlan) -> usize {
-        let scatter = |view: &LaneView| {
-            view.ranges()
-                .iter()
-                .filter(|r| r.writable && !r.private)
-                .map(|r| r.len)
-                .sum::<usize>()
-                * cp.nodes
-        };
+        let scatter = |view: &LaneView| view.scatter_words() * cp.nodes;
         if self.lane_resident {
             let view = self.lane_view.as_ref().expect("resident plans are mapped");
             return scatter(view);
@@ -1643,41 +1684,24 @@ impl PlanInstance {
         interior + exchange + mirror
     }
 
-    /// Machine-total words copied by the execute right after a tenant
-    /// swap on the lane-resident path: the re-prime gathers, the full
-    /// interior refresh, the halo exchange, and the result scatter.
-    /// Off the resident path this is the same as the steady-state
-    /// figure (every execute already pays the full refresh).
+    /// Machine-total words copied by the execute after a ping-pong
+    /// rebind on the lane-resident path: every source's interior refresh
+    /// and halo exchange, the result scatter, and whatever the last
+    /// rebind moved beyond that (see `lane_rebind_moved`). Off the
+    /// resident path this is the steady-state figure (every execute
+    /// already pays the full refresh).
     fn rebind_cycle_copy_words(&self, cp: &CompiledPlan) -> usize {
         if !self.lane_resident {
             return self.steady_copy_words(cp);
         }
-        let view = self.lane_view.as_ref().expect("resident plans are mapped");
-        let reprime: usize = self
-            .lane_reprime
-            .iter()
-            .map(|r| r.rows * r.cols)
-            .sum::<usize>()
-            * cp.nodes;
-        let interior: usize = self
+        let swap: usize = self
             .lane_interiors
             .iter()
-            .map(|r| r.rows * r.cols)
-            .sum::<usize>()
-            * cp.nodes;
-        let exchange: usize = self
-            .lane_exchanges
-            .iter()
-            .map(LaneExchangeProgram::words_moved)
+            .zip(&self.lane_exchanges)
+            .take(self.sources.len())
+            .map(|(r, x)| r.rows * r.cols * cp.nodes + x.words_moved())
             .sum();
-        let scatter = view
-            .ranges()
-            .iter()
-            .filter(|r| r.writable && !r.private)
-            .map(|r| r.len)
-            .sum::<usize>()
-            * cp.nodes;
-        reprime + interior + exchange + scatter
+        swap + self.lane_rebind_moved + self.steady_copy_words(cp)
     }
 }
 
@@ -1704,7 +1728,6 @@ impl ExecutionPlan {
             binding.result(),
             binding.sources(),
             binding.coeffs(),
-            false,
         );
         Ok(ExecutionPlan {
             shared: Arc::new(shared),
@@ -1744,7 +1767,6 @@ impl ExecutionPlan {
             binding.result(),
             binding.sources(),
             binding.coeffs(),
-            true,
         );
         Ok(ExecutionPlan {
             shared: Arc::clone(shared),
@@ -1762,11 +1784,18 @@ impl ExecutionPlan {
     /// Runs one iteration: halo exchange, pre-resolved kernel execution,
     /// and the paper's accounting. Performs no field allocation and no
     /// schedule construction; the lane-resident path (lockstep engine,
-    /// the default) additionally performs no host allocation and — once
-    /// the source fixed point is established — no `NodeMemory` traffic
-    /// beyond writing the result. Host writes to bound arrays between
-    /// executes are detected via [`Machine::host_writes`] and re-read
-    /// automatically.
+    /// the default) additionally performs no host allocation.
+    ///
+    /// A resident execute re-reads node memory only where its mirror is
+    /// out of date: each viewed read-only range (coefficient arrays,
+    /// constant and literal pages) and each source halo (interior
+    /// refresh + exchange) is re-read exactly when its node base moved
+    /// since the mirror's last sync or its write stamps
+    /// ([`Machine::written_since`]) are newer. Writes by anyone count —
+    /// host scatters, another plan's execute, this plan's own scatter —
+    /// so an unchanged binding over unchanged arrays touches no
+    /// `NodeMemory` beyond writing the result. Every execute stamps the
+    /// ranges it writes (its writable [`Self::lease_ranges`]).
     ///
     /// # Errors
     ///
@@ -1855,8 +1884,16 @@ impl ExecutionPlan {
     /// Retargets the plan to different arrays of identical shape without
     /// rebuilding anything: source swaps are free (sources are read
     /// through the plan's own halo buffers each iteration) and
-    /// result/coefficient swaps are a single in-place rebase of the
-    /// resolved addresses.
+    /// result/coefficient swaps shift the resolved addresses.
+    ///
+    /// O(ranges) work: the lane view and the interior copies are
+    /// recomputed over the new arrays; the translated exchange and
+    /// scratch-fill programs are kept (they address only plan-owned
+    /// buffers at rebind-invariant lane words), and so is the mirror's
+    /// contents — the next execute re-reads only the ranges whose base
+    /// moved (see [`Self::execute`]). The node-domain strip schedule's
+    /// rebase is deferred to the scalar and node-domain paths that read
+    /// it.
     ///
     /// This is what makes ping-pong time stepping (`swap(cur, next)`) and
     /// volume sweeps reuse one plan.
@@ -1897,23 +1934,21 @@ impl ExecutionPlan {
 
     /// Detaches the instance's lane mirror, for pooling across tenants.
     /// The plan falls back to an unprimed (but still valid) state: its
-    /// next execute re-shapes whatever mirror it holds and primes it.
+    /// next execute re-shapes whatever mirror it holds and gathers the
+    /// whole view.
     pub fn take_mirror(&mut self) -> LaneMirror {
-        self.inst.lane_primed = false;
-        self.inst.lane_stale = false;
-        self.inst.lane_halos_current = false;
+        self.inst.forget_mirror();
         std::mem::take(&mut self.inst.lane_mirror)
     }
 
     /// Installs a (possibly recycled) lane mirror into the instance.
     /// The mirror's buffers are reused when shapes match — this is how
     /// the session mirror pool keeps steady-state allocations at zero
-    /// across tenants; contents are treated as garbage and re-primed.
+    /// across tenants; contents are treated as garbage and re-gathered
+    /// whole.
     pub fn install_mirror(&mut self, mirror: LaneMirror) {
         self.inst.lane_mirror = mirror;
-        self.inst.lane_primed = false;
-        self.inst.lane_stale = false;
-        self.inst.lane_halos_current = false;
+        self.inst.forget_mirror();
     }
 
     /// The [`CompiledStencil::fingerprint`] this plan was built from.
@@ -1992,11 +2027,10 @@ impl ExecutionPlan {
     }
 
     /// Machine-total words copied per steady-state `execute` under the
-    /// current engine. Lane-resident plans reach a fixed point: after
-    /// the first refresh the source interiors and halos in the mirror
-    /// cannot change between executes (sources are read-only and the
-    /// kernels write only the result range), so a steady iteration
-    /// copies nothing but the writable-range scatter. The other engines
+    /// current engine. Lane-resident plans reach a fixed point: while
+    /// the binding holds and nobody writes the bound read-only arrays,
+    /// the mirror's source halos and read-only ranges stay current, so a
+    /// steady iteration copies nothing but the writable-range scatter. The other engines
     /// refresh per iteration: interior source copy + halo-exchange
     /// moves, plus — on the non-resident lockstep engine — the full
     /// mirror gather/scatter. Computed from the plan's structure, so it
@@ -2006,10 +2040,12 @@ impl ExecutionPlan {
         self.inst.steady_copy_words(&self.shared)
     }
 
-    /// Machine-total words the execute right after a tenant swap moves
-    /// on the lane-resident path (re-prime + interior refresh + halo
-    /// exchange + scatter); equals [`Self::steady_state_copy_words`]
-    /// off that path.
+    /// Machine-total words the execute after a ping-pong rebind moves on
+    /// the lane-resident path: every source's interior refresh and halo
+    /// exchange, the result scatter, plus the read-only ranges (or, on
+    /// temporal plans, coefficient halos) the last rebind moved. Equals
+    /// [`Self::steady_state_copy_words`] off that path, where every
+    /// execute already pays the full refresh.
     pub fn rebind_cycle_copy_words(&self) -> usize {
         self.inst.rebind_cycle_copy_words(&self.shared)
     }
@@ -2070,16 +2106,27 @@ enum ResidentAccess<'a, 'b> {
 
 /// What one execute accumulated on its way to the shared epilogue
 /// ([`PlanInstance::finish`]): the kernel run, modeled exchange cycles,
-/// observed copy traffic, and the entry-state flags the debug
-/// cross-checks key on.
+/// observed copy traffic, and the copy words the debug cross-check
+/// expects.
 struct ExecTally {
     run: StripRun,
     comm: u64,
     interior_words: usize,
     exchange_words: usize,
     mirror_base: MirrorWords,
-    steady_at_entry: bool,
-    rebind_at_entry: bool,
+    /// Machine-total copy words the execute's re-reads predict.
+    predicted: u64,
+}
+
+/// What [`PlanInstance::run_mirror`] hands back: the kernel run, the
+/// modeled exchange cycles, the lane halo words moved, and the copy words
+/// its re-reads predict.
+#[derive(Default)]
+struct MirrorRun {
+    run: StripRun,
+    comm: u64,
+    exchange_words: usize,
+    predicted: usize,
 }
 
 /// One node-memory address range an execute touches, with whether it may
@@ -2247,81 +2294,41 @@ fn lane_ranges(
     ranges
 }
 
-/// Translates each source's interior refresh onto the lane mirror: one
-/// [`RectCopy`] per source rewrites the mirror rows holding its halo
-/// buffer's interior from the (mirror-external) source array every
-/// iteration — the lane-resident `fill_interior`. Returns `None` when
-/// any halo buffer is not wholly inside one viewed range (then the plan
-/// keeps the gather/scatter steady state).
-/// The read-only ranges of `view` past the first `halo_count` (constant
-/// pair, literal pages, named coefficient arrays), each as a single-run
-/// [`RectCopy`] — what a post-rebind partial re-prime must re-gather.
-/// Halo ranges are excluded: their observable words are redefined by the
-/// interior refresh and exchange every iteration.
-fn reprime_copies(view: &LaneView, halo_count: usize) -> Vec<RectCopy> {
-    view.ranges()
-        .iter()
-        .enumerate()
-        .filter(|(i, range)| *i >= halo_count && !range.writable)
-        .map(|(_, range)| RectCopy {
-            src0: range.node_base,
-            src_stride: 0,
-            dst0: range.lane_base,
-            dst_stride: 0,
-            rows: 1,
-            cols: range.len,
-        })
-        .collect()
-}
-
-/// The full lane-resident program set for `view`: every halo exchange
-/// (sources first, then temporal coefficient halos) and interior
-/// refresh translated onto the mirror, plus the scratch boundary
-/// fix-ups of a temporal plan. `None` when any part fails to translate
-/// — the plan then runs without residency.
-struct ResidentPrograms {
-    exchanges: Vec<LaneExchangeProgram>,
-    interiors: Vec<RectCopy>,
-    scratch_fills: Vec<LaneFillProgram>,
-}
-
+/// The rebind-invariant half of the lane-resident program set for
+/// `view`: every halo exchange (sources first, then temporal coefficient
+/// halos) and the scratch boundary fix-ups of a temporal plan, translated
+/// onto the mirror. Both address only plan-owned buffers at lane words
+/// fixed by the view's range order and lengths. `None` when any part
+/// fails to translate — the plan then runs without residency.
 fn resident_programs(
     cp: &CompiledPlan,
     view: &LaneView,
-    sources: &[CmArray],
-    coeffs: &[CmArray],
-) -> Option<ResidentPrograms> {
-    let mut exchanges: Vec<LaneExchangeProgram> = cp
+) -> Option<(Vec<LaneExchangeProgram>, Vec<LaneFillProgram>)> {
+    let temporal = cp.temporal.iter();
+    let exchanges = cp
         .exchanges
         .iter()
+        .chain(temporal.clone().flat_map(|tp| &tp.coeff_exchanges))
         .map(|p| LaneExchangeProgram::translate(p, view))
         .collect::<Option<_>>()?;
-    let mut interiors = lane_interior_copies(view, &cp.halos, sources)?;
-    let mut scratch_fills = Vec::new();
-    if let Some(tp) = &cp.temporal {
-        for p in &tp.coeff_exchanges {
-            exchanges.push(LaneExchangeProgram::translate(p, view)?);
-        }
-        interiors.extend(lane_interior_copies(view, &tp.coeff_halos, coeffs)?);
-        for p in &tp.scratch_fills {
-            scratch_fills.push(LaneFillProgram::translate(p, view)?);
-        }
-    }
-    Some(ResidentPrograms {
-        exchanges,
-        interiors,
-        scratch_fills,
-    })
+    let scratch_fills = temporal
+        .flat_map(|tp| &tp.scratch_fills)
+        .map(|p| LaneFillProgram::translate(p, view))
+        .collect::<Option<_>>()?;
+    Some((exchanges, scratch_fills))
 }
 
-fn lane_interior_copies(
+/// Translates each halo's interior refresh onto the lane mirror: one
+/// [`RectCopy`] per halo rewrites the mirror rows holding its interior
+/// from the (mirror-external) bound array — the lane-resident
+/// `fill_interior`. Returns `None` when any halo buffer is not wholly
+/// inside one viewed range (then the plan keeps the gather/scatter
+/// steady state).
+fn lane_interior_copies<'a>(
     view: &LaneView,
-    halos: &[HaloBuffer],
-    sources: &[CmArray],
+    pairs: impl Iterator<Item = (&'a HaloBuffer, &'a CmArray)>,
 ) -> Option<Vec<RectCopy>> {
-    halos
-        .iter()
-        .zip(sources)
+    pairs
         .map(|(halo, src)| {
             let hl = halo.layout();
             let sl = src.layout();

@@ -940,7 +940,7 @@ impl Session {
                     cmcc_obs::trace::TraceOp::RegionCommit,
                     stage.ranges().len() as u64,
                 );
-                stage.apply(machine.exec_parts_mut().1);
+                machine.apply_stage(&stage);
             }
             self.stage = stage;
             measurement

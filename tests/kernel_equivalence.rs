@@ -537,7 +537,10 @@ fn temporal_telemetry_counts_exchanges_fused_steps_and_fallbacks() {
         let mut plan =
             ExecutionPlan::build(&mut machine, &binding, &opts, PlanLifetime::Scoped).unwrap();
         assert_eq!(plan.temporal_depth(), depth, "depth should take effect");
-        let before = obs::snapshot();
+        // This thread's counts only: other tests in this binary execute
+        // plans concurrently while telemetry is on (threads = 1 keeps
+        // every count here on the calling thread).
+        let before = obs::thread_snapshot();
         for e in 0..steps / depth {
             plan.execute(&mut machine).unwrap();
             if e + 1 < steps / depth {
@@ -545,7 +548,7 @@ fn temporal_telemetry_counts_exchanges_fused_steps_and_fallbacks() {
                 plan.rebind(to, &[from], &[]).unwrap();
             }
         }
-        let delta = obs::snapshot().delta(&before);
+        let delta = obs::thread_snapshot().delta(&before);
         (
             delta.get(Counter::HaloExchanges),
             delta.get(Counter::FusedSteps),
@@ -570,7 +573,7 @@ fn temporal_telemetry_counts_exchanges_fused_steps_and_fallbacks() {
     a.fill(&mut machine, 1.0);
     let b = CmArray::new(&mut machine, 8, 8).unwrap();
     let binding = StencilBinding::new(&compiled, &b, &[&a], &[]).unwrap();
-    let before = obs::snapshot();
+    let before = obs::thread_snapshot();
     let plan = ExecutionPlan::build(
         &mut machine,
         &binding,
@@ -578,7 +581,7 @@ fn temporal_telemetry_counts_exchanges_fused_steps_and_fallbacks() {
         PlanLifetime::Scoped,
     )
     .unwrap();
-    let delta = obs::snapshot().delta(&before);
+    let delta = obs::thread_snapshot().delta(&before);
     obs::set_enabled(was_on);
     assert_eq!(plan.temporal_depth(), 1);
     assert_eq!(delta.get(Counter::TemporalFallbacks), 1);

@@ -3,7 +3,8 @@
 //! must leave an empty report, rebinding through the session cache must
 //! keep counters continuous (no gaps or double counting between
 //! bracketed reports), and a steady-state iteration's observed copy
-//! words must equal the plan's analytic prediction.
+//! words must equal the plan's analytic prediction — including under
+//! ping-pong rebinding, where only what moved or was written is re-read.
 //!
 //! The counters are process-global atomics, so every test here takes a
 //! shared lock and resets the registry before measuring.
@@ -195,7 +196,101 @@ fn steady_state_copy_words_match_analytic_prediction() {
         "steady state must not re-gather the full mirror"
     );
     assert_eq!(steady.get(Counter::MirrorAllocations), 0);
-
     plan.release(&mut m);
+
+    ping_pong_copy_words_match_the_rebind_cycle_model();
     obs::set_enabled(false);
+}
+
+/// The copy-word contract under ping-pong rebinding: a Square9 plan over
+/// nine coefficient arrays swaps source and result every execute. Once
+/// primed, no execute re-gathers anything (the coefficients neither move
+/// nor change), and each moves exactly `rebind_cycle_copy_words()`. A
+/// host scatter into one coefficient array then makes the next execute
+/// gather exactly that array — `nodes × len` words — and still match the
+/// scalar engine bit for bit.
+fn ping_pong_copy_words_match_the_rebind_cycle_model() {
+    let cfg = MachineConfig::tiny_4();
+    let compiled = Compiler::new(cfg.clone())
+        .compile_assignment(&PaperPattern::Square9.fortran())
+        .unwrap();
+    let mut m = Machine::new(cfg).unwrap();
+    let x = CmArray::new(&mut m, 16, 16).unwrap();
+    let r = CmArray::new(&mut m, 16, 16).unwrap();
+    x.fill_with(&mut m, |row, col| ((row * 7 + col * 3) % 13) as f32 * 0.25);
+    let coeffs: Vec<CmArray> = (0..9)
+        .map(|k| {
+            let a = CmArray::new(&mut m, 16, 16).unwrap();
+            a.fill_with(&mut m, |row, col| {
+                ((row + col * 5 + k) % 7) as f32 * 0.0625 + 0.0625
+            });
+            a
+        })
+        .collect();
+    let refs: Vec<&CmArray> = coeffs.iter().collect();
+    let binding = StencilBinding::new(&compiled, &r, &[&x], &refs).unwrap();
+    let mut plan = ExecutionPlan::build(
+        &mut m,
+        &binding,
+        &ExecOptions::fast(),
+        PlanLifetime::Persistent,
+    )
+    .unwrap();
+    assert!(plan.uses_lane_resident());
+    plan.execute(&mut m).unwrap(); // priming iteration
+
+    let (mut cur, mut next) = (r, x);
+    let mut step = |m: &mut Machine, cur: &CmArray, next: &CmArray| {
+        plan.rebind(next, &[cur], &refs).unwrap();
+        let before = obs::snapshot();
+        plan.execute(m).unwrap();
+        (
+            obs::snapshot().delta(&before),
+            plan.rebind_cycle_copy_words(),
+        )
+    };
+    for _ in 0..4 {
+        let (report, predicted) = step(&mut m, &cur, &next);
+        assert_eq!(
+            report.get(Counter::GatherWords),
+            0,
+            "a ping-pong execute re-gathered unchanged coefficients"
+        );
+        assert_eq!(
+            report.copy_words(),
+            predicted as u64,
+            "ping-pong copy words diverge from the rebind-cycle model:\n{}",
+            report.render_table()
+        );
+        std::mem::swap(&mut cur, &mut next);
+    }
+
+    // A host write to one coefficient array: exactly its words are
+    // re-gathered, and the result still matches the scalar engine.
+    let changed = &coeffs[4];
+    changed.fill_with(&mut m, |row, col| (row * 16 + col) as f32 * 0.001);
+    let input = cur.gather(&m);
+    let (report, _) = step(&mut m, &cur, &next);
+    assert_eq!(
+        report.get(Counter::GatherWords),
+        (m.node_count() * changed.field().len()) as u64,
+        "a host scatter must re-gather exactly the written array"
+    );
+    let oracle_in = CmArray::new(&mut m, 16, 16).unwrap();
+    let oracle_out = CmArray::new(&mut m, 16, 16).unwrap();
+    oracle_in.scatter(&mut m, &input);
+    let binding = StencilBinding::new(&compiled, &oracle_out, &[&oracle_in], &refs).unwrap();
+    let mut scalar = ExecutionPlan::build(
+        &mut m,
+        &binding,
+        &ExecOptions::fast().with_engine(ExecEngine::Scalar),
+        PlanLifetime::Persistent,
+    )
+    .unwrap();
+    scalar.execute(&mut m).unwrap();
+    let want: Vec<u32> = oracle_out.gather(&m).iter().map(|v| v.to_bits()).collect();
+    let got: Vec<u32> = next.gather(&m).iter().map(|v| v.to_bits()).collect();
+    assert_eq!(got, want, "resident result diverges from the scalar engine");
+    scalar.release(&mut m);
+    plan.release(&mut m);
 }
