@@ -28,21 +28,28 @@
 //! this workload every strip must classify into the family, which is
 //! also the CI smoke gate (it runs under `--quick` too).
 //!
-//! A third pass re-times the lockstep engine with `cmcc_obs` profiling
+//! A third ratio re-times the lockstep engine with `cmcc_obs` profiling
 //! *enabled* — and the flight recorder pinned *off* — and asserts the
-//! overhead stays under 2% in full mode. The first two passes run with
+//! overhead stays under 2% in full mode. Every other pass runs with
 //! profiling disabled, so the asserted on/off delta also bounds the cost
 //! of the disabled instrumentation paths (branch-on-a-relaxed-atomic for
 //! the counters, one relaxed load per would-be trace event) that every
 //! build now carries.
+//!
+//! All five passes (scalar, lockstep, profiled lockstep, resident
+//! kernelized, resident interpreted) are built and warmed up front, then
+//! timed in interleaved rounds — one execute per pass per round — and
+//! each reports its minimum, the method `repro_temporal` uses: every
+//! ratio compares executes timed milliseconds apart, not passes timed
+//! minutes apart, so host drift cannot pose as a speedup or an overhead.
 //!
 //! ```sh
 //! cargo run --release -p cmcc-bench --bin repro_simd
 //! cargo run --release -p cmcc-bench --bin repro_simd -- --quick
 //! ```
 //!
-//! `--quick` runs 2 timed iterations per engine and checks equivalence
-//! only (for CI, where wall-clock ratios on shared runners are noise).
+//! `--quick` runs 2 rounds and checks equivalence only (for CI, where
+//! wall-clock ratios on shared runners are noise).
 
 use cmcc_bench::Workload;
 use cmcc_cm2::config::MachineConfig;
@@ -55,114 +62,149 @@ use cmcc_runtime::ExecEngine;
 use std::time::Instant;
 
 const SUBGRID: (usize, usize) = (128, 128);
-const FULL_ITERS: usize = 20;
+const FULL_ROUNDS: usize = 60;
 const WARMUP: usize = 2;
 
-/// Builds a persistent plan for `w` under `engine`, replays it
-/// `WARMUP + iters` times, and returns the best steady-state seconds per
-/// iteration, the measurement, the gathered result, and the bytes each
-/// steady-state iteration copies (machine-total, from the plan's own
-/// accounting).
-///
-/// The lockstep plan pins `lane_resident` off: this benchmark isolates
-/// per-step dispatch amortization, so both engines pay the same
-/// per-iteration copy traffic; the residency saving is measured
-/// separately by `repro_lane_resident`.
-fn time_engine(
-    w: &mut Workload,
-    engine: ExecEngine,
-    iters: usize,
-    kernel_tier: bool,
-    resident: bool,
-) -> (f64, Measurement, Vec<f32>, usize) {
-    let opts = ExecOptions::fast()
-        .with_engine(engine)
-        .with_threads(1)
-        .with_lane_resident(resident);
-    let refs: Vec<&CmArray> = w.coeffs.iter().collect();
-    let binding =
-        StencilBinding::new(&w.compiled, &w.r, &[&w.x], &refs).expect("bench binding is valid");
-    let mark = w.machine.alloc_mark();
-    let mut plan = ExecutionPlan::build(&mut w.machine, &binding, &opts, PlanLifetime::Scoped)
-        .expect("bench plan builds");
-    assert_eq!(
-        plan.uses_lockstep(),
-        engine == ExecEngine::Lockstep,
-        "a clean single-source binding must lane-map iff lockstep is requested"
-    );
-    plan.set_kernel_tier(kernel_tier);
-    if engine == ExecEngine::Lockstep && kernel_tier {
-        assert!(
-            plan.kernelized_strips() > 0,
-            "the 9-point workload must compile against the kernel family"
+/// One timed configuration: a persistent plan over its own
+/// identically seeded workload, and the best execute seen so far.
+struct Pass {
+    w: Workload,
+    plan: ExecutionPlan,
+    /// Whether `cmcc_obs` profiling is live around this pass's executes.
+    profiled: bool,
+    best: f64,
+    m: Measurement,
+    /// Bytes each steady-state iteration copies (machine-total, from the
+    /// plan's own accounting).
+    copy_bytes: usize,
+}
+
+impl Pass {
+    /// Builds a persistent plan under `engine` and runs its `WARMUP`
+    /// executes.
+    ///
+    /// Non-resident lockstep plans pin `lane_resident` off: the
+    /// scalar/lockstep ratio isolates per-step dispatch amortization, so
+    /// both engines pay the same per-iteration copy traffic; the
+    /// residency saving is measured separately by `repro_lane_resident`.
+    fn new(engine: ExecEngine, kernel_tier: bool, resident: bool, profiled: bool) -> Pass {
+        let mut w = Workload::new(
+            MachineConfig::test_board_16(),
+            PaperPattern::Square9,
+            SUBGRID,
         );
+        let opts = ExecOptions::fast()
+            .with_engine(engine)
+            .with_threads(1)
+            .with_lane_resident(resident);
+        let refs: Vec<&CmArray> = w.coeffs.iter().collect();
+        let binding =
+            StencilBinding::new(&w.compiled, &w.r, &[&w.x], &refs).expect("bench binding is valid");
+        let mut plan = ExecutionPlan::build(&mut w.machine, &binding, &opts, PlanLifetime::Scoped)
+            .expect("bench plan builds");
+        assert_eq!(
+            plan.uses_lockstep(),
+            engine == ExecEngine::Lockstep,
+            "a clean single-source binding must lane-map iff lockstep is requested"
+        );
+        plan.set_kernel_tier(kernel_tier);
+        if engine == ExecEngine::Lockstep && kernel_tier {
+            assert!(
+                plan.kernelized_strips() > 0,
+                "the 9-point workload must compile against the kernel family"
+            );
+        }
+        let copy_bytes = plan.steady_state_copy_words() * 4;
+        cmcc_obs::set_enabled(profiled);
+        let m = plan.execute(&mut w.machine).expect("bench plan executes");
+        cmcc_obs::set_enabled(false);
+        let mut pass = Pass {
+            w,
+            plan,
+            profiled,
+            best: f64::INFINITY,
+            m,
+            copy_bytes,
+        };
+        for _ in 1..WARMUP {
+            pass.execute();
+        }
+        pass.best = f64::INFINITY;
+        pass
     }
-    let copy_bytes = plan.steady_state_copy_words() * 4;
-    let mut m = plan.execute(&mut w.machine).expect("bench plan executes");
-    for _ in 1..WARMUP {
-        m = plan.execute(&mut w.machine).expect("bench plan executes");
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
+
+    /// Times one execute, keeping the minimum. Profiling is switched on
+    /// only around a profiled pass's execute, outside the timed span.
+    fn execute(&mut self) {
+        cmcc_obs::set_enabled(self.profiled);
         let start = Instant::now();
-        m = plan.execute(&mut w.machine).expect("bench plan executes");
-        best = best.min(start.elapsed().as_secs_f64());
+        self.m = self
+            .plan
+            .execute(&mut self.w.machine)
+            .expect("bench plan executes");
+        self.best = self.best.min(start.elapsed().as_secs_f64());
+        cmcc_obs::set_enabled(false);
     }
-    let result = w.r.gather(&w.machine);
-    w.machine.release_to(mark);
-    (best, m, result, copy_bytes)
+
+    /// The gathered result array.
+    fn result(&self) -> Vec<f32> {
+        self.w.r.gather(&self.w.machine)
+    }
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let iters = if quick { 2 } else { FULL_ITERS };
+    let rounds = if quick { 2 } else { FULL_ROUNDS };
 
     println!("Lockstep SIMD executor benchmark (fast mode, 1 host thread)");
     println!(
         "9-point square, {}x{} per node on the 16-node board (512x512 global), \
-         warmup {WARMUP} + {iters} iters per engine\n",
+         warmup {WARMUP} + min of {rounds} interleaved rounds per pass\n",
         SUBGRID.0, SUBGRID.1
     );
 
-    // Two identically-seeded workloads, so any divergence is the
-    // executor's fault, not the data's.
-    let mut scalar_w = Workload::new(
-        MachineConfig::test_board_16(),
-        PaperPattern::Square9,
-        SUBGRID,
-    );
-    let mut lockstep_w = Workload::new(
-        MachineConfig::test_board_16(),
-        PaperPattern::Square9,
-        SUBGRID,
-    );
-
-    let (scalar_secs, scalar_m, scalar_r, scalar_copy_bytes) =
-        time_engine(&mut scalar_w, ExecEngine::Scalar, iters, true, false);
+    // Pin the flight recorder OFF: the <2% overhead budget asserted
+    // below covers the counters plus the compiled-in-but-disabled trace
+    // path (one relaxed atomic load per would-be event) that every
+    // instrumented crate now carries.
+    cmcc_obs::trace::set_trace_enabled(false);
+    cmcc_obs::set_enabled(false);
+    let counters_before = cmcc_obs::snapshot();
+    // Every pass owns an identically seeded workload, so any divergence
+    // is the executor's fault, not the data's:
+    // * scalar vs lockstep, both non-resident (equal copy traffic);
+    // * the lockstep pass again with `cmcc_obs` profiling live, for the
+    //   telemetry overhead — and to gate kernel coverage: on the 9-point
+    //   workload no lockstep step may fall back to the interpreter;
+    // * kernel tier vs interpreted lockstep, both lane-resident:
+    //   residency strips the per-iteration gather/scatter floor the
+    //   non-resident passes share, so this ratio isolates the step
+    //   engine itself — the thing plan-time kernel generation changes.
+    let mut passes = [
+        Pass::new(ExecEngine::Scalar, true, false, false),
+        Pass::new(ExecEngine::Lockstep, true, false, false),
+        Pass::new(ExecEngine::Lockstep, true, false, true),
+        Pass::new(ExecEngine::Lockstep, true, true, false),
+        Pass::new(ExecEngine::Lockstep, false, true, false),
+    ];
+    // Interleaved rounds, one execute per pass per round, so every pass
+    // samples the same slice of machine time and host drift cannot
+    // masquerade as a ratio.
+    for _ in 0..rounds {
+        for pass in &mut passes {
+            pass.execute();
+        }
+    }
+    let counters_after = cmcc_obs::snapshot();
+    let [scalar, lockstep, profiled, resident, interp] = &passes;
+    let (scalar_secs, scalar_m, scalar_r) = (scalar.best, scalar.m, scalar.result());
+    let (lockstep_secs, lockstep_m, lockstep_r) = (lockstep.best, lockstep.m, lockstep.result());
+    let (scalar_copy_bytes, lockstep_copy_bytes) = (scalar.copy_bytes, lockstep.copy_bytes);
     println!("  scalar:   {scalar_secs:.6} s/iter, {scalar_copy_bytes} copy bytes/iter");
-    let (lockstep_secs, lockstep_m, lockstep_r, lockstep_copy_bytes) =
-        time_engine(&mut lockstep_w, ExecEngine::Lockstep, iters, true, false);
     println!("  lockstep: {lockstep_secs:.6} s/iter, {lockstep_copy_bytes} copy bytes/iter");
-
-    // Kernel tier vs interpreted lockstep, both on lane-resident plans:
-    // residency strips the per-iteration gather/scatter floor the
-    // non-resident passes above share, so this ratio isolates the step
-    // engine itself — the thing plan-time kernel generation changes.
-    let mut resident_w = Workload::new(
-        MachineConfig::test_board_16(),
-        PaperPattern::Square9,
-        SUBGRID,
-    );
-    let (resident_secs, resident_m, resident_r, _) =
-        time_engine(&mut resident_w, ExecEngine::Lockstep, iters, true, true);
+    let (resident_secs, resident_m, resident_r) = (resident.best, resident.m, resident.result());
     println!("  lockstep (resident, kernelized):  {resident_secs:.6} s/iter");
-    let mut interp_w = Workload::new(
-        MachineConfig::test_board_16(),
-        PaperPattern::Square9,
-        SUBGRID,
-    );
-    let (interp_secs, interp_m, interp_r, _) =
-        time_engine(&mut interp_w, ExecEngine::Lockstep, iters, false, true);
+    let (interp_secs, interp_m, interp_r) = (interp.best, interp.m, interp.result());
     println!("  lockstep (resident, interpreted): {interp_secs:.6} s/iter");
     assert_eq!(
         interp_m, lockstep_m,
@@ -181,26 +223,7 @@ fn main() {
         );
     }
 
-    // Third pass: identical lockstep workload with profiling counters
-    // live, to measure the telemetry overhead — and to gate kernel
-    // coverage: on the 9-point workload no lockstep step may fall back
-    // to the interpreter.
-    let mut profiled_w = Workload::new(
-        MachineConfig::test_board_16(),
-        PaperPattern::Square9,
-        SUBGRID,
-    );
-    cmcc_obs::set_enabled(true);
-    // Pin the flight recorder OFF for the profiled pass: the <2%
-    // overhead budget asserted below covers the counters plus the
-    // compiled-in-but-disabled trace path (one relaxed atomic load per
-    // would-be event) that every instrumented crate now carries.
-    cmcc_obs::trace::set_trace_enabled(false);
-    let counters_before = cmcc_obs::snapshot();
-    let (profiled_secs, profiled_m, profiled_r, _) =
-        time_engine(&mut profiled_w, ExecEngine::Lockstep, iters, true, false);
-    let counters_after = cmcc_obs::snapshot();
-    cmcc_obs::set_enabled(false);
+    let (profiled_secs, profiled_m, profiled_r) = (profiled.best, profiled.m, profiled.result());
     let kernelized_steps = counters_after.get(cmcc_obs::Counter::KernelizedSteps)
         - counters_before.get(cmcc_obs::Counter::KernelizedSteps);
     let interpreted_steps = counters_after.get(cmcc_obs::Counter::InterpretedSteps)
@@ -243,9 +266,9 @@ fn main() {
          bit-identical: {bit_identical}; measurements equal: {measurement_equal}"
     );
 
-    // The profiled pass executes the plan WARMUP + iters times; the JSON
+    // The profiled pass executes the plan WARMUP + rounds times; the JSON
     // records the per-execution step count so it is iteration-invariant.
-    let kernelized_steps_per_run = kernelized_steps / (WARMUP + iters) as u64;
+    let kernelized_steps_per_run = kernelized_steps / (WARMUP + rounds) as u64;
     let cores = cmcc_bench::host_cores();
     let scaling_gate = if quick {
         "recorded only (--quick: wall-clock ratios not asserted)".to_owned()
@@ -255,7 +278,7 @@ fn main() {
     let json = format!(
         "{{\n  \"pattern\": \"{}\",\n  \"global_grid\": [512, 512],\n  \"subgrid\": [{}, {}],\n  \
          \"host_cores\": {cores},\n  \"scaling_gate\": \"{scaling_gate}\",\n  \
-         \"threads\": 1,\n  \"warmup\": {WARMUP},\n  \"iters\": {iters},\n  \
+         \"threads\": 1,\n  \"warmup\": {WARMUP},\n  \"interleave_rounds\": {rounds},\n  \
          \"scalar_secs_per_iter\": {scalar_secs:.6},\n  \
          \"lockstep_secs_per_iter\": {lockstep_secs:.6},\n  \
          \"lockstep_resident_secs_per_iter\": {resident_secs:.6},\n  \

@@ -299,7 +299,7 @@ fn main() {
     let scaling_gate = if quick {
         "recorded only (--quick: depth-4 speedup not asserted)"
     } else {
-        "asserted (>=1.25x at depth 4 over the scalar oracle)"
+        "asserted (>=1.25x per step at depth 4 over depth 1)"
     };
     let json = format!(
         "{{\n  \"workload\": \"heat5\",\n  \"global_grid\": [{}, {}],\n  \

@@ -640,6 +640,21 @@ impl ResolvedStrip {
         (self.prologue.len() + body) as u64
     }
 
+    /// A strip from raw parts, for tests that drive synthetic shapes
+    /// through both the interpreter and the kernel tier.
+    #[cfg(test)]
+    pub(crate) fn from_parts(
+        prologue: Vec<ResolvedPart>,
+        body: Vec<Vec<ResolvedPart>>,
+        lines: usize,
+    ) -> Self {
+        ResolvedStrip {
+            prologue,
+            body,
+            lines,
+        }
+    }
+
     /// The prologue parts, for the kernel-tier classifier.
     pub(crate) fn prologue_parts(&self) -> &[ResolvedPart] {
         &self.prologue

@@ -32,7 +32,9 @@
 //! values, so it survives result/source rebinds and is invalidated
 //! only when a coefficient base moves or the host writes node memory),
 //! and the burst bodies read their taps' coefficient rows sequentially
-//! from the stream instead of walking strided lane rows.
+//! from the stream instead of walking strided lane rows. A strip whose
+//! coefficients never advance (literal and constant pages, delta 0)
+//! streams one body period and replays it.
 //!
 //! **Bit-identity is the hard gate.** A kernel reassociates nothing: per
 //! lane, each chain's taps execute in exactly the interpreter's order
@@ -277,6 +279,9 @@ pub struct StripKernels {
     prologue: Vec<ResolvedPart>,
     body: Vec<LineKernel>,
     lines: usize,
+    /// Lines the packed coefficient stream covers before [`Self::run`]
+    /// rewinds it: one body period when no tap advances, else `lines`.
+    stream_lines: usize,
     k: usize,
     k_slot: usize,
     steps: u64,
@@ -321,10 +326,12 @@ impl StripKernels {
     }
 
     /// Words of coefficient stream [`Self::pack_stream`] emits for an
-    /// `n`-lane group: one `n`-wide lane row per tap per executed line.
+    /// `n`-lane group: one `n`-wide lane row per tap per streamed line —
+    /// every executed line, or a single body period when no tap of the
+    /// strip advances.
     pub fn stream_words(&self, n: usize) -> usize {
         let period = self.body.len();
-        (0..self.lines)
+        (0..self.stream_lines)
             .map(|i| self.body[i % period].taps.len())
             .sum::<usize>()
             * n
@@ -338,6 +345,13 @@ impl StripKernels {
     /// function of the bound coefficient values, so callers may reuse
     /// it across executes until a coefficient binding or node memory
     /// changes (see [`CoeffStreams`]).
+    ///
+    /// A strip whose taps all have delta 0 — every coefficient a literal
+    /// or constant page word, like the CM-2's constant-page operands whose
+    /// address never advances — reads the same rows every period, so its
+    /// stream holds one period and `run` replays it. Any advancing tap
+    /// (a named coefficient array), or a seam-split strip with one body
+    /// pattern per line, streams every line.
     pub fn pack_stream(&self, lanes: &LaneMemory, out: &mut Vec<f32>) {
         let n = lanes.nodes();
         out.clear();
@@ -348,7 +362,7 @@ impl StripKernels {
             .map(|lk| RLine::resolve(lk, n as isize))
             .collect();
         let period = rlines.len();
-        for line in 0..self.lines {
+        for line in 0..self.stream_lines {
             let rl = &mut rlines[line % period];
             for tap in &rl.taps {
                 out.extend_from_slice(lanes.flat(tap.coeff as usize, n));
@@ -395,6 +409,9 @@ impl StripKernels {
         let period = rlines.len();
         let mut pos = 0usize;
         for line in 0..self.lines {
+            if line % self.stream_lines == 0 {
+                pos = 0;
+            }
             let rl = &mut rlines[line % period];
             for io in &rl.loads {
                 fpu.regs[io.reg..io.reg + n].copy_from_slice(lanes.flat(io.mem as usize, n));
@@ -448,10 +465,17 @@ fn compile_parts(
     // A strip with no MACs anywhere has nothing to kernelize.
     let k = k_all?;
     let k_slot = arity_slot(k);
+    let stationary = body.iter().all(|l| l.taps.iter().all(|t| t.delta == 0));
+    let stream_lines = if stationary {
+        body.len().min(lines)
+    } else {
+        lines
+    };
     Some(StripKernels {
         prologue: prologue.to_vec(),
         body,
         lines,
+        stream_lines,
         k,
         k_slot,
         steps,
@@ -1273,5 +1297,176 @@ mod tests {
             "shape change must repack for the new lane count"
         );
         let _ = &mut narrow;
+    }
+
+    /// Pattern `p` of a `period`-line body whose loads and stores walk
+    /// one row per line while its `k`-tap chain pair reads coefficient
+    /// words `coeff0 + p·2k ..` — the shape of a literal-coefficient
+    /// statement when `tap_delta` is 0. Lane words: sources `0..=lines`,
+    /// coefficients from `coeff0`, results from `res0` (two per line).
+    fn walking_line(
+        p: usize,
+        period: usize,
+        k: usize,
+        (coeff0, res0): (usize, usize),
+        tap_delta: i64,
+    ) -> Vec<ResolvedPart> {
+        let walk = period as i64;
+        let mut parts = vec![
+            part(ResolvedOp::Load { dest: Reg(2) }, p, walk),
+            part(ResolvedOp::Load { dest: Reg(3) }, p + 1, walk),
+        ];
+        for t in 0..k {
+            let acc = |start: Reg| {
+                if t == 0 {
+                    MacAcc::Start(start)
+                } else {
+                    MacAcc::Chain
+                }
+            };
+            let last = t == k - 1;
+            for (side, (data, addend, dest)) in
+                [(Reg(2), Reg::ZERO, Reg(4)), (Reg(3), Reg::ONE, Reg(5))]
+                    .into_iter()
+                    .enumerate()
+            {
+                parts.push(part(
+                    ResolvedOp::Mac {
+                        data,
+                        acc: acc(addend),
+                        dest: last.then_some(dest),
+                    },
+                    coeff0 + p * 2 * k + 2 * t + side,
+                    tap_delta,
+                ));
+            }
+        }
+        parts.push(part(
+            ResolvedOp::Store { src: Reg(4) },
+            res0 + 2 * p,
+            2 * walk,
+        ));
+        parts.push(part(
+            ResolvedOp::Store { src: Reg(5) },
+            res0 + 2 * p + 1,
+            2 * walk,
+        ));
+        parts
+    }
+
+    /// Every lane word's bits, for bit-exact comparisons.
+    fn lane_bits(lanes: &LaneMemory, words: usize) -> Vec<u32> {
+        let n = lanes.nodes();
+        lanes
+            .flat(0, words * n)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// Runs `strip` through the kernel tier (from `streams`) and through
+    /// the interpreter over copies of `lanes`, asserting identical lane
+    /// bits and counters.
+    fn assert_tier_matches_interpreter(
+        strip: &ResolvedStrip,
+        kernel: &StripKernels,
+        streams: &mut CoeffStreams,
+        lanes: &LaneMemory,
+        words: usize,
+    ) {
+        let kernels = [Some(kernel.clone())];
+        let mut kern = vec![lanes.clone()];
+        streams.ensure(&kernels, &kern);
+        let kern_run = kernel.run(&mut kern[0], &streams.groups[0][0]);
+        let mut interp = lanes.clone();
+        let interp_run = run_resolved_strip_lockstep(strip, &mut interp);
+        assert_eq!(kern_run, interp_run, "counters diverge");
+        assert_eq!(
+            lane_bits(&kern[0], words),
+            lane_bits(&interp, words),
+            "kernel tier diverges from the interpreter"
+        );
+    }
+
+    /// A strip whose taps all stand still streams one body period,
+    /// replayed every period — even when the line count is not a
+    /// multiple of it — while any advancing tap, or a seam-split
+    /// strip's one-pattern-per-line body, still streams every line.
+    #[test]
+    fn stationary_taps_stream_one_period() {
+        let (k, period, lines) = (2, 3, 7);
+        let coeff0 = lines + 1;
+        let res0 = coeff0 + 2 * k * period * (lines + 1);
+        let words = res0 + 2 * lines;
+        let strip_with = |tap_delta: i64| {
+            let mut body: Vec<Vec<ResolvedPart>> = (0..period)
+                .map(|p| walking_line(p, period, k, (coeff0, res0), 0))
+                .collect();
+            // One advancing tap: pattern 0's first, one coefficient
+            // block per occurrence.
+            let first_mac = body[0]
+                .iter()
+                .position(|p| matches!(p.op, ResolvedOp::Mac { .. }))
+                .unwrap();
+            body[0][first_mac].delta = tap_delta;
+            ResolvedStrip::from_parts(Vec::new(), body, lines)
+        };
+        let taps_per_line = 2 * k;
+        for n in [16, 9, 5, 1] {
+            let mut lanes = LaneMemory::new(words, n);
+            for w in 0..words {
+                for (lane, v) in lanes.flat_mut(w * n, n).iter_mut().enumerate() {
+                    *v = val(w, lane);
+                }
+            }
+
+            // Case 1: every tap stationary — one period, not `lines`.
+            let stationary = strip_with(0);
+            let kernel = StripKernels::compile(&stationary).expect("classified shape");
+            assert_eq!(kernel.stream_words(n), period * taps_per_line * n);
+            let mut streams = CoeffStreams::new();
+            assert_tier_matches_interpreter(&stationary, &kernel, &mut streams, &lanes, words);
+            assert_eq!(streams.groups[0][0].len(), kernel.stream_words(n));
+            // Invalidation repacks the period from the current values.
+            lanes.flat_mut((coeff0 + taps_per_line) * n, n).fill(-3.5);
+            streams.invalidate();
+            assert_tier_matches_interpreter(&stationary, &kernel, &mut streams, &lanes, words);
+            assert_eq!(streams.groups[0][0][taps_per_line * n], -3.5);
+            assert_eq!(streams.groups[0][0].len(), kernel.stream_words(n));
+
+            // Case 2: one advancing tap — every executed line.
+            let advancing = strip_with((taps_per_line * period) as i64);
+            let kernel = StripKernels::compile(&advancing).expect("classified shape");
+            assert_eq!(kernel.stream_words(n), lines * taps_per_line * n);
+            assert_tier_matches_interpreter(
+                &advancing,
+                &kernel,
+                &mut CoeffStreams::new(),
+                &lanes,
+                words,
+            );
+
+            // Case 3: a result walk that crosses a range seam translates
+            // to one delta-0 pattern per line, whose stream is every line.
+            let node = strip_with(0);
+            let seam = res0 + 2 * (lines / 2);
+            let view = crate::lane::LaneView::new(&[
+                (0, res0, false),
+                (res0, seam - res0, true),
+                (seam, res0 + 2 * lines - seam, true),
+            ])
+            .unwrap();
+            let unrolled = node.translate(&view).expect("seam-split translation");
+            assert_eq!(unrolled.body_patterns().len(), lines, "unrolled per line");
+            let kernel = StripKernels::compile(&unrolled).expect("classified shape");
+            assert_eq!(kernel.stream_words(n), lines * taps_per_line * n);
+            assert_tier_matches_interpreter(
+                &unrolled,
+                &kernel,
+                &mut CoeffStreams::new(),
+                &lanes,
+                words,
+            );
+        }
     }
 }

@@ -431,18 +431,32 @@ fn property_kernel_tier_is_indistinguishable() {
     });
 }
 
+/// The all-literal five-point heat statement: every tap reads a literal
+/// page, so its strips stream one coefficient period.
+const HEAT: &str = "T_NEXT = 0.2 * EOSHIFT(T, DIM=1, SHIFT=-1) \
+                    + 0.2 * EOSHIFT(T, DIM=2, SHIFT=-1) + 0.2 * T \
+                    + 0.2 * EOSHIFT(T, DIM=2, SHIFT=+1) \
+                    + 0.2 * EOSHIFT(T, DIM=1, SHIFT=+1)";
+
+/// Literal and named coefficients in one statement: its strips mix
+/// stationary and advancing taps, so they stream every line.
+const MIXED: &str = "R = C1 * CSHIFT(X, 1, -1) + 0.5 * X + C2 * CSHIFT(X, 2, +1) \
+                     + 0.125 * CSHIFT(X, 1, +1)";
+
 /// The per-step slices of a temporal schedule run through the kernel
 /// tier exactly like a depth-1 schedule: tier on, tier off, and the
-/// iterated scalar oracle must be indistinguishable at every depth.
+/// iterated scalar oracle must be indistinguishable at every depth —
+/// for named-coefficient paper patterns, all-literal heat, and a
+/// statement mixing both.
 #[test]
 fn temporal_kernel_tier_matches_interpreter_and_scalar() {
     let cfg = MachineConfig::tiny_4();
     let (rows, cols, steps) = (16, 24, 4usize);
-    let run = |pattern: PaperPattern, depth: usize, opts: &ExecOptions, tier: bool| -> Vec<u32> {
+    let run = |source: &str, depth: usize, opts: &ExecOptions, tier: bool| -> Vec<u32> {
         let compiler = Compiler::new(cfg.clone());
         let compiled = compiler
-            .compile_assignment(&pattern.fortran())
-            .expect("paper patterns compile");
+            .compile_assignment(source)
+            .expect("statement compiles");
         let mut machine = Machine::new(cfg.clone()).expect("tiny_4 is valid");
         let a = CmArray::new(&mut machine, rows, cols).unwrap();
         let b = CmArray::new(&mut machine, rows, cols).unwrap();
@@ -482,22 +496,24 @@ fn temporal_kernel_tier_matches_interpreter_and_scalar() {
         let last = if executes.is_multiple_of(2) { &a } else { &b };
         last.gather(&machine).iter().map(|v| v.to_bits()).collect()
     };
-    for pattern in [PaperPattern::Square9, PaperPattern::Cross5] {
-        let oracle = run(pattern, 1, &scalar_fast(), true);
-        for depth in [2, 4] {
-            let kern = run(pattern, depth, &lockstep_fast(), true);
-            let interp = run(pattern, depth, &lockstep_fast(), false);
+    let sources = [
+        PaperPattern::Square9.fortran(),
+        PaperPattern::Cross5.fortran(),
+        HEAT.to_owned(),
+        MIXED.to_owned(),
+    ];
+    for source in &sources {
+        let oracle = run(source, 1, &scalar_fast(), true);
+        for depth in [1, 2, 4] {
+            let kern = run(source, depth, &lockstep_fast(), true);
+            let interp = run(source, depth, &lockstep_fast(), false);
             assert_eq!(
-                oracle,
-                kern,
-                "{} depth {depth}: kernelized temporal run diverges",
-                pattern.name()
+                oracle, kern,
+                "`{source}` depth {depth}: kernelized temporal run diverges"
             );
             assert_eq!(
-                oracle,
-                interp,
-                "{} depth {depth}: interpreted temporal run diverges",
-                pattern.name()
+                oracle, interp,
+                "`{source}` depth {depth}: interpreted temporal run diverges"
             );
         }
     }
