@@ -2,8 +2,8 @@
 """Validate the stability of the `cmcc --profile=json` schema.
 
 Reads driver output on stdin, finds the single-line JSON profile object
-(the line opening with ``{"schema":"cmcc-profile-v5"``), and checks every
-documented key of the cmcc-profile-v5 schema (DESIGN.md §13/§18) is
+(the line opening with ``{"schema":"cmcc-profile-v6"``), and checks every
+documented key of the cmcc-profile-v6 schema (DESIGN.md §13/§18) is
 present with a sane type — including the region-lease block
 (``leases.*``), the lease and trace counters under ``report.exec``, the
 model-drift cross-check under ``derived``, and the flight-recorder
@@ -61,7 +61,7 @@ import json
 import numbers
 import sys
 
-SCHEMA = "cmcc-profile-v5"
+SCHEMA = "cmcc-profile-v6"
 SERVE_SCHEMA = "cmcc-serve-v3"
 
 # The operations latency.phases keys (crates/obs/src/trace.rs order).
@@ -179,7 +179,6 @@ EXPECTED = [
     ("report.exec.fused_steps", numbers.Integral),
     ("report.exec.temporal_fallbacks", numbers.Integral),
     ("report.exec.scalar_runs", numbers.Integral),
-    ("report.exec.lockstep_runs", numbers.Integral),
     ("report.exec.lane_resident_runs", numbers.Integral),
     ("report.exec.scalar_steps", numbers.Integral),
     ("report.exec.lockstep_steps", numbers.Integral),

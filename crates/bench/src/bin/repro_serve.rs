@@ -158,11 +158,7 @@ fn main() {
     }
     let lane_resident: Vec<bool> = tenants
         .iter()
-        .map(|t| {
-            t.session
-                .last_plan()
-                .is_some_and(|p| p.uses_lane_resident())
-        })
+        .map(|t| t.session.last_plan().is_some_and(|p| p.lane_mapped()))
         .collect();
     let leases_before = root.lease_stats();
 

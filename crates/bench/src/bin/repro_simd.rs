@@ -4,29 +4,28 @@
 //! Runs the 9-point square stencil on the simulated 16-node test board
 //! with a 128×128 per-node subgrid (a 512×512 global array) in fast
 //! functional mode, once with the node-outer scalar interpreter and once
-//! with the step-outer lockstep broadcast engine. Both use a persistent
-//! execution plan (built once, replayed), a single host thread, and
-//! identically seeded data, so the measured ratio isolates the executor:
-//! per-step dispatch amortized over all node lanes plus contiguous
-//! lane-major inner loops, exactly the paper's §4.3 broadcast of one
-//! instruction stream to every node.
+//! with the lockstep broadcast engine — the lane body every lane-mapped
+//! plan runs: the resident mirror, the kernel tier, and the staged
+//! writes committed at once. Both use a persistent execution plan (built
+//! once, replayed), a single host thread, and identically seeded data.
+//! The ratio covers the executor (per-step dispatch amortized over all
+//! node lanes, contiguous lane-major inner loops — the paper's §4.3
+//! broadcast of one instruction stream to every node) together with the
+//! lane body's copy traffic; both engines' steady-state copy bytes per
+//! iteration are reported.
 //!
 //! Results must be bit-identical and `Measurement`s exactly equal; the
 //! steady-state speedup is asserted ≥2× in full mode and written to
-//! `BENCH_simd.json` either way. Lane residency is pinned *off* here so
-//! the ratio stays an executor comparison under equal copy traffic — the
-//! residency saving has its own benchmark, `repro_lane_resident`. Both
-//! engines' steady-state copy bytes per iteration are reported.
+//! `BENCH_simd.json` either way.
 //!
 //! A second ratio isolates plan-time kernel generation: the lockstep
-//! plan is replayed twice on *lane-resident* plans — residency strips
-//! the gather/scatter floor both non-resident passes share — once with
-//! the kernel tier live and once with it toggled off
+//! plan is replayed with the kernel tier toggled off
 //! (`ExecutionPlan::set_kernel_tier`), timing the monomorphized kernels
-//! against the per-step interpreter. Full mode asserts the kernels win
-//! by ≥2×, and the profiled pass asserts `interpreted_steps == 0` — on
-//! this workload every strip must classify into the family, which is
-//! also the CI smoke gate (it runs under `--quick` too).
+//! against the per-step interpreter on the same lane body. Full mode
+//! asserts the kernels win by ≥2×, and the profiled pass asserts
+//! `interpreted_steps == 0` — on this workload every strip must classify
+//! into the family, which is also the CI smoke gate (it runs under
+//! `--quick` too).
 //!
 //! A third ratio re-times the lockstep engine with `cmcc_obs` profiling
 //! *enabled* — and the flight recorder pinned *off* — and asserts the
@@ -36,8 +35,8 @@
 //! the counters, one relaxed load per would-be trace event) that every
 //! build now carries.
 //!
-//! All five passes (scalar, lockstep, profiled lockstep, resident
-//! kernelized, resident interpreted) are built and warmed up front, then
+//! All four passes (scalar, lockstep, profiled lockstep, interpreted
+//! lockstep) are built and warmed up front, then
 //! timed in interleaved rounds — one execute per pass per round — and
 //! each reports its minimum, the method `repro_temporal` uses: every
 //! ratio compares executes timed milliseconds apart, not passes timed
@@ -82,28 +81,20 @@ struct Pass {
 impl Pass {
     /// Builds a persistent plan under `engine` and runs its `WARMUP`
     /// executes.
-    ///
-    /// Non-resident lockstep plans pin `lane_resident` off: the
-    /// scalar/lockstep ratio isolates per-step dispatch amortization, so
-    /// both engines pay the same per-iteration copy traffic; the
-    /// residency saving is measured separately by `repro_lane_resident`.
-    fn new(engine: ExecEngine, kernel_tier: bool, resident: bool, profiled: bool) -> Pass {
+    fn new(engine: ExecEngine, kernel_tier: bool, profiled: bool) -> Pass {
         let mut w = Workload::new(
             MachineConfig::test_board_16(),
             PaperPattern::Square9,
             SUBGRID,
         );
-        let opts = ExecOptions::fast()
-            .with_engine(engine)
-            .with_threads(1)
-            .with_lane_resident(resident);
+        let opts = ExecOptions::fast().with_engine(engine).with_threads(1);
         let refs: Vec<&CmArray> = w.coeffs.iter().collect();
         let binding =
             StencilBinding::new(&w.compiled, &w.r, &[&w.x], &refs).expect("bench binding is valid");
         let mut plan = ExecutionPlan::build(&mut w.machine, &binding, &opts, PlanLifetime::Scoped)
             .expect("bench plan builds");
         assert_eq!(
-            plan.uses_lockstep(),
+            plan.lane_mapped(),
             engine == ExecEngine::Lockstep,
             "a clean single-source binding must lane-map iff lockstep is requested"
         );
@@ -172,20 +163,18 @@ fn main() {
     let counters_before = cmcc_obs::snapshot();
     // Every pass owns an identically seeded workload, so any divergence
     // is the executor's fault, not the data's:
-    // * scalar vs lockstep, both non-resident (equal copy traffic);
+    // * scalar vs lockstep;
     // * the lockstep pass again with `cmcc_obs` profiling live, for the
     //   telemetry overhead — and to gate kernel coverage: on the 9-point
     //   workload no lockstep step may fall back to the interpreter;
-    // * kernel tier vs interpreted lockstep, both lane-resident:
-    //   residency strips the per-iteration gather/scatter floor the
-    //   non-resident passes share, so this ratio isolates the step
-    //   engine itself — the thing plan-time kernel generation changes.
+    // * the lockstep pass with the kernel tier off: the same lane body
+    //   and copy traffic, so this ratio isolates the step engine itself
+    //   — the thing plan-time kernel generation changes.
     let mut passes = [
-        Pass::new(ExecEngine::Scalar, true, false, false),
-        Pass::new(ExecEngine::Lockstep, true, false, false),
-        Pass::new(ExecEngine::Lockstep, true, false, true),
-        Pass::new(ExecEngine::Lockstep, true, true, false),
-        Pass::new(ExecEngine::Lockstep, false, true, false),
+        Pass::new(ExecEngine::Scalar, true, false),
+        Pass::new(ExecEngine::Lockstep, true, false),
+        Pass::new(ExecEngine::Lockstep, true, true),
+        Pass::new(ExecEngine::Lockstep, false, false),
     ];
     // Interleaved rounds, one execute per pass per round, so every pass
     // samples the same slice of machine time and host drift cannot
@@ -196,32 +185,25 @@ fn main() {
         }
     }
     let counters_after = cmcc_obs::snapshot();
-    let [scalar, lockstep, profiled, resident, interp] = &passes;
+    let [scalar, lockstep, profiled, interp] = &passes;
     let (scalar_secs, scalar_m, scalar_r) = (scalar.best, scalar.m, scalar.result());
     let (lockstep_secs, lockstep_m, lockstep_r) = (lockstep.best, lockstep.m, lockstep.result());
     let (scalar_copy_bytes, lockstep_copy_bytes) = (scalar.copy_bytes, lockstep.copy_bytes);
     println!("  scalar:   {scalar_secs:.6} s/iter, {scalar_copy_bytes} copy bytes/iter");
     println!("  lockstep: {lockstep_secs:.6} s/iter, {lockstep_copy_bytes} copy bytes/iter");
-    let (resident_secs, resident_m, resident_r) = (resident.best, resident.m, resident.result());
-    println!("  lockstep (resident, kernelized):  {resident_secs:.6} s/iter");
     let (interp_secs, interp_m, interp_r) = (interp.best, interp.m, interp.result());
-    println!("  lockstep (resident, interpreted): {interp_secs:.6} s/iter");
+    println!("  lockstep (interpreted): {interp_secs:.6} s/iter");
     assert_eq!(
         interp_m, lockstep_m,
         "the kernel tier must not change the Measurement"
     );
-    assert_eq!(
-        resident_m, lockstep_m,
-        "lane residency must not change the Measurement"
+    assert!(
+        interp_r
+            .iter()
+            .zip(&lockstep_r)
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "the kernel tier must not change results"
     );
-    for (label, r) in [("kernel tier", &interp_r), ("lane residency", &resident_r)] {
-        assert!(
-            r.iter()
-                .zip(&lockstep_r)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "the {label} must not change results"
-        );
-    }
 
     let (profiled_secs, profiled_m, profiled_r) = (profiled.best, profiled.m, profiled.result());
     let kernelized_steps = counters_after.get(cmcc_obs::Counter::KernelizedSteps)
@@ -260,7 +242,7 @@ fn main() {
             .all(|(a, b)| a.to_bits() == b.to_bits());
     let measurement_equal = scalar_m == lockstep_m;
     let speedup = scalar_secs / lockstep_secs;
-    let kernel_speedup = interp_secs / resident_secs;
+    let kernel_speedup = interp_secs / lockstep_secs;
     println!(
         "\n  speedup {speedup:.2}x (kernels over interpreted lockstep: {kernel_speedup:.2}x); \
          bit-identical: {bit_identical}; measurements equal: {measurement_equal}"
@@ -281,8 +263,7 @@ fn main() {
          \"threads\": 1,\n  \"warmup\": {WARMUP},\n  \"interleave_rounds\": {rounds},\n  \
          \"scalar_secs_per_iter\": {scalar_secs:.6},\n  \
          \"lockstep_secs_per_iter\": {lockstep_secs:.6},\n  \
-         \"lockstep_resident_secs_per_iter\": {resident_secs:.6},\n  \
-         \"lockstep_resident_interpreted_secs_per_iter\": {interp_secs:.6},\n  \
+         \"lockstep_interpreted_secs_per_iter\": {interp_secs:.6},\n  \
          \"scalar_copy_bytes_per_iter\": {scalar_copy_bytes},\n  \
          \"lockstep_copy_bytes_per_iter\": {lockstep_copy_bytes},\n  \
          \"profiled_secs_per_iter\": {profiled_secs:.6},\n  \

@@ -54,9 +54,8 @@ const HEAT: &str = "T_NEXT = 0.2 * EOSHIFT(T, DIM=1, SHIFT=-1) \
 struct LoopRun {
     /// Wall-clock seconds for the timed window: every execute after the
     /// first. The first execute primes the lane mirror (full gather,
-    /// coefficient-stream packing) and is excluded, the same way
-    /// `repro_lane_resident` measures warm steady state — an iterated
-    /// time loop pays that cost once, not per step.
+    /// coefficient-stream packing) and is excluded: an iterated time
+    /// loop pays that cost once, not per step.
     secs: f64,
     /// Time steps covered by the timed window: `(executes - 1) * depth`.
     timed_steps: usize,

@@ -83,8 +83,8 @@ impl LaneView {
     /// excluded from gather and scatter — lane-resident scratch with no
     /// node-memory image. Their `node_base` must still be a real,
     /// non-overlapping node allocation so `locate` stays unambiguous
-    /// (temporal plans back scratch with persistent node fields, which
-    /// the node-domain fallback path then uses directly).
+    /// (temporal plans back scratch with plan-owned node fields, whose
+    /// addresses the resolved schedule names).
     pub fn new_with_private(ranges: &[(usize, usize, bool, bool)]) -> Option<LaneView> {
         let mut out = Vec::with_capacity(ranges.len());
         let mut lane_base = 0;
@@ -134,12 +134,6 @@ impl LaneView {
     /// (writable, non-private ranges).
     pub fn scatter_words(&self) -> usize {
         self.scattered().map(|r| r.len).sum()
-    }
-
-    /// The node-memory address ranges a [`LaneMemory::scatter`] writes
-    /// (writable, non-private ranges), in view order.
-    pub fn scatter_ranges(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
-        self.scattered().map(|r| r.node_base..r.node_base + r.len)
     }
 
     /// The writable, non-private ranges — what a scatter copies back —
@@ -854,7 +848,7 @@ impl LaneMirror {
 /// allocation-free), and [`RegionStage::ranges`] exposes exactly which
 /// node ranges the commit will touch so the caller can assert they are
 /// contained in the execute's leased writable ranges.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct RegionStage {
     /// `(node_base, len)` per staged range, in view order.
     ranges: Vec<(usize, usize)>,

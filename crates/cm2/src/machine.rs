@@ -17,12 +17,12 @@
 
 use crate::config::MachineConfig;
 use crate::exec::{
-    run_resolved_lockstep_groups, run_resolved_strip, run_strip, ExecMode, HazardError,
-    ResolvedStrip, ScheduleStep, StripContext, StripRun,
+    run_resolved_strip, run_strip, ExecMode, HazardError, ResolvedStrip, ScheduleStep,
+    StripContext, StripRun,
 };
 use crate::grid::{NodeGrid, NodeId};
 use crate::isa::Kernel;
-use crate::lane::{LaneMirror, LaneView, RegionStage};
+use crate::lane::RegionStage;
 use crate::memory::{copy_between, Field, FieldAllocator, NodeMemory, OutOfMemory, WriteStamps};
 use std::ops::Range;
 
@@ -474,52 +474,6 @@ impl Machine {
         Ok(reduced.expect("machine has at least one node"))
     }
 
-    /// Executes a lane-translated strip sequence on every node through
-    /// the lockstep broadcast engine: nodes are gathered into node-major
-    /// lane storage per `view`, each step runs across all lanes at once,
-    /// and writable ranges are scattered back (and stamped).
-    ///
-    /// With `threads > 1` the *lanes within each step* are split: each
-    /// worker owns a contiguous group of nodes as its own lane block and
-    /// replays the identical stream, so — unlike a reduction over
-    /// independently ordered nodes — thread count cannot affect any
-    /// arithmetic order and results are bit-identical for every value.
-    ///
-    /// The strips must come from [`ResolvedStrip::translate`] against
-    /// `view`. Fast-mode functional semantics only; counters are the
-    /// per-node values (each broadcast step counted once), matching
-    /// [`Machine::run_resolved_all`] in [`ExecMode::Fast`].
-    ///
-    /// The caller provides the `mirror` and keeps it between calls: the
-    /// mirror is (re)shaped in place — a no-op when the shape is
-    /// unchanged — so steady-state replays perform **zero** lane
-    /// allocations (observable via [`LaneMirror::allocations`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a lane address is out of the view's bounds or a worker
-    /// thread panics.
-    pub fn run_resolved_lockstep_all(
-        &mut self,
-        lane_strips: &[ResolvedStrip],
-        view: &LaneView,
-        threads: usize,
-        mirror: &mut LaneMirror,
-    ) -> StripRun {
-        if lane_strips.is_empty() {
-            return StripRun::default();
-        }
-        let _t = cmcc_obs::trace::scope(
-            cmcc_obs::trace::TraceOp::KernelSweep,
-            lane_strips.len() as u64,
-        );
-        mirror.ensure(view.words(), self.nodes.len(), threads);
-        mirror.gather(view, &self.nodes);
-        let run = run_resolved_lockstep_groups(lane_strips, mirror.groups_mut());
-        mirror.scatter(view, self.write_nodes(view.scatter_ranges()));
-        run
-    }
-
     /// Commits a region-leased execute's staged scatter (see
     /// [`RegionStage::apply`]), stamping exactly the staged ranges.
     ///
@@ -833,117 +787,6 @@ mod tests {
         let mut m = machine();
         let runs = m.run_schedule_all(&[], ExecMode::Cycle, 8).unwrap();
         assert!(runs.is_empty());
-    }
-
-    #[test]
-    fn lockstep_engine_matches_scalar_for_all_thread_counts() {
-        use crate::exec::FieldLayout;
-        // Reference: the scalar fast engine, threads=1.
-        let run_machine = |lockstep_threads: Option<usize>| -> (Vec<Vec<f32>>, StripRun) {
-            let mut m = machine();
-            let (consts, res, kernel) = store_schedule_fixture(&mut m);
-            let ctx = StripContext {
-                srcs: &[],
-                res: FieldLayout {
-                    base: res.base(),
-                    row_stride: 1,
-                    row_offset: 0,
-                    col_offset: 0,
-                },
-                coeffs: &[],
-                ones_addr: consts.addr(0),
-                zeros_addr: consts.addr(1),
-                start_row: 3,
-                lines: 4,
-                col0: 0,
-            };
-            let strips = vec![ResolvedStrip::new(&kernel, &ctx); 3];
-            let run = match lockstep_threads {
-                None => m
-                    .run_resolved_all(&strips, std::iter::once(res.range()), ExecMode::Fast, 1)
-                    .unwrap(),
-                Some(threads) => {
-                    let view = LaneView::new(&[
-                        (consts.base(), consts.len(), false),
-                        (res.base(), res.len(), true),
-                    ])
-                    .unwrap();
-                    let lane_strips: Vec<ResolvedStrip> = strips
-                        .iter()
-                        .map(|s| s.translate(&view).expect("view covers the fixture"))
-                        .collect();
-                    let mut mirror = LaneMirror::new();
-                    m.run_resolved_lockstep_all(&lane_strips, &view, threads, &mut mirror)
-                }
-            };
-            let mems = m
-                .par_nodes_mut()
-                .map(|(_, mem)| mem.slice(0, 8).to_vec())
-                .collect();
-            (mems, run)
-        };
-        let (scalar_mems, scalar_run) = run_machine(None);
-        for threads in [1usize, 2, 3, 8] {
-            let (mems, run) = run_machine(Some(threads));
-            assert_eq!(mems, scalar_mems, "threads = {threads}");
-            assert_eq!(run, scalar_run, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn lockstep_with_no_strips_is_a_no_op() {
-        let mut m = machine();
-        let view = LaneView::new(&[(0, 4, true)]).unwrap();
-        let mut mirror = LaneMirror::new();
-        assert_eq!(
-            m.run_resolved_lockstep_all(&[], &view, 2, &mut mirror),
-            StripRun::default()
-        );
-        assert_eq!(mirror.allocations(), 0, "no strips, no mirror shaping");
-    }
-
-    #[test]
-    fn steady_state_lockstep_reuses_the_caller_mirror() {
-        use crate::exec::FieldLayout;
-        let mut m = machine();
-        let (consts, res, kernel) = store_schedule_fixture(&mut m);
-        let ctx = StripContext {
-            srcs: &[],
-            res: FieldLayout {
-                base: res.base(),
-                row_stride: 1,
-                row_offset: 0,
-                col_offset: 0,
-            },
-            coeffs: &[],
-            ones_addr: consts.addr(0),
-            zeros_addr: consts.addr(1),
-            start_row: 3,
-            lines: 4,
-            col0: 0,
-        };
-        let strips = [ResolvedStrip::new(&kernel, &ctx)];
-        let view = LaneView::new(&[
-            (consts.base(), consts.len(), false),
-            (res.base(), res.len(), true),
-        ])
-        .unwrap();
-        let lane_strips: Vec<ResolvedStrip> = strips
-            .iter()
-            .map(|s| s.translate(&view).expect("view covers the fixture"))
-            .collect();
-        let mut mirror = LaneMirror::new();
-        m.run_resolved_lockstep_all(&lane_strips, &view, 2, &mut mirror);
-        let after_first = mirror.allocations();
-        assert!(after_first > 0, "the first run shapes the mirror");
-        for _ in 0..10 {
-            m.run_resolved_lockstep_all(&lane_strips, &view, 2, &mut mirror);
-        }
-        assert_eq!(
-            mirror.allocations(),
-            after_first,
-            "steady-state lockstep replay must not allocate lane storage"
-        );
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //!                      are reported as 0 and only wall-clock timing applies
 //!   --profile[=json]   enable telemetry and print a per-statement profile
 //!                      after each --run: a human-readable table, or one
-//!                      schema-stable JSON line (`cmcc-profile-v5`) with
+//!                      schema-stable JSON line (`cmcc-profile-v6`) with
 //!                      derived rates, bytes/iteration against the
 //!                      analytic steady-state prediction (surfaced as the
 //!                      `model_drift` field, enforced by --drift-tol),
@@ -96,7 +96,7 @@ use std::process::ExitCode;
 enum ProfileMode {
     /// Human-readable counter table plus derived rates.
     Table,
-    /// One schema-stable JSON line per statement (`cmcc-profile-v5`).
+    /// One schema-stable JSON line per statement (`cmcc-profile-v6`).
     Json,
 }
 
@@ -516,14 +516,16 @@ fn run_compiled(
         .into());
     }
 
-    let lane_resident = session.last_plan().is_some_and(|p| p.uses_lane_resident());
+    // Label the path the plan actually executed: the lane body, or the
+    // scalar engine (cycle mode and unmappable bindings included).
+    let lane_mapped = session.last_plan().is_some_and(|p| p.lane_mapped());
     if exec_opts.mode == ExecMode::Fast {
         // Functional engines skip the pipeline model, so there is no
         // cycle count to convert into a rate — report wall-clock only.
-        let engine = match exec_opts.engine {
-            ExecEngine::Scalar => "scalar",
-            ExecEngine::Lockstep if lane_resident => "lockstep, lane-resident",
-            ExecEngine::Lockstep => "lockstep",
+        let engine = if lane_mapped {
+            "lockstep, lane-resident"
+        } else {
+            "scalar"
         };
         print!(
             "    ran {}x{} ({}x{} per node): functional ({engine}) on {} nodes",
@@ -577,17 +579,11 @@ fn run_compiled(
         // The statement's compile spans were recorded before this run
         // started; merge them in so the profile covers compile + run.
         let full_report = full_report.merge(compile_report);
-        // Label the path the plan actually executed — cycle mode always
-        // runs the scalar pipeline model regardless of the engine option.
-        let engine = session.last_plan().map_or("scalar", |p| {
-            if p.uses_lane_resident() {
-                "lockstep-lane-resident"
-            } else if p.uses_lockstep() {
-                "lockstep"
-            } else {
-                "scalar"
-            }
-        });
+        let engine = if lane_mapped {
+            "lockstep-lane-resident"
+        } else {
+            "scalar"
+        };
         let derived = derive_metrics(
             cfg,
             &m,
@@ -953,7 +949,7 @@ impl Profile {
         }
     }
 
-    /// One compact JSON line. The key set is the `cmcc-profile-v5`
+    /// One compact JSON line. The key set is the `cmcc-profile-v6`
     /// schema (v4 plus the flight-recorder fields: the model-drift
     /// cross-check in `derived`, the `latency.phases` histogram
     /// summaries, and the `trace_drops` exec counter in the report):
@@ -973,7 +969,7 @@ impl Profile {
             .collect();
         format!(
             concat!(
-                "{{\"schema\":\"cmcc-profile-v5\",\"statement\":{},",
+                "{{\"schema\":\"cmcc-profile-v6\",\"statement\":{},",
                 "\"engine\":\"{}\",\"mode\":\"{}\",\"nodes\":{},\"iters\":{},",
                 "\"measurement\":{{\"useful_flops\":{},\"cycles\":{{\"comm\":{},",
                 "\"compute\":{},\"frontend\":{},\"total\":{}}},\"nodes\":{}}},",

@@ -86,10 +86,8 @@ pub enum Counter {
     StripsWidth1,
     /// Plan executes served by the node-outer scalar interpreter.
     ScalarRuns,
-    /// Plan executes served by the lockstep broadcast engine with
-    /// per-execute gather/scatter.
-    LockstepRuns,
-    /// Plan executes served by the lane-resident steady state.
+    /// Plan executes served by the lane body: the lockstep broadcast
+    /// engine on the plan's resident lane mirror.
     LaneResidentRuns,
     /// Resolved kernel steps interpreted by the scalar engine (per-node;
     /// every node replays the same stream).
@@ -117,8 +115,8 @@ pub enum Counter {
     /// execute count when no plan fuses.
     FusedSteps,
     /// Temporal-depth requests the planner clamped back to 1 (scalar
-    /// engine, cycle mode, multi-source or pointwise stencils,
-    /// non-resident lanes, or a subgrid smaller than `k·radius`).
+    /// engine, cycle mode, multi-source or pointwise stencils, or a
+    /// subgrid smaller than `k·radius`).
     TemporalFallbacks,
     /// Useful floating-point operations (the paper's numerator: interior
     /// results only, no halo redundancy), accumulated per execute.
@@ -170,7 +168,6 @@ impl Counter {
         Counter::StripsWidth2,
         Counter::StripsWidth1,
         Counter::ScalarRuns,
-        Counter::LockstepRuns,
         Counter::LaneResidentRuns,
         Counter::ScalarSteps,
         Counter::LockstepSteps,
@@ -207,7 +204,6 @@ impl Counter {
             Counter::StripsWidth2 => "width2",
             Counter::StripsWidth1 => "width1",
             Counter::ScalarRuns => "scalar_runs",
-            Counter::LockstepRuns => "lockstep_runs",
             Counter::LaneResidentRuns => "lane_resident_runs",
             Counter::ScalarSteps => "scalar_steps",
             Counter::LockstepSteps => "lockstep_steps",
@@ -722,7 +718,7 @@ impl RunReport {
             s,
             ",\"exec\":{{\"execute_ns\":{},\"executes\":{},\"execute_workers_ns\":{},\
              \"execute_workers_calls\":{},\"scalar_runs\":{},\
-             \"lockstep_runs\":{},\"lane_resident_runs\":{},\"scalar_steps\":{},\
+             \"lane_resident_runs\":{},\"scalar_steps\":{},\
              \"lockstep_steps\":{},\"kernelized_steps\":{},\"interpreted_steps\":{},\
              \"mirror_allocations\":{},\"mirror_pool_misses\":{},\"halo_exchanges\":{},\
              \"fused_steps\":{},\"temporal_fallbacks\":{},\"region_leases\":{},\
@@ -733,7 +729,6 @@ impl RunReport {
             self.phase_nanos(Phase::ExecuteWorkers),
             self.phase_calls(Phase::ExecuteWorkers),
             c(Counter::ScalarRuns),
-            c(Counter::LockstepRuns),
             c(Counter::LaneResidentRuns),
             c(Counter::ScalarSteps),
             c(Counter::LockstepSteps),
@@ -811,14 +806,13 @@ impl RunReport {
         .unwrap();
         writeln!(
             s,
-            "  exec: {} executes ({:.3} ms wall, {:.3} ms cpu) — {} scalar / {} lockstep / {} lane-resident; \
+            "  exec: {} executes ({:.3} ms wall, {:.3} ms cpu) — {} scalar / {} lane-resident; \
              steps {} scalar + {} lockstep ({} kernelized, {} interpreted); \
              {} mirror allocations ({} pool misses)",
             self.phase_calls(Phase::Execute),
             ms(self.phase_nanos(Phase::Execute)),
             ms(self.phase_nanos(Phase::ExecuteWorkers)),
             self.get(Counter::ScalarRuns),
-            self.get(Counter::LockstepRuns),
             self.get(Counter::LaneResidentRuns),
             self.get(Counter::ScalarSteps),
             self.get(Counter::LockstepSteps),
@@ -988,7 +982,6 @@ mod tests {
             "\"execute_ns\":",
             "\"executes\":",
             "\"scalar_runs\":",
-            "\"lockstep_runs\":",
             "\"lane_resident_runs\":",
             "\"scalar_steps\":",
             "\"lockstep_steps\":",

@@ -48,15 +48,6 @@ pub struct ExecOptions {
     /// deterministic — so this knob trades wall-clock time only.
     /// Defaults to the host's available parallelism.
     pub threads: usize,
-    /// Keep the lockstep lane mirror resident inside the plan across
-    /// executes (the default): read-only operands are gathered once, the
-    /// halo exchange runs directly on the mirror, and only writable
-    /// ranges are scattered back per iteration. `false` restores the
-    /// gather-everything/exchange-on-nodes path each execute — same
-    /// results and `Measurement`s bit for bit, more copying. Ignored by
-    /// the scalar engine and cycle mode. See DESIGN.md §12 for the
-    /// invalidation rules.
-    pub lane_resident: bool,
     /// Fuse this many time steps per halo exchange (temporal tiling).
     /// `1` (the default) is the classic one-exchange-per-execute loop.
     /// With `k > 1` the plan deepens every halo to `k·radius`, and a
@@ -68,9 +59,10 @@ pub struct ExecOptions {
     /// effective depth via `ExecutionPlan::temporal_depth()` (the
     /// planner clamps back to `1` — and counts `TemporalFallbacks` —
     /// when the request cannot be honored: scalar engine, cycle mode,
-    /// multi-source stencils, pointwise stencils, non-resident lanes,
-    /// or subgrids smaller than `k·radius`). Part of the plan-cache
-    /// key like every other option.
+    /// multi-source stencils, pointwise stencils, or subgrids smaller
+    /// than `k·radius`; a binding whose result aliases a named
+    /// coefficient is refused instead). Part of the plan-cache key like
+    /// every other option.
     pub temporal_depth: usize,
 }
 
@@ -83,7 +75,6 @@ impl Default for ExecOptions {
             primitive: ExchangePrimitive::News,
             skip_corners_when_possible: true,
             threads: default_threads(),
-            lane_resident: true,
             temporal_depth: 1,
         }
     }
@@ -123,15 +114,6 @@ impl ExecOptions {
     /// The same options with a pinned fast-mode engine.
     pub fn with_engine(self, engine: ExecEngine) -> Self {
         ExecOptions { engine, ..self }
-    }
-
-    /// The same options with lane residency pinned (`false` forces the
-    /// per-execute gather/scatter + node-domain exchange baseline).
-    pub fn with_lane_resident(self, lane_resident: bool) -> Self {
-        ExecOptions {
-            lane_resident,
-            ..self
-        }
     }
 
     /// The same options with a requested temporal-tiling depth: one

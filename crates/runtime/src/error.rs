@@ -50,6 +50,15 @@ pub enum RuntimeError {
         /// Sources supplied.
         got: usize,
     },
+    /// A temporally tiled plan cannot fuse this binding: its `k` steps
+    /// per execute would not equal `k` separate executes (the result
+    /// aliases a named coefficient, which each separate step would
+    /// overwrite), or its fused schedule does not map onto the lane
+    /// mirror.
+    Unfusable {
+        /// Why the binding cannot fuse.
+        reason: &'static str,
+    },
     /// Node memory exhausted.
     OutOfMemory(OutOfMemory),
     /// The compiled kernel tripped the simulator's pipeline hazard
@@ -86,6 +95,9 @@ impl fmt::Display for RuntimeError {
                 f,
                 "stencil call expected {expected} source arrays, got {got}"
             ),
+            RuntimeError::Unfusable { reason } => {
+                write!(f, "temporal plan cannot fuse this binding: {reason}")
+            }
             RuntimeError::OutOfMemory(e) => e.fmt(f),
             RuntimeError::Hazard(e) => e.fmt(f),
         }

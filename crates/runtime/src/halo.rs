@@ -683,9 +683,9 @@ impl LaneExchangeProgram {
     /// of `view`.
     ///
     /// Returns `None` when any copied or filled run is not fully inside
-    /// one viewed range — then the caller must keep the node-domain
-    /// exchange. (For a plan that mirrors its halo buffers whole, every
-    /// run maps; the guard only matters for hand-built views.)
+    /// one viewed range — then the plan cannot run the lane body. (For a
+    /// plan that mirrors its halo buffers whole, every run maps; the
+    /// guard only matters for hand-built views.)
     pub fn translate(program: &ExchangeProgram, view: &cmcc_cm2::lane::LaneView) -> Option<Self> {
         let map_run = |addr: usize, len: usize| -> Option<usize> {
             let (word, range) = view.locate(addr)?;

@@ -37,7 +37,7 @@ use cmcc_cm2::exec::{ExecEngine, ExecMode, FieldLayout, ResolvedStrip, StripCont
 use cmcc_cm2::kernels::{run_lockstep_groups_kernelized, CoeffStreams, StripKernels};
 use cmcc_cm2::lane::{LaneMirror, LaneRange, LaneView, RectCopy, RegionStage};
 use cmcc_cm2::machine::Machine;
-use cmcc_cm2::memory::{Field, NodeMemory};
+use cmcc_cm2::memory::Field;
 use cmcc_cm2::timing::{CycleBreakdown, Measurement};
 use cmcc_core::compiler::CompiledStencil;
 use cmcc_core::recognize::CoeffSpec;
@@ -190,16 +190,14 @@ pub struct CompiledPlan {
     /// The strip schedule resolved against the build-time binding — the
     /// baseline instances rebase from (never mutated).
     strips: Vec<ResolvedStrip>,
-    /// The strip schedule translated into lane-word addresses, when the
-    /// build binding ran on the lockstep engine (fast mode, no array
-    /// aliasing). Empty otherwise. Lane addresses depend only on the
-    /// view's range lengths and order — both rebind-invariant — so every
-    /// instance over same-shape arrays shares this translation verbatim.
-    lane_strips: Vec<ResolvedStrip>,
-    /// The kernel tier: each lane strip's compiled monomorphized form,
-    /// parallel to `lane_strips` (`None` where the classifier fell back
-    /// to the interpreter).
-    lane_kernels: Vec<Option<StripKernels>>,
+    /// The schedule and halo programs translated onto the lane mirror,
+    /// when the build binding maps onto it (fast mode, lockstep engine,
+    /// no array aliasing the mirror cannot hold). Lane addresses depend
+    /// only on the view's range lengths and order — both
+    /// rebind-invariant — so every instance over same-shape arrays
+    /// shares this translation verbatim. Always `Some` on temporal
+    /// plans: their build fails without it.
+    lane: Option<LaneSchedule>,
     halos: Vec<HaloBuffer>,
     exchanges: Vec<ExchangeProgram>,
     consts: Field,
@@ -255,18 +253,63 @@ struct TemporalPlan {
     /// intermediate steps read coefficients at margin positions, which
     /// live on neighbor nodes just like source halo words do.
     coeff_halos: Vec<HaloBuffer>,
-    /// The halo exchange for each coefficient halo above.
-    coeff_exchanges: Vec<ExchangeProgram>,
-    /// The beyond-global-edge fill fix-up per scratch buffer: a
+    /// Prefix boundaries into the node and lane schedules per inner step:
+    /// step `j` runs the index range `step_bounds[j]..step_bounds[j+1]`.
+    step_bounds: Vec<usize>,
+}
+
+/// The rebind-invariant lane form of a plan: the strip schedule, its
+/// kernel-tier classification, every halo exchange (sources first, then
+/// temporal coefficient halos) and the temporal scratch fix-ups, all
+/// addressed in lane words of one view shape.
+#[derive(Debug, Clone)]
+struct LaneSchedule {
+    strips: Vec<ResolvedStrip>,
+    /// Each lane strip's compiled monomorphized form, parallel to
+    /// `strips` (`None` where the classifier fell back to the
+    /// interpreter).
+    kernels: Vec<Option<StripKernels>>,
+    /// One halo exchange per source, then (temporal plans) one per
+    /// coefficient halo.
+    exchanges: Vec<LaneExchangeProgram>,
+    /// The beyond-global-edge fill fix-up per temporal scratch buffer: a
     /// zero-fill boundary requires margin reads past the global edge to
     /// see the fill value, but intermediate steps write computed garbage
     /// there; this restores the invariant after every non-final step.
     /// Empty programs under a circular boundary (wrapped margin values
     /// are recomputed bit-identically, no fix-up needed).
-    scratch_fills: Vec<FillProgram>,
-    /// Prefix boundaries into `strips`/`lane_strips` per inner step:
-    /// step `j` runs the index range `step_bounds[j]..step_bounds[j+1]`.
-    step_bounds: Vec<usize>,
+    scratch_fills: Vec<LaneFillProgram>,
+}
+
+impl LaneSchedule {
+    /// Translates `strips` (resolved against the binding `view` covers),
+    /// the halo `exchanges` and the scratch `fills` onto `view`. `None`
+    /// when any part fails to translate.
+    fn translate<'a>(
+        strips: &[ResolvedStrip],
+        exchanges: impl IntoIterator<Item = &'a ExchangeProgram>,
+        fills: &[FillProgram],
+        view: &LaneView,
+    ) -> Option<Self> {
+        let strips: Vec<ResolvedStrip> = strips
+            .iter()
+            .map(|s| s.translate(view))
+            .collect::<Option<_>>()?;
+        let exchanges = exchanges
+            .into_iter()
+            .map(|p| LaneExchangeProgram::translate(p, view))
+            .collect::<Option<_>>()?;
+        let scratch_fills = fills
+            .iter()
+            .map(|p| LaneFillProgram::translate(p, view))
+            .collect::<Option<_>>()?;
+        Some(LaneSchedule {
+            kernels: strips.iter().map(StripKernels::compile).collect(),
+            strips,
+            exchanges,
+            scratch_fills,
+        })
+    }
 }
 
 /// The mutable half of an execution plan: one tenant's binding and
@@ -287,52 +330,38 @@ pub struct PlanInstance {
     strips: Vec<ResolvedStrip>,
     /// Rebase deltas (result, then one per coefficient slot) that
     /// rebinds accumulated but `strips` does not reflect yet. Only the
-    /// node-domain paths read `strips`, so a rebind stays O(ranges) and
-    /// those paths apply the sum first (rebasing is a translation, so
-    /// deltas add).
+    /// scalar engine and a private lane translation read `strips`, so a
+    /// rebind stays O(ranges) and those readers apply the sum first
+    /// (rebasing is a translation, so deltas add).
     pending_rebase: Option<(i64, Vec<i64>)>,
-    /// A private lane translation (strips plus kernel classifications),
-    /// used only when the shared plan has none to offer — it was built
-    /// from an aliased binding (empty `lane_strips`) and this instance's
-    /// binding is clean. `None` means the instance runs the shared
-    /// translation; lane addresses are rebind-invariant, so that is the
-    /// common case.
-    lane_strips_override: Option<(Vec<ResolvedStrip>, Vec<Option<StripKernels>>)>,
+    /// A private lane translation, used only when the shared plan has
+    /// none to offer — it was built from a binding the mirror cannot
+    /// hold (aliased arrays) and this instance's binding is clean.
+    /// `None` means the instance runs the shared translation; lane
+    /// addresses are rebind-invariant, so that is the common case.
+    lane_override: Option<LaneSchedule>,
     /// Whether `execute` dispatches through the compiled kernels. On by
     /// default; [`ExecutionPlan::set_kernel_tier`] turns it off after
     /// build (for interpreted-baseline benchmarking) without touching
     /// the plan-cache key.
     kernel_tier: bool,
-    /// The node-memory ↔ lane-word map for the lockstep engine. `None`
-    /// when the engine is scalar, the mode is cycle-accurate, or the
-    /// current binding aliases arrays (then `execute` falls back to the
-    /// scalar path). Rebind recomputes it in place.
+    /// The node-memory ↔ lane-word map of the lane body. `Some` exactly
+    /// when `execute` runs it; `None` when the engine is scalar, the mode
+    /// is cycle-accurate, or the current binding cannot be mapped
+    /// (aliased arrays) — then the scalar engine runs the plan. Rebind
+    /// recomputes it in place.
     lane_view: Option<LaneView>,
-    /// Whether `execute` runs the lane-resident steady state: the mirror
-    /// below persists across executes, sources are refreshed and the
-    /// halo exchange runs directly on it, and only writable ranges are
-    /// scattered back. Requires a lane view, `opts.lane_resident`, and a
-    /// successful translation of every exchange and interior copy.
-    lane_resident: bool,
     /// The instance-owned persistent lane mirror. Shaped on first
     /// execute, recycled afterwards (zero steady-state allocations);
     /// `lane_held` and `lane_refreshed` record what it holds. Poolable
     /// across instances via
     /// [`ExecutionPlan::take_mirror`] / [`ExecutionPlan::install_mirror`].
     lane_mirror: LaneMirror,
-    /// The halo exchange translated onto the mirror — one per source,
-    /// then (temporal plans) one per coefficient halo. Empty unless
-    /// `lane_resident`.
-    lane_exchanges: Vec<LaneExchangeProgram>,
     /// Interior refresh on the mirror (the lane-domain `fill_interior`),
-    /// parallel to `lane_exchanges`: sources first, then (temporal
-    /// plans) the bound named-coefficient arrays into their halos.
-    /// Empty unless `lane_resident`.
+    /// parallel to the lane schedule's exchanges: sources first, then
+    /// (temporal plans) the bound named-coefficient arrays into their
+    /// halos. Empty unless lane-mapped.
     lane_interiors: Vec<RectCopy>,
-    /// The scratch-buffer boundary fix-ups translated onto the mirror,
-    /// parallel to the shared plan's `TemporalPlan::scratch_fills`.
-    /// Empty unless `lane_resident` on a temporal plan.
-    lane_scratch_fills: Vec<LaneFillProgram>,
     /// The node base each viewed range's lane words were last gathered
     /// from, parallel to the view's ranges. Empty while the mirror holds
     /// garbage (before the first execute, after a pool swap): the next
@@ -341,9 +370,9 @@ pub struct PlanInstance {
     /// afterwards — halo words come from the refresh and exchange,
     /// writable words from the kernels.
     lane_held: Vec<Option<usize>>,
-    /// The base of the array each refresh pair (`lane_interiors` and
-    /// `lane_exchanges`) last refreshed its halo from. `None` makes the
-    /// next execute refresh and exchange that halo.
+    /// The base of the array each refresh pair (`lane_interiors` and the
+    /// schedule's exchanges) last refreshed its halo from. `None` makes
+    /// the next execute refresh and exchange that halo.
     lane_refreshed: Vec<Option<usize>>,
     /// The [`Machine::write_epoch`] the mirror was last synced at: a
     /// held range or refreshed array stamped later holds newer words.
@@ -361,6 +390,10 @@ pub struct PlanInstance {
     /// execute re-reads a coefficient range because it moved or was
     /// written. Result/source-only rebinds keep it.
     lane_streams: Vec<CoeffStreams>,
+    /// The staged writes of a direct [`ExecutionPlan::execute`], recycled
+    /// across executes; empty until the first one (the session stages
+    /// region executes into its own buffer).
+    stage: RegionStage,
     result: CmArray,
     sources: Vec<CmArray>,
     coeffs: Vec<CmArray>,
@@ -433,8 +466,7 @@ impl CompiledPlan {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::SubgridTooSmall`] when the stencil's halo is deeper
-    /// than the per-node subgrid, or [`RuntimeError::OutOfMemory`].
+    /// As [`ExecutionPlan::build`].
     pub fn build(
         machine: &mut Machine,
         binding: &StencilBinding<'_>,
@@ -467,8 +499,6 @@ impl CompiledPlan {
                 Some("cycle-accurate mode")
             } else if opts.engine != ExecEngine::Lockstep {
                 Some("scalar engine")
-            } else if !opts.lane_resident {
-                Some("lane residency disabled")
             } else if binding.sources().len() != 1 {
                 Some("multi-source stencil")
             } else if pad == 0 {
@@ -487,6 +517,7 @@ impl CompiledPlan {
                 None => requested_depth,
             }
         };
+        check_fusable(depth, &result, binding.coeffs().iter())?;
         // The deepest margin any inner step computes: step j writes a
         // `(depth-1-j)·radius`-deep extension of the subgrid, so step 0
         // reads `depth·radius` (the source halo) and every step reads
@@ -725,63 +756,14 @@ impl CompiledPlan {
             step_bounds.push(strips.len());
         }
 
-        // Lane mapping for the lockstep engine: mirror exactly the
-        // buffers the schedule touches, translate the schedule into lane
-        // words. Either step can fail — aliased arrays overlap, or an
-        // address walk escapes its buffer — and then the plan simply
-        // keeps the scalar path. Only the translation is kept: lane
-        // addresses depend on range lengths and order alone, both
-        // binding-invariant, so the artifact shares it with every
-        // instance; the view itself (gather/scatter bases) and the
-        // resident exchange/interior programs are per-binding and are
-        // recomputed by [`PlanInstance::for_binding`].
-        let literal_pages: Vec<(Field, f32)> = pages.into_iter().flatten().collect();
-        let mut lane_strips = Vec::new();
-        if opts.mode == ExecMode::Fast && opts.engine == ExecEngine::Lockstep {
-            let view = if depth > 1 {
-                LaneView::new_with_private(&lane_ranges_temporal(
-                    &halos,
-                    consts,
-                    &literal_pages,
-                    &coeff_halos,
-                    &scratch,
-                    &result,
-                ))
-            } else {
-                LaneView::new(&lane_ranges(
-                    &halos,
-                    consts,
-                    &literal_pages,
-                    binding.coeffs(),
-                    &result,
-                ))
-            };
-            if let Some(view) = view {
-                if let Some(translated) = strips
-                    .iter()
-                    .map(|s| s.translate(&view))
-                    .collect::<Option<Vec<_>>>()
-                {
-                    lane_strips = translated;
-                }
-            }
-        }
-
-        // The kernel tier: classify every lane strip against the
-        // monomorphized family. Strips the classifier rejects keep a
-        // `None` and run interpreted — visible as `interpreted_steps`.
-        let lane_kernels: Vec<Option<StripKernels>> =
-            lane_strips.iter().map(StripKernels::compile).collect();
-
         let cfg = machine.config();
-        Ok(CompiledPlan {
+        let mut cp = CompiledPlan {
             strips,
-            lane_strips,
-            lane_kernels,
+            lane: None,
             halos,
             exchanges,
             consts,
-            literal_pages,
+            literal_pages: pages.into_iter().flatten().collect(),
             named_slots,
             coeff_slot_count: spec.coeffs.len(),
             result,
@@ -801,18 +783,49 @@ impl CompiledPlan {
                 depth,
                 scratch,
                 coeff_halos,
-                coeff_exchanges,
-                scratch_fills,
                 step_bounds,
             }),
             temporal_fallback,
-        })
+        };
+
+        // The lane mapping: mirror exactly the buffers the schedule
+        // touches and translate the schedule and halo programs into lane
+        // words. The view fails on aliased arrays and a translation when
+        // an address walk escapes its buffer; a classic plan then runs
+        // on the scalar engine, and a temporal plan, which has no other
+        // body, is refused. Only the translation is kept: lane addresses
+        // depend on range lengths and order alone, both
+        // binding-invariant, so the artifact shares it with every
+        // instance; the view itself (gather/scatter bases) and the
+        // interior refresh copies are per-binding and are recomputed by
+        // [`PlanInstance::for_binding`].
+        if cp.lane_eligible() {
+            cp.lane = instance_lane_view(&cp, binding.coeffs(), &result).and_then(|view| {
+                let exchanges = cp.exchanges.iter().chain(&coeff_exchanges);
+                LaneSchedule::translate(&cp.strips, exchanges, &scratch_fills, &view)
+            });
+            if cp.temporal.is_some() && cp.lane.is_none() {
+                if persistent {
+                    cp.release(machine);
+                }
+                return Err(RuntimeError::Unfusable {
+                    reason: "the fused schedule does not map onto the lane mirror",
+                });
+            }
+        }
+        Ok(cp)
+    }
+
+    /// Whether instances may run the lane body: fast mode on the
+    /// lockstep engine.
+    fn lane_eligible(&self) -> bool {
+        self.opts.mode == ExecMode::Fast && self.opts.engine == ExecEngine::Lockstep
     }
 
     /// Validates that a candidate binding can attach to this artifact:
-    /// argument counts equal the build binding's, and every array has
-    /// the compiled shape. `what` prefixes error messages ("rebind",
-    /// "bound").
+    /// argument counts equal the build binding's, every array has the
+    /// compiled shape, and (temporal plans) the result aliases no named
+    /// coefficient. `what` prefixes error messages ("rebind", "bound").
     fn validate_binding(
         &self,
         what: &str,
@@ -853,7 +866,7 @@ impl CompiledPlan {
         for c in coeffs {
             check("coefficient", c)?;
         }
-        Ok(())
+        check_fusable(self.temporal_depth(), result, coeffs.iter().copied())
     }
 
     /// Whether `base` starts one of the plan's halo buffers (source or,
@@ -953,69 +966,27 @@ impl CompiledPlan {
 }
 
 impl PlanInstance {
-    /// Creates the per-tenant state for `cp` bound to the given arrays:
-    /// rebases the shared schedule onto this binding, recomputes the
-    /// lane view over these arrays, and translates the resident
-    /// exchange/interior programs. Performs no machine allocation.
-    fn for_binding(
-        cp: &CompiledPlan,
-        result: &CmArray,
-        sources: &[CmArray],
-        coeffs: &[CmArray],
-    ) -> Self {
-        // Rebase the shared schedule onto this binding. Same-shape
-        // arrays differ only in their base addresses, so the deltas
-        // against the build binding are all a rebind would apply.
+    /// Creates the per-tenant state for `cp` bound to `binding`'s
+    /// arrays: rebases the shared schedule onto them and maps it onto
+    /// the lane mirror. Performs no machine allocation.
+    fn for_binding(cp: &CompiledPlan, binding: &StencilBinding<'_>) -> Self {
+        let (result, coeffs) = (binding.result(), binding.coeffs());
+        // Rebase the shared schedule onto this binding, lazily like a
+        // rebind. Same-shape arrays differ only in their base addresses,
+        // so the deltas against the build binding are all it takes.
         let result_delta = result.field().base() as i64 - cp.result.field().base() as i64;
         let mut coeff_deltas = vec![0i64; cp.coeff_slot_count];
-        let mut any_coeff = false;
         for ((&slot, old), new) in cp.named_slots.iter().zip(&cp.coeffs).zip(coeffs) {
-            let delta = new.field().base() as i64 - old.field().base() as i64;
-            coeff_deltas[slot as usize] = delta;
-            any_coeff |= delta != 0;
+            coeff_deltas[slot as usize] = new.field().base() as i64 - old.field().base() as i64;
         }
-        let mut strips = cp.strips.clone();
-        if result_delta != 0 || any_coeff {
-            for strip in &mut strips {
-                strip.rebase(result_delta, &coeff_deltas);
-            }
-        }
-
-        // The lane view is per-binding (gather/scatter bases move with
-        // the arrays), but lane *addresses* depend only on range lengths
-        // and order, so the shared translation is reused whenever the
-        // artifact has one. A private translation is built only when the
-        // artifact was compiled from an aliased binding (no shared lane
-        // strips) and this binding is clean.
-        let mut lane_view = None;
-        let mut lane_strips_override = None;
-        if cp.opts.mode == ExecMode::Fast && cp.opts.engine == ExecEngine::Lockstep {
-            if let Some(view) = instance_lane_view(cp, sources, coeffs, result) {
-                if cp.lane_strips.len() == strips.len() {
-                    lane_view = Some(view);
-                } else if let Some(translated) = strips
-                    .iter()
-                    .map(|s| s.translate(&view))
-                    .collect::<Option<Vec<_>>>()
-                {
-                    let kernels = translated.iter().map(StripKernels::compile).collect();
-                    lane_strips_override = Some((translated, kernels));
-                    lane_view = Some(view);
-                }
-            }
-        }
-
         let mut inst = PlanInstance {
-            strips,
-            pending_rebase: None,
-            lane_strips_override,
+            strips: cp.strips.clone(),
+            pending_rebase: Some((result_delta, coeff_deltas)),
+            lane_override: None,
             kernel_tier: true,
-            lane_view,
-            lane_resident: false,
+            lane_view: None,
             lane_mirror: LaneMirror::new(),
-            lane_exchanges: Vec::new(),
             lane_interiors: Vec::new(),
-            lane_scratch_fills: Vec::new(),
             lane_held: Vec::new(),
             lane_refreshed: Vec::new(),
             lane_epoch: 0,
@@ -1023,32 +994,44 @@ impl PlanInstance {
             lane_streams: (0..cp.temporal_depth())
                 .map(|_| CoeffStreams::new())
                 .collect(),
+            stage: RegionStage::new(),
             result: *result,
-            sources: sources.to_vec(),
+            sources: binding.sources().to_vec(),
             coeffs: coeffs.to_vec(),
         };
-        inst.map_resident(cp);
+        inst.map_lanes(cp);
         inst
     }
 
-    /// Recomputes the lane-resident programs for the current lane view:
-    /// the interior copies read the bound arrays, so they follow every
-    /// rebind; the exchange and scratch-fill programs address only
-    /// plan-owned halo and scratch buffers at rebind-invariant lane
-    /// words, so they are translated once and kept. Leaves the instance
-    /// non-resident when any part fails to translate.
-    fn map_resident(&mut self, cp: &CompiledPlan) {
-        self.lane_resident = false;
+    /// The lane schedule the instance runs when lane-mapped: the shared
+    /// translation, or its private one when the artifact has none.
+    fn lane_schedule<'a>(&'a self, cp: &'a CompiledPlan) -> Option<&'a LaneSchedule> {
+        cp.lane.as_ref().or(self.lane_override.as_ref())
+    }
+
+    /// Maps the current binding onto the lane mirror: the view over the
+    /// bound arrays (its gather/scatter bases follow every rebind), a
+    /// private translation when the shared artifact has none, and the
+    /// interior refresh copies, which read the bound arrays. Leaves the
+    /// instance unmapped — on the scalar engine — when any part fails.
+    fn map_lanes(&mut self, cp: &CompiledPlan) {
+        self.lane_view = None;
         self.lane_interiors.clear();
-        let Some(view) = self.lane_view.as_ref().filter(|_| cp.opts.lane_resident) else {
+        if !cp.lane_eligible() {
+            return;
+        }
+        let Some(view) = instance_lane_view(cp, &self.coeffs, &self.result) else {
             return;
         };
-        if self.lane_exchanges.is_empty() {
-            let Some((exchanges, scratch_fills)) = resident_programs(cp, view) else {
+        if self.lane_schedule(cp).is_none() {
+            // Only classic plans get here (a temporal build maps its
+            // schedule or fails), so there are no coefficient halos or
+            // scratch fills to translate.
+            self.apply_pending_rebase();
+            self.lane_override = LaneSchedule::translate(&self.strips, &cp.exchanges, &[], &view);
+            if self.lane_override.is_none() {
                 return;
-            };
-            self.lane_exchanges = exchanges;
-            self.lane_scratch_fills = scratch_fills;
+            }
         }
         // Refresh pairs: each source into its halo, then (temporal
         // plans) each named coefficient into its coefficient halo.
@@ -1062,10 +1045,10 @@ impl PlanInstance {
             .iter()
             .chain(cp.temporal.iter().flat_map(|tp| &tp.coeff_halos));
         let pairs = halos.zip(self.sources.iter().chain(coeffs));
-        if let Some(interiors) = lane_interior_copies(view, pairs) {
+        if let Some(interiors) = lane_interior_copies(&view, pairs) {
             self.lane_interiors = interiors;
             self.lane_refreshed.resize(self.lane_interiors.len(), None);
-            self.lane_resident = true;
+            self.lane_view = Some(view);
         }
     }
 
@@ -1119,55 +1102,47 @@ impl PlanInstance {
         }
     }
 
-    /// The lane-mirror execute body, shared between the exclusive
-    /// write-lock path and the region-leased shared-lock path — the two
-    /// differ only in how the final scatter reaches node memory (see
-    /// [`ResidentAccess`]) — and, with `gather_all`, the non-resident
-    /// lockstep path that re-gathers the whole view every execute.
-    ///
-    /// Re-reads exactly what [`Self::invalidate_stale`] left unheld: the
-    /// gathered ranges and the halos (interior refresh + exchange) whose
-    /// arrays moved or were written. Packed coefficient streams are
-    /// dropped here, and only here, when a coefficient range was re-read.
-    fn run_mirror(
+    /// Runs the lane body once over the shared artifact `cp`. Node
+    /// memory is only read — a shared borrow, so many tenants may run at
+    /// once under the session's read lock — and the writable ranges are
+    /// staged into `stage` for the caller to commit. The body re-reads
+    /// exactly what [`Self::invalidate_stale`] left unheld (the whole
+    /// view when the mirror holds nothing yet, else the gathered ranges
+    /// and the halos — interior refresh + exchange — whose arrays moved
+    /// or were written), then runs every fused step on the mirror.
+    /// Packed coefficient streams are dropped here, and only here, when
+    /// a coefficient range was re-read. Only lane-mapped instances may
+    /// run it — the caller checks [`ExecutionPlan::lane_mapped`] — and
+    /// it cannot fail, so this returns a bare [`Measurement`].
+    fn execute_region(
         &mut self,
         cp: &CompiledPlan,
-        access: ResidentAccess<'_, '_>,
-        gather_all: bool,
-    ) -> MirrorRun {
+        machine: &Machine,
+        stage: &mut RegionStage,
+    ) -> Measurement {
+        let _span = cmcc_obs::span(cmcc_obs::Phase::Execute);
+        self.invalidate_stale(machine);
+        let (_, mems) = machine.exec_parts();
         let depth = cp.temporal_depth();
         let nodes = cp.nodes;
-        let mut out = MirrorRun::default();
-        // The effective lane schedule: the instance's private
-        // translation when the shared artifact has none (it was built
-        // from an aliased binding and this binding is clean), else the
-        // shared one.
-        let (lane_strips, lane_kernels) = match &self.lane_strips_override {
-            Some((s, k)) => (s.as_slice(), k.as_slice()),
-            None => (cp.lane_strips.as_slice(), cp.lane_kernels.as_slice()),
-        };
+        let mut tally = ExecTally::new(&self.lane_mirror);
+        let schedule = cp
+            .lane
+            .as_ref()
+            .or(self.lane_override.as_ref())
+            .expect("mapped plans have a lane schedule");
         let view = self
             .lane_view
             .as_ref()
             .expect("mirrored plans are lane-mapped");
         self.lane_mirror
             .ensure(view.words(), nodes, cp.opts.threads);
-        let mems: &[NodeMemory] = match &access {
-            ResidentAccess::Exclusive(m) => m,
-            ResidentAccess::Shared(m, _) => m,
-        };
         let gathered = |r: &LaneRange| !r.writable && !r.private && !cp.is_halo(r.node_base);
         let mut coeffs_reread = false;
-        if gather_all || self.lane_held.is_empty() {
-            coeffs_reread = self.lane_held.is_empty()
-                || view
-                    .ranges()
-                    .iter()
-                    .zip(&self.lane_held)
-                    .any(|(r, held)| gathered(r) && held.is_none());
+        if self.lane_held.is_empty() {
+            coeffs_reread = true;
             self.lane_mirror.gather(view, mems);
-            out.predicted += view.gather_words() * nodes;
-            self.lane_held.clear();
+            tally.predicted += view.gather_words() * nodes;
             self.lane_held
                 .extend(view.ranges().iter().map(|r| Some(r.node_base)));
         } else {
@@ -1182,7 +1157,7 @@ impl PlanInstance {
                         cols: range.len,
                     };
                     self.lane_mirror.gather_rect(mems, &rect);
-                    out.predicted += range.len * nodes;
+                    tally.predicted += range.len * nodes;
                     *held = Some(range.node_base);
                     coeffs_reread = true;
                 }
@@ -1191,14 +1166,14 @@ impl PlanInstance {
         for (k, (interior, exchange)) in self
             .lane_interiors
             .iter()
-            .zip(&self.lane_exchanges)
+            .zip(&schedule.exchanges)
             .enumerate()
         {
             // The modeled NEWS cycles are charged every iteration —
             // the CM-2 exchanges every time. Skipping the host-side
             // copies of an unchanged source is an emulator optimization
             // and must not perturb the `Measurement`.
-            out.comm += exchange.cycles();
+            tally.comm += exchange.cycles();
             if self.lane_refreshed[k].is_some() {
                 continue;
             }
@@ -1209,8 +1184,8 @@ impl PlanInstance {
                 );
                 self.lane_mirror.gather_rows(mems, interior);
             }
-            out.exchange_words += exchange.words_moved();
-            out.predicted += interior.rows * interior.cols * nodes + exchange.words_moved();
+            tally.exchange_words += exchange.words_moved();
+            tally.predicted += interior.rows * interior.cols * nodes + exchange.words_moved();
             let _ = exchange.run(&mut self.lane_mirror);
             // Pairs past the sources refresh coefficient halos, which
             // the packed streams read.
@@ -1222,11 +1197,15 @@ impl PlanInstance {
                 streams.invalidate();
             }
         }
-        let kernels: &[Option<StripKernels>] = if self.kernel_tier { lane_kernels } else { &[] };
+        let kernels: &[Option<StripKernels>] = if self.kernel_tier {
+            &schedule.kernels
+        } else {
+            &[]
+        };
         for step in 0..depth {
             let (lo, hi) = match &cp.temporal {
                 Some(tp) => (tp.step_bounds[step], tp.step_bounds[step + 1]),
-                None => (0, lane_strips.len()),
+                None => (0, schedule.strips.len()),
             };
             let step_kernels = if kernels.is_empty() {
                 kernels
@@ -1234,108 +1213,34 @@ impl PlanInstance {
                 &kernels[lo..hi]
             };
             let _t = cmcc_obs::trace::scope(cmcc_obs::trace::TraceOp::KernelSweep, step as u64);
-            out.run.absorb(&run_lockstep_groups_kernelized(
-                &lane_strips[lo..hi],
+            tally.run.absorb(&run_lockstep_groups_kernelized(
+                &schedule.strips[lo..hi],
                 step_kernels,
                 &mut self.lane_streams[step],
                 self.lane_mirror.groups_mut(),
             ));
             if step + 1 < depth {
-                self.lane_scratch_fills[step % 2].run(&mut self.lane_mirror);
+                schedule.scratch_fills[step % 2].run(&mut self.lane_mirror);
             }
         }
-        out.predicted += view.scatter_words() * nodes;
-        match access {
-            ResidentAccess::Exclusive(mems) => {
-                // In debug builds, prove the scatter honors the view's
-                // read-only ranges (node 0 stands in for all — SIMD).
-                #[cfg(debug_assertions)]
-                let before: Vec<u32> = view
-                    .ranges()
-                    .iter()
-                    .filter(|r| !r.writable || r.private)
-                    .flat_map(|r| {
-                        mems[0]
-                            .slice(r.node_base, r.len)
-                            .iter()
-                            .map(|v| v.to_bits())
-                    })
-                    .collect();
-                self.lane_mirror.scatter(view, mems);
-                #[cfg(debug_assertions)]
-                {
-                    let after: Vec<u32> = view
-                        .ranges()
-                        .iter()
-                        .filter(|r| !r.writable || r.private)
-                        .flat_map(|r| {
-                            mems[0]
-                                .slice(r.node_base, r.len)
-                                .iter()
-                                .map(|v| v.to_bits())
-                        })
-                        .collect();
-                    debug_assert_eq!(
-                        before, after,
-                        "scatter touched a read-only or lane-private range"
-                    );
-                }
-            }
-            ResidentAccess::Shared(_, stage) => {
-                // Node memory is a shared borrow here: transpose the
-                // writable image into the stage instead of scattering.
-                // The commit happens later, under the session's brief
-                // exclusive lock, while the lease is still held.
-                self.lane_mirror.scatter_stage(view, stage);
-                // Prove the commit will only touch writable, non-private
-                // viewed ranges — the words the execute's lease covers
-                // as writable.
-                debug_assert!(
-                    stage.ranges().iter().all(|&(base, len)| {
-                        view.ranges().iter().any(|r| {
-                            r.writable
-                                && !r.private
-                                && base >= r.node_base
-                                && base + len <= r.node_base + r.len
-                        })
-                    }),
-                    "staged scatter escaped the view's writable ranges"
-                );
-            }
-        }
-        out
-    }
-
-    /// Runs one region-leased iteration over the shared artifact `cp`:
-    /// node memory is borrowed *shared* (many tenants at once under the
-    /// session's read lock) and the scatter is staged into `stage` for a
-    /// later exclusive commit. Only lane-resident instances may take
-    /// this path — the caller checks [`PlanInstance::lane_resident`] —
-    /// and the resident path cannot fail, so this returns a bare
-    /// [`Measurement`].
-    fn execute_region(
-        &mut self,
-        cp: &CompiledPlan,
-        machine: &Machine,
-        stage: &mut RegionStage,
-    ) -> Measurement {
-        let _span = cmcc_obs::span(cmcc_obs::Phase::Execute);
-        assert!(self.lane_resident, "region executes require lane residency");
-        self.invalidate_stale(machine);
-        let mirror_base = MirrorWords::of(&self.lane_mirror);
-        let (_, mems) = machine.exec_parts();
-        let m = self.run_mirror(cp, ResidentAccess::Shared(mems, stage), false);
-        self.finish(
-            cp,
-            ExecTally {
-                run: m.run,
-                comm: m.comm,
-                interior_words: 0,
-                exchange_words: m.exchange_words,
-                mirror_base,
-                predicted: m.predicted as u64,
-            },
-        )
+        // Transpose the writable image into the stage; the caller
+        // commits it with `Machine::apply_stage`.
+        tally.predicted += view.scatter_words() * nodes;
+        self.lane_mirror.scatter_stage(view, stage);
+        // Prove the commit will only touch writable, non-private viewed
+        // ranges — the words the execute's lease covers as writable.
+        debug_assert!(
+            stage.ranges().iter().all(|&(base, len)| {
+                view.ranges().iter().any(|r| {
+                    r.writable
+                        && !r.private
+                        && base >= r.node_base
+                        && base + len <= r.node_base + r.len
+                })
+            }),
+            "staged scatter escaped the view's writable ranges"
+        );
+        self.finish(cp, tally)
     }
 
     /// Runs one iteration over the shared artifact `cp`. See
@@ -1345,105 +1250,46 @@ impl PlanInstance {
         cp: &CompiledPlan,
         machine: &mut Machine,
     ) -> Result<Measurement, RuntimeError> {
-        let _span = cmcc_obs::span(cmcc_obs::Phase::Execute);
-        let mirror_base = MirrorWords::of(&self.lane_mirror);
-        let mut interior_words = 0usize;
-        let mut exchange_words = 0usize;
-        let mut comm = 0;
-        // Off the resident path every execute pays the full refresh, so
-        // the analytic steady-state figure is the exact prediction.
-        let mut predicted = self.steady_copy_words(cp);
-        let depth = cp.temporal_depth();
-        let run = if self.lane_resident {
-            self.invalidate_stale(machine);
-            let view = self.lane_view.as_ref().expect("resident plans are mapped");
-            let mems = machine.write_nodes(view.scatter_ranges());
-            let m = self.run_mirror(cp, ResidentAccess::Exclusive(mems), false);
-            comm = m.comm;
-            exchange_words = m.exchange_words;
-            predicted = m.predicted;
-            m.run
-        } else if let Some(tp) = &cp.temporal {
-            self.apply_pending_rebase();
-            // The node-domain fused loop: the fallback for temporal
-            // plans whose binding cannot ride the lane mirror (aliased
-            // arrays, a failed translation). One deepened exchange per
-            // execute, then every inner step runs its sub-schedule
-            // against node memory, with the scratch boundary fix-up
-            // between steps.
-            for ((halo, program), src) in cp.halos.iter().zip(&cp.exchanges).zip(&self.sources) {
-                interior_words += halo.fill_interior(machine, src);
-                exchange_words += program.words_moved();
-                comm += program.run(machine);
-            }
-            for ((halo, program), arr) in tp
-                .coeff_halos
-                .iter()
-                .zip(&tp.coeff_exchanges)
-                .zip(&self.coeffs)
+        if self.lane_view.is_some() {
+            // The lane body, committed at once: the caller holds the
+            // machine exclusively, so nothing runs between the staged
+            // writes and their commit.
+            let mut stage = std::mem::take(&mut self.stage);
+            let m = self.execute_region(cp, machine, &mut stage);
             {
-                interior_words += halo.fill_interior(machine, arr);
-                exchange_words += program.words_moved();
-                comm += program.run(machine);
+                let _t = cmcc_obs::trace::scope(
+                    cmcc_obs::trace::TraceOp::RegionCommit,
+                    stage.ranges().len() as u64,
+                );
+                machine.apply_stage(&stage);
             }
-            let writes = tp
-                .scratch
-                .iter()
-                .map(Field::range)
-                .chain([self.result.field().range()]);
-            let mut run = StripRun::default();
-            for step in 0..depth {
-                let (lo, hi) = (tp.step_bounds[step], tp.step_bounds[step + 1]);
-                run.absorb(&machine.run_resolved_all(
-                    &self.strips[lo..hi],
-                    writes.clone(),
-                    cp.opts.mode,
-                    cp.opts.threads,
-                )?);
-                if step + 1 < depth {
-                    tp.scratch_fills[step % 2].run(machine);
-                }
-            }
-            run
-        } else {
-            for ((halo, program), src) in cp.halos.iter().zip(&cp.exchanges).zip(&self.sources) {
-                interior_words += halo.fill_interior(machine, src);
-                exchange_words += program.words_moved();
-                comm += program.run(machine);
-            }
-            if self.lane_view.is_some() {
-                // The lockstep engine without residency: every node
-                // gathered into lane storage per execute, each resolved
-                // step broadcast across all lanes at once.
-                self.invalidate_stale(machine);
-                let view = self.lane_view.as_ref().expect("checked above");
-                let mems = machine.write_nodes(view.scatter_ranges());
-                self.run_mirror(cp, ResidentAccess::Exclusive(mems), true)
-                    .run
-            } else {
-                self.apply_pending_rebase();
-                machine.run_resolved_all(
-                    &self.strips,
-                    [self.result.field().range()],
-                    cp.opts.mode,
-                    cp.opts.threads,
-                )?
-            }
-        };
-        Ok(self.finish(
-            cp,
-            ExecTally {
-                run,
-                comm,
-                interior_words,
-                exchange_words,
-                mirror_base,
-                predicted: predicted as u64,
-            },
-        ))
+            self.stage = stage;
+            return Ok(m);
+        }
+        // The scalar engine: the oracle and the cycle model. Temporal
+        // plans have no scalar body: their build maps the schedule or
+        // fails, and their view holds only plan-owned buffers and the
+        // result, so every binding that passes `check_fusable` maps.
+        assert!(cp.temporal.is_none(), "temporal plans are lane-mapped");
+        let _span = cmcc_obs::span(cmcc_obs::Phase::Execute);
+        let mut tally = ExecTally::new(&self.lane_mirror);
+        for ((halo, program), src) in cp.halos.iter().zip(&cp.exchanges).zip(&self.sources) {
+            tally.interior_words += halo.fill_interior(machine, src);
+            tally.exchange_words += program.words_moved();
+            tally.comm += program.run(machine);
+        }
+        self.apply_pending_rebase();
+        tally.run = machine.run_resolved_all(
+            &self.strips,
+            [self.result.field().range()],
+            cp.opts.mode,
+            cp.opts.threads,
+        )?;
+        tally.predicted = self.steady_copy_words(cp);
+        Ok(self.finish(cp, tally))
     }
 
-    /// The execute epilogue shared by the exclusive and region paths:
+    /// The execute epilogue shared by the lane and scalar bodies:
     /// telemetry, the copy-word cross-check, and the paper's cycle
     /// accounting rolled into a [`Measurement`].
     fn finish(&self, cp: &CompiledPlan, tally: ExecTally) -> Measurement {
@@ -1457,10 +1303,8 @@ impl PlanInstance {
         } = tally;
         let d = MirrorWords::of(&self.lane_mirror).minus(&mirror_base);
         cmcc_obs::add(
-            if self.lane_resident {
+            if self.lane_view.is_some() {
                 cmcc_obs::Counter::LaneResidentRuns
-            } else if self.lane_view.is_some() {
-                cmcc_obs::Counter::LockstepRuns
             } else {
                 cmcc_obs::Counter::ScalarRuns
             },
@@ -1482,20 +1326,19 @@ impl PlanInstance {
 
         // Debug builds prove the copy model against observed traffic:
         // the words this execute moved are exactly what its re-reads
-        // predict — the analytic `steady_state_copy_words` off the
-        // resident path, and scatter plus the re-gathered ranges and
-        // refreshed halos on it. Staged scatters count at stage time, so
-        // the check is path-independent.
+        // predict — the analytic `steady_state_copy_words` on the scalar
+        // engine, and the staged scatter plus the re-gathered ranges and
+        // refreshed halos on the lane body.
         if cfg!(debug_assertions) {
             let observed = (interior_words + exchange_words) as u64
                 + d.row_gathered
                 + d.gathered
                 + d.scattered;
             assert_eq!(
-                observed, predicted,
+                observed, predicted as u64,
                 "execute copy words diverged from the copy model"
             );
-            if self.lane_resident {
+            if self.lane_view.is_some() {
                 assert_eq!(
                     d.lane_copied, exchange_words as u64,
                     "lane exchange moved a different word count than its program records"
@@ -1576,45 +1419,18 @@ impl PlanInstance {
         self.coeffs.clear();
         self.coeffs.extend(coeffs.iter().map(|c| **c));
 
-        // Recompute the lane view against the new arrays. The ranges keep
-        // their order and lengths (shapes were just validated), so lane
-        // addresses are unchanged and the translated strips stay valid;
-        // only the gather/scatter bases move. A rebind can also turn the
-        // lockstep path off (the new binding aliases arrays) or back on.
-        if cp.opts.mode == ExecMode::Fast && cp.opts.engine == ExecEngine::Lockstep {
-            self.lane_view = None;
-            if let Some(view) = instance_lane_view(cp, &self.sources, &self.coeffs, &self.result) {
-                let lane_len = self
-                    .lane_strips_override
-                    .as_ref()
-                    .map_or(cp.lane_strips.len(), |(s, _)| s.len());
-                if lane_len == self.strips.len() {
-                    // Lane addresses are rebind-invariant, so the kept
-                    // translation keeps its compiled kernels too.
-                    self.lane_view = Some(view);
-                } else {
-                    self.apply_pending_rebase();
-                    if let Some(translated) = self
-                        .strips
-                        .iter()
-                        .map(|s| s.translate(&view))
-                        .collect::<Option<Vec<_>>>()
-                    {
-                        let kernels = translated.iter().map(StripKernels::compile).collect();
-                        self.lane_strips_override = Some((translated, kernels));
-                        self.lane_view = Some(view);
-                    }
-                }
-            }
-        }
-
+        // Remap against the new arrays. The ranges keep their order and
+        // lengths (shapes were just validated), so lane addresses and
+        // the translation stay valid; only the view's gather/scatter
+        // bases and the interior copies move. A rebind can also unmap
+        // the plan (the new binding aliases arrays) or map it again.
         // The mirror keeps its contents: the next execute compares what
         // it holds against the new bases (and write stamps) and re-reads
-        // only what moved. Only the interior copies change here.
-        self.map_resident(cp);
+        // only what moved.
+        self.map_lanes(cp);
         let nodes = cp.nodes;
-        self.lane_rebind_moved = if self.lane_resident {
-            moved_coeffs
+        self.lane_rebind_moved = match (&self.lane_view, self.lane_schedule(cp)) {
+            (Some(_), Some(schedule)) => moved_coeffs
                 .iter()
                 .map(|&k| {
                     let c = self.coeffs[k];
@@ -1623,14 +1439,13 @@ impl PlanInstance {
                         // halos: a moved array re-runs that refresh pair.
                         Some(_) => {
                             c.sub_rows() * c.sub_cols() * nodes
-                                + self.lane_exchanges[self.sources.len() + k].words_moved()
+                                + schedule.exchanges[self.sources.len() + k].words_moved()
                         }
                         None => c.field().len() * nodes,
                     }
                 })
-                .sum()
-        } else {
-            0
+                .sum(),
+            _ => 0,
         };
         Ok(())
     }
@@ -1638,66 +1453,39 @@ impl PlanInstance {
     /// Machine-total words copied per steady-state `execute` — the body
     /// behind [`ExecutionPlan::steady_state_copy_words`].
     fn steady_copy_words(&self, cp: &CompiledPlan) -> usize {
-        let scatter = |view: &LaneView| view.scatter_words() * cp.nodes;
-        if self.lane_resident {
-            let view = self.lane_view.as_ref().expect("resident plans are mapped");
-            return scatter(view);
-        }
-        // Node-domain refresh: every source interior, plus (temporal
-        // plans only) every named-coefficient interior feeding the
-        // widened coefficient halos.
-        let coeff_interior = match &cp.temporal {
-            Some(tp) if !tp.coeff_halos.is_empty() => {
-                self.coeffs
+        match &self.lane_view {
+            Some(view) => view.scatter_words() * cp.nodes,
+            // The scalar engine refreshes every source interior and runs
+            // every exchange per execute.
+            None => {
+                let interior: usize = self
+                    .sources
                     .iter()
-                    .map(|c| c.sub_rows() * c.sub_cols())
-                    .sum::<usize>()
-                    * cp.nodes
+                    .map(|s| s.sub_rows() * s.sub_cols())
+                    .sum();
+                interior * cp.nodes
+                    + cp.exchanges
+                        .iter()
+                        .map(ExchangeProgram::words_moved)
+                        .sum::<usize>()
             }
-            _ => 0,
-        };
-        let interior: usize = self
-            .sources
-            .iter()
-            .map(|s| s.sub_rows() * s.sub_cols())
-            .sum::<usize>()
-            * cp.nodes
-            + coeff_interior;
-        let exchange: usize = cp
-            .exchanges
-            .iter()
-            .map(ExchangeProgram::words_moved)
-            .sum::<usize>()
-            + cp.temporal.as_ref().map_or(0, |tp| {
-                tp.coeff_exchanges
-                    .iter()
-                    .map(ExchangeProgram::words_moved)
-                    .sum()
-            });
-        // Temporal plans never run the gather/scatter-per-execute lane
-        // path — without residency they fall back to the node-domain
-        // fused loop — so the mirror term only applies to depth-1 plans.
-        let mirror = match (&self.lane_view, &cp.temporal) {
-            (Some(view), None) => view.words() * cp.nodes + scatter(view),
-            _ => 0,
-        };
-        interior + exchange + mirror
+        }
     }
 
     /// Machine-total words copied by the execute after a ping-pong
-    /// rebind on the lane-resident path: every source's interior refresh
-    /// and halo exchange, the result scatter, and whatever the last
-    /// rebind moved beyond that (see `lane_rebind_moved`). Off the
-    /// resident path this is the steady-state figure (every execute
-    /// already pays the full refresh).
+    /// rebind on the lane body: every source's interior refresh and
+    /// halo exchange, the result scatter, and whatever the last rebind
+    /// moved beyond that (see `lane_rebind_moved`). On the scalar engine
+    /// this is the steady-state figure (every execute already pays the
+    /// full refresh).
     fn rebind_cycle_copy_words(&self, cp: &CompiledPlan) -> usize {
-        if !self.lane_resident {
+        let (Some(_), Some(schedule)) = (&self.lane_view, self.lane_schedule(cp)) else {
             return self.steady_copy_words(cp);
-        }
+        };
         let swap: usize = self
             .lane_interiors
             .iter()
-            .zip(&self.lane_exchanges)
+            .zip(&schedule.exchanges)
             .take(self.sources.len())
             .map(|(r, x)| r.rows * r.cols * cp.nodes + x.words_moved())
             .sum();
@@ -1715,7 +1503,9 @@ impl ExecutionPlan {
     /// # Errors
     ///
     /// [`RuntimeError::SubgridTooSmall`] when the stencil's halo is deeper
-    /// than the per-node subgrid, or [`RuntimeError::OutOfMemory`].
+    /// than the per-node subgrid, [`RuntimeError::OutOfMemory`], or
+    /// [`RuntimeError::Unfusable`] when a temporal plan cannot fuse the
+    /// binding.
     pub fn build(
         machine: &mut Machine,
         binding: &StencilBinding<'_>,
@@ -1723,12 +1513,7 @@ impl ExecutionPlan {
         lifetime: PlanLifetime,
     ) -> Result<Self, RuntimeError> {
         let shared = CompiledPlan::build(machine, binding, opts, lifetime)?;
-        let inst = PlanInstance::for_binding(
-            &shared,
-            binding.result(),
-            binding.sources(),
-            binding.coeffs(),
-        );
+        let inst = PlanInstance::for_binding(&shared, binding);
         Ok(ExecutionPlan {
             shared: Arc::new(shared),
             inst,
@@ -1745,7 +1530,8 @@ impl ExecutionPlan {
     /// [`RuntimeError::ShapeMismatch`] when the binding's compiled
     /// stencil fingerprint or array shapes do not match the artifact;
     /// [`RuntimeError::WrongSourceCount`] / [`RuntimeError::WrongCoeffCount`]
-    /// on argument-count mismatches.
+    /// on argument-count mismatches; [`RuntimeError::Unfusable`] when the
+    /// artifact is temporal and the result aliases a named coefficient.
     pub fn from_shared(
         shared: &Arc<CompiledPlan>,
         binding: &StencilBinding<'_>,
@@ -1762,12 +1548,7 @@ impl ExecutionPlan {
         let srcs: Vec<&CmArray> = binding.sources().iter().collect();
         let cfs: Vec<&CmArray> = binding.coeffs().iter().collect();
         shared.validate_binding("bound", binding.result(), &srcs, &cfs)?;
-        let inst = PlanInstance::for_binding(
-            shared,
-            binding.result(),
-            binding.sources(),
-            binding.coeffs(),
-        );
+        let inst = PlanInstance::for_binding(shared, binding);
         Ok(ExecutionPlan {
             shared: Arc::clone(shared),
             inst,
@@ -1783,18 +1564,22 @@ impl ExecutionPlan {
 
     /// Runs one iteration: halo exchange, pre-resolved kernel execution,
     /// and the paper's accounting. Performs no field allocation and no
-    /// schedule construction; the lane-resident path (lockstep engine,
-    /// the default) additionally performs no host allocation.
+    /// schedule construction.
     ///
-    /// A resident execute re-reads node memory only where its mirror is
-    /// out of date: each viewed read-only range (coefficient arrays,
-    /// constant and literal pages) and each source halo (interior
-    /// refresh + exchange) is re-read exactly when its node base moved
-    /// since the mirror's last sync or its write stamps
-    /// ([`Machine::written_since`]) are newer. Writes by anyone count —
-    /// host scatters, another plan's execute, this plan's own scatter —
-    /// so an unchanged binding over unchanged arrays touches no
-    /// `NodeMemory` beyond writing the result. Every execute stamps the
+    /// A [`Self::lane_mapped`] plan runs the lane body — the same one
+    /// [`Self::execute_region`] runs — and commits its staged writes at
+    /// once through [`Machine::apply_stage`]; its mirror and stage
+    /// buffers are recycled, so a steady state allocates nothing. The
+    /// body re-reads node memory only where its mirror is out of date:
+    /// each viewed read-only range (coefficient arrays, constant and
+    /// literal pages) and each source halo (interior refresh + exchange)
+    /// is re-read exactly when its node base moved since the mirror's
+    /// last sync or its write stamps ([`Machine::written_since`]) are
+    /// newer. Writes by anyone count — host scatters, another plan's
+    /// execute, this plan's own commit (an in-place binding reads its
+    /// result back next time) — so an unchanged binding over unchanged
+    /// arrays touches no `NodeMemory` beyond writing the result. Every
+    /// other plan runs on the scalar engine. Every execute stamps the
     /// ranges it writes (its writable [`Self::lease_ranges`]).
     ///
     /// # Errors
@@ -1804,31 +1589,33 @@ impl ExecutionPlan {
         self.inst.execute(&self.shared, machine)
     }
 
-    /// Whether this plan's next execute can run region-leased: the
-    /// lane-resident steady state, whose only node-memory writes are the
-    /// final writable-range scatter (stageable), and whose execute
-    /// cannot fail. Everything else — scalar engine, non-resident
-    /// lockstep, aliased bindings, the node-domain temporal fallback —
-    /// writes node memory mid-execute and must keep the exclusive path.
-    pub fn region_eligible(&self) -> bool {
-        self.inst.lane_resident
+    /// Whether `execute` runs the lane body: fast mode, the lockstep
+    /// engine, and a binding the lane mirror can hold (no aliased arrays
+    /// on a classic plan). Its only node-memory writes are the staged
+    /// writable ranges, and it cannot fail, so such a plan may also run
+    /// region-leased ([`Self::execute_region`]). False means the scalar
+    /// engine — the oracle and the cycle model — runs it, writing node
+    /// memory mid-execute under an exclusive borrow.
+    pub fn lane_mapped(&self) -> bool {
+        self.inst.lane_view.is_some()
     }
 
-    /// Runs one iteration under *shared* machine access: gathers and
+    /// Runs the lane body under *shared* machine access: gathers and
     /// kernels proceed against the read-only node memories, and the
-    /// final scatter is transposed into `stage` instead of written. The
-    /// caller commits the stage with [`RegionStage::apply`] under a
-    /// brief exclusive lock — while still holding the lease over this
+    /// writable ranges are transposed into `stage` instead of written.
+    /// The caller commits the stage with [`Machine::apply_stage`] under
+    /// a brief exclusive lock — while still holding the lease over this
     /// plan's [`ExecutionPlan::lease_ranges`], so no overlapping execute
     /// can interleave between the read phase and the commit.
     ///
     /// Results, [`Measurement`]s, and telemetry are bit-identical to
-    /// [`ExecutionPlan::execute`] (staged words count as scatter words
-    /// at stage time; the commit itself counts nothing).
+    /// [`ExecutionPlan::execute`], which runs the same body (staged
+    /// words count as scatter words at stage time; the commit itself
+    /// counts nothing).
     ///
     /// # Panics
     ///
-    /// Panics if the plan is not [`ExecutionPlan::region_eligible`].
+    /// Panics if the plan is not [`ExecutionPlan::lane_mapped`].
     pub fn execute_region(&mut self, machine: &Machine, stage: &mut RegionStage) -> Measurement {
         self.inst.execute_region(&self.shared, machine, stage)
     }
@@ -1839,13 +1626,13 @@ impl ExecutionPlan {
     /// coefficients read-only) plus every plan-owned field: halo
     /// buffers, the constant pair, literal coefficient pages, and —
     /// temporal plans — coefficient halos and ping-pong scratch. On the
-    /// lane-resident path the plan-owned fields are read-only (the
-    /// refresh and exchange run on the instance's private mirror); off
-    /// it, `fill_interior` and the node-domain fused loop write them, so
-    /// two instances of one shared artifact must serialize.
+    /// lane body the plan-owned fields are read-only (the refresh and
+    /// exchange run on the instance's private mirror); on the scalar
+    /// engine `fill_interior` and the exchange write them, so two
+    /// instances of one shared artifact must serialize.
     pub fn lease_ranges(&self) -> Vec<LeaseRange> {
         let cp = &*self.shared;
-        let owned_writable = !self.inst.lane_resident;
+        let owned_writable = !self.lane_mapped();
         let mut out = Vec::new();
         let mut push = |f: Field, writable: bool| {
             if !f.is_empty() {
@@ -1887,13 +1674,12 @@ impl ExecutionPlan {
     /// result/coefficient swaps shift the resolved addresses.
     ///
     /// O(ranges) work: the lane view and the interior copies are
-    /// recomputed over the new arrays; the translated exchange and
-    /// scratch-fill programs are kept (they address only plan-owned
-    /// buffers at rebind-invariant lane words), and so is the mirror's
-    /// contents — the next execute re-reads only the ranges whose base
-    /// moved (see [`Self::execute`]). The node-domain strip schedule's
-    /// rebase is deferred to the scalar and node-domain paths that read
-    /// it.
+    /// recomputed over the new arrays; the translated schedule and halo
+    /// programs are kept (lane addresses are rebind-invariant), and so
+    /// is the mirror's contents — the next execute re-reads only the
+    /// ranges whose base moved (see [`Self::execute`]). The node-domain
+    /// strip schedule's rebase is deferred to the scalar engine that
+    /// reads it.
     ///
     /// This is what makes ping-pong time stepping (`swap(cur, next)`) and
     /// volume sweeps reuse one plan.
@@ -1902,7 +1688,9 @@ impl ExecutionPlan {
     ///
     /// [`RuntimeError::WrongSourceCount`], [`RuntimeError::WrongCoeffCount`],
     /// or [`RuntimeError::ShapeMismatch`] when the new arrays do not match
-    /// the plan's shapes.
+    /// the plan's shapes; [`RuntimeError::Unfusable`] when a temporal
+    /// plan's new result aliases a named coefficient. The plan keeps its
+    /// old binding on any error.
     pub fn rebind(
         &mut self,
         result: &CmArray,
@@ -1981,22 +1769,6 @@ impl ExecutionPlan {
         self.inst.strips.len()
     }
 
-    /// Whether `execute` currently runs the lockstep broadcast engine
-    /// (fast mode, lockstep engine selected, current binding lane-mapped
-    /// without aliasing). False means the scalar fallback.
-    pub fn uses_lockstep(&self) -> bool {
-        self.inst.lane_view.is_some()
-    }
-
-    /// Whether `execute` currently runs the lane-resident steady state:
-    /// the mirror persists across executes, sources and the halo exchange
-    /// are applied directly to lane storage, and only writable ranges are
-    /// scattered back. False means per-execute gather/scatter (or the
-    /// scalar fallback when [`Self::uses_lockstep`] is also false).
-    pub fn uses_lane_resident(&self) -> bool {
-        self.inst.lane_resident
-    }
-
     /// Turns the kernel tier on or off for subsequent executes. On by
     /// default. A post-build toggle only — results are bit-identical
     /// either way, so it is not an [`ExecOptions`] field and does not
@@ -2010,12 +1782,11 @@ impl ExecutionPlan {
     /// family (the rest run interpreted). Zero when the plan is not
     /// lane-mapped or the tier is off.
     pub fn kernelized_strips(&self) -> usize {
-        if !self.inst.kernel_tier {
-            return 0;
-        }
-        match &self.inst.lane_strips_override {
-            Some((_, kernels)) => kernels.iter().flatten().count(),
-            None => self.shared.lane_kernels.iter().flatten().count(),
+        match self.inst.lane_schedule(&self.shared) {
+            Some(lane) if self.inst.kernel_tier && self.lane_mapped() => {
+                lane.kernels.iter().flatten().count()
+            }
+            _ => 0,
         }
     }
 
@@ -2027,25 +1798,25 @@ impl ExecutionPlan {
     }
 
     /// Machine-total words copied per steady-state `execute` under the
-    /// current engine. Lane-resident plans reach a fixed point: while
-    /// the binding holds and nobody writes the bound read-only arrays,
-    /// the mirror's source halos and read-only ranges stay current, so a
-    /// steady iteration copies nothing but the writable-range scatter. The other engines
-    /// refresh per iteration: interior source copy + halo-exchange
-    /// moves, plus — on the non-resident lockstep engine — the full
-    /// mirror gather/scatter. Computed from the plan's structure, so it
-    /// cannot drift from what `execute` actually does. Fill words
-    /// (border zeroing) are excluded: they are stores, not copies.
+    /// current engine. The lane body reaches a fixed point: while the
+    /// binding holds and nobody writes the bound read-only arrays, the
+    /// mirror's source halos and read-only ranges stay current, so a
+    /// steady iteration copies nothing but the writable-range scatter.
+    /// The scalar engine refreshes per iteration: the interior source
+    /// copy and the halo-exchange moves. Computed from the plan's
+    /// structure, so it cannot drift from what `execute` actually does.
+    /// Fill words (border zeroing) are excluded: they are stores, not
+    /// copies.
     pub fn steady_state_copy_words(&self) -> usize {
         self.inst.steady_copy_words(&self.shared)
     }
 
     /// Machine-total words the execute after a ping-pong rebind moves on
-    /// the lane-resident path: every source's interior refresh and halo
-    /// exchange, the result scatter, plus the read-only ranges (or, on
-    /// temporal plans, coefficient halos) the last rebind moved. Equals
-    /// [`Self::steady_state_copy_words`] off that path, where every
-    /// execute already pays the full refresh.
+    /// the lane body: every source's interior refresh and halo exchange,
+    /// the result scatter, plus the read-only ranges (or, on temporal
+    /// plans, coefficient halos) the last rebind moved. Equals
+    /// [`Self::steady_state_copy_words`] on the scalar engine, where
+    /// every execute already pays the full refresh.
     pub fn rebind_cycle_copy_words(&self) -> usize {
         self.inst.rebind_cycle_copy_words(&self.shared)
     }
@@ -2090,20 +1861,6 @@ fn width_slot(width: usize) -> Option<usize> {
     }
 }
 
-/// How a lane-resident execute reaches node memory.
-///
-/// The exclusive variant is the classic write-lock path: the final
-/// scatter writes node memory directly. The shared variant is the
-/// region-leased path: node memory is a shared borrow (other tenants may
-/// be reading it concurrently), so the scatter is transposed into a
-/// [`RegionStage`] and committed later under a brief exclusive lock.
-enum ResidentAccess<'a, 'b> {
-    /// Exclusive node-memory access; scatter writes through.
-    Exclusive(&'a mut [NodeMemory]),
-    /// Shared node-memory access; scatter staged for a later commit.
-    Shared(&'a [NodeMemory], &'b mut RegionStage),
-}
-
 /// What one execute accumulated on its way to the shared epilogue
 /// ([`PlanInstance::finish`]): the kernel run, modeled exchange cycles,
 /// observed copy traffic, and the copy words the debug cross-check
@@ -2115,18 +1872,21 @@ struct ExecTally {
     exchange_words: usize,
     mirror_base: MirrorWords,
     /// Machine-total copy words the execute's re-reads predict.
-    predicted: u64,
+    predicted: usize,
 }
 
-/// What [`PlanInstance::run_mirror`] hands back: the kernel run, the
-/// modeled exchange cycles, the lane halo words moved, and the copy words
-/// its re-reads predict.
-#[derive(Default)]
-struct MirrorRun {
-    run: StripRun,
-    comm: u64,
-    exchange_words: usize,
-    predicted: usize,
+impl ExecTally {
+    /// An empty tally, with the mirror's counters as the baseline.
+    fn new(mirror: &LaneMirror) -> Self {
+        ExecTally {
+            run: StripRun::default(),
+            comm: 0,
+            interior_words: 0,
+            exchange_words: 0,
+            mirror_base: MirrorWords::of(mirror),
+            predicted: 0,
+        }
+    }
 }
 
 /// One node-memory address range an execute touches, with whether it may
@@ -2187,143 +1947,90 @@ impl MirrorWords {
     }
 }
 
-/// The node-memory ranges a plan's schedule can touch, in the fixed
-/// order the lane view mirrors them: halo buffers, the constant pair,
-/// literal coefficient pages, named coefficient arrays (all read-only),
-/// then the result array (the one range scattered back). The order and
-/// lengths are rebind-invariant, which is what keeps lane-translated
-/// strips valid across rebinds.
-/// The temporal-plan variant of [`lane_ranges`]: named-coefficient
-/// *arrays* are replaced by the plan-owned coefficient halos (refreshed
-/// like source halos), and the ping-pong scratch states join as
-/// writable **lane-private** ranges — their contents are produced and
-/// consumed entirely on the mirror within one execute, so neither
-/// gather nor scatter ever copies them.
-fn lane_ranges_temporal(
-    halos: &[HaloBuffer],
-    consts: Field,
-    literal_pages: &[(Field, f32)],
-    coeff_halos: &[HaloBuffer],
-    scratch: &[Field],
-    result: &CmArray,
-) -> Vec<(usize, usize, bool, bool)> {
+/// The lane view over a binding of `cp`, or `None` when the mirror
+/// cannot hold it.
+///
+/// The view mirrors the node-memory ranges the schedule can touch, in a
+/// fixed order: halo buffers, the constant pair, literal coefficient
+/// pages, the named coefficients (all read-only), then the result array
+/// (the one range scattered back). The order and lengths are
+/// rebind-invariant, which is what keeps lane-translated strips valid
+/// across rebinds. Temporal plans replace the coefficient *arrays* with
+/// the plan-owned coefficient halos (refreshed like source halos) and
+/// add the ping-pong scratch states as writable **lane-private** ranges:
+/// their contents are produced and consumed entirely on the mirror
+/// within one execute, so neither gather nor scatter copies them.
+///
+/// The view's own overlap check rejects a classic binding that aliases
+/// two viewed arrays. Temporal plans view only plan-owned buffers plus
+/// the result, so a result aliased onto a source maps too: the
+/// execute's commit stamps the source, and the next execute re-reads it
+/// like any other written array. (A result aliased onto a named
+/// coefficient is refused earlier, by [`check_fusable`].)
+fn instance_lane_view(cp: &CompiledPlan, coeffs: &[CmArray], result: &CmArray) -> Option<LaneView> {
     let mut ranges = Vec::new();
-    for halo in halos {
-        let f = halo.field();
-        ranges.push((f.base(), f.len(), false, false));
+    let mut push = |f: Field, writable: bool, private: bool| {
+        ranges.push((f.base(), f.len(), writable, private));
+    };
+    for halo in &cp.halos {
+        push(halo.field(), false, false);
     }
-    ranges.push((consts.base(), consts.len(), false, false));
-    for &(page, _) in literal_pages {
-        ranges.push((page.base(), page.len(), false, false));
+    push(cp.consts, false, false);
+    for &(page, _) in &cp.literal_pages {
+        push(page, false, false);
     }
-    for halo in coeff_halos {
-        let f = halo.field();
-        ranges.push((f.base(), f.len(), false, false));
-    }
-    for f in scratch {
-        ranges.push((f.base(), f.len(), true, true));
-    }
-    let f = result.field();
-    ranges.push((f.base(), f.len(), true, false));
-    ranges
-}
-
-/// The lane view over an instance binding of `cp`, or `None` when the
-/// binding cannot run on the lockstep engine. Classic plans let the
-/// view's own overlap check reject aliased bindings; temporal plans
-/// view only plan-owned buffers plus the result, so a result aliased
-/// onto a source or coefficient array would slip through — the explicit
-/// check here rejects it instead (the fixed-point refresh assumes
-/// sources and coefficients are read-only across executes), sending the
-/// binding to the node-domain fused loop.
-fn instance_lane_view(
-    cp: &CompiledPlan,
-    sources: &[CmArray],
-    coeffs: &[CmArray],
-    result: &CmArray,
-) -> Option<LaneView> {
     match &cp.temporal {
         Some(tp) => {
-            let rf = result.field();
-            let overlaps =
-                |f: Field| f.base() < rf.base() + rf.len() && rf.base() < f.base() + f.len();
-            if sources.iter().chain(coeffs).any(|a| overlaps(a.field())) {
-                return None;
+            for halo in &tp.coeff_halos {
+                push(halo.field(), false, false);
             }
-            LaneView::new_with_private(&lane_ranges_temporal(
-                &cp.halos,
-                cp.consts,
-                &cp.literal_pages,
-                &tp.coeff_halos,
-                &tp.scratch,
-                result,
-            ))
+            for &f in &tp.scratch {
+                push(f, true, true);
+            }
         }
-        None => LaneView::new(&lane_ranges(
-            &cp.halos,
-            cp.consts,
-            &cp.literal_pages,
-            coeffs,
-            result,
-        )),
+        None => {
+            for c in coeffs {
+                push(c.field(), false, false);
+            }
+        }
     }
+    push(result.field(), true, false);
+    LaneView::new_with_private(&ranges)
 }
 
-fn lane_ranges(
-    halos: &[HaloBuffer],
-    consts: Field,
-    literal_pages: &[(Field, f32)],
-    coeffs: &[CmArray],
+/// The one binding rule temporal tiling adds, shared by the build,
+/// `from_shared` and `rebind`: a fused execute reads each named
+/// coefficient once, at its start, while `depth` separate executes
+/// would see a result that aliases a coefficient overwrite it between
+/// steps — so that binding cannot fuse. (A source may alias the result:
+/// a separate step also reads its whole source before writing.) A clamp
+/// to depth 1 cannot stand in: an instance cannot clamp a shared
+/// artifact, and a build-time clamp would make the outcome depend on
+/// which tenant built first.
+fn check_fusable<'a>(
+    depth: usize,
     result: &CmArray,
-) -> Vec<(usize, usize, bool)> {
-    let mut ranges = Vec::new();
-    for halo in halos {
-        let f = halo.field();
-        ranges.push((f.base(), f.len(), false));
+    mut coeffs: impl Iterator<Item = &'a CmArray>,
+) -> Result<(), RuntimeError> {
+    let rf = result.field();
+    if depth > 1
+        && coeffs.any(|c| {
+            let f = c.field();
+            f.base() < rf.base() + rf.len() && rf.base() < f.base() + f.len()
+        })
+    {
+        return Err(RuntimeError::Unfusable {
+            reason: "the result aliases a named coefficient",
+        });
     }
-    ranges.push((consts.base(), consts.len(), false));
-    for &(page, _) in literal_pages {
-        ranges.push((page.base(), page.len(), false));
-    }
-    for c in coeffs {
-        let f = c.field();
-        ranges.push((f.base(), f.len(), false));
-    }
-    let f = result.field();
-    ranges.push((f.base(), f.len(), true));
-    ranges
-}
-
-/// The rebind-invariant half of the lane-resident program set for
-/// `view`: every halo exchange (sources first, then temporal coefficient
-/// halos) and the scratch boundary fix-ups of a temporal plan, translated
-/// onto the mirror. Both address only plan-owned buffers at lane words
-/// fixed by the view's range order and lengths. `None` when any part
-/// fails to translate — the plan then runs without residency.
-fn resident_programs(
-    cp: &CompiledPlan,
-    view: &LaneView,
-) -> Option<(Vec<LaneExchangeProgram>, Vec<LaneFillProgram>)> {
-    let temporal = cp.temporal.iter();
-    let exchanges = cp
-        .exchanges
-        .iter()
-        .chain(temporal.clone().flat_map(|tp| &tp.coeff_exchanges))
-        .map(|p| LaneExchangeProgram::translate(p, view))
-        .collect::<Option<_>>()?;
-    let scratch_fills = temporal
-        .flat_map(|tp| &tp.scratch_fills)
-        .map(|p| LaneFillProgram::translate(p, view))
-        .collect::<Option<_>>()?;
-    Some((exchanges, scratch_fills))
+    Ok(())
 }
 
 /// Translates each halo's interior refresh onto the lane mirror: one
 /// [`RectCopy`] per halo rewrites the mirror rows holding its interior
-/// from the (mirror-external) bound array — the lane-resident
+/// from the (mirror-external) bound array — the lane-domain
 /// `fill_interior`. Returns `None` when any halo buffer is not wholly
-/// inside one viewed range (then the plan keeps the gather/scatter
-/// steady state).
+/// inside one viewed range (then the plan runs on the scalar engine).
 fn lane_interior_copies<'a>(
     view: &LaneView,
     pairs: impl Iterator<Item = (&'a HaloBuffer, &'a CmArray)>,
@@ -2450,7 +2157,7 @@ mod tests {
             PlanLifetime::Persistent,
         )
         .unwrap();
-        assert!(plan.uses_lane_resident(), "a clean binding stays resident");
+        assert!(plan.lane_mapped(), "a clean binding lane-maps");
 
         // The first execute shapes the mirror; every later one recycles it.
         let first = plan.execute(&mut m).unwrap();
@@ -2468,17 +2175,18 @@ mod tests {
         );
         assert_eq!(m.alloc_count(), node_allocs, "execute must not allocate");
 
-        // Resident steady state skips the full gather, so it copies
-        // strictly fewer words than the same plan without residency.
+        // The lane body's steady state copies only the staged result,
+        // strictly fewer words than the scalar engine's per-execute
+        // refresh and exchange, and measures the same.
         let binding2 = StencilBinding::new(&compiled, &r, &[&x], &refs).unwrap();
         let mut baseline = ExecutionPlan::build(
             &mut m,
             &binding2,
-            &ExecOptions::fast().with_lane_resident(false),
+            &ExecOptions::fast().with_engine(ExecEngine::Scalar),
             PlanLifetime::Persistent,
         )
         .unwrap();
-        assert!(!baseline.uses_lane_resident());
+        assert!(!baseline.lane_mapped());
         assert_eq!(baseline.execute(&mut m).unwrap(), first);
         assert!(plan.steady_state_copy_words() < baseline.steady_state_copy_words());
         baseline.release(&mut m);
@@ -2602,14 +2310,14 @@ mod tests {
         let b = StencilBinding::new(&compiled, &r_scalar, &[&x], &refs).unwrap();
         let mut scalar_plan =
             ExecutionPlan::build(&mut m, &b, &scalar_opts, PlanLifetime::Persistent).unwrap();
-        assert!(!scalar_plan.uses_lockstep());
+        assert!(!scalar_plan.lane_mapped());
         let scalar_meas = scalar_plan.execute(&mut m).unwrap();
 
         let lock_opts = ExecOptions::fast().with_engine(ExecEngine::Lockstep);
         let b = StencilBinding::new(&compiled, &r_lock, &[&x], &refs).unwrap();
         let mut lock_plan =
             ExecutionPlan::build(&mut m, &b, &lock_opts, PlanLifetime::Persistent).unwrap();
-        assert!(lock_plan.uses_lockstep());
+        assert!(lock_plan.lane_mapped());
         let lock_meas = lock_plan.execute(&mut m).unwrap();
 
         assert_eq!(scalar_meas, lock_meas);
@@ -2639,7 +2347,7 @@ mod tests {
         // and still compute the correct result through the scalar path.
         let b = StencilBinding::new(&compiled, &c, &[&x], &[&c]).unwrap();
         let mut plan = ExecutionPlan::build(&mut m, &b, &opts, PlanLifetime::Persistent).unwrap();
-        assert!(!plan.uses_lockstep());
+        assert!(!plan.lane_mapped());
         plan.execute(&mut m).unwrap();
         assert_eq!(c.get(&m, 3, 3), 6.0);
         plan.release(&mut m);
@@ -2647,7 +2355,7 @@ mod tests {
         // A clean binding keeps the lockstep engine.
         let b = StencilBinding::new(&compiled, &r, &[&x], &[&c]).unwrap();
         let plan = ExecutionPlan::build(&mut m, &b, &opts, PlanLifetime::Persistent).unwrap();
-        assert!(plan.uses_lockstep());
+        assert!(plan.lane_mapped());
         plan.release(&mut m);
     }
 
@@ -2671,18 +2379,18 @@ mod tests {
         let binding = StencilBinding::new(&compiled, &r1, &[&x1], &[&c1]).unwrap();
         let mut plan =
             ExecutionPlan::build(&mut m, &binding, &opts, PlanLifetime::Persistent).unwrap();
-        assert!(plan.uses_lockstep());
+        assert!(plan.lane_mapped());
         plan.execute(&mut m).unwrap();
         plan.rebind(&r2, &[&x2], &[&c2]).unwrap();
-        assert!(plan.uses_lockstep(), "rebind must keep the lane view");
+        assert!(plan.lane_mapped(), "rebind must keep the lane view");
         plan.execute(&mut m).unwrap();
 
         // Rebinding onto an aliased pair turns the engine off…
         plan.rebind(&c1, &[&x1], &[&c1]).unwrap();
-        assert!(!plan.uses_lockstep());
+        assert!(!plan.lane_mapped());
         // …and a clean rebind turns it back on.
         plan.rebind(&r1, &[&x1], &[&c1]).unwrap();
-        assert!(plan.uses_lockstep());
+        assert!(plan.lane_mapped());
         plan.execute(&mut m).unwrap();
 
         let r_fresh = CmArray::new(&mut m, 8, 8).unwrap();

@@ -916,16 +916,9 @@ impl Session {
         // tenant's read phase and its staged commit.
         let ranges = self.plans[idx].plan.lease_ranges();
         let (lease, conflicted) = shared.leases.acquire(ranges);
-        let measurement = if conflicted {
-            // The lease overlapped a live (or earlier-queued) lease:
-            // after our FIFO turn, run bit-identically on the exclusive
-            // write path.
-            cmcc_obs::add(cmcc_obs::Counter::LeaseConflicts, 1);
-            let mut machine = shared.machine_write();
-            self.plans[idx].plan.execute(&mut machine)?
-        } else if self.plans[idx].plan.region_eligible() {
+        let measurement = if !conflicted && self.plans[idx].plan.lane_mapped() {
             // Concurrent region path: gather and compute under the
-            // shared lock, stage the scatter, commit it under a brief
+            // shared lock, stage the writes, commit them under a brief
             // write lock — the lease is held across both phases.
             shared.leases.region_grants.fetch_add(1, Ordering::Relaxed);
             cmcc_obs::add(cmcc_obs::Counter::RegionLeases, 1);
@@ -945,9 +938,13 @@ impl Session {
             self.stage = stage;
             measurement
         } else {
-            // Not lane-resident (scalar engine, node-domain temporal,
-            // lockstep strips): the kernels write node memory in place,
-            // so run under the exclusive lock.
+            // The lease overlapped a live (or earlier-queued) lease, or
+            // the plan runs on the scalar engine, whose kernels write
+            // node memory in place: run bit-identically under the
+            // exclusive lock (after our FIFO turn, when conflicted).
+            if conflicted {
+                cmcc_obs::add(cmcc_obs::Counter::LeaseConflicts, 1);
+            }
             let mut machine = shared.machine_write();
             self.plans[idx].plan.execute(&mut machine)?
         };

@@ -158,11 +158,6 @@ fn every_option_combination_is_functionally_identical() {
                 for skip in [true, false] {
                     for threads in [1usize, 8] {
                         for engine in [cmcc::ExecEngine::Scalar, cmcc::ExecEngine::Lockstep] {
-                            // Lane residency only changes where steady-state
-                            // copies run; fold it into the sweep rather than
-                            // doubling it — each (engine, threads) pair sees
-                            // both settings across the outer axes.
-                            let lane_resident = half_strips == skip;
                             let opts = Opts {
                                 mode,
                                 engine,
@@ -170,7 +165,6 @@ fn every_option_combination_is_functionally_identical() {
                                 primitive,
                                 skip_corners_when_possible: skip,
                                 threads,
-                                lane_resident,
                                 temporal_depth: 1,
                             };
                             let (rows, cols) = (8usize, 8usize);

@@ -6,16 +6,21 @@
 //! cases pin that rule on each path a reader can take: the region path
 //! (one uncontended handle), the counted exclusive fallback (a conflicted
 //! lease from a second handle), and a temporally fused plan that reads
-//! its coefficient through a coefficient halo. The scalar engine, which
-//! has no mirror, is the oracle.
+//! its coefficient through a coefficient halo. The same rule lets a
+//! temporal plan update its source in place: its own commit stamps the
+//! source, so the next execute re-reads it. A temporal binding whose
+//! result aliases a named coefficient cannot fuse and is refused. The
+//! scalar engine, which has no mirror, is the oracle.
 //!
 //! These live in their own test binary: the exclusive case holds a
 //! machine read guard while two handles queue on the lease table, and
 //! must not perturb the timing-sensitive races in `region_leases.rs`.
 
 use cmcc::cm2::exec::{ExecEngine, ExecMode};
-use cmcc::runtime::{CmArray, ExecOptions};
-use cmcc::{CompiledStencil, LeaseStats, Session};
+use cmcc::runtime::{
+    CmArray, ExecOptions, ExecutionPlan, PlanLifetime, RuntimeError, StencilBinding,
+};
+use cmcc::{CompiledStencil, LeaseStats, Session, SessionError};
 use std::time::{Duration, Instant};
 
 const SUBGRID: (usize, usize) = (8, 8);
@@ -89,20 +94,8 @@ impl WriteCase {
     /// The scalar engine's answer for the reader over the arrays' current
     /// contents, iterated `depth` times as a fused temporal plan is.
     fn oracle(&self, s: &mut Session, depth: usize) -> Vec<f32> {
-        let scalar = ExecOptions::fast()
-            .with_engine(ExecEngine::Scalar)
-            .with_threads(1);
-        let (rows, cols) = (self.x.rows(), self.x.cols());
-        let mut cur = s.array(rows, cols).unwrap();
-        let mut next = s.array(rows, cols).unwrap();
         let x = self.x.gather(&s.machine());
-        cur.scatter(&mut s.machine_mut(), &x);
-        for _ in 0..depth {
-            s.run_with_multi(&self.compiled_reader, &next, &[&cur], &[&self.c], &scalar)
-                .unwrap();
-            std::mem::swap(&mut cur, &mut next);
-        }
-        cur.gather(&s.machine())
+        scalar_steps(s, &self.compiled_reader, &x, &self.c, depth)
     }
 
     fn check(&self, s: &mut Session, depth: usize, what: &str) {
@@ -113,6 +106,30 @@ impl WriteCase {
             "reader result diverges from the scalar engine after {what}"
         );
     }
+}
+
+/// The scalar engine's answer for `steps` applications of `compiled` to
+/// `x`, each step's result the next step's source, with `c` as the
+/// named coefficient throughout.
+fn scalar_steps(
+    s: &mut Session,
+    compiled: &CompiledStencil,
+    x: &[f32],
+    c: &CmArray,
+    steps: usize,
+) -> Vec<f32> {
+    let scalar = ExecOptions::fast()
+        .with_engine(ExecEngine::Scalar)
+        .with_threads(1);
+    let (rows, cols) = (c.rows(), c.cols());
+    let mut cur = s.array(rows, cols).unwrap();
+    let mut next = s.array(rows, cols).unwrap();
+    cur.scatter(&mut s.machine_mut(), x);
+    for _ in 0..steps {
+        s.run_with(compiled, &next, &cur, &[c], &scalar).unwrap();
+        std::mem::swap(&mut cur, &mut next);
+    }
+    cur.gather(&s.machine())
 }
 
 /// Polls `cond` on the session's lease table until it holds.
@@ -134,7 +151,7 @@ fn engine_writes_to_bound_arrays_reach_a_region_reader() {
     let case = WriteCase::new(&mut s);
     let opts = exec_opts();
     case.read(&mut s, &opts);
-    assert!(s.last_plan().is_some_and(|p| p.uses_lane_resident()));
+    assert!(s.last_plan().is_some_and(|p| p.lane_mapped()));
     for target in [case.x, case.c] {
         case.write(&mut s, &target);
         let before = s.lease_stats();
@@ -195,10 +212,144 @@ fn engine_writes_to_bound_arrays_reach_a_temporal_reader() {
     case.read(&mut s, &opts);
     let plan = s.last_plan().unwrap();
     assert_eq!(plan.temporal_depth(), 2, "{:?}", plan.temporal_fallback());
-    assert!(plan.uses_lane_resident());
+    assert!(plan.lane_mapped());
     for target in [case.x, case.c] {
         case.write(&mut s, &target);
         case.read(&mut s, &opts);
         case.check(&mut s, 2, "an engine write");
     }
+}
+
+/// In-place temporal bindings (result == source) run the lane body: the
+/// commit stamps the source, so each execute re-reads what the previous
+/// one wrote, and `k` fused steps per execute stay bit-identical to the
+/// iterated scalar engine — through `ExecutionPlan::execute` and through
+/// `Session::run_with`.
+#[test]
+fn in_place_temporal_bindings_lane_map_and_match_iterated_scalar() {
+    const EXECUTES: usize = 3;
+    for depth in [2, 4] {
+        let mut s = Session::tiny().unwrap();
+        let case = WriteCase::new(&mut s);
+        let opts = exec_opts().with_temporal_depth(depth);
+        let x0 = case.x.gather(&s.machine());
+        let want = scalar_steps(
+            &mut s,
+            &case.compiled_reader,
+            &x0,
+            &case.c,
+            depth * EXECUTES,
+        );
+
+        let a = s.array(case.x.rows(), case.x.cols()).unwrap();
+        a.scatter(&mut s.machine_mut(), &x0);
+        let binding = StencilBinding::new(&case.compiled_reader, &a, &[&a], &[&case.c]).unwrap();
+        let mut plan = ExecutionPlan::build(
+            &mut s.machine_mut(),
+            &binding,
+            &opts,
+            PlanLifetime::Persistent,
+        )
+        .unwrap();
+        assert_eq!(
+            plan.temporal_depth(),
+            depth,
+            "{:?}",
+            plan.temporal_fallback()
+        );
+        assert!(plan.lane_mapped(), "an in-place temporal binding lane-maps");
+        for _ in 0..EXECUTES {
+            plan.execute(&mut s.machine_mut()).unwrap();
+        }
+        assert!(
+            bits_equal(&a.gather(&s.machine()), &want),
+            "depth {depth}: in-place execute diverges from the scalar engine"
+        );
+        plan.release(&mut s.machine_mut());
+
+        let b = s.array(case.x.rows(), case.x.cols()).unwrap();
+        b.scatter(&mut s.machine_mut(), &x0);
+        for _ in 0..EXECUTES {
+            s.run_with(&case.compiled_reader, &b, &b, &[&case.c], &opts)
+                .unwrap();
+        }
+        let plan = s.last_plan().unwrap();
+        assert_eq!(plan.temporal_depth(), depth);
+        assert!(plan.lane_mapped(), "an in-place session binding lane-maps");
+        assert!(
+            bits_equal(&b.gather(&s.machine()), &want),
+            "depth {depth}: in-place session run diverges from the scalar engine"
+        );
+    }
+}
+
+/// A temporal plan cannot fuse a binding whose result aliases a named
+/// coefficient: `k` separate executes would overwrite the coefficient
+/// between steps, while a fused execute reads it once. The build,
+/// `from_shared` and `rebind` share one check that refuses the binding
+/// with a typed error, the session surfaces it, and a refused rebind
+/// keeps the old binding. At depth 1 such a binding still runs, on the
+/// scalar engine.
+#[test]
+fn temporal_result_aliasing_a_coefficient_is_refused() {
+    let mut s = Session::tiny().unwrap();
+    let compiled = s
+        .compile("R = C * CSHIFT(X, 1, -1) + 0.5 * X + C * CSHIFT(X, 2, 1)")
+        .unwrap();
+    let case = WriteCase::new(&mut s);
+    let (x, c, r) = (case.x, case.c, case.r);
+    let x0 = x.gather(&s.machine());
+    let refused = |e: &RuntimeError| matches!(e, RuntimeError::Unfusable { .. });
+    for depth in [2, 4] {
+        let opts = exec_opts().with_temporal_depth(depth);
+        let aliased = StencilBinding::new(&compiled, &c, &[&x], &[&c]).unwrap();
+        let err = ExecutionPlan::build(
+            &mut s.machine_mut(),
+            &aliased,
+            &opts,
+            PlanLifetime::Persistent,
+        )
+        .unwrap_err();
+        assert!(refused(&err), "build: {err}");
+
+        let clean = StencilBinding::new(&compiled, &r, &[&x], &[&c]).unwrap();
+        let mut plan = ExecutionPlan::build(
+            &mut s.machine_mut(),
+            &clean,
+            &opts,
+            PlanLifetime::Persistent,
+        )
+        .unwrap();
+        assert_eq!(plan.temporal_depth(), depth);
+        let err = ExecutionPlan::from_shared(plan.shared(), &aliased).unwrap_err();
+        assert!(refused(&err), "from_shared: {err}");
+        let err = plan.rebind(&c, &[&x], &[&c]).unwrap_err();
+        assert!(refused(&err), "rebind: {err}");
+        plan.execute(&mut s.machine_mut()).unwrap();
+        let want = scalar_steps(&mut s, &compiled, &x0, &c, depth);
+        assert!(
+            bits_equal(&r.gather(&s.machine()), &want),
+            "depth {depth}: a refused rebind must keep the old binding"
+        );
+        plan.release(&mut s.machine_mut());
+
+        match s.run_with(&compiled, &c, &x, &[&c], &opts) {
+            Err(SessionError::Runtime(e)) if refused(&e) => {}
+            other => panic!("session: expected a refusal, got {other:?}"),
+        }
+    }
+
+    let c0 = c.gather(&s.machine());
+    let copy = s.array(c.rows(), c.cols()).unwrap();
+    copy.scatter(&mut s.machine_mut(), &c0);
+    let scalar = ExecOptions::fast()
+        .with_engine(ExecEngine::Scalar)
+        .with_threads(1);
+    s.run_with(&compiled, &copy, &x, &[&copy], &scalar).unwrap();
+    s.run_with(&compiled, &c, &x, &[&c], &exec_opts()).unwrap();
+    assert!(!s.last_plan().unwrap().lane_mapped());
+    assert!(
+        bits_equal(&c.gather(&s.machine()), &copy.gather(&s.machine())),
+        "a depth-1 aliased binding diverges from the scalar engine"
+    );
 }

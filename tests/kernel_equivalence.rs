@@ -282,7 +282,7 @@ fn paper_patterns_run_fully_kernelized() {
             PlanLifetime::Scoped,
         )
         .unwrap();
-        assert!(plan.uses_lockstep(), "{}: lane-maps", pattern.name());
+        assert!(plan.lane_mapped(), "{}: lane-maps", pattern.name());
 
         let before = obs::snapshot();
         plan.execute(&mut machine).unwrap();
@@ -635,7 +635,7 @@ fn aliased_fallback_records_no_lockstep_steps() {
         PlanLifetime::Scoped,
     )
     .unwrap();
-    assert!(!plan.uses_lockstep(), "aliased binding must fall back");
+    assert!(!plan.lane_mapped(), "aliased binding must fall back");
 
     let before = obs::snapshot();
     plan.execute(&mut machine).expect("aliased plan runs");

@@ -171,13 +171,13 @@ fn lockstep_plan_reuse_and_rebind_stay_exact() {
     let binding = StencilBinding::new(&compiled, &r1, &[&x1], &refs).unwrap();
     let mut plan =
         ExecutionPlan::build(&mut machine, &binding, &opts, PlanLifetime::Scoped).unwrap();
-    assert!(plan.uses_lockstep(), "clean binding lane-maps");
+    assert!(plan.lane_mapped(), "clean binding lane-maps");
     let m1 = plan.execute(&mut machine).unwrap();
     assert_eq!(m1, plan.execute(&mut machine).unwrap(), "replay is exact");
     let got1 = r1.gather(&machine);
 
     plan.rebind(&r2, &[&x2], &refs).unwrap();
-    assert!(plan.uses_lockstep(), "rebind keeps the lane view");
+    assert!(plan.lane_mapped(), "rebind keeps the lane view");
     plan.execute(&mut machine).unwrap();
     let got2 = r2.gather(&machine);
 
@@ -193,34 +193,19 @@ fn lockstep_plan_reuse_and_rebind_stay_exact() {
     assert_eq!(bits(&got2), bits(&want2), "rebound binding diverges");
 }
 
-/// Exchange-on-lane vs exchange-on-node, per paper pattern: the resident
-/// steady state (halo exchange applied directly to the plan's lane
-/// mirror) must be indistinguishable — results and `Measurement`s — from
-/// the gather-everything baseline it replaced, and both from the scalar
-/// oracle.
+/// Exchange-on-lane vs exchange-on-node, per paper pattern: the lane
+/// body (halo exchange applied directly to the plan's lane mirror) must
+/// be indistinguishable — results and `Measurement`s — from the scalar
+/// oracle, whose exchange runs on node memory.
 #[test]
 fn lane_exchange_matches_node_exchange_for_every_paper_pattern() {
     for pattern in PaperPattern::ALL {
         let (scalar_m, scalar_bits) = run_case(pattern, 16, 24, &scalar_fast());
-        let (node_m, node_bits) =
-            run_case(pattern, 16, 24, &lockstep_fast().with_lane_resident(false));
         let (lane_m, lane_bits) = run_case(pattern, 16, 24, &lockstep_fast());
-        assert_eq!(
-            scalar_bits,
-            node_bits,
-            "{}: node-exchange results diverge",
-            pattern.name()
-        );
         assert_eq!(
             scalar_bits,
             lane_bits,
             "{}: lane-exchange results diverge",
-            pattern.name()
-        );
-        assert_eq!(
-            scalar_m,
-            node_m,
-            "{}: node-exchange measurement",
             pattern.name()
         );
         assert_eq!(
@@ -236,8 +221,8 @@ fn lane_exchange_matches_node_exchange_for_every_paper_pattern() {
 /// taps) skips the second exchange step, leaving the mirror's corner
 /// words stale — which must be unobservable because no kernel reads
 /// them. Covered with the skip both allowed and ablated, on edge shapes
-/// whose uneven strips stress the seams, against both the node-exchange
-/// baseline and the scalar oracle.
+/// whose uneven strips stress the seams, against the scalar oracle's
+/// node-domain exchange.
 #[test]
 fn lane_corner_skip_and_edge_shapes_stay_exact() {
     for pattern in [PaperPattern::Cross5, PaperPattern::Square9] {
@@ -245,26 +230,16 @@ fn lane_corner_skip_and_edge_shapes_stay_exact() {
             for (rows, cols) in [(16, 30), (8, 14), (10, 10)] {
                 let mut scalar = scalar_fast();
                 scalar.skip_corners_when_possible = skip;
-                let mut node = lockstep_fast().with_lane_resident(false);
-                node.skip_corners_when_possible = skip;
                 let mut lane = lockstep_fast();
                 lane.skip_corners_when_possible = skip;
                 let (scalar_m, scalar_bits) = run_case(pattern, rows, cols, &scalar);
-                let (node_m, node_bits) = run_case(pattern, rows, cols, &node);
                 let (lane_m, lane_bits) = run_case(pattern, rows, cols, &lane);
-                assert_eq!(
-                    scalar_bits,
-                    node_bits,
-                    "{} at {rows}x{cols} skip={skip}: node-exchange diverges",
-                    pattern.name()
-                );
                 assert_eq!(
                     scalar_bits,
                     lane_bits,
                     "{} at {rows}x{cols} skip={skip}: lane-exchange diverges",
                     pattern.name()
                 );
-                assert_eq!(scalar_m, node_m);
                 assert_eq!(scalar_m, lane_m);
             }
         }
@@ -321,12 +296,7 @@ fn resident_ping_pong_iteration_matches_scalar() {
 
     let scalar = run(&scalar_fast());
     let resident = run(&lockstep_fast());
-    let node_exchange = run(&lockstep_fast().with_lane_resident(false));
     assert_eq!(scalar, resident, "resident ping-pong diverges from scalar");
-    assert_eq!(
-        scalar, node_exchange,
-        "baseline ping-pong diverges from scalar"
-    );
 }
 
 /// Binding the result array as the source aliases two lane roles; the
@@ -584,19 +554,6 @@ fn temporal_depth_clamps_with_a_reason() {
     let scalar = build(&mut machine, &arrays, &scalar_fast().with_temporal_depth(4));
     assert_eq!(scalar.temporal_depth(), 1);
     assert_eq!(scalar.temporal_fallback(), Some("scalar engine"));
-
-    let node_exchange = build(
-        &mut machine,
-        &arrays,
-        &lockstep_fast()
-            .with_temporal_depth(4)
-            .with_lane_resident(false),
-    );
-    assert_eq!(node_exchange.temporal_depth(), 1);
-    assert_eq!(
-        node_exchange.temporal_fallback(),
-        Some("lane residency disabled")
-    );
 
     // A depth the shape supports records no fallback.
     let ok = build(

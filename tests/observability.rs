@@ -55,8 +55,8 @@ fn run_five_point(opts: &ExecOptions) -> obs::RunReport {
 }
 
 /// The paper's numerator must not depend on which executor produced it:
-/// scalar, lockstep gather/scatter, and lockstep lane-resident runs of
-/// the five-point pattern report identical useful-flop counts.
+/// scalar and lane-body runs of the five-point pattern report identical
+/// useful-flop counts.
 #[test]
 fn useful_flops_identical_across_engines() {
     let _g = lock();
@@ -64,28 +64,13 @@ fn useful_flops_identical_across_engines() {
     obs::reset();
 
     let scalar = run_five_point(&ExecOptions::fast().with_engine(ExecEngine::Scalar));
-    let lockstep = run_five_point(
-        &ExecOptions::fast()
-            .with_engine(ExecEngine::Lockstep)
-            .with_lane_resident(false),
-    );
-    let resident = run_five_point(
-        &ExecOptions::fast()
-            .with_engine(ExecEngine::Lockstep)
-            .with_lane_resident(true),
-    );
+    let resident = run_five_point(&ExecOptions::fast().with_engine(ExecEngine::Lockstep));
 
     assert_eq!(scalar.get(Counter::ScalarRuns), 1);
-    assert_eq!(lockstep.get(Counter::LockstepRuns), 1);
     assert_eq!(resident.get(Counter::LaneResidentRuns), 1);
 
     let flops = scalar.get(Counter::UsefulFlops);
     assert!(flops > 0, "the five-point stencil does real work");
-    assert_eq!(
-        lockstep.get(Counter::UsefulFlops),
-        flops,
-        "lockstep useful flops diverge from scalar"
-    );
     assert_eq!(
         resident.get(Counter::UsefulFlops),
         flops,
@@ -236,7 +221,7 @@ fn ping_pong_copy_words_match_the_rebind_cycle_model() {
         PlanLifetime::Persistent,
     )
     .unwrap();
-    assert!(plan.uses_lane_resident());
+    assert!(plan.lane_mapped());
     plan.execute(&mut m).unwrap(); // priming iteration
 
     let (mut cur, mut next) = (r, x);

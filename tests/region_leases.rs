@@ -134,10 +134,9 @@ fn racing_disjoint_tenants_use_region_path_and_match_oracle() {
         t.run();
     }
     assert!(
-        tenants.iter().all(|t| t
-            .session
-            .last_plan()
-            .is_some_and(|p| p.uses_lane_resident())),
+        tenants
+            .iter()
+            .all(|t| t.session.last_plan().is_some_and(|p| p.lane_mapped())),
         "tenancy must run lane-resident to be region-eligible"
     );
 
