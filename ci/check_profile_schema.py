@@ -269,6 +269,7 @@ BENCH_TEMPORAL_EXPECTED = [
     ("bit_identical", bool),
     ("copy_model_exact", bool),
     ("exchange_reduction_exact", bool),
+    ("interpreted_steps", numbers.Integral),
 ]
 
 # (dotted path, expected type) for each element of ``depths``.
@@ -281,6 +282,7 @@ BENCH_TEMPORAL_DEPTH_EXPECTED = [
     ("halo_exchanges", numbers.Integral),
     ("copy_words_observed", numbers.Integral),
     ("copy_words_predicted", numbers.Integral),
+    ("interpreted_steps", numbers.Integral),
     ("bit_identical", bool),
 ]
 
@@ -318,6 +320,8 @@ def check_bench_temporal(path):
     for gate in ("bit_identical", "copy_model_exact", "exchange_reduction_exact"):
         if bench.get(gate) is not True:
             errors.append("%s: correctness gate %s is not true" % (path, gate))
+    if bench.get("interpreted_steps") != 0:
+        errors.append("%s: a heat5 strip fell back to the interpreter" % path)
     if errors:
         sys.exit("\n".join(errors))
     print(

@@ -14,6 +14,9 @@
 //! - the halo-exchange program-run count drops by exactly k×;
 //! - the observed copy words across the post-warmup executes equal the
 //!   plan's analytic `rebind_cycle_copy_words` prediction exactly;
+//! - every lockstep strip runs an operand-direct kernel:
+//!   `interpreted_steps == 0` at every depth, as `repro_simd` requires
+//!   of the 9-point workload;
 //! - the k=4 cycles beat the k=1 cycles by ≥1.25× in warm per-step
 //!   wall-clock (full mode only — `--quick` records the ratio without
 //!   asserting it).
@@ -68,6 +71,10 @@ struct LoopRun {
     /// `(executes - 1) * rebind_cycle_copy_words` — what the plan's
     /// analytic model says those executes should have moved.
     predicted_copy_words: u64,
+    /// Lockstep steps the kernel tier ran, and those it left to the
+    /// interpreter, over the whole loop.
+    kernelized_steps: u64,
+    interpreted_steps: u64,
 }
 
 /// Runs `steps` heat steps, `depth` of them fused per execute, on a
@@ -150,6 +157,8 @@ fn run_loop(
         halo_exchanges: whole.get(cmcc_obs::Counter::HaloExchanges),
         observed_copy_words: steady.copy_words(),
         predicted_copy_words,
+        kernelized_steps: whole.get(cmcc_obs::Counter::KernelizedSteps),
+        interpreted_steps: whole.get(cmcc_obs::Counter::InterpretedSteps),
     }
 }
 
@@ -246,6 +255,8 @@ fn main() {
     let mut all_identical = true;
     let mut all_copy_exact = true;
     let mut exchange_exact = true;
+    let mut all_kernelized = true;
+    let mut interpreted_steps = 0;
     let mut speedup_at_4 = 0.0;
     let mut base_exchanges = 0;
     for (i, &depth) in depths.iter().enumerate() {
@@ -254,6 +265,8 @@ fn main() {
         let copy_exact = run.observed_copy_words == run.predicted_copy_words;
         all_identical &= identical;
         all_copy_exact &= copy_exact;
+        all_kernelized &= run.kernelized_steps > 0 && run.interpreted_steps == 0;
+        interpreted_steps += run.interpreted_steps;
         if depth == 1 {
             base_exchanges = run.halo_exchanges;
         }
@@ -273,24 +286,28 @@ fn main() {
             "  depth {depth}: min cycle {min_cycle_us:.0} us ({speedup:.2}x/step vs depth 1), \
              loop {:.6} s over {} warm steps, \
              {} exchanges (expected {expected_exchanges}), \
-             copy words {} observed vs {} predicted, bit-identical: {identical}",
+             copy words {} observed vs {} predicted, {} interpreted steps, \
+             bit-identical: {identical}",
             run.secs,
             run.timed_steps,
             run.halo_exchanges,
             run.observed_copy_words,
             run.predicted_copy_words,
+            run.interpreted_steps,
         );
         rows.push(format!(
             "    {{\"depth\": {depth}, \"min_cycle_us\": {min_cycle_us:.1}, \
              \"speedup\": {speedup:.4}, \
              \"loop_secs\": {:.6}, \"timed_steps\": {}, \
              \"halo_exchanges\": {}, \"copy_words_observed\": {}, \
-             \"copy_words_predicted\": {}, \"bit_identical\": {identical}}}",
+             \"copy_words_predicted\": {}, \"interpreted_steps\": {}, \
+             \"bit_identical\": {identical}}}",
             run.secs,
             run.timed_steps,
             run.halo_exchanges,
             run.observed_copy_words,
             run.predicted_copy_words,
+            run.interpreted_steps,
         ));
     }
 
@@ -309,6 +326,7 @@ fn main() {
          \"speedup_at_depth_4\": {speedup_at_4:.4},\n  \
          \"bit_identical\": {all_identical},\n  \
          \"copy_model_exact\": {all_copy_exact},\n  \
+         \"interpreted_steps\": {interpreted_steps},\n  \
          \"exchange_reduction_exact\": {exchange_exact}\n}}\n",
         global.0,
         global.1,
@@ -331,6 +349,10 @@ fn main() {
     assert!(
         all_copy_exact,
         "observed rebind-cycle copy words diverged from the analytic prediction"
+    );
+    assert!(
+        all_kernelized,
+        "a heat5 lockstep step fell back to the interpreter (interpreted_steps > 0)"
     );
     if quick {
         println!("  (--quick: depth-4 speedup {speedup_at_4:.2}x recorded but not asserted)");

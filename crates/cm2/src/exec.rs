@@ -896,19 +896,19 @@ fn run_resolved_strip_impl<const CYCLE: bool>(
 /// The FPU register file of *all* lanes at once: register `r`'s value on
 /// every node, stored contiguously (`regs[r*nodes .. (r+1)*nodes]`), so a
 /// broadcast operation reads and writes whole register rows.
-pub(crate) struct LaneFpu {
+struct LaneFpu {
     /// `FPU_REGISTERS` rows of `nodes` lanes.
-    pub(crate) regs: Vec<f32>,
+    regs: Vec<f32>,
     /// Two interleaved multiply-add threads, one row of lanes each.
     chain: Vec<f32>,
     /// Count of MACs issued (parity selects the thread) — identical on
     /// every lane, so one scalar counter suffices.
     mac_count: u64,
-    pub(crate) nodes: usize,
+    nodes: usize,
 }
 
 impl LaneFpu {
-    pub(crate) fn new(nodes: usize) -> Self {
+    fn new(nodes: usize) -> Self {
         let mut regs = vec![0.0; FPU_REGISTERS * nodes];
         regs[Reg::ONE.0 as usize * nodes..(Reg::ONE.0 as usize + 1) * nodes].fill(1.0);
         LaneFpu {
@@ -1053,7 +1053,7 @@ fn lane_mac_chain<const N: usize>(out: &mut [f32], x: &[f32], d: &[f32]) {
 /// lane. The per-lane loops run over contiguous equal-length rows, the
 /// shape LLVM autovectorizes.
 #[inline(always)]
-pub(crate) fn exec_lockstep<const N: usize>(
+fn exec_lockstep<const N: usize>(
     op: ResolvedOp,
     addr: usize,
     lanes: &mut LaneMemory,
@@ -1792,14 +1792,16 @@ mod tests {
             let mut mems = node_mems.clone();
             let mut lanes = LaneMemory::new(view.words(), node_count);
             lanes.gather(&view, &mems);
-            let before = cmcc_obs::snapshot();
+            // This thread's counts only: other tests run lockstep strips
+            // concurrently while telemetry is on.
+            let before = cmcc_obs::thread_snapshot();
             let run = crate::kernels::run_lockstep_groups_kernelized(
                 strips,
                 kernels,
                 &mut CoeffStreams::new(),
                 std::slice::from_mut(&mut lanes),
             );
-            let delta = cmcc_obs::snapshot().delta(&before);
+            let delta = cmcc_obs::thread_snapshot().delta(&before);
             lanes.scatter(&view, &mut mems);
             (mems, run, delta)
         };

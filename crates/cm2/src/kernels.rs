@@ -1,61 +1,91 @@
-//! Plan-time kernel generation for the lockstep engine.
+//! Plan-time kernel generation for the lockstep engine: operand-direct
+//! sweeps.
 //!
 //! The paper's central discipline — resolve everything shape-dependent
 //! *before* the inner loop runs — stops one step short in
 //! [`crate::exec::run_resolved_strip_lockstep`]: addresses are
-//! pre-resolved, but every dynamic part is still dispatched through a
-//! per-step `match`. This module finishes the job. At plan build time
-//! [`StripKernels::compile`] classifies each lane-translated strip's MAC
-//! burst into *chain pairs* of uniform tap count `K` (the two interleaved
-//! multiply-add threads of the WTL3164, dummy-padded by the scheduler so
-//! bursts always pair up), and selects a **monomorphized burst function**
-//! from a pregenerated family:
+//! pre-resolved, but every step is still dispatched through a `match`
+//! and every operand still round-trips through an emulated register file.
+//! This module finishes the job. The compiler already fixes at compile
+//! time which loaded value each multiply-add reads (§5.3's ring-buffer
+//! registers), so on the host every operand's lane-mirror address is
+//! known at plan build. [`StripKernels::compile`] resolves it there, and
+//! `StripKernels::run` sweeps a whole strip in one call, reading each
+//! multiply-add's operands straight from the lane mirror and writing each
+//! finished chain straight to the word its store targets — the host form
+//! of SARIS's indirect stream registers, which feed the FPU from memory
+//! by index instead of through explicit loads.
+//!
+//! **Provenance.** `compile` replays the strip's prologue and at most two
+//! body periods over a table of what each register holds: a loaded lane
+//! word, the constant `ZERO`/`ONE` row, or a chain result. Every tap's
+//! data operand and every `Start` addend resolves to its source — a lane
+//! word `base + j·delta` at the `j`-th execution of its pattern line, or
+//! a constant row — and every chain result to the word its store writes
+//! (or to a constant row, for the dummy partner thread that writes the
+//! zero register). Two periods suffice: a register written anywhere in
+//! the body has the same last writer at every execution from the second
+//! period on, so the second period fixes each operand's delta and the
+//! first only has to agree with it — which it does when the prologue's
+//! ring fill loads exactly the words a previous period would have, as
+//! the scheduler's does; otherwise the strip is refused.
+//!
+//! **Constant rows.** Registers 0 and 1 start every strip as `0.0` and
+//! `1.0`; unless a strip loads them they stay the constant registers
+//! dummy threads and bias terms read. Every [`LaneMemory`] keeps one row
+//! for each past its viewed words. A chain whose destination is one of
+//! them (the dummy partner, "there is no way not to store the result")
+//! writes that row, exactly as the interpreter writes the register, and
+//! the row is restored after the strip.
+//!
+//! **Refusal.** Reading operands at multiply-add time instead of load
+//! time, and writing results at the end of a pair instead of at the
+//! store, is only invisible when nothing observes the difference, so
+//! `compile` refuses — and the strip runs on the interpreter, counted as
+//! `interpreted_steps` — whenever it cannot prove that: a store word
+//! that can coincide with any word a tap reads (checked on the affine
+//! intervals each operand sweeps), a tap reading a register a
+//! destination overwrote or one never written, a store of anything but
+//! a chain result of its own line, two results of one line that can
+//! land on the same word, and the right chain's final tap reading the
+//! constant row the left chain of its pair writes. Structurally, each
+//! body line must be loads, then *chain pairs* of one uniform tap count
+//! `K` (the two interleaved multiply-add threads of the WTL3164,
+//! dummy-padded by the scheduler), then stores; the prologue must be
+//! loads and nops.
+//!
+//! **The family.** The sweep is monomorphized over
 //!
 //! * **arity** — `K` as a const generic for `1..=16`, plus a dynamic
 //!   *tail* slot for longer chains ([`arity_slot`]);
 //! * **width class** — how a lane group's `nodes` count is chunked:
-//!   16-wide fixed arrays, 8-wide fixed arrays, or a dynamic span for
-//!   narrow groups and remainders ([`width_class`]).
+//!   16-wide chunks, 8-wide chunks, or a dynamic span for narrow groups
+//!   and remainders ([`width_class`]).
 //!
-//! At execute time [`StripKernels::run`] makes one indirect call per
-//! line instead of one `match` per tap, holding the accumulating chains
-//! in fixed-size local arrays rather than round-tripping them through the
-//! FPU's chain rows in memory.
-//!
-//! The second half of the paper's discipline is the **coefficient
-//! stream** (§4): the compiler lays coefficients out in memory in
-//! exactly the order the convolution consumes them, so the inner loop
-//! never computes a coefficient address — it just advances through a
-//! contiguous stream. [`StripKernels::pack_stream`] reproduces that
-//! layout per lane group, [`CoeffStreams`] caches the packed buffers
-//! across executes (the stream depends only on the bound coefficient
-//! values, so it survives result/source rebinds and is invalidated
-//! only when a coefficient base moves or the host writes node memory),
-//! and the burst bodies read their taps' coefficient rows sequentially
-//! from the stream instead of walking strided lane rows. A strip whose
-//! coefficients never advance (literal and constant pages, delta 0)
-//! streams one body period and replays it.
+//! **The coefficient stream** (§4): the compiler lays coefficients out
+//! in exactly the order the convolution consumes them, so the inner loop
+//! never computes a coefficient address. [`StripKernels::pack_stream`]
+//! reproduces that layout per lane group, and [`CoeffStreams`] caches the
+//! packed buffers across executes (they depend only on the bound
+//! coefficient values, so they survive result/source rebinds and are
+//! invalidated only when a coefficient base moves or its words are
+//! written). A strip whose coefficients never advance (literal and
+//! constant pages, delta 0) streams one body period and replays it.
+//! Reading coefficient rows in place from the mirror instead made the
+//! nine-array 9-point statement 2.2–3.7× slower per step (literal
+//! coefficients: no change), so the stream stays.
 //!
 //! **Bit-identity is the hard gate.** A kernel reassociates nothing: per
 //! lane, each chain's taps execute in exactly the interpreter's order
 //! (`Start` is a separate IEEE multiply and add, `Chain` accumulates
 //! with a separate multiply and add), and lanes never interact, so
 //! chunked execution is observationally identical to the interpreter's
-//! row-at-a-time sweeps. The burst writes both finished chains back at
-//! the *end* of a pair, which swaps the interpreter's order of "write
-//! left destination" and "read right chain's final operands" — so the
-//! classifier statically rejects the one register hazard that swap
-//! could expose (see `pair_chain_length`'s doc). Any line it cannot
-//! prove safe — loads after MACs, stores before MACs, unpaired or
-//! ragged chains, destinations anywhere but a chain's final tap —
-//! rejects the *whole strip* to the interpreter, and the split is
-//! visible as `kernelized_steps` / `interpreted_steps` in `cmcc-obs`.
+//! row-at-a-time sweeps. The split is visible as `kernelized_steps` /
+//! `interpreted_steps` in `cmcc-obs`.
 
-use crate::exec::{
-    exec_lockstep, run_resolved_strip_lockstep, LaneFpu, ResolvedOp, ResolvedPart, ResolvedStrip,
-    StripRun,
-};
-use crate::isa::MacAcc;
+use crate::config::FPU_REGISTERS;
+use crate::exec::{run_resolved_strip_lockstep, ResolvedOp, ResolvedPart, ResolvedStrip, StripRun};
+use crate::isa::{MacAcc, Reg};
 use crate::lane::LaneMemory;
 
 /// Arity slots in the kernel family: slot `k` for exact chain length
@@ -76,6 +106,12 @@ pub const MAX_UNROLLED_ARITY: usize = 16;
 /// Upper bound on a dynamic span: remainders of 16-chunking (< 16),
 /// remainders of 8-chunking (< 8), and whole narrow groups (< 8).
 const MAX_SPAN: usize = 16;
+
+/// Operand slots that lead each chain pair's run in a line's operand
+/// map: the left and right `Start` addends, then the left and right
+/// result rows. The pair's `2K` data rows follow in source order (left
+/// and right interleaved, as the two threads issue them).
+const PAIR_HEAD: usize = 4;
 
 // The hit table in cmcc-obs must be able to hold every variant id.
 const _: () = assert!(KERNEL_VARIANTS <= cmcc_obs::KERNEL_VARIANT_CAP);
@@ -130,154 +166,124 @@ pub fn variant_name(id: usize) -> String {
     }
 }
 
-/// A load or store, hoisted out of the burst: executed as one contiguous
-/// row copy between lane memory and the register file.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct IoOp {
-    addr: usize,
-    delta: i64,
-    reg: u8,
+/// Where an operand or a chain result lives at each execution of its
+/// pattern line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Row {
+    /// Lane word `word + j·delta` at the line's `j`-th execution.
+    Word { word: i64, delta: i64 },
+    /// Constant register `Reg(c)`'s row past the viewed words.
+    Const(u8),
 }
 
-/// One multiply-add tap in classified form: everything the burst body
-/// needs, with the `ResolvedOp` match already performed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct MacTap {
-    addr: usize,
-    delta: i64,
-    data: u8,
-    /// `Some(addend register)` for a `Start` tap, `None` for a `Chain`.
-    start: Option<u8>,
-    /// Register receiving the running chain value after this tap.
-    dest: Option<u8>,
+impl Row {
+    /// The lane words this row sweeps over `occ` executions, as an
+    /// inclusive interval (`None` for a constant row).
+    fn hull(self, occ: usize) -> Option<(i64, i64)> {
+        match self {
+            Row::Word { word, delta } => {
+                let last = word + (occ as i64 - 1) * delta;
+                Some((word.min(last), word.max(last)))
+            }
+            Row::Const(_) => None,
+        }
+    }
 }
 
-/// One classified body line: loads, then the MAC burst as chain pairs in
-/// source order (`taps[2t]` / `taps[2t+1]` are the two threads' tap `t`,
-/// in blocks of `2k` per pair), then stores. `Nop`s carry no effect in
-/// fast mode and are only counted.
+/// What a register holds while `compile` replays a strip.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Held {
+    /// Never written (registers 0 and 1 start as their constant rows).
+    Unset,
+    /// The row a multiply-add reading the register reads: a loaded lane
+    /// word, with the per-execution delta of its load, or the constant
+    /// row of register 0 or 1 (a chain destination naming the register
+    /// writes the row, so the register keeps it).
+    Row(Row),
+    /// Chain `chain`'s result in line `line`.
+    Chain { line: usize, chain: usize },
+}
+
+impl Held {
+    /// The row a multiply-add reading this register reads, or `None` if
+    /// no row holds the value it would see.
+    fn operand(self) -> Option<Row> {
+        match self {
+            Held::Row(row) => Some(row),
+            Held::Unset | Held::Chain { .. } => None,
+        }
+    }
+}
+
+/// Records `got` as the slot's row at execution `j` of its line: the
+/// first execution sets it, the second must agree — the same constant
+/// row, or a word one delta further on (the delta of the register's
+/// writer, which every later execution shares).
+fn fit(slot: &mut Option<Row>, got: Row, j: i64) -> Option<()> {
+    *slot = match (*slot, got) {
+        (None, _) if j == 0 => Some(got),
+        (Some(Row::Const(a)), Row::Const(b)) if j == 1 && a == b => Some(got),
+        (Some(Row::Word { word, .. }), Row::Word { word: next, delta })
+            if j == 1 && next - word == delta =>
+        {
+            Some(Row::Word { word, delta })
+        }
+        _ => return None,
+    };
+    Some(())
+}
+
+/// A [`Row`] resolved against one lane group: the flat offset into the
+/// group's mirror at the first execution, advanced by `step` per
+/// execution.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Op {
+    off: isize,
+    step: isize,
+}
+
+impl Op {
+    /// The flat offset at execution `j`.
+    #[inline(always)]
+    fn at(self, j: isize) -> usize {
+        (self.off + j * self.step) as usize
+    }
+}
+
+/// One kernelized strip bound to one lane group: its operand map
+/// resolved against the group's lane count and mirror size — built once
+/// per group shape — and its packed coefficient stream.
 #[derive(Debug, Clone, PartialEq)]
-struct LineKernel {
-    loads: Vec<IoOp>,
-    taps: Vec<MacTap>,
-    stores: Vec<IoOp>,
-    nops: u64,
-    /// Chain length of this line's pairs (`0` for a line with no MACs).
-    k: usize,
+pub(crate) struct BoundStrip {
+    nodes: usize,
+    floats: usize,
+    /// Per body pattern, the operand map as flat offsets.
+    ops: Vec<Vec<Op>>,
+    stream: Vec<f32>,
 }
 
-/// A load or store resolved against one lane group: `mem` is the flat
-/// f32 offset of the lane row (`word × nodes`, advanced in place by
-/// `step = delta × nodes` as the line cycle walks the strip), `reg` the
-/// flat offset of the register row.
-#[derive(Debug, Clone, Copy)]
-struct RIo {
-    mem: isize,
-    step: isize,
-    reg: usize,
-}
-
-/// A chain tap resolved against one lane group, slimmed to the three
-/// words the burst body needs: all `word × nodes` products are done at
-/// resolve time, addend and destination handling is hoisted to the pair
-/// level (their positions are fixed by the classified shape).
-#[derive(Debug, Clone, Copy)]
-struct RTap {
-    /// Flat offset of the coefficient lane row (advanced by `step`).
-    coeff: isize,
-    step: isize,
-    /// Flat offset of the data register row.
-    data: usize,
-}
-
-/// One pair's register rows: the addends its two `Start` taps read and
-/// the destinations written back after its two final taps.
-#[derive(Debug, Clone, Copy)]
-struct RPairMeta {
-    addend_l: usize,
-    addend_r: usize,
-    dest_l: usize,
-    dest_r: usize,
-}
-
-/// One body line resolved against a lane group's `nodes` count. Pair
-/// `p` owns taps `[p·2k, (p+1)·2k)` and `pairs[p]`.
-struct RLine {
-    loads: Vec<RIo>,
-    taps: Vec<RTap>,
-    pairs: Vec<RPairMeta>,
-    stores: Vec<RIo>,
-    nops: u64,
-    k: usize,
-}
-
-impl RLine {
-    fn resolve(lk: &LineKernel, n: isize) -> RLine {
-        let io = |io: &IoOp| RIo {
-            mem: io.addr as isize * n,
-            step: io.delta as isize * n,
-            reg: io.reg as usize * n as usize,
-        };
-        let row = |reg: Option<u8>| reg.expect("classified shape") as usize * n as usize;
-        let pairs = if lk.k == 0 {
-            Vec::new()
-        } else {
-            lk.taps
-                .chunks_exact(2 * lk.k)
-                .map(|pair| RPairMeta {
-                    addend_l: row(pair[0].start),
-                    addend_r: row(pair[1].start),
-                    dest_l: row(pair[2 * lk.k - 2].dest),
-                    dest_r: row(pair[2 * lk.k - 1].dest),
-                })
-                .collect()
-        };
-        RLine {
-            loads: lk.loads.iter().map(io).collect(),
-            taps: lk
-                .taps
-                .iter()
-                .map(|t| RTap {
-                    coeff: t.addr as isize * n,
-                    step: t.delta as isize * n,
-                    data: t.data as usize * n as usize,
-                })
-                .collect(),
-            pairs,
-            stores: lk.stores.iter().map(io).collect(),
-            nops: lk.nops,
-            k: lk.k,
-        }
-    }
-
-    /// Steps every lane-memory offset to the next execution of this
-    /// pattern line (the interpreter's `addr + k × delta`, done
-    /// incrementally).
-    fn advance(&mut self) {
-        for io in &mut self.loads {
-            io.mem += io.step;
-        }
-        for t in &mut self.taps {
-            t.coeff += t.step;
-        }
-        for io in &mut self.stores {
-            io.mem += io.step;
-        }
+impl BoundStrip {
+    /// Whether this binding was resolved against `lanes`' shape.
+    fn fits(&self, lanes: &LaneMemory) -> bool {
+        self.nodes == lanes.nodes() && self.floats == lanes.len()
     }
 }
 
-/// The burst body: monomorphized over arity (`K`, `0` = dynamic) and
-/// chunk width (`CHUNK`, `0` = dynamic span). The `&[f32]` is the
-/// line's slab of the packed coefficient stream (`taps.len() × nodes`
-/// words, one lane row per tap in source order).
-type BurstFn = fn(&RLine, &[f32], &mut LaneFpu);
+/// The strip sweep: monomorphized over arity (`K`, `0` = dynamic) and
+/// chunk width (`CHUNK`, `0` = dynamic span). Runs every line of the
+/// strip over the group's mirror (`&mut [f32]`, constant rows included)
+/// from the bound operand map and the packed coefficient stream.
+type SweepFn = fn(&StripKernels, &[Vec<Op>], &mut [f32], &[f32], usize);
 
-/// A strip compiled against the kernel family: the executable payload
-/// [`StripKernels::run`] replays instead of interpreting the strip.
+/// A strip compiled against the kernel family: the resolved operand map
+/// the kernel tier sweeps instead of interpreting the strip.
 #[derive(Debug, Clone)]
 pub struct StripKernels {
-    prologue: Vec<ResolvedPart>,
-    body: Vec<LineKernel>,
+    /// Per body pattern, `PAIR_HEAD + 2K` rows per chain pair.
+    ops: Vec<Vec<Row>>,
+    /// Per body pattern, each tap's coefficient lane word and
+    /// per-execution delta, in source order.
+    coeffs: Vec<Vec<(usize, i64)>>,
     lines: usize,
     /// Lines the packed coefficient stream covers before [`Self::run`]
     /// rewinds it: one body period when no tap advances, else `lines`.
@@ -285,21 +291,21 @@ pub struct StripKernels {
     k: usize,
     k_slot: usize,
     steps: u64,
-    /// The selected burst function per width class, so dispatch at run
-    /// time is one table-free indirect call (groups of one plan can
-    /// differ in lane count after a thread split).
-    fns: [BurstFn; WIDTH_CLASSES],
+    /// The counters the interpreter reports for the strip.
+    counts: StripRun,
+    /// Whether some chain writes a constant register's row.
+    writes_consts: bool,
+    /// The selected sweep per width class (groups of one plan can differ
+    /// in lane count after a thread split).
+    fns: [SweepFn; WIDTH_CLASSES],
 }
 
 impl StripKernels {
-    /// Classifies `strip` against the kernel family.
-    ///
-    /// Returns `None` — fall back to the interpreter — unless every body
-    /// line is loads, then one contiguous burst of chain *pairs* with a
-    /// single tap count `K` shared by every MAC-bearing line, then
-    /// stores (`Nop`s may appear anywhere). The prologue is kept verbatim
-    /// and replayed through the interpreter: it is a ring-fill of loads
-    /// and nops in compiled kernels, and runs once per strip.
+    /// Classifies `strip` against the kernel family and resolves its
+    /// operand map, or returns `None` — fall back to the interpreter —
+    /// when the strip does not fit the family or its operands cannot be
+    /// proven to read and write what the interpreter would (see the
+    /// module docs).
     pub fn compile(strip: &ResolvedStrip) -> Option<StripKernels> {
         compile_parts(
             strip.prologue_parts(),
@@ -330,21 +336,21 @@ impl StripKernels {
     /// every executed line, or a single body period when no tap of the
     /// strip advances.
     pub fn stream_words(&self, n: usize) -> usize {
-        let period = self.body.len();
+        let period = self.coeffs.len();
         (0..self.stream_lines)
-            .map(|i| self.body[i % period].taps.len())
+            .map(|i| self.coeffs[i % period].len())
             .sum::<usize>()
             * n
     }
 
     /// Packs this strip's coefficient stream for one lane group: each
-    /// tap's coefficient lane row, in exactly the order [`Self::run`]
+    /// tap's coefficient lane row, in exactly the order the sweep
     /// consumes them — the paper's §4 layout discipline, where the
     /// coefficients stream past the FPU in access order and the inner
     /// loop never forms a coefficient address. The stream is a pure
     /// function of the bound coefficient values, so callers may reuse
-    /// it across executes until a coefficient binding or node memory
-    /// changes (see [`CoeffStreams`]).
+    /// it across executes until a coefficient binding or its words
+    /// change (see [`CoeffStreams`]).
     ///
     /// A strip whose taps all have delta 0 — every coefficient a literal
     /// or constant page word, like the CM-2's constant-page operands whose
@@ -353,86 +359,90 @@ impl StripKernels {
     /// (a named coefficient array), or a seam-split strip with one body
     /// pattern per line, streams every line.
     pub fn pack_stream(&self, lanes: &LaneMemory, out: &mut Vec<f32>) {
-        let n = lanes.nodes();
+        let period = self.coeffs.len();
         out.clear();
-        out.reserve(self.stream_words(n));
-        let mut rlines: Vec<RLine> = self
-            .body
-            .iter()
-            .map(|lk| RLine::resolve(lk, n as isize))
-            .collect();
-        let period = rlines.len();
+        out.reserve(self.stream_words(lanes.nodes()));
         for line in 0..self.stream_lines {
-            let rl = &mut rlines[line % period];
-            for tap in &rl.taps {
-                out.extend_from_slice(lanes.flat(tap.coeff as usize, n));
+            let j = (line / period) as i64;
+            for &(word, delta) in &self.coeffs[line % period] {
+                out.extend_from_slice(lanes.word((word as i64 + j * delta) as usize));
             }
-            rl.advance();
         }
     }
 
-    /// Executes the compiled strip over every lane of `lanes`, returning
-    /// counters identical to what the interpreter would report for the
-    /// source strip. `stream` must be this strip's coefficient stream
-    /// over the same lanes ([`Self::pack_stream`], current with respect
-    /// to the bound coefficient values).
+    /// Binds the strip to one lane group: resolves every operand row to
+    /// a flat offset into `lanes` and packs the coefficient stream.
     ///
     /// # Panics
     ///
-    /// Panics if a lane-word address is out of the lane memory's bounds,
-    /// or if `stream` was packed for a different shape.
-    pub fn run(&self, lanes: &mut LaneMemory, stream: &[f32]) -> StripRun {
+    /// Panics if an operand sweeps outside the group's viewed words.
+    pub(crate) fn bind(&self, lanes: &LaneMemory) -> BoundStrip {
+        let n = lanes.nodes() as isize;
+        let viewed = lanes.const_row(Reg::ZERO) as isize;
+        let period = self.ops.len();
+        let ops = self
+            .ops
+            .iter()
+            .enumerate()
+            .map(|(p, rows)| {
+                let occ = (self.lines - p).div_ceil(period);
+                rows.iter()
+                    .map(|&row| match row {
+                        Row::Word { word, delta } => {
+                            let (lo, hi) = row.hull(occ).expect("word rows have a hull");
+                            assert!(
+                                lo >= 0 && (hi as isize + 1) * n <= viewed,
+                                "kernel operand outside the lane mirror's viewed words"
+                            );
+                            Op {
+                                off: word as isize * n,
+                                step: delta as isize * n,
+                            }
+                        }
+                        Row::Const(c) => Op {
+                            off: lanes.const_row(Reg(c)) as isize,
+                            step: 0,
+                        },
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut stream = Vec::new();
+        self.pack_stream(lanes, &mut stream);
+        BoundStrip {
+            nodes: lanes.nodes(),
+            floats: lanes.len(),
+            ops,
+            stream,
+        }
+    }
+
+    /// Sweeps the compiled strip over every lane of `lanes`, returning
+    /// counters identical to what the interpreter would report for the
+    /// source strip. `bound` must be this strip bound to `lanes`
+    /// ([`Self::bind`]), with a stream current for the bound coefficient
+    /// values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bound` was bound to a different lane group shape, or
+    /// if its coefficient stream was packed for a different strip or
+    /// lane count.
+    pub(crate) fn run(&self, lanes: &mut LaneMemory, bound: &BoundStrip) -> StripRun {
         let n = lanes.nodes();
+        assert!(bound.fits(lanes), "strip bound to a different lane group");
         assert_eq!(
-            stream.len(),
+            bound.stream.len(),
             self.stream_words(n),
             "coefficient stream packed for a different strip or lane count"
         );
-        let mut fpu = LaneFpu::new(n);
-        let mut run = StripRun::default();
-        for part in &self.prologue {
-            exec_lockstep::<0>(part.op, part.addr, lanes, &mut fpu, &mut run);
-        }
         let class = width_class(n);
-        let burst = self.fns[class];
         cmcc_obs::kernel_hit(variant_id(class, self.k_slot));
-        // Resolve the body against this group's lane count: every
-        // `word × nodes` product happens here, once, and the per-line
-        // `addr + k × delta` walk becomes an in-place increment — the
-        // burst body is left with nothing but sequential stream reads,
-        // register rows, and flops.
-        let mut rlines: Vec<RLine> = self
-            .body
-            .iter()
-            .map(|lk| RLine::resolve(lk, n as isize))
-            .collect();
-        let period = rlines.len();
-        let mut pos = 0usize;
-        for line in 0..self.lines {
-            if line % self.stream_lines == 0 {
-                pos = 0;
-            }
-            let rl = &mut rlines[line % period];
-            for io in &rl.loads {
-                fpu.regs[io.reg..io.reg + n].copy_from_slice(lanes.flat(io.mem as usize, n));
-            }
-            if !rl.taps.is_empty() {
-                let words = rl.taps.len() * n;
-                burst(rl, &stream[pos..pos + words], &mut fpu);
-                pos += words;
-            }
-            for io in &rl.stores {
-                lanes
-                    .flat_mut(io.mem as usize, n)
-                    .copy_from_slice(&fpu.regs[io.reg..io.reg + n]);
-            }
-            run.loads += rl.loads.len() as u64;
-            run.macs += rl.taps.len() as u64;
-            run.stores += rl.stores.len() as u64;
-            run.nops += rl.nops;
-            rl.advance();
+        (self.fns[class])(self, &bound.ops, lanes.flat_mut(), &bound.stream, n);
+        if self.writes_consts {
+            lanes.reset_const_rows();
         }
-        run
+        self.counts
     }
 }
 
@@ -446,49 +456,70 @@ fn compile_parts(
     lines: usize,
     steps: u64,
 ) -> Option<StripKernels> {
-    if patterns.is_empty() || lines == 0 {
+    let period = patterns.len();
+    if period == 0 || lines < period {
         return None;
     }
-    let mut k_all = None;
-    let mut body = Vec::with_capacity(patterns.len());
-    for pattern in patterns {
-        let line = classify_line(pattern)?;
-        if line.k != 0 {
-            match k_all {
-                None => k_all = Some(line.k),
-                Some(k) if k == line.k => {}
-                Some(_) => return None,
-            }
+    let mut counts = StripRun::default();
+    for part in prologue {
+        match part.op {
+            ResolvedOp::Load { .. } => counts.loads += 1,
+            ResolvedOp::Nop => counts.nops += 1,
+            _ => return None,
         }
-        body.push(line);
+    }
+    let mut k_all = None;
+    for (p, pattern) in patterns.iter().enumerate() {
+        let (k, line) = classify_line(pattern)?;
+        if k != 0 && *k_all.get_or_insert(k) != k {
+            return None;
+        }
+        let occ = (lines - p).div_ceil(period) as u64;
+        counts.loads += occ * line.loads;
+        counts.macs += occ * line.macs;
+        counts.stores += occ * line.stores;
+        counts.nops += occ * line.nops;
     }
     // A strip with no MACs anywhere has nothing to kernelize.
     let k = k_all?;
+    let (ops, writes_consts) = resolve_operands(prologue, patterns, k, lines)?;
+    if !results_disjoint(&ops, k, lines) {
+        return None;
+    }
+    let coeffs: Vec<Vec<(usize, i64)>> = patterns
+        .iter()
+        .map(|pattern| {
+            pattern
+                .iter()
+                .filter(|part| matches!(part.op, ResolvedOp::Mac { .. }))
+                .map(|part| (part.addr, part.delta))
+                .collect()
+        })
+        .collect();
+    let stationary = coeffs.iter().flatten().all(|&(_, delta)| delta == 0);
     let k_slot = arity_slot(k);
-    let stationary = body.iter().all(|l| l.taps.iter().all(|t| t.delta == 0));
-    let stream_lines = if stationary {
-        body.len().min(lines)
-    } else {
-        lines
-    };
     Some(StripKernels {
-        prologue: prologue.to_vec(),
-        body,
+        ops,
+        coeffs,
         lines,
-        stream_lines,
+        stream_lines: if stationary { period } else { lines },
         k,
         k_slot,
         steps,
+        counts,
+        writes_consts,
         fns: [
-            BURST_TABLE[0][k_slot],
-            BURST_TABLE[1][k_slot],
-            BURST_TABLE[2][k_slot],
+            SWEEP_TABLE[0][k_slot],
+            SWEEP_TABLE[1][k_slot],
+            SWEEP_TABLE[2][k_slot],
         ],
     })
 }
 
-/// Classifies one body line, or `None` if it does not fit the family.
-fn classify_line(pattern: &[ResolvedPart]) -> Option<LineKernel> {
+/// Checks one body line's shape — loads, then a MAC burst of chain
+/// pairs, then stores (`Nop`s anywhere) — and returns its chain length
+/// (`0` for a line with no MACs) and per-execution counters.
+fn classify_line(pattern: &[ResolvedPart]) -> Option<(usize, StripRun)> {
     #[derive(PartialEq, PartialOrd)]
     enum Sect {
         Loads,
@@ -496,376 +527,446 @@ fn classify_line(pattern: &[ResolvedPart]) -> Option<LineKernel> {
         Stores,
     }
     let mut sect = Sect::Loads;
-    let mut loads = Vec::new();
+    let mut line = StripRun::default();
     let mut taps = Vec::new();
-    let mut stores = Vec::new();
-    let mut nops = 0u64;
     for part in pattern {
         match part.op {
-            ResolvedOp::Nop => nops += 1,
-            ResolvedOp::Load { dest } => {
+            ResolvedOp::Nop => line.nops += 1,
+            ResolvedOp::Load { .. } => {
                 if sect != Sect::Loads {
                     return None;
                 }
-                loads.push(IoOp {
-                    addr: part.addr,
-                    delta: part.delta,
-                    reg: dest.0,
-                });
+                line.loads += 1;
             }
-            ResolvedOp::Mac { data, acc, dest } => {
+            ResolvedOp::Mac { acc, dest, .. } => {
                 if sect == Sect::Stores {
                     return None;
                 }
                 sect = Sect::Macs;
-                taps.push(MacTap {
-                    addr: part.addr,
-                    delta: part.delta,
-                    data: data.0,
-                    start: match acc {
-                        MacAcc::Start(reg) => Some(reg.0),
-                        MacAcc::Chain => None,
-                    },
-                    dest: dest.map(|r| r.0),
-                });
+                taps.push((matches!(acc, MacAcc::Start(_)), dest.is_some()));
             }
-            ResolvedOp::Store { src } => {
+            ResolvedOp::Store { .. } => {
                 sect = Sect::Stores;
-                stores.push(IoOp {
-                    addr: part.addr,
-                    delta: part.delta,
-                    reg: src.0,
-                });
+                line.stores += 1;
             }
         }
     }
-    let k = match pair_chain_length(&taps) {
-        Some(k) => k,
-        None if taps.is_empty() => 0,
-        None => return None,
+    line.macs = taps.len() as u64;
+    let k = if taps.is_empty() {
+        0
+    } else {
+        pair_chain_length(&taps)?
     };
-    Some(LineKernel {
-        loads,
-        taps,
-        stores,
-        nops,
-        k,
-    })
+    Some((k, line))
 }
 
-/// Validates that `taps` decomposes into chain pairs of one uniform
-/// length `K` — `[Start, Start, Chain×2(K−1)]` repeated, destinations
-/// written exactly by each chain's final tap — and returns `K`. The
-/// scheduler's dummy-thread padding guarantees this shape for compiled
-/// kernels; anything else falls back to the interpreter.
-///
-/// The burst body performs both destination writebacks *after* the
-/// pair's last tap, whereas the interpreter writes the left chain's
-/// destination before executing the right chain's final tap. That
-/// reordering is observable only if the right chain's final tap reads
-/// the register the left chain writes — so that one hazard (data for
-/// any `K`, the addend too when `K == 1`) also rejects the pair.
-fn pair_chain_length(taps: &[MacTap]) -> Option<usize> {
+/// Validates that a MAC burst, given as `(is Start, has destination)`
+/// per tap, decomposes into chain pairs of one uniform length `K` —
+/// `[Start, Start, Chain×2(K−1)]` repeated, destinations written exactly
+/// by each chain's final tap — and returns `K`. The scheduler's
+/// dummy-thread padding guarantees this shape for compiled kernels;
+/// anything else falls back to the interpreter.
+fn pair_chain_length(taps: &[(bool, bool)]) -> Option<usize> {
     if taps.len() < 2 || !taps.len().is_multiple_of(2) {
         return None;
     }
     // The second pair (if any) begins at the next Start after index 1.
-    let next_start = taps[2..].iter().position(|t| t.start.is_some());
-    let k = match next_start {
+    let k = match taps[2..].iter().position(|&(start, _)| start) {
         Some(j) if j % 2 == 0 => (j + 2) / 2,
         Some(_) => return None,
         None => taps.len() / 2,
     };
-    if !taps.len().is_multiple_of(2 * k) {
-        return None;
-    }
-    for (i, tap) in taps.iter().enumerate() {
-        if tap.start.is_some() != (i % (2 * k) < 2) {
-            return None;
-        }
-        if tap.dest.is_some() != (i % (2 * k) >= 2 * k - 2) {
-            return None;
-        }
-    }
-    for pair in taps.chunks_exact(2 * k) {
-        let dest_l = pair[2 * k - 2].dest?;
-        let last_r = &pair[2 * k - 1];
-        if last_r.data == dest_l || (k == 1 && last_r.start == Some(dest_l)) {
-            return None;
-        }
-    }
-    Some(k)
+    let shaped = taps.len().is_multiple_of(2 * k)
+        && taps.iter().enumerate().all(|(i, &(start, dest))| {
+            start == (i % (2 * k) < 2) && dest == (i % (2 * k) >= 2 * k - 2)
+        });
+    shaped.then_some(k)
 }
 
-/// An 8-lane window of a lane or register row.
-#[inline(always)]
-fn row8(s: &[f32], at: usize) -> &[f32; 8] {
-    s[at..at + 8].try_into().expect("8-lane sub-chunk in range")
+/// Replays the prologue and at most two body periods over what each
+/// register holds, resolving every slot of every line's operand map (see
+/// the module docs). Returns the map and whether a chain writes a
+/// constant row, or `None` when some operand or result has no row the
+/// sweep could read or write in the interpreter's stead.
+fn resolve_operands(
+    prologue: &[ResolvedPart],
+    patterns: &[Vec<ResolvedPart>],
+    k: usize,
+    lines: usize,
+) -> Option<(Vec<Vec<Row>>, bool)> {
+    let period = patterns.len();
+    let mut regs = [Held::Unset; FPU_REGISTERS];
+    for reg in [Reg::ZERO, Reg::ONE] {
+        regs[reg.0 as usize] = Held::Row(Row::Const(reg.0));
+    }
+    for part in prologue {
+        if let ResolvedOp::Load { dest } = part.op {
+            *regs.get_mut(dest.0 as usize)? = Held::Row(Row::Word {
+                word: part.addr as i64,
+                delta: 0,
+            });
+        }
+    }
+    let width = PAIR_HEAD + 2 * k;
+    let mut map: Vec<Vec<Option<Row>>> = patterns
+        .iter()
+        .map(|pattern| {
+            let taps = pattern
+                .iter()
+                .filter(|part| matches!(part.op, ResolvedOp::Mac { .. }))
+                .count();
+            vec![None; taps / (2 * k) * width]
+        })
+        .collect();
+    let mut results: Vec<Option<Row>> = Vec::new();
+    let mut writes_consts = false;
+    for line in 0..lines.min(2 * period) {
+        let (p, j) = (line % period, (line / period) as i64);
+        let slots = &mut map[p];
+        results.clear();
+        results.resize(slots.len() / width * 2, None);
+        // The tap's pair and its position within the pair's 2K taps.
+        let (mut pair, mut within) = (0, 0);
+        for part in &patterns[p] {
+            let word = part.addr as i64 + j * part.delta;
+            match part.op {
+                ResolvedOp::Nop => {}
+                ResolvedOp::Load { dest } => {
+                    *regs.get_mut(dest.0 as usize)? = Held::Row(Row::Word {
+                        word,
+                        delta: part.delta,
+                    });
+                }
+                ResolvedOp::Mac { data, acc, dest } => {
+                    let side = within % 2;
+                    let head = pair * width;
+                    let data = regs.get(data.0 as usize)?.operand()?;
+                    fit(&mut slots[head + PAIR_HEAD + within], data, j)?;
+                    let addend = match acc {
+                        MacAcc::Start(reg) => {
+                            let addend = regs.get(reg.0 as usize)?.operand()?;
+                            fit(&mut slots[head + side], addend, j)?;
+                            Some(addend)
+                        }
+                        MacAcc::Chain => None,
+                    };
+                    // The sweep writes both results after the right
+                    // chain's final tap; the interpreter writes the left
+                    // one before it. A register is caught by its `Chain`
+                    // state, a constant row only here.
+                    if within == 2 * k - 1 {
+                        if let Some(left @ Row::Const(_)) = results[2 * pair] {
+                            if data == left || addend == Some(left) {
+                                return None;
+                            }
+                        }
+                    }
+                    if let Some(dest) = dest {
+                        let chain = 2 * pair + side;
+                        let held = regs.get_mut(dest.0 as usize)?;
+                        match *held {
+                            Held::Row(row @ Row::Const(_)) => {
+                                results[chain] = Some(row);
+                                writes_consts = true;
+                            }
+                            _ => *held = Held::Chain { line, chain },
+                        }
+                    }
+                    within += 1;
+                    if within == 2 * k {
+                        (pair, within) = (pair + 1, 0);
+                    }
+                }
+                ResolvedOp::Store { src } => match *regs.get(src.0 as usize)? {
+                    Held::Chain { line: at, chain } if at == line && results[chain].is_none() => {
+                        results[chain] = Some(Row::Word {
+                            word,
+                            delta: part.delta,
+                        });
+                    }
+                    _ => return None,
+                },
+            }
+        }
+        for (chain, &result) in results.iter().enumerate() {
+            fit(&mut slots[chain / 2 * width + 2 + chain % 2], result?, j)?;
+        }
+    }
+    let ops = map
+        .into_iter()
+        .map(|slots| slots.into_iter().collect())
+        .collect::<Option<_>>()?;
+    Some((ops, writes_consts))
 }
 
-/// One `Start` tap over 8 lanes: `acc = coeff·data + addend`, separate
-/// IEEE multiply and add, never fused — the interpreter's exact
+/// Whether the direct sweep's writes stay invisible to its reads: no
+/// result word can coincide with any word a data or addend operand
+/// reads (each row's affine sweep over its line's executions, compared
+/// as intervals), and no two results of one line can land on the same
+/// word (the sweep writes them in pair order, the interpreter in store
+/// order).
+fn results_disjoint(ops: &[Vec<Row>], k: usize, lines: usize) -> bool {
+    let period = ops.len();
+    let width = PAIR_HEAD + 2 * k;
+    // Every word row's hull, tagged as a result (store) or a read.
+    let hulls = || {
+        ops.iter().enumerate().flat_map(move |(p, rows)| {
+            let occ = (lines - p).div_ceil(period);
+            rows.iter().enumerate().filter_map(move |(i, row)| {
+                let result = (2..PAIR_HEAD).contains(&(i % width));
+                row.hull(occ).map(|hull| (result, hull))
+            })
+        })
+    };
+    for (p, rows) in ops.iter().enumerate() {
+        // Results of one line, pairwise: equal deltas keep a constant
+        // distance, anything else must not share a word at all.
+        let occ = (lines - p).div_ceil(period);
+        let result = |i: usize| rows[i / 2 * width + 2 + i % 2];
+        let results = rows.len() / width * 2;
+        for i in 0..results {
+            for j in i + 1..results {
+                let apart = match (result(i), result(j)) {
+                    (Row::Word { word, delta }, Row::Word { word: w, delta: d }) if delta == d => {
+                        word != w
+                    }
+                    (a, b) => match (a.hull(occ), b.hull(occ)) {
+                        (Some((lo, hi)), Some((l, h))) => hi < l || h < lo,
+                        _ => true,
+                    },
+                };
+                if !apart {
+                    return false;
+                }
+            }
+        }
+    }
+    // Usually the reads sit in other buffers than the results, so their
+    // overall spans are already apart; only overlapping spans need the
+    // read intervals sorted and merged.
+    let (mut reads, mut writes) = ((i64::MAX, i64::MIN), (i64::MAX, i64::MIN));
+    for (result, (lo, hi)) in hulls() {
+        let span = if result { &mut writes } else { &mut reads };
+        *span = (span.0.min(lo), span.1.max(hi));
+    }
+    if writes.1 < reads.0 || reads.1 < writes.0 {
+        return true;
+    }
+    let mut reads: Vec<(i64, i64)> = hulls()
+        .filter_map(|(result, hull)| (!result).then_some(hull))
+        .collect();
+    reads.sort_unstable();
+    let mut merged: Vec<(i64, i64)> = Vec::with_capacity(reads.len());
+    for (lo, hi) in reads {
+        match merged.last_mut() {
+            Some(last) if lo <= last.1 + 1 => last.1 = last.1.max(hi),
+            _ => merged.push((lo, hi)),
+        }
+    }
+    hulls()
+        .filter_map(|(result, hull)| result.then_some(hull))
+        .all(|(lo, hi)| {
+            let i = merged.partition_point(|&(_, end)| end < lo);
+            merged.get(i).is_none_or(|&(start, _)| start > hi)
+        })
+}
+
+/// One `Start` tap over a run of lanes: `acc = coeff·data + addend`,
+/// separate IEEE multiply and add, never fused — the interpreter's exact
 /// arithmetic.
 #[inline(always)]
-fn start_tap8(coeff: &[f32; 8], data: &[f32; 8], addend: &[f32; 8], acc: &mut [f32; 8]) {
-    for i in 0..8 {
-        acc[i] = coeff[i] * data[i] + addend[i];
+fn start_tap(coeff: &[f32], data: &[f32], addend: &[f32], acc: &mut [f32]) {
+    for (((acc, &c), &d), &a) in acc.iter_mut().zip(coeff).zip(data).zip(addend) {
+        *acc = c * d + a;
     }
 }
 
-/// One `Chain` tap over 8 lanes: `acc += coeff·data`, separate multiply
-/// and add.
+/// One `Chain` tap over a run of lanes: `acc += coeff·data`, separate
+/// multiply and add.
 #[inline(always)]
-fn chain_tap8(coeff: &[f32; 8], data: &[f32; 8], acc: &mut [f32; 8]) {
-    for i in 0..8 {
-        acc[i] += coeff[i] * data[i];
+fn chain_tap(coeff: &[f32], data: &[f32], acc: &mut [f32]) {
+    for ((acc, &c), &d) in acc.iter_mut().zip(coeff).zip(data) {
+        *acc += c * d;
     }
 }
 
-/// [`start_tap8`] with a run-time span width (`span <= MAX_SPAN`).
+/// One chain pair over lanes `[base, base + span)` at execution `j`
+/// (`span <= W`; callers pass `span == W` for the fixed-width windows,
+/// which inlining turns into fixed trip counts): both chains accumulate
+/// in local arrays, taps interleaved in source order so each lane sees
+/// exactly the interpreter's operation order, operands read straight
+/// from the mirror (one window per row, bounds checked once) and
+/// coefficients from the pair's stream slab (one `n`-wide row per tap),
+/// and both results written to their rows at the end — left, then right.
+/// Lanes never interact, so cutting a row into windows re-orders nothing
+/// a lane can observe.
 #[inline(always)]
-fn start_tap_span(
-    coeff: &[f32],
-    data: &[f32],
-    addend: &[f32],
-    span: usize,
-    acc: &mut [f32; MAX_SPAN],
+fn pair_lanes<const K: usize, const W: usize>(
+    pair: &[Op],
+    coeffs: &[f32],
+    mem: &mut [f32],
+    (j, n): (isize, usize),
+    (base, span): (usize, usize),
 ) {
-    for i in 0..span {
-        acc[i] = coeff[i] * data[i] + addend[i];
-    }
-}
-
-/// [`chain_tap8`] with a run-time span width (`span <= MAX_SPAN`).
-#[inline(always)]
-fn chain_tap_span(coeff: &[f32], data: &[f32], span: usize, acc: &mut [f32; MAX_SPAN]) {
-    for i in 0..span {
-        acc[i] += coeff[i] * data[i];
-    }
-}
-
-/// All pairs of one line over lanes `[base, base + CHUNK)`: the two
-/// chains of a pair accumulate in local arrays, taps interleaved in
-/// source order so per-lane register dataflow matches the interpreter.
-/// Coefficients come from the line's stream slab — one `n`-wide row per
-/// tap, walked sequentially (`stream.chunks_exact` advances pair by
-/// pair, `r` row by row within a pair), so the body forms no
-/// coefficient addresses at all.
-///
-/// The chains run in 8-lane sub-blocks regardless of `CHUNK`: two
-/// 8-wide accumulators plus a tap's coeff/data/addend operands fit the
-/// baseline 16-register SIMD budget, where 16-wide accumulators spill
-/// to the stack on every tap. Lanes never interact, so splitting the
-/// chunk re-orders nothing a lane can observe — each lane still sees
-/// its taps in exactly the interpreter's order.
-#[inline(always)]
-fn pairs_chunk<const K: usize, const CHUNK: usize>(
-    line: &RLine,
-    stream: &[f32],
-    fpu: &mut LaneFpu,
-    base: usize,
-) {
-    let n = fpu.nodes;
-    let kk = if K == 0 { line.k } else { K };
-    for ((pair, meta), coeffs) in line
-        .taps
-        .chunks_exact(2 * kk)
-        .zip(&line.pairs)
-        .zip(stream.chunks_exact(2 * kk * n))
+    debug_assert!(span <= W);
+    let kk = if K == 0 {
+        (pair.len() - PAIR_HEAD) / 2
+    } else {
+        K
+    };
+    let data = &pair[PAIR_HEAD..PAIR_HEAD + 2 * kk];
+    let mut acc = [[0.0f32; W]; 2];
     {
-        let mut sub = 0;
-        while sub < CHUNK {
-            let off = base + sub;
-            let mut acc_l = [0.0f32; 8];
-            let mut acc_r = [0.0f32; 8];
-            start_tap8(
-                row8(coeffs, off),
-                row8(&fpu.regs, pair[0].data + off),
-                row8(&fpu.regs, meta.addend_l + off),
-                &mut acc_l,
-            );
-            start_tap8(
-                row8(coeffs, n + off),
-                row8(&fpu.regs, pair[1].data + off),
-                row8(&fpu.regs, meta.addend_r + off),
-                &mut acc_r,
-            );
-            let mut r = 2 * n;
-            for t in 1..kk {
-                chain_tap8(
-                    row8(coeffs, r + off),
-                    row8(&fpu.regs, pair[2 * t].data + off),
-                    &mut acc_l,
-                );
-                chain_tap8(
-                    row8(coeffs, r + n + off),
-                    row8(&fpu.regs, pair[2 * t + 1].data + off),
-                    &mut acc_r,
-                );
-                r += 2 * n;
-            }
-            fpu.regs[meta.dest_l + off..meta.dest_l + off + 8].copy_from_slice(&acc_l);
-            fpu.regs[meta.dest_r + off..meta.dest_r + off + 8].copy_from_slice(&acc_r);
-            sub += 8;
+        let mem = &*mem;
+        let row = |op: Op| &mem[op.at(j) + base..][..span];
+        let coeff = |r: usize| &coeffs[r * n + base..][..span];
+        for (side, acc) in acc.iter_mut().enumerate() {
+            start_tap(coeff(side), row(data[side]), row(pair[side]), acc);
         }
-    }
-}
-
-/// [`pairs_chunk`] over a run-time span of lanes.
-#[inline(always)]
-fn pairs_span<const K: usize>(
-    line: &RLine,
-    stream: &[f32],
-    fpu: &mut LaneFpu,
-    base: usize,
-    span: usize,
-) {
-    debug_assert!(span <= MAX_SPAN);
-    let n = fpu.nodes;
-    let kk = if K == 0 { line.k } else { K };
-    for ((pair, meta), coeffs) in line
-        .taps
-        .chunks_exact(2 * kk)
-        .zip(&line.pairs)
-        .zip(stream.chunks_exact(2 * kk * n))
-    {
-        let mut acc_l = [0.0f32; MAX_SPAN];
-        let mut acc_r = [0.0f32; MAX_SPAN];
-        start_tap_span(
-            &coeffs[base..base + span],
-            &fpu.regs[pair[0].data + base..pair[0].data + base + span],
-            &fpu.regs[meta.addend_l + base..meta.addend_l + base + span],
-            span,
-            &mut acc_l,
-        );
-        start_tap_span(
-            &coeffs[n + base..n + base + span],
-            &fpu.regs[pair[1].data + base..pair[1].data + base + span],
-            &fpu.regs[meta.addend_r + base..meta.addend_r + base + span],
-            span,
-            &mut acc_r,
-        );
-        let mut r = 2 * n;
         for t in 1..kk {
-            chain_tap_span(
-                &coeffs[r + base..r + base + span],
-                &fpu.regs[pair[2 * t].data + base..pair[2 * t].data + base + span],
-                span,
-                &mut acc_l,
-            );
-            chain_tap_span(
-                &coeffs[r + n + base..r + n + base + span],
-                &fpu.regs[pair[2 * t + 1].data + base..pair[2 * t + 1].data + base + span],
-                span,
-                &mut acc_r,
-            );
-            r += 2 * n;
+            for (side, acc) in acc.iter_mut().enumerate() {
+                let r = 2 * t + side;
+                chain_tap(coeff(r), row(data[r]), acc);
+            }
         }
-        fpu.regs[meta.dest_l + base..meta.dest_l + base + span].copy_from_slice(&acc_l[..span]);
-        fpu.regs[meta.dest_r + base..meta.dest_r + base + span].copy_from_slice(&acc_r[..span]);
+    }
+    for (side, acc) in acc.iter().enumerate() {
+        mem[pair[2 + side].at(j) + base..][..span].copy_from_slice(&acc[..span]);
     }
 }
 
-/// One line's burst over every lane: `CHUNK`-wide bodies while they fit,
-/// the span path for the remainder (or everything, when `CHUNK == 0`).
-fn burst<const K: usize, const CHUNK: usize>(line: &RLine, stream: &[f32], fpu: &mut LaneFpu) {
-    let n = fpu.nodes;
-    if CHUNK == 0 {
-        pairs_span::<K>(line, stream, fpu, 0, n);
-        return;
-    }
-    let mut base = 0;
-    while base + CHUNK <= n {
-        pairs_chunk::<K, CHUNK>(line, stream, fpu, base);
-        base += CHUNK;
-    }
-    if base < n {
-        pairs_span::<K>(line, stream, fpu, base, n - base);
+/// The whole strip, one line after another: each chain pair sweeps the
+/// group's lanes in `CHUNK`-wide windows while they fit and a dynamic
+/// span for the remainder (or everything, when `CHUNK == 0`), reading
+/// its coefficients from the stream, which rewinds every `stream_lines`
+/// lines.
+fn sweep<const K: usize, const CHUNK: usize>(
+    sk: &StripKernels,
+    ops: &[Vec<Op>],
+    mem: &mut [f32],
+    stream: &[f32],
+    n: usize,
+) {
+    let kk = if K == 0 { sk.k } else { K };
+    let slab = 2 * kk * n;
+    let period = ops.len();
+    let rewinds = sk.stream_lines == period;
+    let (mut p, mut j, mut pos) = (0, 0, 0);
+    for _ in 0..sk.lines {
+        for pair in ops[p].chunks_exact(PAIR_HEAD + 2 * kk) {
+            let coeffs = &stream[pos..pos + slab];
+            let mut base = 0;
+            if CHUNK > 0 {
+                while base + CHUNK <= n {
+                    pair_lanes::<K, CHUNK>(pair, coeffs, mem, (j, n), (base, CHUNK));
+                    base += CHUNK;
+                }
+            }
+            if base < n {
+                pair_lanes::<K, MAX_SPAN>(pair, coeffs, mem, (j, n), (base, n - base));
+            }
+            pos += slab;
+        }
+        p += 1;
+        if p == period {
+            (p, j) = (0, j + 1);
+            if rewinds {
+                pos = 0;
+            }
+        }
     }
 }
 
 /// One width class's row of the dispatch table, arity slot 0 (dynamic
 /// tail) through 16.
-const fn burst_row<const CHUNK: usize>() -> [BurstFn; ARITY_SLOTS] {
+const fn sweep_row<const CHUNK: usize>() -> [SweepFn; ARITY_SLOTS] {
     [
-        burst::<0, CHUNK>,
-        burst::<1, CHUNK>,
-        burst::<2, CHUNK>,
-        burst::<3, CHUNK>,
-        burst::<4, CHUNK>,
-        burst::<5, CHUNK>,
-        burst::<6, CHUNK>,
-        burst::<7, CHUNK>,
-        burst::<8, CHUNK>,
-        burst::<9, CHUNK>,
-        burst::<10, CHUNK>,
-        burst::<11, CHUNK>,
-        burst::<12, CHUNK>,
-        burst::<13, CHUNK>,
-        burst::<14, CHUNK>,
-        burst::<15, CHUNK>,
-        burst::<16, CHUNK>,
+        sweep::<0, CHUNK>,
+        sweep::<1, CHUNK>,
+        sweep::<2, CHUNK>,
+        sweep::<3, CHUNK>,
+        sweep::<4, CHUNK>,
+        sweep::<5, CHUNK>,
+        sweep::<6, CHUNK>,
+        sweep::<7, CHUNK>,
+        sweep::<8, CHUNK>,
+        sweep::<9, CHUNK>,
+        sweep::<10, CHUNK>,
+        sweep::<11, CHUNK>,
+        sweep::<12, CHUNK>,
+        sweep::<13, CHUNK>,
+        sweep::<14, CHUNK>,
+        sweep::<15, CHUNK>,
+        sweep::<16, CHUNK>,
     ]
 }
 
 /// The full monomorphized family: width class (16-chunk, 8-chunk, span)
 /// × arity slot.
-static BURST_TABLE: [[BurstFn; ARITY_SLOTS]; WIDTH_CLASSES] =
-    [burst_row::<16>(), burst_row::<8>(), burst_row::<0>()];
+static SWEEP_TABLE: [[SweepFn; ARITY_SLOTS]; WIDTH_CLASSES] =
+    [sweep_row::<16>(), sweep_row::<8>(), sweep_row::<0>()];
 
-/// Cached packed coefficient streams for one plan: `groups[g][s]` is
-/// strip `s`'s stream over lane group `g` (empty when the strip is not
-/// kernelized).
+/// One plan step's kernelized strips bound to each of its lane groups:
+/// `groups[g][s]` is strip `s` bound to lane group `g` (`None` when the
+/// strip is interpreted) — its operand map and packed coefficient
+/// stream.
 ///
-/// The streams are a pure function of the bound coefficient *values*
-/// and the group shapes, so a holder keeps them valid across executes
-/// — including result/source rebinds — and calls [`Self::invalidate`]
-/// exactly when a coefficient binding moves or the host writes node
-/// memory. Shape changes (thread splits, retranslation changing the
-/// strip count) are detected and repacked automatically.
+/// The operand maps depend only on the group shapes and are rebuilt when
+/// those change (thread splits, a differently sized mirror). The streams
+/// are a pure function of the bound coefficient *values*, so a holder
+/// keeps them valid across executes — including result/source rebinds —
+/// and calls [`Self::invalidate`] exactly when a coefficient binding
+/// moves or its words are written; the next run repacks them.
 #[derive(Debug, Clone, Default)]
 pub struct CoeffStreams {
-    groups: Vec<Vec<Vec<f32>>>,
-    /// Lane count per group the streams were packed for.
-    shape: Vec<usize>,
+    groups: Vec<Vec<Option<BoundStrip>>>,
     strips: usize,
     valid: bool,
 }
 
 impl CoeffStreams {
-    /// An empty, invalid cache: the first run packs it.
+    /// An empty, invalid cache: the first run binds and packs it.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Drops the cached streams; the next run repacks from the lane
+    /// Drops the cached streams; the next run repacks them from the lane
     /// mirror's then-current coefficient values.
     pub fn invalidate(&mut self) {
         self.valid = false;
     }
 
-    /// Repacks every kernelized strip's stream unless the cache is
-    /// valid for exactly these kernels and group shapes.
+    /// Binds every kernelized strip to every group unless the bindings
+    /// fit exactly these kernels and group shapes, and repacks the
+    /// streams unless they are valid.
     fn ensure(&mut self, kernels: &[Option<StripKernels>], groups: &[LaneMemory]) {
-        let current = self.valid
-            && self.strips == kernels.len()
-            && self.shape.len() == groups.len()
-            && self.shape.iter().zip(groups).all(|(&n, g)| n == g.nodes());
-        if current {
-            return;
-        }
-        self.groups.resize_with(groups.len(), Vec::new);
-        for (streams, lanes) in self.groups.iter_mut().zip(groups) {
-            streams.resize_with(kernels.len(), Vec::new);
-            for (buf, kernel) in streams.iter_mut().zip(kernels) {
-                match kernel {
-                    Some(k) => k.pack_stream(lanes, buf),
-                    None => buf.clear(),
+        let shaped = self.strips == kernels.len()
+            && self.groups.len() == groups.len()
+            && self
+                .groups
+                .iter()
+                .zip(groups)
+                .all(|(bound, lanes)| bound.iter().flatten().all(|b| b.fits(lanes)));
+        if !shaped {
+            self.groups = groups
+                .iter()
+                .map(|lanes| {
+                    kernels
+                        .iter()
+                        .map(|k| k.as_ref().map(|k| k.bind(lanes)))
+                        .collect()
+                })
+                .collect();
+            self.strips = kernels.len();
+        } else if !self.valid {
+            for (bound, lanes) in self.groups.iter_mut().zip(groups) {
+                for (b, k) in bound.iter_mut().zip(kernels) {
+                    if let (Some(b), Some(k)) = (b, k) {
+                        k.pack_stream(lanes, &mut b.stream);
+                    }
                 }
             }
         }
-        self.shape = groups.iter().map(LaneMemory::nodes).collect();
-        self.strips = kernels.len();
         self.valid = true;
     }
 }
@@ -876,16 +977,17 @@ impl CoeffStreams {
 /// `kernels[i]`, when present, is the compiled form of `strips[i]`;
 /// missing or `None` entries run through the interpreter (pass `&[]`
 /// and a scratch [`CoeffStreams`] to disable the tier wholesale).
-/// `streams` caches the packed coefficient streams across calls; it is
-/// repacked here when invalidated or when the group shapes changed.
+/// `streams` caches the bound operand maps and packed coefficient
+/// streams across calls; it is rebound or repacked here as needed.
 /// Besides `lockstep_steps`, the `kernelized_steps` /
 /// `interpreted_steps` split and the per-variant hit table are
 /// recorded when telemetry is on.
 ///
 /// # Panics
 ///
-/// Panics if a lane-word address is out of a group's bounds, or if a
-/// worker thread panics.
+/// Panics if a lane-word address is out of a group's bounds, if a
+/// worker thread panics, or if two lane groups report different
+/// counters (they replay one instruction stream, so that is a bug).
 pub fn run_lockstep_groups_kernelized(
     strips: &[ResolvedStrip],
     kernels: &[Option<StripKernels>],
@@ -913,9 +1015,10 @@ pub fn run_lockstep_groups_kernelized(
     let run_group = |g: usize, lanes: &mut LaneMemory| {
         let mut total = StripRun::default();
         for (i, strip) in strips.iter().enumerate() {
-            total.absorb(&match kernels.get(i).and_then(Option::as_ref) {
-                Some(k) => k.run(lanes, &streams.groups[g][i]),
-                None => run_resolved_strip_lockstep(strip, lanes),
+            let bound = streams.groups[g].get(i).and_then(Option::as_ref);
+            total.absorb(&match (kernels.get(i).and_then(Option::as_ref), bound) {
+                (Some(k), Some(bound)) => k.run(lanes, bound),
+                _ => run_resolved_strip_lockstep(strip, lanes),
             });
         }
         total
@@ -944,7 +1047,7 @@ pub fn run_lockstep_groups_kernelized(
     };
     let first = per_group[0];
     for other in &per_group[1..] {
-        debug_assert_eq!(
+        assert_eq!(
             &first, other,
             "lane groups must replay identical instruction streams"
         );
@@ -956,7 +1059,6 @@ pub fn run_lockstep_groups_kernelized(
 mod tests {
     use super::*;
     use crate::exec::{ResolvedOp, ResolvedPart, ResolvedSlot};
-    use crate::isa::Reg;
 
     fn part(op: ResolvedOp, addr: usize, delta: i64) -> ResolvedPart {
         ResolvedPart {
@@ -967,10 +1069,23 @@ mod tests {
         }
     }
 
+    fn mac(data: Reg, acc: MacAcc, dest: Option<Reg>, addr: usize, delta: i64) -> ResolvedPart {
+        part(ResolvedOp::Mac { data, acc, dest }, addr, delta)
+    }
+
+    /// `Start(reg)` for a chain's first tap, `Chain` after it.
+    fn acc(t: usize, start: Reg) -> MacAcc {
+        if t == 0 {
+            MacAcc::Start(start)
+        } else {
+            MacAcc::Chain
+        }
+    }
+
     /// The lane-word map of a synthetic strip: two source words, one
     /// output word pair per chain pair, then one coefficient word per
     /// tap per line (each line reads a fresh row of coefficients, so
-    /// the packed stream must follow the per-line `advance`).
+    /// the packed stream must follow the per-line walk).
     fn coeff_base(pairs: usize) -> usize {
         2 + 2 * pairs
     }
@@ -987,8 +1102,9 @@ mod tests {
 
     /// One classified-shape body line of `pairs` chain pairs with `k`
     /// taps per chain: loads, the MAC burst, stores. Left chains read
-    /// source word 0 through `Reg(2)` with addend 0; right chains read
-    /// word 1 through `Reg(3)` with addend 1.
+    /// source word 0 through `Reg(2)` and start from the loaded addend
+    /// `Reg(3)` (source word 1); right chains read word 1 through
+    /// `Reg(3)` and start from the constant `ONE` row.
     fn synthetic_line(k: usize, pairs: usize) -> Vec<ResolvedPart> {
         let mut parts = vec![
             part(ResolvedOp::Load { dest: Reg(2) }, 0, 0),
@@ -998,50 +1114,28 @@ mod tests {
         let step = (2 * k * pairs) as i64;
         for p in 0..pairs {
             let (dest_l, dest_r) = (Reg(4 + 2 * p as u8), Reg(5 + 2 * p as u8));
+            let coeff = coeff_base(pairs) + p * 2 * k;
             for t in 0..k {
                 let last = t == k - 1;
-                let acc = |start: Reg| {
-                    if t == 0 {
-                        MacAcc::Start(start)
-                    } else {
-                        MacAcc::Chain
-                    }
-                };
-                parts.push(part(
-                    ResolvedOp::Mac {
-                        data: Reg(2),
-                        acc: acc(Reg::ZERO),
-                        dest: last.then_some(dest_l),
-                    },
-                    coeff_base(pairs) + p * 2 * k + 2 * t,
+                parts.push(mac(
+                    Reg(2),
+                    acc(t, Reg(3)),
+                    last.then_some(dest_l),
+                    coeff + 2 * t,
                     step,
                 ));
-                parts.push(part(
-                    ResolvedOp::Mac {
-                        data: Reg(3),
-                        acc: acc(Reg::ONE),
-                        dest: last.then_some(dest_r),
-                    },
-                    coeff_base(pairs) + p * 2 * k + 2 * t + 1,
+                parts.push(mac(
+                    Reg(3),
+                    acc(t, Reg::ONE),
+                    last.then_some(dest_r),
+                    coeff + 2 * t + 1,
                     step,
                 ));
             }
         }
-        for p in 0..pairs {
-            parts.push(part(
-                ResolvedOp::Store {
-                    src: Reg(4 + 2 * p as u8),
-                },
-                2 + 2 * p,
-                0,
-            ));
-            parts.push(part(
-                ResolvedOp::Store {
-                    src: Reg(5 + 2 * p as u8),
-                },
-                3 + 2 * p,
-                0,
-            ));
+        for p in 0..2 * pairs {
+            let src = Reg(4 + p as u8);
+            parts.push(part(ResolvedOp::Store { src }, 2 + p, 0));
         }
         parts
     }
@@ -1053,27 +1147,27 @@ mod tests {
             .expect("synthetic line matches the classified shape")
     }
 
-    fn filled_lanes(k: usize, pairs: usize, lines: usize, n: usize) -> LaneMemory {
-        let words = lane_words(k, pairs, lines);
+    /// A mirror of `words` words over `n` lanes filled by [`val`].
+    fn filled(words: usize, n: usize) -> LaneMemory {
         let mut lanes = LaneMemory::new(words, n);
         for w in 0..words {
-            for (lane, v) in lanes.flat_mut(w * n, n).iter_mut().enumerate() {
+            for (lane, v) in lanes.word_mut(w).iter_mut().enumerate() {
                 *v = val(w, lane);
             }
         }
         lanes
     }
 
-    /// Runs a freshly packed synthetic strip and returns the lanes.
+    /// Runs a freshly bound synthetic strip and returns the lanes.
     fn run_synthetic(k: usize, pairs: usize, lines: usize, n: usize) -> LaneMemory {
         let sk = compile_synthetic(k, pairs, lines);
-        let mut lanes = filled_lanes(k, pairs, lines, n);
-        let mut stream = Vec::new();
-        sk.pack_stream(&lanes, &mut stream);
-        let run = sk.run(&mut lanes, &stream);
+        let mut lanes = filled(lane_words(k, pairs, lines), n);
+        let bound = sk.bind(&lanes);
+        let run = sk.run(&mut lanes, &bound);
         assert_eq!(run.macs, (lines * 2 * k * pairs) as u64);
         assert_eq!(run.loads, (2 * lines) as u64);
         assert_eq!(run.stores, (2 * pairs * lines) as u64);
+        assert_eq!(run.nops, lines as u64);
         lanes
     }
 
@@ -1090,7 +1184,7 @@ mod tests {
                 let word = coeff_base(pairs) + line * 2 * k * pairs + pair * 2 * k + tap;
                 val(word, lane)
             };
-            let mut acc_l = cw(0) * a + 0.0f32;
+            let mut acc_l = cw(0) * a + b;
             let mut acc_r = cw(1) * b + 1.0f32;
             for t in 1..k {
                 acc_l += cw(2 * t) * a;
@@ -1105,7 +1199,8 @@ mod tests {
     /// Every arity slot (1..=16 plus the dynamic tail) on every width
     /// class (16-wide, 8-wide, span) must be exercised — an unhit
     /// variant fails by name. This is the coverage gate for the whole
-    /// monomorphized family.
+    /// monomorphized family; its loaded addends resolve like data
+    /// operands, its right-chain addends to the `ONE` row.
     #[test]
     fn coverage_gate_every_variant_hit() {
         let _guard = OBS_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -1141,8 +1236,8 @@ mod tests {
                     let lines = 3;
                     let lanes = run_synthetic(k, pairs, lines, n);
                     for pair in 0..pairs {
-                        let got_l = lanes.flat((2 + 2 * pair) * n, n);
-                        let got_r = lanes.flat((3 + 2 * pair) * n, n);
+                        let got_l = lanes.word(2 + 2 * pair);
+                        let got_r = lanes.word(3 + 2 * pair);
                         for lane in 0..n {
                             let (want_l, want_r) = oracle(k, pairs, lines, lane, pair);
                             assert_eq!(
@@ -1160,6 +1255,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The last MAC of `parts`, mutably.
+    fn last_mac(parts: &mut [ResolvedPart]) -> &mut ResolvedPart {
+        parts
+            .iter_mut()
+            .rev()
+            .find(|p| matches!(p.op, ResolvedOp::Mac { .. }))
+            .unwrap()
     }
 
     /// Lines that violate the classified shape must reject to the
@@ -1182,11 +1286,11 @@ mod tests {
 
         // An odd tap count cannot pair up.
         let mut parts = synthetic_line(3, 1);
-        let last_mac = parts
+        let last = parts
             .iter()
             .rposition(|p| matches!(p.op, ResolvedOp::Mac { .. }))
             .unwrap();
-        parts.remove(last_mac);
+        parts.remove(last);
         assert!(compile_one(parts).is_none(), "odd tap count must reject");
 
         // A destination on a non-final tap breaks the pair shape.
@@ -1205,29 +1309,13 @@ mod tests {
 
         // A missing destination on a final tap breaks the pair shape.
         let mut parts = synthetic_line(3, 1);
-        let last_mac = parts
-            .iter()
-            .rposition(|p| matches!(p.op, ResolvedOp::Mac { .. }))
-            .unwrap();
-        if let ResolvedOp::Mac { dest, .. } = &mut parts[last_mac].op {
+        if let ResolvedOp::Mac { dest, .. } = &mut last_mac(&mut parts).op {
             *dest = None;
         }
         assert!(
             compile_one(parts).is_none(),
             "missing destination must reject"
         );
-
-        // The writeback-reorder hazard: the right chain's final tap
-        // reading the left chain's destination register.
-        let mut parts = synthetic_line(3, 1);
-        let last_mac = parts
-            .iter()
-            .rposition(|p| matches!(p.op, ResolvedOp::Mac { .. }))
-            .unwrap();
-        if let ResolvedOp::Mac { data, .. } = &mut parts[last_mac].op {
-            *data = Reg(4); // dest_l of the pair
-        }
-        assert!(compile_one(parts).is_none(), "dest_l hazard must reject");
 
         // Ragged arities across pattern lines share no kernel.
         let ragged = vec![synthetic_line(2, 1), synthetic_line(3, 1)];
@@ -1242,6 +1330,310 @@ mod tests {
             part(ResolvedOp::Store { src: Reg(2) }, 1, 0),
         ]];
         assert!(compile_parts(&[], &io_only, 2, 4).is_none());
+
+        // A prologue multiply-add has no place in the sweep.
+        let prologue = [mac(Reg(2), MacAcc::Chain, None, 0, 0)];
+        let body = [synthetic_line(3, 1)];
+        assert!(compile_parts(&prologue, &body, 2, 4).is_none());
+
+        // A tap reading a register nothing wrote (not ZERO or ONE).
+        let mut parts = synthetic_line(3, 1);
+        if let ResolvedOp::Mac { data, .. } = &mut last_mac(&mut parts).op {
+            *data = Reg(20);
+        }
+        assert!(compile_one(parts).is_none(), "unset register must reject");
+
+        // A store of a loaded register, not a chain result.
+        let mut parts = synthetic_line(3, 1);
+        let store = parts.len() - 1;
+        parts[store].op = ResolvedOp::Store { src: Reg(2) };
+        assert!(compile_one(parts).is_none(), "store of a load must reject");
+    }
+
+    /// Every bit of a mirror, constant rows included.
+    fn all_bits(lanes: &LaneMemory) -> Vec<u32> {
+        lanes.flat().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Runs `strip` through [`run_lockstep_groups_kernelized`] with
+    /// `kernels` (its compiled form, or none) and through the bare
+    /// interpreter over copies of `lanes`, asserting identical bits —
+    /// constant rows included — and counters. Returns the tier's
+    /// `(kernelized, interpreted)` step split. Callers hold
+    /// [`OBS_TEST_LOCK`]: the run adds to the step counters, which other
+    /// tests read process-wide while telemetry is on.
+    fn assert_tier_matches_interpreter(
+        strip: &ResolvedStrip,
+        kernels: &[Option<StripKernels>],
+        streams: &mut CoeffStreams,
+        lanes: &LaneMemory,
+    ) -> (u64, u64) {
+        let mut kern = vec![lanes.clone()];
+        let before = cmcc_obs::thread_snapshot();
+        let kern_run = run_lockstep_groups_kernelized(
+            std::slice::from_ref(strip),
+            kernels,
+            streams,
+            &mut kern,
+        );
+        let split = cmcc_obs::thread_snapshot().delta(&before);
+        let mut interp = lanes.clone();
+        let interp_run = run_resolved_strip_lockstep(strip, &mut interp);
+        assert_eq!(kern_run, interp_run, "counters diverge");
+        assert_eq!(
+            all_bits(&kern[0]),
+            all_bits(&interp),
+            "kernel tier diverges from the interpreter"
+        );
+        (
+            split.get(cmcc_obs::Counter::KernelizedSteps),
+            split.get(cmcc_obs::Counter::InterpretedSteps),
+        )
+    }
+
+    /// Compiles `strip`, asserts the classifier's verdict, and checks
+    /// both tiers agree bit for bit on every width class, with the step
+    /// split landing on the matching side.
+    fn assert_verdict(strip: &ResolvedStrip, words: usize, kernelizes: bool, what: &str) {
+        let _guard = OBS_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let was = cmcc_obs::enabled();
+        cmcc_obs::set_enabled(true);
+        let kernel = StripKernels::compile(strip);
+        assert_eq!(kernel.is_some(), kernelizes, "{what}: classifier verdict");
+        for n in [16, 9, 5, 1] {
+            let (kernelized, interpreted) = assert_tier_matches_interpreter(
+                strip,
+                std::slice::from_ref(&kernel),
+                &mut CoeffStreams::new(),
+                &filled(words, n),
+            );
+            let (want_k, want_i) = if kernelizes {
+                (strip.steps(), 0)
+            } else {
+                (0, strip.steps())
+            };
+            assert_eq!((kernelized, interpreted), (want_k, want_i), "{what}: split");
+        }
+        cmcc_obs::set_enabled(was);
+    }
+
+    /// Strips where reading operands at multiply-add time or writing
+    /// results at the end of a pair would be observable are refused,
+    /// run on the interpreter (counted as interpreted), and stay bit
+    /// for bit what the interpreter computes.
+    #[test]
+    fn refused_strips_run_on_the_interpreter_exactly() {
+        let (k, lines) = (2, 3);
+        let words = lane_words(k, 2, lines);
+        let strip = |pattern: Vec<ResolvedPart>| {
+            ResolvedStrip::from_parts(Vec::new(), vec![pattern], lines)
+        };
+        assert_verdict(&strip(synthetic_line(k, 2)), words, true, "baseline");
+
+        // Reads on both sides of the results overlap them as spans but
+        // not as intervals: the merged-interval check still admits it.
+        let mut parts = synthetic_line(k, 2);
+        parts[1].addr = words - 1;
+        assert_verdict(&strip(parts), words, true, "reads around the results");
+
+        // The first pair's left result stored onto word 1, which the
+        // second pair's taps read through `Reg(3)`, loaded before it.
+        let mut parts = synthetic_line(k, 2);
+        let first_store = parts.len() - 4;
+        parts[first_store].addr = 1;
+        assert_verdict(&strip(parts), words, false, "store onto a loaded word");
+
+        // The second pair's left data register is the first pair's left
+        // destination: it holds a chain result, not a loaded word.
+        let mut parts = synthetic_line(k, 2);
+        let second_pair = parts
+            .iter()
+            .position(|p| {
+                matches!(
+                    p.op,
+                    ResolvedOp::Mac {
+                        acc: MacAcc::Start(_),
+                        ..
+                    }
+                )
+            })
+            .unwrap()
+            + 2 * k;
+        if let ResolvedOp::Mac { data, .. } = &mut parts[second_pair].op {
+            *data = Reg(4);
+        }
+        assert_verdict(
+            &strip(parts),
+            words,
+            false,
+            "read of an overwritten register",
+        );
+
+        // The right chain's final tap reads the left chain's destination,
+        // written before it in the interpreter, after it in the sweep.
+        let mut parts = synthetic_line(k, 1);
+        if let ResolvedOp::Mac { data, .. } = &mut last_mac(&mut parts).op {
+            *data = Reg(4);
+        }
+        assert_verdict(&strip(parts), words, false, "dest_l hazard");
+
+        // Two stores of one line onto one word: last store wins in the
+        // interpreter, pair order in the sweep.
+        let mut parts = synthetic_line(k, 2);
+        let store = parts.len() - 1;
+        parts[store].addr = 2;
+        assert_verdict(&strip(parts), words, false, "colliding stores");
+
+        // The dest_l hazard through a constant row: the left chain
+        // writes register 0's row and the right chain's final tap reads
+        // it.
+        let mut parts = synthetic_line(k, 1);
+        let macs: Vec<usize> = (0..parts.len())
+            .filter(|&i| matches!(parts[i].op, ResolvedOp::Mac { .. }))
+            .collect();
+        if let ResolvedOp::Mac { dest, .. } = &mut parts[macs[2 * k - 2]].op {
+            *dest = Some(Reg::ZERO);
+        }
+        if let ResolvedOp::Mac { data, .. } = &mut parts[macs[2 * k - 1]].op {
+            *data = Reg::ZERO;
+        }
+        parts.retain(|p| p.op != ResolvedOp::Store { src: Reg(4) });
+        assert_verdict(&strip(parts), words, false, "dest_l hazard on a row");
+    }
+
+    /// A line with a real left chain and a dummy right partner (zero
+    /// data, zero addend, destination `ZERO`, as the scheduler pads odd
+    /// widths), then a pair starting from the zero register. The dummy's
+    /// coefficient word is `dummy_coeff`.
+    fn dummy_partner_line(k: usize, dummy_coeff: usize) -> Vec<ResolvedPart> {
+        let mut parts = vec![part(ResolvedOp::Load { dest: Reg(2) }, 0, 0)];
+        for t in 0..k {
+            let last = t == k - 1;
+            parts.push(mac(
+                Reg(2),
+                acc(t, Reg::ZERO),
+                last.then_some(Reg(4)),
+                4 + t,
+                0,
+            ));
+            parts.push(mac(
+                Reg::ZERO,
+                acc(t, Reg::ZERO),
+                last.then_some(Reg::ZERO),
+                dummy_coeff,
+                0,
+            ));
+        }
+        for t in 0..k {
+            let last = t == k - 1;
+            parts.push(mac(
+                Reg(2),
+                acc(t, Reg::ZERO),
+                last.then_some(Reg(5)),
+                4 + t,
+                0,
+            ));
+            parts.push(mac(
+                Reg::ONE,
+                acc(t, Reg::ZERO),
+                last.then_some(Reg(6)),
+                4 + k + t,
+                0,
+            ));
+        }
+        for (i, src) in [Reg(4), Reg(5), Reg(6)].into_iter().enumerate() {
+            parts.push(part(ResolvedOp::Store { src }, 1 + i, 0));
+        }
+        parts
+    }
+
+    /// The dummy partner writes the zero register; the sweep writes the
+    /// `ZERO` row in its stead, so a later `Start(ZERO)` reads exactly
+    /// what the interpreter's register holds — even when a non-finite
+    /// dummy coefficient turns the "zero" into NaN — and the constant
+    /// rows are back to `0.0`/`1.0` after the strip.
+    #[test]
+    fn dummy_partner_writes_the_zero_row_exactly() {
+        let k = 3;
+        let words = 4 + 2 * k + 1;
+        let dummy = words - 1;
+        let strip = ResolvedStrip::from_parts(Vec::new(), vec![dummy_partner_line(k, dummy)], 2);
+        assert_verdict(&strip, words, true, "dummy partner");
+        let kernel = StripKernels::compile(&strip).unwrap();
+        let _guard = OBS_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        for n in [16, 9, 5] {
+            for coeff in [f32::NAN, f32::INFINITY, -2.0] {
+                let mut lanes = filled(words, n);
+                lanes.set_lane_value(dummy, n / 2, coeff);
+                let kernels = [Some(kernel.clone())];
+                assert_tier_matches_interpreter(&strip, &kernels, &mut CoeffStreams::new(), &lanes);
+            }
+        }
+    }
+
+    /// A ring-buffer strip: pattern `p` of a two-line period loads one
+    /// source row into register `2 + p`, and its taps read that row and
+    /// the one the *previous* line loaded — the prologue's ring fill
+    /// for the first line, the other pattern's load after that. With
+    /// the fill on the walk (`fill_word` one row before the first body
+    /// load) every operand is affine and the strip kernelizes.
+    fn ring_strip(fill_word: usize, lines: usize) -> ResolvedStrip {
+        let k = 2;
+        let res0 = ring_sources(lines);
+        let coeff0 = res0 + 2 * lines;
+        let prologue = vec![part(ResolvedOp::Load { dest: Reg(3) }, fill_word, 0)];
+        let body = (0..2)
+            .map(|p| {
+                let (fresh, old) = (Reg(2 + p as u8), Reg(3 - p as u8));
+                let mut parts = vec![part(ResolvedOp::Load { dest: fresh }, 1 + p, 2)];
+                for t in 0..k {
+                    let last = t == k - 1;
+                    let data = if t == 0 { fresh } else { old };
+                    parts.push(mac(
+                        data,
+                        acc(t, Reg::ZERO),
+                        last.then_some(Reg(8)),
+                        coeff0 + 2 * t,
+                        0,
+                    ));
+                    parts.push(mac(
+                        old,
+                        acc(t, Reg::ONE),
+                        last.then_some(Reg(9)),
+                        coeff0 + 2 * t + 1,
+                        0,
+                    ));
+                }
+                parts.push(part(ResolvedOp::Store { src: Reg(8) }, res0 + 2 * p, 4));
+                parts.push(part(ResolvedOp::Store { src: Reg(9) }, res0 + 2 * p + 1, 4));
+                parts
+            })
+            .collect();
+        ResolvedStrip::from_parts(prologue, body, lines)
+    }
+
+    /// Source words of a [`ring_strip`]: the walk reads words
+    /// `0..=lines`; the rest lets an off-walk fill stay among the
+    /// sources, so only the affine fit can tell it apart.
+    fn ring_sources(lines: usize) -> usize {
+        3 * lines + 4
+    }
+
+    /// Operands loaded on an earlier line resolve through the ring; a
+    /// prologue that fills the ring off the walk is refused and runs on
+    /// the interpreter exactly.
+    #[test]
+    fn ring_operands_resolve_across_lines() {
+        for lines in [2, 3, 5, 8] {
+            let words = ring_sources(lines) + 2 * lines + 4;
+            assert_verdict(&ring_strip(0, lines), words, true, "ring fill on the walk");
+            assert_verdict(
+                &ring_strip(lines + 1, lines),
+                words,
+                lines <= 2,
+                "ring fill off the walk",
+            );
+        }
     }
 
     /// A stream packed for a different lane count (or strip) is a hard
@@ -1250,26 +1642,32 @@ mod tests {
     #[should_panic(expected = "coefficient stream")]
     fn stream_shape_mismatch_panics() {
         let sk = compile_synthetic(3, 1, 2);
-        let mut lanes = filled_lanes(3, 1, 2, 8);
-        let mut stream = Vec::new();
-        sk.pack_stream(&lanes, &mut stream);
-        stream.pop();
-        let _ = sk.run(&mut lanes, &stream);
+        let mut lanes = filled(lane_words(3, 1, 2), 8);
+        let mut bound = sk.bind(&lanes);
+        bound.stream.pop();
+        let _ = sk.run(&mut lanes, &bound);
+    }
+
+    /// The stream of group `g`'s first strip.
+    fn stream0(streams: &CoeffStreams, g: usize) -> &[f32] {
+        &streams.groups[g][0].as_ref().unwrap().stream
     }
 
     /// The stream cache is a snapshot: reused verbatim while valid (by
-    /// design — the holder invalidates on coefficient rebinds and host
+    /// design — the holder invalidates on coefficient rebinds and
     /// writes), repacked from current lane contents on `invalidate`,
-    /// and repacked automatically when the group shapes change.
+    /// and rebound and repacked automatically when the group shapes
+    /// change.
     #[test]
     fn coeff_streams_cache_and_invalidate() {
         let k = 2;
         let sk = compile_synthetic(k, 1, 2);
         let kernels = vec![Some(sk)];
-        let mut groups = vec![filled_lanes(k, 1, 2, 8)];
+        let words = lane_words(k, 1, 2);
+        let mut groups = vec![filled(words, 8)];
         let mut streams = CoeffStreams::new();
         streams.ensure(&kernels, &groups);
-        let first = streams.groups[0][0].clone();
+        let first = stream0(&streams, 0).to_vec();
         assert_eq!(
             first.len(),
             kernels[0].as_ref().unwrap().stream_words(8),
@@ -1277,26 +1675,25 @@ mod tests {
         );
 
         // Mutate a coefficient word: a valid cache keeps the snapshot.
-        let n = 8;
-        groups[0].flat_mut(coeff_base(1) * n, n).fill(99.0);
+        groups[0].word_mut(coeff_base(1)).fill(99.0);
         streams.ensure(&kernels, &groups);
-        assert_eq!(streams.groups[0][0], first, "valid cache must not repack");
+        assert_eq!(stream0(&streams, 0), first, "valid cache must not repack");
 
         // Invalidation repacks from the mutated lanes.
         streams.invalidate();
         streams.ensure(&kernels, &groups);
-        assert_ne!(streams.groups[0][0], first, "invalidate must repack");
-        assert_eq!(streams.groups[0][0][0], 99.0);
+        assert_ne!(stream0(&streams, 0), first, "invalidate must repack");
+        assert_eq!(stream0(&streams, 0)[0], 99.0);
 
-        // A different group shape repacks even without invalidate.
-        let mut narrow = vec![filled_lanes(k, 1, 2, 5)];
+        // A different group shape rebinds even without invalidate.
+        let narrow = vec![filled(words, 5)];
         streams.ensure(&kernels, &narrow);
         assert_eq!(
-            streams.groups[0][0].len(),
+            stream0(&streams, 0).len(),
             kernels[0].as_ref().unwrap().stream_words(5),
             "shape change must repack for the new lane count"
         );
-        let _ = &mut narrow;
+        assert!(streams.groups[0][0].as_ref().unwrap().fits(&narrow[0]));
     }
 
     /// Pattern `p` of a `period`-line body whose loads and stores walk
@@ -1317,25 +1714,16 @@ mod tests {
             part(ResolvedOp::Load { dest: Reg(3) }, p + 1, walk),
         ];
         for t in 0..k {
-            let acc = |start: Reg| {
-                if t == 0 {
-                    MacAcc::Start(start)
-                } else {
-                    MacAcc::Chain
-                }
-            };
             let last = t == k - 1;
             for (side, (data, addend, dest)) in
                 [(Reg(2), Reg::ZERO, Reg(4)), (Reg(3), Reg::ONE, Reg(5))]
                     .into_iter()
                     .enumerate()
             {
-                parts.push(part(
-                    ResolvedOp::Mac {
-                        data,
-                        acc: acc(addend),
-                        dest: last.then_some(dest),
-                    },
+                parts.push(mac(
+                    data,
+                    acc(t, addend),
+                    last.then_some(dest),
                     coeff0 + p * 2 * k + 2 * t + side,
                     tap_delta,
                 ));
@@ -1354,46 +1742,13 @@ mod tests {
         parts
     }
 
-    /// Every lane word's bits, for bit-exact comparisons.
-    fn lane_bits(lanes: &LaneMemory, words: usize) -> Vec<u32> {
-        let n = lanes.nodes();
-        lanes
-            .flat(0, words * n)
-            .iter()
-            .map(|v| v.to_bits())
-            .collect()
-    }
-
-    /// Runs `strip` through the kernel tier (from `streams`) and through
-    /// the interpreter over copies of `lanes`, asserting identical lane
-    /// bits and counters.
-    fn assert_tier_matches_interpreter(
-        strip: &ResolvedStrip,
-        kernel: &StripKernels,
-        streams: &mut CoeffStreams,
-        lanes: &LaneMemory,
-        words: usize,
-    ) {
-        let kernels = [Some(kernel.clone())];
-        let mut kern = vec![lanes.clone()];
-        streams.ensure(&kernels, &kern);
-        let kern_run = kernel.run(&mut kern[0], &streams.groups[0][0]);
-        let mut interp = lanes.clone();
-        let interp_run = run_resolved_strip_lockstep(strip, &mut interp);
-        assert_eq!(kern_run, interp_run, "counters diverge");
-        assert_eq!(
-            lane_bits(&kern[0], words),
-            lane_bits(&interp, words),
-            "kernel tier diverges from the interpreter"
-        );
-    }
-
     /// A strip whose taps all stand still streams one body period,
     /// replayed every period — even when the line count is not a
     /// multiple of it — while any advancing tap, or a seam-split
     /// strip's one-pattern-per-line body, still streams every line.
     #[test]
     fn stationary_taps_stream_one_period() {
+        let _guard = OBS_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let (k, period, lines) = (2, 3, 7);
         let coeff0 = lines + 1;
         let res0 = coeff0 + 2 * k * period * (lines + 1);
@@ -1413,26 +1768,22 @@ mod tests {
         };
         let taps_per_line = 2 * k;
         for n in [16, 9, 5, 1] {
-            let mut lanes = LaneMemory::new(words, n);
-            for w in 0..words {
-                for (lane, v) in lanes.flat_mut(w * n, n).iter_mut().enumerate() {
-                    *v = val(w, lane);
-                }
-            }
+            let mut lanes = filled(words, n);
 
             // Case 1: every tap stationary — one period, not `lines`.
             let stationary = strip_with(0);
             let kernel = StripKernels::compile(&stationary).expect("classified shape");
             assert_eq!(kernel.stream_words(n), period * taps_per_line * n);
+            let kernels = [Some(kernel.clone())];
             let mut streams = CoeffStreams::new();
-            assert_tier_matches_interpreter(&stationary, &kernel, &mut streams, &lanes, words);
-            assert_eq!(streams.groups[0][0].len(), kernel.stream_words(n));
+            assert_tier_matches_interpreter(&stationary, &kernels, &mut streams, &lanes);
+            assert_eq!(stream0(&streams, 0).len(), kernel.stream_words(n));
             // Invalidation repacks the period from the current values.
-            lanes.flat_mut((coeff0 + taps_per_line) * n, n).fill(-3.5);
+            lanes.word_mut(coeff0 + taps_per_line).fill(-3.5);
             streams.invalidate();
-            assert_tier_matches_interpreter(&stationary, &kernel, &mut streams, &lanes, words);
-            assert_eq!(streams.groups[0][0][taps_per_line * n], -3.5);
-            assert_eq!(streams.groups[0][0].len(), kernel.stream_words(n));
+            assert_tier_matches_interpreter(&stationary, &kernels, &mut streams, &lanes);
+            assert_eq!(stream0(&streams, 0)[taps_per_line * n], -3.5);
+            assert_eq!(stream0(&streams, 0).len(), kernel.stream_words(n));
 
             // Case 2: one advancing tap — every executed line.
             let advancing = strip_with((taps_per_line * period) as i64);
@@ -1440,10 +1791,9 @@ mod tests {
             assert_eq!(kernel.stream_words(n), lines * taps_per_line * n);
             assert_tier_matches_interpreter(
                 &advancing,
-                &kernel,
+                &[Some(kernel)],
                 &mut CoeffStreams::new(),
                 &lanes,
-                words,
             );
 
             // Case 3: a result walk that crosses a range seam translates
@@ -1462,10 +1812,9 @@ mod tests {
             assert_eq!(kernel.stream_words(n), lines * taps_per_line * n);
             assert_tier_matches_interpreter(
                 &unrolled,
-                &kernel,
+                &[Some(kernel)],
                 &mut CoeffStreams::new(),
                 &lanes,
-                words,
             );
         }
     }

@@ -22,6 +22,7 @@
 //! read-only operands (halos, coefficients) cost one copy per run, not
 //! two.
 
+use crate::isa::Reg;
 use crate::memory::NodeMemory;
 
 /// One contiguous node-memory range mirrored into lane storage.
@@ -187,13 +188,27 @@ pub struct RectCopy {
 /// node, in node order. A group of host threads may each own a
 /// `LaneMemory` over a disjoint contiguous slice of the machine's nodes;
 /// lanes never interact, so the partition is invisible to results.
+///
+/// Past the viewed words sit [`CONST_ROWS`] rows no view addresses: the
+/// FPU's constant registers [`Reg::ZERO`] (`0.0`) and [`Reg::ONE`]
+/// (`1.0`) on every lane, so the kernel tier reads those operands from
+/// the mirror like any other (see [`crate::kernels`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneMemory {
     data: Vec<f32>,
     nodes: usize,
 }
 
+/// Rows every [`LaneMemory`] keeps after its viewed words: the constant
+/// registers [`Reg::ZERO`] and [`Reg::ONE`], in register order.
+pub const CONST_ROWS: usize = 2;
+
 impl LaneMemory {
+    /// Floats backing `words` viewed words plus the constant rows.
+    fn floats(words: usize, nodes: usize) -> usize {
+        (words + CONST_ROWS) * nodes
+    }
+
     /// Allocates a zeroed mirror of `words` lane words across `nodes`
     /// lanes.
     ///
@@ -201,32 +216,65 @@ impl LaneMemory {
     ///
     /// Panics if `nodes` is zero.
     pub fn new(words: usize, nodes: usize) -> Self {
-        assert!(nodes > 0, "lane memory needs at least one lane");
-        LaneMemory {
-            data: vec![0.0; words * nodes],
-            nodes,
-        }
+        Self::from_scratch(Vec::new(), words, nodes)
     }
 
     /// Builds a mirror of `words × nodes` reusing `scratch`'s allocation
     /// (resized only when the required length changed). The initial
-    /// contents are unspecified — callers must [`LaneMemory::gather`]
-    /// before running, which overwrites every viewed word.
+    /// contents of the viewed words are unspecified — callers must
+    /// [`LaneMemory::gather`] before running, which overwrites every
+    /// viewed word.
     ///
     /// # Panics
     ///
     /// Panics if `nodes` is zero.
     pub fn from_scratch(mut scratch: Vec<f32>, words: usize, nodes: usize) -> Self {
         assert!(nodes > 0, "lane memory needs at least one lane");
-        let needed = words * nodes;
+        let needed = Self::floats(words, nodes);
         if scratch.len() != needed {
             scratch.clear();
             scratch.resize(needed, 0.0);
         }
-        LaneMemory {
+        let mut lanes = LaneMemory {
             data: scratch,
             nodes,
-        }
+        };
+        lanes.reset_const_rows();
+        lanes
+    }
+
+    /// Flat offset of constant register `reg`'s row ([`Reg::ZERO`] or
+    /// [`Reg::ONE`]).
+    pub(crate) fn const_row(&self, reg: Reg) -> usize {
+        debug_assert!((reg.0 as usize) < CONST_ROWS);
+        self.data.len() - (CONST_ROWS - reg.0 as usize) * self.nodes
+    }
+
+    /// Restores the constant rows to `0.0` and `1.0` — after a kernel
+    /// whose chains write a constant register, as the interpreter's fresh
+    /// register file would hold them for the next strip.
+    pub(crate) fn reset_const_rows(&mut self) {
+        let zero = self.const_row(Reg::ZERO);
+        let (consts, n) = (&mut self.data[zero..], self.nodes);
+        consts[..n].fill(0.0);
+        consts[n..].fill(1.0);
+    }
+
+    /// Total floats backing the mirror, constant rows included.
+    pub(crate) fn len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// The whole backing store, constant rows included — what the kernel
+    /// tier's pre-resolved flat offsets index.
+    pub(crate) fn flat_mut(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+
+    /// [`Self::flat_mut`], read-only.
+    #[cfg(test)]
+    pub(crate) fn flat(&self) -> &[f32] {
+        &self.data
     }
 
     /// Consumes the mirror, returning its allocation for reuse via
@@ -258,29 +306,6 @@ impl LaneMemory {
     #[inline]
     pub fn word_mut(&mut self, w: usize) -> &mut [f32] {
         &mut self.data[w * self.nodes..(w + 1) * self.nodes]
-    }
-
-    /// The `count` floats at pre-resolved flat offset `off` of the
-    /// backing store — the kernel tier's addressing mode, where
-    /// `word * nodes` products are computed once per strip instead of
-    /// once per access.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    #[inline]
-    pub(crate) fn flat(&self, off: usize, count: usize) -> &[f32] {
-        &self.data[off..off + count]
-    }
-
-    /// [`Self::flat`], mutably.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    #[inline]
-    pub(crate) fn flat_mut(&mut self, off: usize, count: usize) -> &mut [f32] {
-        &mut self.data[off..off + count]
     }
 
     /// Lane `lane`'s value of lane word `w`.
@@ -540,7 +565,7 @@ impl LaneMirror {
         while start < nodes {
             let group_nodes = chunk.min(nodes - start);
             let buf = scratch.pop().unwrap_or_default();
-            if buf.len() != words * group_nodes {
+            if buf.len() != LaneMemory::floats(words, group_nodes) {
                 self.allocations += 1;
             }
             self.groups

@@ -382,13 +382,14 @@ pub struct PlanInstance {
     /// (gathered ranges, or coefficient-halo refreshes on temporal
     /// plans).
     lane_rebind_moved: usize,
-    /// The packed coefficient streams the kernel tier reads (the
-    /// paper's §4 access-order coefficient layout), cached across
-    /// executes — one per fused inner step (a single entry for classic
-    /// plans; the stream cache is keyed on a step's kernel list, so
-    /// steps cannot share one). Invalidated in one place: when an
-    /// execute re-reads a coefficient range because it moved or was
-    /// written. Result/source-only rebinds keep it.
+    /// The kernel tier's per-lane-group bindings — operand maps and the
+    /// packed coefficient streams (the paper's §4 access-order
+    /// coefficient layout) — cached across executes, one per fused inner
+    /// step (a single entry for classic plans; the cache is keyed on a
+    /// step's kernel list, so steps cannot share one). The streams are
+    /// invalidated in one place: when an execute re-reads a coefficient
+    /// range because it moved or was written. Result/source-only rebinds
+    /// keep them.
     lane_streams: Vec<CoeffStreams>,
     /// The staged writes of a direct [`ExecutionPlan::execute`], recycled
     /// across executes; empty until the first one (the session stages
@@ -1324,26 +1325,24 @@ impl PlanInstance {
             cmcc_obs::add(WIDTH_COUNTERS[slot], n);
         }
 
-        // Debug builds prove the copy model against observed traffic:
-        // the words this execute moved are exactly what its re-reads
-        // predict — the analytic `steady_state_copy_words` on the scalar
-        // engine, and the staged scatter plus the re-gathered ranges and
-        // refreshed halos on the lane body.
-        if cfg!(debug_assertions) {
-            let observed = (interior_words + exchange_words) as u64
-                + d.row_gathered
-                + d.gathered
-                + d.scattered;
+        // Every build proves the copy model against observed traffic: the
+        // words this execute moved are exactly what its re-reads predict
+        // — the analytic `steady_state_copy_words` on the scalar engine,
+        // and the staged scatter plus the re-gathered ranges and
+        // refreshed halos on the lane body. Both sides are counted
+        // anyway, and on the lane body a mismatch panics before the
+        // caller commits the stage, so node memory stays untouched.
+        let observed =
+            (interior_words + exchange_words) as u64 + d.row_gathered + d.gathered + d.scattered;
+        assert_eq!(
+            observed, predicted as u64,
+            "execute copy words diverged from the copy model"
+        );
+        if self.lane_view.is_some() {
             assert_eq!(
-                observed, predicted as u64,
-                "execute copy words diverged from the copy model"
+                d.lane_copied, exchange_words as u64,
+                "lane exchange moved a different word count than its program records"
             );
-            if self.lane_view.is_some() {
-                assert_eq!(
-                    d.lane_copied, exchange_words as u64,
-                    "lane exchange moved a different word count than its program records"
-                );
-            }
         }
 
         // One front-end microcode dispatch per half-strip, exactly as the

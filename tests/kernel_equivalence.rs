@@ -17,6 +17,7 @@
 
 use std::sync::Mutex;
 
+use cmcc::cm2::kernels::ARITY_SLOTS;
 use cmcc::cm2::{Machine, MachineConfig};
 use cmcc::core::recognize::CoeffSpec;
 use cmcc::core::stencil::{Boundary, Stencil, Tap};
@@ -239,84 +240,195 @@ fn kernel_tier_ping_pong_rebind_stays_exact() {
     assert_eq!(scalar, interp, "interpreted ping-pong diverges from scalar");
 }
 
-/// Every paper pattern runs *fully* kernelized on the lockstep engine:
-/// the strip classifier accepts every scheduled kernel, so a
-/// steady-state execute records only `kernelized_steps` — and flipping
-/// the tier off moves exactly the same step count to the interpreter
-/// side of the split.
-#[test]
-fn paper_patterns_run_fully_kernelized() {
-    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let was_on = obs::enabled();
-    obs::set_enabled(true);
+/// A statement with a bias term: its chains end in taps whose data is
+/// the constant `ONE` register.
+const BIAS: &str = "R = C1 * CSHIFT(X, 1, -1) + 0.5 * X + C2";
 
-    let cfg = MachineConfig::tiny_4();
-    for pattern in PaperPattern::ALL {
-        let compiler = Compiler::new(cfg.clone());
-        let compiled = compiler
-            .compile_assignment(&pattern.fortran())
-            .expect("paper patterns compile");
-        let mut machine = Machine::new(cfg.clone()).expect("tiny_4 is valid");
-        let x = CmArray::new(&mut machine, 16, 24).unwrap();
-        x.fill_with(&mut machine, |r, c| ((r * 13 + c) % 17) as f32 * 0.25);
+/// Per-node column counts: 12 shaves into strips of width 8 and 4; 7
+/// into 4 + 2 + 1, and the width-1 strip's dummy partner thread reads
+/// and writes the constant `ZERO` register.
+const COLS_WIDE: usize = 12;
+const COLS_ODD: usize = 7;
+
+/// The arrays of one coverage case on a fresh machine: the initial
+/// state `a`, a zeroed partner `b`, and the named coefficients.
+struct Case {
+    machine: Machine,
+    compiled: cmcc::CompiledStencil,
+    a: CmArray,
+    b: CmArray,
+    coeffs: Vec<CmArray>,
+}
+
+impl Case {
+    fn new(cfg: &MachineConfig, source: &str, (rows, cols): (usize, usize)) -> Case {
+        let compiled = Compiler::new(cfg.clone())
+            .compile_assignment(source)
+            .expect("statement compiles");
+        let mut machine = Machine::new(cfg.clone()).expect("config is valid");
+        let a = CmArray::new(&mut machine, rows, cols).unwrap();
+        a.fill_with(&mut machine, |r, c| {
+            ((r * 13 + c * 7) % 17) as f32 * 0.25 - 1.5
+        });
+        let b = CmArray::new(&mut machine, rows, cols).unwrap();
+        b.fill(&mut machine, 0.0);
         let named = compiled
             .spec()
             .coeffs
             .iter()
             .filter(|c| matches!(c, CoeffSpec::Named(_)))
             .count();
-        let coeffs: Vec<CmArray> = (0..named)
-            .map(|a| {
-                let arr = CmArray::new(&mut machine, 16, 24).unwrap();
-                arr.fill(&mut machine, 0.125 * (a + 1) as f32);
+        let coeffs = (0..named)
+            .map(|s| {
+                let arr = CmArray::new(&mut machine, rows, cols).unwrap();
+                arr.fill_with(&mut machine, move |r, c| {
+                    ((r * 5 + c * 11 + s * 3) % 13) as f32 * 0.0625 - 0.375
+                });
                 arr
             })
             .collect();
-        let refs: Vec<&CmArray> = coeffs.iter().collect();
-        let r = CmArray::new(&mut machine, 16, 24).unwrap();
-        let binding = StencilBinding::new(&compiled, &r, &[&x], &refs).unwrap();
-        let mut plan = ExecutionPlan::build(
-            &mut machine,
-            &binding,
-            &lockstep_fast(),
-            PlanLifetime::Scoped,
-        )
-        .unwrap();
-        assert!(plan.lane_mapped(), "{}: lane-maps", pattern.name());
+        Case {
+            machine,
+            compiled,
+            a,
+            b,
+            coeffs,
+        }
+    }
 
-        let before = obs::snapshot();
-        plan.execute(&mut machine).unwrap();
-        let kern = obs::snapshot().delta(&before);
-        let kernelized = kern.get(Counter::KernelizedSteps);
-        assert!(
-            kernelized > 0,
-            "{}: no kernelized steps recorded",
-            pattern.name()
-        );
-        assert_eq!(
-            kern.get(Counter::InterpretedSteps),
-            0,
-            "{}: classifier rejected a paper-pattern strip",
-            pattern.name()
-        );
-        assert_eq!(kern.get(Counter::LockstepSteps), kernelized);
+    fn plan(&mut self, result: &CmArray, opts: &ExecOptions) -> ExecutionPlan {
+        let refs: Vec<&CmArray> = self.coeffs.iter().collect();
+        let binding = StencilBinding::new(&self.compiled, result, &[&self.a], &refs).unwrap();
+        ExecutionPlan::build(&mut self.machine, &binding, opts, PlanLifetime::Scoped)
+            .expect("plan builds")
+    }
 
-        plan.set_kernel_tier(false);
-        let before = obs::snapshot();
-        plan.execute(&mut machine).unwrap();
-        let interp = obs::snapshot().delta(&before);
-        assert_eq!(
-            interp.get(Counter::KernelizedSteps),
-            0,
-            "{}: tier off still kernelized",
-            pattern.name()
-        );
-        assert_eq!(
-            interp.get(Counter::InterpretedSteps),
-            kernelized,
-            "{}: tier toggle changed the step count",
-            pattern.name()
-        );
+    fn bits(&self, array: &CmArray) -> Vec<u32> {
+        array
+            .gather(&self.machine)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    }
+}
+
+/// The scalar engine applied `steps` times, ping-ponging between `a`
+/// and `b`: the final state's bits.
+fn scalar_steps(
+    cfg: &MachineConfig,
+    source: &str,
+    shape: (usize, usize),
+    steps: usize,
+) -> Vec<u32> {
+    let mut case = Case::new(cfg, source, shape);
+    let (a, b) = (case.a, case.b);
+    let refs: Vec<CmArray> = case.coeffs.clone();
+    let refs: Vec<&CmArray> = refs.iter().collect();
+    let mut plan = case.plan(&b, &scalar_fast());
+    for step in 0..steps {
+        plan.execute(&mut case.machine).unwrap();
+        if step + 1 < steps {
+            let (from, to) = if step % 2 == 0 { (&b, &a) } else { (&a, &b) };
+            plan.rebind(to, &[from], &refs).unwrap();
+        }
+    }
+    case.bits(if steps % 2 == 1 { &b } else { &a })
+}
+
+/// One lockstep execute of `source` at `depth` fused steps on
+/// `threads` lane groups — into `b`, or back into `a` when `in_place` —
+/// must run every strip operand-direct, in width class `class`, and
+/// match the iterated scalar engine bit for bit; re-executing with the
+/// tier off must move exactly its step count to the interpreter.
+fn assert_fully_kernelized(
+    cfg: &MachineConfig,
+    source: &str,
+    shape: (usize, usize),
+    (depth, threads, in_place): (usize, usize, bool),
+    class: usize,
+) {
+    let what = format!(
+        "`{source}` at {shape:?}, depth {depth}, {threads} thread(s), in place: {in_place}"
+    );
+    let oracle = scalar_steps(cfg, source, shape, depth);
+    let mut case = Case::new(cfg, source, shape);
+    let result = if in_place { case.a } else { case.b };
+    let opts = lockstep_fast()
+        .with_threads(threads)
+        .with_temporal_depth(depth);
+    let mut plan = case.plan(&result, &opts);
+    assert_eq!(plan.temporal_depth(), depth, "{what}: depth");
+    assert!(plan.lane_mapped(), "{what}: lane-maps");
+
+    let hits = obs::kernel_hits();
+    let before = obs::thread_snapshot();
+    plan.execute(&mut case.machine).unwrap();
+    let on = obs::thread_snapshot().delta(&before);
+    let hits: u64 = (class * ARITY_SLOTS..(class + 1) * ARITY_SLOTS)
+        .map(|id| obs::kernel_hits()[id] - hits[id])
+        .sum();
+    assert_eq!(
+        case.bits(&result),
+        oracle,
+        "{what}: diverges from the scalar engine"
+    );
+    let kernelized = on.get(Counter::KernelizedSteps);
+    assert!(kernelized > 0, "{what}: no kernelized steps recorded");
+    assert_eq!(
+        on.get(Counter::InterpretedSteps),
+        0,
+        "{what}: a strip fell back to the interpreter"
+    );
+    assert_eq!(on.get(Counter::LockstepSteps), kernelized);
+    assert!(hits > 0, "{what}: no kernel of width class {class} ran");
+
+    plan.set_kernel_tier(false);
+    let before = obs::thread_snapshot();
+    plan.execute(&mut case.machine).unwrap();
+    let off = obs::thread_snapshot().delta(&before);
+    assert_eq!(
+        off.get(Counter::KernelizedSteps),
+        0,
+        "{what}: tier off still kernelized"
+    );
+    assert_eq!(
+        off.get(Counter::InterpretedSteps),
+        kernelized,
+        "{what}: tier toggle changed the step count"
+    );
+}
+
+/// Every paper pattern, a bias statement and five-point heat fused four
+/// deep (ping-pong and in place) run *fully* kernelized at every width
+/// class — 4-lane groups (`span`), one 16-lane group (`w16`) and two
+/// 8-lane groups (`w8`) — on a strip mix that includes a width-1 strip:
+/// the classifier resolves every operand of every scheduled strip
+/// (loaded words, the `ZERO` and `ONE` rows, dummy partners), so an
+/// execute records only `kernelized_steps`, and it matches the scalar
+/// engine bit for bit.
+#[test]
+fn paper_patterns_run_fully_kernelized() {
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let was_on = obs::enabled();
+    obs::set_enabled(true);
+
+    let tiny = MachineConfig::tiny_4();
+    let board = MachineConfig::test_board_16();
+    // (config, node grid edge, lane groups, width class dispatched)
+    let classes = [(&tiny, 2, 1, 2), (&board, 4, 1, 0), (&board, 4, 2, 1)];
+    let mut sources: Vec<String> = PaperPattern::ALL.iter().map(|p| p.fortran()).collect();
+    sources.push(BIAS.to_owned());
+    for (cfg, edge, threads, class) in classes {
+        for source in &sources {
+            for cols in [COLS_WIDE, COLS_ODD] {
+                let shape = (8 * edge, cols * edge);
+                assert_fully_kernelized(cfg, source, shape, (1, threads, false), class);
+            }
+        }
+        for in_place in [false, true] {
+            let shape = (8 * edge, COLS_WIDE * edge);
+            assert_fully_kernelized(cfg, HEAT, shape, (4, threads, in_place), class);
+        }
     }
     obs::set_enabled(was_on);
 }
