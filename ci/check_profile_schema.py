@@ -25,8 +25,11 @@ split staying within its wall time.
 With ``--trace FILE`` it instead validates a Chrome trace-event file
 written by ``cmcc --trace=FILE``: well-formed JSON with a
 ``traceEvents`` list, integral pid/tid on every event, non-decreasing
-timestamps, balanced B/E duration pairs per thread and name, and
-balanced b/e async pairs per (name, id). With ``--expect-conflict`` it
+timestamps, balanced B/E duration pairs per thread and name, balanced
+b/e async pairs per (name, id), and no ``machine_lock`` wait opening
+inside an ``execute`` slice on its thread (lock waits are attributed
+as blocked time, so they must never overlap executing time). With
+``--expect-conflict`` it
 additionally requires at least one conflicted ``lease_acquire`` end
 event (``args.arg == 1``) — proof the run induced a lease overlap.
 
@@ -45,8 +48,10 @@ With ``--bench-serve FILE`` it instead validates the schema of the
 ``repro_serve`` bench output (``BENCH_serve.json``) and re-checks its
 recorded gates: concurrent results bit-identical to the serialized
 baseline, zero live leases after the pool drains, at least one region
-grant, and — when the speedup gate was asserted (2+ cores) — ≥1.5×
-throughput with the overlap probe having counted an exclusive fallback.
+grant, exactly one conflict counted by the forced-overlap probe with
+its result bit-identical, and — when the speedup gate was asserted
+(2+ cores) — ≥1.5× throughput. The execute-over-wall ratio of the
+profiled concurrent phase is recorded, not gated.
 
 Usage:
     cmcc --run --iters 3 --profile=json five.f90 | python3 ci/check_profile_schema.py
@@ -341,9 +346,13 @@ BENCH_SERVE_EXPECTED = [
     ("concurrent_runs_per_sec", numbers.Real),
     ("serialized_runs_per_sec", numbers.Real),
     ("speedup", numbers.Real),
+    ("profiled_secs", numbers.Real),
+    ("execute_secs", numbers.Real),
+    ("execute_over_wall", numbers.Real),
     ("region_grants", numbers.Integral),
     ("peak_concurrent", numbers.Integral),
     ("overlap_conflicts", numbers.Integral),
+    ("overlap_bit_identical", bool),
     ("live_leases_after", numbers.Integral),
     ("lane_resident", list),
     ("bit_identical", bool),
@@ -375,17 +384,16 @@ def check_bench_serve(path):
         errors.append("%s: leases leaked after the pool drained" % path)
     if not bench.get("region_grants", 0) > 0:
         errors.append("%s: no execute ever took the region-lease path" % path)
+    if bench.get("overlap_conflicts") != 1:
+        errors.append("%s: the forced overlap did not count exactly one conflict" % path)
+    if bench.get("overlap_bit_identical") is not True:
+        errors.append("%s: the conflicted execute changed the result" % path)
     gate = bench.get("gate", "")
     if not gate.startswith(("asserted", "skipped")):
         errors.append("%s: gate %r is not a recognized disposition" % (path, gate))
     if gate.startswith("asserted"):
         if bench.get("speedup", 0.0) < 1.5:
             errors.append("%s: gate asserted but speedup < 1.5x" % path)
-        if not bench.get("overlap_conflicts", 0) > 0:
-            errors.append(
-                "%s: gate asserted but the overlap probe counted no exclusive fallback"
-                % path
-            )
     if errors:
         sys.exit("\n".join(errors))
     print(
@@ -528,6 +536,7 @@ def check_trace(path, expect_conflict):
     async_depth = {}
     prev_ts = None
     conflicted = 0
+    lock_waits = 0
     for i, e in enumerate(events):
         for key in ("name", "ph", "pid", "tid"):
             if key not in e:
@@ -549,7 +558,13 @@ def check_trace(path, expect_conflict):
         prev_ts = ts
         key = (e.get("pid"), e.get("tid"))
         if ph == "B":
-            stacks.setdefault(key, []).append(name)
+            stack = stacks.setdefault(key, [])
+            if name == "machine_lock" and "execute" in stack:
+                errors.append(
+                    "%s: event %d machine_lock wait opens inside an execute on tid %s"
+                    % (path, i, e.get("tid"))
+                )
+            stack.append(name)
         elif ph == "E":
             stack = stacks.setdefault(key, [])
             if not stack or stack.pop() != name:
@@ -559,6 +574,8 @@ def check_trace(path, expect_conflict):
                 )
             if name == "lease_acquire" and e.get("args", {}).get("arg") == 1:
                 conflicted += 1
+            if name == "machine_lock":
+                lock_waits += 1
         elif ph == "b":
             akey = (name, e.get("id"))
             async_depth[akey] = async_depth.get(akey, 0) + 1
@@ -584,8 +601,8 @@ def check_trace(path, expect_conflict):
     if errors:
         sys.exit("\n".join(errors))
     print(
-        "ok: %s is a balanced Chrome trace (%d events, %d conflicted waits)"
-        % (path, len(events), conflicted)
+        "ok: %s is a balanced Chrome trace (%d events, %d conflicted waits, "
+        "%d machine-lock waits)" % (path, len(events), conflicted, lock_waits)
     )
 
 

@@ -4,12 +4,18 @@
 //! cache) and each repeatedly executes its own stencil on its own
 //! arrays — fully disjoint plans, the stencil-as-a-service steady
 //! state. The same workload runs twice: once through the region-lease
-//! admission path (disjoint executes proceed concurrently under the
-//! shared machine lock) and once serialized by an external mutex
-//! around every execute — the behavior of the pre-lease session, where
-//! the global write lock admitted one execute at a time. Throughput of
-//! both phases, the lease counters, and an overlapping-plan conflict
-//! probe are written to `BENCH_serve.json`.
+//! admission path (disjoint executes hold the machine lock only to read
+//! node memory and to commit, and compute concurrently on their lane
+//! mirrors) and once serialized by an external mutex around every
+//! execute — the behavior of the pre-lease session, where the global
+//! write lock admitted one execute at a time. A third, profiled run of
+//! the concurrent pool sums execute time over the tenants: above the
+//! phase's wall time only if executes overlapped. Written to
+//! `BENCH_serve.json`: throughput of the two timed (unprofiled) phases,
+//! that execute-over-wall ratio, the lease counters, and an
+//! overlapping-plan probe that forces two conflicting executes to
+//! overlap and checks the conflict is counted and the result
+//! bit-identical.
 //!
 //! ```sh
 //! cargo run --release -p cmcc-bench --bin repro_serve
@@ -20,7 +26,8 @@
 //! assertion applies only on hosts with 2+ cores; on one core the
 //! numbers are still recorded, with the skip reason in the JSON.
 
-use cmcc::Session;
+use cmcc::obs::{self, Phase};
+use cmcc::{LeaseStats, Session};
 use cmcc_cm2::exec::{ExecEngine, ExecMode};
 use cmcc_core::compiler::CompiledStencil;
 use cmcc_core::patterns::PaperPattern;
@@ -29,7 +36,7 @@ use cmcc_runtime::array::CmArray;
 use cmcc_runtime::convolve::ExecOptions;
 use cmcc_testkit::Rng;
 use std::sync::{Barrier, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const WORKERS: usize = 4;
 const SUBGRID: (usize, usize) = (64, 64);
@@ -83,6 +90,19 @@ fn timed_pool(tenants: &mut [Tenant], iters: usize, lock: Option<&Mutex<()>>) ->
         }
     });
     start.elapsed().as_secs_f64()
+}
+
+/// Polls the session's lease table until `cond` holds.
+fn wait_for(root: &Session, what: &str, cond: impl Fn(LeaseStats) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !cond(root.lease_stats()) {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+fn bits_equal(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Lane-resident lockstep execution (region-eligible), one host thread
@@ -174,52 +194,52 @@ fn main() {
     let serialized_secs = timed_pool(&mut tenants, iters, Some(&serialize));
     let serialized_results: Vec<Vec<f32>> = tenants.iter().map(Tenant::result).collect();
 
+    // Phase 3: the concurrent pool again, profiled. The timed phases run
+    // unprofiled; this one shows whether executes overlapped, as execute
+    // time summed over tenants against the phase's wall time.
+    obs::set_enabled(true);
+    let before = obs::snapshot();
+    let profiled_secs = timed_pool(&mut tenants, iters, None);
+    let execute_secs = obs::snapshot().delta(&before).phase_nanos(Phase::Execute) as f64 / 1e9;
+    obs::set_enabled(false);
+
     let bit_identical = concurrent_results
         .iter()
         .zip(&serialized_results)
-        .all(|(a, b)| {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-        });
+        .all(|(a, b)| bits_equal(a, b));
     let region_grants = after_concurrent.region_grants - leases_before.region_grants;
     let peak_concurrent = after_concurrent.peak_concurrent;
 
-    // Overlap probe: two handles race the *same* plan bound to the same
-    // result array, so their leases overlap on a writable range — the
-    // exclusive fallback must be taken *and counted*, never silent.
-    // Overlap in time is scheduling-dependent, so retry in rounds.
+    // Overlap probe: a second handle bound to tenant 0's plan and result
+    // array, so the two leases overlap on a writable range. A held
+    // machine read guard parks the first execute at its commit, lease
+    // live, until the second has queued behind it; then both run. The
+    // conflict must be counted and the result stay bit-identical.
     let conflicts_before = root.lease_stats().conflicts;
-    let mut overlap_rounds = 0;
-    while root.lease_stats().conflicts == conflicts_before && overlap_rounds < 20 {
-        overlap_rounds += 1;
-        let pair = &mut tenants[..2];
-        let (a, b) = pair.split_at_mut(1);
-        let shared_r = &a[0].r;
-        let b = &mut b[0];
-        let mut b_clone = Tenant {
-            session: b.session.clone(),
-            compiled: a[0].compiled.clone(),
-            x: a[0].x,
-            r: *shared_r,
-            coeffs: a[0].coeffs.clone(),
-        };
-        let a = &mut a[0];
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                for _ in 0..8 {
-                    a.run(&exec_opts());
-                }
-            });
-            scope.spawn(|| {
-                for _ in 0..8 {
-                    b_clone.run(&exec_opts());
-                }
-            });
+    let a = &mut tenants[0];
+    let mut b = Tenant {
+        session: a.session.clone(),
+        compiled: a.compiled.clone(),
+        x: a.x,
+        r: a.r,
+        coeffs: a.coeffs.clone(),
+    };
+    std::thread::scope(|scope| {
+        let guard = root.machine();
+        scope.spawn(|| a.run(&opts));
+        wait_for(&root, "the first lease", |st| st.live == 1);
+        scope.spawn(|| b.run(&opts));
+        wait_for(&root, "the second lease to queue", |st| {
+            st.live == 1 && st.queued == 1
         });
-    }
+        drop(guard);
+    });
     let overlap_conflicts = root.lease_stats().conflicts - conflicts_before;
+    let overlap_bit_identical = bits_equal(&tenants[0].result(), &concurrent_results[0]);
     let final_leases = root.lease_stats();
 
     let speedup = serialized_secs / concurrent_secs;
+    let execute_over_wall = execute_secs / profiled_secs;
     let runs = (WORKERS * iters) as f64;
     println!(
         "  concurrent: {concurrent_secs:.3} s ({:.1} runs/s), serialized: {serialized_secs:.3} s \
@@ -228,9 +248,18 @@ fn main() {
         runs / serialized_secs,
     );
     println!(
+        "  profiled concurrent phase: {execute_secs:.3} s of executes summed over tenants = \
+         {execute_over_wall:.2}x its {profiled_secs:.3} s wall time"
+    );
+    println!(
         "  leases: {region_grants} region grants, peak {peak_concurrent} concurrent, \
-         overlap probe counted {overlap_conflicts} conflicts in {overlap_rounds} round(s), \
+         overlap probe counted {overlap_conflicts} conflict(s), result {}, \
          {} live after drain",
+        if overlap_bit_identical {
+            "bit-identical"
+        } else {
+            "DIVERGED"
+        },
         final_leases.live,
     );
 
@@ -245,9 +274,13 @@ fn main() {
          \"iters\": {iters},\n  \"concurrent_secs\": {concurrent_secs:.6},\n  \
          \"serialized_secs\": {serialized_secs:.6},\n  \
          \"concurrent_runs_per_sec\": {:.4},\n  \"serialized_runs_per_sec\": {:.4},\n  \
-         \"speedup\": {speedup:.4},\n  \"region_grants\": {region_grants},\n  \
+         \"speedup\": {speedup:.4},\n  \"profiled_secs\": {profiled_secs:.6},\n  \
+         \"execute_secs\": {execute_secs:.6},\n  \
+         \"execute_over_wall\": {execute_over_wall:.4},\n  \
+         \"region_grants\": {region_grants},\n  \
          \"peak_concurrent\": {peak_concurrent},\n  \
          \"overlap_conflicts\": {overlap_conflicts},\n  \
+         \"overlap_bit_identical\": {overlap_bit_identical},\n  \
          \"live_leases_after\": {},\n  \"lane_resident\": [{}],\n  \
          \"bit_identical\": {bit_identical},\n  \"gate\": \"{gate}\",\n  \
          \"scaling_gate\": \"{gate}\"\n}}\n",
@@ -274,11 +307,15 @@ fn main() {
         region_grants > 0,
         "disjoint lane-resident plans never took the region path"
     );
+    assert_eq!(
+        overlap_conflicts, 1,
+        "the forced overlap must count exactly one conflict"
+    );
+    assert!(
+        overlap_bit_identical,
+        "the conflicted execute changed the result"
+    );
     if cores >= 2 {
-        assert!(
-            overlap_conflicts > 0,
-            "overlapping plans never counted an exclusive fallback"
-        );
         assert!(
             speedup >= 1.5,
             "expected >=1.5x serve throughput on {cores} cores, got {speedup:.2}x"

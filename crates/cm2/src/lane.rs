@@ -703,8 +703,8 @@ impl LaneMirror {
     /// The region-path counterpart of [`LaneMirror::scatter`]: transposes
     /// every writable, non-private viewed range into `stage`'s node-major
     /// buffers instead of writing node memory. A region-leased execute
-    /// holds only a *shared* machine borrow, so its writes are staged
-    /// here and committed later with [`RegionStage::apply`] under a brief
+    /// holds no exclusive machine borrow, so its writes are staged here
+    /// and committed later with [`RegionStage::apply`] under a brief
     /// exclusive lock. Counts the same scattered words as a direct
     /// scatter (the commit itself counts nothing), so traffic telemetry
     /// is path-independent. Fans groups across host threads for large
@@ -861,11 +861,12 @@ impl LaneMirror {
 /// The writable image of one lane-resident execute, staged off to the
 /// side in node-major order.
 ///
-/// Region-leased executes run under a *shared* machine lock (many
-/// tenants at once) and therefore cannot scatter into node memory
-/// directly. [`LaneMirror::scatter_stage`] transposes the mirror's
-/// writable ranges into these buffers while still under the shared lock
-/// — the expensive lane-major → node-major transpose — and
+/// Region-leased executes read node memory under a *shared* machine
+/// lock and compute with no machine lock at all (many tenants at once),
+/// so they cannot scatter into node memory directly.
+/// [`LaneMirror::scatter_stage`] transposes the mirror's writable
+/// ranges into these buffers without touching the machine — the
+/// expensive lane-major → node-major transpose — and
 /// [`RegionStage::apply`] then commits them under a brief exclusive
 /// lock as one contiguous slice copy per (node, range) pair.
 ///

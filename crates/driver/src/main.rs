@@ -915,7 +915,7 @@ impl Profile {
             self.stats.hits, self.stats.misses, self.stats.evictions, self.stats.capacity,
         );
         println!(
-            "      leases: {} region grants, {} conflicts (exclusive fallback), \
+            "      leases: {} region grants, {} conflicts (queued FIFO), \
              peak {} concurrent",
             self.leases.region_grants, self.leases.conflicts, self.leases.peak_concurrent,
         );
@@ -1312,10 +1312,12 @@ fn serve_batch(
 
     // Lease-contention attribution: pair the batch's flight-recorder
     // events into slices and split each tenant's wall time into blocked
-    // (lease time-to-grant) vs executing. The conflicted-wait count must
-    // agree with the lease table's own conflict counter — a structural
-    // cross-check between two independent observers — unless the ring
-    // overflowed and dropped events.
+    // (lease time-to-grant plus machine-lock waits) vs executing. Lock
+    // waits never nest inside an execute, so nothing is counted twice.
+    // The conflicted-wait count must agree with the lease table's own
+    // conflict counter — a structural cross-check between two
+    // independent observers — unless the ring overflowed and dropped
+    // events.
     let slices = pair_slices(&cmcc_obs::trace::threads(), 0);
     let hists = phase_hists(&slices);
     let mut time_to_grant = cmcc_obs::hist::Histogram::new();
@@ -1333,6 +1335,11 @@ fn serve_batch(
                 if s.end_arg == 1 {
                     conflicted_waits += 1;
                 }
+                if let Some(w) = w {
+                    tenant_blocked[w] += s.dur_ns;
+                }
+            }
+            cmcc_obs::trace::TraceOp::MachineLock => {
                 if let Some(w) = w {
                     tenant_blocked[w] += s.dur_ns;
                 }
@@ -1433,7 +1440,7 @@ fn serve_batch(
         cache.shared_in_flight,
     );
     println!(
-        "  leases: {} region grants, {} conflicts (exclusive fallback), \
+        "  leases: {} region grants, {} conflicts (queued FIFO), \
          peak {} concurrent executes, drained {}",
         leases.region_grants,
         leases.conflicts,

@@ -109,10 +109,15 @@ pub enum TraceOp {
     /// One served statement (per-tenant execute lifetime): emitted as a
     /// thread slice and, with `arg` = tenant id, as an async track pair.
     Statement,
+    /// A session's machine-lock request, from request to grant — the
+    /// slice duration is the wait, and `arg` on the end event is 1 for
+    /// the write lock or 0 for the read lock. Never nested inside an
+    /// `execute` slice.
+    MachineLock,
 }
 
 /// Number of [`TraceOp`] variants.
-pub const TRACE_OP_COUNT: usize = TraceOp::Statement as usize + 1;
+pub const TRACE_OP_COUNT: usize = TraceOp::MachineLock as usize + 1;
 
 impl TraceOp {
     /// All operations, in schema order.
@@ -132,6 +137,7 @@ impl TraceOp {
         TraceOp::LeaseAcquire,
         TraceOp::LeaseHeld,
         TraceOp::Statement,
+        TraceOp::MachineLock,
     ];
 
     /// The operation's stable event name.
@@ -152,6 +158,7 @@ impl TraceOp {
             TraceOp::LeaseAcquire => "lease_acquire",
             TraceOp::LeaseHeld => "lease_held",
             TraceOp::Statement => "statement",
+            TraceOp::MachineLock => "machine_lock",
         }
     }
 
@@ -190,7 +197,7 @@ pub struct TraceEvent {
     /// Nanoseconds since the process trace epoch (first clock read).
     pub ts_ns: u64,
     /// One free argument word; meaning is per-operation (words moved,
-    /// step index, conflict flag, async id).
+    /// step index, conflict flag, lock mode, async id).
     pub arg: u64,
 }
 

@@ -42,6 +42,7 @@ use cmcc_cm2::timing::{CycleBreakdown, Measurement};
 use cmcc_core::compiler::CompiledStencil;
 use cmcc_core::recognize::CoeffSpec;
 use cmcc_core::regalloc::Walk;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// A compiled stencil bound to concrete distributed arrays, with all
@@ -1103,35 +1104,40 @@ impl PlanInstance {
         }
     }
 
-    /// Runs the lane body once over the shared artifact `cp`. Node
-    /// memory is only read — a shared borrow, so many tenants may run at
-    /// once under the session's read lock — and the writable ranges are
-    /// staged into `stage` for the caller to commit. The body re-reads
-    /// exactly what [`Self::invalidate_stale`] left unheld (the whole
-    /// view when the mirror holds nothing yet, else the gathered ranges
-    /// and the halos — interior refresh + exchange — whose arrays moved
-    /// or were written), then runs every fused step on the mirror.
-    /// Packed coefficient streams are dropped here, and only here, when
-    /// a coefficient range was re-read. Only lane-mapped instances may
-    /// run it — the caller checks [`ExecutionPlan::lane_mapped`] — and
-    /// it cannot fail, so this returns a bare [`Measurement`].
-    fn execute_region(
+    /// Runs the lane body once over the shared artifact `cp`, in its two
+    /// phases. The read phase ([`Self::read_phase`]) is the only part
+    /// that reads node memory, through `machine` — any shared borrow,
+    /// such as the session's read guard. Then `machine` is dropped: the
+    /// compute phase ([`Self::compute_phase`]) touches only the
+    /// instance's private mirror and stages the writable ranges into
+    /// `stage` for the caller to commit. One `execute` span covers both
+    /// phases. Only lane-mapped instances may run it — the caller checks
+    /// [`ExecutionPlan::lane_mapped`] — and it cannot fail, so this
+    /// returns a bare [`Measurement`].
+    fn execute_region<G: Deref<Target = Machine>>(
         &mut self,
         cp: &CompiledPlan,
-        machine: &Machine,
+        machine: G,
         stage: &mut RegionStage,
     ) -> Measurement {
         let _span = cmcc_obs::span(cmcc_obs::Phase::Execute);
+        let mut tally = ExecTally::new(&self.lane_mirror);
+        let coeffs_reread = self.read_phase(cp, &machine, &mut tally);
+        drop(machine);
+        self.compute_phase(cp, coeffs_reread, tally, stage)
+    }
+
+    /// Re-reads exactly what [`Self::invalidate_stale`] left unheld: the
+    /// whole view when the mirror holds nothing yet, else the gathered
+    /// ranges that moved or were written, then the interior of every
+    /// halo whose array moved or was written. Those halos stay unmarked
+    /// in `lane_refreshed` until the compute phase has exchanged them.
+    /// Returns whether a coefficient range or coefficient halo was
+    /// re-read.
+    fn read_phase(&mut self, cp: &CompiledPlan, machine: &Machine, tally: &mut ExecTally) -> bool {
         self.invalidate_stale(machine);
         let (_, mems) = machine.exec_parts();
-        let depth = cp.temporal_depth();
         let nodes = cp.nodes;
-        let mut tally = ExecTally::new(&self.lane_mirror);
-        let schedule = cp
-            .lane
-            .as_ref()
-            .or(self.lane_override.as_ref())
-            .expect("mapped plans have a lane schedule");
         let view = self
             .lane_view
             .as_ref()
@@ -1164,12 +1170,44 @@ impl PlanInstance {
                 }
             }
         }
-        for (k, (interior, exchange)) in self
-            .lane_interiors
-            .iter()
-            .zip(&schedule.exchanges)
-            .enumerate()
-        {
+        for (k, interior) in self.lane_interiors.iter().enumerate() {
+            if self.lane_refreshed[k].is_some() {
+                continue;
+            }
+            let _t = cmcc_obs::trace::scope(
+                cmcc_obs::trace::TraceOp::InteriorRefresh,
+                (interior.rows * interior.cols) as u64,
+            );
+            self.lane_mirror.gather_rows(mems, interior);
+            tally.predicted += interior.rows * interior.cols * nodes;
+            // Pairs past the sources refresh coefficient halos, which
+            // the packed streams read.
+            coeffs_reread |= k >= self.sources.len();
+        }
+        coeffs_reread
+    }
+
+    /// Runs every halo exchange the read phase left pending, every fused
+    /// step, and the stage transpose — all on the private mirror, with
+    /// no access to node memory.
+    fn compute_phase(
+        &mut self,
+        cp: &CompiledPlan,
+        coeffs_reread: bool,
+        mut tally: ExecTally,
+        stage: &mut RegionStage,
+    ) -> Measurement {
+        let depth = cp.temporal_depth();
+        let schedule = cp
+            .lane
+            .as_ref()
+            .or(self.lane_override.as_ref())
+            .expect("mapped plans have a lane schedule");
+        let view = self
+            .lane_view
+            .as_ref()
+            .expect("mirrored plans are lane-mapped");
+        for (k, exchange) in schedule.exchanges.iter().enumerate() {
             // The modeled NEWS cycles are charged every iteration —
             // the CM-2 exchanges every time. Skipping the host-side
             // copies of an unchanged source is an emulator optimization
@@ -1178,19 +1216,9 @@ impl PlanInstance {
             if self.lane_refreshed[k].is_some() {
                 continue;
             }
-            {
-                let _t = cmcc_obs::trace::scope(
-                    cmcc_obs::trace::TraceOp::InteriorRefresh,
-                    (interior.rows * interior.cols) as u64,
-                );
-                self.lane_mirror.gather_rows(mems, interior);
-            }
             tally.exchange_words += exchange.words_moved();
-            tally.predicted += interior.rows * interior.cols * nodes + exchange.words_moved();
+            tally.predicted += exchange.words_moved();
             let _ = exchange.run(&mut self.lane_mirror);
-            // Pairs past the sources refresh coefficient halos, which
-            // the packed streams read.
-            coeffs_reread |= k >= self.sources.len();
             self.lane_refreshed[k] = Some(self.refresh_array(k).field().base());
         }
         if coeffs_reread {
@@ -1226,21 +1254,8 @@ impl PlanInstance {
         }
         // Transpose the writable image into the stage; the caller
         // commits it with `Machine::apply_stage`.
-        tally.predicted += view.scatter_words() * nodes;
+        tally.predicted += view.scatter_words() * cp.nodes;
         self.lane_mirror.scatter_stage(view, stage);
-        // Prove the commit will only touch writable, non-private viewed
-        // ranges — the words the execute's lease covers as writable.
-        debug_assert!(
-            stage.ranges().iter().all(|&(base, len)| {
-                view.ranges().iter().any(|r| {
-                    r.writable
-                        && !r.private
-                        && base >= r.node_base
-                        && base + len <= r.node_base + r.len
-                })
-            }),
-            "staged scatter escaped the view's writable ranges"
-        );
         self.finish(cp, tally)
     }
 
@@ -1256,7 +1271,7 @@ impl PlanInstance {
             // machine exclusively, so nothing runs between the staged
             // writes and their commit.
             let mut stage = std::mem::take(&mut self.stage);
-            let m = self.execute_region(cp, machine, &mut stage);
+            let m = self.execute_region(cp, &*machine, &mut stage);
             {
                 let _t = cmcc_obs::trace::scope(
                     cmcc_obs::trace::TraceOp::RegionCommit,
@@ -1599,13 +1614,18 @@ impl ExecutionPlan {
         self.inst.lane_view.is_some()
     }
 
-    /// Runs the lane body under *shared* machine access: gathers and
-    /// kernels proceed against the read-only node memories, and the
-    /// writable ranges are transposed into `stage` instead of written.
-    /// The caller commits the stage with [`Machine::apply_stage`] under
-    /// a brief exclusive lock — while still holding the lease over this
-    /// plan's [`ExecutionPlan::lease_ranges`], so no overlapping execute
-    /// can interleave between the read phase and the commit.
+    /// Runs the lane body under *shared* machine access, holding
+    /// `machine` — a read guard, or any other shared borrow — only for
+    /// the read phase. That phase is the only one that reads node
+    /// memory: it re-gathers the stale mirror ranges and refreshes the
+    /// interior of every stale halo. Then `machine` is dropped, and the
+    /// halo exchanges, the fused sweeps and the transpose of the
+    /// writable ranges into `stage` run on the private mirror alone. The
+    /// caller commits the stage with [`Machine::apply_stage`] under a
+    /// brief exclusive lock, while still holding the lease over this
+    /// plan's [`ExecutionPlan::lease_ranges`]: no conflicting execute
+    /// can run between the read phase and the commit. One `execute`
+    /// trace span covers both phases.
     ///
     /// Results, [`Measurement`]s, and telemetry are bit-identical to
     /// [`ExecutionPlan::execute`], which runs the same body (staged
@@ -1615,7 +1635,11 @@ impl ExecutionPlan {
     /// # Panics
     ///
     /// Panics if the plan is not [`ExecutionPlan::lane_mapped`].
-    pub fn execute_region(&mut self, machine: &Machine, stage: &mut RegionStage) -> Measurement {
+    pub fn execute_region<G: Deref<Target = Machine>>(
+        &mut self,
+        machine: G,
+        stage: &mut RegionStage,
+    ) -> Measurement {
         self.inst.execute_region(&self.shared, machine, stage)
     }
 

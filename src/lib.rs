@@ -50,10 +50,12 @@
 //! Executes are admitted through a **region-lease table**: each run
 //! leases the node-memory ranges it touches, and runs whose leases
 //! don't conflict (disjoint, or read-read overlap) proceed
-//! concurrently under the *shared* machine lock, staging their result
-//! scatter and committing it under a brief exclusive lock.
-//! Conflicting runs fall back — in fair FIFO order — to the exclusive
-//! write path, bit-identically. See [`Session::lease_stats`].
+//! concurrently. A lane-mapped run holds the *shared* machine lock only
+//! while it reads node memory, computes on its private lane mirror
+//! with no machine lock at all, and commits its staged writes under a
+//! brief exclusive lock. A conflicting run waits its turn in fair FIFO
+//! order, is counted, and then runs the same body, bit-identically.
+//! See [`Session::lease_stats`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -269,19 +271,18 @@ struct LeaseState {
 
 /// The region-lease table: admission control for concurrent executes.
 ///
-/// Every execute — region or exclusive — acquires a lease over the
-/// node-memory ranges it will touch ([`ExecutionPlan::lease_ranges`])
-/// before touching the machine lock, and holds it until its results are
-/// committed. Disjoint (or read-read overlapping) leases are granted
-/// immediately and may run concurrently; a conflicting request queues
-/// FIFO behind every earlier request it conflicts with, and runs on the
-/// exclusive write path once granted. Lock order: lease table →
-/// machine lock, never the reverse.
+/// Every execute acquires a lease over the node-memory ranges it will
+/// touch ([`ExecutionPlan::lease_ranges`]) before touching the machine
+/// lock, and holds it until its results are committed. Disjoint (or
+/// read-read overlapping) leases are granted immediately and may run
+/// concurrently; a conflicting request queues FIFO behind every earlier
+/// request it conflicts with. Lock order: lease table → machine lock,
+/// never the reverse.
 #[derive(Debug, Default)]
 struct LeaseTable {
     state: Mutex<LeaseState>,
     granted: Condvar,
-    /// Leases admitted to the concurrent region path.
+    /// Executes that ran the region body.
     region_grants: AtomicU64,
 }
 
@@ -291,6 +292,7 @@ struct LeaseTable {
 struct LeaseGuard<'a> {
     table: &'a LeaseTable,
     ticket: u64,
+    ranges: Vec<LeaseRange>,
 }
 
 fn ranges_conflict(a: &[LeaseRange], b: &[LeaseRange]) -> bool {
@@ -300,8 +302,9 @@ fn ranges_conflict(a: &[LeaseRange], b: &[LeaseRange]) -> bool {
 impl LeaseTable {
     /// Acquires a lease over `ranges`, blocking while any live or
     /// earlier-queued lease conflicts. Returns the guard plus whether
-    /// the request ever conflicted — a conflicted lease must take the
-    /// exclusive write path (and be counted), never the region path.
+    /// the request ever conflicted. Once granted, no live lease
+    /// conflicts with this one, so a conflicted execute is as safe as
+    /// any other: it runs the same body, and the caller only counts it.
     fn acquire(&self, ranges: Vec<LeaseRange>) -> (LeaseGuard<'_>, bool) {
         // Flight-recorder lease lifecycle: the `lease_acquire` slice runs
         // from request to grant (its duration is the time-to-grant, and
@@ -337,7 +340,7 @@ impl LeaseTable {
                 .expect("queued lease ticket vanished");
             st.queue.remove(pos);
         }
-        st.live.push((ticket, ranges));
+        st.live.push((ticket, ranges.clone()));
         st.in_flight += 1;
         if st.in_flight > st.peak {
             st.peak = st.in_flight;
@@ -360,6 +363,7 @@ impl LeaseTable {
             LeaseGuard {
                 table: self,
                 ticket,
+                ranges,
             },
             conflicted,
         )
@@ -397,11 +401,12 @@ impl Drop for LeaseGuard<'_> {
 /// instantaneous live/queued population.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LeaseStats {
-    /// Executes admitted to the concurrent region path (shared machine
-    /// lock, staged scatter).
+    /// Executes that ran the region body: a read phase under the shared
+    /// machine lock, lock-free compute on the lane mirror, and a staged
+    /// commit. Conflicted executes count here too, once granted.
     pub region_grants: u64,
-    /// Requests that conflicted with a live or queued lease and fell
-    /// back to the exclusive write path after their FIFO turn.
+    /// Requests that conflicted with a live or earlier-queued lease and
+    /// waited their FIFO turn before running.
     pub conflicts: u64,
     /// Highest number of simultaneously leased executes ever observed.
     pub peak_concurrent: usize,
@@ -458,17 +463,52 @@ impl DerefMut for MachineGuardMut<'_> {
     }
 }
 
+/// Takes a machine lock through `take`, recording the wait from request
+/// to grant as a `machine_lock` trace slice whose end argument is 1 for
+/// the write lock and 0 for the read lock.
+fn traced_lock<T>(write: bool, take: impl FnOnce() -> T) -> T {
+    use cmcc_obs::trace::{record, TraceKind, TraceOp};
+    record(TraceKind::Begin, TraceOp::MachineLock, 0);
+    let guard = take();
+    record(TraceKind::End, TraceOp::MachineLock, write as u64);
+    guard
+}
+
 impl SessionShared {
     fn machine_read(&self) -> MachineGuard<'_> {
-        MachineGuard {
+        traced_lock(false, || MachineGuard {
             inner: self.machine.read().unwrap_or_else(|e| e.into_inner()),
-        }
+        })
     }
 
     fn machine_write(&self) -> MachineGuardMut<'_> {
-        MachineGuardMut {
+        traced_lock(true, || MachineGuardMut {
             inner: self.machine.write().unwrap_or_else(|e| e.into_inner()),
-        }
+        })
+    }
+
+    /// Commits a region execute's staged writes under a brief write
+    /// lock. The execute dropped its read lock after the read phase, so
+    /// only the lease keeps other writers off these words: every staged
+    /// range must lie inside one of the lease's writable ranges. That is
+    /// checked in every build, before node memory (or the lock) is
+    /// touched.
+    fn commit(&self, stage: &RegionStage, lease: &[LeaseRange]) {
+        let leased = |&(base, len): &(usize, usize)| {
+            lease
+                .iter()
+                .any(|r| r.writable && r.start <= base && base + len <= r.end)
+        };
+        assert!(
+            stage.ranges().iter().all(leased),
+            "staged commit escapes the lease's writable ranges"
+        );
+        let mut machine = self.machine_write();
+        let _t = cmcc_obs::trace::scope(
+            cmcc_obs::trace::TraceOp::RegionCommit,
+            stage.ranges().len() as u64,
+        );
+        machine.apply_stage(stage);
     }
 
     /// The cache-aware lookup: returns the shared artifact for `key`,
@@ -630,8 +670,8 @@ pub struct Session {
     last_report: cmcc_obs::RunReport,
     /// Cache key of the most recent `run*` call, for [`Session::last_plan`].
     last_key: Option<PlanKey>,
-    /// This handle's staged-scatter buffer, recycled across region-path
-    /// executes so the concurrent path allocates nothing per run.
+    /// This handle's staged-scatter buffer, recycled across region
+    /// executes so the stage allocates nothing per run.
     stage: RegionStage,
 }
 
@@ -735,12 +775,17 @@ impl Session {
     /// unlocks when the guard drops. Taking [`Session::machine_mut`] on
     /// the *same handle* while a guard from this method is live would
     /// deadlock — the `&mut self` receiver there makes that a
-    /// compile-time error instead.
+    /// compile-time error instead. The wait for the lock is traced as a
+    /// `machine_lock` slice.
     pub fn machine(&self) -> MachineGuard<'_> {
         self.shared.machine_read()
     }
 
-    /// The machine, behind an exclusive write guard.
+    /// The machine, behind an exclusive write guard. The wait for the
+    /// lock is traced as a `machine_lock` slice. Host writes through
+    /// this guard bypass the lease table: one can land between an
+    /// in-flight execute's read phase and its commit, just as it could
+    /// land between an execute and its commit.
     pub fn machine_mut(&mut self) -> MachineGuardMut<'_> {
         self.shared.machine_write()
     }
@@ -821,10 +866,14 @@ impl Session {
     ///
     /// This is the cache-aware core every other `run*` method funnels
     /// into: the shared artifact is looked up (or built, exactly once
-    /// across all handles) in the sharded cache, this handle's instance
-    /// over it is rebound to the given arrays, and the instance executes
-    /// under the machine write lock (no allocation, no schedule rebuild
-    /// on the steady path).
+    /// across all handles) in the sharded cache, and this handle's
+    /// instance over it is rebound to the given arrays (no allocation, no
+    /// schedule rebuild on the steady path). The execute then leases the
+    /// node-memory ranges it touches. A lane-mapped instance reads node
+    /// memory under the shared machine lock, computes on its lane mirror
+    /// with no machine lock held, and commits under a brief write lock
+    /// before releasing the lease. The scalar engine writes node memory
+    /// as it goes, so it runs under the write lock.
     ///
     /// # Errors
     ///
@@ -910,43 +959,28 @@ impl Session {
         self.plans[idx].last_used = self.local_tick;
         self.plans[idx].plan.rebind(result, sources, coeffs)?;
 
-        // Admission: lease the ranges this execute will touch. Every
-        // execute holds a lease — even the exclusive fallback — so an
-        // overlapping execute can never interleave between a region
-        // tenant's read phase and its staged commit.
-        let ranges = self.plans[idx].plan.lease_ranges();
-        let (lease, conflicted) = shared.leases.acquire(ranges);
-        let measurement = if !conflicted && self.plans[idx].plan.lane_mapped() {
-            // Concurrent region path: gather and compute under the
-            // shared lock, stage the writes, commit them under a brief
-            // write lock — the lease is held across both phases.
+        // Admission: lease the ranges this execute will touch. The lease
+        // is held from before the read phase until after the commit, so
+        // no conflicting execute runs in between. A conflicted request
+        // has waited its FIFO turn; once granted it is as safe as any.
+        let plan = &mut self.plans[idx].plan;
+        let (lease, conflicted) = shared.leases.acquire(plan.lease_ranges());
+        if conflicted {
+            cmcc_obs::add(cmcc_obs::Counter::LeaseConflicts, 1);
+        }
+        let measurement = if plan.lane_mapped() {
+            // The region body: read node memory under the shared lock
+            // (the guard drops inside `execute_region`), compute and
+            // stage on the mirror lock-free, then commit.
             shared.leases.region_grants.fetch_add(1, Ordering::Relaxed);
             cmcc_obs::add(cmcc_obs::Counter::RegionLeases, 1);
-            let mut stage = std::mem::take(&mut self.stage);
-            let measurement = {
-                let machine = shared.machine_read();
-                self.plans[idx].plan.execute_region(&machine, &mut stage)
-            };
-            {
-                let mut machine = shared.machine_write();
-                let _t = cmcc_obs::trace::scope(
-                    cmcc_obs::trace::TraceOp::RegionCommit,
-                    stage.ranges().len() as u64,
-                );
-                machine.apply_stage(&stage);
-            }
-            self.stage = stage;
+            let measurement = plan.execute_region(shared.machine_read(), &mut self.stage);
+            shared.commit(&self.stage, &lease.ranges);
             measurement
         } else {
-            // The lease overlapped a live (or earlier-queued) lease, or
-            // the plan runs on the scalar engine, whose kernels write
-            // node memory in place: run bit-identically under the
-            // exclusive lock (after our FIFO turn, when conflicted).
-            if conflicted {
-                cmcc_obs::add(cmcc_obs::Counter::LeaseConflicts, 1);
-            }
+            // The scalar engine writes node memory in place.
             let mut machine = shared.machine_write();
-            self.plans[idx].plan.execute(&mut machine)?
+            plan.execute(&mut machine)?
         };
         drop(lease);
         self.last_report = cmcc_obs::snapshot().delta(&before);
@@ -1082,9 +1116,9 @@ impl Session {
     }
 
     /// A snapshot of the region-lease table shared by every clone of
-    /// this session: region grants, exclusive-fallback conflicts, the
-    /// concurrency high-water mark, and the live/queued population
-    /// (both zero whenever no execute is in flight).
+    /// this session: region grants, conflicts, the concurrency
+    /// high-water mark, and the live/queued population (both zero
+    /// whenever no execute is in flight).
     pub fn lease_stats(&self) -> LeaseStats {
         self.shared.leases.stats()
     }
@@ -1241,6 +1275,51 @@ mod tests {
             stats.shard_occupancy.iter().sum::<usize>(),
             a.cached_plans()
         );
+    }
+
+    #[test]
+    fn a_commit_outside_the_lease_panics_with_node_memory_untouched() {
+        let mut s = Session::tiny().unwrap();
+        let c = s.compile("R = 0.5 * X + 0.5 * CSHIFT(X, 2, 1)").unwrap();
+        let x = s.array(4, 4).unwrap();
+        let r = s.array(4, 4).unwrap();
+        let other = s.array(4, 4).unwrap();
+        x.fill(&mut s.machine_mut(), 2.0);
+        r.fill(&mut s.machine_mut(), -1.0);
+        other.fill(&mut s.machine_mut(), -1.0);
+        let opts = ExecOptions::fast()
+            .with_engine(ExecEngine::Lockstep)
+            .with_threads(1);
+        let binding = StencilBinding::new(&c, &r, &[&x], &[]).unwrap();
+        let mut plan = ExecutionPlan::build(
+            &mut s.machine_mut(),
+            &binding,
+            &opts,
+            PlanLifetime::Persistent,
+        )
+        .unwrap();
+        assert!(plan.lane_mapped());
+        let mut stage = RegionStage::new();
+        plan.execute_region(s.machine(), &mut stage);
+        let own = plan.lease_ranges();
+        // Rebound to `other`, the plan leases other words than the ones
+        // staged for `r`: the stage lies outside every writable range.
+        plan.rebind(&other, &[&x], &[]).unwrap();
+        let shifted = plan.lease_ranges();
+
+        let shared = Arc::clone(&s.shared);
+        let escaped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            shared.commit(&stage, &shifted)
+        }));
+        assert!(escaped.is_err(), "a stage outside its lease committed");
+        let untouched = |a: &CmArray| a.gather(&s.machine()).iter().all(|&v| v == -1.0);
+        assert!(
+            untouched(&r) && untouched(&other),
+            "the refused commit touched node memory"
+        );
+        shared.commit(&stage, &own);
+        assert!(r.gather(&s.machine()).iter().all(|&v| v == 2.0));
+        plan.release(&mut s.machine_mut());
     }
 
     fn rw(start: usize, end: usize) -> LeaseRange {

@@ -4,17 +4,17 @@
 //! even with an identical binding. Resident mirrors re-read exactly the
 //! ranges whose write stamps are newer than their last sync, so these
 //! cases pin that rule on each path a reader can take: the region path
-//! (one uncontended handle), the counted exclusive fallback (a conflicted
-//! lease from a second handle), and a temporally fused plan that reads
-//! its coefficient through a coefficient halo. The same rule lets a
+//! (one uncontended handle), a conflicted reader on a second handle
+//! that waits its FIFO turn behind the writer and then runs the same
+//! region body, and a temporally fused plan that reads its coefficient
+//! through a coefficient halo. The same rule lets a
 //! temporal plan update its source in place: its own commit stamps the
 //! source, so the next execute re-reads it. A temporal binding whose
 //! result aliases a named coefficient cannot fuse and is refused. The
 //! scalar engine, which has no mirror, is the oracle.
 //!
-//! These live in their own test binary: the exclusive case holds a
-//! machine read guard while two handles queue on the lease table, and
-//! must not perturb the timing-sensitive races in `region_leases.rs`.
+//! These live in their own test binary: the conflicted case holds a
+//! machine read guard while two handles queue on the lease table.
 
 use cmcc::cm2::exec::{ExecEngine, ExecMode};
 use cmcc::runtime::{
@@ -163,12 +163,13 @@ fn engine_writes_to_bound_arrays_reach_a_region_reader() {
     }
 }
 
-/// Exclusive path: the writer runs on a second handle and holds its
+/// Conflicted path: the writer runs on a second handle and holds its
 /// lease (its commit waits behind a read guard) while the reader queues
-/// on the conflict, so the reader's rerun takes the counted exclusive
-/// fallback — and must still see the new `X`, then the new `C`.
+/// on the conflict. The reader's rerun waits its FIFO turn, is counted,
+/// runs the region body — and must still see the new `X`, then the new
+/// `C`.
 #[test]
-fn engine_writes_to_bound_arrays_reach_an_exclusive_reader() {
+fn engine_writes_to_bound_arrays_reach_a_queued_region_reader() {
     let root = Session::tiny().unwrap();
     let mut a = root.clone();
     let mut b = root.clone();
@@ -180,7 +181,7 @@ fn engine_writes_to_bound_arrays_reach_an_exclusive_reader() {
     let scratch = b.array(case.x.rows(), case.x.cols()).unwrap();
     case.write(&mut b, &scratch);
     for target in [case.x, case.c] {
-        let before = root.lease_stats().conflicts;
+        let before = root.lease_stats();
         std::thread::scope(|scope| {
             let guard = root.machine();
             let case = &case;
@@ -191,10 +192,16 @@ fn engine_writes_to_bound_arrays_reach_an_exclusive_reader() {
             wait_for(&root, "the reader to queue", |st| st.queued == 1);
             drop(guard);
         });
+        let after = root.lease_stats();
         assert_eq!(
-            root.lease_stats().conflicts,
-            before + 1,
-            "the reader must take the conflicted exclusive path"
+            after.conflicts,
+            before.conflicts + 1,
+            "the queued reader must be counted"
+        );
+        assert_eq!(
+            after.region_grants,
+            before.region_grants + 2,
+            "writer and queued reader both run the region body"
         );
         case.check(&mut a, 1, "a conflicting engine write");
     }

@@ -1,20 +1,26 @@
 //! Flight-recorder contract tests: begin/end events pair up with
-//! monotone per-thread timestamps, ring overflow is counted (never
-//! corrupting the already-recorded prefix), latency histograms quantize
-//! percentiles exactly against a sorted oracle, and racing tenants'
-//! blocked-vs-executing attribution stays within their measured wall
-//! time while agreeing with the lease table's own conflict counter.
+//! monotone per-thread timestamps, machine-lock waits never nest inside
+//! an execute, a region execute releases the machine between its last
+//! interior refresh and its first sweep, ring overflow is counted
+//! (never corrupting the already-recorded prefix), latency histograms
+//! quantize percentiles exactly against a sorted oracle, and racing
+//! tenants' blocked-vs-executing attribution stays within their
+//! measured wall time while agreeing with the lease table's own
+//! conflict counter.
 //!
 //! The recorder's rings are process-global, so every test takes a
 //! shared lock and resets the registry before measuring.
 
+use std::ops::Deref;
 use std::sync::Mutex;
 
+use cmcc::cm2::exec::ExecEngine;
+use cmcc::cm2::lane::RegionStage;
 use cmcc::obs::hist::Histogram;
 use cmcc::obs::trace::{self, ThreadTrace, TraceKind, TraceOp, TRACE_OP_COUNT, TRACE_RING_CAP};
 use cmcc::obs::{self, Counter};
-use cmcc::runtime::{CmArray, ExecOptions};
-use cmcc::{PaperPattern, Session};
+use cmcc::runtime::{CmArray, ExecOptions, ExecutionPlan, PlanLifetime, StencilBinding};
+use cmcc::{Machine, MachineConfig, PaperPattern, Session};
 
 /// Serializes tests that touch the global recorder registry.
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
@@ -124,6 +130,8 @@ fn spans_pair_and_timestamps_are_monotone() {
     let threads = trace::threads();
     let mut total_events = 0usize;
     let mut executes = 0usize;
+    // Machine-lock waits by end argument: [read, write].
+    let mut lock_waits = [0usize; 2];
     for t in &threads {
         total_events += t.events.len();
         let mut prev_ts = 0u64;
@@ -136,7 +144,16 @@ fn spans_pair_and_timestamps_are_monotone() {
             );
             prev_ts = e.ts_ns;
             match e.kind {
-                TraceKind::Begin => depth[e.op as usize] += 1,
+                TraceKind::Begin => {
+                    depth[e.op as usize] += 1;
+                    if e.op == TraceOp::MachineLock {
+                        assert_eq!(
+                            depth[TraceOp::Execute as usize],
+                            0,
+                            "a machine-lock wait opened inside an execute"
+                        );
+                    }
+                }
                 TraceKind::End => {
                     depth[e.op as usize] -= 1;
                     assert!(
@@ -145,8 +162,10 @@ fn spans_pair_and_timestamps_are_monotone() {
                         e.op.name(),
                         t.label
                     );
-                    if e.op == TraceOp::Execute {
-                        executes += 1;
+                    match e.op {
+                        TraceOp::Execute => executes += 1,
+                        TraceOp::MachineLock => lock_waits[e.arg as usize] += 1,
+                        _ => {}
                     }
                 }
                 _ => {}
@@ -164,7 +183,108 @@ fn spans_pair_and_timestamps_are_monotone() {
     }
     assert!(total_events > 0, "the run recorded no events");
     assert_eq!(executes, 3, "each run must close exactly one execute span");
+    assert!(
+        lock_waits[0] > 0 && lock_waits[1] > 0,
+        "read and write machine-lock waits must both be traced, got {lock_waits:?}"
+    );
     trace::set_trace_enabled(false);
+}
+
+/// A machine guard that marks its own drop on the trace: the moment a
+/// region execute releases node memory.
+struct MarkedGuard<'a>(&'a Machine);
+
+/// The `machine_lock` instant argument [`MarkedGuard`] records.
+const RELEASED: u64 = 0x5e1e_a5ed;
+
+impl Deref for MarkedGuard<'_> {
+    type Target = Machine;
+    fn deref(&self) -> &Machine {
+        self.0
+    }
+}
+
+impl Drop for MarkedGuard<'_> {
+    fn drop(&mut self) {
+        trace::record(TraceKind::Instant, TraceOp::MachineLock, RELEASED);
+    }
+}
+
+/// `execute_region` holds the machine only for its read phase: the
+/// guard drops after the execute's last interior refresh and before its
+/// first halo exchange and kernel sweep, inside the one execute span.
+/// A two-step temporal plan with a named coefficient refreshes two
+/// halos and sweeps twice, so both orders are pinned across several
+/// events.
+#[test]
+fn execute_region_releases_the_machine_between_refresh_and_sweep() {
+    let _g = lock();
+    trace::reset_trace();
+    trace::set_trace_enabled(true);
+    trace::set_thread_label("read-phase probe");
+
+    let cfg = MachineConfig::tiny_4();
+    let mut m = Machine::new(cfg.clone()).unwrap();
+    let c = cmcc::Compiler::new(cfg)
+        .compile_assignment("R = C * CSHIFT(X, 1, -1) + 0.5 * CSHIFT(X, 2, 1)")
+        .unwrap();
+    let x = CmArray::new(&mut m, 8, 8).unwrap();
+    let coeff = CmArray::new(&mut m, 8, 8).unwrap();
+    let r = CmArray::new(&mut m, 8, 8).unwrap();
+    x.fill_with(&mut m, |row, col| (row * 3 + col) as f32);
+    coeff.fill(&mut m, 0.25);
+    let opts = ExecOptions::fast()
+        .with_engine(ExecEngine::Lockstep)
+        .with_threads(1)
+        .with_temporal_depth(2);
+    let binding = StencilBinding::new(&c, &r, &[&x], &[&coeff]).unwrap();
+    let mut plan = ExecutionPlan::build(&mut m, &binding, &opts, PlanLifetime::Persistent).unwrap();
+    assert_eq!(plan.temporal_depth(), 2, "{:?}", plan.temporal_fallback());
+    assert!(plan.lane_mapped());
+    let mut stage = RegionStage::new();
+    plan.execute_region(MarkedGuard(&m), &mut stage);
+    trace::set_trace_enabled(false);
+
+    let threads = trace::threads();
+    let events = &threads
+        .iter()
+        .find(|t| t.label == "read-phase probe")
+        .expect("the probe thread registered a ring")
+        .events;
+    let at = |kind: TraceKind, op: TraceOp| {
+        events
+            .iter()
+            .enumerate()
+            .filter(move |(_, e)| e.kind == kind && e.op == op)
+            .map(|(i, _)| i)
+    };
+    let released: Vec<usize> = at(TraceKind::Instant, TraceOp::MachineLock).collect();
+    assert_eq!(released.len(), 1, "the guard must drop exactly once");
+    let released = released[0];
+    assert_eq!(events[released].arg, RELEASED);
+    let refresh_ends: Vec<usize> = at(TraceKind::End, TraceOp::InteriorRefresh).collect();
+    let exchanges: Vec<usize> = at(TraceKind::Begin, TraceOp::HaloExchange).collect();
+    let sweeps: Vec<usize> = at(TraceKind::Begin, TraceOp::KernelSweep).collect();
+    assert_eq!(refresh_ends.len(), 2, "a fresh plan refreshes both halos");
+    assert_eq!(sweeps.len(), 2, "two fused steps sweep twice");
+    assert!(!exchanges.is_empty(), "a fresh plan exchanges its halos");
+    assert!(
+        refresh_ends.iter().all(|&i| i < released),
+        "an interior refresh ran after the machine was released"
+    );
+    assert!(
+        exchanges.iter().chain(&sweeps).all(|&i| i > released),
+        "an exchange or sweep ran while the machine was held"
+    );
+    let execute_begin: Vec<usize> = at(TraceKind::Begin, TraceOp::Execute).collect();
+    let execute_end: Vec<usize> = at(TraceKind::End, TraceOp::Execute).collect();
+    assert_eq!((execute_begin.len(), execute_end.len()), (1, 1));
+    assert!(
+        execute_begin[0] < refresh_ends[0] && *sweeps.last().unwrap() < execute_end[0],
+        "one execute span must cover both phases"
+    );
+    m.apply_stage(&stage);
+    plan.release(&mut m);
 }
 
 /// Overflowing a thread's ring counts every dropped event (both in the
@@ -246,9 +366,10 @@ fn histogram_percentiles_match_sorted_oracle() {
 }
 
 /// Racing tenants on one shared artifact: each tenant's traced blocked
-/// (lease time-to-grant) plus executing time fits within its measured
-/// wall time, and the conflicted-wait count agrees with the lease
-/// table's conflict counter when nothing was dropped.
+/// (lease time-to-grant plus machine-lock waits) plus executing time
+/// fits within its measured wall time, and the conflicted-wait count
+/// agrees with the lease table's conflict counter when nothing was
+/// dropped.
 #[test]
 fn racing_tenants_split_blocked_and_executing_within_wall() {
     let _g = lock();
@@ -269,6 +390,11 @@ fn racing_tenants_split_blocked_and_executing_within_wall() {
                 if s.end_arg == 1 {
                     conflicted_waits += 1;
                 }
+                if let Some(w) = w {
+                    blocked[w] += s.dur_ns;
+                }
+            }
+            TraceOp::MachineLock => {
                 if let Some(w) = w {
                     blocked[w] += s.dur_ns;
                 }
