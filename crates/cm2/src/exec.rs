@@ -781,6 +781,98 @@ impl ResolvedStrip {
         })
     }
 
+    /// This lane strip with the lane words of two equal-length ranges,
+    /// starting at words `a` and `b`, exchanged: exactly what
+    /// [`Self::translate`] returns through a view in which those two
+    /// ranges trade lane words, since translation decides by range and
+    /// keeps every offset within one. An execution plan derives its
+    /// second direction this way instead of translating again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a part's walk straddles a swapped range's edge.
+    pub fn with_ranges_swapped(&self, a: usize, b: usize, len: usize) -> ResolvedStrip {
+        let period = self.body.len().max(1);
+        let swap = |part: &ResolvedPart, occurrences: usize| -> ResolvedPart {
+            if part.op == ResolvedOp::Nop {
+                return *part;
+            }
+            let last = part.addr as i64 + (occurrences as i64 - 1) * part.delta;
+            let inside = |w: i64, base: usize| (base as i64..(base + len) as i64).contains(&w);
+            let addr = part.addr as i64;
+            assert!(
+                inside(addr, a) == inside(last, a) && inside(addr, b) == inside(last, b),
+                "a walk straddles a swapped range"
+            );
+            let addr = if inside(addr, a) {
+                part.addr - a + b
+            } else if inside(addr, b) {
+                part.addr - b + a
+            } else {
+                part.addr
+            };
+            ResolvedPart { addr, ..*part }
+        };
+        ResolvedStrip {
+            prologue: self.prologue.iter().map(|part| swap(part, 1)).collect(),
+            body: self
+                .body
+                .iter()
+                .enumerate()
+                .map(|(p, pattern)| {
+                    let occurrences = (self.lines - p).div_ceil(period);
+                    pattern.iter().map(|part| swap(part, occurrences)).collect()
+                })
+                .collect(),
+            lines: self.lines,
+        }
+    }
+
+    /// This strip with every result-slot store moved from the `from`
+    /// layout to the `to` layout: the same logical element in another
+    /// buffer, its per-period walk following the new row stride. The
+    /// moved stores are [`ResolvedSlot::Fixed`] (the new buffer is
+    /// plan-owned). An execution plan derives its lane schedule this way
+    /// — results into a halo-shaped destination buffer — from the node
+    /// schedule its scalar engine runs into the result array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a result address lies before `from`'s base or its walk
+    /// is not a whole number of `from` rows per period.
+    pub fn retarget_result(&self, from: &FieldLayout, to: &FieldLayout) -> ResolvedStrip {
+        let stride = from.row_stride as i64;
+        let retarget = |part: &ResolvedPart| -> ResolvedPart {
+            if part.slot != ResolvedSlot::Result {
+                return *part;
+            }
+            let off = (part.addr - from.base) as i64;
+            assert_eq!(
+                part.delta % stride,
+                0,
+                "a result walk must advance whole rows"
+            );
+            ResolvedPart {
+                addr: to.addr(
+                    off / stride - from.row_offset,
+                    off % stride - from.col_offset,
+                ),
+                delta: part.delta / stride * to.row_stride as i64,
+                slot: ResolvedSlot::Fixed,
+                ..*part
+            }
+        };
+        ResolvedStrip {
+            prologue: self.prologue.iter().map(retarget).collect(),
+            body: self
+                .body
+                .iter()
+                .map(|pattern| pattern.iter().map(retarget).collect())
+                .collect(),
+            lines: self.lines,
+        }
+    }
+
     /// Shifts every result-slot address by `result_delta` words and every
     /// coefficient-slot address for array `i` by `coeff_deltas[i]` —
     /// rebinding the strip to different arrays of identical shape without
@@ -983,6 +1075,7 @@ pub fn run_resolved_lockstep_groups(
         strips,
         &[],
         &mut crate::kernels::CoeffStreams::new(),
+        0,
         groups,
     )
 }
@@ -1799,6 +1892,7 @@ mod tests {
                 strips,
                 kernels,
                 &mut CoeffStreams::new(),
+                0,
                 std::slice::from_mut(&mut lanes),
             );
             let delta = cmcc_obs::thread_snapshot().delta(&before);
@@ -1878,6 +1972,54 @@ mod tests {
         ])
         .unwrap();
         assert!(strip.translate(&truncated).is_none());
+    }
+
+    /// Swapping two equal-length ranges' lane words in a translated
+    /// strip gives exactly the translation through the swapped view, on
+    /// the walk-carrying path and on the seam-split (unrolled) one.
+    #[test]
+    fn swapped_ranges_match_translation_through_the_swapped_view() {
+        let kernel = identity_kernel();
+        let (_, [src, res, coeff], ones, zeros) = setup();
+        let coeffs = [coeff];
+        let srcs = [src];
+        let ctx = StripContext {
+            srcs: &srcs,
+            res,
+            coeffs: &coeffs,
+            ones_addr: ones,
+            zeros_addr: zeros,
+            start_row: 3,
+            lines: 4,
+            col0: 1,
+        };
+        let strip = ResolvedStrip::new(&kernel, &ctx);
+        let whole = LaneView::new(&[
+            (0, 16, false),
+            (16, 16, true),
+            (32, 16, false),
+            (48, 2, false),
+        ])
+        .unwrap();
+        let split = LaneView::new(&[
+            (0, 8, false),
+            (8, 8, false),
+            (16, 8, true),
+            (24, 8, true),
+            (32, 16, false),
+            (48, 2, false),
+        ])
+        .unwrap();
+        for (view, i, j) in [(&whole, 0, 1), (&split, 1, 2), (&split, 0, 3)] {
+            let (a, b) = (&view.ranges()[i], &view.ranges()[j]);
+            let direct = strip.translate(view).unwrap();
+            let through_swap = strip.translate(&view.swapped(i, j)).unwrap();
+            assert_eq!(
+                direct.with_ranges_swapped(a.lane_base, b.lane_base, a.len),
+                through_swap,
+                "ranges {i} and {j}"
+            );
+        }
     }
 
     #[test]

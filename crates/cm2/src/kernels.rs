@@ -250,23 +250,15 @@ impl Op {
     }
 }
 
-/// One kernelized strip bound to one lane group: its operand map
-/// resolved against the group's lane count and mirror size — built once
-/// per group shape — and its packed coefficient stream.
+/// One kernelized strip's operand map bound to one lane group: every
+/// row resolved against the group's lane count and mirror size — built
+/// once per group shape and direction.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct BoundStrip {
+pub(crate) struct OperandMap {
     nodes: usize,
     floats: usize,
     /// Per body pattern, the operand map as flat offsets.
     ops: Vec<Vec<Op>>,
-    stream: Vec<f32>,
-}
-
-impl BoundStrip {
-    /// Whether this binding was resolved against `lanes`' shape.
-    fn fits(&self, lanes: &LaneMemory) -> bool {
-        self.nodes == lanes.nodes() && self.floats == lanes.len()
-    }
 }
 
 /// The strip sweep: monomorphized over arity (`K`, `0` = dynamic) and
@@ -370,13 +362,73 @@ impl StripKernels {
         }
     }
 
-    /// Binds the strip to one lane group: resolves every operand row to
-    /// a flat offset into `lanes` and packs the coefficient stream.
+    /// This strip's kernels with the lane words of two equal-length
+    /// ranges, starting at words `a` and `b`, exchanged: the kernels of
+    /// the same node schedule translated through a view in which those
+    /// two ranges trade lane words ([`crate::lane::LaneView::swapped`]).
+    /// Every refusal check `compile` made is preserved — the exchange is
+    /// a bijection on lane words that keeps each range's interior order
+    /// — so the strip is not classified again. Coefficient words are
+    /// left in place, so one packed stream serves both.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand sweep straddles a swapped range's edge or a
+    /// coefficient word lies in either range.
+    pub fn with_ranges_swapped(&self, a: usize, b: usize, len: usize) -> StripKernels {
+        let (a, b, len) = (a as i64, b as i64, len as i64);
+        let inside = |w: i64, base: i64| (base..base + len).contains(&w);
+        let period = self.ops.len();
+        let ops = self
+            .ops
+            .iter()
+            .enumerate()
+            .map(|(p, rows)| {
+                let occ = (self.lines - p).div_ceil(period);
+                rows.iter()
+                    .map(|&row| {
+                        let Row::Word { word, delta } = row else {
+                            return row;
+                        };
+                        let (lo, hi) = row.hull(occ).expect("word rows have a hull");
+                        let shift = if inside(word, a) {
+                            b - a
+                        } else if inside(word, b) {
+                            a - b
+                        } else {
+                            0
+                        };
+                        assert!(
+                            inside(lo, a) == inside(hi, a) && inside(lo, b) == inside(hi, b),
+                            "an operand sweep straddles a swapped range"
+                        );
+                        Row::Word {
+                            word: word + shift,
+                            delta,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        assert!(
+            self.coeffs
+                .iter()
+                .flatten()
+                .all(|&(w, _)| !inside(w as i64, a) && !inside(w as i64, b)),
+            "a coefficient word lies in a swapped range"
+        );
+        StripKernels {
+            ops,
+            ..self.clone()
+        }
+    }
+
+    /// Resolves every operand row to a flat offset into `lanes`.
     ///
     /// # Panics
     ///
     /// Panics if an operand sweeps outside the group's viewed words.
-    pub(crate) fn bind(&self, lanes: &LaneMemory) -> BoundStrip {
+    pub(crate) fn map_operands(&self, lanes: &LaneMemory) -> OperandMap {
         let n = lanes.nodes() as isize;
         let viewed = lanes.const_row(Reg::ZERO) as isize;
         let period = self.ops.len();
@@ -407,38 +459,38 @@ impl StripKernels {
                     .collect()
             })
             .collect();
-        let mut stream = Vec::new();
-        self.pack_stream(lanes, &mut stream);
-        BoundStrip {
+        OperandMap {
             nodes: lanes.nodes(),
             floats: lanes.len(),
             ops,
-            stream,
         }
     }
 
     /// Sweeps the compiled strip over every lane of `lanes`, returning
     /// counters identical to what the interpreter would report for the
-    /// source strip. `bound` must be this strip bound to `lanes`
-    /// ([`Self::bind`]), with a stream current for the bound coefficient
-    /// values.
+    /// source strip. `map` must be this strip's operands mapped onto
+    /// `lanes` ([`Self::map_operands`]), and `stream` packed for `lanes`
+    /// from the current coefficient values ([`Self::pack_stream`]).
     ///
     /// # Panics
     ///
-    /// Panics if `bound` was bound to a different lane group shape, or
-    /// if its coefficient stream was packed for a different strip or
-    /// lane count.
-    pub(crate) fn run(&self, lanes: &mut LaneMemory, bound: &BoundStrip) -> StripRun {
+    /// Panics if `map` was resolved against a different lane group
+    /// shape, or if `stream` was packed for a different strip or lane
+    /// count.
+    pub(crate) fn run(&self, lanes: &mut LaneMemory, map: &OperandMap, stream: &[f32]) -> StripRun {
         let n = lanes.nodes();
-        assert!(bound.fits(lanes), "strip bound to a different lane group");
+        assert!(
+            map.nodes == n && map.floats == lanes.len(),
+            "operands mapped onto a different lane group"
+        );
         assert_eq!(
-            bound.stream.len(),
+            stream.len(),
             self.stream_words(n),
             "coefficient stream packed for a different strip or lane count"
         );
         let class = width_class(n);
         cmcc_obs::kernel_hit(variant_id(class, self.k_slot));
-        (self.fns[class])(self, &bound.ops, lanes.flat_mut(), &bound.stream, n);
+        (self.fns[class])(self, &map.ops, lanes.flat_mut(), stream, n);
         if self.writes_consts {
             lanes.reset_const_rows();
         }
@@ -907,19 +959,30 @@ static SWEEP_TABLE: [[SweepFn; ARITY_SLOTS]; WIDTH_CLASSES] =
     [sweep_row::<16>(), sweep_row::<8>(), sweep_row::<0>()];
 
 /// One plan step's kernelized strips bound to each of its lane groups:
-/// `groups[g][s]` is strip `s` bound to lane group `g` (`None` when the
-/// strip is interpreted) — its operand map and packed coefficient
-/// stream.
+/// per direction, each strip's operand map per group, and per group each
+/// strip's packed coefficient stream (`None` where the strip is
+/// interpreted).
 ///
-/// The operand maps depend only on the group shapes and are rebuilt when
-/// those change (thread splits, a differently sized mirror). The streams
-/// are a pure function of the bound coefficient *values*, so a holder
-/// keeps them valid across executes — including result/source rebinds —
-/// and calls [`Self::invalidate`] exactly when a coefficient binding
-/// moves or its words are written; the next run repacks them.
+/// A plan runs its schedule in one or two *directions* (the same node
+/// schedule translated with two buffers' lane words swapped), whose
+/// operands differ and whose coefficients do not. So the operand maps are
+/// keyed by direction and built the first time a direction runs on a
+/// group shape, and one set of streams serves every direction: a
+/// direction flip never repacks a stream. Everything is rebuilt when the
+/// group shapes change (thread splits, a differently sized mirror). The
+/// streams are a pure function of the bound coefficient *values*, so a
+/// holder keeps them valid across executes — including result/source
+/// rebinds — and calls [`Self::invalidate`] exactly when a coefficient
+/// binding moves or its words are written; the next run repacks them.
 #[derive(Debug, Clone, Default)]
 pub struct CoeffStreams {
-    groups: Vec<Vec<Option<BoundStrip>>>,
+    /// `maps[dir][g][s]`: strip `s`'s operands in direction `dir` on
+    /// lane group `g`; empty for a direction not run on these shapes.
+    maps: Vec<Vec<Vec<Option<OperandMap>>>>,
+    /// `streams[g][s]`: strip `s`'s packed coefficients for group `g`.
+    streams: Vec<Vec<Option<Vec<f32>>>>,
+    /// `(nodes, floats)` per group the maps and streams were built for.
+    shapes: Vec<(usize, usize)>,
     strips: usize,
     valid: bool,
 }
@@ -936,38 +999,56 @@ impl CoeffStreams {
         self.valid = false;
     }
 
-    /// Binds every kernelized strip to every group unless the bindings
-    /// fit exactly these kernels and group shapes, and repacks the
-    /// streams unless they are valid.
-    fn ensure(&mut self, kernels: &[Option<StripKernels>], groups: &[LaneMemory]) {
+    /// Maps direction `dir`'s operands unless it already ran on exactly
+    /// these kernel and group shapes, and packs the streams unless they
+    /// are valid for them.
+    fn ensure(&mut self, dir: usize, kernels: &[Option<StripKernels>], groups: &[LaneMemory]) {
         let shaped = self.strips == kernels.len()
-            && self.groups.len() == groups.len()
+            && self.shapes.len() == groups.len()
             && self
-                .groups
+                .shapes
                 .iter()
                 .zip(groups)
-                .all(|(bound, lanes)| bound.iter().flatten().all(|b| b.fits(lanes)));
+                .all(|(&(nodes, floats), lanes)| nodes == lanes.nodes() && floats == lanes.len());
         if !shaped {
-            self.groups = groups
+            self.maps.clear();
+            self.shapes = groups.iter().map(|g| (g.nodes(), g.len())).collect();
+            self.streams = groups
                 .iter()
-                .map(|lanes| {
+                .map(|_| {
                     kernels
                         .iter()
-                        .map(|k| k.as_ref().map(|k| k.bind(lanes)))
+                        .map(|k| k.as_ref().map(|_| Vec::new()))
                         .collect()
                 })
                 .collect();
             self.strips = kernels.len();
-        } else if !self.valid {
-            for (bound, lanes) in self.groups.iter_mut().zip(groups) {
-                for (b, k) in bound.iter_mut().zip(kernels) {
-                    if let (Some(b), Some(k)) = (b, k) {
-                        k.pack_stream(lanes, &mut b.stream);
+            self.valid = false;
+        }
+        if !self.valid {
+            for (bound, lanes) in self.streams.iter_mut().zip(groups) {
+                for (stream, k) in bound.iter_mut().zip(kernels) {
+                    if let (Some(stream), Some(k)) = (stream, k) {
+                        k.pack_stream(lanes, stream);
                     }
                 }
             }
+            self.valid = true;
         }
-        self.valid = true;
+        if self.maps.len() <= dir {
+            self.maps.resize_with(dir + 1, Vec::new);
+        }
+        if self.maps[dir].is_empty() {
+            self.maps[dir] = groups
+                .iter()
+                .map(|lanes| {
+                    kernels
+                        .iter()
+                        .map(|k| k.as_ref().map(|k| k.map_operands(lanes)))
+                        .collect()
+                })
+                .collect();
+        }
     }
 }
 
@@ -977,8 +1058,9 @@ impl CoeffStreams {
 /// `kernels[i]`, when present, is the compiled form of `strips[i]`;
 /// missing or `None` entries run through the interpreter (pass `&[]`
 /// and a scratch [`CoeffStreams`] to disable the tier wholesale).
-/// `streams` caches the bound operand maps and packed coefficient
-/// streams across calls; it is rebound or repacked here as needed.
+/// `streams` caches the operand maps (under direction `dir`, see
+/// [`CoeffStreams`]) and packed coefficient streams across calls; they
+/// are mapped or repacked here as needed.
 /// Besides `lockstep_steps`, the `kernelized_steps` /
 /// `interpreted_steps` split and the per-variant hit table are
 /// recorded when telemetry is on.
@@ -992,6 +1074,7 @@ pub fn run_lockstep_groups_kernelized(
     strips: &[ResolvedStrip],
     kernels: &[Option<StripKernels>],
     streams: &mut CoeffStreams,
+    dir: usize,
     groups: &mut [LaneMemory],
 ) -> StripRun {
     if strips.is_empty() || groups.is_empty() {
@@ -1010,16 +1093,19 @@ pub fn run_lockstep_groups_kernelized(
         cmcc_obs::add(cmcc_obs::Counter::KernelizedSteps, kernelized);
         cmcc_obs::add(cmcc_obs::Counter::InterpretedSteps, interpreted);
     }
-    streams.ensure(kernels, groups);
+    streams.ensure(dir, kernels, groups);
     let streams = &*streams;
     let run_group = |g: usize, lanes: &mut LaneMemory| {
         let mut total = StripRun::default();
         for (i, strip) in strips.iter().enumerate() {
-            let bound = streams.groups[g].get(i).and_then(Option::as_ref);
-            total.absorb(&match (kernels.get(i).and_then(Option::as_ref), bound) {
-                (Some(k), Some(bound)) => k.run(lanes, bound),
-                _ => run_resolved_strip_lockstep(strip, lanes),
-            });
+            let map = streams.maps[dir][g].get(i).and_then(Option::as_ref);
+            let stream = streams.streams[g].get(i).and_then(Option::as_ref);
+            total.absorb(
+                &match (kernels.get(i).and_then(Option::as_ref), map, stream) {
+                    (Some(k), Some(map), Some(stream)) => k.run(lanes, map, stream),
+                    _ => run_resolved_strip_lockstep(strip, lanes),
+                },
+            );
         }
         total
     };
@@ -1162,8 +1248,10 @@ mod tests {
     fn run_synthetic(k: usize, pairs: usize, lines: usize, n: usize) -> LaneMemory {
         let sk = compile_synthetic(k, pairs, lines);
         let mut lanes = filled(lane_words(k, pairs, lines), n);
-        let bound = sk.bind(&lanes);
-        let run = sk.run(&mut lanes, &bound);
+        let map = sk.map_operands(&lanes);
+        let mut stream = Vec::new();
+        sk.pack_stream(&lanes, &mut stream);
+        let run = sk.run(&mut lanes, &map, &stream);
         assert_eq!(run.macs, (lines * 2 * k * pairs) as u64);
         assert_eq!(run.loads, (2 * lines) as u64);
         assert_eq!(run.stores, (2 * pairs * lines) as u64);
@@ -1374,6 +1462,7 @@ mod tests {
             std::slice::from_ref(strip),
             kernels,
             streams,
+            0,
             &mut kern,
         );
         let split = cmcc_obs::thread_snapshot().delta(&before);
@@ -1643,14 +1732,66 @@ mod tests {
     fn stream_shape_mismatch_panics() {
         let sk = compile_synthetic(3, 1, 2);
         let mut lanes = filled(lane_words(3, 1, 2), 8);
-        let mut bound = sk.bind(&lanes);
-        bound.stream.pop();
-        let _ = sk.run(&mut lanes, &bound);
+        let map = sk.map_operands(&lanes);
+        let mut stream = Vec::new();
+        sk.pack_stream(&lanes, &mut stream);
+        stream.pop();
+        let _ = sk.run(&mut lanes, &map, &stream);
     }
 
     /// The stream of group `g`'s first strip.
     fn stream0(streams: &CoeffStreams, g: usize) -> &[f32] {
-        &streams.groups[g][0].as_ref().unwrap().stream
+        streams.streams[g][0].as_ref().unwrap()
+    }
+
+    /// Swapping two ranges' lane words commutes with the sweep: the
+    /// swapped kernels run over a mirror whose two ranges trade
+    /// contents leave exactly the swapped image of what the original
+    /// kernels leave — on the walking strip (sources and results walk,
+    /// coefficients stand still) with its source and result ranges
+    /// exchanged, across width classes.
+    #[test]
+    fn swapped_kernels_sweep_the_swapped_mirror() {
+        let _guard = OBS_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let (k, period, lines) = (2, 3, 7);
+        // Sources `0..lines+1`, padded to the results' length so the two
+        // ranges can trade: results `res0..res0 + 2·lines`, then the
+        // coefficients.
+        let len = 2 * lines;
+        let res0 = len;
+        let coeff0 = 2 * len;
+        let words = coeff0 + 2 * k * period;
+        let body: Vec<Vec<ResolvedPart>> = (0..period)
+            .map(|p| walking_line(p, period, k, (coeff0, res0), 0))
+            .collect();
+        let strip = ResolvedStrip::from_parts(Vec::new(), body, lines);
+        let kernel = StripKernels::compile(&strip).expect("classified shape");
+        let swapped = kernel.with_ranges_swapped(0, res0, len);
+        let swap = |lanes: &LaneMemory| {
+            let mut out = lanes.clone();
+            for w in 0..len {
+                out.word_mut(w).copy_from_slice(lanes.word(res0 + w));
+                out.word_mut(res0 + w).copy_from_slice(lanes.word(w));
+            }
+            out
+        };
+        for n in [16, 9, 5] {
+            let lanes = filled(words, n);
+            let run = |kernel: &StripKernels, mut lanes: LaneMemory| {
+                let map = kernel.map_operands(&lanes);
+                let mut stream = Vec::new();
+                kernel.pack_stream(&lanes, &mut stream);
+                kernel.run(&mut lanes, &map, &stream);
+                lanes
+            };
+            let direct = run(&kernel, lanes.clone());
+            let through_swap = run(&swapped, swap(&lanes));
+            assert_eq!(
+                all_bits(&swap(&direct)),
+                all_bits(&through_swap),
+                "{n} lanes"
+            );
+        }
     }
 
     /// The stream cache is a snapshot: reused verbatim while valid (by
@@ -1666,7 +1807,7 @@ mod tests {
         let words = lane_words(k, 1, 2);
         let mut groups = vec![filled(words, 8)];
         let mut streams = CoeffStreams::new();
-        streams.ensure(&kernels, &groups);
+        streams.ensure(0, &kernels, &groups);
         let first = stream0(&streams, 0).to_vec();
         assert_eq!(
             first.len(),
@@ -1676,24 +1817,45 @@ mod tests {
 
         // Mutate a coefficient word: a valid cache keeps the snapshot.
         groups[0].word_mut(coeff_base(1)).fill(99.0);
-        streams.ensure(&kernels, &groups);
+        streams.ensure(0, &kernels, &groups);
         assert_eq!(stream0(&streams, 0), first, "valid cache must not repack");
+
+        // A second direction maps its own operands and shares the
+        // streams: the flip repacks nothing.
+        let swapped: Vec<Option<StripKernels>> = kernels
+            .iter()
+            .map(|k| k.as_ref().map(|k| k.with_ranges_swapped(0, 2, 2)))
+            .collect();
+        streams.ensure(1, &swapped, &groups);
+        assert_eq!(
+            stream0(&streams, 0),
+            first,
+            "a direction flip must not repack"
+        );
+        assert_eq!(streams.streams.len(), 1, "one set of streams per group");
+        let map = |dir: usize| streams.maps[dir][0][0].as_ref().unwrap().ops.clone();
+        assert_ne!(map(0), map(1), "each direction maps its own operands");
 
         // Invalidation repacks from the mutated lanes.
         streams.invalidate();
-        streams.ensure(&kernels, &groups);
+        streams.ensure(0, &kernels, &groups);
         assert_ne!(stream0(&streams, 0), first, "invalidate must repack");
         assert_eq!(stream0(&streams, 0)[0], 99.0);
 
         // A different group shape rebinds even without invalidate.
         let narrow = vec![filled(words, 5)];
-        streams.ensure(&kernels, &narrow);
+        streams.ensure(0, &kernels, &narrow);
         assert_eq!(
             stream0(&streams, 0).len(),
             kernels[0].as_ref().unwrap().stream_words(5),
             "shape change must repack for the new lane count"
         );
-        assert!(streams.groups[0][0].as_ref().unwrap().fits(&narrow[0]));
+        assert_eq!(
+            streams.maps.len(),
+            1,
+            "a shape change drops every direction's maps"
+        );
+        assert_eq!(streams.maps[0][0][0].as_ref().unwrap().nodes, 5);
     }
 
     /// Pattern `p` of a `period`-line body whose loads and stores walk

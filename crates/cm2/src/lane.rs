@@ -15,12 +15,12 @@
 //! Node memory is large and mostly untouched by any one kernel, so the
 //! lane mirror covers only the address ranges a plan actually references:
 //! a [`LaneView`] records those ranges once (halo buffers, constant
-//! pages, coefficient arrays, the result array) and provides the
-//! node-address → lane-word translation plus the gather/scatter that
-//! moves data between per-node memories and the lane mirror around a
-//! lockstep run. Only ranges marked writable are scattered back, so
-//! read-only operands (halos, coefficients) cost one copy per run, not
-//! two.
+//! pages, coefficient arrays, lane-private buffers the kernels write)
+//! and provides the node-address → lane-word translation plus the
+//! gathers that move data from per-node memories into the mirror. The
+//! one copy back is [`LaneMirror::stage`]: a strided rectangle of the
+//! mirror — the interior of the buffer holding a plan's result —
+//! transposed into a [`RegionStage`] for the caller to commit.
 
 use crate::isa::Reg;
 use crate::memory::NodeMemory;
@@ -34,13 +34,12 @@ pub struct LaneRange {
     pub lane_base: usize,
     /// Length in words.
     pub len: usize,
-    /// Whether kernels may store into the range (only writable ranges
-    /// are scattered back to node memory after a lockstep run).
+    /// Whether kernels may store into the range.
     pub writable: bool,
-    /// Whether the range is lane-private scratch: kernels may store into
-    /// it (when also `writable`), but it has no node-memory image — it is
-    /// skipped by both gather and scatter. Temporal tiling parks the
-    /// intermediate fused-step states here.
+    /// Whether the range is lane-private: kernels may store into it
+    /// (when also `writable`), but it has no node-memory image — it is
+    /// skipped by both gather and scatter. Execution plans keep their
+    /// destination buffer and temporal scratch states here.
     pub private: bool,
 }
 
@@ -48,16 +47,28 @@ impl LaneRange {
     fn contains(&self, addr: usize) -> bool {
         addr >= self.node_base && addr < self.node_base + self.len
     }
+
+    /// The whole range as one run.
+    fn rect(&self) -> RectCopy {
+        RectCopy {
+            node0: self.node_base,
+            node_stride: self.len,
+            lane0: self.lane_base,
+            lane_stride: self.len,
+            rows: 1,
+            cols: self.len,
+        }
+    }
 }
 
 /// The address map of a lockstep execution: which node-memory ranges are
 /// mirrored into lane storage, and where each lands.
 ///
 /// Built once per execution plan. Ranges keep their insertion order, so
-/// rebuilding a view from same-length ranges (a plan rebind: the result
-/// array moved, its length did not) yields identical lane addresses —
-/// pre-translated strips stay valid and only the gather/scatter bases
-/// change.
+/// rebuilding a view from same-length ranges (a plan rebind: a
+/// coefficient array moved, its length did not) yields identical lane
+/// addresses — pre-translated strips stay valid and only the gather
+/// bases change.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaneView {
     ranges: Vec<LaneRange>,
@@ -148,6 +159,29 @@ impl LaneView {
         &self.ranges
     }
 
+    /// This view with ranges `i` and `j` trading lane words: node
+    /// addresses of range `i` translate into the lane words `j` held and
+    /// the other way round. A plan runs its second direction on exactly
+    /// this translation, derived by swapping lane words in place
+    /// ([`crate::exec::ResolvedStrip::with_ranges_swapped`]); tests
+    /// check the two agree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two ranges differ in length.
+    #[cfg(test)]
+    pub(crate) fn swapped(&self, i: usize, j: usize) -> LaneView {
+        let mut view = self.clone();
+        assert_eq!(
+            view.ranges[i].len, view.ranges[j].len,
+            "only equal-length ranges can trade lane words"
+        );
+        let lane_i = view.ranges[i].lane_base;
+        view.ranges[i].lane_base = view.ranges[j].lane_base;
+        view.ranges[j].lane_base = lane_i;
+        view
+    }
+
     /// The range containing node address `addr`, and the address's lane
     /// word within the mirror. `None` when the address is outside every
     /// range.
@@ -159,23 +193,24 @@ impl LaneView {
     }
 }
 
-/// A node-memory → lane-word strided rectangle copy, applied uniformly
-/// to every lane: `rows` runs of `cols` words, read from node addresses
-/// `src0 + r*src_stride` and written to lane words `dst0 + r*dst_stride`.
+/// A strided rectangle paired between node memory and the lane mirror:
+/// `rows` runs of `cols` words, at node addresses `node0 + r*node_stride`
+/// and lane words `lane0 + r*lane_stride`, the same on every lane.
 ///
 /// The execution plan precomputes one per source to refresh a halo
-/// buffer's interior directly in a resident mirror (the lane-domain
-/// `fill_interior`).
+/// buffer's interior in the mirror (node → lane, the lane-domain
+/// `fill_interior`), and one per destination buffer to stage its interior
+/// into the result array (lane → node, [`LaneMirror::stage`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RectCopy {
     /// Node-memory address of the rectangle's first word.
-    pub src0: usize,
-    /// Node-memory words between consecutive source runs.
-    pub src_stride: usize,
-    /// Lane word the first run lands on.
-    pub dst0: usize,
-    /// Lane words between consecutive destination runs.
-    pub dst_stride: usize,
+    pub node0: usize,
+    /// Node-memory words between consecutive runs.
+    pub node_stride: usize,
+    /// Lane word of the rectangle's first word.
+    pub lane0: usize,
+    /// Lane words between consecutive runs.
+    pub lane_stride: usize,
     /// Number of runs.
     pub rows: usize,
     /// Words per run.
@@ -246,7 +281,7 @@ impl LaneMemory {
     /// Flat offset of constant register `reg`'s row ([`Reg::ZERO`] or
     /// [`Reg::ONE`]).
     pub(crate) fn const_row(&self, reg: Reg) -> usize {
-        debug_assert!((reg.0 as usize) < CONST_ROWS);
+        assert!((reg.0 as usize) < CONST_ROWS, "not a constant register");
         self.data.len() - (CONST_ROWS - reg.0 as usize) * self.nodes
     }
 
@@ -392,7 +427,7 @@ impl LaneMemory {
             // Interleaved *read* streams are cheap; the transposed order
             // (lane-outer) would write one cache line per element. The
             // reverse direction is not symmetric — interleaved *write*
-            // streams are the slow case (see `scatter_range`).
+            // streams are the slow case (see `transpose_rect`).
             let srcs: Vec<&[f32]> = mems
                 .iter()
                 .map(|m| m.slice(range.node_base, range.len))
@@ -425,9 +460,9 @@ impl LaneMemory {
             // Word-outer, lane-inner, per run (see `gather`).
             let srcs: Vec<&[f32]> = mems
                 .iter()
-                .map(|m| m.slice(rect.src0 + r * rect.src_stride, rect.cols))
+                .map(|m| m.slice(rect.node0 + r * rect.node_stride, rect.cols))
                 .collect();
-            let d0 = rect.dst0 + r * rect.dst_stride;
+            let d0 = rect.lane0 + r * rect.lane_stride;
             let dst = &mut self.data[d0 * nodes..(d0 + rect.cols) * nodes];
             for (w, row) in dst.chunks_exact_mut(nodes).enumerate() {
                 for (slot, src) in row.iter_mut().zip(&srcs) {
@@ -438,9 +473,11 @@ impl LaneMemory {
     }
 
     /// The lane→node transpose shared by [`Self::scatter`] and the
-    /// region stage: copies `range`'s words into `dsts`, one `range.len`
-    /// node-major run per lane, a tile of [`SCATTER_TILE`] words at a
-    /// time.
+    /// region stage: copies the lane side of `rect` into `dsts`, one
+    /// `rows × cols`-word node-major run per lane (row `r` at
+    /// `r*cols`), a tile of [`SCATTER_TILE`] words per row at a time.
+    /// `rect`'s node side is the caller's business: each run in `dsts`
+    /// already stands for it.
     ///
     /// Reading `nodes` interleaved streams (the gathers) is cheap, but
     /// writing them is not: word-outer, lane-inner order writes one word
@@ -450,34 +487,27 @@ impl LaneMemory {
     /// cost 4.4–5.5 ns/word, against 0.83 for the gather. Tiling writes
     /// each lane's tile whole before the next lane's (the tile's source
     /// rows, `SCATTER_TILE × nodes` words, stay cached across the lanes).
-    fn scatter_range(&self, range: &LaneRange, dsts: &mut [&mut [f32]]) {
+    fn transpose_rect(&self, rect: &RectCopy, dsts: &mut [&mut [f32]]) {
         let nodes = self.nodes;
-        debug_assert_eq!(dsts.len(), nodes, "one destination run per lane");
-        let src = &self.data[range.lane_base * nodes..(range.lane_base + range.len) * nodes];
-        for (t, tile) in src.chunks(SCATTER_TILE * nodes).enumerate() {
-            let w0 = t * SCATTER_TILE;
-            for (lane, dst) in dsts.iter_mut().enumerate() {
-                for (slot, row) in dst[w0..].iter_mut().zip(tile.chunks_exact(nodes)) {
-                    *slot = row[lane];
+        assert_eq!(dsts.len(), nodes, "one destination run per lane");
+        for r in 0..rect.rows {
+            let w = rect.lane0 + r * rect.lane_stride;
+            let src = &self.data[w * nodes..(w + rect.cols) * nodes];
+            for (t, tile) in src.chunks(SCATTER_TILE * nodes).enumerate() {
+                let w0 = r * rect.cols + t * SCATTER_TILE;
+                for (lane, dst) in dsts.iter_mut().enumerate() {
+                    for (slot, row) in dst[w0..].iter_mut().zip(tile.chunks_exact(nodes)) {
+                        *slot = row[lane];
+                    }
                 }
             }
         }
     }
 
-    /// Transposes every *writable*, non-private viewed range into staged
-    /// node-major buffers (`bufs[i]` holds range `i`'s words for this
-    /// group's lanes, one contiguous `len`-word run per lane) instead of
-    /// writing node memory — the group-local half of
-    /// [`LaneMirror::scatter_stage`].
-    fn scatter_to_stage(&self, view: &LaneView, bufs: Vec<&mut [f32]>) {
-        for (range, buf) in view.scattered().zip(bufs) {
-            let mut dsts: Vec<&mut [f32]> = buf.chunks_exact_mut(range.len).collect();
-            self.scatter_range(range, &mut dsts);
-        }
-    }
-
     /// Copies every *writable*, non-private viewed range from the mirror
-    /// back into `mems`.
+    /// back into `mems` — the direct copy-back for callers that own the
+    /// node memories outright (tests, hand-built views); execution plans
+    /// stage their result instead ([`LaneMirror::stage`]).
     ///
     /// # Panics
     ///
@@ -490,7 +520,7 @@ impl LaneMemory {
                 .iter_mut()
                 .map(|m| m.slice_mut(range.node_base, range.len))
                 .collect();
-            self.scatter_range(range, &mut dsts);
+            self.transpose_rect(&range.rect(), &mut dsts);
         }
     }
 }
@@ -521,7 +551,7 @@ pub struct LaneMirror {
     lane_copied_words: u64,
 }
 
-/// Words per lane that [`LaneMemory::scatter_range`] transposes as one
+/// Words per lane that [`LaneMemory::transpose_rect`] transposes as one
 /// tile. 64 words (four cache lines per lane run) were never slower than
 /// the untiled loop at 4, 8, 16 or 32 lanes; 8-word tiles lost up to 15%
 /// at 8 lanes.
@@ -601,8 +631,8 @@ impl LaneMirror {
         self.row_gathered_words
     }
 
-    /// Machine-total words scattered back to node memories (writable
-    /// ranges only).
+    /// Machine-total words copied back toward node memories: staged
+    /// ([`Self::stage`]) or scattered directly (writable ranges only).
     pub fn scattered_words(&self) -> u64 {
         self.scattered_words
     }
@@ -700,39 +730,46 @@ impl LaneMirror {
         self.scattered_words += moved as u64;
     }
 
-    /// The region-path counterpart of [`LaneMirror::scatter`]: transposes
-    /// every writable, non-private viewed range into `stage`'s node-major
-    /// buffers instead of writing node memory. A region-leased execute
-    /// holds no exclusive machine borrow, so its writes are staged here
-    /// and committed later with [`RegionStage::apply`] under a brief
-    /// exclusive lock. Counts the same scattered words as a direct
-    /// scatter (the commit itself counts nothing), so traffic telemetry
-    /// is path-independent. Fans groups across host threads for large
-    /// views; stage buffers are recycled across executes.
-    pub fn scatter_stage(&mut self, view: &LaneView, stage: &mut RegionStage) {
-        let moved = view.scatter_words() * self.nodes;
-        stage.shape(view, self.nodes, self.chunk);
-        // Slice each range's buffer at group boundaries: group `g`'s
-        // lanes own the contiguous node-major run `base*len..(base+n)*len`.
-        let mut per_group: Vec<Vec<&mut [f32]>> = self.groups.iter().map(|_| Vec::new()).collect();
-        for buf in &mut stage.bufs {
-            let len = buf.len() / self.nodes;
-            let mut rest = &mut buf[..];
-            for (g, group) in self.groups.iter().enumerate() {
-                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(group.nodes() * len);
-                rest = tail;
-                per_group[g].push(mine);
-            }
+    /// Transposes the lane side of `rect` into `stage`'s node-major
+    /// buffer, node range `rect.node0 .. rect.node0 + rows·cols`, instead
+    /// of writing node memory: the lane execute's only output. An
+    /// execute that holds no exclusive machine borrow cannot write node
+    /// memory, so its result is staged here and committed later with
+    /// [`RegionStage::apply`]. Counts the staged words as scattered (the
+    /// commit itself counts nothing), so traffic telemetry does not
+    /// depend on who commits. Fans groups across host threads for large
+    /// rectangles; the stage buffer is recycled across executes.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `rect`'s node side is dense (`node_stride == cols`).
+    pub fn stage(&mut self, rect: &RectCopy, stage: &mut RegionStage) {
+        assert_eq!(
+            rect.node_stride, rect.cols,
+            "a stage lands one dense node run"
+        );
+        let len = rect.rows * rect.cols;
+        let moved = len * self.nodes;
+        stage.shape((rect.node0, len), self.nodes, self.chunk);
+        // Slice the buffer at group boundaries (group `g`'s lanes own the
+        // contiguous node-major run `base*len..(base+n)*len`), then into
+        // one run per lane.
+        let mut per_group: Vec<Vec<&mut [f32]>> = Vec::with_capacity(self.groups.len());
+        let mut rest = &mut stage.buf[..];
+        for group in &self.groups {
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(group.nodes() * len);
+            rest = tail;
+            per_group.push(mine.chunks_exact_mut(len).collect());
         }
         if self.groups.len() > 1 && moved >= PAR_COPY_THRESHOLD {
             std::thread::scope(|scope| {
-                for (group, bufs) in self.groups.iter().zip(per_group) {
-                    scope.spawn(move || group.scatter_to_stage(view, bufs));
+                for (group, mut dsts) in self.groups.iter().zip(per_group) {
+                    scope.spawn(move || group.transpose_rect(rect, &mut dsts));
                 }
             });
         } else {
-            for (group, bufs) in self.groups.iter().zip(per_group) {
-                group.scatter_to_stage(view, bufs);
+            for (group, mut dsts) in self.groups.iter().zip(per_group) {
+                group.transpose_rect(rect, &mut dsts);
             }
         }
         self.scattered_words += moved as u64;
@@ -858,78 +895,78 @@ impl LaneMirror {
     }
 }
 
-/// The writable image of one lane-resident execute, staged off to the
-/// side in node-major order.
+/// The result of one lane-resident execute, staged off to the side in
+/// node-major order.
 ///
 /// Region-leased executes read node memory under a *shared* machine
 /// lock and compute with no machine lock at all (many tenants at once),
-/// so they cannot scatter into node memory directly.
-/// [`LaneMirror::scatter_stage`] transposes the mirror's writable
-/// ranges into these buffers without touching the machine — the
-/// expensive lane-major → node-major transpose — and
-/// [`RegionStage::apply`] then commits them under a brief exclusive
-/// lock as one contiguous slice copy per (node, range) pair.
+/// so they cannot write node memory directly. [`LaneMirror::stage`]
+/// transposes the destination buffer's interior into this buffer without
+/// touching the machine — the expensive lane-major → node-major
+/// transpose — and [`RegionStage::apply`] then commits it under a brief
+/// exclusive lock as one contiguous slice copy per node.
 ///
-/// Buffers are recycled across executes (a steady state stages
+/// The buffer is recycled across executes (a steady state stages
 /// allocation-free), and [`RegionStage::ranges`] exposes exactly which
-/// node ranges the commit will touch so the caller can assert they are
+/// node range the commit will touch so the caller can assert it is
 /// contained in the execute's leased writable ranges.
 #[derive(Debug, Clone, Default)]
 pub struct RegionStage {
-    /// `(node_base, len)` per staged range, in view order.
-    ranges: Vec<(usize, usize)>,
-    /// One node-major buffer per range: lane `n`'s words at
-    /// `n*len..(n+1)*len`.
-    bufs: Vec<Vec<f32>>,
+    /// The staged `(node_base, len)` range; `None` until the first stage.
+    range: Option<(usize, usize)>,
+    /// Node-major: lane `n`'s words at `n*len..(n+1)*len`.
+    buf: Vec<f32>,
     nodes: usize,
     chunk: usize,
 }
 
 impl RegionStage {
-    /// An empty stage; shaped by the first [`LaneMirror::scatter_stage`].
+    /// An empty stage; shaped by the first [`LaneMirror::stage`].
     pub fn new() -> Self {
         RegionStage::default()
     }
 
-    /// The staged `(node_base, len)` node ranges, in view order. Empty
-    /// until the first `scatter_stage`.
+    /// The staged `(node_base, len)` node range — one entry, or none
+    /// before the first [`LaneMirror::stage`].
     pub fn ranges(&self) -> &[(usize, usize)] {
-        &self.ranges
+        self.range.as_slice()
     }
 
     /// Machine-total staged words.
     pub fn words(&self) -> usize {
-        self.ranges.iter().map(|&(_, len)| len).sum::<usize>() * self.nodes
+        self.range.map_or(0, |(_, len)| len) * self.nodes
     }
 
-    /// Reshapes to `view`'s writable, non-private ranges, recycling
-    /// buffers where sizes allow.
-    fn shape(&mut self, view: &LaneView, nodes: usize, chunk: usize) {
+    /// Reshapes to stage `range`, recycling the buffer.
+    fn shape(&mut self, range: (usize, usize), nodes: usize, chunk: usize) {
         self.nodes = nodes;
         self.chunk = chunk.max(1);
-        self.ranges.clear();
-        let mut spare = std::mem::take(&mut self.bufs);
-        for range in view.scattered() {
-            self.ranges.push((range.node_base, range.len));
-            let mut buf = spare.pop().unwrap_or_default();
-            buf.resize(range.len * nodes, 0.0);
-            self.bufs.push(buf);
-        }
+        self.range = Some(range);
+        self.buf.resize(range.1 * nodes, 0.0);
     }
 
-    /// Commits the staged image to node memories: per range, each node's
-    /// words are one contiguous slice copy. Fans node chunks across host
-    /// threads for large stages (bit-deterministic — every (node, range)
-    /// destination is disjoint).
+    /// Commits the staged words to node memories: each node's run is one
+    /// contiguous slice copy. Fans node chunks across host threads for
+    /// large stages (bit-deterministic — every node's destination is
+    /// disjoint).
     ///
     /// # Panics
     ///
-    /// Panics if `mems.len()` differs from the staged node count or a
+    /// Panics if `mems.len()` differs from the staged node count or the
     /// range is out of a node memory's bounds.
     pub fn apply(&self, mems: &mut [NodeMemory]) {
+        let Some((node_base, len)) = self.range else {
+            return;
+        };
         assert_eq!(mems.len(), self.nodes, "one node memory per staged lane");
-        let total = self.words();
-        if self.nodes > self.chunk && total >= PAR_COPY_THRESHOLD {
+        let apply_chunk = |mems: &mut [NodeMemory], base: usize| {
+            for (i, m) in mems.iter_mut().enumerate() {
+                let node = base + i;
+                m.slice_mut(node_base, len)
+                    .copy_from_slice(&self.buf[node * len..(node + 1) * len]);
+            }
+        };
+        if self.nodes > self.chunk && self.words() >= PAR_COPY_THRESHOLD {
             std::thread::scope(|scope| {
                 let mut rest = &mut mems[..];
                 let mut base = 0;
@@ -937,22 +974,13 @@ impl RegionStage {
                     let n = self.chunk.min(rest.len());
                     let (mine, tail) = std::mem::take(&mut rest).split_at_mut(n);
                     rest = tail;
-                    scope.spawn(move || self.apply_chunk(mine, base));
+                    let apply_chunk = &apply_chunk;
+                    scope.spawn(move || apply_chunk(mine, base));
                     base += n;
                 }
             });
         } else {
-            self.apply_chunk(mems, 0);
-        }
-    }
-
-    fn apply_chunk(&self, mems: &mut [NodeMemory], base: usize) {
-        for (i, m) in mems.iter_mut().enumerate() {
-            let node = base + i;
-            for (&(node_base, len), buf) in self.ranges.iter().zip(&self.bufs) {
-                m.slice_mut(node_base, len)
-                    .copy_from_slice(&buf[node * len..(node + 1) * len]);
-            }
+            apply_chunk(mems, 0);
         }
     }
 }
@@ -1335,10 +1363,10 @@ mod tests {
         mirror.gather_rows(
             &mems,
             &RectCopy {
-                src0: 4,
-                src_stride: 4,
-                dst0: 1,
-                dst_stride: 5,
+                node0: 4,
+                node_stride: 4,
+                lane0: 1,
+                lane_stride: 5,
                 rows: 2,
                 cols: 3,
             },
@@ -1380,9 +1408,9 @@ mod tests {
     }
 
     /// The tiled lane→node transpose, both as a direct scatter and as a
-    /// staged scatter committed by `RegionStage::apply`, lands exactly
+    /// strided stage committed by `RegionStage::apply`, lands exactly
     /// what an element-wise copy would, across lane counts below, at and
-    /// above a 16-lane group, range lengths from one word through full
+    /// above a 16-lane group, run lengths from one word through full
     /// tiles with a ragged tail, and every group split — and writes
     /// nothing else: read-only and private ranges and the guard words
     /// around and between ranges keep their contents.
@@ -1416,7 +1444,7 @@ mod tests {
                         mem
                     })
                     .collect();
-                // The element-wise reference: each written word is its
+                // The element-wise references: each written word is its
                 // lane's value of the matching lane word.
                 let value = |node: usize, lane_word: usize| (node * 100_003 + lane_word) as f32;
                 let mut want = fresh.clone();
@@ -1424,6 +1452,27 @@ mod tests {
                     for (node, mem) in want.iter_mut().enumerate() {
                         for w in 0..range.len {
                             mem.write(range.node_base + w, value(node, range.lane_base + w));
+                        }
+                    }
+                }
+                // The stage: two strided rows of the last range's lanes
+                // (every other `len`-word run, one word in) onto the
+                // dense node run at its start.
+                let last = view.ranges()[3];
+                let rect = RectCopy {
+                    node0: last.node_base,
+                    node_stride: len,
+                    lane0: last.lane_base + 1,
+                    lane_stride: 2 * len,
+                    rows: 2,
+                    cols: len,
+                };
+                let mut want_staged = fresh.clone();
+                for (node, mem) in want_staged.iter_mut().enumerate() {
+                    for r in 0..2 {
+                        for c in 0..len {
+                            let lane_word = rect.lane0 + r * rect.lane_stride + c;
+                            mem.write(rect.node0 + r * len + c, value(node, lane_word));
                         }
                     }
                 }
@@ -1439,10 +1488,15 @@ mod tests {
                     let mut direct = fresh.clone();
                     mirror.scatter(&view, &mut direct);
                     let mut stage = RegionStage::new();
-                    mirror.scatter_stage(&view, &mut stage);
+                    mirror.stage(&rect, &mut stage);
+                    assert_eq!(stage.ranges(), &[(rect.node0, 2 * len)]);
+                    assert_eq!(stage.words(), 2 * len * nodes);
                     let mut staged = fresh.clone();
                     stage.apply(&mut staged);
-                    for (path, got) in [("scatter", &direct), ("stage", &staged)] {
+                    for (path, got, want) in [
+                        ("scatter", &direct, &want),
+                        ("stage", &staged, &want_staged),
+                    ] {
                         for node in 0..nodes {
                             let bits = |mems: &[NodeMemory]| -> Vec<u32> {
                                 mems[node]
@@ -1451,12 +1505,25 @@ mod tests {
                                     .map(|v| v.to_bits())
                                     .collect()
                             };
-                            assert_eq!(bits(got), bits(&want), "{path}: {case}, node {node}");
+                            assert_eq!(bits(got), bits(want), "{path}: {case}, node {node}");
                         }
                     }
                 }
             }
         }
+    }
+
+    /// Swapping two ranges trades their lane words and nothing else.
+    #[test]
+    fn swapped_view_trades_lane_words_of_two_ranges() {
+        let view = LaneView::new(&[(100, 4, false), (10, 2, false), (50, 4, true)]).unwrap();
+        let swapped = view.swapped(0, 2);
+        assert_eq!(swapped.words(), view.words());
+        assert_eq!(swapped.locate(100).unwrap().0, 6);
+        assert_eq!(swapped.locate(53).unwrap().0, 3);
+        assert_eq!(swapped.locate(11).unwrap().0, 5);
+        assert!(swapped.locate(53).unwrap().1.writable);
+        assert_eq!(swapped.swapped(0, 2), view);
     }
 
     #[test]

@@ -466,7 +466,7 @@ impl Machine {
             match &mut reduced {
                 None => reduced = Some(run),
                 Some(acc) => {
-                    debug_assert_eq!(*acc, run, "SIMD nodes must agree on cycle counts");
+                    assert_eq!(*acc, run, "SIMD nodes must agree on cycle counts");
                     acc.cycles = acc.cycles.max(run.cycles);
                 }
             }
@@ -474,15 +474,19 @@ impl Machine {
         Ok(reduced.expect("machine has at least one node"))
     }
 
-    /// Commits a region-leased execute's staged scatter (see
-    /// [`RegionStage::apply`]), stamping exactly the staged ranges.
+    /// Commits a lane execute's staged result (see
+    /// [`RegionStage::apply`]), stamping exactly the staged range, and
+    /// returns the write epoch it stamped. The executing plan holds its
+    /// result in the mirror as of that epoch: until a later stamp lands
+    /// on the range, the mirror and node memory agree.
     ///
     /// # Panics
     ///
     /// Panics if the stage was shaped for a different node count.
-    pub fn apply_stage(&mut self, stage: &RegionStage) {
+    pub fn apply_stage(&mut self, stage: &RegionStage) -> u64 {
         let ranges = stage.ranges().iter().map(|&(base, len)| base..base + len);
         stage.apply(self.write_nodes(ranges));
+        self.write_epoch()
     }
 }
 
@@ -526,8 +530,8 @@ impl<'a> NodeSlice<'a> {
 
 /// Reduces per-node schedule results (in node order) to one result per
 /// step: first error in node order wins; otherwise per-step cycles take
-/// the max over nodes (they agree — lockstep SIMD — which a debug
-/// assertion checks) and the remaining counters are the shared per-node
+/// the max over nodes (they agree — lockstep SIMD — which an assertion
+/// checks in every build) and the remaining counters are the shared per-node
 /// values.
 fn reduce_node_runs(
     per_node: Vec<Result<Vec<StripRun>, HazardError>>,
@@ -538,9 +542,13 @@ fn reduce_node_runs(
         match &mut reduced {
             None => reduced = Some(runs),
             Some(acc) => {
-                debug_assert_eq!(acc.len(), runs.len());
+                assert_eq!(
+                    acc.len(),
+                    runs.len(),
+                    "SIMD nodes must agree on step counts"
+                );
                 for (a, r) in acc.iter_mut().zip(&runs) {
-                    debug_assert_eq!(a, r, "SIMD nodes must agree on cycle counts");
+                    assert_eq!(a, r, "SIMD nodes must agree on cycle counts");
                     a.cycles = a.cycles.max(r.cycles);
                 }
             }

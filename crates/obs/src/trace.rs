@@ -15,9 +15,13 @@
 //! events already recorded are never overwritten, so the head of the
 //! timeline stays trustworthy.
 //!
-//! Rings are registered in a process-global table and survive their
-//! owning thread's exit, so a post-mortem export ([`chrome_trace_json`])
-//! sees every worker's events. The export is the Chrome trace-event JSON
+//! Rings are registered in a process-global table. When a thread exits,
+//! its recorded prefix moves to a compact retired list and its ring
+//! returns to a free pool that the next new thread reuses, so a
+//! post-mortem export ([`chrome_trace_json`]) still sees every worker's
+//! events while memory stays bounded by the peak number of live
+//! recording threads — not by how many short-lived workers (one per lane
+//! group per sweep) ever ran. The export is the Chrome trace-event JSON
 //! format (load it in `chrome://tracing` or Perfetto): one `tid` per
 //! recording thread, `B`/`E` duration events per operation, and async
 //! `b`/`e` pairs for per-tenant tracks.
@@ -222,7 +226,8 @@ const TENANT_NONE: u32 = u32::MAX;
 /// acquire ordering (the writer publishes each event's three payload
 /// words with relaxed stores *before* the release store of the cursor).
 struct Ring {
-    tid: usize,
+    /// The owning thread's export id; a reused ring takes a new one.
+    tid: AtomicU64,
     label: Mutex<String>,
     /// Events published so far, `<= TRACE_RING_CAP`.
     cursor: AtomicU64,
@@ -234,11 +239,11 @@ struct Ring {
 }
 
 impl Ring {
-    fn new(tid: usize) -> Ring {
+    fn new() -> Ring {
         let mut slots = Vec::new();
         slots.resize_with(3 * TRACE_RING_CAP, || AtomicU64::new(0));
         Ring {
-            tid,
+            tid: AtomicU64::new(0),
             label: Mutex::new(String::new()),
             cursor: AtomicU64::new(0),
             drops: AtomicU64::new(0),
@@ -279,20 +284,80 @@ impl Ring {
             });
         }
         ThreadTrace {
-            tid: self.tid,
+            tid: self.tid.load(Ordering::Relaxed) as usize,
             label: self.label.lock().unwrap_or_else(|e| e.into_inner()).clone(),
             events,
             drops: self.drops.load(Ordering::Relaxed),
         }
     }
+
+    /// Empties the ring (events and drop count).
+    fn clear(&self) {
+        self.drops.store(0, Ordering::Relaxed);
+        self.cursor.store(0, Ordering::Release);
+    }
 }
 
-/// Every ring ever created, in registration order. Rings are kept after
-/// their owning thread exits so a post-mortem export sees every worker.
-static RINGS: Mutex<Vec<Arc<Ring>>> = Mutex::new(Vec::new());
+/// The process-global ring table.
+struct Registry {
+    /// Rings of running threads.
+    live: Vec<Arc<Ring>>,
+    /// Cleared rings of exited threads, handed to the next new thread.
+    free: Vec<Arc<Ring>>,
+    /// What exited threads recorded, until [`reset_trace`].
+    retired: Vec<ThreadTrace>,
+    /// The export id the next registering thread gets.
+    next_tid: usize,
+    /// Rings allocated so far; none is ever freed.
+    allocated: usize,
+    /// The most rings ever live at once.
+    peak_live: usize,
+}
 
-fn rings() -> std::sync::MutexGuard<'static, Vec<Arc<Ring>>> {
-    RINGS.lock().unwrap_or_else(|e| e.into_inner())
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+    live: Vec::new(),
+    free: Vec::new(),
+    retired: Vec::new(),
+    next_tid: 0,
+    allocated: 0,
+    peak_live: 0,
+});
+
+fn registry() -> std::sync::MutexGuard<'static, Registry> {
+    REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// How many event rings exist, against how many threads ever held one
+/// at once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RingStats {
+    /// Rings allocated so far, live or waiting in the free pool. A ring
+    /// is allocated only when no exited thread's ring is free, so this
+    /// never exceeds `peak_live`.
+    pub allocated: usize,
+    /// The most rings ever held by running threads at once.
+    pub peak_live: usize,
+}
+
+/// The calling thread's ring; retires it when the thread exits.
+struct RingHandle(Arc<Ring>);
+
+impl Drop for RingHandle {
+    fn drop(&mut self) {
+        let mut reg = registry();
+        reg.live.retain(|r| !Arc::ptr_eq(r, &self.0));
+        let trace = self.0.snapshot();
+        if !trace.events.is_empty() || trace.drops > 0 {
+            reg.retired.push(trace);
+        }
+        self.0.clear();
+        self.0
+            .label
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clear();
+        reg.free.push(Arc::clone(&self.0));
+    }
 }
 
 /// 0 = undecided (consult `CMCC_TRACE` on first use), 1 = off, 2 = on.
@@ -303,21 +368,40 @@ static TRACE_ENABLED: AtomicU8 = AtomicU8::new(0);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 thread_local! {
-    static RING: OnceCell<Arc<Ring>> = const { OnceCell::new() };
+    static RING: OnceCell<RingHandle> = const { OnceCell::new() };
     static TENANT: Cell<u32> = const { Cell::new(TENANT_NONE) };
 }
 
 fn this_ring<R>(f: impl FnOnce(&Ring) -> R) -> Option<R> {
     RING.try_with(|cell| {
-        let ring = cell.get_or_init(|| {
-            let mut reg = rings();
-            let ring = Arc::new(Ring::new(reg.len()));
-            reg.push(Arc::clone(&ring));
-            ring
+        let handle = cell.get_or_init(|| {
+            let mut reg = registry();
+            let ring = match reg.free.pop() {
+                Some(ring) => ring,
+                None => {
+                    reg.allocated += 1;
+                    Arc::new(Ring::new())
+                }
+            };
+            ring.tid.store(reg.next_tid as u64, Ordering::Relaxed);
+            reg.next_tid += 1;
+            reg.live.push(Arc::clone(&ring));
+            reg.peak_live = reg.peak_live.max(reg.live.len());
+            RingHandle(ring)
         });
-        f(ring)
+        f(&handle.0)
     })
     .ok()
+}
+
+/// The ring table's size: allocated rings, and the most recording
+/// threads ever live at once.
+pub fn ring_stats() -> RingStats {
+    let reg = registry();
+    RingStats {
+        allocated: reg.allocated,
+        peak_live: reg.peak_live,
+    }
 }
 
 /// Whether the flight recorder is currently recording.
@@ -411,28 +495,37 @@ pub fn scope(op: TraceOp, arg: u64) -> TraceScope {
     TraceScope { op, live }
 }
 
-/// Clears every ring (cursor, drop count; labels are kept). Call only
-/// when no instrumented work is in flight — a concurrent writer could
-/// interleave with the clear and leave a partial prefix.
+/// Clears every live ring (cursor, drop count; labels are kept) and
+/// forgets what exited threads recorded. Call only when no instrumented
+/// work is in flight — a concurrent writer could interleave with the
+/// clear and leave a partial prefix.
 pub fn reset_trace() {
-    for ring in rings().iter() {
-        ring.drops.store(0, Ordering::Relaxed);
-        ring.cursor.store(0, Ordering::Release);
+    let mut reg = registry();
+    for ring in &reg.live {
+        ring.clear();
     }
+    reg.retired.clear();
 }
 
 /// Snapshots every thread's recorded events (live and exited threads
 /// alike), in thread-registration order. Each thread's event list is a
 /// consistent prefix of what it recorded.
 pub fn threads() -> Vec<ThreadTrace> {
-    rings().iter().map(|r| r.snapshot()).collect()
+    let reg = registry();
+    let mut out: Vec<ThreadTrace> = reg.live.iter().map(|r| r.snapshot()).collect();
+    out.extend(reg.retired.iter().cloned());
+    out.sort_by_key(|t| t.tid);
+    out
 }
 
-/// Total events dropped across all rings since the last [`reset_trace`].
+/// Total events dropped across all threads since the last
+/// [`reset_trace`].
 pub fn total_drops() -> u64 {
-    rings()
+    let reg = registry();
+    reg.live
         .iter()
         .map(|r| r.drops.load(Ordering::Relaxed))
+        .chain(reg.retired.iter().map(|t| t.drops))
         .sum()
 }
 

@@ -746,6 +746,52 @@ impl LaneExchangeProgram {
         })
     }
 
+    /// This program with the lane words of two equal-length ranges,
+    /// starting at words `a` and `b`, exchanged: exactly what
+    /// [`Self::translate`] returns through a view in which those two
+    /// ranges trade lane words (every run lies inside one range, and a
+    /// constant shift keeps the copy order and coalescing).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run straddles a swapped range's edge.
+    pub fn with_ranges_swapped(&self, a: usize, b: usize, len: usize) -> Self {
+        let swap = |word: usize, run: usize| {
+            let inside = |base: usize| (base..base + len).contains(&word);
+            let end_inside = |base: usize| (base..base + len).contains(&(word + run.max(1) - 1));
+            assert!(
+                inside(a) == end_inside(a) && inside(b) == end_inside(b),
+                "an exchange run straddles a swapped range"
+            );
+            if inside(a) {
+                word - a + b
+            } else if inside(b) {
+                word - b + a
+            } else {
+                word
+            }
+        };
+        LaneExchangeProgram {
+            copies: self
+                .copies
+                .iter()
+                .map(|c| LaneSpanCopy {
+                    src: swap(c.src, c.len),
+                    dst: swap(c.dst, c.len),
+                    ..*c
+                })
+                .collect(),
+            fills: self
+                .fills
+                .iter()
+                .map(|&(node, word, run)| (node, swap(word, run), run))
+                .collect(),
+            fill: self.fill,
+            cycles: self.cycles,
+            edge_words: self.edge_words,
+        }
+    }
+
     /// The communication cycles one run charges (the source program's).
     pub fn cycles(&self) -> u64 {
         self.cycles
@@ -983,6 +1029,37 @@ mod tests {
                     "halo of {node} diverged ({boundary:?}, corners={corners})"
                 );
             }
+        }
+    }
+
+    /// Swapping two equal-length ranges' lane words in a translated
+    /// exchange gives exactly the translation through a view in which
+    /// the two ranges trade lane words — for two adjacent ranges, the
+    /// view listing them the other way round.
+    #[test]
+    fn swapped_exchange_matches_translation_with_the_ranges_traded() {
+        use cmcc_cm2::lane::LaneView;
+        for (boundary, corners) in [(Boundary::Circular, true), (Boundary::ZeroFill, false)] {
+            let (mut m, _, h) = setup(2);
+            let other = HaloBuffer::new(&mut m, 2, 2, 2).unwrap();
+            let program = ExchangeProgram::new(
+                &h,
+                m.grid(),
+                m.config(),
+                boundary,
+                0.5,
+                corners,
+                ExchangePrimitive::News,
+            );
+            let len = h.field().len();
+            let (hb, ob) = (h.field().base(), other.field().base());
+            let view = LaneView::new(&[(hb, len, false), (ob, len, false)]).unwrap();
+            let traded = LaneView::new(&[(ob, len, false), (hb, len, false)]).unwrap();
+            let direct = LaneExchangeProgram::translate(&program, &view).unwrap();
+            let swapped = LaneExchangeProgram::translate(&program, &traded).unwrap();
+            assert_ne!(direct, swapped);
+            assert_eq!(direct.with_ranges_swapped(0, len, len), swapped);
+            assert_eq!(swapped.with_ranges_swapped(len, 0, len), direct);
         }
     }
 

@@ -43,7 +43,7 @@ use cmcc_core::compiler::CompiledStencil;
 use cmcc_core::recognize::CoeffSpec;
 use cmcc_core::regalloc::Walk;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A compiled stencil bound to concrete distributed arrays, with all
 /// shape and count validation done up front (the front end's job on the
@@ -200,6 +200,13 @@ pub struct CompiledPlan {
     /// plans: their build fails without it.
     lane: Option<LaneSchedule>,
     halos: Vec<HaloBuffer>,
+    /// A classic lane plan's destination buffer: a plan-owned field
+    /// shaped like source 0's halo buffer, which exists only on the
+    /// mirror (its node words are never read or written). Direction 0
+    /// reads source 0's halo and writes this buffer's interior;
+    /// direction 1 swaps the two. `None` on temporal plans (their final
+    /// step writes source 0's halo) and off the lockstep engine.
+    dest: Option<HaloBuffer>,
     exchanges: Vec<ExchangeProgram>,
     consts: Field,
     /// Literal coefficient pages, in `spec.coeffs` order (named entries
@@ -259,20 +266,24 @@ struct TemporalPlan {
     step_bounds: Vec<usize>,
 }
 
-/// The rebind-invariant lane form of a plan: the strip schedule, its
-/// kernel-tier classification, every halo exchange (sources first, then
-/// temporal coefficient halos) and the temporal scratch fix-ups, all
-/// addressed in lane words of one view shape.
+/// The rebind-invariant lane form of a plan: per direction, the strip
+/// schedule, its kernel-tier classification and every halo exchange,
+/// plus the temporal scratch fix-ups, all addressed in lane words of one
+/// view shape.
 #[derive(Debug, Clone)]
 struct LaneSchedule {
-    strips: Vec<ResolvedStrip>,
-    /// Each lane strip's compiled monomorphized form, parallel to
-    /// `strips` (`None` where the classifier fell back to the
-    /// interpreter).
-    kernels: Vec<Option<StripKernels>>,
-    /// One halo exchange per source, then (temporal plans) one per
-    /// coefficient halo.
-    exchanges: Vec<LaneExchangeProgram>,
+    /// Direction 0: reads source 0's halo buffer.
+    forward: LaneDirection,
+    /// A classic plan's direction 1 — the same schedule with source 0's
+    /// halo and the destination buffer trading lane words, so an
+    /// execute can read whichever buffer already holds its source — as
+    /// `(a, b, len)`: the two ranges' first lane words and their length.
+    /// `None` on temporal plans.
+    swap: Option<(usize, usize, usize)>,
+    /// Direction 1, derived from direction 0 the first time an execute
+    /// reads the destination buffer: a plan that never does (an
+    /// unchanged binding run again) never pays for it.
+    backward: OnceLock<LaneDirection>,
     /// The beyond-global-edge fill fix-up per temporal scratch buffer: a
     /// zero-fill boundary requires margin reads past the global edge to
     /// see the fill value, but intermediate steps write computed garbage
@@ -282,22 +293,38 @@ struct LaneSchedule {
     scratch_fills: Vec<LaneFillProgram>,
 }
 
+/// One direction of a [`LaneSchedule`].
+#[derive(Debug, Clone)]
+struct LaneDirection {
+    strips: Vec<ResolvedStrip>,
+    /// Each lane strip's compiled monomorphized form, parallel to
+    /// `strips` (`None` where the classifier fell back to the
+    /// interpreter).
+    kernels: Vec<Option<StripKernels>>,
+    /// One halo exchange per source, then (temporal plans) one per
+    /// coefficient halo.
+    exchanges: Vec<LaneExchangeProgram>,
+}
+
 impl LaneSchedule {
-    /// Translates `strips` (resolved against the binding `view` covers),
-    /// the halo `exchanges` and the scratch `fills` onto `view`. `None`
-    /// when any part fails to translate.
-    fn translate<'a>(
+    /// Translates `strips` (node-domain, results into the plan's
+    /// destination), the halo `exchanges` and the scratch `fills` onto
+    /// `view` — direction 0 — and records `swap`, the view ranges of
+    /// source 0's halo and the destination buffer, that direction 1
+    /// trades. `None` when any part fails to translate.
+    fn translate(
         strips: &[ResolvedStrip],
-        exchanges: impl IntoIterator<Item = &'a ExchangeProgram>,
+        exchanges: &[&ExchangeProgram],
         fills: &[FillProgram],
         view: &LaneView,
+        swap: Option<(usize, usize)>,
     ) -> Option<Self> {
         let strips: Vec<ResolvedStrip> = strips
             .iter()
             .map(|s| s.translate(view))
             .collect::<Option<_>>()?;
         let exchanges = exchanges
-            .into_iter()
+            .iter()
             .map(|p| LaneExchangeProgram::translate(p, view))
             .collect::<Option<_>>()?;
         let scratch_fills = fills
@@ -305,12 +332,66 @@ impl LaneSchedule {
             .map(|p| LaneFillProgram::translate(p, view))
             .collect::<Option<_>>()?;
         Some(LaneSchedule {
-            kernels: strips.iter().map(StripKernels::compile).collect(),
-            strips,
-            exchanges,
+            forward: LaneDirection {
+                kernels: strips.iter().map(StripKernels::compile).collect(),
+                strips,
+                exchanges,
+            },
+            swap: swap.map(|(i, j)| {
+                let (a, b) = (&view.ranges()[i], &view.ranges()[j]);
+                (a.lane_base, b.lane_base, a.len)
+            }),
+            backward: OnceLock::new(),
             scratch_fills,
         })
     }
+
+    /// Direction `dir`'s translation. Direction 1 is direction 0 with
+    /// the two swapped ranges' lane words exchanged — strips, kernels
+    /// and exchanges alike: translation decides by range, so that is
+    /// exactly the translation through a view in which the ranges trade
+    /// lane words, and nothing is translated or classified twice.
+    fn direction(&self, dir: usize) -> &LaneDirection {
+        if dir == 0 {
+            return &self.forward;
+        }
+        self.backward.get_or_init(|| {
+            let (a, b, len) = self
+                .swap
+                .expect("only plans with a destination buffer swap");
+            let forward = &self.forward;
+            LaneDirection {
+                strips: forward
+                    .strips
+                    .iter()
+                    .map(|s| s.with_ranges_swapped(a, b, len))
+                    .collect(),
+                kernels: forward
+                    .kernels
+                    .iter()
+                    .map(|k| k.as_ref().map(|k| k.with_ranges_swapped(a, b, len)))
+                    .collect(),
+                exchanges: forward
+                    .exchanges
+                    .iter()
+                    .map(|x| x.with_ranges_swapped(a, b, len))
+                    .collect(),
+            }
+        })
+    }
+}
+
+/// What one halo-shaped lane buffer's interior holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Held {
+    /// The node-memory array whose words it holds.
+    array: Field,
+    /// The write epoch as of which it holds them: a later stamp on
+    /// `array` makes the buffer stale.
+    epoch: u64,
+    /// Whether the buffer's halo ring was exchanged since its interior
+    /// was last written.
+    exchanged: bool,
 }
 
 /// The mutable half of an execution plan: one tenant's binding and
@@ -354,14 +435,16 @@ pub struct PlanInstance {
     lane_view: Option<LaneView>,
     /// The instance-owned persistent lane mirror. Shaped on first
     /// execute, recycled afterwards (zero steady-state allocations);
-    /// `lane_held` and `lane_refreshed` record what it holds. Poolable
+    /// `lane_held` and `lane_buffers` record what it holds. Poolable
     /// across instances via
     /// [`ExecutionPlan::take_mirror`] / [`ExecutionPlan::install_mirror`].
     lane_mirror: LaneMirror,
-    /// Interior refresh on the mirror (the lane-domain `fill_interior`),
-    /// parallel to the lane schedule's exchanges: sources first, then
-    /// (temporal plans) the bound named-coefficient arrays into their
-    /// halos. Empty unless lane-mapped.
+    /// The interior of each halo-shaped lane buffer, node side on the
+    /// array its refresh copies from (the lane-domain `fill_interior`):
+    /// one per refresh pair — sources first, then (temporal plans) the
+    /// bound named-coefficient arrays into their halos — then a classic
+    /// plan's destination buffer (node side on source 0, which direction
+    /// 1 reads from it). Empty unless lane-mapped.
     lane_interiors: Vec<RectCopy>,
     /// The node base each viewed range's lane words were last gathered
     /// from, parallel to the view's ranges. Empty while the mirror holds
@@ -369,14 +452,21 @@ pub struct PlanInstance {
     /// execute then gathers the whole view. Only the *gathered* ranges
     /// (read-only, not lane-private, not a halo buffer) are consulted
     /// afterwards — halo words come from the refresh and exchange,
-    /// writable words from the kernels.
+    /// destination and scratch words from the kernels.
     lane_held: Vec<Option<usize>>,
-    /// The base of the array each refresh pair (`lane_interiors` and the
-    /// schedule's exchanges) last refreshed its halo from. `None` makes
-    /// the next execute refresh and exchange that halo.
-    lane_refreshed: Vec<Option<usize>>,
+    /// What each buffer of `lane_interiors` holds; `None` is garbage. A
+    /// pair whose buffer holds its array skips the refresh, and skips
+    /// the exchange too once the buffer's ring is exchanged.
+    lane_buffers: Vec<Option<Held>>,
+    /// The direction the execute in flight runs: 1 when the destination
+    /// buffer already holds source 0, else 0.
+    lane_dir: usize,
+    /// The buffer the last execute wrote and the result array it staged
+    /// for, until [`ExecutionPlan::committed`] reports the commit's
+    /// epoch: only then does the buffer count as holding the result.
+    lane_pending: Option<(usize, Field)>,
     /// The [`Machine::write_epoch`] the mirror was last synced at: a
-    /// held range or refreshed array stamped later holds newer words.
+    /// held range stamped later holds newer words.
     lane_epoch: u64,
     /// Machine-total words the last rebind added to the next execute's
     /// re-read beyond a ping-pong swap: the named coefficients it moved
@@ -546,6 +636,16 @@ impl CompiledPlan {
                 machine.alloc_field(len)
             }
         };
+        let lane_eligible = opts.mode == ExecMode::Fast && opts.engine == ExecEngine::Lockstep;
+        let dest = if lane_eligible && depth == 1 {
+            Some(if persistent {
+                HaloBuffer::new_persistent(machine, sub_rows, sub_cols, halo_pad)?
+            } else {
+                HaloBuffer::new(machine, sub_rows, sub_cols, halo_pad)?
+            })
+        } else {
+            None
+        };
 
         // Constant pages: one word each of 1.0 and 0.0, plus one page
         // per literal coefficient (streamed with a zero row stride).
@@ -699,7 +799,9 @@ impl CompiledPlan {
         // of the subgrid (reads reach one radius further — exactly the
         // previous step's write margin), reading the deepened source
         // halo (step 0) or the previous scratch state, and writing the
-        // next scratch state or (final step) the bound result.
+        // next scratch state or (final step) the interior of source 0's
+        // halo, dead after step 0 — the mirror stages it into the
+        // result, and the next execute of a ping-pong reads it in place.
         let src_layouts: Vec<FieldLayout> = halos.iter().map(HaloBuffer::layout).collect();
         let mut strips = Vec::new();
         let mut strip_widths = [0u64; 4];
@@ -711,8 +813,10 @@ impl CompiledPlan {
             } else {
                 vec![scratch_layout(&scratch[(step - 1) % 2])]
             };
-            let step_res = if step + 1 == depth {
+            let step_res = if depth == 1 {
                 result.layout()
+            } else if step + 1 == depth {
+                halos[0].layout()
             } else {
                 scratch_layout(&scratch[step % 2])
             };
@@ -725,7 +829,10 @@ impl CompiledPlan {
                 let sk = compiled
                     .widest_kernel_for(strip.width)
                     .expect("plan_strips used compiled widths");
-                debug_assert_eq!(sk.width, strip.width);
+                assert_eq!(
+                    sk.width, strip.width,
+                    "the widest kernel must fit the strip exactly"
+                );
                 for half in &halves {
                     let kernel = match half.walk {
                         Walk::North => &sk.north,
@@ -743,11 +850,9 @@ impl CompiledPlan {
                     };
                     let mut resolved = ResolvedStrip::new(kernel, &ctx);
                     if depth > 1 {
-                        // Scratch and coefficient-halo addresses are
-                        // plan-owned and never move on rebind: freeze
-                        // them so rebase shifts only the final step's
-                        // result operands.
-                        resolved.freeze_slots(step + 1 < depth, true);
+                        // Scratch, halo and coefficient-halo addresses
+                        // are plan-owned and never move on rebind.
+                        resolved.freeze_slots(true, true);
                     }
                     strips.push(resolved);
                     if let Some(slot) = width_slot(strip.width) {
@@ -763,6 +868,7 @@ impl CompiledPlan {
             strips,
             lane: None,
             halos,
+            dest,
             exchanges,
             consts,
             literal_pages: pages.into_iter().flatten().collect(),
@@ -798,13 +904,21 @@ impl CompiledPlan {
         // body, is refused. Only the translation is kept: lane addresses
         // depend on range lengths and order alone, both
         // binding-invariant, so the artifact shares it with every
-        // instance; the view itself (gather/scatter bases) and the
+        // instance; the view itself (its gather bases) and the
         // interior refresh copies are per-binding and are recomputed by
         // [`PlanInstance::for_binding`].
-        if cp.lane_eligible() {
+        if lane_eligible {
             cp.lane = instance_lane_view(&cp, binding.coeffs(), &result).and_then(|view| {
-                let exchanges = cp.exchanges.iter().chain(&coeff_exchanges);
-                LaneSchedule::translate(&cp.strips, exchanges, &scratch_fills, &view)
+                let exchanges: Vec<&ExchangeProgram> =
+                    cp.exchanges.iter().chain(&coeff_exchanges).collect();
+                let node = cp.lane_node_strips(&cp.strips, &result);
+                LaneSchedule::translate(
+                    &node,
+                    &exchanges,
+                    &scratch_fills,
+                    &view,
+                    cp.swap_ranges(&view),
+                )
             });
             if cp.temporal.is_some() && cp.lane.is_none() {
                 if persistent {
@@ -822,6 +936,27 @@ impl CompiledPlan {
     /// lockstep engine.
     fn lane_eligible(&self) -> bool {
         self.opts.mode == ExecMode::Fast && self.opts.engine == ExecEngine::Lockstep
+    }
+
+    /// The node-domain schedule the lane body runs, from `strips` — the
+    /// node schedule resolved against the result array `result`. A
+    /// temporal schedule already writes source 0's halo; a classic one
+    /// has its result stores moved into the destination buffer.
+    fn lane_node_strips(&self, strips: &[ResolvedStrip], result: &CmArray) -> Vec<ResolvedStrip> {
+        match &self.dest {
+            Some(dest) => strips
+                .iter()
+                .map(|s| s.retarget_result(&result.layout(), &dest.layout()))
+                .collect(),
+            None => strips.to_vec(),
+        }
+    }
+
+    /// The view ranges of source 0's halo and the destination buffer —
+    /// the pair direction 1 swaps — or `None` when the plan has one
+    /// direction.
+    fn swap_ranges(&self, view: &LaneView) -> Option<(usize, usize)> {
+        self.dest.map(|_| (0, view.ranges().len() - 1))
     }
 
     /// Validates that a candidate binding can attach to this artifact:
@@ -878,6 +1013,7 @@ impl CompiledPlan {
         self.halos
             .iter()
             .chain(self.temporal.iter().flat_map(|tp| &tp.coeff_halos))
+            .chain(&self.dest)
             .any(|h| h.field().base() == base)
     }
 
@@ -906,10 +1042,15 @@ impl CompiledPlan {
         self.lifetime
     }
 
-    /// Words of node memory the artifact's halo buffers, constant pages,
-    /// and (temporal plans) coefficient halos and scratch states occupy.
+    /// Words of node memory the artifact's halo buffers (the
+    /// destination buffer included), constant pages, and (temporal
+    /// plans) coefficient halos and scratch states occupy.
     pub fn words(&self) -> usize {
-        self.halos.iter().map(HaloBuffer::words).sum::<usize>()
+        self.halos
+            .iter()
+            .chain(&self.dest)
+            .map(HaloBuffer::words)
+            .sum::<usize>()
             + self.consts.len()
             + self
                 .literal_pages
@@ -961,6 +1102,9 @@ impl CompiledPlan {
             machine.free_field_persistent(page);
         }
         machine.free_field_persistent(self.consts);
+        if let Some(dest) = self.dest {
+            dest.release(machine);
+        }
         for halo in self.halos.into_iter().rev() {
             halo.release(machine);
         }
@@ -990,7 +1134,9 @@ impl PlanInstance {
             lane_mirror: LaneMirror::new(),
             lane_interiors: Vec::new(),
             lane_held: Vec::new(),
-            lane_refreshed: Vec::new(),
+            lane_buffers: Vec::new(),
+            lane_dir: 0,
+            lane_pending: None,
             lane_epoch: 0,
             lane_rebind_moved: 0,
             lane_streams: (0..cp.temporal_depth())
@@ -1012,10 +1158,10 @@ impl PlanInstance {
     }
 
     /// Maps the current binding onto the lane mirror: the view over the
-    /// bound arrays (its gather/scatter bases follow every rebind), a
-    /// private translation when the shared artifact has none, and the
-    /// interior refresh copies, which read the bound arrays. Leaves the
-    /// instance unmapped — on the scalar engine — when any part fails.
+    /// bound arrays (its gather bases follow every rebind), a private
+    /// translation when the shared artifact has none, and the interior
+    /// copies, which read the bound arrays. Leaves the instance unmapped
+    /// — on the scalar engine — when any part fails.
     fn map_lanes(&mut self, cp: &CompiledPlan) {
         self.lane_view = None;
         self.lane_interiors.clear();
@@ -1030,13 +1176,18 @@ impl PlanInstance {
             // schedule or fails), so there are no coefficient halos or
             // scratch fills to translate.
             self.apply_pending_rebase();
-            self.lane_override = LaneSchedule::translate(&self.strips, &cp.exchanges, &[], &view);
+            let node = cp.lane_node_strips(&self.strips, &self.result);
+            let exchanges: Vec<&ExchangeProgram> = cp.exchanges.iter().collect();
+            self.lane_override =
+                LaneSchedule::translate(&node, &exchanges, &[], &view, cp.swap_ranges(&view));
             if self.lane_override.is_none() {
                 return;
             }
         }
         // Refresh pairs: each source into its halo, then (temporal
-        // plans) each named coefficient into its coefficient halo.
+        // plans) each named coefficient into its coefficient halo, then
+        // the destination buffer, which holds source 0 when direction 1
+        // reads it.
         let coeffs: &[CmArray] = if cp.temporal.is_some() {
             &self.coeffs
         } else {
@@ -1045,11 +1196,16 @@ impl PlanInstance {
         let halos = cp
             .halos
             .iter()
-            .chain(cp.temporal.iter().flat_map(|tp| &tp.coeff_halos));
-        let pairs = halos.zip(self.sources.iter().chain(coeffs));
-        if let Some(interiors) = lane_interior_copies(&view, pairs) {
+            .chain(cp.temporal.iter().flat_map(|tp| &tp.coeff_halos))
+            .chain(&cp.dest);
+        let arrays = self
+            .sources
+            .iter()
+            .chain(coeffs)
+            .chain(cp.dest.iter().map(|_| &self.sources[0]));
+        if let Some(interiors) = lane_interior_copies(&view, halos.zip(arrays)) {
             self.lane_interiors = interiors;
-            self.lane_refreshed.resize(self.lane_interiors.len(), None);
+            self.lane_buffers.resize(self.lane_interiors.len(), None);
             self.lane_view = Some(view);
         }
     }
@@ -1077,14 +1233,52 @@ impl PlanInstance {
     /// the whole view and refreshes every halo.
     fn forget_mirror(&mut self) {
         self.lane_held.clear();
-        self.lane_refreshed.fill(None);
+        self.lane_buffers.fill(None);
+        self.lane_pending = None;
     }
 
-    /// Forgets every held range and refreshed halo whose node-memory
-    /// source moved or was written since the mirror's last sync, and
-    /// records this sync's epoch. Runs before the execute takes node
-    /// memory, so the epoch precedes the execute's own stamps.
+    /// The buffer refresh pair `k` reads in direction `dir`: its own,
+    /// except source 0 in direction 1, which reads the destination
+    /// buffer (the last of `lane_interiors`).
+    fn source_buffer(&self, k: usize, dir: usize) -> usize {
+        if k == 0 && dir == 1 {
+            self.lane_interiors.len() - 1
+        } else {
+            k
+        }
+    }
+
+    /// The buffer the final step writes in direction `dir`: source 0's
+    /// halo on a temporal plan, else whichever of source 0's halo and
+    /// the destination buffer `dir` does not read.
+    fn dest_buffer(&self, cp: &CompiledPlan, dir: usize) -> usize {
+        if cp.dest.is_none() {
+            0
+        } else {
+            self.source_buffer(0, 1 - dir)
+        }
+    }
+
+    /// Records that the stage the last execute filled was committed at
+    /// `epoch`: its destination buffer now holds the result array.
+    fn committed(&mut self, epoch: u64) {
+        if let Some((b, array)) = self.lane_pending.take() {
+            self.lane_buffers[b] = Some(Held {
+                array,
+                epoch,
+                exchanged: false,
+            });
+        }
+    }
+
+    /// Forgets every held range whose node-memory source moved or was
+    /// written since the mirror's last sync and every buffer whose array
+    /// was written since the epoch it holds it as of, and records this
+    /// sync's epoch. Runs before the execute takes node memory, so the
+    /// epoch precedes the execute's own stamps. A commit never reported
+    /// by [`Self::committed`] leaves its buffer unheld.
     fn invalidate_stale(&mut self, machine: &Machine) {
+        self.lane_pending = None;
         let since = std::mem::replace(&mut self.lane_epoch, machine.write_epoch());
         let view = self
             .lane_view
@@ -1096,10 +1290,9 @@ impl PlanInstance {
                 *held = None;
             }
         }
-        for k in 0..self.lane_refreshed.len() {
-            let f = self.refresh_array(k).field();
-            if self.lane_refreshed[k] != Some(f.base()) || machine.written_since(f.range(), since) {
-                self.lane_refreshed[k] = None;
+        for buffer in &mut self.lane_buffers {
+            if buffer.is_some_and(|h| machine.written_since(h.array.range(), h.epoch)) {
+                *buffer = None;
             }
         }
     }
@@ -1109,8 +1302,8 @@ impl PlanInstance {
     /// that reads node memory, through `machine` — any shared borrow,
     /// such as the session's read guard. Then `machine` is dropped: the
     /// compute phase ([`Self::compute_phase`]) touches only the
-    /// instance's private mirror and stages the writable ranges into
-    /// `stage` for the caller to commit. One `execute` span covers both
+    /// instance's private mirror and stages the result into `stage` for
+    /// the caller to commit (and report with [`Self::committed`]). One `execute` span covers both
     /// phases. Only lane-mapped instances may run it — the caller checks
     /// [`ExecutionPlan::lane_mapped`] — and it cannot fail, so this
     /// returns a bare [`Measurement`].
@@ -1129,11 +1322,12 @@ impl PlanInstance {
 
     /// Re-reads exactly what [`Self::invalidate_stale`] left unheld: the
     /// whole view when the mirror holds nothing yet, else the gathered
-    /// ranges that moved or were written, then the interior of every
-    /// halo whose array moved or was written. Those halos stay unmarked
-    /// in `lane_refreshed` until the compute phase has exchanged them.
-    /// Returns whether a coefficient range or coefficient halo was
-    /// re-read.
+    /// ranges that moved or were written. Then picks the direction —
+    /// the one reading the buffer that already holds source 0, if one
+    /// does — and refreshes the interior of every pair whose buffer does
+    /// not hold its array. Refreshed buffers stay unexchanged until the
+    /// compute phase has exchanged them. Returns whether a coefficient
+    /// range or coefficient halo was re-read.
     fn read_phase(&mut self, cp: &CompiledPlan, machine: &Machine, tally: &mut ExecTally) -> bool {
         self.invalidate_stale(machine);
         let (_, mems) = machine.exec_parts();
@@ -1156,10 +1350,10 @@ impl PlanInstance {
             for (range, held) in view.ranges().iter().zip(&mut self.lane_held) {
                 if held.is_none() && gathered(range) {
                     let rect = RectCopy {
-                        src0: range.node_base,
-                        src_stride: 0,
-                        dst0: range.lane_base,
-                        dst_stride: 0,
+                        node0: range.node_base,
+                        node_stride: 0,
+                        lane0: range.lane_base,
+                        lane_stride: 0,
                         rows: 1,
                         cols: range.len,
                     };
@@ -1170,16 +1364,34 @@ impl PlanInstance {
                 }
             }
         }
-        for (k, interior) in self.lane_interiors.iter().enumerate() {
-            if self.lane_refreshed[k].is_some() {
+        let holds = |buffers: &[Option<Held>], b: usize, array: Field| {
+            buffers[b].is_some_and(|h| h.array == array)
+        };
+        let source = self.sources[0].field();
+        self.lane_dir = usize::from(
+            cp.dest.is_some()
+                && !holds(&self.lane_buffers, 0, source)
+                && holds(&self.lane_buffers, self.source_buffer(0, 1), source),
+        );
+        let pairs = self.sources.len() + cp.temporal.as_ref().map_or(0, |tp| tp.coeff_halos.len());
+        for k in 0..pairs {
+            let b = self.source_buffer(k, self.lane_dir);
+            let array = self.refresh_array(k).field();
+            if holds(&self.lane_buffers, b, array) {
                 continue;
             }
+            let interior = &self.lane_interiors[b];
             let _t = cmcc_obs::trace::scope(
                 cmcc_obs::trace::TraceOp::InteriorRefresh,
                 (interior.rows * interior.cols) as u64,
             );
             self.lane_mirror.gather_rows(mems, interior);
             tally.predicted += interior.rows * interior.cols * nodes;
+            self.lane_buffers[b] = Some(Held {
+                array,
+                epoch: self.lane_epoch,
+                exchanged: false,
+            });
             // Pairs past the sources refresh coefficient halos, which
             // the packed streams read.
             coeffs_reread |= k >= self.sources.len();
@@ -1198,43 +1410,46 @@ impl PlanInstance {
         stage: &mut RegionStage,
     ) -> Measurement {
         let depth = cp.temporal_depth();
+        let dir = self.lane_dir;
         let schedule = cp
             .lane
             .as_ref()
             .or(self.lane_override.as_ref())
             .expect("mapped plans have a lane schedule");
-        let view = self
-            .lane_view
-            .as_ref()
-            .expect("mirrored plans are lane-mapped");
-        for (k, exchange) in schedule.exchanges.iter().enumerate() {
+        let lane = schedule.direction(dir);
+        for (k, exchange) in lane.exchanges.iter().enumerate() {
             // The modeled NEWS cycles are charged every iteration —
             // the CM-2 exchanges every time. Skipping the host-side
             // copies of an unchanged source is an emulator optimization
             // and must not perturb the `Measurement`.
             tally.comm += exchange.cycles();
-            if self.lane_refreshed[k].is_some() {
+            let b = self.source_buffer(k, dir);
+            let held = self.lane_buffers[b]
+                .as_mut()
+                .expect("the read phase refreshed every pair");
+            if held.exchanged {
                 continue;
             }
             tally.exchange_words += exchange.words_moved();
             tally.predicted += exchange.words_moved();
             let _ = exchange.run(&mut self.lane_mirror);
-            self.lane_refreshed[k] = Some(self.refresh_array(k).field().base());
+            held.exchanged = true;
         }
+        // The destination is about to be overwritten; it holds the
+        // result only once the commit reports its epoch.
+        let dest = self.dest_buffer(cp, dir);
+        self.lane_buffers[dest] = None;
+        self.lane_pending = Some((dest, self.result.field()));
         if coeffs_reread {
             for streams in &mut self.lane_streams {
                 streams.invalidate();
             }
         }
-        let kernels: &[Option<StripKernels>] = if self.kernel_tier {
-            &schedule.kernels
-        } else {
-            &[]
-        };
+        let kernels: &[Option<StripKernels>] = if self.kernel_tier { &lane.kernels } else { &[] };
         for step in 0..depth {
             let (lo, hi) = match &cp.temporal {
                 Some(tp) => (tp.step_bounds[step], tp.step_bounds[step + 1]),
-                None => (0, schedule.strips.len()),
+                None => (0, lane.strips.len()),
             };
             let step_kernels = if kernels.is_empty() {
                 kernels
@@ -1243,19 +1458,25 @@ impl PlanInstance {
             };
             let _t = cmcc_obs::trace::scope(cmcc_obs::trace::TraceOp::KernelSweep, step as u64);
             tally.run.absorb(&run_lockstep_groups_kernelized(
-                &schedule.strips[lo..hi],
+                &lane.strips[lo..hi],
                 step_kernels,
                 &mut self.lane_streams[step],
+                dir,
                 self.lane_mirror.groups_mut(),
             ));
             if step + 1 < depth {
                 schedule.scratch_fills[step % 2].run(&mut self.lane_mirror);
             }
         }
-        // Transpose the writable image into the stage; the caller
-        // commits it with `Machine::apply_stage`.
-        tally.predicted += view.scatter_words() * cp.nodes;
-        self.lane_mirror.scatter_stage(view, stage);
+        // Transpose the destination's interior into the result's stage;
+        // the caller commits it with `Machine::apply_stage`.
+        let rect = RectCopy {
+            node0: self.result.field().base(),
+            node_stride: self.result.sub_cols(),
+            ..self.lane_interiors[dest]
+        };
+        tally.predicted += rect.rows * rect.cols * cp.nodes;
+        self.lane_mirror.stage(&rect, stage);
         self.finish(cp, tally)
     }
 
@@ -1272,13 +1493,14 @@ impl PlanInstance {
             // writes and their commit.
             let mut stage = std::mem::take(&mut self.stage);
             let m = self.execute_region(cp, &*machine, &mut stage);
-            {
+            let epoch = {
                 let _t = cmcc_obs::trace::scope(
                     cmcc_obs::trace::TraceOp::RegionCommit,
                     stage.ranges().len() as u64,
                 );
-                machine.apply_stage(&stage);
-            }
+                machine.apply_stage(&stage)
+            };
+            self.committed(epoch);
             self.stage = stage;
             return Ok(m);
         }
@@ -1343,8 +1565,8 @@ impl PlanInstance {
         // Every build proves the copy model against observed traffic: the
         // words this execute moved are exactly what its re-reads predict
         // — the analytic `steady_state_copy_words` on the scalar engine,
-        // and the staged scatter plus the re-gathered ranges and
-        // refreshed halos on the lane body. Both sides are counted
+        // and the staged result plus the re-gathered ranges, refreshed
+        // buffers and run exchanges on the lane body. Both sides are counted
         // anyway, and on the lane body a mismatch panics before the
         // caller commits the stage, so node memory stays untouched.
         let observed =
@@ -1435,12 +1657,12 @@ impl PlanInstance {
 
         // Remap against the new arrays. The ranges keep their order and
         // lengths (shapes were just validated), so lane addresses and
-        // the translation stay valid; only the view's gather/scatter
-        // bases and the interior copies move. A rebind can also unmap
-        // the plan (the new binding aliases arrays) or map it again.
-        // The mirror keeps its contents: the next execute compares what
-        // it holds against the new bases (and write stamps) and re-reads
-        // only what moved.
+        // the translation stay valid; only the view's gather bases and
+        // the interior copies move. A rebind can also unmap the plan
+        // (the new binding aliases arrays) or map it again. The mirror
+        // keeps its contents and its records of what each buffer holds:
+        // the next execute reads its source from the buffer that holds
+        // it — a ping-pong's last result — and re-reads only what moved.
         self.map_lanes(cp);
         let nodes = cp.nodes;
         self.lane_rebind_moved = match (&self.lane_view, self.lane_schedule(cp)) {
@@ -1453,7 +1675,7 @@ impl PlanInstance {
                         // halos: a moved array re-runs that refresh pair.
                         Some(_) => {
                             c.sub_rows() * c.sub_cols() * nodes
-                                + schedule.exchanges[self.sources.len() + k].words_moved()
+                                + schedule.forward.exchanges[self.sources.len() + k].words_moved()
                         }
                         None => c.field().len() * nodes,
                     }
@@ -1467,43 +1689,69 @@ impl PlanInstance {
     /// Machine-total words copied per steady-state `execute` — the body
     /// behind [`ExecutionPlan::steady_state_copy_words`].
     fn steady_copy_words(&self, cp: &CompiledPlan) -> usize {
-        match &self.lane_view {
-            Some(view) => view.scatter_words() * cp.nodes,
+        let (Some(_), Some(schedule)) = (&self.lane_view, self.lane_schedule(cp)) else {
             // The scalar engine refreshes every source interior and runs
             // every exchange per execute.
-            None => {
-                let interior: usize = self
-                    .sources
+            let interior: usize = self
+                .sources
+                .iter()
+                .map(|s| s.sub_rows() * s.sub_cols())
+                .sum();
+            return interior * cp.nodes
+                + cp.exchanges
                     .iter()
-                    .map(|s| s.sub_rows() * s.sub_cols())
-                    .sum();
-                interior * cp.nodes
-                    + cp.exchanges
-                        .iter()
-                        .map(ExchangeProgram::words_moved)
-                        .sum::<usize>()
-            }
-        }
+                    .map(ExchangeProgram::words_moved)
+                    .sum::<usize>();
+        };
+        // The result is staged every execute. Source 0's buffer still
+        // holds it, exchanged, unless the final step overwrote it (a
+        // temporal plan: refresh and exchange again) or the commit
+        // rewrote source 0 (an in-place update, read next time from the
+        // destination: exchange only).
+        let result = self.result.field();
+        let exchange0 = schedule.forward.exchanges[0].words_moved();
+        let source0 = if self.sources[0].field() == result {
+            exchange0
+        } else if cp.dest.is_none() || overlaps(self.sources[0].field(), result) {
+            self.refresh_words(cp, 0) + exchange0
+        } else {
+            0
+        };
+        // Other pairs stay held unless the commit wrote their array.
+        let others: usize = (1..self.lane_interiors.len() - usize::from(cp.dest.is_some()))
+            .filter(|&k| overlaps(self.refresh_array(k).field(), result))
+            .map(|k| self.refresh_words(cp, k) + schedule.forward.exchanges[k].words_moved())
+            .sum();
+        source0 + others + self.stage_words(cp)
+    }
+
+    /// Machine-total words the interior refresh of pair `k` copies.
+    fn refresh_words(&self, cp: &CompiledPlan, k: usize) -> usize {
+        self.lane_interiors[k].rows * self.lane_interiors[k].cols * cp.nodes
+    }
+
+    /// Machine-total words one execute stages into the result.
+    fn stage_words(&self, cp: &CompiledPlan) -> usize {
+        self.result.field().len() * cp.nodes
     }
 
     /// Machine-total words copied by the execute after a ping-pong
-    /// rebind on the lane body: every source's interior refresh and
-    /// halo exchange, the result scatter, and whatever the last rebind
-    /// moved beyond that (see `lane_rebind_moved`). On the scalar engine
-    /// this is the steady-state figure (every execute already pays the
-    /// full refresh).
+    /// rebind on the lane body, whose source 0 is the last result: that
+    /// source's buffer holds it, so it only exchanges; every other
+    /// source refreshes and exchanges; the result is staged; and
+    /// whatever the last rebind moved beyond that (see
+    /// `lane_rebind_moved`) is re-read. On the scalar engine this is the
+    /// steady-state figure (every execute already pays the full
+    /// refresh).
     fn rebind_cycle_copy_words(&self, cp: &CompiledPlan) -> usize {
         let (Some(_), Some(schedule)) = (&self.lane_view, self.lane_schedule(cp)) else {
             return self.steady_copy_words(cp);
         };
-        let swap: usize = self
-            .lane_interiors
-            .iter()
-            .zip(&schedule.exchanges)
-            .take(self.sources.len())
-            .map(|(r, x)| r.rows * r.cols * cp.nodes + x.words_moved())
+        let exchanges = &schedule.forward.exchanges;
+        let others: usize = (1..self.sources.len())
+            .map(|k| self.refresh_words(cp, k) + exchanges[k].words_moved())
             .sum();
-        swap + self.lane_rebind_moved + self.steady_copy_words(cp)
+        exchanges[0].words_moved() + others + self.lane_rebind_moved + self.stage_words(cp)
     }
 }
 
@@ -1586,13 +1834,15 @@ impl ExecutionPlan {
     /// buffers are recycled, so a steady state allocates nothing. The
     /// body re-reads node memory only where its mirror is out of date:
     /// each viewed read-only range (coefficient arrays, constant and
-    /// literal pages) and each source halo (interior refresh + exchange)
-    /// is re-read exactly when its node base moved since the mirror's
-    /// last sync or its write stamps ([`Machine::written_since`]) are
-    /// newer. Writes by anyone count — host scatters, another plan's
-    /// execute, this plan's own commit (an in-place binding reads its
-    /// result back next time) — so an unchanged binding over unchanged
-    /// arrays touches no `NodeMemory` beyond writing the result. Every
+    /// literal pages) is re-read exactly when its node base moved since
+    /// the mirror's last sync or its write stamps
+    /// ([`Machine::written_since`]) are newer, and each source (interior
+    /// refresh + exchange) unless a mirror buffer holds it — refreshed
+    /// from it, or written as the result of a commit that reported its
+    /// epoch — with no stamp on it since. Writes by anyone else count —
+    /// host scatters, another plan's execute — so an unchanged binding
+    /// over unchanged arrays, and the next step of a ping-pong, touch no
+    /// `NodeMemory` beyond writing the result. Every
     /// other plan runs on the scalar engine. Every execute stamps the
     /// ranges it writes (its writable [`Self::lease_ranges`]).
     ///
@@ -1605,8 +1855,8 @@ impl ExecutionPlan {
 
     /// Whether `execute` runs the lane body: fast mode, the lockstep
     /// engine, and a binding the lane mirror can hold (no aliased arrays
-    /// on a classic plan). Its only node-memory writes are the staged
-    /// writable ranges, and it cannot fail, so such a plan may also run
+    /// on a classic plan). Its only node-memory write is the staged
+    /// result, and it cannot fail, so such a plan may also run
     /// region-leased ([`Self::execute_region`]). False means the scalar
     /// engine — the oracle and the cycle model — runs it, writing node
     /// memory mid-execute under an exclusive borrow.
@@ -1619,12 +1869,13 @@ impl ExecutionPlan {
     /// the read phase. That phase is the only one that reads node
     /// memory: it re-gathers the stale mirror ranges and refreshes the
     /// interior of every stale halo. Then `machine` is dropped, and the
-    /// halo exchanges, the fused sweeps and the transpose of the
-    /// writable ranges into `stage` run on the private mirror alone. The
-    /// caller commits the stage with [`Machine::apply_stage`] under a
-    /// brief exclusive lock, while still holding the lease over this
-    /// plan's [`ExecutionPlan::lease_ranges`]: no conflicting execute
-    /// can run between the read phase and the commit. One `execute`
+    /// halo exchanges, the fused sweeps and the transpose of the result
+    /// into `stage` run on the private mirror alone. The caller commits
+    /// the stage with [`Machine::apply_stage`] under a brief exclusive
+    /// lock, while still holding the lease over this plan's
+    /// [`ExecutionPlan::lease_ranges`] — no conflicting execute can run
+    /// between the read phase and the commit — and reports the epoch it
+    /// returns with [`Self::committed`]. One `execute`
     /// trace span covers both phases.
     ///
     /// Results, [`Measurement`]s, and telemetry are bit-identical to
@@ -1643,12 +1894,28 @@ impl ExecutionPlan {
         self.inst.execute_region(&self.shared, machine, stage)
     }
 
+    /// Hands the plan the write epoch the commit of its last
+    /// [`Self::execute_region`] stamped — the value
+    /// [`Machine::apply_stage`] returned for that stage. From then on
+    /// the destination buffer counts as holding the result array as of
+    /// that epoch, so an execute that next reads the result (a
+    /// ping-pong step, an in-place update) reads it from the mirror
+    /// instead of refreshing it from node memory. A stage that is never
+    /// committed, or whose commit is never reported, leaves the buffer
+    /// unheld: the next execute refreshes as usual.
+    /// [`Self::execute`] commits and reports by itself.
+    pub fn committed(&mut self, epoch: u64) {
+        self.inst.committed(epoch);
+    }
+
     /// The node-memory ranges this plan's next execute touches, with
     /// write flags — what the session leases before admitting the
     /// execute. Covers the bound arrays (result writable; sources and
     /// coefficients read-only) plus every plan-owned field: halo
-    /// buffers, the constant pair, literal coefficient pages, and —
-    /// temporal plans — coefficient halos and ping-pong scratch. On the
+    /// buffers and the destination buffer, the constant pair, literal
+    /// coefficient pages, and — temporal plans — coefficient halos and
+    /// ping-pong scratch. The result is leased writable though the lane
+    /// body does not view it: its commit writes it. On the
     /// lane body the plan-owned fields are read-only (the refresh and
     /// exchange run on the instance's private mirror); on the scalar
     /// engine `fill_interior` and the exchange write them, so two
@@ -1666,7 +1933,7 @@ impl ExecutionPlan {
                 });
             }
         };
-        for halo in &cp.halos {
+        for halo in cp.halos.iter().chain(&cp.dest) {
             push(halo.field(), owned_writable);
         }
         push(cp.consts, false);
@@ -1807,7 +2074,7 @@ impl ExecutionPlan {
     pub fn kernelized_strips(&self) -> usize {
         match self.inst.lane_schedule(&self.shared) {
             Some(lane) if self.inst.kernel_tier && self.lane_mapped() => {
-                lane.kernels.iter().flatten().count()
+                lane.forward.kernels.iter().flatten().count()
             }
             _ => 0,
         }
@@ -1824,7 +2091,10 @@ impl ExecutionPlan {
     /// current engine. The lane body reaches a fixed point: while the
     /// binding holds and nobody writes the bound read-only arrays, the
     /// mirror's source halos and read-only ranges stay current, so a
-    /// steady iteration copies nothing but the writable-range scatter.
+    /// steady iteration copies nothing but the staged result — plus, on
+    /// a temporal plan, whose final step overwrote its source's halo,
+    /// that source's refresh and exchange, and on an in-place update the
+    /// exchange of the source it reads back from the mirror.
     /// The scalar engine refreshes per iteration: the interior source
     /// copy and the halo-exchange moves. Computed from the plan's
     /// structure, so it cannot drift from what `execute` actually does.
@@ -1834,10 +2104,12 @@ impl ExecutionPlan {
         self.inst.steady_copy_words(&self.shared)
     }
 
-    /// Machine-total words the execute after a ping-pong rebind moves on
-    /// the lane body: every source's interior refresh and halo exchange,
-    /// the result scatter, plus the read-only ranges (or, on temporal
-    /// plans, coefficient halos) the last rebind moved. Equals
+    /// Machine-total words the execute after a ping-pong rebind — source
+    /// 0 is the last result — moves on the lane body: source 0's halo
+    /// exchange (the mirror holds its words, so there is no refresh),
+    /// every other source's refresh and exchange, the staged result,
+    /// plus the read-only ranges (or, on temporal plans, coefficient
+    /// halos) the last rebind moved. Equals
     /// [`Self::steady_state_copy_words`] on the scalar engine, where
     /// every execute already pays the full refresh.
     pub fn rebind_cycle_copy_words(&self) -> usize {
@@ -1975,28 +2247,37 @@ impl MirrorWords {
 ///
 /// The view mirrors the node-memory ranges the schedule can touch, in a
 /// fixed order: halo buffers, the constant pair, literal coefficient
-/// pages, the named coefficients (all read-only), then the result array
-/// (the one range scattered back). The order and lengths are
-/// rebind-invariant, which is what keeps lane-translated strips valid
-/// across rebinds. Temporal plans replace the coefficient *arrays* with
-/// the plan-owned coefficient halos (refreshed like source halos) and
-/// add the ping-pong scratch states as writable **lane-private** ranges:
-/// their contents are produced and consumed entirely on the mirror
-/// within one execute, so neither gather nor scatter copies them.
+/// pages, the named coefficients (all read-only), then a classic plan's
+/// destination buffer (writable, **lane-private**: it has no node-memory
+/// image, so no gather copies it). The result array is not viewed: the
+/// stage transposes the destination buffer's interior into it. The order
+/// and lengths are rebind-invariant, which is what keeps lane-translated
+/// strips valid across rebinds. Temporal plans replace the coefficient
+/// *arrays* with the plan-owned coefficient halos (refreshed like source
+/// halos), add the ping-pong scratch states as writable lane-private
+/// ranges — produced and consumed entirely on the mirror within one
+/// execute — and make source 0's halo writable: their final step writes
+/// its interior.
 ///
-/// The view's own overlap check rejects a classic binding that aliases
-/// two viewed arrays. Temporal plans view only plan-owned buffers plus
-/// the result, so a result aliased onto a source maps too: the
-/// execute's commit stamps the source, and the next execute re-reads it
-/// like any other written array. (A result aliased onto a named
-/// coefficient is refused earlier, by [`check_fusable`].)
+/// A result that overlaps a gathered range would make the mirror's copy
+/// of that range stale the moment the result is committed, so such a
+/// binding is refused here: a classic plan whose result aliases a named
+/// coefficient runs on the scalar engine (a temporal one never gets
+/// here, [`check_fusable`] refuses it first). The view's own overlap
+/// check rejects a classic binding that aliases two named coefficients.
+/// A result aliased onto a source maps: the commit stamps the source,
+/// and the next execute reads it from the destination buffer.
 fn instance_lane_view(cp: &CompiledPlan, coeffs: &[CmArray], result: &CmArray) -> Option<LaneView> {
+    let temporal = cp.temporal.is_some();
+    if !temporal && coeffs.iter().any(|c| overlaps(c.field(), result.field())) {
+        return None;
+    }
     let mut ranges = Vec::new();
     let mut push = |f: Field, writable: bool, private: bool| {
         ranges.push((f.base(), f.len(), writable, private));
     };
-    for halo in &cp.halos {
-        push(halo.field(), false, false);
+    for (k, halo) in cp.halos.iter().enumerate() {
+        push(halo.field(), temporal && k == 0, false);
     }
     push(cp.consts, false, false);
     for &(page, _) in &cp.literal_pages {
@@ -2017,8 +2298,15 @@ fn instance_lane_view(cp: &CompiledPlan, coeffs: &[CmArray], result: &CmArray) -
             }
         }
     }
-    push(result.field(), true, false);
+    if let Some(dest) = &cp.dest {
+        push(dest.field(), true, true);
+    }
     LaneView::new_with_private(&ranges)
+}
+
+/// Whether two node-memory fields share an address.
+fn overlaps(a: Field, b: Field) -> bool {
+    a.base() < b.base() + b.len() && b.base() < a.base() + a.len()
 }
 
 /// The one binding rule temporal tiling adds, shared by the build,
@@ -2035,13 +2323,7 @@ fn check_fusable<'a>(
     result: &CmArray,
     mut coeffs: impl Iterator<Item = &'a CmArray>,
 ) -> Result<(), RuntimeError> {
-    let rf = result.field();
-    if depth > 1
-        && coeffs.any(|c| {
-            let f = c.field();
-            f.base() < rf.base() + rf.len() && rf.base() < f.base() + f.len()
-        })
-    {
+    if depth > 1 && coeffs.any(|c| overlaps(c.field(), result.field())) {
         return Err(RuntimeError::Unfusable {
             reason: "the result aliases a named coefficient",
         });
@@ -2050,10 +2332,10 @@ fn check_fusable<'a>(
 }
 
 /// Translates each halo's interior refresh onto the lane mirror: one
-/// [`RectCopy`] per halo rewrites the mirror rows holding its interior
-/// from the (mirror-external) bound array — the lane-domain
-/// `fill_interior`. Returns `None` when any halo buffer is not wholly
-/// inside one viewed range (then the plan runs on the scalar engine).
+/// [`RectCopy`] per halo pairs the mirror rows holding its interior with
+/// the (mirror-external) bound array — the lane-domain `fill_interior`.
+/// Returns `None` when any halo buffer is not wholly inside one viewed
+/// range (then the plan runs on the scalar engine).
 fn lane_interior_copies<'a>(
     view: &LaneView,
     pairs: impl Iterator<Item = (&'a HaloBuffer, &'a CmArray)>,
@@ -2068,10 +2350,10 @@ fn lane_interior_copies<'a>(
                 return None;
             }
             Some(RectCopy {
-                src0: sl.addr(0, 0),
-                src_stride: sl.row_stride,
-                dst0: lane0 + (hl.addr(0, 0) - f.base()),
-                dst_stride: hl.row_stride,
+                node0: sl.addr(0, 0),
+                node_stride: sl.row_stride,
+                lane0: lane0 + (hl.addr(0, 0) - f.base()),
+                lane_stride: hl.row_stride,
                 rows: src.sub_rows(),
                 cols: src.sub_cols(),
             })

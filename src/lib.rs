@@ -488,12 +488,14 @@ impl SessionShared {
     }
 
     /// Commits a region execute's staged writes under a brief write
-    /// lock. The execute dropped its read lock after the read phase, so
-    /// only the lease keeps other writers off these words: every staged
-    /// range must lie inside one of the lease's writable ranges. That is
+    /// lock and returns the write epoch the commit stamped, which the
+    /// caller hands back to the plan ([`ExecutionPlan::committed`]). The
+    /// execute dropped its read lock after the read phase, so only the
+    /// lease keeps other writers off these words: every staged range
+    /// must lie inside one of the lease's writable ranges. That is
     /// checked in every build, before node memory (or the lock) is
     /// touched.
-    fn commit(&self, stage: &RegionStage, lease: &[LeaseRange]) {
+    fn commit(&self, stage: &RegionStage, lease: &[LeaseRange]) -> u64 {
         let leased = |&(base, len): &(usize, usize)| {
             lease
                 .iter()
@@ -508,7 +510,7 @@ impl SessionShared {
             cmcc_obs::trace::TraceOp::RegionCommit,
             stage.ranges().len() as u64,
         );
-        machine.apply_stage(stage);
+        machine.apply_stage(stage)
     }
 
     /// The cache-aware lookup: returns the shared artifact for `key`,
@@ -975,7 +977,7 @@ impl Session {
             shared.leases.region_grants.fetch_add(1, Ordering::Relaxed);
             cmcc_obs::add(cmcc_obs::Counter::RegionLeases, 1);
             let measurement = plan.execute_region(shared.machine_read(), &mut self.stage);
-            shared.commit(&self.stage, &lease.ranges);
+            plan.committed(shared.commit(&self.stage, &lease.ranges));
             measurement
         } else {
             // The scalar engine writes node memory in place.

@@ -190,7 +190,8 @@ fn steady_state_copy_words_match_analytic_prediction() {
 /// The copy-word contract under ping-pong rebinding: a Square9 plan over
 /// nine coefficient arrays swaps source and result every execute. Once
 /// primed, no execute re-gathers anything (the coefficients neither move
-/// nor change), and each moves exactly `rebind_cycle_copy_words()`. A
+/// nor change) or refreshes its source (the last result is still in the
+/// mirror), and each moves exactly `rebind_cycle_copy_words()`. A
 /// host scatter into one coefficient array then makes the next execute
 /// gather exactly that array — `nodes × len` words — and still match the
 /// scalar engine bit for bit.
@@ -240,6 +241,11 @@ fn ping_pong_copy_words_match_the_rebind_cycle_model() {
             report.get(Counter::GatherWords),
             0,
             "a ping-pong execute re-gathered unchanged coefficients"
+        );
+        assert_eq!(
+            report.get(Counter::InteriorRefreshWords),
+            0,
+            "a ping-pong execute refreshed the source its last result left in the mirror"
         );
         assert_eq!(
             report.copy_words(),

@@ -328,6 +328,72 @@ fn ring_overflow_counts_drops_and_preserves_prefix() {
     obs::set_enabled(false);
 }
 
+/// Every traced multi-thread sweep records on lane workers that
+/// `thread::scope` spawns and joins. Their rings must come back: after
+/// hundreds of traced two-group executes, no more rings exist than
+/// threads ever recorded at once, and every exited worker's slices are
+/// still in the trace, one thread track each.
+#[test]
+fn exited_workers_return_their_rings_and_keep_their_slices() {
+    let _g = lock();
+    trace::reset_trace();
+    trace::set_trace_enabled(true);
+    let cfg = MachineConfig::tiny_4();
+    let compiled = cmcc::Compiler::new(cfg.clone())
+        .compile_assignment("R = 0.5 * X + 0.25 * CSHIFT(X, 1, 1)")
+        .unwrap();
+    let mut m = Machine::new(cfg).unwrap();
+    let x = CmArray::new(&mut m, 8, 8).unwrap();
+    let r = CmArray::new(&mut m, 8, 8).unwrap();
+    x.fill(&mut m, 1.5);
+    let binding = StencilBinding::new(&compiled, &r, &[&x], &[]).unwrap();
+    let opts = ExecOptions::fast()
+        .with_engine(ExecEngine::Lockstep)
+        .with_threads(2);
+    let mut plan = ExecutionPlan::build(&mut m, &binding, &opts, PlanLifetime::Persistent).unwrap();
+    const EXECUTES: usize = 300;
+    for _ in 0..EXECUTES {
+        plan.execute(&mut m).unwrap();
+    }
+    trace::set_trace_enabled(false);
+
+    let rings = trace::ring_stats();
+    assert!(
+        rings.allocated <= rings.peak_live,
+        "{rings:?}: rings outnumber the threads that ever recorded at once"
+    );
+    assert!(
+        rings.allocated < EXECUTES,
+        "{rings:?}: every sweep's workers kept a ring"
+    );
+    let workers: Vec<usize> = trace::threads()
+        .iter()
+        .filter(|t| {
+            t.events
+                .iter()
+                .any(|e| e.op == TraceOp::ExecuteWorkers && e.kind == TraceKind::Begin)
+        })
+        .map(|t| t.tid)
+        .collect();
+    let slices = pair_slices(&trace::threads())
+        .iter()
+        .filter(|s| s.op == TraceOp::ExecuteWorkers)
+        .count();
+    assert_eq!(
+        slices,
+        2 * EXECUTES,
+        "one worker slice per lane group per execute"
+    );
+    assert_eq!(
+        workers.len(),
+        2 * EXECUTES,
+        "one thread track per exited worker"
+    );
+    trace::reset_trace();
+    assert!(trace::threads().iter().all(|t| t.events.is_empty()));
+    plan.release(&mut m);
+}
+
 /// Histogram percentiles equal the quantized rank statistic of the raw
 /// sample — quantization is monotone, so bucketing commutes with
 /// rank selection.
