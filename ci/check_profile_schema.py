@@ -2,8 +2,8 @@
 """Validate the stability of the `cmcc --profile=json` schema.
 
 Reads driver output on stdin, finds the single-line JSON profile object
-(the line opening with ``{"schema":"cmcc-profile-v6"``), and checks every
-documented key of the cmcc-profile-v6 schema (DESIGN.md §13/§18) is
+(the line opening with ``{"schema":"cmcc-profile-v7"``), and checks every
+documented key of the cmcc-profile-v7 schema (DESIGN.md §13/§18) is
 present with a sane type — including the region-lease block
 (``leases.*``), the lease and trace counters under ``report.exec``, the
 model-drift cross-check under ``derived``, and the flight-recorder
@@ -12,7 +12,7 @@ diagnostic on any missing or mistyped field, so CI fails when the schema
 drifts without a version bump.
 
 With ``--serve`` it instead validates the ``cmcc --serve --profile=json``
-output: the single ``cmcc-serve-v3`` line with per-tenant stats and
+output: the single ``cmcc-serve-v4`` line with per-tenant stats and
 latency histograms, the sharded plan-cache aggregate, the lease totals
 and contention attribution (``latency.lease.*``, whose
 ``waits_consistent`` flag must be true — the traced conflicted waits
@@ -42,7 +42,8 @@ With ``--bench-temporal FILE`` it instead validates the schema of the
 ``repro_temporal`` bench output (``BENCH_temporal.json``) and re-checks
 its recorded correctness gates: every depth bit-identical to the
 iterated scalar oracle, halo exchanges reduced by exactly the fused
-depth, and observed copy words equal to the analytic prediction.
+depth, observed copy words equal to the analytic prediction, and every
+depth run on the lockstep engine's kernels.
 
 With ``--bench-serve FILE`` it instead validates the schema of the
 ``repro_serve`` bench output (``BENCH_serve.json``) and re-checks its
@@ -66,8 +67,8 @@ import json
 import numbers
 import sys
 
-SCHEMA = "cmcc-profile-v6"
-SERVE_SCHEMA = "cmcc-serve-v3"
+SCHEMA = "cmcc-profile-v7"
+SERVE_SCHEMA = "cmcc-serve-v4"
 
 # The operations latency.phases keys (crates/obs/src/trace.rs order).
 LATENCY_PHASES = [
@@ -188,7 +189,6 @@ EXPECTED = [
     ("report.exec.scalar_steps", numbers.Integral),
     ("report.exec.lockstep_steps", numbers.Integral),
     ("report.exec.kernelized_steps", numbers.Integral),
-    ("report.exec.interpreted_steps", numbers.Integral),
     ("report.exec.mirror_allocations", numbers.Integral),
     ("report.exec.mirror_pool_misses", numbers.Integral),
     ("report.exec.region_leases", numbers.Integral),
@@ -274,7 +274,7 @@ BENCH_TEMPORAL_EXPECTED = [
     ("bit_identical", bool),
     ("copy_model_exact", bool),
     ("exchange_reduction_exact", bool),
-    ("interpreted_steps", numbers.Integral),
+    ("kernelized", bool),
 ]
 
 # (dotted path, expected type) for each element of ``depths``.
@@ -287,7 +287,7 @@ BENCH_TEMPORAL_DEPTH_EXPECTED = [
     ("halo_exchanges", numbers.Integral),
     ("copy_words_observed", numbers.Integral),
     ("copy_words_predicted", numbers.Integral),
-    ("interpreted_steps", numbers.Integral),
+    ("kernelized_steps", numbers.Integral),
     ("bit_identical", bool),
 ]
 
@@ -322,11 +322,14 @@ def check_bench_temporal(path):
             )
     # The bench asserts these before writing the file; re-check so a
     # stale or hand-edited artifact cannot pass CI.
-    for gate in ("bit_identical", "copy_model_exact", "exchange_reduction_exact"):
+    for gate in (
+        "bit_identical",
+        "copy_model_exact",
+        "exchange_reduction_exact",
+        "kernelized",
+    ):
         if bench.get(gate) is not True:
             errors.append("%s: correctness gate %s is not true" % (path, gate))
-    if bench.get("interpreted_steps") != 0:
-        errors.append("%s: a heat5 strip fell back to the interpreter" % path)
     if errors:
         sys.exit("\n".join(errors))
     print(
@@ -402,7 +405,7 @@ def check_bench_serve(path):
     )
 
 
-# (dotted path, expected type) for the aggregate half of cmcc-serve-v2.
+# (dotted path, expected type) for the aggregate half of cmcc-serve-v4.
 SERVE_EXPECTED = [
     ("schema", str),
     ("workers", numbers.Integral),
@@ -439,7 +442,6 @@ SERVE_TENANT_EXPECTED = [
     ("cache_hits", numbers.Integral),
     ("cache_misses", numbers.Integral),
     ("kernelized_steps", numbers.Integral),
-    ("interpreted_steps", numbers.Integral),
     ("scalar_steps", numbers.Integral),
     ("latency", dict),
     ("blocked_ns", numbers.Integral),

@@ -3,11 +3,12 @@
 //! Runs the paper's 5-point cross for 100 iterations on the 16-node test
 //! board two ways:
 //!
-//! * **rebuild** — a [`convolve_per_call`] call per iteration: the
-//!   preserved pre-plan executor, which re-allocates halo buffers and
-//!   constant pages, refills them on every node, rebuilds the exchange
-//!   op list and coefficient address tables, re-plans strips, and
-//!   resolves every memory address per step — on every call;
+//! * **rebuild** — a [`convolve()`] call per iteration: it builds a
+//!   scoped plan (allocates halo buffers and constant pages, fills them
+//!   on every node, compiles the exchange, resolves the strip schedule
+//!   and — on the lockstep engine — translates it onto the lane mirror
+//!   and compiles its kernels), executes it once from a cold mirror,
+//!   and releases it — on every call;
 //! * **planned** — one [`ExecutionPlan`] built up front, then 100
 //!   allocation-free executes of the pre-resolved schedule.
 //!
@@ -32,8 +33,7 @@ use cmcc_cm2::config::MachineConfig;
 use cmcc_cm2::exec::ExecMode;
 use cmcc_core::patterns::PaperPattern;
 use cmcc_runtime::array::CmArray;
-use cmcc_runtime::convolve::ExecOptions;
-use cmcc_runtime::legacy::convolve_per_call;
+use cmcc_runtime::convolve::{convolve, ExecOptions};
 use cmcc_runtime::plan::{ExecutionPlan, PlanLifetime, StencilBinding};
 use std::time::Instant;
 
@@ -69,15 +69,15 @@ fn main() {
         SUBGRID,
     );
 
-    // Verification pass, cycle-accurate: the old per-call path and the
-    // plan pipeline must agree on results and full cycle accounting.
+    // Verification pass, cycle-accurate: a plan per call and one
+    // persistent plan must agree on results and full cycle accounting.
     let rebuild_m = {
         let refs: Vec<&CmArray> = rebuild_w.coeffs.iter().collect();
-        convolve_per_call(
+        convolve(
             &mut rebuild_w.machine,
             &rebuild_w.compiled,
             &rebuild_w.r,
-            &[&rebuild_w.x],
+            &rebuild_w.x,
             &refs,
             &cycle_opts,
         )
@@ -108,16 +108,17 @@ fn main() {
     let measurement_equal = rebuild_m == plan_m;
     println!("  verification (cycle mode): bit-identical: {bit_identical}; measurements equal: {measurement_equal}");
 
-    // Rebuild path, timed: the pre-plan executor once per iteration.
+    // Rebuild path, timed: a scoped plan built, run and released per
+    // iteration.
     let allocs_before = rebuild_w.machine.alloc_count();
     let start = Instant::now();
     for _ in 0..iters {
         let refs: Vec<&CmArray> = rebuild_w.coeffs.iter().collect();
-        convolve_per_call(
+        convolve(
             &mut rebuild_w.machine,
             &rebuild_w.compiled,
             &rebuild_w.r,
-            &[&rebuild_w.x],
+            &rebuild_w.x,
             &refs,
             &fast_opts,
         )

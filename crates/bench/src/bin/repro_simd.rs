@@ -1,11 +1,10 @@
-//! Lockstep SIMD executor benchmark: scalar vs lockstep fast mode,
-//! plus the kernel tier vs the interpreted lockstep baseline.
+//! Lockstep SIMD executor benchmark: scalar vs lockstep fast mode.
 //!
 //! Runs the 9-point square stencil on the simulated 16-node test board
 //! with a 128×128 per-node subgrid (a 512×512 global array) in fast
-//! functional mode, once with the node-outer scalar interpreter and once
-//! with the lockstep broadcast engine — the lane body every lane-mapped
-//! plan runs: the resident mirror, the kernel tier, and the staged
+//! functional mode, once with the node-outer scalar engine and once
+//! with the lockstep engine — the lane body every lane-mapped plan
+//! runs: the resident mirror, the compiled kernels, and the staged
 //! writes committed at once. Both use a persistent execution plan (built
 //! once, replayed), a single host thread, and identically seeded data.
 //! The ratio covers the executor (per-step dispatch amortized over all
@@ -16,18 +15,11 @@
 //!
 //! Results must be bit-identical and `Measurement`s exactly equal; the
 //! steady-state speedup is asserted ≥2× in full mode and written to
-//! `BENCH_simd.json` either way.
+//! `BENCH_simd.json` either way. The lockstep plan must lane-map, which
+//! means every strip compiled against the kernel family at plan build —
+//! the CI smoke gate (it runs under `--quick` too).
 //!
-//! A second ratio isolates plan-time kernel generation: the lockstep
-//! plan is replayed with the kernel tier toggled off
-//! (`ExecutionPlan::set_kernel_tier`), timing the monomorphized kernels
-//! against the per-step interpreter on the same lane body. Full mode
-//! asserts the kernels win by ≥2×, and the profiled pass asserts
-//! `interpreted_steps == 0` — on this workload every strip must classify
-//! into the family, which is also the CI smoke gate (it runs under
-//! `--quick` too).
-//!
-//! A third ratio re-times the lockstep engine with `cmcc_obs` profiling
+//! A second ratio re-times the lockstep engine with `cmcc_obs` profiling
 //! *enabled* — and the flight recorder pinned *off* — and asserts the
 //! overhead stays under 2% in full mode. Every other pass runs with
 //! profiling disabled, so the asserted on/off delta also bounds the cost
@@ -35,9 +27,8 @@
 //! the counters, one relaxed load per would-be trace event) that every
 //! build now carries.
 //!
-//! All four passes (scalar, lockstep, profiled lockstep, interpreted
-//! lockstep) are built and warmed up front, then
-//! timed in interleaved rounds — one execute per pass per round — and
+//! All three passes (scalar, lockstep, profiled lockstep) are built and
+//! warmed up front, then timed in interleaved rounds — one execute per pass per round — and
 //! each reports its minimum, the method `repro_temporal` uses: every
 //! ratio compares executes timed milliseconds apart, not passes timed
 //! minutes apart, so host drift cannot pose as a speedup or an overhead.
@@ -81,7 +72,7 @@ struct Pass {
 impl Pass {
     /// Builds a persistent plan under `engine` and runs its `WARMUP`
     /// executes.
-    fn new(engine: ExecEngine, kernel_tier: bool, profiled: bool) -> Pass {
+    fn new(engine: ExecEngine, profiled: bool) -> Pass {
         let mut w = Workload::new(
             MachineConfig::test_board_16(),
             PaperPattern::Square9,
@@ -93,18 +84,13 @@ impl Pass {
             StencilBinding::new(&w.compiled, &w.r, &[&w.x], &refs).expect("bench binding is valid");
         let mut plan = ExecutionPlan::build(&mut w.machine, &binding, &opts, PlanLifetime::Scoped)
             .expect("bench plan builds");
+        // Lane-mapped means every strip compiled to a kernel: a strip the
+        // classifier refused would leave the plan on the scalar engine.
         assert_eq!(
             plan.lane_mapped(),
             engine == ExecEngine::Lockstep,
             "a clean single-source binding must lane-map iff lockstep is requested"
         );
-        plan.set_kernel_tier(kernel_tier);
-        if engine == ExecEngine::Lockstep && kernel_tier {
-            assert!(
-                plan.kernelized_strips() > 0,
-                "the 9-point workload must compile against the kernel family"
-            );
-        }
         let copy_bytes = plan.steady_state_copy_words() * 4;
         cmcc_obs::set_enabled(profiled);
         let m = plan.execute(&mut w.machine).expect("bench plan executes");
@@ -165,16 +151,11 @@ fn main() {
     // is the executor's fault, not the data's:
     // * scalar vs lockstep;
     // * the lockstep pass again with `cmcc_obs` profiling live, for the
-    //   telemetry overhead — and to gate kernel coverage: on the 9-point
-    //   workload no lockstep step may fall back to the interpreter;
-    // * the lockstep pass with the kernel tier off: the same lane body
-    //   and copy traffic, so this ratio isolates the step engine itself
-    //   — the thing plan-time kernel generation changes.
+    //   telemetry overhead and the kernelized step count.
     let mut passes = [
-        Pass::new(ExecEngine::Scalar, true, false),
-        Pass::new(ExecEngine::Lockstep, true, false),
-        Pass::new(ExecEngine::Lockstep, true, true),
-        Pass::new(ExecEngine::Lockstep, false, false),
+        Pass::new(ExecEngine::Scalar, false),
+        Pass::new(ExecEngine::Lockstep, false),
+        Pass::new(ExecEngine::Lockstep, true),
     ];
     // Interleaved rounds, one execute per pass per round, so every pass
     // samples the same slice of machine time and host drift cannot
@@ -185,38 +166,19 @@ fn main() {
         }
     }
     let counters_after = cmcc_obs::snapshot();
-    let [scalar, lockstep, profiled, interp] = &passes;
+    let [scalar, lockstep, profiled] = &passes;
     let (scalar_secs, scalar_m, scalar_r) = (scalar.best, scalar.m, scalar.result());
     let (lockstep_secs, lockstep_m, lockstep_r) = (lockstep.best, lockstep.m, lockstep.result());
     let (scalar_copy_bytes, lockstep_copy_bytes) = (scalar.copy_bytes, lockstep.copy_bytes);
     println!("  scalar:   {scalar_secs:.6} s/iter, {scalar_copy_bytes} copy bytes/iter");
     println!("  lockstep: {lockstep_secs:.6} s/iter, {lockstep_copy_bytes} copy bytes/iter");
-    let (interp_secs, interp_m, interp_r) = (interp.best, interp.m, interp.result());
-    println!("  lockstep (interpreted): {interp_secs:.6} s/iter");
-    assert_eq!(
-        interp_m, lockstep_m,
-        "the kernel tier must not change the Measurement"
-    );
-    assert!(
-        interp_r
-            .iter()
-            .zip(&lockstep_r)
-            .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "the kernel tier must not change results"
-    );
 
     let (profiled_secs, profiled_m, profiled_r) = (profiled.best, profiled.m, profiled.result());
     let kernelized_steps = counters_after.get(cmcc_obs::Counter::KernelizedSteps)
         - counters_before.get(cmcc_obs::Counter::KernelizedSteps);
-    let interpreted_steps = counters_after.get(cmcc_obs::Counter::InterpretedSteps)
-        - counters_before.get(cmcc_obs::Counter::InterpretedSteps);
     assert!(
         kernelized_steps > 0,
         "the profiled lockstep pass must run kernelized steps"
-    );
-    assert_eq!(
-        interpreted_steps, 0,
-        "no lockstep step may fall back to the interpreter on the 9-point workload"
     );
     let profile_overhead = profiled_secs / lockstep_secs - 1.0;
     println!(
@@ -242,9 +204,8 @@ fn main() {
             .all(|(a, b)| a.to_bits() == b.to_bits());
     let measurement_equal = scalar_m == lockstep_m;
     let speedup = scalar_secs / lockstep_secs;
-    let kernel_speedup = interp_secs / lockstep_secs;
     println!(
-        "\n  speedup {speedup:.2}x (kernels over interpreted lockstep: {kernel_speedup:.2}x); \
+        "\n  speedup {speedup:.2}x; \
          bit-identical: {bit_identical}; measurements equal: {measurement_equal}"
     );
 
@@ -255,7 +216,7 @@ fn main() {
     let scaling_gate = if quick {
         "recorded only (--quick: wall-clock ratios not asserted)".to_owned()
     } else {
-        "asserted (>=2x lockstep, >=2x kernel tier, <2% profiling overhead)".to_owned()
+        "asserted (>=2x lockstep, <2% profiling overhead)".to_owned()
     };
     let json = format!(
         "{{\n  \"pattern\": \"{}\",\n  \"global_grid\": [512, 512],\n  \"subgrid\": [{}, {}],\n  \
@@ -263,14 +224,12 @@ fn main() {
          \"threads\": 1,\n  \"warmup\": {WARMUP},\n  \"interleave_rounds\": {rounds},\n  \
          \"scalar_secs_per_iter\": {scalar_secs:.6},\n  \
          \"lockstep_secs_per_iter\": {lockstep_secs:.6},\n  \
-         \"lockstep_interpreted_secs_per_iter\": {interp_secs:.6},\n  \
          \"scalar_copy_bytes_per_iter\": {scalar_copy_bytes},\n  \
          \"lockstep_copy_bytes_per_iter\": {lockstep_copy_bytes},\n  \
          \"profiled_secs_per_iter\": {profiled_secs:.6},\n  \
          \"profiling_overhead\": {profile_overhead:.4},\n  \
          \"kernelized_steps_per_run\": {kernelized_steps_per_run},\n  \
-         \"interpreted_steps_per_run\": {interpreted_steps},\n  \
-         \"speedup\": {speedup:.4},\n  \"kernel_speedup\": {kernel_speedup:.4},\n  \
+         \"speedup\": {speedup:.4},\n  \
          \"bit_identical\": {bit_identical},\n  \
          \"measurement_equal\": {measurement_equal}\n}}\n",
         PaperPattern::Square9.name(),
@@ -291,10 +250,6 @@ fn main() {
         assert!(
             speedup >= 2.0,
             "expected >=2x lockstep speedup, got {speedup:.2}x"
-        );
-        assert!(
-            kernel_speedup >= 2.0,
-            "expected >=2x kernel-tier speedup over interpreted lockstep, got {kernel_speedup:.2}x"
         );
         assert!(
             profile_overhead < 0.02,

@@ -14,9 +14,10 @@
 //! - the halo-exchange program-run count drops by exactly k×;
 //! - the observed copy words across the post-warmup executes equal the
 //!   plan's analytic `rebind_cycle_copy_words` prediction exactly;
-//! - every lockstep strip runs an operand-direct kernel:
-//!   `interpreted_steps == 0` at every depth, as `repro_simd` requires
-//!   of the 9-point workload;
+//! - every depth runs on the lockstep engine's kernels
+//!   (`kernelized_steps > 0`): a strip the kernel classifier refused
+//!   would fail a fused build and leave a depth-1 plan on the scalar
+//!   engine;
 //! - the k=4 cycles beat the k=1 cycles by ≥1.25× in warm per-step
 //!   wall-clock (full mode only — `--quick` records the ratio without
 //!   asserting it).
@@ -71,10 +72,8 @@ struct LoopRun {
     /// `(executes - 1) * rebind_cycle_copy_words` — what the plan's
     /// analytic model says those executes should have moved.
     predicted_copy_words: u64,
-    /// Lockstep steps the kernel tier ran, and those it left to the
-    /// interpreter, over the whole loop.
+    /// Lockstep steps the kernels swept over the whole loop.
     kernelized_steps: u64,
-    interpreted_steps: u64,
 }
 
 /// Runs `steps` heat steps, `depth` of them fused per execute, on a
@@ -158,7 +157,6 @@ fn run_loop(
         observed_copy_words: steady.copy_words(),
         predicted_copy_words,
         kernelized_steps: whole.get(cmcc_obs::Counter::KernelizedSteps),
-        interpreted_steps: whole.get(cmcc_obs::Counter::InterpretedSteps),
     }
 }
 
@@ -256,7 +254,6 @@ fn main() {
     let mut all_copy_exact = true;
     let mut exchange_exact = true;
     let mut all_kernelized = true;
-    let mut interpreted_steps = 0;
     let mut speedup_at_4 = 0.0;
     let mut base_exchanges = 0;
     for (i, &depth) in depths.iter().enumerate() {
@@ -265,8 +262,7 @@ fn main() {
         let copy_exact = run.observed_copy_words == run.predicted_copy_words;
         all_identical &= identical;
         all_copy_exact &= copy_exact;
-        all_kernelized &= run.kernelized_steps > 0 && run.interpreted_steps == 0;
-        interpreted_steps += run.interpreted_steps;
+        all_kernelized &= run.kernelized_steps > 0;
         if depth == 1 {
             base_exchanges = run.halo_exchanges;
         }
@@ -286,28 +282,28 @@ fn main() {
             "  depth {depth}: min cycle {min_cycle_us:.0} us ({speedup:.2}x/step vs depth 1), \
              loop {:.6} s over {} warm steps, \
              {} exchanges (expected {expected_exchanges}), \
-             copy words {} observed vs {} predicted, {} interpreted steps, \
+             copy words {} observed vs {} predicted, {} kernelized steps, \
              bit-identical: {identical}",
             run.secs,
             run.timed_steps,
             run.halo_exchanges,
             run.observed_copy_words,
             run.predicted_copy_words,
-            run.interpreted_steps,
+            run.kernelized_steps,
         );
         rows.push(format!(
             "    {{\"depth\": {depth}, \"min_cycle_us\": {min_cycle_us:.1}, \
              \"speedup\": {speedup:.4}, \
              \"loop_secs\": {:.6}, \"timed_steps\": {}, \
              \"halo_exchanges\": {}, \"copy_words_observed\": {}, \
-             \"copy_words_predicted\": {}, \"interpreted_steps\": {}, \
+             \"copy_words_predicted\": {}, \"kernelized_steps\": {}, \
              \"bit_identical\": {identical}}}",
             run.secs,
             run.timed_steps,
             run.halo_exchanges,
             run.observed_copy_words,
             run.predicted_copy_words,
-            run.interpreted_steps,
+            run.kernelized_steps,
         ));
     }
 
@@ -326,7 +322,7 @@ fn main() {
          \"speedup_at_depth_4\": {speedup_at_4:.4},\n  \
          \"bit_identical\": {all_identical},\n  \
          \"copy_model_exact\": {all_copy_exact},\n  \
-         \"interpreted_steps\": {interpreted_steps},\n  \
+         \"kernelized\": {all_kernelized},\n  \
          \"exchange_reduction_exact\": {exchange_exact}\n}}\n",
         global.0,
         global.1,
@@ -352,7 +348,7 @@ fn main() {
     );
     assert!(
         all_kernelized,
-        "a heat5 lockstep step fell back to the interpreter (interpreted_steps > 0)"
+        "a heat5 lockstep loop ran no kernels (a plan did not lane-map)"
     );
     if quick {
         println!("  (--quick: depth-4 speedup {speedup_at_4:.2}x recorded but not asserted)");

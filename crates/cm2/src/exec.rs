@@ -20,7 +20,6 @@
 
 use crate::config::{MachineConfig, FPU_REGISTERS};
 use crate::isa::{DynamicPart, Kernel, MacAcc, MemRef, Reg};
-use crate::lane::LaneMemory;
 use crate::memory::NodeMemory;
 use std::fmt;
 
@@ -82,22 +81,6 @@ pub struct StripContext<'a> {
     pub col0: i64,
 }
 
-/// One entry of a strip schedule: a compiled kernel plus the run-time
-/// parameters of the half-strip it processes.
-///
-/// A full stencil call is a sequence of these, identical on every node
-/// (the machine is SIMD); [`crate::machine::Machine::run_schedule_all`]
-/// executes the whole sequence per node, optionally fanning nodes out
-/// across host threads. Everything referenced is immutable shared data,
-/// so a `ScheduleStep` is `Send + Sync` and can be shared across workers.
-#[derive(Debug, Clone)]
-pub struct ScheduleStep<'a> {
-    /// The compiled kernel for this half-strip's width and walk.
-    pub kernel: &'a Kernel,
-    /// The half-strip's run-time parameters.
-    pub ctx: StripContext<'a>,
-}
-
 /// Execution mode selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecMode {
@@ -107,19 +90,20 @@ pub enum ExecMode {
     Fast,
 }
 
-/// Which interpreter executes resolved schedules in [`ExecMode::Fast`].
+/// Which engine executes resolved schedules in [`ExecMode::Fast`].
 ///
-/// [`ExecMode::Cycle`] always runs the scalar interpreter — the pipeline
+/// [`ExecMode::Cycle`] always runs the scalar engine — the pipeline
 /// model is inherently per-node sequential. The engine choice only
 /// affects fast mode, where both engines produce bit-identical memory
-/// and counters; `Lockstep` replays the machine's own loop order
-/// (step-outer, node-inner) over node-major lane storage so each step's
-/// arithmetic is one contiguous vector sweep.
+/// and counters; `Lockstep` runs the machine's own loop order
+/// (node-inner) over node-major lane storage, each strip swept across
+/// all nodes by a kernel compiled at plan build ([`crate::kernels`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecEngine {
-    /// Node-outer scalar interpreter (the only engine for cycle mode).
+    /// Node-outer scalar interpreter: the oracle, and the only engine
+    /// for cycle mode.
     Scalar,
-    /// Step-outer lockstep broadcast executor over node lanes.
+    /// Node-inner lockstep kernels over node lanes.
     #[default]
     Lockstep,
 }
@@ -341,8 +325,8 @@ fn resolve(mref: MemRef, row: i64, ctx: &StripContext<'_>) -> usize {
 }
 
 /// Splits a [`DynamicPart`] into its register operation and its memory
-/// reference, the decomposition both interpreters share: the legacy path
-/// resolves the reference per step, the plan path pre-resolves it once.
+/// reference, the decomposition both entry points share: [`run_strip`]
+/// resolves the reference per step, [`ResolvedStrip::new`] once.
 #[inline]
 fn decompose(part: &DynamicPart) -> (ResolvedOp, Option<MemRef>) {
     match *part {
@@ -481,8 +465,8 @@ fn exec_resolved<const CYCLE: bool>(
 }
 
 /// A [`DynamicPart`] with its memory reference stripped out: just the
-/// register operation. The address arrives separately — per step in the
-/// legacy interpreter, pre-resolved in a [`ResolvedStrip`].
+/// register operation. The address arrives separately — per step in
+/// [`run_strip`], pre-resolved in a [`ResolvedStrip`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResolvedOp {
     /// Chained multiply-add; the address is the coefficient operand.
@@ -641,7 +625,7 @@ impl ResolvedStrip {
     }
 
     /// A strip from raw parts, for tests that drive synthetic shapes
-    /// through both the interpreter and the kernel tier.
+    /// through the kernel classifier and the kernels.
     #[cfg(test)]
     pub(crate) fn from_parts(
         prologue: Vec<ResolvedPart>,
@@ -667,8 +651,8 @@ impl ResolvedStrip {
     }
 
     /// Translates every pre-resolved node-memory address into the lane
-    /// word space of `view`, producing a strip executable by
-    /// [`run_resolved_strip_lockstep`].
+    /// word space of `view`, producing the lane strip
+    /// [`crate::kernels::StripKernels::compile`] classifies.
     ///
     /// Because each viewed range is contiguous, a node address maps to a
     /// lane word by offsetting within the range, and the per-period
@@ -779,53 +763,6 @@ impl ResolvedStrip {
             body,
             lines: self.lines,
         })
-    }
-
-    /// This lane strip with the lane words of two equal-length ranges,
-    /// starting at words `a` and `b`, exchanged: exactly what
-    /// [`Self::translate`] returns through a view in which those two
-    /// ranges trade lane words, since translation decides by range and
-    /// keeps every offset within one. An execution plan derives its
-    /// second direction this way instead of translating again.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a part's walk straddles a swapped range's edge.
-    pub fn with_ranges_swapped(&self, a: usize, b: usize, len: usize) -> ResolvedStrip {
-        let period = self.body.len().max(1);
-        let swap = |part: &ResolvedPart, occurrences: usize| -> ResolvedPart {
-            if part.op == ResolvedOp::Nop {
-                return *part;
-            }
-            let last = part.addr as i64 + (occurrences as i64 - 1) * part.delta;
-            let inside = |w: i64, base: usize| (base as i64..(base + len) as i64).contains(&w);
-            let addr = part.addr as i64;
-            assert!(
-                inside(addr, a) == inside(last, a) && inside(addr, b) == inside(last, b),
-                "a walk straddles a swapped range"
-            );
-            let addr = if inside(addr, a) {
-                part.addr - a + b
-            } else if inside(addr, b) {
-                part.addr - b + a
-            } else {
-                part.addr
-            };
-            ResolvedPart { addr, ..*part }
-        };
-        ResolvedStrip {
-            prologue: self.prologue.iter().map(|part| swap(part, 1)).collect(),
-            body: self
-                .body
-                .iter()
-                .enumerate()
-                .map(|(p, pattern)| {
-                    let occurrences = (self.lines - p).div_ceil(period);
-                    pattern.iter().map(|part| swap(part, occurrences)).collect()
-                })
-                .collect(),
-            lines: self.lines,
-        }
     }
 
     /// This strip with every result-slot store moved from the `from`
@@ -983,215 +920,6 @@ fn run_resolved_strip_impl<const CYCLE: bool>(
         run.cycles = now;
     }
     Ok(run)
-}
-
-/// The FPU register file of *all* lanes at once: register `r`'s value on
-/// every node, stored contiguously (`regs[r*nodes .. (r+1)*nodes]`), so a
-/// broadcast operation reads and writes whole register rows.
-struct LaneFpu {
-    /// `FPU_REGISTERS` rows of `nodes` lanes.
-    regs: Vec<f32>,
-    /// Two interleaved multiply-add threads, one row of lanes each.
-    chain: Vec<f32>,
-    /// Count of MACs issued (parity selects the thread) — identical on
-    /// every lane, so one scalar counter suffices.
-    mac_count: u64,
-    nodes: usize,
-}
-
-impl LaneFpu {
-    fn new(nodes: usize) -> Self {
-        let mut regs = vec![0.0; FPU_REGISTERS * nodes];
-        regs[Reg::ONE.0 as usize * nodes..(Reg::ONE.0 as usize + 1) * nodes].fill(1.0);
-        LaneFpu {
-            regs,
-            chain: vec![0.0; 2 * nodes],
-            mac_count: 0,
-            nodes,
-        }
-    }
-
-    #[inline]
-    fn reg_row(&self, reg: Reg) -> &[f32] {
-        &self.regs[reg.0 as usize * self.nodes..(reg.0 as usize + 1) * self.nodes]
-    }
-}
-
-/// Executes a lane-translated strip across every lane of `lanes` in
-/// lockstep: step-outer, node-inner, the CM-2's own loop order (§4.3
-/// streams each dynamic part to all FPUs at once).
-///
-/// Functional (fast-mode) semantics only — the cycle-accurate pipeline
-/// model stays on the scalar path, so there is no mode parameter and no
-/// hazard error. Per lane, each operation performs exactly the scalar
-/// fast-mode arithmetic in the same order (`chain = coeff·data + addend`
-/// then `chain += coeff·data`, separate IEEE multiply and add, never a
-/// fused contraction), so results are bit-identical to
-/// [`run_resolved_strip`] in [`ExecMode::Fast`]. The returned counters
-/// count each broadcast step once — the per-node numbers the scalar
-/// interpreter would report, since all nodes run the same stream.
-///
-/// The strip must have been produced by [`ResolvedStrip::translate`]
-/// against the view the lanes were gathered with; addresses are lane
-/// words, not node addresses.
-///
-/// # Panics
-///
-/// Panics if a lane-word address is out of the lane memory's bounds.
-pub fn run_resolved_strip_lockstep(strip: &ResolvedStrip, lanes: &mut LaneMemory) -> StripRun {
-    // Monomorphize the broadcast loops over the common lane counts (the
-    // test boards and their thread-split groups), so the per-step sweeps
-    // compile to fixed-width, bounds-check-free vector code; any other
-    // count takes the dynamic-width fallback (`N = 0`).
-    match lanes.nodes() {
-        16 => run_resolved_strip_lockstep_n::<16>(strip, lanes),
-        8 => run_resolved_strip_lockstep_n::<8>(strip, lanes),
-        4 => run_resolved_strip_lockstep_n::<4>(strip, lanes),
-        2 => run_resolved_strip_lockstep_n::<2>(strip, lanes),
-        1 => run_resolved_strip_lockstep_n::<1>(strip, lanes),
-        _ => run_resolved_strip_lockstep_n::<0>(strip, lanes),
-    }
-}
-
-/// Runs every translated strip over every lane group, one host thread
-/// per group — the fan-out step of a lane-resident execute.
-///
-/// Each group holds a disjoint contiguous chunk of the machine's nodes
-/// (see [`crate::lane::LaneMirror`]); lanes never interact, so the groups
-/// replay identical instruction streams and their [`StripRun`] counters
-/// must agree (debug-asserted). Returns the per-node counters.
-///
-/// # Panics
-///
-/// Panics if a lane-word address is out of a group's bounds, or if a
-/// worker thread panics.
-pub fn run_resolved_lockstep_groups(
-    strips: &[ResolvedStrip],
-    groups: &mut [LaneMemory],
-) -> StripRun {
-    // Interpreter-only entry point: every step counts as interpreted
-    // and the scratch coefficient-stream cache stays empty.
-    crate::kernels::run_lockstep_groups_kernelized(
-        strips,
-        &[],
-        &mut crate::kernels::CoeffStreams::new(),
-        0,
-        groups,
-    )
-}
-
-/// [`run_resolved_strip_lockstep`] monomorphized for `N` lanes
-/// (`N = 0` means the lane count is only known at run time).
-fn run_resolved_strip_lockstep_n<const N: usize>(
-    strip: &ResolvedStrip,
-    lanes: &mut LaneMemory,
-) -> StripRun {
-    let mut fpu = LaneFpu::new(lanes.nodes());
-    let mut run = StripRun::default();
-
-    for part in &strip.prologue {
-        exec_lockstep::<N>(part.op, part.addr, lanes, &mut fpu, &mut run);
-    }
-
-    let period = strip.body.len();
-    for line in 0..strip.lines {
-        let pattern = &strip.body[line % period];
-        let k = (line / period) as i64;
-        for part in pattern {
-            let addr = (part.addr as i64 + k * part.delta) as usize;
-            exec_lockstep::<N>(part.op, addr, lanes, &mut fpu, &mut run);
-        }
-    }
-    run
-}
-
-/// `out[i] = x[i] * d[i] + a[i]` over one lane row, with the row width
-/// a compile-time constant when `N > 0`.
-#[inline(always)]
-fn lane_mac_start<const N: usize>(out: &mut [f32], x: &[f32], d: &[f32], a: &[f32]) {
-    if N == 0 {
-        for (((c, &x), &d), &a) in out.iter_mut().zip(x).zip(d).zip(a) {
-            *c = x * d + a;
-        }
-    } else {
-        let out: &mut [f32; N] = out.try_into().expect("lane rows are N wide");
-        let x: &[f32; N] = x.try_into().expect("lane rows are N wide");
-        let d: &[f32; N] = d.try_into().expect("lane rows are N wide");
-        let a: &[f32; N] = a.try_into().expect("lane rows are N wide");
-        for i in 0..N {
-            out[i] = x[i] * d[i] + a[i];
-        }
-    }
-}
-
-/// `out[i] += x[i] * d[i]` over one lane row, with the row width a
-/// compile-time constant when `N > 0`.
-#[inline(always)]
-fn lane_mac_chain<const N: usize>(out: &mut [f32], x: &[f32], d: &[f32]) {
-    if N == 0 {
-        for ((c, &x), &d) in out.iter_mut().zip(x).zip(d) {
-            *c += x * d;
-        }
-    } else {
-        let out: &mut [f32; N] = out.try_into().expect("lane rows are N wide");
-        let x: &[f32; N] = x.try_into().expect("lane rows are N wide");
-        let d: &[f32; N] = d.try_into().expect("lane rows are N wide");
-        for i in 0..N {
-            out[i] += x[i] * d[i];
-        }
-    }
-}
-
-/// One broadcast step: the scalar fast-mode operation applied to every
-/// lane. The per-lane loops run over contiguous equal-length rows, the
-/// shape LLVM autovectorizes.
-#[inline(always)]
-fn exec_lockstep<const N: usize>(
-    op: ResolvedOp,
-    addr: usize,
-    lanes: &mut LaneMemory,
-    fpu: &mut LaneFpu,
-    run: &mut StripRun,
-) {
-    let n = fpu.nodes;
-    match op {
-        ResolvedOp::Mac { data, acc, dest } => {
-            let thread = (fpu.mac_count % 2) as usize;
-            fpu.mac_count += 1;
-            {
-                let coeff = lanes.word(addr);
-                let data_row = &fpu.regs[data.0 as usize * n..(data.0 as usize + 1) * n];
-                let chain = &mut fpu.chain[thread * n..(thread + 1) * n];
-                match acc {
-                    MacAcc::Start(reg) => {
-                        let addend = &fpu.regs[reg.0 as usize * n..(reg.0 as usize + 1) * n];
-                        lane_mac_start::<N>(chain, coeff, data_row, addend);
-                    }
-                    MacAcc::Chain => {
-                        lane_mac_chain::<N>(chain, coeff, data_row);
-                    }
-                }
-            }
-            if let Some(dest) = dest {
-                let (regs, chain) = (&mut fpu.regs, &fpu.chain);
-                regs[dest.0 as usize * n..(dest.0 as usize + 1) * n]
-                    .copy_from_slice(&chain[thread * n..(thread + 1) * n]);
-            }
-            run.macs += 1;
-        }
-        ResolvedOp::Load { dest } => {
-            fpu.regs[dest.0 as usize * n..(dest.0 as usize + 1) * n]
-                .copy_from_slice(lanes.word(addr));
-            run.loads += 1;
-        }
-        ResolvedOp::Store { src } => {
-            lanes.word_mut(addr).copy_from_slice(fpu.reg_row(src));
-            run.stores += 1;
-        }
-        ResolvedOp::Nop => {
-            run.nops += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1499,18 +1227,17 @@ mod tests {
     }
 
     fn differential(kernel: &Kernel, ctx: &StripContext<'_>, mode: ExecMode) {
-        let (legacy_mem, _, _, _) = setup();
-        let mut legacy_mem = legacy_mem;
-        let mut resolved_mem = legacy_mem.clone();
-        let legacy = run_strip(kernel, ctx, &mut legacy_mem, &cfg(), mode).unwrap();
+        let (mut direct_mem, ..) = setup();
+        let mut resolved_mem = direct_mem.clone();
+        let direct = run_strip(kernel, ctx, &mut direct_mem, &cfg(), mode).unwrap();
         let strip = ResolvedStrip::new(kernel, ctx);
         let resolved = run_resolved_strip(&strip, &mut resolved_mem, &cfg(), mode).unwrap();
-        assert_eq!(legacy, resolved, "StripRun counters must match");
-        assert_eq!(legacy_mem, resolved_mem, "memory must match bitwise");
+        assert_eq!(direct, resolved, "StripRun counters must match");
+        assert_eq!(direct_mem, resolved_mem, "memory must match bitwise");
     }
 
     #[test]
-    fn resolved_strip_matches_legacy_interpreter() {
+    fn resolved_strip_matches_run_strip() {
         let kernel = identity_kernel();
         let (_, [src, res, coeff], ones, zeros) = setup();
         let coeffs = [coeff];
@@ -1735,6 +1462,7 @@ mod tests {
         assert_eq!(mem.read(16 + 5), 33.0);
     }
 
+    use crate::kernels::{run_lockstep_groups_kernelized, CoeffStreams, StripKernels};
     use crate::lane::{LaneMemory, LaneView};
 
     /// The lane view of `setup`'s memory map: src and coeff read-only,
@@ -1749,21 +1477,41 @@ mod tests {
         .unwrap()
     }
 
-    /// Runs `kernel`/`ctx` on `node_count` nodes with per-node data, once
-    /// through the scalar fast interpreter and once through translate +
-    /// lockstep, and asserts memories and counters match exactly.
-    fn lockstep_differential(kernel: &Kernel, ctx: &StripContext<'_>, node_count: usize) {
-        let view = setup_view();
-        let mut scalar_mems: Vec<NodeMemory> = (0..node_count)
+    /// `node_count` copies of `setup`'s memory, each node's source
+    /// perturbed by `spread` so the lanes are distinguishable.
+    fn node_mems(node_count: usize, spread: f32) -> Vec<NodeMemory> {
+        (0..node_count)
             .map(|n| {
                 let (mut mem, ..) = setup();
-                // Perturb each node so lanes are distinguishable.
                 for i in 0..16 {
-                    mem.write(i, mem.read(i) + n as f32 * 100.0);
+                    mem.write(i, mem.read(i) + n as f32 * spread);
                 }
                 mem
             })
+            .collect()
+    }
+
+    /// Compiles every lane strip — each must classify — and sweeps the
+    /// kernels over `groups`, as a plan's lane body does.
+    fn run_kernels(lane_strips: &[ResolvedStrip], groups: &mut [LaneMemory]) -> StripRun {
+        let kernels: Vec<StripKernels> = lane_strips
+            .iter()
+            .map(|s| StripKernels::compile(s).expect("the strip classifies"))
             .collect();
+        run_lockstep_groups_kernelized(&kernels, &mut CoeffStreams::new(), 0, groups)
+    }
+
+    /// Runs `kernel`/`ctx` on `node_count` nodes with per-node data, once
+    /// through the scalar fast engine and once through translate + the
+    /// kernels over `view`, and asserts memories and counters match
+    /// exactly.
+    fn lockstep_differential(
+        kernel: &Kernel,
+        ctx: &StripContext<'_>,
+        view: &LaneView,
+        node_count: usize,
+    ) {
+        let mut scalar_mems = node_mems(node_count, 100.0);
         let mut lane_mems = scalar_mems.clone();
 
         let strip = ResolvedStrip::new(kernel, ctx);
@@ -1772,13 +1520,14 @@ mod tests {
             scalar_runs.push(run_resolved_strip(&strip, mem, &cfg(), ExecMode::Fast).unwrap());
         }
 
-        let lane_strip = strip
-            .translate(&view)
-            .expect("setup view covers the kernel");
+        let lane_strip = strip.translate(view).expect("the view covers the kernel");
         let mut lanes = LaneMemory::new(view.words(), node_count);
-        lanes.gather(&view, &lane_mems);
-        let lock_run = run_resolved_strip_lockstep(&lane_strip, &mut lanes);
-        lanes.scatter(&view, &mut lane_mems);
+        lanes.gather(view, &lane_mems);
+        let lock_run = run_kernels(
+            std::slice::from_ref(&lane_strip),
+            std::slice::from_mut(&mut lanes),
+        );
+        lanes.scatter(view, &mut lane_mems);
 
         for (n, (s, l)) in scalar_mems.iter().zip(&lane_mems).enumerate() {
             assert_eq!(s, l, "node {n} memory diverged");
@@ -1808,18 +1557,44 @@ mod tests {
                 col0: 1,
             };
             for nodes in [1, 2, 5] {
-                lockstep_differential(&kernel, &ctx, nodes);
+                lockstep_differential(&kernel, &ctx, &setup_view(), nodes);
             }
         }
     }
 
+    /// [`two_period_kernel`] walking south, each chain paired with a
+    /// dummy partner as the scheduler pads odd widths: pattern 0 reads
+    /// the row pattern 1 loaded one line earlier, and the prologue's load
+    /// is exactly the one a previous period would have made — the ring
+    /// discipline the classifier resolves across lines.
+    fn ring_period_kernel() -> Kernel {
+        let mut kernel = Kernel {
+            row_step: 1,
+            ..two_period_kernel()
+        };
+        for pattern in &mut kernel.body {
+            let mac = pattern
+                .iter()
+                .position(|p| matches!(p, DynamicPart::Mac { .. }))
+                .unwrap();
+            let dummy = DynamicPart::Mac {
+                coeff: MemRef::Zeros,
+                data: Reg::ZERO,
+                acc: MacAcc::Start(Reg::ZERO),
+                dest: Some(Reg::ZERO),
+            };
+            pattern.insert(mac + 1, dummy);
+        }
+        kernel
+    }
+
     #[test]
     fn lockstep_matches_scalar_on_multi_period_kernels() {
-        let kernel = two_period_kernel();
+        let kernel = ring_period_kernel();
         let (_, [src, res, coeff], ones, zeros) = setup();
         let coeffs = [coeff];
         let srcs = [src];
-        for (start_row, lines) in [(3i64, 4usize), (3, 3), (0, 1)] {
+        for (start_row, lines) in [(0i64, 3usize), (1, 2), (0, 1)] {
             let ctx = StripContext {
                 srcs: &srcs,
                 res,
@@ -1830,88 +1605,8 @@ mod tests {
                 lines,
                 col0: 1,
             };
-            lockstep_differential(&kernel, &ctx, 3);
+            lockstep_differential(&kernel, &ctx, &setup_view(), 3);
         }
-    }
-
-    /// The kernel-tier dispatcher splits `lockstep_steps` into
-    /// `kernelized_steps` / `interpreted_steps` exactly along the
-    /// compiled-vs-fallback boundary, and both paths stay bit-identical.
-    #[test]
-    fn kernel_tier_dispatch_splits_step_counters() {
-        use crate::kernels::{CoeffStreams, StripKernels, OBS_TEST_LOCK};
-        use cmcc_obs::Counter;
-
-        let _guard = OBS_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let was_on = cmcc_obs::enabled();
-        cmcc_obs::set_enabled(true);
-
-        let kernel = identity_kernel();
-        let (_, [src, res, coeff], ones, zeros) = setup();
-        let coeffs = [coeff];
-        let srcs = [src];
-        let ctx = StripContext {
-            srcs: &srcs,
-            res,
-            coeffs: &coeffs,
-            ones_addr: ones,
-            zeros_addr: zeros,
-            start_row: 3,
-            lines: 4,
-            col0: 1,
-        };
-        let view = setup_view();
-        let strip = ResolvedStrip::new(&kernel, &ctx);
-        let lane_strip = strip
-            .translate(&view)
-            .expect("setup view covers the kernel");
-        let compiled =
-            StripKernels::compile(&lane_strip).expect("identity kernel has a classifiable burst");
-        let steps = lane_strip.steps();
-        let node_count = 3;
-
-        let node_mems: Vec<NodeMemory> = (0..node_count)
-            .map(|n| {
-                let (mut mem, ..) = setup();
-                for i in 0..16 {
-                    mem.write(i, mem.read(i) + n as f32 * 100.0);
-                }
-                mem
-            })
-            .collect();
-
-        let strips = std::slice::from_ref(&lane_strip);
-        let run_with = |kernels: &[Option<StripKernels>]| {
-            let mut mems = node_mems.clone();
-            let mut lanes = LaneMemory::new(view.words(), node_count);
-            lanes.gather(&view, &mems);
-            // This thread's counts only: other tests run lockstep strips
-            // concurrently while telemetry is on.
-            let before = cmcc_obs::thread_snapshot();
-            let run = crate::kernels::run_lockstep_groups_kernelized(
-                strips,
-                kernels,
-                &mut CoeffStreams::new(),
-                0,
-                std::slice::from_mut(&mut lanes),
-            );
-            let delta = cmcc_obs::thread_snapshot().delta(&before);
-            lanes.scatter(&view, &mut mems);
-            (mems, run, delta)
-        };
-
-        let (kern_mems, kern_run, kern_delta) = run_with(&[Some(compiled)]);
-        let (int_mems, int_run, int_delta) = run_with(&[None]);
-        cmcc_obs::set_enabled(was_on);
-
-        assert_eq!(kern_mems, int_mems, "kernel tier diverged from fallback");
-        assert_eq!(kern_run, int_run);
-        assert_eq!(kern_delta.get(Counter::KernelizedSteps), steps);
-        assert_eq!(kern_delta.get(Counter::InterpretedSteps), 0);
-        assert_eq!(int_delta.get(Counter::KernelizedSteps), 0);
-        assert_eq!(int_delta.get(Counter::InterpretedSteps), steps);
-        assert_eq!(kern_delta.get(Counter::LockstepSteps), steps);
-        assert_eq!(int_delta.get(Counter::LockstepSteps), steps);
     }
 
     #[test]
@@ -1974,11 +1669,13 @@ mod tests {
         assert!(strip.translate(&truncated).is_none());
     }
 
-    /// Swapping two equal-length ranges' lane words in a translated
-    /// strip gives exactly the translation through the swapped view, on
-    /// the walk-carrying path and on the seam-split (unrolled) one.
+    /// Swapping two equal-length ranges' lane words in compiled kernels
+    /// sweeps exactly what the kernels of the translation through the
+    /// swapped view sweep, on the walk-carrying path and on the
+    /// seam-split (unrolled) one: an execution plan derives its second
+    /// direction this way instead of translating and classifying again.
     #[test]
-    fn swapped_ranges_match_translation_through_the_swapped_view() {
+    fn swapped_kernels_match_translation_through_the_swapped_view() {
         let kernel = identity_kernel();
         let (_, [src, res, coeff], ones, zeros) = setup();
         let coeffs = [coeff];
@@ -1994,13 +1691,7 @@ mod tests {
             col0: 1,
         };
         let strip = ResolvedStrip::new(&kernel, &ctx);
-        let whole = LaneView::new(&[
-            (0, 16, false),
-            (16, 16, true),
-            (32, 16, false),
-            (48, 2, false),
-        ])
-        .unwrap();
+        let whole = setup_view();
         let split = LaneView::new(&[
             (0, 8, false),
             (8, 8, false),
@@ -2010,15 +1701,25 @@ mod tests {
             (48, 2, false),
         ])
         .unwrap();
+        let compile = |view: &LaneView| StripKernels::compile(&strip.translate(view).unwrap());
         for (view, i, j) in [(&whole, 0, 1), (&split, 1, 2), (&split, 0, 3)] {
             let (a, b) = (&view.ranges()[i], &view.ranges()[j]);
-            let direct = strip.translate(view).unwrap();
-            let through_swap = strip.translate(&view.swapped(i, j)).unwrap();
-            assert_eq!(
-                direct.with_ranges_swapped(a.lane_base, b.lane_base, a.len),
-                through_swap,
-                "ranges {i} and {j}"
-            );
+            let swapped = compile(view)
+                .expect("the strip classifies")
+                .with_ranges_swapped(a.lane_base, b.lane_base, a.len);
+            let through_swap = compile(&view.swapped(i, j)).expect("the strip classifies");
+            let mut lanes = LaneMemory::new(view.words(), 3);
+            lanes.gather(view, &node_mems(3, 10.0));
+            let sweep = |k: StripKernels| {
+                let mut group = [lanes.clone()];
+                run_lockstep_groups_kernelized(&[k], &mut CoeffStreams::new(), 0, &mut group);
+                group[0]
+                    .flat()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<u32>>()
+            };
+            assert_eq!(sweep(swapped), sweep(through_swap), "ranges {i} and {j}");
         }
     }
 
@@ -2038,11 +1739,11 @@ mod tests {
             lines: 4,
             col0: 1,
         };
-        let strip = ResolvedStrip::new(&kernel, &ctx);
         // The result field split into two adjacent writable ranges: the
         // store walk crosses the seam at 24, so the walk-carrying
         // translation fails, but every individual store lands in a valid
-        // writable range — the seam-splitting fallback must lane-map it.
+        // writable range — the seam-splitting fallback must lane-map it,
+        // and its kernels must match the scalar engine.
         let split = LaneView::new(&[
             (0, 16, false),
             (16, 8, true),
@@ -2051,37 +1752,10 @@ mod tests {
             (48, 2, false),
         ])
         .unwrap();
-        let lane_strip = strip
-            .translate(&split)
-            .expect("seam-crossing walks unroll instead of rejecting");
-
-        // Differential against the scalar fast interpreter, as in
-        // `lockstep_differential` but over the split view.
-        let node_count = 3;
-        let mut scalar_mems: Vec<NodeMemory> = (0..node_count)
-            .map(|n| {
-                let (mut mem, ..) = setup();
-                for i in 0..16 {
-                    mem.write(i, mem.read(i) + n as f32 * 100.0);
-                }
-                mem
-            })
-            .collect();
-        let mut lane_mems = scalar_mems.clone();
-        let mut scalar_runs = Vec::new();
-        for mem in &mut scalar_mems {
-            scalar_runs.push(run_resolved_strip(&strip, mem, &cfg(), ExecMode::Fast).unwrap());
-        }
-        let mut lanes = LaneMemory::new(split.words(), node_count);
-        lanes.gather(&split, &lane_mems);
-        let lock_run = run_resolved_strip_lockstep(&lane_strip, &mut lanes);
-        lanes.scatter(&split, &mut lane_mems);
-        for (n, (s, l)) in scalar_mems.iter().zip(&lane_mems).enumerate() {
-            assert_eq!(s, l, "node {n} memory diverged across the seam");
-        }
-        for s in &scalar_runs {
-            assert_eq!(s, &lock_run, "counters diverged across the seam");
-        }
+        let lane_strip = ResolvedStrip::new(&kernel, &ctx).translate(&split);
+        let lane_strip = lane_strip.expect("seam-crossing walks unroll instead of rejecting");
+        assert_eq!(lane_strip.body_patterns().len(), 4, "unrolled per line");
+        lockstep_differential(&kernel, &ctx, &split, 3);
     }
 
     #[test]
@@ -2103,22 +1777,13 @@ mod tests {
         let view = setup_view();
         let strip = ResolvedStrip::new(&kernel, &ctx);
         let lane_strips = vec![strip.translate(&view).unwrap()];
-        let mems: Vec<NodeMemory> = (0..5)
-            .map(|n| {
-                let (mut mem, ..) = setup();
-                for i in 0..16 {
-                    mem.write(i, mem.read(i) + n as f32 * 10.0);
-                }
-                mem
-            })
-            .collect();
+        let mems = node_mems(5, 10.0);
 
         // One group over all nodes…
         let mut single = mems.clone();
         let mut lanes = LaneMemory::new(view.words(), 5);
         lanes.gather(&view, &single);
-        let run_single =
-            run_resolved_lockstep_groups(&lane_strips, std::slice::from_mut(&mut lanes));
+        let run_single = run_kernels(&lane_strips, std::slice::from_mut(&mut lanes));
         lanes.scatter(&view, &mut single);
 
         // …versus a 2-group partition (chunks of 3 and 2) fanned out.
@@ -2126,7 +1791,7 @@ mod tests {
         let mut mirror = crate::lane::LaneMirror::new();
         mirror.ensure(view.words(), 5, 2);
         mirror.gather(&view, &split);
-        let run_split = run_resolved_lockstep_groups(&lane_strips, mirror.groups_mut());
+        let run_split = run_kernels(&lane_strips, mirror.groups_mut());
         mirror.scatter(&view, &mut split);
 
         assert_eq!(run_single, run_split);

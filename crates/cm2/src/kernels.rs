@@ -1,20 +1,21 @@
-//! Plan-time kernel generation for the lockstep engine: operand-direct
+//! The lockstep engine: plan-time kernel generation and operand-direct
 //! sweeps.
 //!
 //! The paper's central discipline — resolve everything shape-dependent
-//! *before* the inner loop runs — stops one step short in
-//! [`crate::exec::run_resolved_strip_lockstep`]: addresses are
-//! pre-resolved, but every step is still dispatched through a `match`
-//! and every operand still round-trips through an emulated register file.
-//! This module finishes the job. The compiler already fixes at compile
-//! time which loaded value each multiply-add reads (§5.3's ring-buffer
-//! registers), so on the host every operand's lane-mirror address is
-//! known at plan build. [`StripKernels::compile`] resolves it there, and
-//! `StripKernels::run` sweeps a whole strip in one call, reading each
-//! multiply-add's operands straight from the lane mirror and writing each
-//! finished chain straight to the word its store targets — the host form
-//! of SARIS's indirect stream registers, which feed the FPU from memory
-//! by index instead of through explicit loads.
+//! *before* the inner loop runs — applies to a lane strip
+//! ([`crate::exec::ResolvedStrip::translate`]) beyond its addresses. The
+//! compiler already fixes at compile time which loaded value each
+//! multiply-add reads (§5.3's ring-buffer registers), so on the host
+//! every operand's lane-mirror address is known at plan build.
+//! [`StripKernels::compile`] resolves it there, and `StripKernels::run`
+//! sweeps a whole strip in one call — no per-step dispatch, no emulated
+//! register file — reading each multiply-add's operands straight from
+//! the lane mirror and writing each finished chain straight to the word
+//! its store targets: the host form of SARIS's indirect stream
+//! registers, which feed the FPU from memory by index instead of
+//! through explicit loads. The scalar engine
+//! ([`crate::exec::run_resolved_strip`]) defines the semantics every
+//! sweep reproduces bit for bit.
 //!
 //! **Provenance.** `compile` replays the strip's prologue and at most two
 //! body periods over a table of what each register holds: a loaded lane
@@ -35,14 +36,15 @@
 //! dummy threads and bias terms read. Every [`LaneMemory`] keeps one row
 //! for each past its viewed words. A chain whose destination is one of
 //! them (the dummy partner, "there is no way not to store the result")
-//! writes that row, exactly as the interpreter writes the register, and
-//! the row is restored after the strip.
+//! writes that row, exactly as the scalar engine writes the register,
+//! and the row is restored after the strip.
 //!
 //! **Refusal.** Reading operands at multiply-add time instead of load
 //! time, and writing results at the end of a pair instead of at the
 //! store, is only invisible when nothing observes the difference, so
-//! `compile` refuses — and the strip runs on the interpreter, counted as
-//! `interpreted_steps` — whenever it cannot prove that: a store word
+//! `compile` refuses — and the plan build refuses the lane body: a
+//! classic plan runs on the scalar engine, a temporal build fails —
+//! whenever it cannot prove that: a store word
 //! that can coincide with any word a tap reads (checked on the affine
 //! intervals each operand sweeps), a tap reading a register a
 //! destination overwrote or one never written, a store of anything but
@@ -76,15 +78,15 @@
 //! coefficients: no change), so the stream stays.
 //!
 //! **Bit-identity is the hard gate.** A kernel reassociates nothing: per
-//! lane, each chain's taps execute in exactly the interpreter's order
+//! lane, each chain's taps execute in exactly the scalar engine's order
 //! (`Start` is a separate IEEE multiply and add, `Chain` accumulates
 //! with a separate multiply and add), and lanes never interact, so
-//! chunked execution is observationally identical to the interpreter's
-//! row-at-a-time sweeps. The split is visible as `kernelized_steps` /
-//! `interpreted_steps` in `cmcc-obs`.
+//! chunked execution is observationally identical to running the strip
+//! on each node in turn. Every lockstep step is a kernelized one:
+//! `cmcc-obs` counts both `lockstep_steps` and `kernelized_steps`.
 
 use crate::config::FPU_REGISTERS;
-use crate::exec::{run_resolved_strip_lockstep, ResolvedOp, ResolvedPart, ResolvedStrip, StripRun};
+use crate::exec::{ResolvedOp, ResolvedPart, ResolvedStrip, StripRun};
 use crate::isa::{MacAcc, Reg};
 use crate::lane::LaneMemory;
 
@@ -116,10 +118,10 @@ const PAIR_HEAD: usize = 4;
 // The hit table in cmcc-obs must be able to hold every variant id.
 const _: () = assert!(KERNEL_VARIANTS <= cmcc_obs::KERNEL_VARIANT_CAP);
 
-/// Serializes tests (here and in `exec`) that flip or read the
-/// process-global telemetry, so their deltas cannot interleave.
+/// Serializes tests that flip or read the process-global telemetry, so
+/// their deltas cannot interleave.
 #[cfg(test)]
-pub(crate) static OBS_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+static OBS_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// The arity slot for chain length `k`: `k` itself when `1 <= k <= 16`,
 /// else the shared dynamic-tail slot `0`.
@@ -268,7 +270,7 @@ pub(crate) struct OperandMap {
 type SweepFn = fn(&StripKernels, &[Vec<Op>], &mut [f32], &[f32], usize);
 
 /// A strip compiled against the kernel family: the resolved operand map
-/// the kernel tier sweeps instead of interpreting the strip.
+/// the lockstep engine sweeps.
 #[derive(Debug, Clone)]
 pub struct StripKernels {
     /// Per body pattern, `PAIR_HEAD + 2K` rows per chain pair.
@@ -283,7 +285,7 @@ pub struct StripKernels {
     k: usize,
     k_slot: usize,
     steps: u64,
-    /// The counters the interpreter reports for the strip.
+    /// The counters the scalar engine reports for the strip.
     counts: StripRun,
     /// Whether some chain writes a constant register's row.
     writes_consts: bool,
@@ -294,10 +296,10 @@ pub struct StripKernels {
 
 impl StripKernels {
     /// Classifies `strip` against the kernel family and resolves its
-    /// operand map, or returns `None` — fall back to the interpreter —
-    /// when the strip does not fit the family or its operands cannot be
-    /// proven to read and write what the interpreter would (see the
-    /// module docs).
+    /// operand map, or returns `None` — the strip has no lockstep form —
+    /// when it does not fit the family or its operands cannot be proven
+    /// to read and write what the scalar engine would (see the module
+    /// docs).
     pub fn compile(strip: &ResolvedStrip) -> Option<StripKernels> {
         compile_parts(
             strip.prologue_parts(),
@@ -317,8 +319,8 @@ impl StripKernels {
         self.k_slot
     }
 
-    /// Dynamic steps the equivalent interpreted strip would execute —
-    /// kept so the `lockstep_steps` accounting is tier-independent.
+    /// Dynamic steps the strip's operation stream holds — what the
+    /// `lockstep_steps` and `kernelized_steps` counters add per run.
     pub fn steps(&self) -> u64 {
         self.steps
     }
@@ -365,7 +367,8 @@ impl StripKernels {
     /// This strip's kernels with the lane words of two equal-length
     /// ranges, starting at words `a` and `b`, exchanged: the kernels of
     /// the same node schedule translated through a view in which those
-    /// two ranges trade lane words ([`crate::lane::LaneView::swapped`]).
+    /// two ranges trade lane words (the view the tests build with
+    /// `LaneView::swapped`).
     /// Every refusal check `compile` made is preserved — the exchange is
     /// a bijection on lane words that keeps each range's interior order
     /// — so the strip is not classified again. Coefficient words are
@@ -467,7 +470,7 @@ impl StripKernels {
     }
 
     /// Sweeps the compiled strip over every lane of `lanes`, returning
-    /// counters identical to what the interpreter would report for the
+    /// counters identical to what the scalar engine reports for the
     /// source strip. `map` must be this strip's operands mapped onto
     /// `lanes` ([`Self::map_operands`]), and `stream` packed for `lanes`
     /// from the current coefficient values ([`Self::pack_stream`]).
@@ -617,7 +620,7 @@ fn classify_line(pattern: &[ResolvedPart]) -> Option<(usize, StripRun)> {
 /// `[Start, Start, Chain×2(K−1)]` repeated, destinations written exactly
 /// by each chain's final tap — and returns `K`. The scheduler's
 /// dummy-thread padding guarantees this shape for compiled kernels;
-/// anything else falls back to the interpreter.
+/// anything else is refused.
 fn pair_chain_length(taps: &[(bool, bool)]) -> Option<usize> {
     if taps.len() < 2 || !taps.len().is_multiple_of(2) {
         return None;
@@ -639,7 +642,7 @@ fn pair_chain_length(taps: &[(bool, bool)]) -> Option<usize> {
 /// register holds, resolving every slot of every line's operand map (see
 /// the module docs). Returns the map and whether a chain writes a
 /// constant row, or `None` when some operand or result has no row the
-/// sweep could read or write in the interpreter's stead.
+/// sweep could read or write in the scalar engine's stead.
 fn resolve_operands(
     prologue: &[ResolvedPart],
     patterns: &[Vec<ResolvedPart>],
@@ -703,7 +706,7 @@ fn resolve_operands(
                         MacAcc::Chain => None,
                     };
                     // The sweep writes both results after the right
-                    // chain's final tap; the interpreter writes the left
+                    // chain's final tap; the scalar engine writes the left
                     // one before it. A register is caught by its `Chain`
                     // state, a constant row only here.
                     if within == 2 * k - 1 {
@@ -755,7 +758,7 @@ fn resolve_operands(
 /// result word can coincide with any word a data or addend operand
 /// reads (each row's affine sweep over its line's executions, compared
 /// as intervals), and no two results of one line can land on the same
-/// word (the sweep writes them in pair order, the interpreter in store
+/// word (the sweep writes them in pair order, the scalar engine in store
 /// order).
 fn results_disjoint(ops: &[Vec<Row>], k: usize, lines: usize) -> bool {
     let period = ops.len();
@@ -824,8 +827,8 @@ fn results_disjoint(ops: &[Vec<Row>], k: usize, lines: usize) -> bool {
 }
 
 /// One `Start` tap over a run of lanes: `acc = coeff·data + addend`,
-/// separate IEEE multiply and add, never fused — the interpreter's exact
-/// arithmetic.
+/// separate IEEE multiply and add, never fused — the scalar engine's
+/// exact arithmetic.
 #[inline(always)]
 fn start_tap(coeff: &[f32], data: &[f32], addend: &[f32], acc: &mut [f32]) {
     for (((acc, &c), &d), &a) in acc.iter_mut().zip(coeff).zip(data).zip(addend) {
@@ -846,7 +849,7 @@ fn chain_tap(coeff: &[f32], data: &[f32], acc: &mut [f32]) {
 /// (`span <= W`; callers pass `span == W` for the fixed-width windows,
 /// which inlining turns into fixed trip counts): both chains accumulate
 /// in local arrays, taps interleaved in source order so each lane sees
-/// exactly the interpreter's operation order, operands read straight
+/// exactly the scalar engine's operation order, operands read straight
 /// from the mirror (one window per row, bounds checked once) and
 /// coefficients from the pair's stream slab (one `n`-wide row per tap),
 /// and both results written to their rows at the end — left, then right.
@@ -958,10 +961,9 @@ const fn sweep_row<const CHUNK: usize>() -> [SweepFn; ARITY_SLOTS] {
 static SWEEP_TABLE: [[SweepFn; ARITY_SLOTS]; WIDTH_CLASSES] =
     [sweep_row::<16>(), sweep_row::<8>(), sweep_row::<0>()];
 
-/// One plan step's kernelized strips bound to each of its lane groups:
-/// per direction, each strip's operand map per group, and per group each
-/// strip's packed coefficient stream (`None` where the strip is
-/// interpreted).
+/// One plan step's kernels bound to each of its lane groups: per
+/// direction, each strip's operand map per group, and per group each
+/// strip's packed coefficient stream.
 ///
 /// A plan runs its schedule in one or two *directions* (the same node
 /// schedule translated with two buffers' lane words swapped), whose
@@ -978,9 +980,9 @@ static SWEEP_TABLE: [[SweepFn; ARITY_SLOTS]; WIDTH_CLASSES] =
 pub struct CoeffStreams {
     /// `maps[dir][g][s]`: strip `s`'s operands in direction `dir` on
     /// lane group `g`; empty for a direction not run on these shapes.
-    maps: Vec<Vec<Vec<Option<OperandMap>>>>,
+    maps: Vec<Vec<Vec<OperandMap>>>,
     /// `streams[g][s]`: strip `s`'s packed coefficients for group `g`.
-    streams: Vec<Vec<Option<Vec<f32>>>>,
+    streams: Vec<Vec<Vec<f32>>>,
     /// `(nodes, floats)` per group the maps and streams were built for.
     shapes: Vec<(usize, usize)>,
     strips: usize,
@@ -1002,7 +1004,7 @@ impl CoeffStreams {
     /// Maps direction `dir`'s operands unless it already ran on exactly
     /// these kernel and group shapes, and packs the streams unless they
     /// are valid for them.
-    fn ensure(&mut self, dir: usize, kernels: &[Option<StripKernels>], groups: &[LaneMemory]) {
+    fn ensure(&mut self, dir: usize, kernels: &[StripKernels], groups: &[LaneMemory]) {
         let shaped = self.strips == kernels.len()
             && self.shapes.len() == groups.len()
             && self
@@ -1013,24 +1015,14 @@ impl CoeffStreams {
         if !shaped {
             self.maps.clear();
             self.shapes = groups.iter().map(|g| (g.nodes(), g.len())).collect();
-            self.streams = groups
-                .iter()
-                .map(|_| {
-                    kernels
-                        .iter()
-                        .map(|k| k.as_ref().map(|_| Vec::new()))
-                        .collect()
-                })
-                .collect();
+            self.streams = vec![vec![Vec::new(); kernels.len()]; groups.len()];
             self.strips = kernels.len();
             self.valid = false;
         }
         if !self.valid {
             for (bound, lanes) in self.streams.iter_mut().zip(groups) {
                 for (stream, k) in bound.iter_mut().zip(kernels) {
-                    if let (Some(stream), Some(k)) = (stream, k) {
-                        k.pack_stream(lanes, stream);
-                    }
+                    k.pack_stream(lanes, stream);
                 }
             }
             self.valid = true;
@@ -1041,71 +1033,50 @@ impl CoeffStreams {
         if self.maps[dir].is_empty() {
             self.maps[dir] = groups
                 .iter()
-                .map(|lanes| {
-                    kernels
-                        .iter()
-                        .map(|k| k.as_ref().map(|k| k.map_operands(lanes)))
-                        .collect()
-                })
+                .map(|lanes| kernels.iter().map(|k| k.map_operands(lanes)).collect())
                 .collect();
         }
     }
 }
 
-/// Runs every translated strip over every lane group — the kernel-tier
-/// counterpart of [`crate::exec::run_resolved_lockstep_groups`].
+/// Sweeps every compiled strip over every lane group, one host thread
+/// per group — the lockstep engine's fan-out.
 ///
-/// `kernels[i]`, when present, is the compiled form of `strips[i]`;
-/// missing or `None` entries run through the interpreter (pass `&[]`
-/// and a scratch [`CoeffStreams`] to disable the tier wholesale).
-/// `streams` caches the operand maps (under direction `dir`, see
-/// [`CoeffStreams`]) and packed coefficient streams across calls; they
-/// are mapped or repacked here as needed.
-/// Besides `lockstep_steps`, the `kernelized_steps` /
-/// `interpreted_steps` split and the per-variant hit table are
-/// recorded when telemetry is on.
+/// Each group holds a disjoint contiguous chunk of the machine's nodes
+/// (see [`crate::lane::LaneMirror`]); lanes never interact, so the groups
+/// replay identical instruction streams and their [`StripRun`] counters
+/// must agree. `streams` caches the operand maps (under direction `dir`,
+/// see [`CoeffStreams`]) and packed coefficient streams across calls;
+/// they are mapped or repacked here as needed. `lockstep_steps`,
+/// `kernelized_steps` and the per-variant hit table are recorded when
+/// telemetry is on. Returns the per-node counters.
 ///
 /// # Panics
 ///
-/// Panics if a lane-word address is out of a group's bounds, if a
+/// Panics if an operand lies outside a group's viewed words, if a
 /// worker thread panics, or if two lane groups report different
 /// counters (they replay one instruction stream, so that is a bug).
 pub fn run_lockstep_groups_kernelized(
-    strips: &[ResolvedStrip],
-    kernels: &[Option<StripKernels>],
+    kernels: &[StripKernels],
     streams: &mut CoeffStreams,
     dir: usize,
     groups: &mut [LaneMemory],
 ) -> StripRun {
-    if strips.is_empty() || groups.is_empty() {
+    if kernels.is_empty() || groups.is_empty() {
         return StripRun::default();
     }
     if cmcc_obs::enabled() {
-        let mut kernelized = 0u64;
-        let mut interpreted = 0u64;
-        for (i, strip) in strips.iter().enumerate() {
-            match kernels.get(i).and_then(Option::as_ref) {
-                Some(k) => kernelized += k.steps(),
-                None => interpreted += strip.steps(),
-            }
-        }
-        cmcc_obs::add(cmcc_obs::Counter::LockstepSteps, kernelized + interpreted);
-        cmcc_obs::add(cmcc_obs::Counter::KernelizedSteps, kernelized);
-        cmcc_obs::add(cmcc_obs::Counter::InterpretedSteps, interpreted);
+        let steps = kernels.iter().map(StripKernels::steps).sum();
+        cmcc_obs::add(cmcc_obs::Counter::LockstepSteps, steps);
+        cmcc_obs::add(cmcc_obs::Counter::KernelizedSteps, steps);
     }
     streams.ensure(dir, kernels, groups);
     let streams = &*streams;
     let run_group = |g: usize, lanes: &mut LaneMemory| {
         let mut total = StripRun::default();
-        for (i, strip) in strips.iter().enumerate() {
-            let map = streams.maps[dir][g].get(i).and_then(Option::as_ref);
-            let stream = streams.streams[g].get(i).and_then(Option::as_ref);
-            total.absorb(
-                &match (kernels.get(i).and_then(Option::as_ref), map, stream) {
-                    (Some(k), Some(map), Some(stream)) => k.run(lanes, map, stream),
-                    _ => run_resolved_strip_lockstep(strip, lanes),
-                },
-            );
+        let bound = streams.maps[dir][g].iter().zip(&streams.streams[g]);
+        for (k, (map, stream)) in kernels.iter().zip(bound) {
+            total.absorb(&k.run(lanes, map, stream));
         }
         total
     };
@@ -1144,7 +1115,9 @@ pub fn run_lockstep_groups_kernelized(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{ResolvedOp, ResolvedPart, ResolvedSlot};
+    use crate::config::MachineConfig;
+    use crate::exec::{run_resolved_strip, ExecMode, ResolvedOp, ResolvedPart, ResolvedSlot};
+    use crate::memory::NodeMemory;
 
     fn part(op: ResolvedOp, addr: usize, delta: i64) -> ResolvedPart {
         ResolvedPart {
@@ -1260,7 +1233,7 @@ mod tests {
     }
 
     /// The scalar oracle: per lane and pair, replay the exact f32
-    /// operation order the interpreter defines (separate multiply and
+    /// operation order the scalar engine defines (separate multiply and
     /// add, chains accumulating independently, the last line's store
     /// winning).
     fn oracle(k: usize, pairs: usize, lines: usize, lane: usize, pair: usize) -> (f32, f32) {
@@ -1354,8 +1327,8 @@ mod tests {
             .unwrap()
     }
 
-    /// Lines that violate the classified shape must reject to the
-    /// interpreter (`compile_parts` returns `None`), never mis-compile.
+    /// Lines that violate the classified shape are refused
+    /// (`compile_parts` returns `None`), never mis-compiled.
     #[test]
     fn classifier_rejects_nonconforming_lines() {
         let compile_one = |pattern: Vec<ResolvedPart>| {
@@ -1443,75 +1416,92 @@ mod tests {
         lanes.flat().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Runs `strip` through [`run_lockstep_groups_kernelized`] with
-    /// `kernels` (its compiled form, or none) and through the bare
-    /// interpreter over copies of `lanes`, asserting identical bits —
-    /// constant rows included — and counters. Returns the tier's
-    /// `(kernelized, interpreted)` step split. Callers hold
-    /// [`OBS_TEST_LOCK`]: the run adds to the step counters, which other
-    /// tests read process-wide while telemetry is on.
-    fn assert_tier_matches_interpreter(
-        strip: &ResolvedStrip,
-        kernels: &[Option<StripKernels>],
-        streams: &mut CoeffStreams,
-        lanes: &LaneMemory,
-    ) -> (u64, u64) {
-        let mut kern = vec![lanes.clone()];
-        let before = cmcc_obs::thread_snapshot();
-        let kern_run = run_lockstep_groups_kernelized(
-            std::slice::from_ref(strip),
-            kernels,
-            streams,
-            0,
-            &mut kern,
-        );
-        let split = cmcc_obs::thread_snapshot().delta(&before);
-        let mut interp = lanes.clone();
-        let interp_run = run_resolved_strip_lockstep(strip, &mut interp);
-        assert_eq!(kern_run, interp_run, "counters diverge");
-        assert_eq!(
-            all_bits(&kern[0]),
-            all_bits(&interp),
-            "kernel tier diverges from the interpreter"
-        );
-        (
-            split.get(cmcc_obs::Counter::KernelizedSteps),
-            split.get(cmcc_obs::Counter::InterpretedSteps),
-        )
+    /// The scalar oracle for a lane strip: each lane's viewed words in a
+    /// node memory of their own — lane words are its addresses — run by
+    /// the scalar engine in fast mode and copied back. The constant rows
+    /// keep `0.0` / `1.0`: the scalar engine holds its constant
+    /// registers in a fresh register file, never in memory.
+    fn scalar_lanes(strip: &ResolvedStrip, lanes: &LaneMemory) -> (LaneMemory, StripRun) {
+        let words = lanes.const_row(Reg::ZERO) / lanes.nodes();
+        let cfg = MachineConfig::test_board_16();
+        let mut out = lanes.clone();
+        let mut run = None;
+        for lane in 0..lanes.nodes() {
+            let mut mem = NodeMemory::new(words);
+            for w in 0..words {
+                mem.write(w, lanes.lane_value(w, lane));
+            }
+            let lane_run = run_resolved_strip(strip, &mut mem, &cfg, ExecMode::Fast)
+                .expect("fast mode reports no hazards");
+            assert_eq!(
+                *run.get_or_insert(lane_run),
+                lane_run,
+                "lanes replay one stream"
+            );
+            for w in 0..words {
+                out.set_lane_value(w, lane, mem.read(w));
+            }
+        }
+        (out, run.expect("lane memory has a lane"))
     }
 
-    /// Compiles `strip`, asserts the classifier's verdict, and checks
-    /// both tiers agree bit for bit on every width class, with the step
-    /// split landing on the matching side.
+    /// Sweeps `kernel`, compiled from `strip`, over a copy of `lanes`
+    /// through [`run_lockstep_groups_kernelized`] and asserts identical
+    /// bits — constant rows included — and counters to the scalar engine
+    /// running `strip` on every lane ([`scalar_lanes`]). Returns the
+    /// `kernelized_steps` the sweep recorded, which must equal its
+    /// `lockstep_steps`. Callers hold [`OBS_TEST_LOCK`]: the run adds to
+    /// the step counters, which other tests read process-wide while
+    /// telemetry is on.
+    fn assert_kernels_match_scalar(
+        strip: &ResolvedStrip,
+        kernel: &StripKernels,
+        streams: &mut CoeffStreams,
+        lanes: &LaneMemory,
+    ) -> u64 {
+        let mut kern = vec![lanes.clone()];
+        let before = cmcc_obs::thread_snapshot();
+        let kern_run =
+            run_lockstep_groups_kernelized(std::slice::from_ref(kernel), streams, 0, &mut kern);
+        let delta = cmcc_obs::thread_snapshot().delta(&before);
+        let (scalar, scalar_run) = scalar_lanes(strip, lanes);
+        assert_eq!(kern_run, scalar_run, "counters diverge");
+        assert_eq!(
+            all_bits(&kern[0]),
+            all_bits(&scalar),
+            "kernels diverge from the scalar engine"
+        );
+        let kernelized = delta.get(cmcc_obs::Counter::KernelizedSteps);
+        assert_eq!(delta.get(cmcc_obs::Counter::LockstepSteps), kernelized);
+        kernelized
+    }
+
+    /// Asserts the classifier's verdict on `strip` and, when it
+    /// compiles, that its kernels match the scalar engine bit for bit on
+    /// every width class, every step counted as kernelized.
     fn assert_verdict(strip: &ResolvedStrip, words: usize, kernelizes: bool, what: &str) {
+        let kernel = StripKernels::compile(strip);
+        assert_eq!(kernel.is_some(), kernelizes, "{what}: classifier verdict");
+        let Some(kernel) = kernel else {
+            return;
+        };
         let _guard = OBS_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let was = cmcc_obs::enabled();
         cmcc_obs::set_enabled(true);
-        let kernel = StripKernels::compile(strip);
-        assert_eq!(kernel.is_some(), kernelizes, "{what}: classifier verdict");
         for n in [16, 9, 5, 1] {
-            let (kernelized, interpreted) = assert_tier_matches_interpreter(
-                strip,
-                std::slice::from_ref(&kernel),
-                &mut CoeffStreams::new(),
-                &filled(words, n),
-            );
-            let (want_k, want_i) = if kernelizes {
-                (strip.steps(), 0)
-            } else {
-                (0, strip.steps())
-            };
-            assert_eq!((kernelized, interpreted), (want_k, want_i), "{what}: split");
+            let lanes = filled(words, n);
+            let kernelized =
+                assert_kernels_match_scalar(strip, &kernel, &mut CoeffStreams::new(), &lanes);
+            assert_eq!(kernelized, strip.steps(), "{what}: kernelized steps");
         }
         cmcc_obs::set_enabled(was);
     }
 
     /// Strips where reading operands at multiply-add time or writing
-    /// results at the end of a pair would be observable are refused,
-    /// run on the interpreter (counted as interpreted), and stay bit
-    /// for bit what the interpreter computes.
+    /// results at the end of a pair would be observable are refused;
+    /// the ones admitted match the scalar engine bit for bit.
     #[test]
-    fn refused_strips_run_on_the_interpreter_exactly() {
+    fn observable_reorderings_are_refused() {
         let (k, lines) = (2, 3);
         let words = lane_words(k, 2, lines);
         let strip = |pattern: Vec<ResolvedPart>| {
@@ -1559,7 +1549,7 @@ mod tests {
         );
 
         // The right chain's final tap reads the left chain's destination,
-        // written before it in the interpreter, after it in the sweep.
+        // written before it by the scalar engine, after it in the sweep.
         let mut parts = synthetic_line(k, 1);
         if let ResolvedOp::Mac { data, .. } = &mut last_mac(&mut parts).op {
             *data = Reg(4);
@@ -1567,7 +1557,7 @@ mod tests {
         assert_verdict(&strip(parts), words, false, "dest_l hazard");
 
         // Two stores of one line onto one word: last store wins in the
-        // interpreter, pair order in the sweep.
+        // scalar engine, pair order in the sweep.
         let mut parts = synthetic_line(k, 2);
         let store = parts.len() - 1;
         parts[store].addr = 2;
@@ -1638,7 +1628,7 @@ mod tests {
 
     /// The dummy partner writes the zero register; the sweep writes the
     /// `ZERO` row in its stead, so a later `Start(ZERO)` reads exactly
-    /// what the interpreter's register holds — even when a non-finite
+    /// what the scalar engine's register holds — even when a non-finite
     /// dummy coefficient turns the "zero" into NaN — and the constant
     /// rows are back to `0.0`/`1.0` after the strip.
     #[test]
@@ -1654,8 +1644,7 @@ mod tests {
             for coeff in [f32::NAN, f32::INFINITY, -2.0] {
                 let mut lanes = filled(words, n);
                 lanes.set_lane_value(dummy, n / 2, coeff);
-                let kernels = [Some(kernel.clone())];
-                assert_tier_matches_interpreter(&strip, &kernels, &mut CoeffStreams::new(), &lanes);
+                assert_kernels_match_scalar(&strip, &kernel, &mut CoeffStreams::new(), &lanes);
             }
         }
     }
@@ -1709,8 +1698,7 @@ mod tests {
     }
 
     /// Operands loaded on an earlier line resolve through the ring; a
-    /// prologue that fills the ring off the walk is refused and runs on
-    /// the interpreter exactly.
+    /// prologue that fills the ring off the walk is refused.
     #[test]
     fn ring_operands_resolve_across_lines() {
         for lines in [2, 3, 5, 8] {
@@ -1741,7 +1729,7 @@ mod tests {
 
     /// The stream of group `g`'s first strip.
     fn stream0(streams: &CoeffStreams, g: usize) -> &[f32] {
-        streams.streams[g][0].as_ref().unwrap()
+        &streams.streams[g][0]
     }
 
     /// Swapping two ranges' lane words commutes with the sweep: the
@@ -1803,7 +1791,7 @@ mod tests {
     fn coeff_streams_cache_and_invalidate() {
         let k = 2;
         let sk = compile_synthetic(k, 1, 2);
-        let kernels = vec![Some(sk)];
+        let kernels = vec![sk];
         let words = lane_words(k, 1, 2);
         let mut groups = vec![filled(words, 8)];
         let mut streams = CoeffStreams::new();
@@ -1811,7 +1799,7 @@ mod tests {
         let first = stream0(&streams, 0).to_vec();
         assert_eq!(
             first.len(),
-            kernels[0].as_ref().unwrap().stream_words(8),
+            kernels[0].stream_words(8),
             "stream covers every tap of every line"
         );
 
@@ -1822,9 +1810,9 @@ mod tests {
 
         // A second direction maps its own operands and shares the
         // streams: the flip repacks nothing.
-        let swapped: Vec<Option<StripKernels>> = kernels
+        let swapped: Vec<StripKernels> = kernels
             .iter()
-            .map(|k| k.as_ref().map(|k| k.with_ranges_swapped(0, 2, 2)))
+            .map(|k| k.with_ranges_swapped(0, 2, 2))
             .collect();
         streams.ensure(1, &swapped, &groups);
         assert_eq!(
@@ -1833,7 +1821,7 @@ mod tests {
             "a direction flip must not repack"
         );
         assert_eq!(streams.streams.len(), 1, "one set of streams per group");
-        let map = |dir: usize| streams.maps[dir][0][0].as_ref().unwrap().ops.clone();
+        let map = |dir: usize| streams.maps[dir][0][0].ops.clone();
         assert_ne!(map(0), map(1), "each direction maps its own operands");
 
         // Invalidation repacks from the mutated lanes.
@@ -1847,7 +1835,7 @@ mod tests {
         streams.ensure(0, &kernels, &narrow);
         assert_eq!(
             stream0(&streams, 0).len(),
-            kernels[0].as_ref().unwrap().stream_words(5),
+            kernels[0].stream_words(5),
             "shape change must repack for the new lane count"
         );
         assert_eq!(
@@ -1855,7 +1843,7 @@ mod tests {
             1,
             "a shape change drops every direction's maps"
         );
-        assert_eq!(streams.maps[0][0][0].as_ref().unwrap().nodes, 5);
+        assert_eq!(streams.maps[0][0][0].nodes, 5);
     }
 
     /// Pattern `p` of a `period`-line body whose loads and stores walk
@@ -1936,14 +1924,13 @@ mod tests {
             let stationary = strip_with(0);
             let kernel = StripKernels::compile(&stationary).expect("classified shape");
             assert_eq!(kernel.stream_words(n), period * taps_per_line * n);
-            let kernels = [Some(kernel.clone())];
             let mut streams = CoeffStreams::new();
-            assert_tier_matches_interpreter(&stationary, &kernels, &mut streams, &lanes);
+            assert_kernels_match_scalar(&stationary, &kernel, &mut streams, &lanes);
             assert_eq!(stream0(&streams, 0).len(), kernel.stream_words(n));
             // Invalidation repacks the period from the current values.
             lanes.word_mut(coeff0 + taps_per_line).fill(-3.5);
             streams.invalidate();
-            assert_tier_matches_interpreter(&stationary, &kernels, &mut streams, &lanes);
+            assert_kernels_match_scalar(&stationary, &kernel, &mut streams, &lanes);
             assert_eq!(stream0(&streams, 0)[taps_per_line * n], -3.5);
             assert_eq!(stream0(&streams, 0).len(), kernel.stream_words(n));
 
@@ -1951,12 +1938,7 @@ mod tests {
             let advancing = strip_with((taps_per_line * period) as i64);
             let kernel = StripKernels::compile(&advancing).expect("classified shape");
             assert_eq!(kernel.stream_words(n), lines * taps_per_line * n);
-            assert_tier_matches_interpreter(
-                &advancing,
-                &[Some(kernel)],
-                &mut CoeffStreams::new(),
-                &lanes,
-            );
+            assert_kernels_match_scalar(&advancing, &kernel, &mut CoeffStreams::new(), &lanes);
 
             // Case 3: a result walk that crosses a range seam translates
             // to one delta-0 pattern per line, whose stream is every line.
@@ -1972,12 +1954,7 @@ mod tests {
             assert_eq!(unrolled.body_patterns().len(), lines, "unrolled per line");
             let kernel = StripKernels::compile(&unrolled).expect("classified shape");
             assert_eq!(kernel.stream_words(n), lines * taps_per_line * n);
-            assert_tier_matches_interpreter(
-                &unrolled,
-                &[Some(kernel)],
-                &mut CoeffStreams::new(),
-                &lanes,
-            );
+            assert_kernels_match_scalar(&unrolled, &kernel, &mut CoeffStreams::new(), &lanes);
         }
     }
 }

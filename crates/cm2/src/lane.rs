@@ -1,16 +1,15 @@
-//! Node-major lane storage for the lockstep SIMD executor.
+//! Node-major lane storage for the lockstep SIMD engine.
 //!
 //! The CM-2 broadcast one instruction stream to every node at once
 //! (§4.3: the dynamic parts are streamed cycle by cycle to *all* FPUs).
-//! The scalar interpreter inverts that — node-outer, step-inner — and so
-//! pays instruction dispatch once per node per step. The lockstep
-//! executor restores the machine's own loop order: step-outer,
-//! node-inner. To make the node-inner sweep a contiguous vector
-//! operation, [`LaneMemory`] stores the *same word of every node side by
-//! side*: word `w` of nodes `0..n` lives at `w*n .. (w+1)*n`. One
-//! [`crate::exec::ResolvedPart`] then turns into one fused
-//! multiply-add swept over a contiguous `&mut [f32]` of node lanes —
-//! exactly the shape LLVM autovectorizes.
+//! The scalar engine inverts that — node-outer, step-inner — and so pays
+//! instruction dispatch once per node per step. The lockstep engine
+//! restores the machine's own loop order, node-inner. To make the
+//! node-inner sweep a contiguous vector operation, [`LaneMemory`] stores
+//! the *same word of every node side by side*: word `w` of nodes `0..n`
+//! lives at `w*n .. (w+1)*n`. One multiply-add of a kernel
+//! ([`crate::kernels`]) then sweeps a contiguous `&mut [f32]` of node
+//! lanes — exactly the shape LLVM autovectorizes.
 //!
 //! Node memory is large and mostly untouched by any one kernel, so the
 //! lane mirror covers only the address ranges a plan actually references:
@@ -163,8 +162,8 @@ impl LaneView {
     /// addresses of range `i` translate into the lane words `j` held and
     /// the other way round. A plan runs its second direction on exactly
     /// this translation, derived by swapping lane words in place
-    /// ([`crate::exec::ResolvedStrip::with_ranges_swapped`]); tests
-    /// check the two agree.
+    /// ([`crate::kernels::StripKernels::with_ranges_swapped`] and the
+    /// exchange programs' counterpart); tests check the two agree.
     ///
     /// # Panics
     ///
@@ -286,8 +285,8 @@ impl LaneMemory {
     }
 
     /// Restores the constant rows to `0.0` and `1.0` — after a kernel
-    /// whose chains write a constant register, as the interpreter's fresh
-    /// register file would hold them for the next strip.
+    /// whose chains write a constant register, as the scalar engine's
+    /// fresh register file would hold them for the next strip.
     pub(crate) fn reset_const_rows(&mut self) {
         let zero = self.const_row(Reg::ZERO);
         let (consts, n) = (&mut self.data[zero..], self.nodes);

@@ -41,13 +41,13 @@ pub mod timing;
 pub use config::MachineConfig;
 pub use exec::{
     ExecEngine, ExecMode, FieldLayout, HazardError, ResolvedOp, ResolvedPart, ResolvedSlot,
-    ResolvedStrip, ScheduleStep, StripContext, StripRun,
+    ResolvedStrip, StripContext, StripRun,
 };
 pub use grid::{Direction, NodeGrid, NodeId};
 pub use isa::{DynamicPart, Kernel, MacAcc, MemRef, Reg, StaticPart};
 pub use kernels::{run_lockstep_groups_kernelized, CoeffStreams, StripKernels, KERNEL_VARIANTS};
 pub use lane::{LaneMemory, LaneRange, LaneView};
-pub use machine::{Machine, NodeSlice};
+pub use machine::Machine;
 pub use memory::{Field, FieldAllocator, NodeMemory, OutOfMemory};
 pub use news::{corner_exchange_cycles, news_exchange_cycles, old_exchange_cycles, ExchangeShape};
 pub use sequencer::{ScratchMemory, ScratchOverflow, DEFAULT_SCRATCH_ENTRIES};

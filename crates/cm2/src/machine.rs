@@ -6,22 +6,16 @@
 //! The real CM-2 runs every node *simultaneously*; this simulator can
 //! too. Per-node state lives in disjoint [`NodeMemory`] values, so the
 //! borrow checker proves that node executions cannot alias:
-//! [`Machine::par_nodes_mut`] yields every node's memory exactly once,
-//! [`Machine::node_slices_mut`] partitions the nodes into contiguous
-//! disjoint slices for worker threads, and
-//! [`Machine::run_schedule_all`] fans a whole strip schedule out across
-//! host threads — one SIMD instruction stream, many cores. The kernel,
-//! strip contexts, and machine configuration are plain shared data
-//! (`Send + Sync`), so no locks are needed and results are bit-identical
-//! to the serial path by construction.
+//! [`Machine::run_resolved_all`] fans a pre-resolved strip schedule out
+//! across host threads over contiguous, disjoint chunks of nodes — one
+//! SIMD instruction stream, many cores. The strips and machine
+//! configuration are plain shared data (`Send + Sync`), so no locks are
+//! needed and results are bit-identical to the serial path by
+//! construction.
 
 use crate::config::MachineConfig;
-use crate::exec::{
-    run_resolved_strip, run_strip, ExecMode, HazardError, ResolvedStrip, ScheduleStep,
-    StripContext, StripRun,
-};
+use crate::exec::{run_resolved_strip, ExecMode, HazardError, ResolvedStrip, StripRun};
 use crate::grid::{NodeGrid, NodeId};
-use crate::isa::Kernel;
 use crate::lane::RegionStage;
 use crate::memory::{copy_between, Field, FieldAllocator, NodeMemory, OutOfMemory, WriteStamps};
 use std::ops::Range;
@@ -34,7 +28,7 @@ use std::ops::Range;
 /// boundaries, in bounded memory. Writers that can name their ranges go
 /// through [`Machine::write_nodes`] and stamp exactly those; raw
 /// accessors that cannot ([`Machine::mem_mut`],
-/// [`Machine::par_nodes_mut`], [`Machine::exec_parts_mut`], …) stamp all
+/// [`Machine::mem_pair_mut`], [`Machine::exec_parts_mut`]) stamp all
 /// of memory. Readers that keep snapshots — execution plans' lane
 /// mirrors — compare the stamps against the [`Machine::write_epoch`]
 /// they synced at ([`Machine::written_since`]) and re-read only what
@@ -250,40 +244,6 @@ impl Machine {
         copy_between(mems, src.0, src_addr, dst.0, dst_addr, len);
     }
 
-    /// Every node's memory, mutably, each exactly once, in node order.
-    ///
-    /// The disjointness is structural (one `&mut` per vector element), so
-    /// overlapping access is unrepresentable: the iterator is the only
-    /// borrow of `self` while it lives. Stamps all of memory as written.
-    pub fn par_nodes_mut(
-        &mut self,
-    ) -> impl ExactSizeIterator<Item = (NodeId, &mut NodeMemory)> + '_ {
-        self.stamp_all();
-        self.nodes
-            .iter_mut()
-            .enumerate()
-            .map(|(i, mem)| (NodeId(i), mem))
-    }
-
-    /// Partitions the nodes into at most `parts` contiguous, disjoint
-    /// slices (the unit of work one host thread takes in
-    /// [`Machine::run_schedule_all`]). `parts` is clamped to
-    /// `1..=node_count`; every node appears in exactly one slice, in node
-    /// order. Stamps all of memory as written.
-    pub fn node_slices_mut(&mut self, parts: usize) -> Vec<NodeSlice<'_>> {
-        self.stamp_all();
-        let parts = parts.clamp(1, self.nodes.len());
-        let chunk = self.nodes.len().div_ceil(parts);
-        self.nodes
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(i, mems)| NodeSlice {
-                first: NodeId(i * chunk),
-                mems,
-            })
-            .collect()
-    }
-
     /// The machine configuration together with every node memory as one
     /// disjoint mutable slice — the split borrow the parallel engine
     /// needs (config shared and immutable, node state exclusive). Stamps
@@ -303,99 +263,17 @@ impl Machine {
         (&self.config, &self.nodes)
     }
 
-    /// Executes `kernel` over the half-strip `ctx` on **every** node
-    /// (SIMD), returning the per-node cycle/operation counts — identical
-    /// across nodes because the instruction stream is identical.
-    ///
-    /// In [`ExecMode::Cycle`] every node runs the full pipeline model, so
-    /// hazards are detected against real data on all nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HazardError`] if the kernel is miscompiled (cycle mode).
-    pub fn run_strip_all(
-        &mut self,
-        kernel: &Kernel,
-        ctx: &StripContext<'_>,
-        mode: ExecMode,
-    ) -> Result<StripRun, HazardError> {
-        let step = ScheduleStep {
-            kernel,
-            ctx: ctx.clone(),
-        };
-        let mut runs = self.run_schedule_all(std::slice::from_ref(&step), mode, 1)?;
-        Ok(runs.pop().expect("one step yields one run"))
-    }
-
-    /// Executes an entire strip schedule on every node, fanning the nodes
-    /// out over up to `threads` host threads (`1` = the serial path;
-    /// clamped to `1..=node_count`).
-    ///
-    /// Returns one [`StripRun`] per schedule step. The reduction over
-    /// nodes is deterministic and thread-count invariant: the machine is
-    /// a lockstep SIMD array, so per-step cycle counts agree across nodes
-    /// (checked with a debug assertion) and the reduced count is the
-    /// per-step maximum — the array advances at the pace of its slowest
-    /// node. Nodes are reduced in node order regardless of which thread
-    /// ran them, so the result is bit-identical for every `threads`
-    /// value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HazardError`] if the kernel is miscompiled (cycle mode);
-    /// when several nodes fault, the lowest-numbered node's error is
-    /// returned, again independent of thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics (a kernel addressing bug).
-    pub fn run_schedule_all(
-        &mut self,
-        schedule: &[ScheduleStep<'_>],
-        mode: ExecMode,
-        threads: usize,
-    ) -> Result<Vec<StripRun>, HazardError> {
-        if schedule.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Kernels store wherever their contexts point: stamp everything.
-        self.stamp_all();
-        let threads = threads.clamp(1, self.nodes.len());
-        let config = &self.config;
-        let run_node = |mem: &mut NodeMemory| -> Result<Vec<StripRun>, HazardError> {
-            schedule
-                .iter()
-                .map(|step| run_strip(step.kernel, &step.ctx, mem, config, mode))
-                .collect()
-        };
-        let per_node: Vec<Result<Vec<StripRun>, HazardError>> = if threads == 1 {
-            self.nodes.iter_mut().map(run_node).collect()
-        } else {
-            let run_node = &run_node;
-            let chunk = self.nodes.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .nodes
-                    .chunks_mut(chunk)
-                    .map(|mems| {
-                        scope.spawn(move || mems.iter_mut().map(run_node).collect::<Vec<_>>())
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("node worker panicked"))
-                    .collect()
-            })
-        };
-        reduce_node_runs(per_node)
-    }
-
     /// Executes a pre-resolved strip sequence on every node, fanning the
-    /// nodes out over up to `threads` host threads — the plan-execution
-    /// counterpart of [`Machine::run_schedule_all`], with the same
-    /// deterministic, thread-count-invariant reduction (per-strip cycles
-    /// agree across the lockstep SIMD nodes; the per-node totals are
-    /// absorbed into one [`StripRun`]).
+    /// nodes out over up to `threads` host threads (`1` = the serial
+    /// path; clamped to `1..=node_count`) — the scalar engine.
+    ///
+    /// The reduction over nodes is deterministic and thread-count
+    /// invariant: the machine is a lockstep SIMD array, so per-node
+    /// counters agree (checked in every build) and the reduced cycle
+    /// count is the maximum — the array advances at the pace of its
+    /// slowest node. Nodes are reduced in node order regardless of which
+    /// thread ran them, so the result is bit-identical for every
+    /// `threads` value.
     ///
     /// `writes` names the address ranges the strips store into (an
     /// execution plan passes its writable lease ranges); exactly those
@@ -490,73 +368,6 @@ impl Machine {
     }
 }
 
-/// A contiguous group of nodes handed to one worker thread.
-///
-/// Produced only by [`Machine::node_slices_mut`], whose `chunks_mut`
-/// construction guarantees the slices are disjoint and cover every node
-/// exactly once.
-#[derive(Debug)]
-pub struct NodeSlice<'a> {
-    first: NodeId,
-    mems: &'a mut [NodeMemory],
-}
-
-impl<'a> NodeSlice<'a> {
-    /// The first node in the slice.
-    pub fn first(&self) -> NodeId {
-        self.first
-    }
-
-    /// Number of nodes in the slice.
-    pub fn len(&self) -> usize {
-        self.mems.len()
-    }
-
-    /// Whether the slice is empty (never true for
-    /// [`Machine::node_slices_mut`] output).
-    pub fn is_empty(&self) -> bool {
-        self.mems.is_empty()
-    }
-
-    /// Iterates the slice's nodes in node order.
-    pub fn iter_mut(&mut self) -> impl ExactSizeIterator<Item = (NodeId, &mut NodeMemory)> + '_ {
-        let first = self.first.0;
-        self.mems
-            .iter_mut()
-            .enumerate()
-            .map(move |(i, mem)| (NodeId(first + i), mem))
-    }
-}
-
-/// Reduces per-node schedule results (in node order) to one result per
-/// step: first error in node order wins; otherwise per-step cycles take
-/// the max over nodes (they agree — lockstep SIMD — which an assertion
-/// checks in every build) and the remaining counters are the shared per-node
-/// values.
-fn reduce_node_runs(
-    per_node: Vec<Result<Vec<StripRun>, HazardError>>,
-) -> Result<Vec<StripRun>, HazardError> {
-    let mut reduced: Option<Vec<StripRun>> = None;
-    for result in per_node {
-        let runs = result?;
-        match &mut reduced {
-            None => reduced = Some(runs),
-            Some(acc) => {
-                assert_eq!(
-                    acc.len(),
-                    runs.len(),
-                    "SIMD nodes must agree on step counts"
-                );
-                for (a, r) in acc.iter_mut().zip(&runs) {
-                    assert_eq!(a, r, "SIMD nodes must agree on cycle counts");
-                    a.cycles = a.cycles.max(r.cycles);
-                }
-            }
-        }
-    }
-    Ok(reduced.expect("machine has at least one node"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -640,63 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn par_nodes_mut_covers_every_node_exactly_once() {
-        let mut m = machine();
-        let f = m.alloc_field(1).unwrap();
-        let mut ids = Vec::new();
-        for (id, mem) in m.par_nodes_mut() {
-            ids.push(id);
-            mem.write(f.base(), id.0 as f32 + 1.0);
-        }
-        assert_eq!(ids, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
-        // Each write landed on its own node: no overlap, no omission.
-        for i in 0..4 {
-            assert_eq!(m.mem(NodeId(i)).read(f.base()), i as f32 + 1.0);
-        }
-    }
-
-    #[test]
-    fn node_slices_partition_exactly() {
-        let mut m = machine();
-        for parts in 1..=6 {
-            let mut covered = Vec::new();
-            for mut slice in m.node_slices_mut(parts) {
-                assert!(!slice.is_empty());
-                for (id, _) in slice.iter_mut() {
-                    covered.push(id);
-                }
-            }
-            assert_eq!(
-                covered,
-                vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)],
-                "parts = {parts}"
-            );
-        }
-    }
-
-    #[test]
-    fn node_slices_clamp_degenerate_part_counts() {
-        let mut m = machine();
-        // Zero parts clamps to one slice holding everything…
-        let slices = m.node_slices_mut(0);
-        assert_eq!(slices.len(), 1);
-        assert_eq!(slices[0].len(), 4);
-        assert_eq!(slices[0].first(), NodeId(0));
-        // …and more parts than nodes clamps to one node per slice.
-        let slices = m.node_slices_mut(100);
-        assert_eq!(slices.len(), 4);
-        assert!(slices.iter().all(|s| s.len() == 1));
-    }
-
-    #[test]
-    fn node_slice_first_ids_match_offsets() {
-        let mut m = machine();
-        let slices = m.node_slices_mut(2);
-        assert_eq!(slices[0].first(), NodeId(0));
-        assert_eq!(slices[1].first(), NodeId(2));
-    }
-
-    #[test]
     fn exec_parts_expose_all_nodes() {
         let mut m = machine();
         let (cfg, nodes) = m.exec_parts_mut();
@@ -707,20 +461,21 @@ mod tests {
     fn shared_execution_inputs_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<MachineConfig>();
-        assert_send_sync::<Kernel>();
-        assert_send_sync::<StripContext<'static>>();
-        assert_send_sync::<ScheduleStep<'static>>();
+        assert_send_sync::<crate::isa::Kernel>();
+        assert_send_sync::<crate::exec::StripContext<'static>>();
+        assert_send_sync::<ResolvedStrip>();
         assert_send_sync::<NodeMemory>();
     }
 
-    /// A minimal schedule (one store of the ones page into the result
-    /// field per step) whose execution writes real data on every node —
-    /// enough to observe that serial and threaded runs agree bitwise.
-    fn store_schedule_fixture(m: &mut Machine) -> (Field, Field, Kernel) {
-        use crate::isa::{DynamicPart, MemRef, Reg, StaticPart};
+    /// A minimal strip (one store of the ones page into the result field
+    /// per line) whose execution writes real data on every node — enough
+    /// to observe that serial and threaded runs agree bitwise.
+    fn store_strip_fixture(m: &mut Machine) -> (Field, ResolvedStrip) {
+        use crate::exec::{FieldLayout, StripContext};
+        use crate::isa::{DynamicPart, Kernel, MemRef, Reg, StaticPart};
         let consts = m.alloc_field(2).unwrap();
         let res = m.alloc_field(4).unwrap();
-        for (_, mem) in m.par_nodes_mut() {
+        for mem in m.write_nodes([consts.range()]) {
             mem.write(consts.addr(0), 1.0);
             mem.write(consts.addr(1), 0.0);
         }
@@ -744,46 +499,39 @@ mod tests {
             ]],
             useful_flops_per_line: 0,
         };
-        (consts, res, kernel)
+        let ctx = StripContext {
+            srcs: &[],
+            res: FieldLayout {
+                base: res.base(),
+                row_stride: 1,
+                row_offset: 0,
+                col_offset: 0,
+            },
+            coeffs: &[],
+            ones_addr: consts.addr(0),
+            zeros_addr: consts.addr(1),
+            start_row: 3,
+            lines: 4,
+            col0: 0,
+        };
+        (res, ResolvedStrip::new(&kernel, &ctx))
     }
 
     #[test]
-    fn schedule_runs_are_thread_count_invariant() {
-        use crate::exec::FieldLayout;
+    fn resolved_runs_are_thread_count_invariant() {
         let mut runs_by_threads = Vec::new();
         for threads in [1usize, 2, 3, 8] {
             let mut m = machine();
-            let (consts, res, kernel) = store_schedule_fixture(&mut m);
-            let ctx = StripContext {
-                srcs: &[],
-                res: FieldLayout {
-                    base: res.base(),
-                    row_stride: 1,
-                    row_offset: 0,
-                    col_offset: 0,
-                },
-                coeffs: &[],
-                ones_addr: consts.addr(0),
-                zeros_addr: consts.addr(1),
-                start_row: 3,
-                lines: 4,
-                col0: 0,
-            };
-            let steps = vec![
-                ScheduleStep {
-                    kernel: &kernel,
-                    ctx: ctx.clone(),
-                };
-                3
-            ];
-            let runs = m
-                .run_schedule_all(&steps, ExecMode::Cycle, threads)
+            let (res, strip) = store_strip_fixture(&mut m);
+            let strips = vec![strip; 3];
+            let run = m
+                .run_resolved_all(&strips, [res.range()], ExecMode::Cycle, threads)
                 .unwrap();
-            assert_eq!(runs.len(), 3);
-            for (_, mem) in m.par_nodes_mut() {
-                assert_eq!(mem.field(res), &[1.0; 4]);
+            assert_eq!(run.stores, 12);
+            for n in 0..m.node_count() {
+                assert_eq!(m.mem(NodeId(n)).field(res), &[1.0; 4]);
             }
-            runs_by_threads.push(runs);
+            runs_by_threads.push(run);
         }
         for other in &runs_by_threads[1..] {
             assert_eq!(&runs_by_threads[0], other);
@@ -793,8 +541,10 @@ mod tests {
     #[test]
     fn empty_schedule_is_a_no_op() {
         let mut m = machine();
-        let runs = m.run_schedule_all(&[], ExecMode::Cycle, 8).unwrap();
-        assert!(runs.is_empty());
+        let run = m
+            .run_resolved_all(&[], std::iter::empty(), ExecMode::Cycle, 8)
+            .unwrap();
+        assert_eq!(run, StripRun::default());
     }
 
     #[test]

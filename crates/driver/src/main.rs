@@ -21,7 +21,7 @@
 //!                      per-tenant stats (plan builds, cache hits, kernel
 //!                      mix) plus aggregate cache/shard occupancy and
 //!                      region-lease totals. With --profile=json, emits
-//!                      one `cmcc-serve-v3` line with per-tenant latency
+//!                      one `cmcc-serve-v4` line with per-tenant latency
 //!                      histograms and lease-contention attribution
 //!   --workers N        tenant threads for --serve (default 4)
 //!   --quota N          admission control for --serve: each tenant may
@@ -43,13 +43,13 @@
 //!                      `@temporal=K ` prefix
 //!   --subgrid RxC      per-node subgrid for --run (default 64x64)
 //!   --threads N        host threads for node execution (default: all cores)
-//!   --engine E         scalar | lockstep: fast-mode interpreter for --run.
+//!   --engine E         scalar | lockstep: fast-mode engine for --run.
 //!                      lockstep implies fast (functional) execution — the
 //!                      cycle model needs the scalar path — so cycle counts
 //!                      are reported as 0 and only wall-clock timing applies
 //!   --profile[=json]   enable telemetry and print a per-statement profile
 //!                      after each --run: a human-readable table, or one
-//!                      schema-stable JSON line (`cmcc-profile-v6`) with
+//!                      schema-stable JSON line (`cmcc-profile-v7`) with
 //!                      derived rates, bytes/iteration against the
 //!                      analytic steady-state prediction (surfaced as the
 //!                      `model_drift` field, enforced by --drift-tol),
@@ -96,7 +96,7 @@ use std::process::ExitCode;
 enum ProfileMode {
     /// Human-readable counter table plus derived rates.
     Table,
-    /// One schema-stable JSON line per statement (`cmcc-profile-v6`).
+    /// One schema-stable JSON line per statement (`cmcc-profile-v7`).
     Json,
 }
 
@@ -920,7 +920,7 @@ impl Profile {
             self.leases.region_grants, self.leases.conflicts, self.leases.peak_concurrent,
         );
         if self.kernel_mix.is_empty() {
-            println!("      kernel mix: (none — interpreted lockstep or scalar path)");
+            println!("      kernel mix: (none — scalar engine)");
         } else {
             let mix: Vec<String> = self
                 .kernel_mix
@@ -949,11 +949,10 @@ impl Profile {
         }
     }
 
-    /// One compact JSON line. The key set is the `cmcc-profile-v6`
-    /// schema (v4 plus the flight-recorder fields: the model-drift
-    /// cross-check in `derived`, the `latency.phases` histogram
-    /// summaries, and the `trace_drops` exec counter in the report):
-    /// CI validates it, so additions must bump the version.
+    /// One compact JSON line. The key set is the `cmcc-profile-v7`
+    /// schema (v6 less the exec count of lockstep steps run outside the
+    /// kernels — there are none): CI validates it, so changes must bump
+    /// the version.
     fn to_json(&self) -> String {
         let shards: Vec<String> = self
             .stats
@@ -969,7 +968,7 @@ impl Profile {
             .collect();
         format!(
             concat!(
-                "{{\"schema\":\"cmcc-profile-v6\",\"statement\":{},",
+                "{{\"schema\":\"cmcc-profile-v7\",\"statement\":{},",
                 "\"engine\":\"{}\",\"mode\":\"{}\",\"nodes\":{},\"iters\":{},",
                 "\"measurement\":{{\"useful_flops\":{},\"cycles\":{{\"comm\":{},",
                 "\"compute\":{},\"frontend\":{},\"total\":{}}},\"nodes\":{}}},",
@@ -1032,7 +1031,6 @@ struct TenantStats {
     cache_hits: u64,
     cache_misses: u64,
     kernelized_steps: u64,
-    interpreted_steps: u64,
     scalar_steps: u64,
     /// Summed wall-clock of this tenant's quota workers' drain loops.
     /// The tenant's blocked + executing trace time can never exceed it,
@@ -1185,7 +1183,6 @@ fn serve_tenant(
         cache_hits: 0,
         cache_misses: 0,
         kernelized_steps: 0,
-        interpreted_steps: 0,
         scalar_steps: 0,
         wall_ns: 0,
         errors: Vec::new(),
@@ -1260,7 +1257,6 @@ fn serve_tenant(
         stats.cache_hits += report.get(Counter::PlanCacheHits);
         stats.cache_misses += report.get(Counter::PlanCacheMisses);
         stats.kernelized_steps += report.get(Counter::KernelizedSteps);
-        stats.interpreted_steps += report.get(Counter::InterpretedSteps);
         stats.scalar_steps += report.get(Counter::ScalarSteps);
     }
     stats
@@ -1379,14 +1375,13 @@ fn serve_batch(
     for t in &tenants {
         println!(
             "  tenant {}: {} statements, {} runs, plan_builds={}, cache_hits={}, \
-             kernel mix: kernelized={} interpreted={} scalar={}",
+             kernel mix: kernelized={} scalar={}",
             t.tenant,
             t.statements,
             t.runs,
             t.plan_builds,
             t.cache_hits,
             t.kernelized_steps,
-            t.interpreted_steps,
             t.scalar_steps,
         );
         let h = &tenant_stmt[t.tenant];
@@ -1484,7 +1479,7 @@ fn serve_batch(
                     concat!(
                         "{{\"tenant\":{},\"statements\":{},\"runs\":{},",
                         "\"plan_builds\":{},\"cache_hits\":{},\"cache_misses\":{},",
-                        "\"kernelized_steps\":{},\"interpreted_steps\":{},",
+                        "\"kernelized_steps\":{},",
                         "\"scalar_steps\":{},\"latency\":{},\"blocked_ns\":{},",
                         "\"executing_ns\":{},\"wall_ns\":{},\"errors\":{}}}"
                     ),
@@ -1495,7 +1490,6 @@ fn serve_batch(
                     t.cache_hits,
                     t.cache_misses,
                     t.kernelized_steps,
-                    t.interpreted_steps,
                     t.scalar_steps,
                     tenant_stmt[t.tenant].summary_json(),
                     tenant_blocked[t.tenant],
@@ -1507,7 +1501,7 @@ fn serve_batch(
             .collect();
         println!(
             concat!(
-                "{{\"schema\":\"cmcc-serve-v3\",\"workers\":{},\"quota\":{},",
+                "{{\"schema\":\"cmcc-serve-v4\",\"workers\":{},\"quota\":{},",
                 "\"statements\":{},",
                 "\"iters\":{},\"build_once\":{},\"drained\":{},\"tenants\":[{}],",
                 "\"plan_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},",

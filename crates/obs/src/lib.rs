@@ -95,15 +95,11 @@ pub enum Counter {
     /// Resolved kernel steps broadcast by the lockstep engine (each step
     /// counted once, as the hardware would dispatch it).
     LockstepSteps,
-    /// Lockstep steps served by the monomorphized kernel tier (strips
-    /// whose MAC bursts matched a pregenerated kernel variant). A subset
-    /// of [`Counter::LockstepSteps`].
+    /// Lockstep steps swept by the monomorphized kernels. Every lane
+    /// strip compiles at plan build or the plan does not lane-map, so
+    /// this always equals [`Counter::LockstepSteps`]; both stay, as the
+    /// lockstep engine's step count and its kernelized share.
     KernelizedSteps,
-    /// Lockstep steps that fell back to per-step interpretation (strips
-    /// the kernel classifier rejected, or the kernel tier disabled). The
-    /// complement of [`Counter::KernelizedSteps`] within
-    /// [`Counter::LockstepSteps`].
-    InterpretedSteps,
     /// Lane-mirror buffer (re)allocations. Zero across a steady state.
     MirrorAllocations,
     /// Halo exchanges run (node-domain or lane-domain, one per program
@@ -172,7 +168,6 @@ impl Counter {
         Counter::ScalarSteps,
         Counter::LockstepSteps,
         Counter::KernelizedSteps,
-        Counter::InterpretedSteps,
         Counter::MirrorAllocations,
         Counter::HaloExchanges,
         Counter::FusedSteps,
@@ -208,7 +203,6 @@ impl Counter {
             Counter::ScalarSteps => "scalar_steps",
             Counter::LockstepSteps => "lockstep_steps",
             Counter::KernelizedSteps => "kernelized_steps",
-            Counter::InterpretedSteps => "interpreted_steps",
             Counter::MirrorAllocations => "mirror_allocations",
             Counter::HaloExchanges => "halo_exchanges",
             Counter::FusedSteps => "fused_steps",
@@ -499,9 +493,9 @@ pub fn kernel_hit(id: usize) {
 
 /// A snapshot of the kernel-variant hit table, aggregated across all
 /// thread shards. Per-variant hits are deliberately not part of
-/// [`RunReport`] (the profile JSON schema keys only the
-/// `kernelized_steps` / `interpreted_steps` split); callers that want a
-/// mix bracket two of these snapshots and subtract.
+/// [`RunReport`] (the profile JSON schema keys only the step totals,
+/// `lockstep_steps` and `kernelized_steps`); callers that want a mix
+/// bracket two of these snapshots and subtract.
 pub fn kernel_hits() -> [u64; KERNEL_VARIANT_CAP] {
     let mut out = [0u64; KERNEL_VARIANT_CAP];
     let reg = registry();
@@ -719,7 +713,7 @@ impl RunReport {
             ",\"exec\":{{\"execute_ns\":{},\"executes\":{},\"execute_workers_ns\":{},\
              \"execute_workers_calls\":{},\"scalar_runs\":{},\
              \"lane_resident_runs\":{},\"scalar_steps\":{},\
-             \"lockstep_steps\":{},\"kernelized_steps\":{},\"interpreted_steps\":{},\
+             \"lockstep_steps\":{},\"kernelized_steps\":{},\
              \"mirror_allocations\":{},\"mirror_pool_misses\":{},\"halo_exchanges\":{},\
              \"fused_steps\":{},\"temporal_fallbacks\":{},\"region_leases\":{},\
              \"lease_conflicts\":{},\"concurrent_executes_peak\":{},\"trace_drops\":{},\
@@ -733,7 +727,6 @@ impl RunReport {
             c(Counter::ScalarSteps),
             c(Counter::LockstepSteps),
             c(Counter::KernelizedSteps),
-            c(Counter::InterpretedSteps),
             c(Counter::MirrorAllocations),
             c(Counter::MirrorPoolMisses),
             c(Counter::HaloExchanges),
@@ -807,7 +800,7 @@ impl RunReport {
         writeln!(
             s,
             "  exec: {} executes ({:.3} ms wall, {:.3} ms cpu) — {} scalar / {} lane-resident; \
-             steps {} scalar + {} lockstep ({} kernelized, {} interpreted); \
+             steps {} scalar + {} lockstep ({} kernelized); \
              {} mirror allocations ({} pool misses)",
             self.phase_calls(Phase::Execute),
             ms(self.phase_nanos(Phase::Execute)),
@@ -817,7 +810,6 @@ impl RunReport {
             self.get(Counter::ScalarSteps),
             self.get(Counter::LockstepSteps),
             self.get(Counter::KernelizedSteps),
-            self.get(Counter::InterpretedSteps),
             self.get(Counter::MirrorAllocations),
             self.get(Counter::MirrorPoolMisses),
         )
@@ -986,7 +978,6 @@ mod tests {
             "\"scalar_steps\":",
             "\"lockstep_steps\":",
             "\"kernelized_steps\":",
-            "\"interpreted_steps\":",
             "\"mirror_allocations\":",
             "\"execute_workers_ns\":",
             "\"execute_workers_calls\":",

@@ -50,7 +50,6 @@ pub mod array;
 pub mod convolve;
 pub mod error;
 pub mod halo;
-pub mod legacy;
 pub mod plan;
 pub mod reference;
 pub mod strips;

@@ -23,10 +23,12 @@
 //!    accounting. No allocation, no address computation, no schedule
 //!    construction.
 //!
-//! Results and [`Measurement`]s are bit-identical to the rebuild-per-call
-//! path — the resolved executor mirrors the legacy interpreter step for
-//! step — so plans are purely a host-side performance feature, exactly
-//! like the paper's distinction between compile-time and run-time work.
+//! Results and [`Measurement`]s are bit-identical to running the
+//! compiler's kernels with per-step address resolution
+//! ([`cmcc_cm2::exec::run_strip`]) — the resolved executor replays the
+//! same operation stream — so plans are purely a host-side performance
+//! feature, exactly like the paper's distinction between compile-time
+//! and run-time work.
 
 use crate::array::CmArray;
 use crate::convolve::ExecOptions;
@@ -267,9 +269,9 @@ struct TemporalPlan {
 }
 
 /// The rebind-invariant lane form of a plan: per direction, the strip
-/// schedule, its kernel-tier classification and every halo exchange,
-/// plus the temporal scratch fix-ups, all addressed in lane words of one
-/// view shape.
+/// schedule compiled to kernels and every halo exchange, plus the
+/// temporal scratch fix-ups, all addressed in lane words of one view
+/// shape.
 #[derive(Debug, Clone)]
 struct LaneSchedule {
     /// Direction 0: reads source 0's halo buffer.
@@ -296,11 +298,9 @@ struct LaneSchedule {
 /// One direction of a [`LaneSchedule`].
 #[derive(Debug, Clone)]
 struct LaneDirection {
-    strips: Vec<ResolvedStrip>,
-    /// Each lane strip's compiled monomorphized form, parallel to
-    /// `strips` (`None` where the classifier fell back to the
-    /// interpreter).
-    kernels: Vec<Option<StripKernels>>,
+    /// Each strip of the schedule, in order, translated onto the view
+    /// and compiled against the kernel family.
+    kernels: Vec<StripKernels>,
     /// One halo exchange per source, then (temporal plans) one per
     /// coefficient halo.
     exchanges: Vec<LaneExchangeProgram>,
@@ -309,9 +309,12 @@ struct LaneDirection {
 impl LaneSchedule {
     /// Translates `strips` (node-domain, results into the plan's
     /// destination), the halo `exchanges` and the scratch `fills` onto
-    /// `view` — direction 0 — and records `swap`, the view ranges of
+    /// `view` and compiles every translated strip against the kernel
+    /// family — direction 0 — and records `swap`, the view ranges of
     /// source 0's halo and the destination buffer, that direction 1
-    /// trades. `None` when any part fails to translate.
+    /// trades. `None` when any part fails to translate or any strip is
+    /// refused by the kernel classifier. The translated strips are not
+    /// kept: the kernels are what runs.
     fn translate(
         strips: &[ResolvedStrip],
         exchanges: &[&ExchangeProgram],
@@ -319,9 +322,9 @@ impl LaneSchedule {
         view: &LaneView,
         swap: Option<(usize, usize)>,
     ) -> Option<Self> {
-        let strips: Vec<ResolvedStrip> = strips
+        let kernels = strips
             .iter()
-            .map(|s| s.translate(view))
+            .map(|s| StripKernels::compile(&s.translate(view)?))
             .collect::<Option<_>>()?;
         let exchanges = exchanges
             .iter()
@@ -332,11 +335,7 @@ impl LaneSchedule {
             .map(|p| LaneFillProgram::translate(p, view))
             .collect::<Option<_>>()?;
         Some(LaneSchedule {
-            forward: LaneDirection {
-                kernels: strips.iter().map(StripKernels::compile).collect(),
-                strips,
-                exchanges,
-            },
+            forward: LaneDirection { kernels, exchanges },
             swap: swap.map(|(i, j)| {
                 let (a, b) = (&view.ranges()[i], &view.ranges()[j]);
                 (a.lane_base, b.lane_base, a.len)
@@ -347,10 +346,10 @@ impl LaneSchedule {
     }
 
     /// Direction `dir`'s translation. Direction 1 is direction 0 with
-    /// the two swapped ranges' lane words exchanged — strips, kernels
-    /// and exchanges alike: translation decides by range, so that is
-    /// exactly the translation through a view in which the ranges trade
-    /// lane words, and nothing is translated or classified twice.
+    /// the two swapped ranges' lane words exchanged — kernels and
+    /// exchanges alike: translation decides by range, so that is exactly
+    /// the translation through a view in which the ranges trade lane
+    /// words, and nothing is translated or classified twice.
     fn direction(&self, dir: usize) -> &LaneDirection {
         if dir == 0 {
             return &self.forward;
@@ -361,15 +360,10 @@ impl LaneSchedule {
                 .expect("only plans with a destination buffer swap");
             let forward = &self.forward;
             LaneDirection {
-                strips: forward
-                    .strips
-                    .iter()
-                    .map(|s| s.with_ranges_swapped(a, b, len))
-                    .collect(),
                 kernels: forward
                     .kernels
                     .iter()
-                    .map(|k| k.as_ref().map(|k| k.with_ranges_swapped(a, b, len)))
+                    .map(|k| k.with_ranges_swapped(a, b, len))
                     .collect(),
                 exchanges: forward
                     .exchanges
@@ -422,11 +416,6 @@ pub struct PlanInstance {
     /// `None` means the instance runs the shared translation; lane
     /// addresses are rebind-invariant, so that is the common case.
     lane_override: Option<LaneSchedule>,
-    /// Whether `execute` dispatches through the compiled kernels. On by
-    /// default; [`ExecutionPlan::set_kernel_tier`] turns it off after
-    /// build (for interpreted-baseline benchmarking) without touching
-    /// the plan-cache key.
-    kernel_tier: bool,
     /// The node-memory ↔ lane-word map of the lane body. `Some` exactly
     /// when `execute` runs it; `None` when the engine is scalar, the mode
     /// is cycle-accurate, or the current binding cannot be mapped
@@ -792,8 +781,9 @@ impl CompiledPlan {
             .collect();
 
         // The strip schedule, resolved: identical on every node (SIMD),
-        // built once in the same order the rebuild-per-call path emits,
-        // with every memory operand turned into an absolute address.
+        // built once in strip-mine order (strip by strip, half-strips
+        // within each), with every memory operand turned into an
+        // absolute address.
         // Temporal plans concatenate one sub-schedule per fused inner
         // step: step `j` computes a `(depth-1-j)·radius`-deep extension
         // of the subgrid (reads reach one radius further — exactly the
@@ -897,16 +887,17 @@ impl CompiledPlan {
         };
 
         // The lane mapping: mirror exactly the buffers the schedule
-        // touches and translate the schedule and halo programs into lane
-        // words. The view fails on aliased arrays and a translation when
-        // an address walk escapes its buffer; a classic plan then runs
-        // on the scalar engine, and a temporal plan, which has no other
-        // body, is refused. Only the translation is kept: lane addresses
-        // depend on range lengths and order alone, both
-        // binding-invariant, so the artifact shares it with every
-        // instance; the view itself (its gather bases) and the
-        // interior refresh copies are per-binding and are recomputed by
-        // [`PlanInstance::for_binding`].
+        // touches, translate the schedule and halo programs into lane
+        // words and compile every lane strip to a kernel. The view fails
+        // on aliased arrays, a translation when an address walk escapes
+        // its buffer, and a compile when the kernel classifier refuses a
+        // strip; a classic plan then runs on the scalar engine, and a
+        // temporal plan, which has no other body, is refused. Only the
+        // translation is kept: lane addresses depend on range lengths
+        // and order alone, both binding-invariant, so the artifact
+        // shares it with every instance; the view itself (its gather
+        // bases) and the interior refresh copies are per-binding and are
+        // recomputed by [`PlanInstance::for_binding`].
         if lane_eligible {
             cp.lane = instance_lane_view(&cp, binding.coeffs(), &result).and_then(|view| {
                 let exchanges: Vec<&ExchangeProgram> =
@@ -1129,7 +1120,6 @@ impl PlanInstance {
             strips: cp.strips.clone(),
             pending_rebase: Some((result_delta, coeff_deltas)),
             lane_override: None,
-            kernel_tier: true,
             lane_view: None,
             lane_mirror: LaneMirror::new(),
             lane_interiors: Vec::new(),
@@ -1445,21 +1435,14 @@ impl PlanInstance {
                 streams.invalidate();
             }
         }
-        let kernels: &[Option<StripKernels>] = if self.kernel_tier { &lane.kernels } else { &[] };
         for step in 0..depth {
             let (lo, hi) = match &cp.temporal {
                 Some(tp) => (tp.step_bounds[step], tp.step_bounds[step + 1]),
-                None => (0, lane.strips.len()),
-            };
-            let step_kernels = if kernels.is_empty() {
-                kernels
-            } else {
-                &kernels[lo..hi]
+                None => (0, lane.kernels.len()),
             };
             let _t = cmcc_obs::trace::scope(cmcc_obs::trace::TraceOp::KernelSweep, step as u64);
             tally.run.absorb(&run_lockstep_groups_kernelized(
-                &lane.strips[lo..hi],
-                step_kernels,
+                &lane.kernels[lo..hi],
                 &mut self.lane_streams[step],
                 dir,
                 self.lane_mirror.groups_mut(),
@@ -1582,8 +1565,8 @@ impl PlanInstance {
             );
         }
 
-        // One front-end microcode dispatch per half-strip, exactly as the
-        // rebuild path charges.
+        // One front-end microcode dispatch per half-strip, plus the
+        // call overhead.
         let frontend = cp.call_overhead + cp.dispatch * self.strips.len() as u64;
 
         Measurement {
@@ -2057,27 +2040,6 @@ impl ExecutionPlan {
     /// Pre-resolved half-strip runs per iteration (front-end dispatches).
     pub fn dispatches(&self) -> usize {
         self.inst.strips.len()
-    }
-
-    /// Turns the kernel tier on or off for subsequent executes. On by
-    /// default. A post-build toggle only — results are bit-identical
-    /// either way, so it is not an [`ExecOptions`] field and does not
-    /// enter the plan-cache key; its one real use is timing the
-    /// interpreted lockstep baseline (`repro_simd`).
-    pub fn set_kernel_tier(&mut self, on: bool) {
-        self.inst.kernel_tier = on;
-    }
-
-    /// How many of the plan's lane strips compiled against the kernel
-    /// family (the rest run interpreted). Zero when the plan is not
-    /// lane-mapped or the tier is off.
-    pub fn kernelized_strips(&self) -> usize {
-        match self.inst.lane_schedule(&self.shared) {
-            Some(lane) if self.inst.kernel_tier && self.lane_mapped() => {
-                lane.forward.kernels.iter().flatten().count()
-            }
-            _ => 0,
-        }
     }
 
     /// Lane-mirror buffer allocations performed so far. Steady state

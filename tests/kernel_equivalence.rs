@@ -1,19 +1,17 @@
-//! Differential suite for the plan-time kernel tier: the monomorphized
-//! burst kernels selected at plan build must be *indistinguishable* from
-//! the per-part lockstep interpreter they replace — bit-identical result
+//! Differential suite for the lockstep engine's kernels: the
+//! monomorphized operand-direct sweeps compiled at plan build must be
+//! *indistinguishable* from the scalar engine — bit-identical result
 //! arrays and exactly equal [`Measurement`]s — across every paper
 //! pattern, edge and remainder subgrid shapes, every width class
 //! (16-wide, 8-wide, dynamic span), rebind ping-pong, and arbitrary
 //! random stencils.
 //!
-//! The scalar fast run is the oracle; the kernel-tier toggle
-//! ([`ExecutionPlan::set_kernel_tier`]) isolates exactly one variable —
-//! compiled bursts versus interpreted parts over the *same* resolved
-//! schedule — so any divergence is a kernel bug, not a scheduling
-//! difference. The telemetry tests additionally pin *which* path ran:
-//! paper patterns must execute fully kernelized (`interpreted_steps`
-//! stays zero), and disabling the tier must move every step to the
-//! interpreter side of the split.
+//! The scalar fast run is the oracle. Every lockstep case asserts that
+//! its plan lane-maps ([`ExecutionPlan::lane_mapped`]): a strip the
+//! kernel classifier refused would send the plan to the scalar engine,
+//! and the comparison with the oracle would then hold vacuously. The
+//! telemetry tests additionally pin that paper patterns run fully
+//! kernelized at every width class.
 
 use std::sync::Mutex;
 
@@ -45,15 +43,15 @@ fn lockstep_fast() -> ExecOptions {
 }
 
 /// Builds machine + deterministically filled arrays for `pattern` at
-/// global `rows × cols` on `cfg`, builds a plan under `opts`, pins the
-/// kernel tier to `kernel_tier`, and runs one convolution.
+/// global `rows × cols` on `cfg`, builds a plan under `opts` — which must
+/// lane-map exactly when `opts` asks for the lockstep engine — and runs
+/// one convolution.
 fn run_plan_case(
     pattern: PaperPattern,
     rows: usize,
     cols: usize,
     cfg: &MachineConfig,
     opts: &ExecOptions,
-    kernel_tier: bool,
 ) -> (Measurement, Vec<u32>) {
     let compiler = Compiler::new(cfg.clone());
     let compiled = compiler
@@ -84,35 +82,32 @@ fn run_plan_case(
     let binding = StencilBinding::new(&compiled, &r, &[&x], &refs).unwrap();
     let mut plan = ExecutionPlan::build(&mut machine, &binding, opts, PlanLifetime::Scoped)
         .expect("paper patterns plan");
-    plan.set_kernel_tier(kernel_tier);
+    assert_eq!(
+        plan.lane_mapped(),
+        opts.engine == ExecEngine::Lockstep,
+        "{} at {rows}x{cols}: lane-maps exactly on the lockstep engine",
+        pattern.name()
+    );
     let m = plan.execute(&mut machine).expect("paper patterns run");
     let bits = r.gather(&machine).iter().map(|v| v.to_bits()).collect();
     (m, bits)
 }
 
-/// Every paper pattern on a strip-width-mixing shape: kernel tier on,
-/// kernel tier off, and the scalar oracle must be indistinguishable.
+/// Every paper pattern on a strip-width-mixing shape: the kernels and
+/// the scalar oracle must be indistinguishable.
 #[test]
-fn kernel_tier_matches_interpreter_for_every_paper_pattern() {
+fn kernel_tier_matches_scalar_for_every_paper_pattern() {
     let cfg = MachineConfig::tiny_4();
     for pattern in PaperPattern::ALL {
-        let (scalar_m, scalar_bits) = run_plan_case(pattern, 16, 24, &cfg, &scalar_fast(), true);
-        let (kern_m, kern_bits) = run_plan_case(pattern, 16, 24, &cfg, &lockstep_fast(), true);
-        let (int_m, int_bits) = run_plan_case(pattern, 16, 24, &cfg, &lockstep_fast(), false);
+        let (scalar_m, scalar_bits) = run_plan_case(pattern, 16, 24, &cfg, &scalar_fast());
+        let (kern_m, kern_bits) = run_plan_case(pattern, 16, 24, &cfg, &lockstep_fast());
         assert_eq!(
             scalar_bits,
             kern_bits,
-            "{}: kernel tier diverges from scalar",
-            pattern.name()
-        );
-        assert_eq!(
-            scalar_bits,
-            int_bits,
-            "{}: interpreted lockstep diverges from scalar",
+            "{}: kernels diverge from scalar",
             pattern.name()
         );
         assert_eq!(scalar_m, kern_m, "{}: kernel measurement", pattern.name());
-        assert_eq!(scalar_m, int_m, "{}: interp measurement", pattern.name());
     }
 }
 
@@ -120,30 +115,22 @@ fn kernel_tier_matches_interpreter_for_every_paper_pattern() {
 /// and with them the width class each kernel dispatches to: 1 thread →
 /// one 16-lane group (`w16`), 2 threads → 8-lane groups (`w8`), 3
 /// threads → ≤6-lane groups (the dynamic span path). Every class must
-/// stay bit-identical to the interpreter and the scalar oracle.
+/// stay bit-identical to the scalar oracle.
 #[test]
 fn kernel_tier_exact_across_width_classes() {
     let cfg = MachineConfig::test_board_16();
     for pattern in [PaperPattern::Square9, PaperPattern::Diamond13] {
-        let (scalar_m, scalar_bits) = run_plan_case(pattern, 32, 48, &cfg, &scalar_fast(), true);
+        let (scalar_m, scalar_bits) = run_plan_case(pattern, 32, 48, &cfg, &scalar_fast());
         for threads in [1, 2, 3] {
             let opts = lockstep_fast().with_threads(threads);
-            let (kern_m, kern_bits) = run_plan_case(pattern, 32, 48, &cfg, &opts, true);
-            let (int_m, int_bits) = run_plan_case(pattern, 32, 48, &cfg, &opts, false);
+            let (kern_m, kern_bits) = run_plan_case(pattern, 32, 48, &cfg, &opts);
             assert_eq!(
                 scalar_bits,
                 kern_bits,
-                "{} at {threads} threads: kernel tier diverges",
-                pattern.name()
-            );
-            assert_eq!(
-                kern_bits,
-                int_bits,
-                "{} at {threads} threads: tier toggle changes results",
+                "{} at {threads} threads: kernels diverge",
                 pattern.name()
             );
             assert_eq!(scalar_m, kern_m);
-            assert_eq!(scalar_m, int_m);
         }
     }
 }
@@ -151,8 +138,8 @@ fn kernel_tier_exact_across_width_classes() {
 /// Edge and remainder subgrid shapes: odd, prime, and
 /// barely-wider-than-the-halo column counts change which strip widths
 /// the shaver emits, and uneven half-strip splits exercise the chunk
-/// remainders inside each burst. The tier toggle must be unobservable
-/// on every shape.
+/// remainders inside each burst. The kernels must match the scalar
+/// oracle on every shape.
 #[test]
 fn kernel_tier_edge_and_remainder_shapes_stay_exact() {
     let cfg = MachineConfig::tiny_4();
@@ -160,34 +147,23 @@ fn kernel_tier_edge_and_remainder_shapes_stay_exact() {
     let shapes = [(16, 30), (8, 14), (12, 18), (8, 16), (10, 10)];
     for pattern in [PaperPattern::Cross5, PaperPattern::Square9] {
         for (rows, cols) in shapes {
-            let (scalar_m, scalar_bits) =
-                run_plan_case(pattern, rows, cols, &cfg, &scalar_fast(), true);
-            let (kern_m, kern_bits) =
-                run_plan_case(pattern, rows, cols, &cfg, &lockstep_fast(), true);
-            let (int_m, int_bits) =
-                run_plan_case(pattern, rows, cols, &cfg, &lockstep_fast(), false);
+            let (scalar_m, scalar_bits) = run_plan_case(pattern, rows, cols, &cfg, &scalar_fast());
+            let (kern_m, kern_bits) = run_plan_case(pattern, rows, cols, &cfg, &lockstep_fast());
             assert_eq!(
                 scalar_bits,
                 kern_bits,
-                "{} at {rows}x{cols}: kernel tier diverges",
-                pattern.name()
-            );
-            assert_eq!(
-                kern_bits,
-                int_bits,
-                "{} at {rows}x{cols}: tier toggle changes results",
+                "{} at {rows}x{cols}: kernels diverge",
                 pattern.name()
             );
             assert_eq!(scalar_m, kern_m);
-            assert_eq!(scalar_m, int_m);
         }
     }
 }
 
-/// Iterated ping-pong rebinding on a resident plan with the kernel tier
-/// on: every step swaps result and source (re-priming the mirror while
-/// the cached coefficient streams survive), and the whole sequence must
-/// stay bit-identical to scalar and to the tier-off interpreter.
+/// Iterated ping-pong rebinding on a resident plan: every step swaps
+/// result and source (the cached coefficient streams survive), the plan
+/// stays lane-mapped throughout, and the whole sequence must stay
+/// bit-identical to scalar.
 #[test]
 fn kernel_tier_ping_pong_rebind_stays_exact() {
     let cfg = MachineConfig::tiny_4();
@@ -204,7 +180,7 @@ fn kernel_tier_ping_pong_rebind_stays_exact() {
     let (rows, cols) = (12, 16);
     let steps = 6;
 
-    let run = |opts: &ExecOptions, kernel_tier: bool| -> Vec<u32> {
+    let run = |opts: &ExecOptions| -> Vec<u32> {
         let mut machine = Machine::new(cfg.clone()).expect("tiny_4 is valid");
         let a = CmArray::new(&mut machine, rows, cols).unwrap();
         let b = CmArray::new(&mut machine, rows, cols).unwrap();
@@ -223,8 +199,9 @@ fn kernel_tier_ping_pong_rebind_stays_exact() {
         let binding = StencilBinding::new(&compiled, &b, &[&a], &refs).unwrap();
         let mut plan =
             ExecutionPlan::build(&mut machine, &binding, opts, PlanLifetime::Scoped).unwrap();
-        plan.set_kernel_tier(kernel_tier);
+        let lockstep = opts.engine == ExecEngine::Lockstep;
         for step in 0..steps {
+            assert_eq!(plan.lane_mapped(), lockstep, "step {step}: lane-maps");
             plan.execute(&mut machine).unwrap();
             let (from, to) = if step % 2 == 0 { (&b, &a) } else { (&a, &b) };
             plan.rebind(to, &[from], &refs).unwrap();
@@ -233,11 +210,9 @@ fn kernel_tier_ping_pong_rebind_stays_exact() {
         last.gather(&machine).iter().map(|v| v.to_bits()).collect()
     };
 
-    let scalar = run(&scalar_fast(), true);
-    let kernel = run(&lockstep_fast(), true);
-    let interp = run(&lockstep_fast(), false);
+    let scalar = run(&scalar_fast());
+    let kernel = run(&lockstep_fast());
     assert_eq!(scalar, kernel, "kernelized ping-pong diverges from scalar");
-    assert_eq!(scalar, interp, "interpreted ping-pong diverges from scalar");
 }
 
 /// A statement with a bias term: its chains end in taps whose data is
@@ -337,9 +312,8 @@ fn scalar_steps(
 
 /// One lockstep execute of `source` at `depth` fused steps on
 /// `threads` lane groups — into `b`, or back into `a` when `in_place` —
-/// must run every strip operand-direct, in width class `class`, and
-/// match the iterated scalar engine bit for bit; re-executing with the
-/// tier off must move exactly its step count to the interpreter.
+/// must lane-map, run every strip operand-direct in width class
+/// `class`, and match the iterated scalar engine bit for bit.
 fn assert_fully_kernelized(
     cfg: &MachineConfig,
     source: &str,
@@ -374,28 +348,8 @@ fn assert_fully_kernelized(
     );
     let kernelized = on.get(Counter::KernelizedSteps);
     assert!(kernelized > 0, "{what}: no kernelized steps recorded");
-    assert_eq!(
-        on.get(Counter::InterpretedSteps),
-        0,
-        "{what}: a strip fell back to the interpreter"
-    );
     assert_eq!(on.get(Counter::LockstepSteps), kernelized);
     assert!(hits > 0, "{what}: no kernel of width class {class} ran");
-
-    plan.set_kernel_tier(false);
-    let before = obs::thread_snapshot();
-    plan.execute(&mut case.machine).unwrap();
-    let off = obs::thread_snapshot().delta(&before);
-    assert_eq!(
-        off.get(Counter::KernelizedSteps),
-        0,
-        "{what}: tier off still kernelized"
-    );
-    assert_eq!(
-        off.get(Counter::InterpretedSteps),
-        kernelized,
-        "{what}: tier toggle changed the step count"
-    );
 }
 
 /// Every paper pattern, a bias statement and five-point heat fused four
@@ -403,9 +357,8 @@ fn assert_fully_kernelized(
 /// class — 4-lane groups (`span`), one 16-lane group (`w16`) and two
 /// 8-lane groups (`w8`) — on a strip mix that includes a width-1 strip:
 /// the classifier resolves every operand of every scheduled strip
-/// (loaded words, the `ZERO` and `ONE` rows, dummy partners), so an
-/// execute records only `kernelized_steps`, and it matches the scalar
-/// engine bit for bit.
+/// (loaded words, the `ZERO` and `ONE` rows, dummy partners), so every
+/// plan lane-maps, and an execute matches the scalar engine bit for bit.
 #[test]
 fn paper_patterns_run_fully_kernelized() {
     let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -436,8 +389,7 @@ fn paper_patterns_run_fully_kernelized() {
 /// An arbitrary stencil in the compiler's domain: 1..=9 taps with
 /// offsets up to ±2 (duplicates legal), array or unit coefficients,
 /// optional bias, either boundary — wide enough to force seam-crossing
-/// walks, dummy-padded bursts, and (for shapes the classifier cannot
-/// prove safe) the interpreter fallback.
+/// walks and dummy-padded bursts.
 fn gen_stencil(rng: &mut Rng) -> (Stencil, usize) {
     let n_taps = rng.usize_in(1, 9);
     let mut taps = Vec::new();
@@ -469,9 +421,10 @@ fn gen_stencil(rng: &mut Rng) -> (Stencil, usize) {
 }
 
 /// Randomized sweep: arbitrary stencils on random shapes and thread
-/// counts, run three ways — scalar, kernel tier on, kernel tier off.
-/// Whatever mix of kernels and fallbacks the classifier picks, results
-/// and measurements must be indistinguishable.
+/// counts, run on the scalar engine and on the lockstep engine. Every
+/// lockstep plan must lane-map — the classifier must accept every strip
+/// the compiler emits — and results and measurements must be
+/// indistinguishable.
 #[test]
 fn property_kernel_tier_is_indistinguishable() {
     property("kernel tier differential", 12, |rng: &mut Rng| {
@@ -495,7 +448,7 @@ fn property_kernel_tier_is_indistinguishable() {
                 .wrapping_add(s);
             ((h >> 32) as i32 % 1000) as f32 * 0.01
         };
-        let run = |opts: &ExecOptions, kernel_tier: bool| -> Option<(Measurement, Vec<u32>)> {
+        let run = |opts: &ExecOptions| -> Option<(Measurement, Vec<u32>)> {
             let mut machine = Machine::new(cfg.clone()).expect("tiny_4 is valid");
             let x = CmArray::new(&mut machine, rows, cols).unwrap();
             let data: Vec<f32> = (0..rows * cols).map(|i| mix(i, seed)).collect();
@@ -520,26 +473,24 @@ fn property_kernel_tier_is_indistinguishable() {
                     Err(RuntimeError::SubgridTooSmall { .. }) => return None,
                     Err(e) => panic!("plan error on `{source}`: {e}"),
                 };
-            plan.set_kernel_tier(kernel_tier);
+            assert_eq!(
+                plan.lane_mapped(),
+                opts.engine == ExecEngine::Lockstep,
+                "`{source}` at {rows}x{cols}: lane-maps exactly on the lockstep engine"
+            );
             let m = plan.execute(&mut machine).expect("plan executes");
             Some((m, r.gather(&machine).iter().map(|v| v.to_bits()).collect()))
         };
-        let Some((scalar_m, scalar_bits)) = run(&scalar_fast(), true) else {
+        let Some((scalar_m, scalar_bits)) = run(&scalar_fast()) else {
             return;
         };
         let lockstep = lockstep_fast().with_threads(threads);
-        let (kern_m, kern_bits) = run(&lockstep, true).expect("same shape plans");
-        let (int_m, int_bits) = run(&lockstep, false).expect("same shape plans");
+        let (kern_m, kern_bits) = run(&lockstep).expect("same shape plans");
         assert_eq!(
             scalar_bits, kern_bits,
-            "`{source}` at {rows}x{cols}, {threads} threads: kernel tier diverges"
-        );
-        assert_eq!(
-            kern_bits, int_bits,
-            "`{source}` at {rows}x{cols}, {threads} threads: tier toggle changes results"
+            "`{source}` at {rows}x{cols}, {threads} threads: kernels diverge"
         );
         assert_eq!(scalar_m, kern_m, "`{source}`: kernel measurement diverges");
-        assert_eq!(scalar_m, int_m, "`{source}`: interp measurement diverges");
     });
 }
 
@@ -555,16 +506,16 @@ const HEAT: &str = "T_NEXT = 0.2 * EOSHIFT(T, DIM=1, SHIFT=-1) \
 const MIXED: &str = "R = C1 * CSHIFT(X, 1, -1) + 0.5 * X + C2 * CSHIFT(X, 2, +1) \
                      + 0.125 * CSHIFT(X, 1, +1)";
 
-/// The per-step slices of a temporal schedule run through the kernel
-/// tier exactly like a depth-1 schedule: tier on, tier off, and the
-/// iterated scalar oracle must be indistinguishable at every depth —
-/// for named-coefficient paper patterns, all-literal heat, and a
-/// statement mixing both.
+/// The per-step slices of a temporal schedule run through the kernels
+/// exactly like a depth-1 schedule: every lockstep plan lane-maps, and
+/// the kernels and the iterated scalar oracle must be indistinguishable
+/// at every depth — for named-coefficient paper patterns, all-literal
+/// heat, and a statement mixing both.
 #[test]
-fn temporal_kernel_tier_matches_interpreter_and_scalar() {
+fn temporal_kernel_tier_matches_scalar() {
     let cfg = MachineConfig::tiny_4();
     let (rows, cols, steps) = (16, 24, 4usize);
-    let run = |source: &str, depth: usize, opts: &ExecOptions, tier: bool| -> Vec<u32> {
+    let run = |source: &str, depth: usize, opts: &ExecOptions| -> Vec<u32> {
         let compiler = Compiler::new(cfg.clone());
         let compiled = compiler
             .compile_assignment(source)
@@ -596,7 +547,11 @@ fn temporal_kernel_tier_matches_interpreter_and_scalar() {
         let binding = StencilBinding::new(&compiled, &b, &[&a], &refs).unwrap();
         let mut plan =
             ExecutionPlan::build(&mut machine, &binding, &opts, PlanLifetime::Scoped).unwrap();
-        plan.set_kernel_tier(tier);
+        assert_eq!(
+            plan.lane_mapped(),
+            opts.engine == ExecEngine::Lockstep,
+            "`{source}` depth {depth}: lane-maps exactly on the lockstep engine"
+        );
         let executes = steps / depth;
         for e in 0..executes {
             plan.execute(&mut machine).unwrap();
@@ -615,17 +570,12 @@ fn temporal_kernel_tier_matches_interpreter_and_scalar() {
         MIXED.to_owned(),
     ];
     for source in &sources {
-        let oracle = run(source, 1, &scalar_fast(), true);
+        let oracle = run(source, 1, &scalar_fast());
         for depth in [1, 2, 4] {
-            let kern = run(source, depth, &lockstep_fast(), true);
-            let interp = run(source, depth, &lockstep_fast(), false);
+            let kern = run(source, depth, &lockstep_fast());
             assert_eq!(
                 oracle, kern,
                 "`{source}` depth {depth}: kernelized temporal run diverges"
-            );
-            assert_eq!(
-                oracle, interp,
-                "`{source}` depth {depth}: interpreted temporal run diverges"
             );
         }
     }
@@ -665,6 +615,7 @@ fn temporal_telemetry_counts_exchanges_fused_steps_and_fallbacks() {
         let mut plan =
             ExecutionPlan::build(&mut machine, &binding, &opts, PlanLifetime::Scoped).unwrap();
         assert_eq!(plan.temporal_depth(), depth, "depth should take effect");
+        assert!(plan.lane_mapped(), "depth {depth}: lane-maps");
         // This thread's counts only: other tests in this binary execute
         // plans concurrently while telemetry is on (threads = 1 keeps
         // every count here on the calling thread).
@@ -712,14 +663,14 @@ fn temporal_telemetry_counts_exchanges_fused_steps_and_fallbacks() {
     let delta = obs::thread_snapshot().delta(&before);
     obs::set_enabled(was_on);
     assert_eq!(plan.temporal_depth(), 1);
+    assert!(plan.lane_mapped(), "the clamped plan still lane-maps");
     assert_eq!(delta.get(Counter::TemporalFallbacks), 1);
 }
 
 /// A binding whose result aliases a coefficient array cannot lane-map,
-/// so the kernel tier never sees it: the plan falls back to the scalar
+/// so the kernels never see it: the plan falls back to the scalar
 /// engine and records no lockstep steps at all — the fallback is
-/// *before* the kernelized / interpreted split, not a miscount inside
-/// it.
+/// *before* the lockstep engine, not a miscount inside it.
 #[test]
 fn aliased_fallback_records_no_lockstep_steps() {
     let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -755,6 +706,9 @@ fn aliased_fallback_records_no_lockstep_steps() {
     obs::set_enabled(was_on);
 
     assert_eq!(delta.get(Counter::KernelizedSteps), 0);
-    assert_eq!(delta.get(Counter::InterpretedSteps), 0);
     assert_eq!(delta.get(Counter::LockstepSteps), 0);
+    assert!(
+        delta.get(Counter::ScalarSteps) > 0,
+        "the scalar engine ran it"
+    );
 }
