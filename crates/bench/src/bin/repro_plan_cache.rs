@@ -6,8 +6,8 @@
 //! * **rebuild** — a [`convolve()`] call per iteration: it builds a
 //!   scoped plan (allocates halo buffers and constant pages, fills them
 //!   on every node, compiles the exchange, resolves the strip schedule
-//!   and — on the lockstep engine — translates it onto the lane mirror
-//!   and compiles its kernels), executes it once from a cold mirror,
+//!   and — on the lockstep engine — lowers the stencil IR into a row
+//!   program over the lane mirror), executes it once from a cold mirror,
 //!   and releases it — on every call;
 //! * **planned** — one [`ExecutionPlan`] built up front, then 100
 //!   allocation-free executes of the pre-resolved schedule.

@@ -4,8 +4,8 @@
 //! with a 128×128 per-node subgrid (a 512×512 global array) in fast
 //! functional mode, once with the node-outer scalar engine and once
 //! with the lockstep engine — the lane body every lane-mapped plan
-//! runs: the resident mirror, the compiled kernels, and the staged
-//! writes committed at once. Both use a persistent execution plan (built
+//! runs: the resident mirror, the row sweeps lowered from the stencil
+//! IR, and the staged writes committed at once. Both use a persistent execution plan (built
 //! once, replayed), a single host thread, and identically seeded data.
 //! The ratio covers the executor (per-step dispatch amortized over all
 //! node lanes, contiguous lane-major inner loops — the paper's §4.3
@@ -16,8 +16,8 @@
 //! Results must be bit-identical and `Measurement`s exactly equal; the
 //! steady-state speedup is asserted ≥2× in full mode and written to
 //! `BENCH_simd.json` either way. The lockstep plan must lane-map, which
-//! means every strip compiled against the kernel family at plan build —
-//! the CI smoke gate (it runs under `--quick` too).
+//! means the build lowered the statement into a row program that passed
+//! its checks — the CI smoke gate (it runs under `--quick` too).
 //!
 //! A second ratio re-times the lockstep engine with `cmcc_obs` profiling
 //! *enabled* — and the flight recorder pinned *off* — and asserts the
@@ -84,8 +84,8 @@ impl Pass {
             StencilBinding::new(&w.compiled, &w.r, &[&w.x], &refs).expect("bench binding is valid");
         let mut plan = ExecutionPlan::build(&mut w.machine, &binding, &opts, PlanLifetime::Scoped)
             .expect("bench plan builds");
-        // Lane-mapped means every strip compiled to a kernel: a strip the
-        // classifier refused would leave the plan on the scalar engine.
+        // Lane-mapped means the build lowered a row program: one it
+        // refused would leave the plan on the scalar engine.
         assert_eq!(
             plan.lane_mapped(),
             engine == ExecEngine::Lockstep,

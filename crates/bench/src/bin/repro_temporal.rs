@@ -14,10 +14,9 @@
 //! - the halo-exchange program-run count drops by exactly k×;
 //! - the observed copy words across the post-warmup executes equal the
 //!   plan's analytic `rebind_cycle_copy_words` prediction exactly;
-//! - every depth runs on the lockstep engine's kernels
-//!   (`kernelized_steps > 0`): a strip the kernel classifier refused
-//!   would fail a fused build and leave a depth-1 plan on the scalar
-//!   engine;
+//! - every depth runs on the lockstep engine's row sweeps
+//!   (`kernelized_steps > 0`): a row program the build refused would
+//!   fail a fused build and leave a depth-1 plan on the scalar engine;
 //! - the k=4 cycles beat the k=1 cycles by ≥1.25× in warm per-step
 //!   wall-clock (full mode only — `--quick` records the ratio without
 //!   asserting it).
@@ -72,7 +71,7 @@ struct LoopRun {
     /// `(executes - 1) * rebind_cycle_copy_words` — what the plan's
     /// analytic model says those executes should have moved.
     predicted_copy_words: u64,
-    /// Lockstep steps the kernels swept over the whole loop.
+    /// Lockstep steps the row sweeps stood in for over the whole loop.
     kernelized_steps: u64,
 }
 
@@ -348,7 +347,7 @@ fn main() {
     );
     assert!(
         all_kernelized,
-        "a heat5 lockstep loop ran no kernels (a plan did not lane-map)"
+        "a heat5 lockstep loop ran no row sweeps (a plan did not lane-map)"
     );
     if quick {
         println!("  (--quick: depth-4 speedup {speedup_at_4:.2}x recorded but not asserted)");

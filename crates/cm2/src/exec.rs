@@ -96,14 +96,15 @@ pub enum ExecMode {
 /// model is inherently per-node sequential. The engine choice only
 /// affects fast mode, where both engines produce bit-identical memory
 /// and counters; `Lockstep` runs the machine's own loop order
-/// (node-inner) over node-major lane storage, each strip swept across
-/// all nodes by a kernel compiled at plan build ([`crate::kernels`]).
+/// (node-inner) over node-major lane storage, sweeping whole subgrid
+/// rows of all nodes from a program lowered from the stencil IR at plan
+/// build ([`crate::kernels`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecEngine {
     /// Node-outer scalar interpreter: the oracle, and the only engine
     /// for cycle mode.
     Scalar,
-    /// Node-inner lockstep kernels over node lanes.
+    /// Node-inner row sweeps over node lanes.
     #[default]
     Lockstep,
 }
@@ -624,190 +625,22 @@ impl ResolvedStrip {
         (self.prologue.len() + body) as u64
     }
 
-    /// A strip from raw parts, for tests that drive synthetic shapes
-    /// through the kernel classifier and the kernels.
-    #[cfg(test)]
-    pub(crate) fn from_parts(
-        prologue: Vec<ResolvedPart>,
-        body: Vec<Vec<ResolvedPart>>,
-        lines: usize,
-    ) -> Self {
-        ResolvedStrip {
-            prologue,
-            body,
-            lines,
-        }
-    }
-
-    /// The prologue parts, for the kernel-tier classifier.
-    pub(crate) fn prologue_parts(&self) -> &[ResolvedPart] {
-        &self.prologue
-    }
-
-    /// The stored body patterns (one per period line), for the
-    /// kernel-tier classifier.
-    pub(crate) fn body_patterns(&self) -> &[Vec<ResolvedPart>] {
-        &self.body
-    }
-
-    /// Translates every pre-resolved node-memory address into the lane
-    /// word space of `view`, producing the lane strip
-    /// [`crate::kernels::StripKernels::compile`] classifies.
-    ///
-    /// Because each viewed range is contiguous, a node address maps to a
-    /// lane word by offsetting within the range, and the per-period
-    /// `delta` carries over unchanged — as long as every occurrence of a
-    /// part (`addr + k·delta` for all executed `k`) stays inside one
-    /// range. When a walk *crosses* a range seam but every occurrence
-    /// individually lands in some valid range, the strip is instead
-    /// split at the seams: the body is unrolled to one fully-resolved
-    /// pattern per line (`delta` 0), so multi-range result layouts still
-    /// lane-map. Returns `None` when any executed address falls outside
-    /// the view or a store targets a range the view does not scatter
-    /// back — then the caller must fall back to the scalar engine.
-    pub fn translate(&self, view: &crate::lane::LaneView) -> Option<ResolvedStrip> {
+    /// The counters a fast-mode run of this strip reports on every node
+    /// — [`run_resolved_strip`] in [`ExecMode::Fast`] — counted from the
+    /// operation stream without running it: no cycles, no reversals.
+    pub fn fast_counts(&self) -> StripRun {
+        let mut run = StripRun::default();
         let period = self.body.len().max(1);
-        let translate_part = |part: &ResolvedPart, k_max: i64| -> Option<ResolvedPart> {
-            if part.op == ResolvedOp::Nop {
-                // No memory reference; nothing to translate.
-                return Some(*part);
+        let lines = (0..self.lines).map(|line| &self.body[line % period]);
+        for part in self.prologue.iter().chain(lines.flatten()) {
+            match part.op {
+                ResolvedOp::Mac { .. } => run.macs += 1,
+                ResolvedOp::Load { .. } => run.loads += 1,
+                ResolvedOp::Store { .. } => run.stores += 1,
+                ResolvedOp::Nop => run.nops += 1,
             }
-            let (lane_addr, range) = view.locate(part.addr)?;
-            if matches!(part.op, ResolvedOp::Store { .. }) && !range.writable {
-                return None;
-            }
-            // Every occurrence walks linearly from `addr`, so first and
-            // last in range implies all in range.
-            let last = part.addr as i64 + k_max * part.delta;
-            if last < range.node_base as i64 || last >= (range.node_base + range.len) as i64 {
-                return None;
-            }
-            Some(ResolvedPart {
-                addr: lane_addr,
-                ..*part
-            })
-        };
-        let direct = (|| {
-            let prologue = self
-                .prologue
-                .iter()
-                .map(|part| translate_part(part, 0))
-                .collect::<Option<Vec<_>>>()?;
-            let body = self
-                .body
-                .iter()
-                .enumerate()
-                .map(|(p, pattern)| {
-                    // Pattern `p` executes at lines p, p+period, … below
-                    // `lines`; the last gets the largest address offset.
-                    let occurrences = (self.lines - p).div_ceil(period) as i64;
-                    pattern
-                        .iter()
-                        .map(|part| translate_part(part, occurrences - 1))
-                        .collect::<Option<Vec<_>>>()
-                })
-                .collect::<Option<Vec<_>>>()?;
-            Some(ResolvedStrip {
-                prologue,
-                body,
-                lines: self.lines,
-            })
-        })();
-        direct.or_else(|| self.translate_unrolled(view))
-    }
-
-    /// The seam-splitting fallback for [`ResolvedStrip::translate`]:
-    /// resolve every part at every line it executes and translate each
-    /// occurrence independently, emitting one body pattern per line with
-    /// `delta` 0. Costs `lines/period`× the pattern storage, so it is
-    /// only attempted after the walk-carrying translation fails.
-    fn translate_unrolled(&self, view: &crate::lane::LaneView) -> Option<ResolvedStrip> {
-        if self.body.is_empty() {
-            return None;
         }
-        let period = self.body.len();
-        let translate_at = |part: &ResolvedPart, k: i64| -> Option<ResolvedPart> {
-            if part.op == ResolvedOp::Nop {
-                return Some(*part);
-            }
-            let addr = part.addr as i64 + k * part.delta;
-            if addr < 0 {
-                return None;
-            }
-            let (lane_addr, range) = view.locate(addr as usize)?;
-            if matches!(part.op, ResolvedOp::Store { .. }) && !range.writable {
-                return None;
-            }
-            Some(ResolvedPart {
-                addr: lane_addr,
-                delta: 0,
-                ..*part
-            })
-        };
-        let prologue = self
-            .prologue
-            .iter()
-            .map(|part| translate_at(part, 0))
-            .collect::<Option<Vec<_>>>()?;
-        let body = (0..self.lines)
-            .map(|line| {
-                let k = (line / period) as i64;
-                self.body[line % period]
-                    .iter()
-                    .map(|part| translate_at(part, k))
-                    .collect::<Option<Vec<_>>>()
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(ResolvedStrip {
-            prologue,
-            body,
-            lines: self.lines,
-        })
-    }
-
-    /// This strip with every result-slot store moved from the `from`
-    /// layout to the `to` layout: the same logical element in another
-    /// buffer, its per-period walk following the new row stride. The
-    /// moved stores are [`ResolvedSlot::Fixed`] (the new buffer is
-    /// plan-owned). An execution plan derives its lane schedule this way
-    /// — results into a halo-shaped destination buffer — from the node
-    /// schedule its scalar engine runs into the result array.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a result address lies before `from`'s base or its walk
-    /// is not a whole number of `from` rows per period.
-    pub fn retarget_result(&self, from: &FieldLayout, to: &FieldLayout) -> ResolvedStrip {
-        let stride = from.row_stride as i64;
-        let retarget = |part: &ResolvedPart| -> ResolvedPart {
-            if part.slot != ResolvedSlot::Result {
-                return *part;
-            }
-            let off = (part.addr - from.base) as i64;
-            assert_eq!(
-                part.delta % stride,
-                0,
-                "a result walk must advance whole rows"
-            );
-            ResolvedPart {
-                addr: to.addr(
-                    off / stride - from.row_offset,
-                    off % stride - from.col_offset,
-                ),
-                delta: part.delta / stride * to.row_stride as i64,
-                slot: ResolvedSlot::Fixed,
-                ..*part
-            }
-        };
-        ResolvedStrip {
-            prologue: self.prologue.iter().map(retarget).collect(),
-            body: self
-                .body
-                .iter()
-                .map(|pattern| pattern.iter().map(retarget).collect())
-                .collect(),
-            lines: self.lines,
-        }
+        run
     }
 
     /// Shifts every result-slot address by `result_delta` words and every
@@ -1462,339 +1295,35 @@ mod tests {
         assert_eq!(mem.read(16 + 5), 33.0);
     }
 
-    use crate::kernels::{run_lockstep_groups_kernelized, CoeffStreams, StripKernels};
-    use crate::lane::{LaneMemory, LaneView};
-
-    /// The lane view of `setup`'s memory map: src and coeff read-only,
-    /// the result field writable, the constant pair read-only.
-    fn setup_view() -> LaneView {
-        LaneView::new(&[
-            (0, 16, false),
-            (16, 16, true),
-            (32, 16, false),
-            (48, 2, false),
-        ])
-        .unwrap()
-    }
-
-    /// `node_count` copies of `setup`'s memory, each node's source
-    /// perturbed by `spread` so the lanes are distinguishable.
-    fn node_mems(node_count: usize, spread: f32) -> Vec<NodeMemory> {
-        (0..node_count)
-            .map(|n| {
-                let (mut mem, ..) = setup();
-                for i in 0..16 {
-                    mem.write(i, mem.read(i) + n as f32 * spread);
-                }
-                mem
-            })
-            .collect()
-    }
-
-    /// Compiles every lane strip — each must classify — and sweeps the
-    /// kernels over `groups`, as a plan's lane body does.
-    fn run_kernels(lane_strips: &[ResolvedStrip], groups: &mut [LaneMemory]) -> StripRun {
-        let kernels: Vec<StripKernels> = lane_strips
-            .iter()
-            .map(|s| StripKernels::compile(s).expect("the strip classifies"))
-            .collect();
-        run_lockstep_groups_kernelized(&kernels, &mut CoeffStreams::new(), 0, groups)
-    }
-
-    /// Runs `kernel`/`ctx` on `node_count` nodes with per-node data, once
-    /// through the scalar fast engine and once through translate + the
-    /// kernels over `view`, and asserts memories and counters match
-    /// exactly.
-    fn lockstep_differential(
-        kernel: &Kernel,
-        ctx: &StripContext<'_>,
-        view: &LaneView,
-        node_count: usize,
-    ) {
-        let mut scalar_mems = node_mems(node_count, 100.0);
-        let mut lane_mems = scalar_mems.clone();
-
-        let strip = ResolvedStrip::new(kernel, ctx);
-        let mut scalar_runs = Vec::new();
-        for mem in &mut scalar_mems {
-            scalar_runs.push(run_resolved_strip(&strip, mem, &cfg(), ExecMode::Fast).unwrap());
-        }
-
-        let lane_strip = strip.translate(view).expect("the view covers the kernel");
-        let mut lanes = LaneMemory::new(view.words(), node_count);
-        lanes.gather(view, &lane_mems);
-        let lock_run = run_kernels(
-            std::slice::from_ref(&lane_strip),
-            std::slice::from_mut(&mut lanes),
-        );
-        lanes.scatter(view, &mut lane_mems);
-
-        for (n, (s, l)) in scalar_mems.iter().zip(&lane_mems).enumerate() {
-            assert_eq!(s, l, "node {n} memory diverged");
-        }
-        for (n, s) in scalar_runs.iter().enumerate() {
-            assert_eq!(s, &lock_run, "node {n} counters diverged");
-        }
-        assert_eq!(lock_run.cycles, 0);
-        assert_eq!(lock_run.reversals, 0);
-    }
-
+    /// The counters counted from the operation stream equal what a
+    /// fast-mode run reports, for strips shorter than, equal to and
+    /// longer than the kernel period.
     #[test]
-    fn lockstep_matches_scalar_fast() {
-        let kernel = identity_kernel();
+    fn fast_counts_match_a_fast_run() {
         let (_, [src, res, coeff], ones, zeros) = setup();
         let coeffs = [coeff];
         let srcs = [src];
-        for (start_row, lines) in [(3i64, 4usize), (1, 2), (0, 1)] {
-            let ctx = StripContext {
-                srcs: &srcs,
-                res,
-                coeffs: &coeffs,
-                ones_addr: ones,
-                zeros_addr: zeros,
-                start_row,
-                lines,
-                col0: 1,
-            };
-            for nodes in [1, 2, 5] {
-                lockstep_differential(&kernel, &ctx, &setup_view(), nodes);
+        for kernel in [identity_kernel(), two_period_kernel()] {
+            for (start_row, lines) in [(3i64, 4usize), (3, 3), (0, 1)] {
+                let ctx = StripContext {
+                    srcs: &srcs,
+                    res,
+                    coeffs: &coeffs,
+                    ones_addr: ones,
+                    zeros_addr: zeros,
+                    start_row,
+                    lines,
+                    col0: 1,
+                };
+                let strip = ResolvedStrip::new(&kernel, &ctx);
+                let (mut mem, ..) = setup();
+                let run = run_resolved_strip(&strip, &mut mem, &cfg(), ExecMode::Fast).unwrap();
+                assert_eq!(
+                    strip.fast_counts(),
+                    run,
+                    "{lines} lines from row {start_row}"
+                );
             }
         }
-    }
-
-    /// [`two_period_kernel`] walking south, each chain paired with a
-    /// dummy partner as the scheduler pads odd widths: pattern 0 reads
-    /// the row pattern 1 loaded one line earlier, and the prologue's load
-    /// is exactly the one a previous period would have made — the ring
-    /// discipline the classifier resolves across lines.
-    fn ring_period_kernel() -> Kernel {
-        let mut kernel = Kernel {
-            row_step: 1,
-            ..two_period_kernel()
-        };
-        for pattern in &mut kernel.body {
-            let mac = pattern
-                .iter()
-                .position(|p| matches!(p, DynamicPart::Mac { .. }))
-                .unwrap();
-            let dummy = DynamicPart::Mac {
-                coeff: MemRef::Zeros,
-                data: Reg::ZERO,
-                acc: MacAcc::Start(Reg::ZERO),
-                dest: Some(Reg::ZERO),
-            };
-            pattern.insert(mac + 1, dummy);
-        }
-        kernel
-    }
-
-    #[test]
-    fn lockstep_matches_scalar_on_multi_period_kernels() {
-        let kernel = ring_period_kernel();
-        let (_, [src, res, coeff], ones, zeros) = setup();
-        let coeffs = [coeff];
-        let srcs = [src];
-        for (start_row, lines) in [(0i64, 3usize), (1, 2), (0, 1)] {
-            let ctx = StripContext {
-                srcs: &srcs,
-                res,
-                coeffs: &coeffs,
-                ones_addr: ones,
-                zeros_addr: zeros,
-                start_row,
-                lines,
-                col0: 1,
-            };
-            lockstep_differential(&kernel, &ctx, &setup_view(), 3);
-        }
-    }
-
-    #[test]
-    fn translate_rejects_stores_outside_writable_ranges() {
-        let kernel = identity_kernel();
-        let (_, [src, res, coeff], ones, zeros) = setup();
-        let coeffs = [coeff];
-        let srcs = [src];
-        let ctx = StripContext {
-            srcs: &srcs,
-            res,
-            coeffs: &coeffs,
-            ones_addr: ones,
-            zeros_addr: zeros,
-            start_row: 3,
-            lines: 4,
-            col0: 1,
-        };
-        let strip = ResolvedStrip::new(&kernel, &ctx);
-        // Same map, result range read-only: the kernel's stores must fail.
-        let readonly = LaneView::new(&[
-            (0, 16, false),
-            (16, 16, false),
-            (32, 16, false),
-            (48, 2, false),
-        ])
-        .unwrap();
-        assert!(strip.translate(&readonly).is_none());
-        // Coefficients outside the view: loads of them must fail.
-        let partial = LaneView::new(&[(0, 16, false), (16, 16, true), (48, 2, false)]).unwrap();
-        assert!(strip.translate(&partial).is_none());
-    }
-
-    #[test]
-    fn translate_rejects_walks_that_leave_a_range() {
-        let kernel = identity_kernel();
-        let (_, [src, res, coeff], ones, zeros) = setup();
-        let coeffs = [coeff];
-        let srcs = [src];
-        let ctx = StripContext {
-            srcs: &srcs,
-            res,
-            coeffs: &coeffs,
-            ones_addr: ones,
-            zeros_addr: zeros,
-            start_row: 3,
-            lines: 4,
-            col0: 1,
-        };
-        let strip = ResolvedStrip::new(&kernel, &ctx);
-        // Truncate the source range to its last row: line 0 (row 3)
-        // resolves inside it, but the walk north exits the range.
-        let truncated = LaneView::new(&[
-            (12, 4, false),
-            (16, 16, true),
-            (32, 16, false),
-            (48, 2, false),
-        ])
-        .unwrap();
-        assert!(strip.translate(&truncated).is_none());
-    }
-
-    /// Swapping two equal-length ranges' lane words in compiled kernels
-    /// sweeps exactly what the kernels of the translation through the
-    /// swapped view sweep, on the walk-carrying path and on the
-    /// seam-split (unrolled) one: an execution plan derives its second
-    /// direction this way instead of translating and classifying again.
-    #[test]
-    fn swapped_kernels_match_translation_through_the_swapped_view() {
-        let kernel = identity_kernel();
-        let (_, [src, res, coeff], ones, zeros) = setup();
-        let coeffs = [coeff];
-        let srcs = [src];
-        let ctx = StripContext {
-            srcs: &srcs,
-            res,
-            coeffs: &coeffs,
-            ones_addr: ones,
-            zeros_addr: zeros,
-            start_row: 3,
-            lines: 4,
-            col0: 1,
-        };
-        let strip = ResolvedStrip::new(&kernel, &ctx);
-        let whole = setup_view();
-        let split = LaneView::new(&[
-            (0, 8, false),
-            (8, 8, false),
-            (16, 8, true),
-            (24, 8, true),
-            (32, 16, false),
-            (48, 2, false),
-        ])
-        .unwrap();
-        let compile = |view: &LaneView| StripKernels::compile(&strip.translate(view).unwrap());
-        for (view, i, j) in [(&whole, 0, 1), (&split, 1, 2), (&split, 0, 3)] {
-            let (a, b) = (&view.ranges()[i], &view.ranges()[j]);
-            let swapped = compile(view)
-                .expect("the strip classifies")
-                .with_ranges_swapped(a.lane_base, b.lane_base, a.len);
-            let through_swap = compile(&view.swapped(i, j)).expect("the strip classifies");
-            let mut lanes = LaneMemory::new(view.words(), 3);
-            lanes.gather(view, &node_mems(3, 10.0));
-            let sweep = |k: StripKernels| {
-                let mut group = [lanes.clone()];
-                run_lockstep_groups_kernelized(&[k], &mut CoeffStreams::new(), 0, &mut group);
-                group[0]
-                    .flat()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<u32>>()
-            };
-            assert_eq!(sweep(swapped), sweep(through_swap), "ranges {i} and {j}");
-        }
-    }
-
-    #[test]
-    fn translate_splits_walks_at_range_seams() {
-        let kernel = identity_kernel();
-        let (_, [src, res, coeff], ones, zeros) = setup();
-        let coeffs = [coeff];
-        let srcs = [src];
-        let ctx = StripContext {
-            srcs: &srcs,
-            res,
-            coeffs: &coeffs,
-            ones_addr: ones,
-            zeros_addr: zeros,
-            start_row: 3,
-            lines: 4,
-            col0: 1,
-        };
-        // The result field split into two adjacent writable ranges: the
-        // store walk crosses the seam at 24, so the walk-carrying
-        // translation fails, but every individual store lands in a valid
-        // writable range — the seam-splitting fallback must lane-map it,
-        // and its kernels must match the scalar engine.
-        let split = LaneView::new(&[
-            (0, 16, false),
-            (16, 8, true),
-            (24, 8, true),
-            (32, 16, false),
-            (48, 2, false),
-        ])
-        .unwrap();
-        let lane_strip = ResolvedStrip::new(&kernel, &ctx).translate(&split);
-        let lane_strip = lane_strip.expect("seam-crossing walks unroll instead of rejecting");
-        assert_eq!(lane_strip.body_patterns().len(), 4, "unrolled per line");
-        lockstep_differential(&kernel, &ctx, &split, 3);
-    }
-
-    #[test]
-    fn lockstep_groups_match_a_single_mirror() {
-        let kernel = identity_kernel();
-        let (_, [src, res, coeff], ones, zeros) = setup();
-        let coeffs = [coeff];
-        let srcs = [src];
-        let ctx = StripContext {
-            srcs: &srcs,
-            res,
-            coeffs: &coeffs,
-            ones_addr: ones,
-            zeros_addr: zeros,
-            start_row: 3,
-            lines: 4,
-            col0: 1,
-        };
-        let view = setup_view();
-        let strip = ResolvedStrip::new(&kernel, &ctx);
-        let lane_strips = vec![strip.translate(&view).unwrap()];
-        let mems = node_mems(5, 10.0);
-
-        // One group over all nodes…
-        let mut single = mems.clone();
-        let mut lanes = LaneMemory::new(view.words(), 5);
-        lanes.gather(&view, &single);
-        let run_single = run_kernels(&lane_strips, std::slice::from_mut(&mut lanes));
-        lanes.scatter(&view, &mut single);
-
-        // …versus a 2-group partition (chunks of 3 and 2) fanned out.
-        let mut split = mems.clone();
-        let mut mirror = crate::lane::LaneMirror::new();
-        mirror.ensure(view.words(), 5, 2);
-        mirror.gather(&view, &split);
-        let run_split = run_kernels(&lane_strips, mirror.groups_mut());
-        mirror.scatter(&view, &mut split);
-
-        assert_eq!(run_single, run_split);
-        assert_eq!(single, split);
     }
 }

@@ -7,21 +7,21 @@
 //! restores the machine's own loop order, node-inner. To make the
 //! node-inner sweep a contiguous vector operation, [`LaneMemory`] stores
 //! the *same word of every node side by side*: word `w` of nodes `0..n`
-//! lives at `w*n .. (w+1)*n`. One multiply-add of a kernel
-//! ([`crate::kernels`]) then sweeps a contiguous `&mut [f32]` of node
-//! lanes — exactly the shape LLVM autovectorizes.
+//! lives at `w*n .. (w+1)*n`. One subgrid row of every node is then one
+//! contiguous run of `cols × n` floats, and a row sweep
+//! ([`crate::kernels`]) streams each term over it — exactly the shape
+//! LLVM autovectorizes.
 //!
-//! Node memory is large and mostly untouched by any one kernel, so the
-//! lane mirror covers only the address ranges a plan actually references:
-//! a [`LaneView`] records those ranges once (halo buffers, constant
-//! pages, coefficient arrays, lane-private buffers the kernels write)
+//! Node memory is large and mostly untouched by any one statement, so
+//! the lane mirror covers only the address ranges a plan's lane body
+//! reads or writes: a [`LaneView`] records those ranges once (halo
+//! buffers, coefficient arrays, lane-private buffers the sweeps write)
 //! and provides the node-address → lane-word translation plus the
 //! gathers that move data from per-node memories into the mirror. The
 //! one copy back is [`LaneMirror::stage`]: a strided rectangle of the
 //! mirror — the interior of the buffer holding a plan's result —
 //! transposed into a [`RegionStage`] for the caller to commit.
 
-use crate::isa::Reg;
 use crate::memory::NodeMemory;
 
 /// One contiguous node-memory range mirrored into lane storage.
@@ -33,9 +33,9 @@ pub struct LaneRange {
     pub lane_base: usize,
     /// Length in words.
     pub len: usize,
-    /// Whether kernels may store into the range.
+    /// Whether sweeps may store into the range.
     pub writable: bool,
-    /// Whether the range is lane-private: kernels may store into it
+    /// Whether the range is lane-private: sweeps may store into it
     /// (when also `writable`), but it has no node-memory image — it is
     /// skipped by both gather and scatter. Execution plans keep their
     /// destination buffer and temporal scratch states here.
@@ -66,8 +66,8 @@ impl LaneRange {
 /// Built once per execution plan. Ranges keep their insertion order, so
 /// rebuilding a view from same-length ranges (a plan rebind: a
 /// coefficient array moved, its length did not) yields identical lane
-/// addresses — pre-translated strips stay valid and only the gather
-/// bases change.
+/// addresses — lowered row programs and exchanges stay valid and only
+/// the gather bases change.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaneView {
     ranges: Vec<LaneRange>,
@@ -162,7 +162,7 @@ impl LaneView {
     /// addresses of range `i` translate into the lane words `j` held and
     /// the other way round. A plan runs its second direction on exactly
     /// this translation, derived by swapping lane words in place
-    /// ([`crate::kernels::StripKernels::with_ranges_swapped`] and the
+    /// ([`crate::kernels::RowProgram::with_ranges_swapped`] and the
     /// exchange programs' counterpart); tests check the two agree.
     ///
     /// # Panics
@@ -222,25 +222,16 @@ pub struct RectCopy {
 /// node, in node order. A group of host threads may each own a
 /// `LaneMemory` over a disjoint contiguous slice of the machine's nodes;
 /// lanes never interact, so the partition is invisible to results.
-///
-/// Past the viewed words sit [`CONST_ROWS`] rows no view addresses: the
-/// FPU's constant registers [`Reg::ZERO`] (`0.0`) and [`Reg::ONE`]
-/// (`1.0`) on every lane, so the kernel tier reads those operands from
-/// the mirror like any other (see [`crate::kernels`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneMemory {
     data: Vec<f32>,
     nodes: usize,
 }
 
-/// Rows every [`LaneMemory`] keeps after its viewed words: the constant
-/// registers [`Reg::ZERO`] and [`Reg::ONE`], in register order.
-pub const CONST_ROWS: usize = 2;
-
 impl LaneMemory {
-    /// Floats backing `words` viewed words plus the constant rows.
+    /// Floats backing `words` viewed words.
     fn floats(words: usize, nodes: usize) -> usize {
-        (words + CONST_ROWS) * nodes
+        words * nodes
     }
 
     /// Allocates a zeroed mirror of `words` lane words across `nodes`
@@ -269,46 +260,16 @@ impl LaneMemory {
             scratch.clear();
             scratch.resize(needed, 0.0);
         }
-        let mut lanes = LaneMemory {
+        LaneMemory {
             data: scratch,
             nodes,
-        };
-        lanes.reset_const_rows();
-        lanes
+        }
     }
 
-    /// Flat offset of constant register `reg`'s row ([`Reg::ZERO`] or
-    /// [`Reg::ONE`]).
-    pub(crate) fn const_row(&self, reg: Reg) -> usize {
-        assert!((reg.0 as usize) < CONST_ROWS, "not a constant register");
-        self.data.len() - (CONST_ROWS - reg.0 as usize) * self.nodes
-    }
-
-    /// Restores the constant rows to `0.0` and `1.0` — after a kernel
-    /// whose chains write a constant register, as the scalar engine's
-    /// fresh register file would hold them for the next strip.
-    pub(crate) fn reset_const_rows(&mut self) {
-        let zero = self.const_row(Reg::ZERO);
-        let (consts, n) = (&mut self.data[zero..], self.nodes);
-        consts[..n].fill(0.0);
-        consts[n..].fill(1.0);
-    }
-
-    /// Total floats backing the mirror, constant rows included.
-    pub(crate) fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// The whole backing store, constant rows included — what the kernel
-    /// tier's pre-resolved flat offsets index.
+    /// The whole backing store, word-major: what a row sweep indexes
+    /// (word `w`'s lanes at `w*nodes ..`).
     pub(crate) fn flat_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// [`Self::flat_mut`], read-only.
-    #[cfg(test)]
-    pub(crate) fn flat(&self) -> &[f32] {
-        &self.data
     }
 
     /// Consumes the mirror, returning its allocation for reuse via

@@ -45,7 +45,7 @@ pub use exec::{
 };
 pub use grid::{Direction, NodeGrid, NodeId};
 pub use isa::{DynamicPart, Kernel, MacAcc, MemRef, Reg, StaticPart};
-pub use kernels::{run_lockstep_groups_kernelized, CoeffStreams, StripKernels, KERNEL_VARIANTS};
+pub use kernels::{RowCoeff, RowProgram, RowRun, RowStep, RowTerm};
 pub use lane::{LaneMemory, LaneRange, LaneView};
 pub use machine::Machine;
 pub use memory::{Field, FieldAllocator, NodeMemory, OutOfMemory};

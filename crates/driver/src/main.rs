@@ -463,7 +463,6 @@ fn run_compiled(
     let stmt_start_ns = cmcc_obs::trace::now_ns();
     let stmt_scope = cmcc_obs::trace::scope(cmcc_obs::trace::TraceOp::Statement, statement as u64);
     let full_before = cmcc_obs::snapshot();
-    let hits_before = cmcc_obs::kernel_hits();
     let build_start = std::time::Instant::now();
     let m = session.run_with_multi(compiled, &r, &source_refs, &coeff_refs, &exec_opts)?;
     let first_iter = build_start.elapsed();
@@ -517,7 +516,8 @@ fn run_compiled(
     }
 
     // Label the path the plan actually executed: the lane body, or the
-    // scalar engine (cycle mode and unmappable bindings included).
+    // scalar engine and why (cycle mode and unmappable bindings
+    // included).
     let lane_mapped = session.last_plan().is_some_and(|p| p.lane_mapped());
     if exec_opts.mode == ExecMode::Fast {
         // Functional engines skip the pipeline model, so there is no
@@ -527,8 +527,13 @@ fn run_compiled(
         } else {
             "scalar"
         };
+        let why = session
+            .last_plan()
+            .and_then(|p| p.lane_fallback())
+            .map(|reason| format!(" [{reason}]"))
+            .unwrap_or_default();
         print!(
-            "    ran {}x{} ({}x{} per node): functional ({engine}) on {} nodes",
+            "    ran {}x{} ({}x{} per node): functional ({engine}){why} on {} nodes",
             rows,
             cols,
             opts.subgrid.0,
@@ -623,7 +628,6 @@ fn run_compiled(
             derived,
             stats: session.plan_cache_stats(),
             leases: session.lease_stats(),
-            kernel_mix: kernel_mix_since(&hits_before),
             latency: phase_hists(&slices),
             report: full_report,
         };
@@ -768,26 +772,10 @@ struct Profile {
     derived: Derived,
     stats: PlanCacheStats,
     leases: LeaseStats,
-    /// Kernel variants this statement's run dispatched, as
-    /// `(name, hits)` — the per-variant split behind the report's
-    /// `kernelized_steps`. Table output only; the JSON schema keys the
-    /// aggregate split.
-    kernel_mix: Vec<(String, u64)>,
     /// Per-operation duration histograms distilled from this
     /// statement's flight-recorder slices, indexed by `TraceOp`.
     latency: Vec<cmcc_obs::hist::Histogram>,
     report: cmcc_obs::RunReport,
-}
-
-/// The kernel-variant hits recorded since `before`, as named deltas.
-fn kernel_mix_since(before: &[u64; cmcc_obs::KERNEL_VARIANT_CAP]) -> Vec<(String, u64)> {
-    cmcc_obs::kernel_hits()
-        .iter()
-        .zip(before)
-        .enumerate()
-        .filter(|&(id, (&now, &was))| now > was && id < cmcc_cm2::kernels::KERNEL_VARIANTS)
-        .map(|(id, (&now, &was))| (cmcc_cm2::kernels::variant_name(id), now - was))
-        .collect()
 }
 
 /// One begin/end-paired flight-recorder slice.
@@ -919,16 +907,6 @@ impl Profile {
              peak {} concurrent",
             self.leases.region_grants, self.leases.conflicts, self.leases.peak_concurrent,
         );
-        if self.kernel_mix.is_empty() {
-            println!("      kernel mix: (none — scalar engine)");
-        } else {
-            let mix: Vec<String> = self
-                .kernel_mix
-                .iter()
-                .map(|(name, hits)| format!("{name}:{hits}"))
-                .collect();
-            println!("      kernel mix: {}", mix.join(" "));
-        }
         for op in LATENCY_PHASES {
             let h = &self.latency[op as usize];
             if h.count() == 0 {

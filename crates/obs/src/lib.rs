@@ -92,13 +92,15 @@ pub enum Counter {
     /// Resolved kernel steps interpreted by the scalar engine (per-node;
     /// every node replays the same stream).
     ScalarSteps,
-    /// Resolved kernel steps broadcast by the lockstep engine (each step
-    /// counted once, as the hardware would dispatch it).
+    /// Resolved kernel steps the lockstep engine stands in for (each
+    /// step counted once, as the hardware would dispatch it): the node
+    /// schedule's step count, taken once at plan build and booked by
+    /// every lane execute, whose row sweeps replace the schedule.
     LockstepSteps,
-    /// Lockstep steps swept by the monomorphized kernels. Every lane
-    /// strip compiles at plan build or the plan does not lane-map, so
-    /// this always equals [`Counter::LockstepSteps`]; both stay, as the
-    /// lockstep engine's step count and its kernelized share.
+    /// Lockstep steps swept by the lane body. A plan lane-maps only
+    /// with a row program for its whole schedule, so this always equals
+    /// [`Counter::LockstepSteps`]; both stay, as the lockstep engine's
+    /// step count and its kernelized share.
     KernelizedSteps,
     /// Lane-mirror buffer (re)allocations. Zero across a steady state.
     MirrorAllocations,
@@ -236,7 +238,7 @@ pub enum Phase {
     PlanRebind,
     /// One plan execute (exchange + kernel run + accounting).
     Execute,
-    /// Per-worker kernel time inside an execute's thread fan-out. Summed
+    /// Per-worker sweep time inside an execute's thread fan-out. Summed
     /// across workers this is CPU time; `Execute` is wall time. The two
     /// coincide when the plan runs single-threaded.
     ExecuteWorkers,
@@ -288,7 +290,6 @@ struct ObsShard {
     counters: [AtomicU64; COUNTER_COUNT],
     phase_nanos: [AtomicU64; PHASE_COUNT],
     phase_calls: [AtomicU64; PHASE_COUNT],
-    kernel_hits: [AtomicU64; KERNEL_VARIANT_CAP],
 }
 
 impl ObsShard {
@@ -297,7 +298,6 @@ impl ObsShard {
             counters: [const { AtomicU64::new(0) }; COUNTER_COUNT],
             phase_nanos: [const { AtomicU64::new(0) }; PHASE_COUNT],
             phase_calls: [const { AtomicU64::new(0) }; PHASE_COUNT],
-            kernel_hits: [const { AtomicU64::new(0) }; KERNEL_VARIANT_CAP],
         }
     }
 
@@ -307,7 +307,6 @@ impl ObsShard {
             .iter()
             .chain(&self.phase_nanos)
             .chain(&self.phase_calls)
-            .chain(&self.kernel_hits)
         {
             slot.store(0, Ordering::Relaxed);
         }
@@ -336,7 +335,6 @@ fn fold_into(dst: &ObsShard, src: &ObsShard) {
         .zip(&src.counters)
         .chain(dst.phase_nanos.iter().zip(&src.phase_nanos))
         .chain(dst.phase_calls.iter().zip(&src.phase_calls))
-        .chain(dst.kernel_hits.iter().zip(&src.kernel_hits))
     {
         d.fetch_add(s.load(Ordering::Relaxed), Ordering::Relaxed);
     }
@@ -472,39 +470,6 @@ pub fn reset() {
     for shard in reg.iter() {
         shard.zero();
     }
-}
-
-/// Capacity of the kernel-variant hit table. Producers (the lockstep
-/// kernel tier in `cmcc-cm2`) own the variant-id space and its naming;
-/// this crate only stores the counts, so the table stays generic.
-pub const KERNEL_VARIANT_CAP: usize = 64;
-
-/// Records one dispatch of kernel variant `id`. Out-of-range ids (at or
-/// above [`KERNEL_VARIANT_CAP`]) are dropped rather than panicking so a
-/// grown family degrades to missing telemetry, not a crash.
-#[inline]
-pub fn kernel_hit(id: usize) {
-    if enabled() && id < KERNEL_VARIANT_CAP {
-        with_shard(|s| {
-            s.kernel_hits[id].fetch_add(1, Ordering::Relaxed);
-        });
-    }
-}
-
-/// A snapshot of the kernel-variant hit table, aggregated across all
-/// thread shards. Per-variant hits are deliberately not part of
-/// [`RunReport`] (the profile JSON schema keys only the step totals,
-/// `lockstep_steps` and `kernelized_steps`); callers that want a mix
-/// bracket two of these snapshots and subtract.
-pub fn kernel_hits() -> [u64; KERNEL_VARIANT_CAP] {
-    let mut out = [0u64; KERNEL_VARIANT_CAP];
-    let reg = registry();
-    for shard in std::iter::once(&RETIRED).chain(reg.iter().map(Arc::as_ref)) {
-        for (o, h) in out.iter_mut().zip(&shard.kernel_hits) {
-            *o += h.load(Ordering::Relaxed);
-        }
-    }
-    out
 }
 
 /// An immutable snapshot of every counter and span accumulator.
@@ -913,7 +878,6 @@ mod tests {
                 .map(|i| {
                     scope.spawn(move || {
                         add(Counter::ScalarRuns, 10 + i);
-                        kernel_hit(2);
                         // A thread sees exactly its own work.
                         thread_snapshot().get(Counter::ScalarRuns)
                     })
@@ -927,7 +891,6 @@ mod tests {
         // accumulator, and the process totals are exact.
         let report = snapshot();
         assert_eq!(report.get(Counter::ScalarRuns), 1 + 10 + 11 + 12 + 13);
-        assert_eq!(kernel_hits()[2], workers);
         // The main thread's view excludes the workers' counts.
         assert_eq!(thread_snapshot().get(Counter::ScalarRuns), 1);
         reset();
@@ -1013,26 +976,6 @@ mod tests {
         phases.sort_unstable();
         phases.dedup();
         assert_eq!(phases.len(), PHASE_COUNT);
-    }
-
-    #[test]
-    fn kernel_hits_record_reset_and_gate() {
-        let _guard = crate::test_lock();
-        set_enabled(true);
-        reset();
-        kernel_hit(3);
-        kernel_hit(3);
-        kernel_hit(KERNEL_VARIANT_CAP - 1);
-        kernel_hit(KERNEL_VARIANT_CAP); // out of range: dropped, no panic
-        let hits = kernel_hits();
-        assert_eq!(hits[3], 2);
-        assert_eq!(hits[KERNEL_VARIANT_CAP - 1], 1);
-        assert_eq!(hits.iter().sum::<u64>(), 3);
-        reset();
-        assert_eq!(kernel_hits().iter().sum::<u64>(), 0);
-        set_enabled(false);
-        kernel_hit(3);
-        assert_eq!(kernel_hits()[3], 0, "disabled telemetry must not record");
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub enum TraceOp {
     PlanRebind,
     /// One plan execute, entry to exit.
     Execute,
-    /// Per-worker kernel slice inside an execute's thread fan-out.
+    /// Per-worker sweep slice inside an execute's thread fan-out.
     ExecuteWorkers,
     /// One halo-exchange program run (node- or lane-domain). `arg` on
     /// the begin event is the words the program moves.
@@ -97,8 +97,8 @@ pub enum TraceOp {
     /// Interior refresh: halo-buffer fill or lane-mirror rectangle
     /// gather ahead of an exchange.
     InteriorRefresh,
-    /// One fused kernel sweep (one time step's strip batch). `arg` on
-    /// the begin event is the step index within the execute.
+    /// One fused step's row sweep (one time step of the lane body).
+    /// `arg` on the begin event is the step index within the execute.
     KernelSweep,
     /// A `RegionStage` commit window: staged halo writes applied to the
     /// machine under the write lock.

@@ -25,11 +25,11 @@ use cmcc_core::compiler::CompiledStencil;
 pub struct ExecOptions {
     /// Cycle-accurate (timed) or fast functional execution.
     pub mode: ExecMode,
-    /// Which engine runs fast-mode kernels: the node-outer scalar path
-    /// or the lockstep kernels over node lanes (bit-identical results;
-    /// cycle mode always runs scalar). Plans fall back to scalar when a
-    /// binding cannot be lane-mapped (array aliasing, or a strip the
-    /// kernel classifier refuses).
+    /// Which engine runs fast mode: the node-outer scalar path or the
+    /// lockstep row sweeps over node lanes (bit-identical results; cycle
+    /// mode always runs scalar). Plans fall back to scalar when a binding
+    /// cannot be lane-mapped (array aliasing, or a row program the build
+    /// refuses) and say why ([`crate::ExecutionPlan::lane_fallback`]).
     pub engine: ExecEngine,
     /// Process strips as two half-strips (the paper's scheme) or as one
     /// full pass (the ablation's alternative).

@@ -19,16 +19,18 @@
 //!    schedule into [`ResolvedStrip`]s (every kernel operand address
 //!    computed ahead of time);
 //! 4. **execute** — [`ExecutionPlan::execute`] performs only the halo
-//!    exchange, the pre-resolved kernel runs, and the paper's cycle
-//!    accounting. No allocation, no address computation, no schedule
-//!    construction.
+//!    exchange, the pre-resolved kernel runs (or, on the lane body, the
+//!    row sweeps lowered from the stencil IR at build), and the paper's
+//!    cycle accounting. No allocation, no address computation, no
+//!    schedule construction.
 //!
 //! Results and [`Measurement`]s are bit-identical to running the
 //! compiler's kernels with per-step address resolution
 //! ([`cmcc_cm2::exec::run_strip`]) — the resolved executor replays the
-//! same operation stream — so plans are purely a host-side performance
-//! feature, exactly like the paper's distinction between compile-time
-//! and run-time work.
+//! same operation stream, and the row sweeps give every point its
+//! compiled chain's exact operation sequence — so plans are purely a
+//! host-side performance feature, exactly like the paper's distinction
+//! between compile-time and run-time work.
 
 use crate::array::CmArray;
 use crate::convolve::ExecOptions;
@@ -36,7 +38,7 @@ use crate::error::RuntimeError;
 use crate::halo::{ExchangeProgram, FillProgram, HaloBuffer, LaneExchangeProgram, LaneFillProgram};
 use crate::strips::{full_strip, halfstrips, plan_strips};
 use cmcc_cm2::exec::{ExecEngine, ExecMode, FieldLayout, ResolvedStrip, StripContext, StripRun};
-use cmcc_cm2::kernels::{run_lockstep_groups_kernelized, CoeffStreams, StripKernels};
+use cmcc_cm2::kernels::{self, RowCoeff, RowProgram, RowRun, RowStep, RowTerm};
 use cmcc_cm2::lane::{LaneMirror, LaneRange, LaneView, RectCopy, RegionStage};
 use cmcc_cm2::machine::Machine;
 use cmcc_cm2::memory::Field;
@@ -44,6 +46,7 @@ use cmcc_cm2::timing::{CycleBreakdown, Measurement};
 use cmcc_core::compiler::CompiledStencil;
 use cmcc_core::recognize::CoeffSpec;
 use cmcc_core::regalloc::Walk;
+use cmcc_core::stencil::CoeffRef;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
@@ -178,7 +181,7 @@ pub enum PlanLifetime {
 /// The immutable half of an execution plan: everything plan-build
 /// computes that does **not** depend on which concrete arrays a tenant
 /// binds — the resolved strip schedule (against the build-time binding,
-/// the rebase baseline), the lane translation and kernel classification,
+/// the rebase baseline), the row program lowered from the stencil IR,
 /// the compiled halo-exchange programs, and the plan-owned node-memory
 /// fields (halo buffers, constant and literal pages).
 ///
@@ -193,21 +196,33 @@ pub struct CompiledPlan {
     /// The strip schedule resolved against the build-time binding — the
     /// baseline instances rebase from (never mutated).
     strips: Vec<ResolvedStrip>,
-    /// The schedule and halo programs translated onto the lane mirror,
-    /// when the build binding maps onto it (fast mode, lockstep engine,
-    /// no array aliasing the mirror cannot hold). Lane addresses depend
-    /// only on the view's range lengths and order — both
-    /// rebind-invariant — so every instance over same-shape arrays
-    /// shares this translation verbatim. Always `Some` on temporal
-    /// plans: their build fails without it.
+    /// The fast-mode counters and the step count of one run of
+    /// `strips` on every node, summed once here: what each lane execute
+    /// reports, so `Measurement`s and step counters match the scalar
+    /// engine's without replaying the schedule.
+    lane_run: StripRun,
+    lane_steps: u64,
+    /// The statement's terms in accumulation order — taps, then bias
+    /// terms: the stencil IR the lane body's row program is lowered
+    /// from.
+    terms: Vec<Term>,
+    /// The stencil's radius (its widest border).
+    pad: usize,
+    /// The row program and halo programs over the lane mirror, when the
+    /// build binding maps onto it (fast mode, lockstep engine, no array
+    /// aliasing the mirror cannot hold). Lane addresses depend only on
+    /// the view's range lengths and order — both rebind-invariant — so
+    /// every instance over same-shape arrays shares this schedule
+    /// verbatim. Always `Some` on temporal plans: their build fails
+    /// without it.
     lane: Option<LaneSchedule>,
     halos: Vec<HaloBuffer>,
-    /// A classic lane plan's destination buffer: a plan-owned field
-    /// shaped like source 0's halo buffer, which exists only on the
-    /// mirror (its node words are never read or written). Direction 0
-    /// reads source 0's halo and writes this buffer's interior;
-    /// direction 1 swaps the two. `None` on temporal plans (their final
-    /// step writes source 0's halo) and off the lockstep engine.
+    /// A lane plan's destination buffer: a plan-owned field shaped like
+    /// source 0's halo buffer, which exists only on the mirror (its
+    /// node words are never read or written). Direction 0 reads source
+    /// 0's halo and writes this buffer's interior (a temporal plan's
+    /// final step does); direction 1 swaps the two. `None` off the lane
+    /// body (cycle mode, scalar engine).
     dest: Option<HaloBuffer>,
     exchanges: Vec<ExchangeProgram>,
     consts: Field,
@@ -258,30 +273,44 @@ struct TemporalPlan {
     /// Ping-pong intermediate-state buffers, each padded to the full
     /// `depth·radius` frame: none for depth 1, one for depth 2, two
     /// beyond (consecutive states always land in different buffers).
-    scratch: Vec<Field>,
+    scratch: Vec<HaloBuffer>,
     /// Per-named-coefficient halo buffers, padded `(depth−1)·radius`:
     /// intermediate steps read coefficients at margin positions, which
     /// live on neighbor nodes just like source halo words do.
     coeff_halos: Vec<HaloBuffer>,
-    /// Prefix boundaries into the node and lane schedules per inner step:
-    /// step `j` runs the index range `step_bounds[j]..step_bounds[j+1]`.
-    step_bounds: Vec<usize>,
 }
 
-/// The rebind-invariant lane form of a plan: per direction, the strip
-/// schedule compiled to kernels and every halo exchange, plus the
-/// temporal scratch fix-ups, all addressed in lane words of one view
-/// shape.
+/// One term of the statement in accumulation order: the stencil IR the
+/// lane body sweeps.
+#[derive(Debug, Clone, Copy)]
+struct Term {
+    /// A tap's source and offset, `(source, drow, dcol)`; `None` for a
+    /// bias term.
+    tap: Option<(usize, i64, i64)>,
+    coeff: TermCoeff,
+}
+
+/// What multiplies a [`Term`]'s data.
+#[derive(Debug, Clone, Copy)]
+enum TermCoeff {
+    /// A literal, or `1.0` for a unit tap.
+    Scalar(f32),
+    /// Named coefficient `k`, in binding order.
+    Named(usize),
+}
+
+/// The rebind-invariant lane form of a plan: per direction, the row
+/// program and every halo exchange, plus the temporal scratch fix-ups,
+/// all addressed in lane words of one view shape.
 #[derive(Debug, Clone)]
 struct LaneSchedule {
     /// Direction 0: reads source 0's halo buffer.
     forward: LaneDirection,
-    /// A classic plan's direction 1 — the same schedule with source 0's
-    /// halo and the destination buffer trading lane words, so an
-    /// execute can read whichever buffer already holds its source — as
-    /// `(a, b, len)`: the two ranges' first lane words and their length.
-    /// `None` on temporal plans.
-    swap: Option<(usize, usize, usize)>,
+    /// Direction 1 — the same schedule with source 0's halo and the
+    /// destination buffer trading lane words, so an execute can read
+    /// whichever buffer already holds its source — as `(a, b, len)`:
+    /// the two ranges' first lane words and their length.
+    swap: (usize, usize, usize),
     /// Direction 1, derived from direction 0 the first time an execute
     /// reads the destination buffer: a plan that never does (an
     /// unchanged binding run again) never pays for it.
@@ -298,73 +327,67 @@ struct LaneSchedule {
 /// One direction of a [`LaneSchedule`].
 #[derive(Debug, Clone)]
 struct LaneDirection {
-    /// Each strip of the schedule, in order, translated onto the view
-    /// and compiled against the kernel family.
-    kernels: Vec<StripKernels>,
+    /// The statement lowered to lane words, one step per fused step.
+    program: RowProgram,
     /// One halo exchange per source, then (temporal plans) one per
     /// coefficient halo.
     exchanges: Vec<LaneExchangeProgram>,
 }
 
 impl LaneSchedule {
-    /// Translates `strips` (node-domain, results into the plan's
-    /// destination), the halo `exchanges` and the scratch `fills` onto
-    /// `view` and compiles every translated strip against the kernel
-    /// family — direction 0 — and records `swap`, the view ranges of
-    /// source 0's halo and the destination buffer, that direction 1
-    /// trades. `None` when any part fails to translate or any strip is
-    /// refused by the kernel classifier. The translated strips are not
-    /// kept: the kernels are what runs.
-    fn translate(
-        strips: &[ResolvedStrip],
+    /// Direction 0 from its row `program` (lowered over `view`), the
+    /// halo `exchanges` and the scratch `fills` translated onto `view`,
+    /// plus the swap of source 0's halo (the view's first range) and
+    /// the destination buffer (its last) that direction 1 trades.
+    ///
+    /// # Errors
+    ///
+    /// Why the schedule cannot run on the lane mirror: an exchange or
+    /// fill run outside one viewed range.
+    fn new(
+        program: RowProgram,
         exchanges: &[&ExchangeProgram],
         fills: &[FillProgram],
         view: &LaneView,
-        swap: Option<(usize, usize)>,
-    ) -> Option<Self> {
-        let kernels = strips
-            .iter()
-            .map(|s| StripKernels::compile(&s.translate(view)?))
-            .collect::<Option<_>>()?;
+    ) -> Result<Self, &'static str> {
         let exchanges = exchanges
             .iter()
             .map(|p| LaneExchangeProgram::translate(p, view))
-            .collect::<Option<_>>()?;
+            .collect::<Option<_>>()
+            .ok_or("a halo exchange run lies outside the lane view")?;
         let scratch_fills = fills
             .iter()
             .map(|p| LaneFillProgram::translate(p, view))
-            .collect::<Option<_>>()?;
-        Some(LaneSchedule {
-            forward: LaneDirection { kernels, exchanges },
-            swap: swap.map(|(i, j)| {
-                let (a, b) = (&view.ranges()[i], &view.ranges()[j]);
-                (a.lane_base, b.lane_base, a.len)
-            }),
+            .collect::<Option<_>>()
+            .ok_or("a boundary fill run lies outside the lane view")?;
+        let ranges = view.ranges();
+        let (a, b) = (ranges[0], ranges[ranges.len() - 1]);
+        assert_eq!(
+            a.len, b.len,
+            "the destination is shaped like source 0's halo"
+        );
+        Ok(LaneSchedule {
+            forward: LaneDirection { program, exchanges },
+            swap: (a.lane_base, b.lane_base, a.len),
             backward: OnceLock::new(),
             scratch_fills,
         })
     }
 
-    /// Direction `dir`'s translation. Direction 1 is direction 0 with
-    /// the two swapped ranges' lane words exchanged — kernels and
-    /// exchanges alike: translation decides by range, so that is exactly
-    /// the translation through a view in which the ranges trade lane
-    /// words, and nothing is translated or classified twice.
+    /// Direction `dir`'s schedule. Direction 1 is direction 0 with the
+    /// two swapped ranges' lane words exchanged — row program and
+    /// exchanges alike: lowering and translation decide by range, so
+    /// that is exactly what they return through a view in which the
+    /// ranges trade lane words, and nothing is lowered twice.
     fn direction(&self, dir: usize) -> &LaneDirection {
         if dir == 0 {
             return &self.forward;
         }
         self.backward.get_or_init(|| {
-            let (a, b, len) = self
-                .swap
-                .expect("only plans with a destination buffer swap");
+            let (a, b, len) = self.swap;
             let forward = &self.forward;
             LaneDirection {
-                kernels: forward
-                    .kernels
-                    .iter()
-                    .map(|k| k.with_ranges_swapped(a, b, len))
-                    .collect(),
+                program: forward.program.with_ranges_swapped(a, b, len),
                 exchanges: forward
                     .exchanges
                     .iter()
@@ -390,9 +413,8 @@ struct Held {
 
 /// The mutable half of an execution plan: one tenant's binding and
 /// execution state over a shared [`CompiledPlan`] — the rebased strip
-/// schedule, the lane view over the tenant's arrays, the persistent lane
-/// mirror with the record of what it holds, and the packed coefficient
-/// streams.
+/// schedule, the lane view over the tenant's arrays, and the persistent
+/// lane mirror with the record of what it holds.
 ///
 /// Instances are cheap to create (no machine allocation — they reuse the
 /// compiled plan's halo buffers and pages) and fully independent: two
@@ -406,22 +428,25 @@ pub struct PlanInstance {
     strips: Vec<ResolvedStrip>,
     /// Rebase deltas (result, then one per coefficient slot) that
     /// rebinds accumulated but `strips` does not reflect yet. Only the
-    /// scalar engine and a private lane translation read `strips`, so a
-    /// rebind stays O(ranges) and those readers apply the sum first
-    /// (rebasing is a translation, so deltas add).
+    /// scalar engine reads `strips`, so a rebind stays O(ranges) and the
+    /// scalar engine applies the sum first (rebasing is a translation,
+    /// so deltas add).
     pending_rebase: Option<(i64, Vec<i64>)>,
-    /// A private lane translation, used only when the shared plan has
-    /// none to offer — it was built from a binding the mirror cannot
-    /// hold (aliased arrays) and this instance's binding is clean.
-    /// `None` means the instance runs the shared translation; lane
-    /// addresses are rebind-invariant, so that is the common case.
+    /// A private lane schedule, used only when the shared plan has none
+    /// to offer — it was built from a binding the mirror cannot hold
+    /// (aliased arrays) and this instance's binding is clean. `None`
+    /// means the instance runs the shared schedule; lane addresses are
+    /// rebind-invariant, so that is the common case.
     lane_override: Option<LaneSchedule>,
     /// The node-memory ↔ lane-word map of the lane body. `Some` exactly
     /// when `execute` runs it; `None` when the engine is scalar, the mode
     /// is cycle-accurate, or the current binding cannot be mapped
-    /// (aliased arrays) — then the scalar engine runs the plan. Rebind
-    /// recomputes it in place.
+    /// (aliased arrays) — then the scalar engine runs the plan, and
+    /// `lane_fallback` says why. Rebind recomputes it in place.
     lane_view: Option<LaneView>,
+    /// Why the scalar engine runs this binding; `None` exactly when
+    /// `lane_view` is `Some`.
+    lane_fallback: Option<&'static str>,
     /// The instance-owned persistent lane mirror. Shaped on first
     /// execute, recycled afterwards (zero steady-state allocations);
     /// `lane_held` and `lane_buffers` record what it holds. Poolable
@@ -441,7 +466,7 @@ pub struct PlanInstance {
     /// execute then gathers the whole view. Only the *gathered* ranges
     /// (read-only, not lane-private, not a halo buffer) are consulted
     /// afterwards — halo words come from the refresh and exchange,
-    /// destination and scratch words from the kernels.
+    /// destination and scratch words from the row sweeps.
     lane_held: Vec<Option<usize>>,
     /// What each buffer of `lane_interiors` holds; `None` is garbage. A
     /// pair whose buffer holds its array skips the refresh, and skips
@@ -462,15 +487,6 @@ pub struct PlanInstance {
     /// (gathered ranges, or coefficient-halo refreshes on temporal
     /// plans).
     lane_rebind_moved: usize,
-    /// The kernel tier's per-lane-group bindings — operand maps and the
-    /// packed coefficient streams (the paper's §4 access-order
-    /// coefficient layout) — cached across executes, one per fused inner
-    /// step (a single entry for classic plans; the cache is keyed on a
-    /// step's kernel list, so steps cannot share one). The streams are
-    /// invalidated in one place: when an execute re-reads a coefficient
-    /// range because it moved or was written. Result/source-only rebinds
-    /// keep them.
-    lane_streams: Vec<CoeffStreams>,
     /// The staged writes of a direct [`ExecutionPlan::execute`], recycled
     /// across executes; empty until the first one (the session stages
     /// region executes into its own buffer).
@@ -536,9 +552,9 @@ impl CompiledPlan {
     /// Allocates the halo buffers and constant pages (from the region
     /// `lifetime` selects), fills the constant pages, compiles one
     /// [`ExchangeProgram`] per source, resolves the complete strip
-    /// schedule to absolute operand addresses, translates it onto the
-    /// lane domain, and classifies every lane strip against the kernel
-    /// family. The result is immutable: tenants attach to it with
+    /// schedule to absolute operand addresses, and lowers the stencil IR
+    /// into the lane body's row program, checked once here. The result
+    /// is immutable: tenants attach to it with
     /// [`ExecutionPlan::from_shared`], which rebases onto their arrays
     /// without touching the artifact.
     ///
@@ -626,7 +642,7 @@ impl CompiledPlan {
             }
         };
         let lane_eligible = opts.mode == ExecMode::Fast && opts.engine == ExecEngine::Lockstep;
-        let dest = if lane_eligible && depth == 1 {
+        let dest = if lane_eligible {
             Some(if persistent {
                 HaloBuffer::new_persistent(machine, sub_rows, sub_cols, halo_pad)?
             } else {
@@ -721,26 +737,20 @@ impl CompiledPlan {
             2 => 1,
             _ => 2,
         };
-        let scratch_stride = sub_cols + 2 * halo_pad;
-        let scratch: Vec<Field> = (0..scratch_count)
-            .map(|_| alloc(machine, (sub_rows + 2 * halo_pad) * scratch_stride))
-            .collect::<Result<_, _>>()?;
-        let scratch_layout = |f: &Field| FieldLayout {
-            base: f.base(),
-            row_stride: scratch_stride,
-            row_offset: halo_pad as i64,
-            col_offset: halo_pad as i64,
-        };
+        let scratch: Vec<HaloBuffer> = (0..scratch_count)
+            .map(|_| {
+                let words = (sub_rows + 2 * halo_pad) * (sub_cols + 2 * halo_pad);
+                Ok(HaloBuffer::over(
+                    alloc(machine, words)?,
+                    sub_rows,
+                    sub_cols,
+                    halo_pad,
+                ))
+            })
+            .collect::<Result<_, RuntimeError>>()?;
         let scratch_fills: Vec<FillProgram> = scratch
             .iter()
-            .map(|&f| {
-                FillProgram::boundary(
-                    &HaloBuffer::over(f, sub_rows, sub_cols, halo_pad),
-                    grid,
-                    stencil.boundary(),
-                    stencil.fill(),
-                )
-            })
+            .map(|halo| FillProgram::boundary(halo, grid, stencil.boundary(), stencil.fill()))
             .collect();
 
         // Coefficient address tables, indexed like `MemRef::Coeff.array`.
@@ -789,26 +799,27 @@ impl CompiledPlan {
         // of the subgrid (reads reach one radius further — exactly the
         // previous step's write margin), reading the deepened source
         // halo (step 0) or the previous scratch state, and writing the
-        // next scratch state or (final step) the interior of source 0's
-        // halo, dead after step 0 — the mirror stages it into the
-        // result, and the next execute of a ping-pong reads it in place.
+        // next scratch state or (final step) the interior of the
+        // destination buffer — the mirror stages it into the result, and
+        // the next execute of a ping-pong reads it in place. No engine
+        // runs this node schedule (the lane body sweeps the row program
+        // lowered below); it fixes the plan's counters and dispatches.
         let src_layouts: Vec<FieldLayout> = halos.iter().map(HaloBuffer::layout).collect();
         let mut strips = Vec::new();
         let mut strip_widths = [0u64; 4];
-        let mut step_bounds = vec![0usize];
         for step in 0..depth {
             let margin = (depth - 1 - step) * pad;
             let step_srcs: Vec<FieldLayout> = if step == 0 {
                 src_layouts.clone()
             } else {
-                vec![scratch_layout(&scratch[(step - 1) % 2])]
+                vec![scratch[(step - 1) % 2].layout()]
             };
             let step_res = if depth == 1 {
                 result.layout()
             } else if step + 1 == depth {
-                halos[0].layout()
+                dest.expect("temporal plans run the lane body").layout()
             } else {
-                scratch_layout(&scratch[step % 2])
+                scratch[step % 2].layout()
             };
             let halves = if opts.half_strips {
                 halfstrips(sub_rows + 2 * margin)
@@ -850,12 +861,55 @@ impl CompiledPlan {
                     }
                 }
             }
-            step_bounds.push(strips.len());
         }
+        let mut lane_run = StripRun::default();
+        for strip in &strips {
+            lane_run.absorb(&strip.fast_counts());
+        }
+        let lane_steps = strips.iter().map(ResolvedStrip::steps).sum();
+
+        // The IR the lane body sweeps: taps in statement order, then bias
+        // terms, each coefficient a literal's value, `1.0` for a unit tap,
+        // or a named array in binding order.
+        let mut named = 0;
+        let coeff_terms: Vec<TermCoeff> = spec
+            .coeffs
+            .iter()
+            .map(|c| match c {
+                CoeffSpec::Literal(v) => TermCoeff::Scalar(*v),
+                CoeffSpec::Named(_) => {
+                    named += 1;
+                    TermCoeff::Named(named - 1)
+                }
+            })
+            .collect();
+        let terms = stencil
+            .taps()
+            .iter()
+            .map(|tap| Term {
+                tap: Some((
+                    usize::from(tap.source),
+                    i64::from(tap.offset.drow),
+                    i64::from(tap.offset.dcol),
+                )),
+                coeff: match tap.coeff {
+                    CoeffRef::Array(a) => coeff_terms[a],
+                    CoeffRef::Unit => TermCoeff::Scalar(1.0),
+                },
+            })
+            .chain(stencil.bias().iter().map(|&a| Term {
+                tap: None,
+                coeff: coeff_terms[a],
+            }))
+            .collect();
 
         let cfg = machine.config();
         let mut cp = CompiledPlan {
             strips,
+            lane_run,
+            lane_steps,
+            terms,
+            pad,
             lane: None,
             halos,
             dest,
@@ -881,35 +935,28 @@ impl CompiledPlan {
                 depth,
                 scratch,
                 coeff_halos,
-                step_bounds,
             }),
             temporal_fallback,
         };
 
-        // The lane mapping: mirror exactly the buffers the schedule
-        // touches, translate the schedule and halo programs into lane
-        // words and compile every lane strip to a kernel. The view fails
-        // on aliased arrays, a translation when an address walk escapes
-        // its buffer, and a compile when the kernel classifier refuses a
-        // strip; a classic plan then runs on the scalar engine, and a
-        // temporal plan, which has no other body, is refused. Only the
-        // translation is kept: lane addresses depend on range lengths
-        // and order alone, both binding-invariant, so the artifact
-        // shares it with every instance; the view itself (its gather
-        // bases) and the interior refresh copies are per-binding and are
-        // recomputed by [`PlanInstance::for_binding`].
+        // The lane mapping: mirror exactly the buffers the lane body
+        // reads and writes, lower the stencil IR into a row program over
+        // them and translate the halo programs into lane words. The view
+        // fails on aliased arrays, the program when a check refuses it,
+        // a translation when a run escapes its buffer; a classic plan
+        // then runs on the scalar engine, and a temporal plan, which has
+        // no other body, is refused. Only the schedule is kept: lane
+        // addresses depend on range lengths and order alone, both
+        // binding-invariant, so the artifact shares it with every
+        // instance; the view itself (its gather bases) and the interior
+        // refresh copies are per-binding and are recomputed by
+        // [`PlanInstance::for_binding`].
         if lane_eligible {
+            let exchanges: Vec<&ExchangeProgram> =
+                cp.exchanges.iter().chain(&coeff_exchanges).collect();
             cp.lane = instance_lane_view(&cp, binding.coeffs(), &result).and_then(|view| {
-                let exchanges: Vec<&ExchangeProgram> =
-                    cp.exchanges.iter().chain(&coeff_exchanges).collect();
-                let node = cp.lane_node_strips(&cp.strips, &result);
-                LaneSchedule::translate(
-                    &node,
-                    &exchanges,
-                    &scratch_fills,
-                    &view,
-                    cp.swap_ranges(&view),
-                )
+                let program = cp.lane_program(&view, binding.coeffs()).ok()?;
+                LaneSchedule::new(program, &exchanges, &scratch_fills, &view).ok()
             });
             if cp.temporal.is_some() && cp.lane.is_none() {
                 if persistent {
@@ -923,31 +970,99 @@ impl CompiledPlan {
         Ok(cp)
     }
 
-    /// Whether instances may run the lane body: fast mode on the
-    /// lockstep engine.
-    fn lane_eligible(&self) -> bool {
-        self.opts.mode == ExecMode::Fast && self.opts.engine == ExecEngine::Lockstep
-    }
-
-    /// The node-domain schedule the lane body runs, from `strips` — the
-    /// node schedule resolved against the result array `result`. A
-    /// temporal schedule already writes source 0's halo; a classic one
-    /// has its result stores moved into the destination buffer.
-    fn lane_node_strips(&self, strips: &[ResolvedStrip], result: &CmArray) -> Vec<ResolvedStrip> {
-        match &self.dest {
-            Some(dest) => strips
-                .iter()
-                .map(|s| s.retarget_result(&result.layout(), &dest.layout()))
-                .collect(),
-            None => strips.to_vec(),
+    /// Why instances of this artifact cannot run the lane body, if
+    /// they cannot: it needs fast mode on the lockstep engine.
+    fn lane_ineligible(&self) -> Option<&'static str> {
+        if self.opts.mode != ExecMode::Fast {
+            Some("cycle-accurate mode")
+        } else if self.opts.engine != ExecEngine::Lockstep {
+            Some("scalar engine requested")
+        } else {
+            None
         }
     }
 
-    /// The view ranges of source 0's halo and the destination buffer —
-    /// the pair direction 1 swaps — or `None` when the plan has one
-    /// direction.
-    fn swap_ranges(&self, view: &LaneView) -> Option<(usize, usize)> {
-        self.dest.map(|_| (0, view.ranges().len() - 1))
+    /// Lowers the statement's terms into direction 0's row program over
+    /// `view`, for a binding whose named coefficients are `coeffs`. Step
+    /// `j` of `depth` writes the `(depth−1−j)·radius`-deep extension of
+    /// the subgrid — into the next scratch state, or (the last step) the
+    /// destination buffer's interior — reading source halos (step 0) or
+    /// the previous scratch state; a named coefficient is read in place,
+    /// from its bound array (classic plans) or its coefficient halo
+    /// (temporal plans).
+    ///
+    /// # Errors
+    ///
+    /// Why the program cannot run: a run outside its buffer or the view,
+    /// or a check [`RowProgram::new`] refuses.
+    fn lane_program(
+        &self,
+        view: &LaneView,
+        coeffs: &[CmArray],
+    ) -> Result<RowProgram, &'static str> {
+        let depth = self.temporal_depth();
+        let (sub_rows, sub_cols) = (self.result.sub_rows(), self.result.sub_cols());
+        let dest = self.dest.expect("lane plans have a destination buffer");
+        // The run of `layout` whose first point is logical `(row, col)`.
+        let run = |layout: FieldLayout, row: i64, col: i64| -> Result<RowRun, &'static str> {
+            let (r, c) = (row + layout.row_offset, col + layout.col_offset);
+            if r < 0 || c < 0 {
+                return Err("a term run starts outside its buffer");
+            }
+            let addr = layout.base + r as usize * layout.row_stride + c as usize;
+            let (word, _) = view
+                .locate(addr)
+                .ok_or("a term run lies outside the lane view")?;
+            Ok(RowRun {
+                word,
+                stride: layout.row_stride,
+            })
+        };
+        let coeff_layouts: Vec<FieldLayout> = match &self.temporal {
+            Some(tp) => tp.coeff_halos.iter().map(HaloBuffer::layout).collect(),
+            None => coeffs.iter().map(CmArray::layout).collect(),
+        };
+        let steps = (0..depth)
+            .map(|step| {
+                let m = ((depth - 1 - step) * self.pad) as i64;
+                let scratch = |i: usize| match &self.temporal {
+                    Some(tp) => tp.scratch[i % 2].layout(),
+                    None => unreachable!("only fused steps pass through scratch"),
+                };
+                let srcs: Vec<FieldLayout> = if step == 0 {
+                    self.halos.iter().map(HaloBuffer::layout).collect()
+                } else {
+                    vec![scratch(step - 1)]
+                };
+                let out = if step + 1 == depth {
+                    dest.layout()
+                } else {
+                    scratch(step)
+                };
+                let terms = self
+                    .terms
+                    .iter()
+                    .map(|term| {
+                        let data = match term.tap {
+                            Some((s, dr, dc)) => Some(run(srcs[s], dr - m, dc - m)?),
+                            None => None,
+                        };
+                        let coeff = match term.coeff {
+                            TermCoeff::Scalar(v) => RowCoeff::Scalar(v),
+                            TermCoeff::Named(k) => RowCoeff::Run(run(coeff_layouts[k], -m, -m)?),
+                        };
+                        Ok(RowTerm { data, coeff })
+                    })
+                    .collect::<Result<_, &'static str>>()?;
+                Ok(RowStep {
+                    rows: sub_rows + 2 * m as usize,
+                    cols: sub_cols + 2 * m as usize,
+                    dest: run(out, -m, -m)?,
+                    terms,
+                })
+            })
+            .collect::<Result<_, &'static str>>()?;
+        RowProgram::new(steps, view)
     }
 
     /// Validates that a candidate binding can attach to this artifact:
@@ -1049,8 +1164,11 @@ impl CompiledPlan {
                 .map(|(p, _)| p.len())
                 .sum::<usize>()
             + self.temporal.as_ref().map_or(0, |tp| {
-                tp.coeff_halos.iter().map(HaloBuffer::words).sum::<usize>()
-                    + tp.scratch.iter().map(Field::len).sum::<usize>()
+                tp.coeff_halos
+                    .iter()
+                    .chain(&tp.scratch)
+                    .map(HaloBuffer::words)
+                    .sum::<usize>()
             })
     }
 
@@ -1082,8 +1200,8 @@ impl CompiledPlan {
             "scoped plans are reclaimed by release_to, not release"
         );
         if let Some(tp) = self.temporal {
-            for field in tp.scratch.into_iter().rev() {
-                machine.free_field_persistent(field);
+            for halo in tp.scratch.into_iter().rev() {
+                halo.release(machine);
             }
             for halo in tp.coeff_halos.into_iter().rev() {
                 halo.release(machine);
@@ -1121,6 +1239,7 @@ impl PlanInstance {
             pending_rebase: Some((result_delta, coeff_deltas)),
             lane_override: None,
             lane_view: None,
+            lane_fallback: None,
             lane_mirror: LaneMirror::new(),
             lane_interiors: Vec::new(),
             lane_held: Vec::new(),
@@ -1129,9 +1248,6 @@ impl PlanInstance {
             lane_pending: None,
             lane_epoch: 0,
             lane_rebind_moved: 0,
-            lane_streams: (0..cp.temporal_depth())
-                .map(|_| CoeffStreams::new())
-                .collect(),
             stage: RegionStage::new(),
             result: *result,
             sources: binding.sources().to_vec(),
@@ -1142,37 +1258,37 @@ impl PlanInstance {
     }
 
     /// The lane schedule the instance runs when lane-mapped: the shared
-    /// translation, or its private one when the artifact has none.
+    /// one, or its private one when the artifact has none.
     fn lane_schedule<'a>(&'a self, cp: &'a CompiledPlan) -> Option<&'a LaneSchedule> {
         cp.lane.as_ref().or(self.lane_override.as_ref())
     }
 
     /// Maps the current binding onto the lane mirror: the view over the
     /// bound arrays (its gather bases follow every rebind), a private
-    /// translation when the shared artifact has none, and the interior
+    /// schedule when the shared artifact has none, and the interior
     /// copies, which read the bound arrays. Leaves the instance unmapped
-    /// — on the scalar engine — when any part fails.
+    /// — on the scalar engine, with the reason in `lane_fallback` — when
+    /// any part fails.
     fn map_lanes(&mut self, cp: &CompiledPlan) {
         self.lane_view = None;
         self.lane_interiors.clear();
-        if !cp.lane_eligible() {
-            return;
+        self.lane_fallback = self.try_map_lanes(cp).err();
+    }
+
+    /// [`Self::map_lanes`]'s body, or why the binding cannot map.
+    fn try_map_lanes(&mut self, cp: &CompiledPlan) -> Result<(), &'static str> {
+        if let Some(reason) = cp.lane_ineligible() {
+            return Err(reason);
         }
-        let Some(view) = instance_lane_view(cp, &self.coeffs, &self.result) else {
-            return;
-        };
+        let view = instance_lane_view(cp, &self.coeffs, &self.result)
+            .ok_or("bound arrays overlap in node memory")?;
         if self.lane_schedule(cp).is_none() {
             // Only classic plans get here (a temporal build maps its
             // schedule or fails), so there are no coefficient halos or
             // scratch fills to translate.
-            self.apply_pending_rebase();
-            let node = cp.lane_node_strips(&self.strips, &self.result);
+            let program = cp.lane_program(&view, &self.coeffs)?;
             let exchanges: Vec<&ExchangeProgram> = cp.exchanges.iter().collect();
-            self.lane_override =
-                LaneSchedule::translate(&node, &exchanges, &[], &view, cp.swap_ranges(&view));
-            if self.lane_override.is_none() {
-                return;
-            }
+            self.lane_override = Some(LaneSchedule::new(program, &exchanges, &[], &view)?);
         }
         // Refresh pairs: each source into its halo, then (temporal
         // plans) each named coefficient into its coefficient halo, then
@@ -1193,11 +1309,11 @@ impl PlanInstance {
             .iter()
             .chain(coeffs)
             .chain(cp.dest.iter().map(|_| &self.sources[0]));
-        if let Some(interiors) = lane_interior_copies(&view, halos.zip(arrays)) {
-            self.lane_interiors = interiors;
-            self.lane_buffers.resize(self.lane_interiors.len(), None);
-            self.lane_view = Some(view);
-        }
+        self.lane_interiors = lane_interior_copies(&view, halos.zip(arrays))
+            .ok_or("a halo buffer lies outside the lane view")?;
+        self.lane_buffers.resize(self.lane_interiors.len(), None);
+        self.lane_view = Some(view);
+        Ok(())
     }
 
     /// Brings `strips` onto the current binding: applies the rebase
@@ -1238,15 +1354,11 @@ impl PlanInstance {
         }
     }
 
-    /// The buffer the final step writes in direction `dir`: source 0's
-    /// halo on a temporal plan, else whichever of source 0's halo and
-    /// the destination buffer `dir` does not read.
-    fn dest_buffer(&self, cp: &CompiledPlan, dir: usize) -> usize {
-        if cp.dest.is_none() {
-            0
-        } else {
-            self.source_buffer(0, 1 - dir)
-        }
+    /// The buffer the final step writes in direction `dir`: whichever
+    /// of source 0's halo and the destination buffer `dir` does not
+    /// read.
+    fn dest_buffer(&self, dir: usize) -> usize {
+        self.source_buffer(0, 1 - dir)
     }
 
     /// Records that the stage the last execute filled was committed at
@@ -1305,9 +1417,9 @@ impl PlanInstance {
     ) -> Measurement {
         let _span = cmcc_obs::span(cmcc_obs::Phase::Execute);
         let mut tally = ExecTally::new(&self.lane_mirror);
-        let coeffs_reread = self.read_phase(cp, &machine, &mut tally);
+        self.read_phase(cp, &machine, &mut tally);
         drop(machine);
-        self.compute_phase(cp, coeffs_reread, tally, stage)
+        self.compute_phase(cp, tally, stage)
     }
 
     /// Re-reads exactly what [`Self::invalidate_stale`] left unheld: the
@@ -1316,9 +1428,8 @@ impl PlanInstance {
     /// the one reading the buffer that already holds source 0, if one
     /// does — and refreshes the interior of every pair whose buffer does
     /// not hold its array. Refreshed buffers stay unexchanged until the
-    /// compute phase has exchanged them. Returns whether a coefficient
-    /// range or coefficient halo was re-read.
-    fn read_phase(&mut self, cp: &CompiledPlan, machine: &Machine, tally: &mut ExecTally) -> bool {
+    /// compute phase has exchanged them.
+    fn read_phase(&mut self, cp: &CompiledPlan, machine: &Machine, tally: &mut ExecTally) {
         self.invalidate_stale(machine);
         let (_, mems) = machine.exec_parts();
         let nodes = cp.nodes;
@@ -1329,9 +1440,7 @@ impl PlanInstance {
         self.lane_mirror
             .ensure(view.words(), nodes, cp.opts.threads);
         let gathered = |r: &LaneRange| !r.writable && !r.private && !cp.is_halo(r.node_base);
-        let mut coeffs_reread = false;
         if self.lane_held.is_empty() {
-            coeffs_reread = true;
             self.lane_mirror.gather(view, mems);
             tally.predicted += view.gather_words() * nodes;
             self.lane_held
@@ -1350,7 +1459,6 @@ impl PlanInstance {
                     self.lane_mirror.gather_rect(mems, &rect);
                     tally.predicted += range.len * nodes;
                     *held = Some(range.node_base);
-                    coeffs_reread = true;
                 }
             }
         }
@@ -1359,8 +1467,7 @@ impl PlanInstance {
         };
         let source = self.sources[0].field();
         self.lane_dir = usize::from(
-            cp.dest.is_some()
-                && !holds(&self.lane_buffers, 0, source)
+            !holds(&self.lane_buffers, 0, source)
                 && holds(&self.lane_buffers, self.source_buffer(0, 1), source),
         );
         let pairs = self.sources.len() + cp.temporal.as_ref().map_or(0, |tp| tp.coeff_halos.len());
@@ -1382,11 +1489,7 @@ impl PlanInstance {
                 epoch: self.lane_epoch,
                 exchanged: false,
             });
-            // Pairs past the sources refresh coefficient halos, which
-            // the packed streams read.
-            coeffs_reread |= k >= self.sources.len();
         }
-        coeffs_reread
     }
 
     /// Runs every halo exchange the read phase left pending, every fused
@@ -1395,7 +1498,6 @@ impl PlanInstance {
     fn compute_phase(
         &mut self,
         cp: &CompiledPlan,
-        coeffs_reread: bool,
         mut tally: ExecTally,
         stage: &mut RegionStage,
     ) -> Measurement {
@@ -1427,26 +1529,17 @@ impl PlanInstance {
         }
         // The destination is about to be overwritten; it holds the
         // result only once the commit reports its epoch.
-        let dest = self.dest_buffer(cp, dir);
+        let dest = self.dest_buffer(dir);
         self.lane_buffers[dest] = None;
         self.lane_pending = Some((dest, self.result.field()));
-        if coeffs_reread {
-            for streams in &mut self.lane_streams {
-                streams.invalidate();
-            }
-        }
-        for step in 0..depth {
-            let (lo, hi) = match &cp.temporal {
-                Some(tp) => (tp.step_bounds[step], tp.step_bounds[step + 1]),
-                None => (0, lane.kernels.len()),
-            };
+        // The row sweeps stand in for the whole node schedule: its
+        // counters, summed at build, are this execute's.
+        cmcc_obs::add(cmcc_obs::Counter::LockstepSteps, cp.lane_steps);
+        cmcc_obs::add(cmcc_obs::Counter::KernelizedSteps, cp.lane_steps);
+        tally.run = cp.lane_run;
+        for (step, sweep) in lane.program.steps().iter().enumerate() {
             let _t = cmcc_obs::trace::scope(cmcc_obs::trace::TraceOp::KernelSweep, step as u64);
-            tally.run.absorb(&run_lockstep_groups_kernelized(
-                &lane.kernels[lo..hi],
-                &mut self.lane_streams[step],
-                dir,
-                self.lane_mirror.groups_mut(),
-            ));
+            kernels::sweep(sweep, self.lane_mirror.groups_mut());
             if step + 1 < depth {
                 schedule.scratch_fills[step % 2].run(&mut self.lane_mirror);
             }
@@ -1640,7 +1733,7 @@ impl PlanInstance {
 
         // Remap against the new arrays. The ranges keep their order and
         // lengths (shapes were just validated), so lane addresses and
-        // the translation stay valid; only the view's gather bases and
+        // the lane schedule stay valid; only the view's gather bases and
         // the interior copies move. A rebind can also unmap the plan
         // (the new binding aliases arrays) or map it again. The mirror
         // keeps its contents and its records of what each buffer holds:
@@ -1687,21 +1780,21 @@ impl PlanInstance {
                     .sum::<usize>();
         };
         // The result is staged every execute. Source 0's buffer still
-        // holds it, exchanged, unless the final step overwrote it (a
-        // temporal plan: refresh and exchange again) or the commit
-        // rewrote source 0 (an in-place update, read next time from the
-        // destination: exchange only).
+        // holds it, exchanged, unless the commit rewrote source 0 (an
+        // in-place update, read next time from the destination: exchange
+        // only; a partial overlap: refresh and exchange again).
         let result = self.result.field();
         let exchange0 = schedule.forward.exchanges[0].words_moved();
         let source0 = if self.sources[0].field() == result {
             exchange0
-        } else if cp.dest.is_none() || overlaps(self.sources[0].field(), result) {
+        } else if overlaps(self.sources[0].field(), result) {
             self.refresh_words(cp, 0) + exchange0
         } else {
             0
         };
-        // Other pairs stay held unless the commit wrote their array.
-        let others: usize = (1..self.lane_interiors.len() - usize::from(cp.dest.is_some()))
+        // Other pairs stay held unless the commit wrote their array; the
+        // last buffer is the destination.
+        let others: usize = (1..self.lane_interiors.len() - 1)
             .filter(|&k| overlaps(self.refresh_array(k).field(), result))
             .map(|k| self.refresh_words(cp, k) + schedule.forward.exchanges[k].words_moved())
             .sum();
@@ -1742,8 +1835,8 @@ impl ExecutionPlan {
     /// Plans every per-call decision for `binding` under `opts`.
     ///
     /// Builds the shared [`CompiledPlan`] (halo buffers, constant pages,
-    /// exchange programs, the resolved and lane-translated strip
-    /// schedule) and attaches the binding's own [`PlanInstance`] to it.
+    /// exchange programs, the resolved strip schedule and the row
+    /// program) and attaches the binding's own [`PlanInstance`] to it.
     ///
     /// # Errors
     ///
@@ -1816,8 +1909,8 @@ impl ExecutionPlan {
     /// once through [`Machine::apply_stage`]; its mirror and stage
     /// buffers are recycled, so a steady state allocates nothing. The
     /// body re-reads node memory only where its mirror is out of date:
-    /// each viewed read-only range (coefficient arrays, constant and
-    /// literal pages) is re-read exactly when its node base moved since
+    /// each viewed read-only range (the coefficient arrays of a classic
+    /// plan) is re-read exactly when its node base moved since
     /// the mirror's last sync or its write stamps
     /// ([`Machine::written_since`]) are newer, and each source (interior
     /// refresh + exchange) unless a mirror buffer holds it — refreshed
@@ -1927,8 +2020,8 @@ impl ExecutionPlan {
             for halo in &tp.coeff_halos {
                 push(halo.field(), owned_writable);
             }
-            for f in &tp.scratch {
-                push(*f, owned_writable);
+            for halo in &tp.scratch {
+                push(halo.field(), owned_writable);
             }
         }
         for s in &self.inst.sources {
@@ -1947,7 +2040,7 @@ impl ExecutionPlan {
     /// result/coefficient swaps shift the resolved addresses.
     ///
     /// O(ranges) work: the lane view and the interior copies are
-    /// recomputed over the new arrays; the translated schedule and halo
+    /// recomputed over the new arrays; the row program and halo
     /// programs are kept (lane addresses are rebind-invariant), and so
     /// is the mirror's contents — the next execute re-reads only the
     /// ranges whose base moved (see [`Self::execute`]). The node-domain
@@ -2054,9 +2147,8 @@ impl ExecutionPlan {
     /// binding holds and nobody writes the bound read-only arrays, the
     /// mirror's source halos and read-only ranges stay current, so a
     /// steady iteration copies nothing but the staged result — plus, on
-    /// a temporal plan, whose final step overwrote its source's halo,
-    /// that source's refresh and exchange, and on an in-place update the
-    /// exchange of the source it reads back from the mirror.
+    /// an in-place update, the exchange of the source it reads back from
+    /// the mirror.
     /// The scalar engine refreshes per iteration: the interior source
     /// copy and the halo-exchange moves. Computed from the plan's
     /// structure, so it cannot drift from what `execute` actually does.
@@ -2089,6 +2181,15 @@ impl ExecutionPlan {
     /// was; `None` when the requested depth took effect.
     pub fn temporal_fallback(&self) -> Option<&'static str> {
         self.shared.temporal_fallback()
+    }
+
+    /// Why `execute` runs the scalar engine instead of the lane body:
+    /// "cycle-accurate mode", "scalar engine requested", "bound arrays
+    /// overlap in node memory", or the check the row program failed
+    /// ([`cmcc_cm2::kernels::RowProgram::new`]). `None` exactly when the
+    /// plan is [`Self::lane_mapped`]. Follows every rebind.
+    pub fn lane_fallback(&self) -> Option<&'static str> {
+        self.inst.lane_fallback
     }
 
     /// Words of node memory the plan's halo buffers and constant pages
@@ -2207,19 +2308,19 @@ impl MirrorWords {
 /// The lane view over a binding of `cp`, or `None` when the mirror
 /// cannot hold it.
 ///
-/// The view mirrors the node-memory ranges the schedule can touch, in a
-/// fixed order: halo buffers, the constant pair, literal coefficient
-/// pages, the named coefficients (all read-only), then a classic plan's
-/// destination buffer (writable, **lane-private**: it has no node-memory
-/// image, so no gather copies it). The result array is not viewed: the
-/// stage transposes the destination buffer's interior into it. The order
-/// and lengths are rebind-invariant, which is what keeps lane-translated
-/// strips valid across rebinds. Temporal plans replace the coefficient
-/// *arrays* with the plan-owned coefficient halos (refreshed like source
-/// halos), add the ping-pong scratch states as writable lane-private
-/// ranges — produced and consumed entirely on the mirror within one
-/// execute — and make source 0's halo writable: their final step writes
-/// its interior.
+/// The view mirrors the node-memory ranges the lane body reads or
+/// writes, in a fixed order: halo buffers and the named coefficients
+/// (read-only), then the destination buffer (writable,
+/// **lane-private**: it has no node-memory image, so no gather copies
+/// it). Literal and unit coefficients are scalars of the row program,
+/// so the constant and literal pages stay in node memory for the scalar
+/// engine alone. The result array is not viewed: the stage transposes
+/// the destination buffer's interior into it. The order and lengths are
+/// rebind-invariant, which is what keeps lowered row programs valid
+/// across rebinds. Temporal plans replace the coefficient *arrays* with
+/// the plan-owned coefficient halos (refreshed like source halos) and
+/// add the ping-pong scratch states as writable lane-private ranges —
+/// produced and consumed entirely on the mirror within one execute.
 ///
 /// A result that overlaps a gathered range would make the mirror's copy
 /// of that range stale the moment the result is committed, so such a
@@ -2238,20 +2339,16 @@ fn instance_lane_view(cp: &CompiledPlan, coeffs: &[CmArray], result: &CmArray) -
     let mut push = |f: Field, writable: bool, private: bool| {
         ranges.push((f.base(), f.len(), writable, private));
     };
-    for (k, halo) in cp.halos.iter().enumerate() {
-        push(halo.field(), temporal && k == 0, false);
-    }
-    push(cp.consts, false, false);
-    for &(page, _) in &cp.literal_pages {
-        push(page, false, false);
+    for halo in &cp.halos {
+        push(halo.field(), false, false);
     }
     match &cp.temporal {
         Some(tp) => {
             for halo in &tp.coeff_halos {
                 push(halo.field(), false, false);
             }
-            for &f in &tp.scratch {
-                push(f, true, true);
+            for halo in &tp.scratch {
+                push(halo.field(), true, true);
             }
         }
         None => {

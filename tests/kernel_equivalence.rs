@@ -1,22 +1,23 @@
-//! Differential suite for the lockstep engine's kernels: the
-//! monomorphized operand-direct sweeps compiled at plan build must be
-//! *indistinguishable* from the scalar engine — bit-identical result
-//! arrays and exactly equal [`Measurement`]s — across every paper
-//! pattern, edge and remainder subgrid shapes, every width class
-//! (16-wide, 8-wide, dynamic span), rebind ping-pong, and arbitrary
-//! random stencils.
+//! Differential suite for the lockstep engine's row sweeps: the row
+//! program lowered from the stencil IR at plan build must be
+//! *indistinguishable* from the scalar engine running the compiled
+//! schedule — bit-identical result arrays and exactly equal
+//! [`Measurement`]s — across every paper pattern, lane-group widths
+//! (thread counts), fused depths, edge and remainder subgrid shapes,
+//! `EOSHIFT BOUNDARY=` fill values, named coefficients on temporal
+//! plans, rebind ping-pong and arbitrary random stencils. The two
+//! engines derive each point independently — one from the compiled
+//! register schedule, one from the IR — so agreement here checks both.
 //!
 //! The scalar fast run is the oracle. Every lockstep case asserts that
-//! its plan lane-maps ([`ExecutionPlan::lane_mapped`]): a strip the
-//! kernel classifier refused would send the plan to the scalar engine,
-//! and the comparison with the oracle would then hold vacuously. The
-//! telemetry tests additionally pin that paper patterns run fully
-//! kernelized at every width class.
+//! its plan lane-maps ([`ExecutionPlan::lane_mapped`], with no
+//! [`ExecutionPlan::lane_fallback`]): a program the build refused would
+//! send the plan to the scalar engine, and the comparison with the
+//! oracle would then hold vacuously.
 
 use std::sync::Mutex;
 
-use cmcc::cm2::kernels::ARITY_SLOTS;
-use cmcc::cm2::{Machine, MachineConfig};
+use cmcc::cm2::{ExecMode, Machine, MachineConfig};
 use cmcc::core::recognize::CoeffSpec;
 use cmcc::core::stencil::{Boundary, Stencil, Tap};
 use cmcc::core::{CompileError, Compiler};
@@ -40,6 +41,23 @@ fn lockstep_fast() -> ExecOptions {
     ExecOptions::fast()
         .with_engine(ExecEngine::Lockstep)
         .with_threads(1)
+}
+
+/// Asserts `plan` runs the lane body exactly when `opts` asks for the
+/// lockstep engine, and that the fallback reason says the same.
+fn assert_engine(plan: &ExecutionPlan, opts: &ExecOptions, what: &str) {
+    let lockstep = opts.engine == ExecEngine::Lockstep;
+    assert_eq!(
+        plan.lane_mapped(),
+        lockstep,
+        "{what}: lane-maps exactly on the lockstep engine (fallback: {:?})",
+        plan.lane_fallback()
+    );
+    assert_eq!(
+        plan.lane_fallback().is_none(),
+        plan.lane_mapped(),
+        "{what}: a reason exactly when the scalar engine runs"
+    );
 }
 
 /// Builds machine + deterministically filled arrays for `pattern` at
@@ -82,19 +100,14 @@ fn run_plan_case(
     let binding = StencilBinding::new(&compiled, &r, &[&x], &refs).unwrap();
     let mut plan = ExecutionPlan::build(&mut machine, &binding, opts, PlanLifetime::Scoped)
         .expect("paper patterns plan");
-    assert_eq!(
-        plan.lane_mapped(),
-        opts.engine == ExecEngine::Lockstep,
-        "{} at {rows}x{cols}: lane-maps exactly on the lockstep engine",
-        pattern.name()
-    );
+    assert_engine(&plan, opts, &format!("{} at {rows}x{cols}", pattern.name()));
     let m = plan.execute(&mut machine).expect("paper patterns run");
     let bits = r.gather(&machine).iter().map(|v| v.to_bits()).collect();
     (m, bits)
 }
 
-/// Every paper pattern on a strip-width-mixing shape: the kernels and
-/// the scalar oracle must be indistinguishable.
+/// Every paper pattern on a strip-width-mixing shape: the row sweeps
+/// and the scalar oracle must be indistinguishable.
 #[test]
 fn kernel_tier_matches_scalar_for_every_paper_pattern() {
     let cfg = MachineConfig::tiny_4();
@@ -104,42 +117,23 @@ fn kernel_tier_matches_scalar_for_every_paper_pattern() {
         assert_eq!(
             scalar_bits,
             kern_bits,
-            "{}: kernels diverge from scalar",
+            "{}: row sweeps diverge from scalar",
             pattern.name()
         );
-        assert_eq!(scalar_m, kern_m, "{}: kernel measurement", pattern.name());
-    }
-}
-
-/// Thread splits on the 16-node board change the lane-group node counts
-/// and with them the width class each kernel dispatches to: 1 thread →
-/// one 16-lane group (`w16`), 2 threads → 8-lane groups (`w8`), 3
-/// threads → ≤6-lane groups (the dynamic span path). Every class must
-/// stay bit-identical to the scalar oracle.
-#[test]
-fn kernel_tier_exact_across_width_classes() {
-    let cfg = MachineConfig::test_board_16();
-    for pattern in [PaperPattern::Square9, PaperPattern::Diamond13] {
-        let (scalar_m, scalar_bits) = run_plan_case(pattern, 32, 48, &cfg, &scalar_fast());
-        for threads in [1, 2, 3] {
-            let opts = lockstep_fast().with_threads(threads);
-            let (kern_m, kern_bits) = run_plan_case(pattern, 32, 48, &cfg, &opts);
-            assert_eq!(
-                scalar_bits,
-                kern_bits,
-                "{} at {threads} threads: kernels diverge",
-                pattern.name()
-            );
-            assert_eq!(scalar_m, kern_m);
-        }
+        assert_eq!(
+            scalar_m,
+            kern_m,
+            "{}: row-sweep measurement",
+            pattern.name()
+        );
     }
 }
 
 /// Edge and remainder subgrid shapes: odd, prime, and
 /// barely-wider-than-the-halo column counts change which strip widths
-/// the shaver emits, and uneven half-strip splits exercise the chunk
-/// remainders inside each burst. The kernels must match the scalar
-/// oracle on every shape.
+/// the scalar engine's shaver emits (and so its counters), and the row
+/// length each sweep streams. The sweeps must match the scalar oracle
+/// on every shape.
 #[test]
 fn kernel_tier_edge_and_remainder_shapes_stay_exact() {
     let cfg = MachineConfig::tiny_4();
@@ -152,7 +146,7 @@ fn kernel_tier_edge_and_remainder_shapes_stay_exact() {
             assert_eq!(
                 scalar_bits,
                 kern_bits,
-                "{} at {rows}x{cols}: kernels diverge",
+                "{} at {rows}x{cols}: row sweeps diverge",
                 pattern.name()
             );
             assert_eq!(scalar_m, kern_m);
@@ -161,8 +155,8 @@ fn kernel_tier_edge_and_remainder_shapes_stay_exact() {
 }
 
 /// Iterated ping-pong rebinding on a resident plan: every step swaps
-/// result and source (the cached coefficient streams survive), the plan
-/// stays lane-mapped throughout, and the whole sequence must stay
+/// result and source (the row program runs in both directions), the
+/// plan stays lane-mapped throughout, and the whole sequence must stay
 /// bit-identical to scalar.
 #[test]
 fn kernel_tier_ping_pong_rebind_stays_exact() {
@@ -199,9 +193,8 @@ fn kernel_tier_ping_pong_rebind_stays_exact() {
         let binding = StencilBinding::new(&compiled, &b, &[&a], &refs).unwrap();
         let mut plan =
             ExecutionPlan::build(&mut machine, &binding, opts, PlanLifetime::Scoped).unwrap();
-        let lockstep = opts.engine == ExecEngine::Lockstep;
         for step in 0..steps {
-            assert_eq!(plan.lane_mapped(), lockstep, "step {step}: lane-maps");
+            assert_engine(&plan, opts, &format!("step {step}"));
             plan.execute(&mut machine).unwrap();
             let (from, to) = if step % 2 == 0 { (&b, &a) } else { (&a, &b) };
             plan.rebind(to, &[from], &refs).unwrap();
@@ -212,21 +205,26 @@ fn kernel_tier_ping_pong_rebind_stays_exact() {
 
     let scalar = run(&scalar_fast());
     let kernel = run(&lockstep_fast());
-    assert_eq!(scalar, kernel, "kernelized ping-pong diverges from scalar");
+    assert_eq!(scalar, kernel, "row-sweep ping-pong diverges from scalar");
 }
 
 /// A statement with a bias term: its chains end in taps whose data is
 /// the constant `ONE` register.
 const BIAS: &str = "R = C1 * CSHIFT(X, 1, -1) + 0.5 * X + C2";
 
-/// Per-node column counts: 12 shaves into strips of width 8 and 4; 7
-/// into 4 + 2 + 1, and the width-1 strip's dummy partner thread reads
-/// and writes the constant `ZERO` register.
-const COLS_WIDE: usize = 12;
-const COLS_ODD: usize = 7;
+/// The all-literal five-point heat statement: every coefficient is a
+/// scalar of the row program.
+const HEAT: &str = "T_NEXT = 0.2 * EOSHIFT(T, DIM=1, SHIFT=-1) \
+                    + 0.2 * EOSHIFT(T, DIM=2, SHIFT=-1) + 0.2 * T \
+                    + 0.2 * EOSHIFT(T, DIM=2, SHIFT=+1) \
+                    + 0.2 * EOSHIFT(T, DIM=1, SHIFT=+1)";
 
-/// The arrays of one coverage case on a fresh machine: the initial
-/// state `a`, a zeroed partner `b`, and the named coefficients.
+/// Literal and named coefficients in one statement.
+const MIXED: &str = "R = C1 * CSHIFT(X, 1, -1) + 0.5 * X + C2 * CSHIFT(X, 2, +1) \
+                     + 0.125 * CSHIFT(X, 1, +1)";
+
+/// The arrays of one case on a fresh machine: the initial state `a`, a
+/// zeroed partner `b`, and the named coefficients.
 struct Case {
     machine: Machine,
     compiled: cmcc::CompiledStencil,
@@ -285,80 +283,132 @@ impl Case {
             .map(|v| v.to_bits())
             .collect()
     }
+
+    /// Runs `executes` executes of `plan`, ping-ponging between `a` and
+    /// `b` (the plan starts bound `a → b`), asserting before each that
+    /// the plan runs the engine `opts` asks for; returns the final
+    /// state's bits and every execute's measurement.
+    fn ping_pong(
+        &mut self,
+        plan: &mut ExecutionPlan,
+        opts: &ExecOptions,
+        executes: usize,
+        what: &str,
+    ) -> (Vec<u32>, Vec<Measurement>) {
+        let (a, b) = (self.a, self.b);
+        let coeffs = self.coeffs.clone();
+        let refs: Vec<&CmArray> = coeffs.iter().collect();
+        let mut measurements = Vec::with_capacity(executes);
+        for e in 0..executes {
+            assert_engine(plan, opts, &format!("{what}, execute {e}"));
+            measurements.push(plan.execute(&mut self.machine).unwrap());
+            if e + 1 < executes {
+                let (from, to) = if e % 2 == 0 { (&b, &a) } else { (&a, &b) };
+                plan.rebind(to, &[from], &refs).unwrap();
+            }
+        }
+        (
+            self.bits(if executes % 2 == 1 { &b } else { &a }),
+            measurements,
+        )
+    }
 }
 
 /// The scalar engine applied `steps` times, ping-ponging between `a`
-/// and `b`: the final state's bits.
+/// and `b`: the final state's bits and every step's measurement.
 fn scalar_steps(
     cfg: &MachineConfig,
     source: &str,
     shape: (usize, usize),
     steps: usize,
-) -> Vec<u32> {
+) -> (Vec<u32>, Vec<Measurement>) {
     let mut case = Case::new(cfg, source, shape);
-    let (a, b) = (case.a, case.b);
-    let refs: Vec<CmArray> = case.coeffs.clone();
-    let refs: Vec<&CmArray> = refs.iter().collect();
+    let b = case.b;
     let mut plan = case.plan(&b, &scalar_fast());
-    for step in 0..steps {
-        plan.execute(&mut case.machine).unwrap();
-        if step + 1 < steps {
-            let (from, to) = if step % 2 == 0 { (&b, &a) } else { (&a, &b) };
-            plan.rebind(to, &[from], &refs).unwrap();
-        }
-    }
-    case.bits(if steps % 2 == 1 { &b } else { &a })
+    case.ping_pong(&mut plan, &scalar_fast(), steps, "oracle")
 }
 
-/// One lockstep execute of `source` at `depth` fused steps on
-/// `threads` lane groups — into `b`, or back into `a` when `in_place` —
-/// must lane-map, run every strip operand-direct in width class
-/// `class`, and match the iterated scalar engine bit for bit.
-fn assert_fully_kernelized(
+/// `executes` lockstep executes of `source` at `depth` fused steps on
+/// `threads` lane groups, ping-ponging between `a` and `b`, must
+/// lane-map and match the scalar engine iterated `depth × executes`
+/// times bit for bit — and, at depth 1, measure exactly what it
+/// measures.
+fn assert_sweeps_match_iterated_scalar(
     cfg: &MachineConfig,
     source: &str,
     shape: (usize, usize),
-    (depth, threads, in_place): (usize, usize, bool),
-    class: usize,
+    (depth, threads, executes): (usize, usize, usize),
 ) {
-    let what = format!(
-        "`{source}` at {shape:?}, depth {depth}, {threads} thread(s), in place: {in_place}"
-    );
-    let oracle = scalar_steps(cfg, source, shape, depth);
+    let what = format!("`{source}` at {shape:?}, depth {depth}, {threads} thread(s)");
+    let (oracle, oracle_m) = scalar_steps(cfg, source, shape, depth * executes);
     let mut case = Case::new(cfg, source, shape);
-    let result = if in_place { case.a } else { case.b };
     let opts = lockstep_fast()
         .with_threads(threads)
         .with_temporal_depth(depth);
-    let mut plan = case.plan(&result, &opts);
+    let b = case.b;
+    let mut plan = case.plan(&b, &opts);
     assert_eq!(plan.temporal_depth(), depth, "{what}: depth");
-    assert!(plan.lane_mapped(), "{what}: lane-maps");
-
-    let hits = obs::kernel_hits();
-    let before = obs::thread_snapshot();
-    plan.execute(&mut case.machine).unwrap();
-    let on = obs::thread_snapshot().delta(&before);
-    let hits: u64 = (class * ARITY_SLOTS..(class + 1) * ARITY_SLOTS)
-        .map(|id| obs::kernel_hits()[id] - hits[id])
-        .sum();
+    let (got, got_m) = case.ping_pong(&mut plan, &opts, executes, &what);
     assert_eq!(
-        case.bits(&result),
-        oracle,
-        "{what}: diverges from the scalar engine"
+        got, oracle,
+        "{what}: diverges from the iterated scalar engine"
     );
-    let kernelized = on.get(Counter::KernelizedSteps);
-    assert!(kernelized > 0, "{what}: no kernelized steps recorded");
-    assert_eq!(on.get(Counter::LockstepSteps), kernelized);
-    assert!(hits > 0, "{what}: no kernel of width class {class} ran");
+    if depth == 1 {
+        assert_eq!(got_m, oracle_m, "{what}: measurements");
+    }
+}
+
+/// Every paper pattern × lane groups of 16, 8 and 6/5 lanes (1, 2 and 3
+/// threads on the 16-node board) × fused depths 1, 2 and 4, over two
+/// ping-pong executes — so both directions of the row program run, and
+/// the temporal plans read their named coefficients in place from the
+/// coefficient halos — matches the iterated scalar engine bit for bit.
+#[test]
+fn paper_patterns_match_iterated_scalar_at_every_depth_and_thread_count() {
+    let board = MachineConfig::test_board_16();
+    // 8×12 per node: deep enough for depth 4 at the diamond's radius 2.
+    let shape = (32, 48);
+    for pattern in PaperPattern::ALL {
+        for threads in [1, 2, 3] {
+            for depth in [1, 2, 4] {
+                assert_sweeps_match_iterated_scalar(
+                    &board,
+                    &pattern.fortran(),
+                    shape,
+                    (depth, threads, 2),
+                );
+            }
+        }
+    }
+}
+
+/// `EOSHIFT(…, BOUNDARY=v)` fills the halo ring beyond the global edge
+/// with `v` (and, on temporal plans, the scratch margins after every
+/// fused step): the sweeps read those fills like any other word, at
+/// every depth and thread count.
+#[test]
+fn eoshift_boundary_fill_values_sweep_exactly() {
+    let tiny = MachineConfig::tiny_4();
+    let sources = [
+        "R = 0.5 * EOSHIFT(X, 1, -1, BOUNDARY=100.0) + 0.5 * X",
+        "R = 0.25 * EOSHIFT(X, 1, -1, BOUNDARY=-2.5) + 0.25 * EOSHIFT(X, 2, 1, BOUNDARY=-2.5) \
+         + 0.5 * X",
+        "R = C1 * EOSHIFT(X, 2, -1, BOUNDARY=0.75) + C2 * EOSHIFT(X, 1, 1, BOUNDARY=0.75) + C3",
+    ];
+    for source in sources {
+        for threads in [1, 3] {
+            for depth in [1, 2, 4] {
+                assert_sweeps_match_iterated_scalar(&tiny, source, (16, 24), (depth, threads, 3));
+            }
+        }
+    }
 }
 
 /// Every paper pattern, a bias statement and five-point heat fused four
-/// deep (ping-pong and in place) run *fully* kernelized at every width
-/// class — 4-lane groups (`span`), one 16-lane group (`w16`) and two
-/// 8-lane groups (`w8`) — on a strip mix that includes a width-1 strip:
-/// the classifier resolves every operand of every scheduled strip
-/// (loaded words, the `ZERO` and `ONE` rows, dummy partners), so every
-/// plan lane-maps, and an execute matches the scalar engine bit for bit.
+/// deep run *fully* on the row sweeps at every lane-group width: every
+/// plan lane-maps, every lockstep step is booked as a kernelized one,
+/// a classic plan books exactly the steps of the scalar engine's
+/// schedule, and an execute matches the scalar engine bit for bit.
 #[test]
 fn paper_patterns_run_fully_kernelized() {
     let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -367,20 +417,56 @@ fn paper_patterns_run_fully_kernelized() {
 
     let tiny = MachineConfig::tiny_4();
     let board = MachineConfig::test_board_16();
-    // (config, node grid edge, lane groups, width class dispatched)
-    let classes = [(&tiny, 2, 1, 2), (&board, 4, 1, 0), (&board, 4, 2, 1)];
     let mut sources: Vec<String> = PaperPattern::ALL.iter().map(|p| p.fortran()).collect();
     sources.push(BIAS.to_owned());
-    for (cfg, edge, threads, class) in classes {
+    sources.push(HEAT.to_owned());
+    for (cfg, edge, threads) in [(&tiny, 2, 1), (&board, 4, 1), (&board, 4, 2)] {
         for source in &sources {
-            for cols in [COLS_WIDE, COLS_ODD] {
+            for cols in [12, 7] {
                 let shape = (8 * edge, cols * edge);
-                assert_fully_kernelized(cfg, source, shape, (1, threads, false), class);
+                let what = format!("`{source}` at {shape:?}, {threads} thread(s)");
+                let steps_on = |opts: &ExecOptions| {
+                    let mut case = Case::new(cfg, source, shape);
+                    let b = case.b;
+                    let mut plan = case.plan(&b, opts);
+                    assert_engine(&plan, opts, &what);
+                    let before = obs::thread_snapshot();
+                    plan.execute(&mut case.machine).unwrap();
+                    let on = obs::thread_snapshot().delta(&before);
+                    (case.bits(&b), on)
+                };
+                let (scalar_bits, scalar) = steps_on(&scalar_fast());
+                let (bits, on) = steps_on(&lockstep_fast().with_threads(threads));
+                assert_eq!(bits, scalar_bits, "{what}: diverges from the scalar engine");
+                let kernelized = on.get(Counter::KernelizedSteps);
+                assert!(kernelized > 0, "{what}: no kernelized steps recorded");
+                assert_eq!(on.get(Counter::LockstepSteps), kernelized, "{what}");
+                assert_eq!(
+                    kernelized,
+                    scalar.get(Counter::ScalarSteps),
+                    "{what}: the sweeps book the schedule's steps"
+                );
+                assert_eq!(on.get(Counter::ScalarSteps), 0, "{what}");
             }
         }
         for in_place in [false, true] {
-            let shape = (8 * edge, COLS_WIDE * edge);
-            assert_fully_kernelized(cfg, HEAT, shape, (4, threads, in_place), class);
+            let shape = (8 * edge, 12 * edge);
+            let (oracle, _) = scalar_steps(cfg, HEAT, shape, 4);
+            let mut case = Case::new(cfg, HEAT, shape);
+            let result = if in_place { case.a } else { case.b };
+            let opts = lockstep_fast().with_threads(threads).with_temporal_depth(4);
+            let mut plan = case.plan(&result, &opts);
+            let what = format!("heat x4 at {shape:?}, in place: {in_place}");
+            assert_engine(&plan, &opts, &what);
+            let before = obs::thread_snapshot();
+            plan.execute(&mut case.machine).unwrap();
+            let on = obs::thread_snapshot().delta(&before);
+            assert_eq!(case.bits(&result), oracle, "{what}: diverges");
+            assert!(on.get(Counter::KernelizedSteps) > 0, "{what}");
+            assert_eq!(
+                on.get(Counter::LockstepSteps),
+                on.get(Counter::KernelizedSteps)
+            );
         }
     }
     obs::set_enabled(was_on);
@@ -388,8 +474,7 @@ fn paper_patterns_run_fully_kernelized() {
 
 /// An arbitrary stencil in the compiler's domain: 1..=9 taps with
 /// offsets up to ±2 (duplicates legal), array or unit coefficients,
-/// optional bias, either boundary — wide enough to force seam-crossing
-/// walks and dummy-padded bursts.
+/// optional bias, either boundary.
 fn gen_stencil(rng: &mut Rng) -> (Stencil, usize) {
     let n_taps = rng.usize_in(1, 9);
     let mut taps = Vec::new();
@@ -420,19 +505,20 @@ fn gen_stencil(rng: &mut Rng) -> (Stencil, usize) {
     (stencil, n_coeffs)
 }
 
-/// Randomized sweep: arbitrary stencils on random shapes and thread
-/// counts, run on the scalar engine and on the lockstep engine. Every
-/// lockstep plan must lane-map — the classifier must accept every strip
-/// the compiler emits — and results and measurements must be
-/// indistinguishable.
+/// Randomized sweep: arbitrary stencils on random shapes, thread counts
+/// and fused depths, run on the scalar engine (iterated once per fused
+/// step) and on the lockstep engine. Every lockstep plan must lane-map
+/// — the build must lower every statement the compiler accepts — and
+/// results must be indistinguishable; a depth-1 run's measurement too.
 #[test]
 fn property_kernel_tier_is_indistinguishable() {
-    property("kernel tier differential", 12, |rng: &mut Rng| {
+    property("row-sweep differential", 12, |rng: &mut Rng| {
         let (stencil, n_coeffs) = gen_stencil(rng);
         let source = cmcc::core::unparse::unparse_stencil(&stencil);
         let rows = 2 * rng.usize_in(5, 12);
         let cols = 2 * rng.usize_in(5, 12);
         let threads = rng.usize_in(1, 4);
+        let depth = rng.usize_in(1, 4);
         let seed = rng.u64_below(1000);
         let cfg = MachineConfig::tiny_4();
         let compiler = Compiler::new(cfg.clone());
@@ -448,7 +534,10 @@ fn property_kernel_tier_is_indistinguishable() {
                 .wrapping_add(s);
             ((h >> 32) as i32 % 1000) as f32 * 0.01
         };
-        let run = |opts: &ExecOptions| -> Option<(Measurement, Vec<u32>)> {
+        // `steps` scalar executes ping-ponging, or one lockstep execute
+        // at `depth`: the final state, the first measurement and the
+        // steps it advanced.
+        let run = |opts: &ExecOptions, steps: usize| -> Option<(Measurement, Vec<u32>, usize)> {
             let mut machine = Machine::new(cfg.clone()).expect("tiny_4 is valid");
             let x = CmArray::new(&mut machine, rows, cols).unwrap();
             let data: Vec<f32> = (0..rows * cols).map(|i| mix(i, seed)).collect();
@@ -473,96 +562,45 @@ fn property_kernel_tier_is_indistinguishable() {
                     Err(RuntimeError::SubgridTooSmall { .. }) => return None,
                     Err(e) => panic!("plan error on `{source}`: {e}"),
                 };
-            assert_eq!(
-                plan.lane_mapped(),
-                opts.engine == ExecEngine::Lockstep,
-                "`{source}` at {rows}x{cols}: lane-maps exactly on the lockstep engine"
-            );
+            assert_engine(&plan, opts, &format!("`{source}` at {rows}x{cols}"));
             let m = plan.execute(&mut machine).expect("plan executes");
-            Some((m, r.gather(&machine).iter().map(|v| v.to_bits()).collect()))
+            let (mut cur, mut nxt) = (r, x);
+            for _ in 1..steps {
+                plan.rebind(&nxt, &[&cur], &refs).unwrap();
+                plan.execute(&mut machine).expect("plan executes");
+                std::mem::swap(&mut cur, &mut nxt);
+            }
+            let bits = cur.gather(&machine).iter().map(|v| v.to_bits()).collect();
+            Some((m, bits, plan.temporal_depth()))
         };
-        let Some((scalar_m, scalar_bits)) = run(&scalar_fast()) else {
+        let lockstep = lockstep_fast()
+            .with_threads(threads)
+            .with_temporal_depth(depth);
+        let Some((kern_m, kern_bits, fused)) = run(&lockstep, 1) else {
             return;
         };
-        let lockstep = lockstep_fast().with_threads(threads);
-        let (kern_m, kern_bits) = run(&lockstep).expect("same shape plans");
+        let (scalar_m, scalar_bits, _) = run(&scalar_fast(), fused).expect("same shape plans");
         assert_eq!(
             scalar_bits, kern_bits,
-            "`{source}` at {rows}x{cols}, {threads} threads: kernels diverge"
+            "`{source}` at {rows}x{cols}, {threads} threads, depth {fused}: row sweeps diverge"
         );
-        assert_eq!(scalar_m, kern_m, "`{source}`: kernel measurement diverges");
+        if fused == 1 {
+            assert_eq!(
+                scalar_m, kern_m,
+                "`{source}`: row-sweep measurement diverges"
+            );
+        }
     });
 }
 
-/// The all-literal five-point heat statement: every tap reads a literal
-/// page, so its strips stream one coefficient period.
-const HEAT: &str = "T_NEXT = 0.2 * EOSHIFT(T, DIM=1, SHIFT=-1) \
-                    + 0.2 * EOSHIFT(T, DIM=2, SHIFT=-1) + 0.2 * T \
-                    + 0.2 * EOSHIFT(T, DIM=2, SHIFT=+1) \
-                    + 0.2 * EOSHIFT(T, DIM=1, SHIFT=+1)";
-
-/// Literal and named coefficients in one statement: its strips mix
-/// stationary and advancing taps, so they stream every line.
-const MIXED: &str = "R = C1 * CSHIFT(X, 1, -1) + 0.5 * X + C2 * CSHIFT(X, 2, +1) \
-                     + 0.125 * CSHIFT(X, 1, +1)";
-
-/// The per-step slices of a temporal schedule run through the kernels
+/// The per-step slices of a temporal schedule run through the sweeps
 /// exactly like a depth-1 schedule: every lockstep plan lane-maps, and
-/// the kernels and the iterated scalar oracle must be indistinguishable
+/// the sweeps and the iterated scalar oracle must be indistinguishable
 /// at every depth — for named-coefficient paper patterns, all-literal
 /// heat, and a statement mixing both.
 #[test]
 fn temporal_kernel_tier_matches_scalar() {
     let cfg = MachineConfig::tiny_4();
-    let (rows, cols, steps) = (16, 24, 4usize);
-    let run = |source: &str, depth: usize, opts: &ExecOptions| -> Vec<u32> {
-        let compiler = Compiler::new(cfg.clone());
-        let compiled = compiler
-            .compile_assignment(source)
-            .expect("statement compiles");
-        let mut machine = Machine::new(cfg.clone()).expect("tiny_4 is valid");
-        let a = CmArray::new(&mut machine, rows, cols).unwrap();
-        let b = CmArray::new(&mut machine, rows, cols).unwrap();
-        a.fill_with(&mut machine, |r, c| {
-            ((r * 31 + c * 7) % 41) as f32 * 0.125 - 2.5
-        });
-        b.fill(&mut machine, 0.0);
-        let named = compiled
-            .spec()
-            .coeffs
-            .iter()
-            .filter(|c| matches!(c, CoeffSpec::Named(_)))
-            .count();
-        let coeffs: Vec<CmArray> = (0..named)
-            .map(|s| {
-                let arr = CmArray::new(&mut machine, rows, cols).unwrap();
-                arr.fill_with(&mut machine, move |r, c| {
-                    ((r * 5 + c * 11 + s * 3) % 13) as f32 * 0.0625 - 0.375
-                });
-                arr
-            })
-            .collect();
-        let refs: Vec<&CmArray> = coeffs.iter().collect();
-        let opts = (*opts).with_temporal_depth(depth);
-        let binding = StencilBinding::new(&compiled, &b, &[&a], &refs).unwrap();
-        let mut plan =
-            ExecutionPlan::build(&mut machine, &binding, &opts, PlanLifetime::Scoped).unwrap();
-        assert_eq!(
-            plan.lane_mapped(),
-            opts.engine == ExecEngine::Lockstep,
-            "`{source}` depth {depth}: lane-maps exactly on the lockstep engine"
-        );
-        let executes = steps / depth;
-        for e in 0..executes {
-            plan.execute(&mut machine).unwrap();
-            if e + 1 < executes {
-                let (from, to) = if e % 2 == 0 { (&b, &a) } else { (&a, &b) };
-                plan.rebind(to, &[from], &refs).unwrap();
-            }
-        }
-        let last = if executes.is_multiple_of(2) { &a } else { &b };
-        last.gather(&machine).iter().map(|v| v.to_bits()).collect()
-    };
     let sources = [
         PaperPattern::Square9.fortran(),
         PaperPattern::Cross5.fortran(),
@@ -570,13 +608,23 @@ fn temporal_kernel_tier_matches_scalar() {
         MIXED.to_owned(),
     ];
     for source in &sources {
-        let oracle = run(source, 1, &scalar_fast());
         for depth in [1, 2, 4] {
-            let kern = run(source, depth, &lockstep_fast());
-            assert_eq!(
-                oracle, kern,
-                "`{source}` depth {depth}: kernelized temporal run diverges"
-            );
+            assert_sweeps_match_iterated_scalar(&cfg, source, (16, 24), (depth, 1, 4 / depth));
+        }
+    }
+}
+
+/// Every chain starts from the zero register, so a point whose only
+/// product is `-0.0` — a negative coefficient times zero data — ends as
+/// `+0.0`, and the sweeps must end there too, literal and named
+/// coefficients alike, at every depth. (Odd step counts: a second step
+/// would flip the sign back and hide a lost `+ 0.0`.)
+#[test]
+fn signed_zero_products_start_from_plus_zero() {
+    let cfg = MachineConfig::tiny_4();
+    for source in ["R = -0.5 * CSHIFT(X, 1, 1)", "R = C1 * CSHIFT(X, 2, -1)"] {
+        for depth in [1, 3] {
+            assert_sweeps_match_iterated_scalar(&cfg, source, (16, 24), (depth, 1, 1));
         }
     }
 }
@@ -593,14 +641,10 @@ fn temporal_telemetry_counts_exchanges_fused_steps_and_fallbacks() {
 
     // All-literal five-point heat kernel: no coefficient halos, so the
     // exchange count is purely the source-halo traffic.
-    let heat = "T_NEXT = 0.2 * EOSHIFT(T, DIM=1, SHIFT=-1) \
-                + 0.2 * EOSHIFT(T, DIM=2, SHIFT=-1) + 0.2 * T \
-                + 0.2 * EOSHIFT(T, DIM=2, SHIFT=+1) \
-                + 0.2 * EOSHIFT(T, DIM=1, SHIFT=+1)";
     let cfg = MachineConfig::tiny_4();
     let compiler = Compiler::new(cfg.clone());
     let compiled = compiler
-        .compile_assignment(heat)
+        .compile_assignment(HEAT)
         .expect("heat kernel compiles");
     let (rows, cols, steps) = (16, 24, 4usize);
 
@@ -668,9 +712,9 @@ fn temporal_telemetry_counts_exchanges_fused_steps_and_fallbacks() {
 }
 
 /// A binding whose result aliases a coefficient array cannot lane-map,
-/// so the kernels never see it: the plan falls back to the scalar
-/// engine and records no lockstep steps at all — the fallback is
-/// *before* the lockstep engine, not a miscount inside it.
+/// so the sweeps never see it: the plan falls back to the scalar
+/// engine, names the reason, and records no lockstep steps at all — the
+/// fallback is *before* the lockstep engine, not a miscount inside it.
 #[test]
 fn aliased_fallback_records_no_lockstep_steps() {
     let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -699,6 +743,10 @@ fn aliased_fallback_records_no_lockstep_steps() {
     )
     .unwrap();
     assert!(!plan.lane_mapped(), "aliased binding must fall back");
+    assert_eq!(
+        plan.lane_fallback(),
+        Some("bound arrays overlap in node memory")
+    );
 
     let before = obs::snapshot();
     plan.execute(&mut machine).expect("aliased plan runs");
@@ -711,4 +759,54 @@ fn aliased_fallback_records_no_lockstep_steps() {
         delta.get(Counter::ScalarSteps) > 0,
         "the scalar engine ran it"
     );
+}
+
+/// Every scalar-engine fallback names its reason, rebinds included, and
+/// every lane-mapped plan names none.
+#[test]
+fn every_scalar_fallback_names_its_reason() {
+    let cfg = MachineConfig::tiny_4();
+    let compiled = Compiler::new(cfg.clone())
+        .compile_assignment("R = C * CSHIFT(X, 1, -1) + 0.5 * X")
+        .expect("statement compiles");
+    let mut machine = Machine::new(cfg).expect("tiny_4 is valid");
+    let x = CmArray::new(&mut machine, 8, 8).unwrap();
+    let c = CmArray::new(&mut machine, 8, 8).unwrap();
+    let r = CmArray::new(&mut machine, 8, 8).unwrap();
+    let mut build = |result: &CmArray, opts: ExecOptions| {
+        let binding = StencilBinding::new(&compiled, result, &[&x], &[&c]).unwrap();
+        ExecutionPlan::build(&mut machine, &binding, &opts, PlanLifetime::Scoped).unwrap()
+    };
+    let cases = [
+        (r, ExecOptions::default(), Some("cycle-accurate mode")),
+        (r, scalar_fast(), Some("scalar engine requested")),
+        (
+            c,
+            lockstep_fast(),
+            Some("bound arrays overlap in node memory"),
+        ),
+        (r, lockstep_fast(), None),
+        (r, lockstep_fast().with_threads(3), None),
+        (r, lockstep_fast().with_temporal_depth(2), None),
+    ];
+    for (result, opts, reason) in cases {
+        let plan = build(&result, opts);
+        assert_eq!(plan.lane_fallback(), reason, "{opts:?}");
+        assert_eq!(plan.lane_mapped(), reason.is_none(), "{opts:?}");
+        assert_eq!(
+            opts.mode == ExecMode::Cycle,
+            reason == Some("cycle-accurate mode")
+        );
+    }
+    // A rebind onto an aliased binding names the reason; a clean rebind
+    // clears it.
+    let mut plan = build(&r, lockstep_fast());
+    plan.rebind(&c, &[&x], &[&c]).unwrap();
+    assert_eq!(
+        plan.lane_fallback(),
+        Some("bound arrays overlap in node memory")
+    );
+    plan.rebind(&r, &[&x], &[&c]).unwrap();
+    assert_eq!(plan.lane_fallback(), None);
+    assert!(plan.lane_mapped());
 }

@@ -14,7 +14,9 @@
 //! rebind to an array the plan does not hold. Every execute is checked
 //! bit for bit against the iterated scalar engine, its copy words
 //! against the plan's own model, and its `InteriorRefreshWords` against
-//! zero (undisturbed) or the source's words (disturbed).
+//! zero (undisturbed) or the source's words (disturbed). An unchanged
+//! binding run again — temporal plans included, whose final fused step
+//! writes the destination buffer too — refreshes and exchanges nothing.
 
 use cmcc::cm2::lane::RegionStage;
 use cmcc::cm2::{Machine, MachineConfig};
@@ -274,9 +276,10 @@ fn run_case(pattern: PaperPattern, depth: usize, threads: usize, shape: Loop) {
             continue;
         };
         match disturbance {
-            _ if after_drop && shape == Loop::InPlace && depth == 1 => {
+            _ if after_drop && shape == Loop::InPlace => {
                 // The uncommitted in-place execute left its source
-                // buffer holding the unchanged array, ring and all.
+                // buffer holding the unchanged array, ring and all: at
+                // every depth the last step writes the other buffer.
                 assert_eq!(refresh, 0, "{case}: refresh");
                 assert_eq!(got.get(Counter::HaloExchanges), 0, "{case}: exchanges");
                 assert_eq!(
@@ -378,4 +381,75 @@ fn rotation_over_three_buffers_swaps_roles_and_refreshes_exactly_when_disturbed(
 #[test]
 fn in_place_updates_swap_roles_and_refresh_exactly_when_disturbed() {
     run_matrix(Loop::InPlace);
+}
+
+/// An unchanged binding run again — `R = f(X)` with nothing written in
+/// between — reads its source from the halo buffer the first execute
+/// refreshed and exchanged: every later execute refreshes and exchanges
+/// nothing, copies only its staged result, and stays bit-identical to
+/// the iterated scalar engine. Temporal plans included: their last
+/// fused step writes the destination buffer, never source 0's halo.
+#[test]
+fn undisturbed_reruns_refresh_and_exchange_nothing_at_every_depth() {
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    obs::set_enabled(true);
+    let cfg = MachineConfig::tiny_4();
+    for pattern in PaperPattern::ALL {
+        let compiled = Compiler::new(cfg.clone())
+            .compile_assignment(&pattern.fortran())
+            .unwrap();
+        let mut oracle = Oracle::new(&cfg, &compiled);
+        for depth in [1, 2, 4] {
+            for threads in [1, 2] {
+                let what = format!("{pattern:?} depth {depth}, {threads} thread(s)");
+                let mut m = Machine::new(cfg.clone()).unwrap();
+                let coeffs = coeff_arrays(&mut m, &compiled);
+                let refs: Vec<&CmArray> = coeffs.iter().collect();
+                let x = CmArray::new(&mut m, EDGE, EDGE).unwrap();
+                let r = CmArray::new(&mut m, EDGE, EDGE).unwrap();
+                let state: Vec<f32> = (0..EDGE * EDGE)
+                    .map(|i| ((i * 29) % 37) as f32 * 0.125 - 2.0)
+                    .collect();
+                x.scatter(&mut m, &state);
+                let binding = StencilBinding::new(&compiled, &r, &[&x], &refs).unwrap();
+                let mut plan = ExecutionPlan::build(
+                    &mut m,
+                    &binding,
+                    &lockstep(threads, depth),
+                    PlanLifetime::Persistent,
+                )
+                .unwrap();
+                assert!(plan.lane_mapped(), "{what}: lane-mapped");
+                assert_eq!(plan.temporal_depth(), depth, "{what}: depth");
+                let want = bits(&oracle.advance(&state, depth));
+                for run in 0..4 {
+                    let before = obs::thread_snapshot();
+                    plan.execute(&mut m).unwrap();
+                    let got = obs::thread_snapshot().delta(&before);
+                    assert_eq!(bits(&r.gather(&m)), want, "{what}, run {run}: result");
+                    if run == 0 {
+                        continue;
+                    }
+                    assert_eq!(
+                        got.get(Counter::InteriorRefreshWords),
+                        0,
+                        "{what}, run {run}: refresh"
+                    );
+                    assert_eq!(got.get(Counter::HaloExchanges), 0, "{what}, run {run}");
+                    assert_eq!(
+                        got.copy_words(),
+                        plan.steady_state_copy_words() as u64,
+                        "{what}, run {run}: copy words"
+                    );
+                    assert_eq!(
+                        got.copy_words(),
+                        got.get(Counter::ScatterWords),
+                        "{what}, run {run}: only the staged result moves"
+                    );
+                }
+                plan.release(&mut m);
+            }
+        }
+        oracle.plan.release(&mut oracle.machine);
+    }
 }
