@@ -625,24 +625,6 @@ impl ResolvedStrip {
         (self.prologue.len() + body) as u64
     }
 
-    /// The counters a fast-mode run of this strip reports on every node
-    /// — [`run_resolved_strip`] in [`ExecMode::Fast`] — counted from the
-    /// operation stream without running it: no cycles, no reversals.
-    pub fn fast_counts(&self) -> StripRun {
-        let mut run = StripRun::default();
-        let period = self.body.len().max(1);
-        let lines = (0..self.lines).map(|line| &self.body[line % period]);
-        for part in self.prologue.iter().chain(lines.flatten()) {
-            match part.op {
-                ResolvedOp::Mac { .. } => run.macs += 1,
-                ResolvedOp::Load { .. } => run.loads += 1,
-                ResolvedOp::Store { .. } => run.stores += 1,
-                ResolvedOp::Nop => run.nops += 1,
-            }
-        }
-        run
-    }
-
     /// Shifts every result-slot address by `result_delta` words and every
     /// coefficient-slot address for array `i` by `coeff_deltas[i]` —
     /// rebinding the strip to different arrays of identical shape without
@@ -670,32 +652,33 @@ impl ResolvedStrip {
             pattern.iter_mut().for_each(&shift);
         }
     }
+}
 
-    /// Retags result and/or coefficient slots as [`ResolvedSlot::Fixed`],
-    /// pinning those addresses across [`ResolvedStrip::rebase`].
-    ///
-    /// Temporal tiling uses this for strips that target plan-owned
-    /// buffers rather than the caller's arrays: intermediate fused steps
-    /// write lane-private scratch (freeze the result), and every fused
-    /// step reads named coefficients through plan-owned halo pages
-    /// (freeze the coefficients) — neither address may move when the
-    /// plan is rebound.
-    pub fn freeze_slots(&mut self, freeze_result: bool, freeze_coeffs: bool) {
-        let freeze = |part: &mut ResolvedPart| {
-            let hit = match part.slot {
-                ResolvedSlot::Result => freeze_result,
-                ResolvedSlot::Coeff(_) => freeze_coeffs,
-                ResolvedSlot::Fixed => false,
+/// The counters a fast-mode run of `kernel` over a `lines`-line
+/// half-strip reports on every node — [`run_strip`] or
+/// [`run_resolved_strip`] in [`ExecMode::Fast`] — counted from the
+/// kernel's operation stream without resolving or running it: no
+/// cycles, no reversals. Line `l` runs pattern `l % period`, so each
+/// pattern is counted once and weighted by the lines that run it.
+pub fn fast_counts(kernel: &Kernel, lines: usize) -> StripRun {
+    let mut run = StripRun::default();
+    let mut count = |parts: &[DynamicPart], times: usize| {
+        for part in parts {
+            let counter = match part {
+                DynamicPart::Mac { .. } => &mut run.macs,
+                DynamicPart::Load { .. } => &mut run.loads,
+                DynamicPart::Store { .. } => &mut run.stores,
+                DynamicPart::Nop => &mut run.nops,
             };
-            if hit {
-                part.slot = ResolvedSlot::Fixed;
-            }
-        };
-        self.prologue.iter_mut().for_each(&freeze);
-        for pattern in &mut self.body {
-            pattern.iter_mut().for_each(&freeze);
+            *counter += times as u64;
         }
+    };
+    count(&kernel.prologue, 1);
+    let period = kernel.body.len();
+    for (p, pattern) in kernel.body.iter().enumerate().take(lines) {
+        count(pattern, (lines - p).div_ceil(period));
     }
+    run
 }
 
 /// Executes a pre-resolved half-strip against one node's memory.
@@ -1295,9 +1278,9 @@ mod tests {
         assert_eq!(mem.read(16 + 5), 33.0);
     }
 
-    /// The counters counted from the operation stream equal what a
-    /// fast-mode run reports, for strips shorter than, equal to and
-    /// longer than the kernel period.
+    /// The counters counted from a kernel's operation stream equal what
+    /// a fast-mode run of its resolved strip reports, for strips shorter
+    /// than, equal to and longer than the kernel period.
     #[test]
     fn fast_counts_match_a_fast_run() {
         let (_, [src, res, coeff], ones, zeros) = setup();
@@ -1319,9 +1302,10 @@ mod tests {
                 let (mut mem, ..) = setup();
                 let run = run_resolved_strip(&strip, &mut mem, &cfg(), ExecMode::Fast).unwrap();
                 assert_eq!(
-                    strip.fast_counts(),
+                    fast_counts(&kernel, lines),
                     run,
-                    "{lines} lines from row {start_row}"
+                    "{lines} lines from row {start_row}, period {}",
+                    kernel.unroll()
                 );
             }
         }

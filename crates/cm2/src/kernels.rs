@@ -3,16 +3,17 @@
 //! The paper's compiler fixes every operand before the inner loop runs,
 //! so the FPU streams one multiply-add per cycle (§1). The host form of
 //! that discipline starts from the lane mirror's layout
-//! ([`crate::lane::LaneMemory`]): word `w` of every node sits side by
-//! side, so one subgrid row of every node in a lane group is one
-//! contiguous run of `cols × nodes` floats. A [`RowProgram`] — lowered
+//! ([`crate::lane::LaneMirror`]): word `w` of every node sits side by
+//! side, so one subgrid row of the whole machine is one contiguous run
+//! of `cols × nodes` floats. A [`RowProgram`] — lowered
 //! at plan build from the stencil IR (its taps, coefficient references,
 //! bias terms and sources) by the runtime, which owns the IR — names per
 //! fused step the output region and, per term in statement order, the
 //! run its data comes from and its coefficient. [`sweep`] then streams
 //! whole rows: each term is one vectorizable pass over a row, the way
 //! Devito generates its loop nest from the stencil expression and
-//! vectorizes along the innermost contiguous dimension. Named
+//! vectorizes along the innermost contiguous dimension; host threads
+//! split the outer loop, taking bands of output rows. Named
 //! coefficients are read in place from their mirror rows; literal and
 //! unit coefficients are scalars.
 //!
@@ -33,10 +34,13 @@
 //! that each step's destination lies in a writable lane-private range
 //! and that no destination row overlaps a run the same step reads. The
 //! sweep relies on them to accumulate straight into the destination
-//! rows; a program that fails them is refused at build, never at sweep
-//! time.
+//! rows, and to hand each thread its own band of those rows while all
+//! of them read the rest of the mirror; a program that fails them is
+//! refused at build, never at sweep time.
 
-use crate::lane::{LaneMemory, LaneView};
+use std::ops::Range;
+
+use crate::lane::{LaneMirror, LaneView};
 
 /// A rectangle of lane words swept one output row at a time: row `r`
 /// starts at lane word `word + r·stride` and spans the step's `cols`
@@ -210,30 +214,68 @@ impl RowProgram {
     }
 }
 
-/// Sweeps `step` over every lane group, one host thread per group — the
-/// lockstep engine's fan-out. Each group holds a disjoint contiguous
-/// chunk of the machine's nodes ([`crate::lane::LaneMirror`]); lanes
-/// never interact, so the split is invisible to results. Each group's
-/// sweep is one `execute_workers` span.
+/// Sweeps `step` over the whole mirror, its output rows cut into
+/// `min(threads, step.rows)` bands of contiguous rows sized as evenly as
+/// possible (`threads` clamped to `1..=nodes` first). The calling thread
+/// sweeps band 0 and one scoped worker each other band; every band is
+/// one `execute_workers` span. Bands write disjoint destination rows
+/// and read only runs the build checks put wholly below or wholly above
+/// the destination hull, and each point's chain stays on one thread, so
+/// the split is invisible to results — the outer loop of the nest runs
+/// in parallel, the inner `cols × nodes` row stays one vector stream.
 ///
 /// # Panics
 ///
-/// Panics if a group's mirror is smaller than the view `step` was
-/// checked against, or if a worker thread panics.
-pub fn sweep(step: &RowStep, groups: &mut [LaneMemory]) {
-    if let [group] = groups {
-        let _cpu = cmcc_obs::span(cmcc_obs::Phase::ExecuteWorkers);
-        sweep_group(step, group);
-        return;
-    }
+/// Panics if the mirror is smaller than the view `step` was checked
+/// against, or if a worker thread panics.
+pub fn sweep(step: &RowStep, mirror: &mut LaneMirror, threads: usize) {
+    let n = mirror.nodes();
+    let bands = threads.clamp(1, n).min(step.rows);
+    let (lo, hi) = step.hull(step.dest);
+    let (below, rest) = mirror.flat_mut().split_at_mut(lo * n);
+    let (mut hull, above) = rest.split_at_mut((hi + 1 - lo) * n);
+    let reads = Reads {
+        below,
+        above,
+        hull: lo * n..(hi + 1) * n,
+        nodes: n,
+    };
+    // Band `b` starts at row `b·rows/bands`; row `r` at `r·stride` words
+    // into the hull.
+    let start = |b: usize| b * step.rows / bands;
     std::thread::scope(|scope| {
-        for group in groups.iter_mut() {
-            scope.spawn(move || {
-                let _cpu = cmcc_obs::span(cmcc_obs::Phase::ExecuteWorkers);
-                sweep_group(step, group);
-            });
+        for b in (1..bands).rev() {
+            let (head, band) =
+                std::mem::take(&mut hull).split_at_mut(start(b) * step.dest.stride * n);
+            hull = head;
+            let (rows, reads) = (start(b)..start(b + 1), reads.clone());
+            scope.spawn(move || sweep_band(step, rows, band, reads));
         }
+        sweep_band(step, 0..start(1), hull, reads);
     });
+}
+
+/// The mirror a band reads: everything below and above the destination
+/// hull (`hull`, in floats), where the build checks put every run a
+/// step reads.
+#[derive(Clone)]
+struct Reads<'a> {
+    below: &'a [f32],
+    above: &'a [f32],
+    hull: Range<usize>,
+    nodes: usize,
+}
+
+impl<'a> Reads<'a> {
+    /// The `len` floats from lane word `word` on.
+    fn run(&self, word: usize, len: usize) -> &'a [f32] {
+        let s = word * self.nodes;
+        if s < self.hull.start {
+            &self.below[s..s + len]
+        } else {
+            &self.above[s - self.hull.end..][..len]
+        }
+    }
 }
 
 /// Most terms one pass over a row accumulates. Each term adds one or
@@ -243,28 +285,18 @@ pub fn sweep(step: &RowStep, groups: &mut [LaneMemory]) {
 /// 22–27% faster.
 const MAX_FUSED: usize = 4;
 
-/// One group's sweep: per output row, the terms in statement order
-/// accumulate over the whole `cols × nodes` row, straight into the
-/// destination — consecutive terms of one kind fused into passes of at
-/// most [`MAX_FUSED`] (each point still adds them one after another).
-fn sweep_group(step: &RowStep, lanes: &mut LaneMemory) {
-    let n = lanes.nodes();
-    let len = step.cols * n;
-    let mem = lanes.flat_mut();
-    for row in 0..step.rows {
-        let d = step.dest.at(row) * n;
-        let (below, rest) = mem.split_at_mut(d);
-        let (acc, above) = rest.split_at_mut(len);
-        // The checks put every run the step reads wholly below or wholly
-        // above the destination rows.
-        let read = |run: RowRun| -> &[f32] {
-            let s = run.at(row) * n;
-            if s < d {
-                &below[s..s + len]
-            } else {
-                &above[s - d - len..][..len]
-            }
-        };
+/// One band's sweep: `band` holds output rows `rows` (row `rows.start`
+/// first). Per output row, the terms in statement order accumulate over
+/// the whole `cols × nodes` row, straight into the destination —
+/// consecutive terms of one kind fused into passes of at most
+/// [`MAX_FUSED`] (each point still adds them one after another).
+fn sweep_band(step: &RowStep, rows: Range<usize>, band: &mut [f32], reads: Reads<'_>) {
+    let _cpu = cmcc_obs::span(cmcc_obs::Phase::ExecuteWorkers);
+    let len = step.cols * reads.nodes;
+    let row_floats = step.dest.stride * reads.nodes;
+    for (i, row) in rows.enumerate() {
+        let acc = &mut band[i * row_floats..][..len];
+        let read = |run: RowRun| reads.run(run.at(row), len);
         let mut terms = &step.terms[..];
         let mut first = true;
         while !terms.is_empty() {
@@ -439,7 +471,6 @@ fn bias(acc: &mut [f32], coeff: Coeff<'_>, first: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lane::LaneMirror;
 
     /// A padded `rows × cols` buffer with a `pad`-deep ring, as the
     /// runtime lays out halo buffers: logical `(r, c)` for `r, c` in
@@ -566,8 +597,9 @@ mod tests {
         }
     }
 
-    fn filled(words: usize, n: usize) -> LaneMemory {
-        let mut lanes = LaneMemory::new(words, n);
+    fn filled(words: usize, n: usize) -> LaneMirror {
+        let mut lanes = LaneMirror::new();
+        lanes.ensure(words, n);
         for w in 0..words {
             for (lane, v) in lanes.word_mut(w).iter_mut().enumerate() {
                 *v = val(w, lane);
@@ -582,7 +614,7 @@ mod tests {
     fn naive(
         lay: &Layout,
         terms: &[TestTerm],
-        lanes: &LaneMemory,
+        lanes: &LaneMirror,
         (rows, cols): (usize, usize),
     ) -> Vec<u32> {
         let mut out = Vec::new();
@@ -592,11 +624,11 @@ mod tests {
                     let mut acc = 0.0f32;
                     for (i, &(data, k)) in terms.iter().enumerate() {
                         let d = data.map_or(1.0, |(s, dr, dc)| {
-                            lanes.lane_value(lay.sources[s].word(r + dr, c + dc), lane)
+                            lanes.word(lay.sources[s].word(r + dr, c + dc))[lane]
                         });
                         let k = match k {
                             K::Scalar(v) => v,
-                            K::Array(a) => lanes.lane_value(lay.coeffs[a].word(r, c), lane),
+                            K::Array(a) => lanes.word(lay.coeffs[a].word(r, c))[lane],
                         };
                         let p = k * d;
                         acc = if i == 0 { p + 0.0 } else { acc + p };
@@ -609,54 +641,41 @@ mod tests {
     }
 
     /// The destination region's bits, lane-major like [`naive`].
-    fn dest_bits(lay: &Layout, lanes: &LaneMemory, (rows, cols): (usize, usize)) -> Vec<u32> {
+    fn dest_bits(lay: &Layout, lanes: &LaneMirror, (rows, cols): (usize, usize)) -> Vec<u32> {
         let mut out = Vec::new();
         for lane in 0..lanes.nodes() {
             for r in 0..rows as i64 {
                 for c in 0..cols as i64 {
-                    out.push(lanes.lane_value(lay.dest.word(r, c), lane).to_bits());
+                    out.push(lanes.word(lay.dest.word(r, c))[lane].to_bits());
                 }
             }
         }
         out
     }
 
-    /// Sweeps `terms` over a filled mirror of `n` lanes split into
-    /// `threads` groups and compares every destination point with the
-    /// naive evaluation, bit for bit; everything outside the
+    /// Sweeps `terms` over a `rows × 7` region of a filled mirror of `n`
+    /// lanes on `threads` threads and compares every destination point
+    /// with the naive evaluation, bit for bit; everything outside the
     /// destination region must keep its contents.
     fn assert_sweep_matches_naive(
-        sources: usize,
-        coeffs: usize,
+        rows: usize,
+        (sources, coeffs): (usize, usize),
         terms: &[TestTerm],
         n: usize,
         threads: usize,
     ) {
-        let (rows, cols) = (5, 7);
+        let cols = 7;
         let lay = layout(sources, coeffs, rows, cols);
         let program = RowProgram::new(vec![lay.step(rows, cols, terms)], &lay.view)
             .expect("a well-formed program");
         let words = lay.view.words();
         let before = filled(words, n);
-        let mut mirror = LaneMirror::new();
-        mirror.ensure(words, n, threads);
-        for node in 0..n {
-            for w in 0..words {
-                mirror.fill_lane_run(node, w, 1, before.lane_value(w, node));
-            }
-        }
-        sweep(&program.steps()[0], mirror.groups_mut());
-        let mut after = LaneMemory::new(words, n);
-        let mut lane0 = 0;
-        for group in mirror.groups_mut() {
-            for w in 0..words {
-                for l in 0..group.nodes() {
-                    after.set_lane_value(w, lane0 + l, group.lane_value(w, l));
-                }
-            }
-            lane0 += group.nodes();
-        }
-        let what = format!("{} terms, {n} lanes, {threads} groups", terms.len());
+        let mut after = before.clone();
+        sweep(&program.steps()[0], &mut after, threads);
+        let what = format!(
+            "{} terms, {rows} rows, {n} lanes, {threads} threads",
+            terms.len()
+        );
         assert_eq!(
             dest_bits(&lay, &after, (rows, cols)),
             naive(&lay, terms, &before, (rows, cols)),
@@ -669,8 +688,8 @@ mod tests {
         for w in (0..words).filter(|w| !dest_words.contains(w)) {
             for lane in 0..n {
                 assert_eq!(
-                    after.lane_value(w, lane).to_bits(),
-                    before.lane_value(w, lane).to_bits(),
+                    after.word(w)[lane].to_bits(),
+                    before.word(w)[lane].to_bits(),
                     "{what}: word {w} outside the destination changed"
                 );
             }
@@ -689,14 +708,17 @@ mod tests {
         ]
     }
 
-    /// Named, literal and unit coefficients and a bias term, over every
-    /// lane-group width the engine meets: one lane, odd widths, a full
-    /// 16-lane group, and split mirrors.
+    /// Named, literal and unit coefficients and a bias term, over one
+    /// lane, odd lane counts and the board's 16, each on 1 to 8
+    /// threads: bands of one and two rows, uneven bands, and more
+    /// threads than rows (or lanes) — plus a one-row step, which no
+    /// thread count splits.
     #[test]
     fn sweep_matches_naive_evaluation_across_group_widths() {
         for n in [1, 3, 5, 7, 16] {
-            for threads in [1, 2, 3] {
-                assert_sweep_matches_naive(1, 3, &cross_terms(), n, threads);
+            for threads in [1, 2, 3, 5, 8] {
+                assert_sweep_matches_naive(5, (1, 3), &cross_terms(), n, threads);
+                assert_sweep_matches_naive(1, (1, 3), &cross_terms(), n, threads);
             }
         }
     }
@@ -756,16 +778,16 @@ mod tests {
             (None, K::Scalar(-0.75)),
         ];
         for n in [1, 3, 16] {
-            assert_sweep_matches_naive(1, 2, &long, n, 1);
-            assert_sweep_matches_naive(1, 2, &scalars, n, 2);
-            assert_sweep_matches_naive(1, 2, &arrays, n, 1);
+            assert_sweep_matches_naive(5, (1, 2), &long, n, 1);
+            assert_sweep_matches_naive(5, (1, 2), &scalars, n, 2);
+            assert_sweep_matches_naive(5, (1, 2), &arrays, n, 1);
             for single in &singles {
-                assert_sweep_matches_naive(1, 2, single, n, 1);
+                assert_sweep_matches_naive(5, (1, 2), single, n, 1);
             }
-            assert_sweep_matches_naive(1, 2, &bias_one, n, 1);
-            assert_sweep_matches_naive(1, 2, &bias_many, n, 2);
-            assert_sweep_matches_naive(1, 1, &units, n, 1);
-            assert_sweep_matches_naive(3, 2, &multi, n, 2);
+            assert_sweep_matches_naive(5, (1, 2), &bias_one, n, 1);
+            assert_sweep_matches_naive(5, (1, 2), &bias_many, n, 2);
+            assert_sweep_matches_naive(5, (1, 1), &units, n, 1);
+            assert_sweep_matches_naive(5, (3, 2), &multi, n, 2);
         }
     }
 
@@ -872,7 +894,7 @@ mod tests {
         let program = RowProgram::new(vec![step], &view).unwrap();
         let (a, b, len) = (lay.sources[0].base, dest.base, dest.len());
         let swapped = program.with_ranges_swapped(a, b, len);
-        let swap = |lanes: &LaneMemory| {
+        let swap = |lanes: &LaneMirror| {
             let mut out = lanes.clone();
             for w in 0..len {
                 out.word_mut(a + w).copy_from_slice(lanes.word(b + w));
@@ -882,13 +904,13 @@ mod tests {
         };
         for n in [1, 5, 16] {
             let lanes = filled(view.words(), n);
-            let run = |program: &RowProgram, mut lanes: LaneMemory| {
-                sweep(&program.steps()[0], std::slice::from_mut(&mut lanes));
+            let run = |program: &RowProgram, mut lanes: LaneMirror| {
+                sweep(&program.steps()[0], &mut lanes, 1);
                 lanes
             };
             let direct = run(&program, lanes.clone());
             let through_swap = run(&swapped, swap(&lanes));
-            let bits = |l: &LaneMemory| -> Vec<u32> {
+            let bits = |l: &LaneMirror| -> Vec<u32> {
                 (0..view.words())
                     .flat_map(|w| l.word(w).iter().map(|v| v.to_bits()).collect::<Vec<_>>())
                     .collect()

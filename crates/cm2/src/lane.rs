@@ -5,7 +5,7 @@
 //! The scalar engine inverts that — node-outer, step-inner — and so pays
 //! instruction dispatch once per node per step. The lockstep engine
 //! restores the machine's own loop order, node-inner. To make the
-//! node-inner sweep a contiguous vector operation, [`LaneMemory`] stores
+//! node-inner sweep a contiguous vector operation, [`LaneMirror`] stores
 //! the *same word of every node side by side*: word `w` of nodes `0..n`
 //! lives at `w*n .. (w+1)*n`. One subgrid row of every node is then one
 //! contiguous run of `cols × n` floats, and a row sweep
@@ -131,7 +131,7 @@ impl LaneView {
         self.words
     }
 
-    /// Lane words a full [`LaneMemory::gather`] copies per node (every
+    /// Lane words a full [`LaneMirror::gather`] copies per node (every
     /// non-private range).
     pub fn gather_words(&self) -> usize {
         self.ranges
@@ -141,7 +141,7 @@ impl LaneView {
             .sum()
     }
 
-    /// Lane words a [`LaneMemory::scatter`] copies back per node
+    /// Lane words a [`LaneMirror::scatter`] copies back per node
     /// (writable, non-private ranges).
     pub fn scatter_words(&self) -> usize {
         self.scattered().map(|r| r.len).sum()
@@ -216,293 +216,23 @@ pub struct RectCopy {
     pub cols: usize,
 }
 
-/// The lane mirror: every viewed word of every node, node-major.
+/// The lane mirror: every viewed word of every node, word-major, in one
+/// buffer.
 ///
 /// Word `w`'s lanes occupy `data[w*nodes .. (w+1)*nodes]`, one entry per
-/// node, in node order. A group of host threads may each own a
-/// `LaneMemory` over a disjoint contiguous slice of the machine's nodes;
-/// lanes never interact, so the partition is invisible to results.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LaneMemory {
-    data: Vec<f32>,
-    nodes: usize,
-}
-
-impl LaneMemory {
-    /// Floats backing `words` viewed words.
-    fn floats(words: usize, nodes: usize) -> usize {
-        words * nodes
-    }
-
-    /// Allocates a zeroed mirror of `words` lane words across `nodes`
-    /// lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is zero.
-    pub fn new(words: usize, nodes: usize) -> Self {
-        Self::from_scratch(Vec::new(), words, nodes)
-    }
-
-    /// Builds a mirror of `words × nodes` reusing `scratch`'s allocation
-    /// (resized only when the required length changed). The initial
-    /// contents of the viewed words are unspecified — callers must
-    /// [`LaneMemory::gather`] before running, which overwrites every
-    /// viewed word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is zero.
-    pub fn from_scratch(mut scratch: Vec<f32>, words: usize, nodes: usize) -> Self {
-        assert!(nodes > 0, "lane memory needs at least one lane");
-        let needed = Self::floats(words, nodes);
-        if scratch.len() != needed {
-            scratch.clear();
-            scratch.resize(needed, 0.0);
-        }
-        LaneMemory {
-            data: scratch,
-            nodes,
-        }
-    }
-
-    /// The whole backing store, word-major: what a row sweep indexes
-    /// (word `w`'s lanes at `w*nodes ..`).
-    pub(crate) fn flat_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// Consumes the mirror, returning its allocation for reuse via
-    /// [`LaneMemory::from_scratch`].
-    pub fn into_scratch(self) -> Vec<f32> {
-        self.data
-    }
-
-    /// Number of node lanes.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// All lanes of lane word `w`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is out of range.
-    #[inline]
-    pub fn word(&self, w: usize) -> &[f32] {
-        &self.data[w * self.nodes..(w + 1) * self.nodes]
-    }
-
-    /// All lanes of lane word `w`, mutably.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is out of range.
-    #[inline]
-    pub fn word_mut(&mut self, w: usize) -> &mut [f32] {
-        &mut self.data[w * self.nodes..(w + 1) * self.nodes]
-    }
-
-    /// Lane `lane`'s value of lane word `w`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` or `lane` is out of range.
-    #[inline]
-    pub fn lane_value(&self, w: usize, lane: usize) -> f32 {
-        assert!(lane < self.nodes, "lane out of range");
-        self.data[w * self.nodes + lane]
-    }
-
-    /// Sets lane `lane`'s value of lane word `w`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` or `lane` is out of range.
-    #[inline]
-    pub fn set_lane_value(&mut self, w: usize, lane: usize, value: f32) {
-        assert!(lane < self.nodes, "lane out of range");
-        self.data[w * self.nodes + lane] = value;
-    }
-
-    /// `count` consecutive lanes of lane word `w`, starting at `lane`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lane run leaves the word row or `w` is out of range.
-    #[inline]
-    pub fn lanes(&self, w: usize, lane: usize, count: usize) -> &[f32] {
-        assert!(lane + count <= self.nodes, "lane run out of range");
-        &self.data[w * self.nodes + lane..w * self.nodes + lane + count]
-    }
-
-    /// `count` consecutive lanes of lane word `w`, mutably.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lane run leaves the word row or `w` is out of range.
-    #[inline]
-    pub fn lanes_mut(&mut self, w: usize, lane: usize, count: usize) -> &mut [f32] {
-        assert!(lane + count <= self.nodes, "lane run out of range");
-        &mut self.data[w * self.nodes + lane..w * self.nodes + lane + count]
-    }
-
-    /// Copies `count` consecutive lanes of word `src_w` (from
-    /// `src_lane`) onto word `dst_w` (from `dst_lane`) within this
-    /// memory — one `memmove`, overlap-safe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either lane run leaves its word row.
-    #[inline]
-    pub fn copy_lanes_within(
-        &mut self,
-        src_w: usize,
-        src_lane: usize,
-        dst_w: usize,
-        dst_lane: usize,
-        count: usize,
-    ) {
-        assert!(src_lane + count <= self.nodes, "lane run out of range");
-        assert!(dst_lane + count <= self.nodes, "lane run out of range");
-        let s = src_w * self.nodes + src_lane;
-        let d = dst_w * self.nodes + dst_lane;
-        self.data.copy_within(s..s + count, d);
-    }
-
-    /// Copies every non-private viewed range from `mems` (one per lane,
-    /// in order) into the mirror. Private ranges are lane-resident
-    /// scratch with no node image — their contents are left as-is.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mems.len()` differs from the lane count or a range is
-    /// out of a node memory's bounds.
-    pub fn gather(&mut self, view: &LaneView, mems: &[NodeMemory]) {
-        assert_eq!(mems.len(), self.nodes, "one node memory per lane");
-        let nodes = self.nodes;
-        for range in view.ranges().iter().filter(|r| !r.private) {
-            // Word-outer, lane-inner: the mirror is written sequentially
-            // and each node memory is read as its own sequential stream.
-            // Interleaved *read* streams are cheap; the transposed order
-            // (lane-outer) would write one cache line per element. The
-            // reverse direction is not symmetric — interleaved *write*
-            // streams are the slow case (see `transpose_rect`).
-            let srcs: Vec<&[f32]> = mems
-                .iter()
-                .map(|m| m.slice(range.node_base, range.len))
-                .collect();
-            let dst =
-                &mut self.data[range.lane_base * nodes..(range.lane_base + range.len) * nodes];
-            for (w, row) in dst.chunks_exact_mut(nodes).enumerate() {
-                for (slot, src) in row.iter_mut().zip(&srcs) {
-                    *slot = src[w];
-                }
-            }
-        }
-    }
-
-    /// Copies the rectangle `rect` describes from every node's memory
-    /// into the mirror.
-    ///
-    /// This is the lane-domain equivalent of a per-node strided copy: the
-    /// plan uses it to refresh a halo buffer's interior directly in the
-    /// mirror, without touching the node-side halo storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mems.len()` differs from the lane count or a run is out
-    /// of bounds on either side.
-    pub fn gather_rows(&mut self, mems: &[NodeMemory], rect: &RectCopy) {
-        assert_eq!(mems.len(), self.nodes, "one node memory per lane");
-        let nodes = self.nodes;
-        for r in 0..rect.rows {
-            // Word-outer, lane-inner, per run (see `gather`).
-            let srcs: Vec<&[f32]> = mems
-                .iter()
-                .map(|m| m.slice(rect.node0 + r * rect.node_stride, rect.cols))
-                .collect();
-            let d0 = rect.lane0 + r * rect.lane_stride;
-            let dst = &mut self.data[d0 * nodes..(d0 + rect.cols) * nodes];
-            for (w, row) in dst.chunks_exact_mut(nodes).enumerate() {
-                for (slot, src) in row.iter_mut().zip(&srcs) {
-                    *slot = src[w];
-                }
-            }
-        }
-    }
-
-    /// The lane→node transpose shared by [`Self::scatter`] and the
-    /// region stage: copies the lane side of `rect` into `dsts`, one
-    /// `rows × cols`-word node-major run per lane (row `r` at
-    /// `r*cols`), a tile of [`SCATTER_TILE`] words per row at a time.
-    /// `rect`'s node side is the caller's business: each run in `dsts`
-    /// already stands for it.
-    ///
-    /// Reading `nodes` interleaved streams (the gathers) is cheap, but
-    /// writing them is not: word-outer, lane-inner order writes one word
-    /// to every lane's run before moving on, and at 16 lanes with runs
-    /// 64 KiB apart (a 512² stage) all 16 write streams map to one L1
-    /// set, more than it has ways. On a Xeon guest with a 48 KiB L1d that
-    /// cost 4.4–5.5 ns/word, against 0.83 for the gather. Tiling writes
-    /// each lane's tile whole before the next lane's (the tile's source
-    /// rows, `SCATTER_TILE × nodes` words, stay cached across the lanes).
-    fn transpose_rect(&self, rect: &RectCopy, dsts: &mut [&mut [f32]]) {
-        let nodes = self.nodes;
-        assert_eq!(dsts.len(), nodes, "one destination run per lane");
-        for r in 0..rect.rows {
-            let w = rect.lane0 + r * rect.lane_stride;
-            let src = &self.data[w * nodes..(w + rect.cols) * nodes];
-            for (t, tile) in src.chunks(SCATTER_TILE * nodes).enumerate() {
-                let w0 = r * rect.cols + t * SCATTER_TILE;
-                for (lane, dst) in dsts.iter_mut().enumerate() {
-                    for (slot, row) in dst[w0..].iter_mut().zip(tile.chunks_exact(nodes)) {
-                        *slot = row[lane];
-                    }
-                }
-            }
-        }
-    }
-
-    /// Copies every *writable*, non-private viewed range from the mirror
-    /// back into `mems` — the direct copy-back for callers that own the
-    /// node memories outright (tests, hand-built views); execution plans
-    /// stage their result instead ([`LaneMirror::stage`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mems.len()` differs from the lane count or a range is
-    /// out of a node memory's bounds.
-    pub fn scatter(&self, view: &LaneView, mems: &mut [NodeMemory]) {
-        assert_eq!(mems.len(), self.nodes, "one node memory per lane");
-        for range in view.scattered() {
-            let mut dsts: Vec<&mut [f32]> = mems
-                .iter_mut()
-                .map(|m| m.slice_mut(range.node_base, range.len))
-                .collect();
-            self.transpose_rect(&range.rect(), &mut dsts);
-        }
-    }
-}
-
-/// A persistent lane mirror of the whole machine, partitioned into one
-/// [`LaneMemory`] per host worker thread.
-///
-/// The partition is by contiguous node chunks of `ceil(nodes/threads)`,
-/// matching how the lockstep runner splits node memories across threads,
-/// so each worker owns exactly one group. Lane-domain copies and fills
-/// (the halo exchange translated onto the mirror) address *machine* node
-/// indices and cross group boundaries transparently.
+/// node, in node order. Gathers, the stage and the lane-domain exchange
+/// copies and fills are each one serial pass over this buffer; host
+/// threads share it only inside a sweep, which splits a step's output
+/// rows into bands ([`crate::kernels::sweep`]).
 ///
 /// The mirror is meant to live inside a long-lived execution plan: its
-/// buffers are recycled across executes, and [`LaneMirror::allocations`]
-/// counts every buffer (re)allocation so a steady state can be asserted
+/// buffer is recycled across executes, and [`LaneMirror::allocations`]
+/// counts every (re)allocation so a steady state can be asserted
 /// allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct LaneMirror {
-    groups: Vec<LaneMemory>,
+    data: Vec<f32>,
     nodes: usize,
-    chunk: usize,
     words: usize,
     allocations: u64,
     gathered_words: u64,
@@ -511,17 +241,11 @@ pub struct LaneMirror {
     lane_copied_words: u64,
 }
 
-/// Words per lane that [`LaneMemory::transpose_rect`] transposes as one
+/// Words per lane that [`LaneMirror::transpose_rect`] transposes as one
 /// tile. 64 words (four cache lines per lane run) were never slower than
 /// the untiled loop at 4, 8, 16 or 32 lanes; 8-word tiles lost up to 15%
 /// at 8 lanes.
 const SCATTER_TILE: usize = 64;
-
-/// Machine-total words below which mirror copies stay on the calling
-/// thread: spawn/join overhead beats the memory bandwidth win for small
-/// transfers, and every group already runs serially when the mirror has
-/// a single group.
-const PAR_COPY_THRESHOLD: usize = 1 << 15;
 
 impl LaneMirror {
     /// An empty mirror; shape it with [`LaneMirror::ensure`].
@@ -529,41 +253,27 @@ impl LaneMirror {
         LaneMirror::default()
     }
 
-    /// Shapes the mirror to `words` lane words across `nodes` nodes split
-    /// into `threads` contiguous groups (clamped to `1..=nodes`). A
-    /// no-op when the shape already matches; otherwise buffers are
-    /// recycled where lengths allow and the allocation counter records
-    /// every buffer that had to grow or be created. Reshaping leaves the
+    /// Shapes the mirror to `words` lane words across `nodes` nodes. A
+    /// no-op when the shape already matches; otherwise the buffer is
+    /// recycled when its length allows, and the allocation counter
+    /// records every time it had to be resized. Reshaping leaves the
     /// contents unspecified — gather before running.
     ///
     /// # Panics
     ///
     /// Panics if `nodes` is zero.
-    pub fn ensure(&mut self, words: usize, nodes: usize, threads: usize) {
+    pub fn ensure(&mut self, words: usize, nodes: usize) {
         assert!(nodes > 0, "lane mirror needs at least one node");
-        let threads = threads.clamp(1, nodes);
-        let chunk = nodes.div_ceil(threads);
-        if self.nodes == nodes && self.chunk == chunk && self.words == words {
+        if self.nodes == nodes && self.words == words {
             return;
         }
-        let mut scratch: Vec<Vec<f32>> = self
-            .groups
-            .drain(..)
-            .map(LaneMemory::into_scratch)
-            .collect();
-        let mut start = 0;
-        while start < nodes {
-            let group_nodes = chunk.min(nodes - start);
-            let buf = scratch.pop().unwrap_or_default();
-            if buf.len() != LaneMemory::floats(words, group_nodes) {
-                self.allocations += 1;
-            }
-            self.groups
-                .push(LaneMemory::from_scratch(buf, words, group_nodes));
-            start += group_nodes;
+        let needed = words * nodes;
+        if self.data.len() != needed {
+            self.allocations += 1;
+            self.data.clear();
+            self.data.resize(needed, 0.0);
         }
         self.nodes = nodes;
-        self.chunk = chunk;
         self.words = words;
     }
 
@@ -597,159 +307,64 @@ impl LaneMirror {
         self.scattered_words
     }
 
-    /// Words moved between lane columns by [`LaneMirror::copy_lane_run`]
+    /// Words moved between lane columns by [`LaneMirror::copy_lane_span`]
     /// (the lane-domain halo exchange).
     pub fn lane_copied_words(&self) -> u64 {
         self.lane_copied_words
     }
 
-    /// The per-thread groups, mutably — one contiguous node chunk each,
-    /// in node order. This is what the lockstep runner fans out over.
-    pub fn groups_mut(&mut self) -> &mut [LaneMemory] {
-        &mut self.groups
+    /// The whole buffer, word-major: what a row sweep indexes (word `w`'s
+    /// lanes at `w*nodes ..`).
+    pub(crate) fn flat_mut(&mut self) -> &mut [f32] {
+        &mut self.data
     }
 
-    #[inline]
-    fn locate_lane(&self, node: usize) -> (usize, usize) {
-        assert!(node < self.nodes, "node out of range");
-        (node / self.chunk, node % self.chunk)
+    /// All lanes of lane word `w`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` is out of range.
+    pub fn word(&self, w: usize) -> &[f32] {
+        &self.data[w * self.nodes..(w + 1) * self.nodes]
     }
 
-    /// Runs `op(group, its node slice)` for every group — on the calling
-    /// thread for small transfers, fanned across one host thread per
-    /// group when `moved` machine-total words make it worthwhile. Groups
-    /// own disjoint contiguous node chunks, so the fan-out is borrow-safe
-    /// and (lanes never interacting) bit-deterministic.
-    fn for_each_group(
-        groups: &mut [LaneMemory],
-        mems: &[NodeMemory],
-        moved: usize,
-        op: impl Fn(&mut LaneMemory, &[NodeMemory]) + Sync,
-    ) {
-        if groups.len() > 1 && moved >= PAR_COPY_THRESHOLD {
-            std::thread::scope(|scope| {
-                let mut rest = mems;
-                for group in groups.iter_mut() {
-                    let (mine, tail) = rest.split_at(group.nodes());
-                    rest = tail;
-                    let op = &op;
-                    scope.spawn(move || op(group, mine));
-                }
-            });
-        } else {
-            let mut base = 0;
-            for group in groups {
-                let n = group.nodes();
-                op(group, &mems[base..base + n]);
-                base += n;
-            }
-        }
+    /// All lanes of lane word `w`, mutably.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` is out of range.
+    pub fn word_mut(&mut self, w: usize) -> &mut [f32] {
+        &mut self.data[w * self.nodes..(w + 1) * self.nodes]
     }
 
     /// Copies every non-private viewed range of every node into the
-    /// mirror, fanning groups across host threads for large views.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mems.len()` differs from the mirrored node count.
-    pub fn gather(&mut self, view: &LaneView, mems: &[NodeMemory]) {
-        assert_eq!(mems.len(), self.nodes, "one node memory per lane");
-        let moved = view.gather_words() * self.nodes;
-        Self::for_each_group(&mut self.groups, mems, moved, |group, mine| {
-            group.gather(view, mine);
-        });
-        self.gathered_words += moved as u64;
-    }
-
-    /// Copies every *writable*, non-private viewed range back into node
-    /// memories, fanning groups across host threads for large views.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mems.len()` differs from the mirrored node count.
-    pub fn scatter(&mut self, view: &LaneView, mems: &mut [NodeMemory]) {
-        assert_eq!(mems.len(), self.nodes, "one node memory per lane");
-        let moved = view.scatter_words() * self.nodes;
-        if self.groups.len() > 1 && moved >= PAR_COPY_THRESHOLD {
-            std::thread::scope(|scope| {
-                let mut rest = &mut mems[..];
-                for group in &self.groups {
-                    let (mine, tail) = std::mem::take(&mut rest).split_at_mut(group.nodes());
-                    rest = tail;
-                    scope.spawn(move || group.scatter(view, mine));
-                }
-            });
-        } else {
-            let mut base = 0;
-            for group in &self.groups {
-                let n = group.nodes();
-                group.scatter(view, &mut mems[base..base + n]);
-                base += n;
-            }
-        }
-        self.scattered_words += moved as u64;
-    }
-
-    /// Transposes the lane side of `rect` into `stage`'s node-major
-    /// buffer, node range `rect.node0 .. rect.node0 + rows·cols`, instead
-    /// of writing node memory: the lane execute's only output. An
-    /// execute that holds no exclusive machine borrow cannot write node
-    /// memory, so its result is staged here and committed later with
-    /// [`RegionStage::apply`]. Counts the staged words as scattered (the
-    /// commit itself counts nothing), so traffic telemetry does not
-    /// depend on who commits. Fans groups across host threads for large
-    /// rectangles; the stage buffer is recycled across executes.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `rect`'s node side is dense (`node_stride == cols`).
-    pub fn stage(&mut self, rect: &RectCopy, stage: &mut RegionStage) {
-        assert_eq!(
-            rect.node_stride, rect.cols,
-            "a stage lands one dense node run"
-        );
-        let len = rect.rows * rect.cols;
-        let moved = len * self.nodes;
-        stage.shape((rect.node0, len), self.nodes, self.chunk);
-        // Slice the buffer at group boundaries (group `g`'s lanes own the
-        // contiguous node-major run `base*len..(base+n)*len`), then into
-        // one run per lane.
-        let mut per_group: Vec<Vec<&mut [f32]>> = Vec::with_capacity(self.groups.len());
-        let mut rest = &mut stage.buf[..];
-        for group in &self.groups {
-            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(group.nodes() * len);
-            rest = tail;
-            per_group.push(mine.chunks_exact_mut(len).collect());
-        }
-        if self.groups.len() > 1 && moved >= PAR_COPY_THRESHOLD {
-            std::thread::scope(|scope| {
-                for (group, mut dsts) in self.groups.iter().zip(per_group) {
-                    scope.spawn(move || group.transpose_rect(rect, &mut dsts));
-                }
-            });
-        } else {
-            for (group, mut dsts) in self.groups.iter().zip(per_group) {
-                group.transpose_rect(rect, &mut dsts);
-            }
-        }
-        self.scattered_words += moved as u64;
-    }
-
-    /// Copies a rectangle of every node's memory into the mirror — see
-    /// [`LaneMemory::gather_rows`]. Fans groups across host threads for
-    /// large rectangles.
+    /// mirror. Private ranges are lane-resident scratch with no node
+    /// image — their contents are left as-is.
     ///
     /// # Panics
     ///
     /// Panics if `mems.len()` differs from the mirrored node count or a
-    /// run is out of bounds.
+    /// range is out of a node memory's bounds.
+    pub fn gather(&mut self, view: &LaneView, mems: &[NodeMemory]) {
+        for range in view.ranges().iter().filter(|r| !r.private) {
+            self.copy_in(mems, &range.rect());
+        }
+        self.gathered_words += (view.gather_words() * self.nodes) as u64;
+    }
+
+    /// Copies the rectangle `rect` describes from every node's memory
+    /// into the mirror.
+    ///
+    /// This is the lane-domain equivalent of a per-node strided copy: the
+    /// plan uses it to refresh a halo buffer's interior directly in the
+    /// mirror, without touching the node-side halo storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mems.len()` differs from the mirrored node count or a
+    /// run is out of bounds on either side.
     pub fn gather_rows(&mut self, mems: &[NodeMemory], rect: &RectCopy) {
-        assert_eq!(mems.len(), self.nodes, "one node memory per lane");
-        let moved = rect.rows * rect.cols * self.nodes;
-        Self::for_each_group(&mut self.groups, mems, moved, |group, mine| {
-            group.gather_rows(mine, rect);
-        });
-        self.row_gathered_words += moved as u64;
+        self.row_gathered_words += self.copy_in(mems, rect) as u64;
     }
 
     /// Like [`LaneMirror::gather_rows`], but counts the words as
@@ -761,46 +376,127 @@ impl LaneMirror {
     /// Panics if `mems.len()` differs from the mirrored node count or a
     /// run is out of bounds.
     pub fn gather_rect(&mut self, mems: &[NodeMemory], rect: &RectCopy) {
+        self.gathered_words += self.copy_in(mems, rect) as u64;
+    }
+
+    /// The node→lane copy behind every gather; returns the
+    /// machine-total words it moved.
+    fn copy_in(&mut self, mems: &[NodeMemory], rect: &RectCopy) -> usize {
         assert_eq!(mems.len(), self.nodes, "one node memory per lane");
-        let moved = rect.rows * rect.cols * self.nodes;
-        Self::for_each_group(&mut self.groups, mems, moved, |group, mine| {
-            group.gather_rows(mine, rect);
-        });
-        self.gathered_words += moved as u64;
-    }
-
-    /// Copies `len` lane words starting at `src` of node `from`'s lane
-    /// column into `dst..` of node `to`'s — the lane-domain form of one
-    /// halo-exchange copy. Source and destination runs must not overlap
-    /// (exchange copies read a halo interior and write the halo ring,
-    /// which are disjoint by construction).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node index or word run is out of range.
-    pub fn copy_lane_run(&mut self, from: usize, src: usize, to: usize, dst: usize, len: usize) {
-        let (gf, lf) = self.locate_lane(from);
-        let (gt, lt) = self.locate_lane(to);
-        for k in 0..len {
-            let value = self.groups[gf].lane_value(src + k, lf);
-            self.groups[gt].set_lane_value(dst + k, lt, value);
+        let nodes = self.nodes;
+        for r in 0..rect.rows {
+            // Word-outer, lane-inner: the mirror is written sequentially
+            // and each node memory is read as its own sequential stream.
+            // Interleaved *read* streams are cheap; the transposed order
+            // (lane-outer) would write one cache line per element. The
+            // reverse direction is not symmetric — interleaved *write*
+            // streams are the slow case (see `transpose_rect`).
+            let srcs: Vec<&[f32]> = mems
+                .iter()
+                .map(|m| m.slice(rect.node0 + r * rect.node_stride, rect.cols))
+                .collect();
+            let d0 = rect.lane0 + r * rect.lane_stride;
+            let dst = &mut self.data[d0 * nodes..(d0 + rect.cols) * nodes];
+            for (w, row) in dst.chunks_exact_mut(nodes).enumerate() {
+                for (slot, src) in row.iter_mut().zip(&srcs) {
+                    *slot = src[w];
+                }
+            }
         }
-        self.lane_copied_words += len as u64;
+        rect.rows * rect.cols * nodes
     }
 
-    /// The vectorized form of `count` consecutive [`Self::copy_lane_run`]
-    /// calls — node `from0 + i` to node `to0 + i` for `i < count`, all
-    /// with the same word runs: per lane word, whole lane sub-slices move
-    /// as single slice copies instead of `count × len` scalar transfers.
-    /// Segments at thread-group boundaries on either side.
+    /// The lane→node transpose shared by [`Self::scatter`] and
+    /// [`Self::stage`]: copies the lane side of `rect` into `dsts`, one
+    /// `rows × cols`-word node-major run per lane (row `r` at
+    /// `r*cols`), a tile of [`SCATTER_TILE`] words per row at a time.
+    /// `rect`'s node side is the caller's business: each run in `dsts`
+    /// already stands for it.
     ///
-    /// The source and destination word runs must not overlap (halo
-    /// exchange programs copy between disjoint buffers by construction);
-    /// the *lane* runs may — within one group `copy_within` handles it.
+    /// Reading `nodes` interleaved streams (the gathers) is cheap, but
+    /// writing them is not: word-outer, lane-inner order writes one word
+    /// to every lane's run before moving on, and at 16 lanes with runs
+    /// 64 KiB apart (a 512² stage) all 16 write streams map to one L1
+    /// set, more than it has ways. On a Xeon guest with a 48 KiB L1d that
+    /// cost 4.4–5.5 ns/word, against 0.83 for the gather. Tiling writes
+    /// each lane's tile whole before the next lane's (the tile's source
+    /// rows, `SCATTER_TILE × nodes` words, stay cached across the lanes).
+    fn transpose_rect(&self, rect: &RectCopy, dsts: &mut [&mut [f32]]) {
+        let nodes = self.nodes;
+        assert_eq!(dsts.len(), nodes, "one destination run per lane");
+        for r in 0..rect.rows {
+            let w = rect.lane0 + r * rect.lane_stride;
+            let src = &self.data[w * nodes..(w + rect.cols) * nodes];
+            for (t, tile) in src.chunks(SCATTER_TILE * nodes).enumerate() {
+                let w0 = r * rect.cols + t * SCATTER_TILE;
+                for (lane, dst) in dsts.iter_mut().enumerate() {
+                    for (slot, row) in dst[w0..].iter_mut().zip(tile.chunks_exact(nodes)) {
+                        *slot = row[lane];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Copies every *writable*, non-private viewed range from the mirror
+    /// back into `mems` — the direct copy-back for callers that own the
+    /// node memories outright (hand-built views); execution plans stage
+    /// their result instead ([`LaneMirror::stage`]).
     ///
     /// # Panics
     ///
-    /// Panics if a node index or word run is out of range.
+    /// Panics if `mems.len()` differs from the mirrored node count or a
+    /// range is out of a node memory's bounds.
+    pub fn scatter(&mut self, view: &LaneView, mems: &mut [NodeMemory]) {
+        assert_eq!(mems.len(), self.nodes, "one node memory per lane");
+        for range in view.scattered() {
+            let mut dsts: Vec<&mut [f32]> = mems
+                .iter_mut()
+                .map(|m| m.slice_mut(range.node_base, range.len))
+                .collect();
+            self.transpose_rect(&range.rect(), &mut dsts);
+        }
+        self.scattered_words += (view.scatter_words() * self.nodes) as u64;
+    }
+
+    /// Transposes the lane side of `rect` into `stage`'s node-major
+    /// buffer, node range `rect.node0 .. rect.node0 + rows·cols`, instead
+    /// of writing node memory: the lane execute's only output. An
+    /// execute that holds no exclusive machine borrow cannot write node
+    /// memory, so its result is staged here and committed later with
+    /// [`RegionStage::apply`]. Counts the staged words as scattered (the
+    /// commit itself counts nothing), so traffic telemetry does not
+    /// depend on who commits. The stage buffer is recycled across
+    /// executes.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `rect`'s node side is dense (`node_stride == cols`).
+    pub fn stage(&mut self, rect: &RectCopy, stage: &mut RegionStage) {
+        assert_eq!(
+            rect.node_stride, rect.cols,
+            "a stage lands one dense node run"
+        );
+        let len = rect.rows * rect.cols;
+        stage.shape((rect.node0, len), self.nodes);
+        let mut dsts: Vec<&mut [f32]> = stage.buf.chunks_exact_mut(len).collect();
+        self.transpose_rect(rect, &mut dsts);
+        self.scattered_words += (len * self.nodes) as u64;
+    }
+
+    /// Copies `len` lane words from word `src` on into `dst..`, for
+    /// `count` node pairs at once — node `from0 + i` to node `to0 + i`
+    /// for `i < count`: the lane-domain form of the halo-exchange copies
+    /// along one edge. Per lane word, the `count` lanes move as one
+    /// slice copy, which stays exact when the source and destination
+    /// *lane* runs overlap. The *word* runs must not overlap (exchange
+    /// copies read a halo interior and write the halo ring, which are
+    /// disjoint by construction).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane run leaves the mirrored nodes or a word run
+    /// leaves the mirror.
     pub fn copy_lane_span(
         &mut self,
         from0: usize,
@@ -810,32 +506,14 @@ impl LaneMirror {
         dst: usize,
         len: usize,
     ) {
-        let mut done = 0;
-        while done < count {
-            let (gf, lf) = self.locate_lane(from0 + done);
-            let (gt, lt) = self.locate_lane(to0 + done);
-            let seg = (count - done)
-                .min(self.groups[gf].nodes() - lf)
-                .min(self.groups[gt].nodes() - lt);
-            if gf == gt {
-                let group = &mut self.groups[gf];
-                for w in 0..len {
-                    group.copy_lanes_within(src + w, lf, dst + w, lt, seg);
-                }
-            } else {
-                let (lo, hi) = self.groups.split_at_mut(gf.max(gt));
-                let (src_g, dst_g) = if gf < gt {
-                    (&lo[gf], &mut hi[0])
-                } else {
-                    (&hi[0], &mut lo[gt])
-                };
-                for w in 0..len {
-                    dst_g
-                        .lanes_mut(dst + w, lt, seg)
-                        .copy_from_slice(src_g.lanes(src + w, lf, seg));
-                }
-            }
-            done += seg;
+        let nodes = self.nodes;
+        assert!(
+            from0 + count <= nodes && to0 + count <= nodes,
+            "lane run out of range"
+        );
+        for w in 0..len {
+            let s = (src + w) * nodes + from0;
+            self.data.copy_within(s..s + count, (dst + w) * nodes + to0);
         }
         self.lane_copied_words += (count * len) as u64;
     }
@@ -848,9 +526,9 @@ impl LaneMirror {
     ///
     /// Panics if the node index or word run is out of range.
     pub fn fill_lane_run(&mut self, node: usize, w0: usize, len: usize, value: f32) {
-        let (g, l) = self.locate_lane(node);
-        for k in 0..len {
-            self.groups[g].set_lane_value(w0 + k, l, value);
+        assert!(node < self.nodes, "node out of range");
+        for w in w0..w0 + len {
+            self.data[w * self.nodes + node] = value;
         }
     }
 }
@@ -877,7 +555,6 @@ pub struct RegionStage {
     /// Node-major: lane `n`'s words at `n*len..(n+1)*len`.
     buf: Vec<f32>,
     nodes: usize,
-    chunk: usize,
 }
 
 impl RegionStage {
@@ -898,17 +575,14 @@ impl RegionStage {
     }
 
     /// Reshapes to stage `range`, recycling the buffer.
-    fn shape(&mut self, range: (usize, usize), nodes: usize, chunk: usize) {
+    fn shape(&mut self, range: (usize, usize), nodes: usize) {
         self.nodes = nodes;
-        self.chunk = chunk.max(1);
         self.range = Some(range);
         self.buf.resize(range.1 * nodes, 0.0);
     }
 
     /// Commits the staged words to node memories: each node's run is one
-    /// contiguous slice copy. Fans node chunks across host threads for
-    /// large stages (bit-deterministic — every node's destination is
-    /// disjoint).
+    /// contiguous slice copy.
     ///
     /// # Panics
     ///
@@ -919,28 +593,9 @@ impl RegionStage {
             return;
         };
         assert_eq!(mems.len(), self.nodes, "one node memory per staged lane");
-        let apply_chunk = |mems: &mut [NodeMemory], base: usize| {
-            for (i, m) in mems.iter_mut().enumerate() {
-                let node = base + i;
-                m.slice_mut(node_base, len)
-                    .copy_from_slice(&self.buf[node * len..(node + 1) * len]);
-            }
-        };
-        if self.nodes > self.chunk && self.words() >= PAR_COPY_THRESHOLD {
-            std::thread::scope(|scope| {
-                let mut rest = &mut mems[..];
-                let mut base = 0;
-                while !rest.is_empty() {
-                    let n = self.chunk.min(rest.len());
-                    let (mine, tail) = std::mem::take(&mut rest).split_at_mut(n);
-                    rest = tail;
-                    let apply_chunk = &apply_chunk;
-                    scope.spawn(move || apply_chunk(mine, base));
-                    base += n;
-                }
-            });
-        } else {
-            apply_chunk(mems, 0);
+        for (node, m) in mems.iter_mut().enumerate() {
+            m.slice_mut(node_base, len)
+                .copy_from_slice(&self.buf[node * len..(node + 1) * len]);
         }
     }
 }
@@ -1062,6 +717,13 @@ impl MirrorPool {
 mod tests {
     use super::*;
 
+    /// A zeroed mirror of `words` lane words across `nodes` lanes.
+    fn mirror(words: usize, nodes: usize) -> LaneMirror {
+        let mut mirror = LaneMirror::new();
+        mirror.ensure(words, nodes);
+        mirror
+    }
+
     #[test]
     fn view_assigns_lane_words_in_order() {
         let view = LaneView::new(&[(100, 4, false), (10, 2, true)]).unwrap();
@@ -1093,18 +755,19 @@ mod tests {
                 mem.write(2 + w, (10 * n + w) as f32);
             }
         }
-        let mut lanes = LaneMemory::new(view.words(), 2);
+        let mut lanes = mirror(view.words(), 2);
         lanes.gather(&view, &mems);
         assert_eq!(lanes.word(0), &[0.0, 10.0]);
         assert_eq!(lanes.word(1), &[1.0, 11.0]);
         assert_eq!(lanes.word(2), &[2.0, 12.0]);
+        assert_eq!(lanes.gathered_words(), 6);
     }
 
     #[test]
     fn scatter_writes_only_writable_ranges() {
         let view = LaneView::new(&[(0, 2, false), (4, 2, true)]).unwrap();
         let mut mems: Vec<NodeMemory> = (0..2).map(|_| NodeMemory::new(8)).collect();
-        let mut lanes = LaneMemory::new(view.words(), 2);
+        let mut lanes = mirror(view.words(), 2);
         for w in 0..4 {
             lanes
                 .word_mut(w)
@@ -1119,6 +782,7 @@ mod tests {
         assert_eq!(mems[1].read(4), 12.0);
         assert_eq!(mems[0].read(5), 3.0);
         assert_eq!(mems[1].read(5), 13.0);
+        assert_eq!(lanes.scattered_words(), 4);
     }
 
     #[test]
@@ -1138,7 +802,7 @@ mod tests {
             mem.write(4, 100.0 + n as f32);
             mem.write(5, 200.0 + n as f32);
         }
-        let mut lanes = LaneMemory::new(view.words(), 2);
+        let mut lanes = mirror(view.words(), 2);
         for w in 0..6 {
             lanes
                 .word_mut(w)
@@ -1162,150 +826,77 @@ mod tests {
     }
 
     #[test]
-    fn mirror_threaded_copies_match_serial_for_large_views() {
-        // 4 nodes over 2 groups, view big enough to cross the fan-out
-        // threshold: threaded gather/scatter must be bitwise identical
-        // to the single-group serial path.
-        let words = PAR_COPY_THRESHOLD / 2;
-        let view = LaneView::new(&[(0, words, true)]).unwrap();
-        let mut mems: Vec<NodeMemory> = (0..4).map(|_| NodeMemory::new(words)).collect();
-        for (n, mem) in mems.iter_mut().enumerate() {
-            for w in 0..words {
-                mem.write(w, (n * 7 + w) as f32 * 0.5);
-            }
-        }
-        let mut par = LaneMirror::new();
-        par.ensure(words, 4, 2);
-        par.gather(&view, &mems);
-        let mut ser = LaneMirror::new();
-        ser.ensure(words, 4, 1);
-        ser.gather(&view, &mems);
-        let mut out_par: Vec<NodeMemory> = (0..4).map(|_| NodeMemory::new(words)).collect();
-        let mut out_ser = out_par.clone();
-        par.scatter(&view, &mut out_par);
-        ser.scatter(&view, &mut out_ser);
-        assert_eq!(out_par, out_ser);
-        assert_eq!(out_par, mems);
-        assert_eq!(par.gathered_words(), ser.gathered_words());
-        assert_eq!(par.scattered_words(), ser.scattered_words());
-    }
-
-    #[test]
-    fn mirror_partitions_nodes_into_contiguous_groups() {
-        let view = LaneView::new(&[(0, 3, true)]).unwrap();
-        let mut mems: Vec<NodeMemory> = (0..5).map(|_| NodeMemory::new(8)).collect();
-        for (n, mem) in mems.iter_mut().enumerate() {
-            for w in 0..3 {
-                mem.write(w, (100 * n + w) as f32);
-            }
-        }
-        // 5 nodes over 2 threads → chunks of 3 and 2.
-        let mut mirror = LaneMirror::new();
-        mirror.ensure(view.words(), 5, 2);
-        assert_eq!(mirror.groups_mut().len(), 2);
-        assert_eq!(mirror.groups_mut()[0].nodes(), 3);
-        assert_eq!(mirror.groups_mut()[1].nodes(), 2);
-        mirror.gather(&view, &mems);
-        assert_eq!(mirror.groups_mut()[0].word(1), &[1.0, 101.0, 201.0]);
-        assert_eq!(mirror.groups_mut()[1].word(1), &[301.0, 401.0]);
-        // Scatter lands every lane back in its own node.
-        let mut out: Vec<NodeMemory> = (0..5).map(|_| NodeMemory::new(8)).collect();
-        mirror.scatter(&view, &mut out);
-        for (n, mem) in out.iter().enumerate() {
-            for w in 0..3 {
-                assert_eq!(mem.read(w), (100 * n + w) as f32);
-            }
-        }
-    }
-
-    #[test]
     fn mirror_reuse_performs_no_allocations() {
-        let mut mirror = LaneMirror::new();
-        mirror.ensure(6, 4, 2);
+        let mut mirror = mirror(6, 4);
         let after_first = mirror.allocations();
         assert!(after_first > 0);
         for _ in 0..10 {
-            mirror.ensure(6, 4, 2);
+            mirror.ensure(6, 4);
         }
         assert_eq!(
             mirror.allocations(),
             after_first,
             "steady-state ensure reallocates"
         );
-        // Reshaping to the same total lengths recycles the buffers.
-        mirror.ensure(6, 4, 2);
+        // Reshaping to the same total length recycles the buffer.
+        mirror.ensure(8, 3);
         assert_eq!(mirror.allocations(), after_first);
+        mirror.ensure(8, 4);
+        assert_eq!(mirror.allocations(), after_first + 1);
     }
 
+    /// `copy_lane_span` lands exactly what `count` per-node copies of
+    /// the word run would: spans whose source and destination lane runs
+    /// overlap in either direction, disjoint spans, one lane, and a
+    /// whole-machine span — and it touches nothing else.
     #[test]
-    fn mirror_copies_lane_runs_across_group_boundaries() {
-        let mut mirror = LaneMirror::new();
-        mirror.ensure(4, 4, 2); // two groups of 2 nodes
-        for w in 0..4 {
-            mirror.fill_lane_run(1, w, 1, (10 + w) as f32);
-        }
-        // node 1 (group 0) → node 3 (group 1)
-        mirror.copy_lane_run(1, 1, 3, 0, 3);
-        assert_eq!(mirror.groups_mut()[1].lane_value(0, 1), 11.0);
-        assert_eq!(mirror.groups_mut()[1].lane_value(1, 1), 12.0);
-        assert_eq!(mirror.groups_mut()[1].lane_value(2, 1), 13.0);
-        // Same-group copy: node 3 → node 2.
-        mirror.copy_lane_run(3, 0, 2, 0, 2);
-        assert_eq!(mirror.groups_mut()[1].lane_value(0, 0), 11.0);
-        assert_eq!(mirror.groups_mut()[1].lane_value(1, 0), 12.0);
-        // Untouched lanes stay zero.
-        assert_eq!(mirror.groups_mut()[0].lane_value(0, 0), 0.0);
-    }
-
-    /// `copy_lane_span` must equal `count` scalar `copy_lane_run`s for
-    /// every segmentation the group layout can force: spans fully inside
-    /// one group (including overlapping source/destination lane runs,
-    /// the `copy_within` path), spans crossing a group boundary on one
-    /// side only, and spans that segment at different points on the two
-    /// sides because source and destination straddle the boundary at
-    /// different offsets.
-    #[test]
-    fn span_copy_segments_exactly_like_scalar_runs() {
-        // 7 nodes over 3 threads → groups of 3, 2, 2: boundaries at
-        // nodes 3 and 5.
-        let (words, nodes, threads, len) = (6, 7, 3, 2);
+    fn span_copy_matches_per_node_copies() {
+        let (words, nodes, len) = (6, 7, 2);
         let fresh = || {
-            let mut mirror = LaneMirror::new();
-            mirror.ensure(words, nodes, threads);
-            for node in 0..nodes {
-                for w in 0..words {
-                    mirror.fill_lane_run(node, w, 1, (node * 100 + w * 7) as f32);
+            let mut mirror = mirror(words, nodes);
+            for w in 0..words {
+                for (node, v) in mirror.word_mut(w).iter_mut().enumerate() {
+                    *v = (node * 100 + w * 7) as f32;
                 }
             }
             mirror
         };
-        // (from0, to0, count): same-group overlap, boundary-crossing,
-        // asymmetric straddle (source crosses at node 3 while the
-        // destination crosses at node 5), and a whole-machine sweep.
-        let cases = [(0, 1, 2), (1, 4, 3), (2, 4, 3), (0, 0, 7), (5, 1, 2)];
+        // (from0, to0, count)
+        let cases = [
+            (0, 1, 2),
+            (1, 0, 6),
+            (1, 4, 3),
+            (5, 1, 2),
+            (3, 3, 1),
+            (0, 0, 7),
+        ];
         for (from0, to0, count) in cases {
             let mut spanned = fresh();
             spanned.copy_lane_span(from0, to0, count, 1, 4, len);
-            let mut scalar = fresh();
+            let before = fresh();
+            let mut want: Vec<Vec<f32>> = (0..words).map(|w| before.word(w).to_vec()).collect();
             for i in 0..count {
-                scalar.copy_lane_run(from0 + i, 1, to0 + i, 4, len);
-            }
-            assert_eq!(
-                spanned.lane_copied_words(),
-                scalar.lane_copied_words(),
-                "span ({from0},{to0},{count}): word accounting diverged"
-            );
-            for node in 0..nodes {
-                for w in 0..words {
-                    let (g, l) = spanned.locate_lane(node);
-                    assert_eq!(
-                        spanned.groups_mut()[g].lane_value(w, l),
-                        scalar.groups_mut()[g].lane_value(w, l),
-                        "span ({from0},{to0},{count}): node {node} word {w}"
-                    );
+                for k in 0..len {
+                    want[4 + k][to0 + i] = before.word(1 + k)[from0 + i];
                 }
             }
+            for (w, want) in want.iter().enumerate() {
+                assert_eq!(
+                    spanned.word(w),
+                    &want[..],
+                    "span ({from0},{to0},{count}): word {w}"
+                );
+            }
+            assert_eq!(spanned.lane_copied_words(), (count * len) as u64);
         }
+    }
+
+    /// A lane run past the last node panics instead of spilling into the
+    /// next word's lanes.
+    #[test]
+    #[should_panic(expected = "lane run out of range")]
+    fn span_copy_past_the_last_node_panics() {
+        mirror(6, 7).copy_lane_span(0, 6, 2, 1, 4, 2);
     }
 
     #[test]
@@ -1316,10 +907,9 @@ mod tests {
                 mem.write(w, (100 * n + w) as f32);
             }
         }
-        let mut mirror = LaneMirror::new();
-        mirror.ensure(12, 3, 3); // one node per group
-                                 // 2 rows × 3 cols from node address 4, stride 4 → lane words 1..,
-                                 // stride 5.
+        let mut mirror = mirror(12, 3);
+        // 2 rows × 3 cols from node address 4, stride 4 → lane words 1..,
+        // stride 5.
         mirror.gather_rows(
             &mems,
             &RectCopy {
@@ -1332,23 +922,13 @@ mod tests {
             },
         );
         for n in 0..3 {
-            assert_eq!(
-                mirror.groups_mut()[n].lane_value(1, 0),
-                (100 * n + 4) as f32
-            );
-            assert_eq!(
-                mirror.groups_mut()[n].lane_value(3, 0),
-                (100 * n + 6) as f32
-            );
-            assert_eq!(
-                mirror.groups_mut()[n].lane_value(6, 0),
-                (100 * n + 8) as f32
-            );
-            assert_eq!(
-                mirror.groups_mut()[n].lane_value(8, 0),
-                (100 * n + 10) as f32
-            );
+            assert_eq!(mirror.word(1)[n], (100 * n + 4) as f32);
+            assert_eq!(mirror.word(3)[n], (100 * n + 6) as f32);
+            assert_eq!(mirror.word(6)[n], (100 * n + 8) as f32);
+            assert_eq!(mirror.word(8)[n], (100 * n + 10) as f32);
         }
+        assert_eq!(mirror.row_gathered_words(), 18);
+        assert_eq!(mirror.gathered_words(), 0);
     }
 
     #[test]
@@ -1361,7 +941,7 @@ mod tests {
             }
         }
         let before: Vec<NodeMemory> = mems.clone();
-        let mut lanes = LaneMemory::new(view.words(), 3);
+        let mut lanes = mirror(view.words(), 3);
         lanes.gather(&view, &mems);
         lanes.scatter(&view, &mut mems);
         assert_eq!(mems, before);
@@ -1370,19 +950,17 @@ mod tests {
     /// The tiled lane→node transpose, both as a direct scatter and as a
     /// strided stage committed by `RegionStage::apply`, lands exactly
     /// what an element-wise copy would, across lane counts below, at and
-    /// above a 16-lane group, run lengths from one word through full
-    /// tiles with a ragged tail, and every group split — and writes
-    /// nothing else: read-only and private ranges and the guard words
-    /// around and between ranges keep their contents.
+    /// above 16 lanes and run lengths from one word through full tiles
+    /// with a ragged tail — and writes nothing else: read-only and
+    /// private ranges and the guard words around and between ranges keep
+    /// their contents.
     #[test]
     fn tiled_scatter_matches_elementwise_reference() {
         let guard = |node: usize, addr: usize| -((node * 1_000 + addr) as f32) - 0.5;
         for nodes in [1, 3, 8, 15, 16, 17, 33] {
             for len in [1, 15, 16, 17, 300] {
                 // [guard 3][ro len][guard 2][private len][guard 2]
-                // [rw len][guard 3][rw 4·len+1][guard 5]; at 33 lanes and
-                // len 300 the writable words cross `PAR_COPY_THRESHOLD`,
-                // so split mirrors fan the copies out across threads.
+                // [rw len][guard 3][rw 4·len+1][guard 5]
                 let ro = 3;
                 let private = ro + len + 2;
                 let rw = private + len + 2;
@@ -1436,37 +1014,34 @@ mod tests {
                         }
                     }
                 }
-                for threads in [1, 2, 3] {
-                    let mut mirror = LaneMirror::new();
-                    mirror.ensure(view.words(), nodes, threads);
-                    for node in 0..nodes {
-                        for w in 0..view.words() {
-                            mirror.fill_lane_run(node, w, 1, value(node, w));
-                        }
+                let mut mirror = mirror(view.words(), nodes);
+                for w in 0..view.words() {
+                    for (node, v) in mirror.word_mut(w).iter_mut().enumerate() {
+                        *v = value(node, w);
                     }
-                    let case = format!("{nodes} lanes, len {len}, {threads} threads");
-                    let mut direct = fresh.clone();
-                    mirror.scatter(&view, &mut direct);
-                    let mut stage = RegionStage::new();
-                    mirror.stage(&rect, &mut stage);
-                    assert_eq!(stage.ranges(), &[(rect.node0, 2 * len)]);
-                    assert_eq!(stage.words(), 2 * len * nodes);
-                    let mut staged = fresh.clone();
-                    stage.apply(&mut staged);
-                    for (path, got, want) in [
-                        ("scatter", &direct, &want),
-                        ("stage", &staged, &want_staged),
-                    ] {
-                        for node in 0..nodes {
-                            let bits = |mems: &[NodeMemory]| -> Vec<u32> {
-                                mems[node]
-                                    .slice(0, size)
-                                    .iter()
-                                    .map(|v| v.to_bits())
-                                    .collect()
-                            };
-                            assert_eq!(bits(got), bits(want), "{path}: {case}, node {node}");
-                        }
+                }
+                let case = format!("{nodes} lanes, len {len}");
+                let mut direct = fresh.clone();
+                mirror.scatter(&view, &mut direct);
+                let mut stage = RegionStage::new();
+                mirror.stage(&rect, &mut stage);
+                assert_eq!(stage.ranges(), &[(rect.node0, 2 * len)]);
+                assert_eq!(stage.words(), 2 * len * nodes);
+                let mut staged = fresh.clone();
+                stage.apply(&mut staged);
+                for (path, got, want) in [
+                    ("scatter", &direct, &want),
+                    ("stage", &staged, &want_staged),
+                ] {
+                    for node in 0..nodes {
+                        let bits = |mems: &[NodeMemory]| -> Vec<u32> {
+                            mems[node]
+                                .slice(0, size)
+                                .iter()
+                                .map(|v| v.to_bits())
+                                .collect()
+                        };
+                        assert_eq!(bits(got), bits(want), "{path}: {case}, node {node}");
                     }
                 }
             }
@@ -1494,7 +1069,7 @@ mod tests {
         // A fresh take allocates nothing by itself; shaping it does.
         let mut m = pool.take();
         assert_eq!(pool.reuses(), 0);
-        m.ensure(6, 4, 2);
+        m.ensure(6, 4);
         let allocs = m.allocations();
         assert!(allocs > 0);
 
@@ -1506,21 +1081,17 @@ mod tests {
         assert_eq!(pool.len(), 1);
         assert_eq!(pool.returns(), 1);
 
-        // A same-shape tenant reuses the buffers: `ensure` is a no-op
+        // A same-shape tenant reuses the buffer: `ensure` is a no-op
         // and the allocation counter stays flat.
         let mut again = pool.take();
         assert_eq!(pool.reuses(), 1);
-        again.ensure(6, 4, 2);
+        again.ensure(6, 4);
         assert_eq!(again.allocations(), allocs);
 
         // The pool is bounded: a third return on capacity 2 is dropped.
         pool.put(again);
-        let mut b = LaneMirror::new();
-        b.ensure(3, 2, 1);
-        let mut c = LaneMirror::new();
-        c.ensure(3, 2, 1);
-        pool.put(b);
-        pool.put(c);
+        pool.put(mirror(3, 2));
+        pool.put(mirror(3, 2));
         assert_eq!(pool.len(), 2);
 
         pool.clear();

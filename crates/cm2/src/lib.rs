@@ -46,7 +46,7 @@ pub use exec::{
 pub use grid::{Direction, NodeGrid, NodeId};
 pub use isa::{DynamicPart, Kernel, MacAcc, MemRef, Reg, StaticPart};
 pub use kernels::{RowCoeff, RowProgram, RowRun, RowStep, RowTerm};
-pub use lane::{LaneMemory, LaneRange, LaneView};
+pub use lane::{LaneMirror, LaneRange, LaneView};
 pub use machine::Machine;
 pub use memory::{Field, FieldAllocator, NodeMemory, OutOfMemory};
 pub use news::{corner_exchange_cycles, news_exchange_cycles, old_exchange_cycles, ExchangeShape};

@@ -43,10 +43,10 @@
 //!                      `@temporal=K ` prefix
 //!   --subgrid RxC      per-node subgrid for --run (default 64x64)
 //!   --threads N        host threads for node execution (default: all cores)
-//!   --engine E         scalar | lockstep: fast-mode engine for --run.
-//!                      lockstep implies fast (functional) execution — the
-//!                      cycle model needs the scalar path — so cycle counts
-//!                      are reported as 0 and only wall-clock timing applies
+//!   --engine E         scalar | lockstep: fast-mode engine for --run and
+//!                      --serve. Either implies fast (functional) execution
+//!                      — the cycle model runs only without the flag — so
+//!                      no cycle counts are reported, only wall-clock timing
 //!   --profile[=json]   enable telemetry and print a per-statement profile
 //!                      after each --run: a human-readable table, or one
 //!                      schema-stable JSON line (`cmcc-profile-v7`) with
@@ -395,6 +395,19 @@ fn write_trace_file(opts: &Options) -> Result<(), String> {
         .map_err(|e| format!("cannot write trace `{file}`: {e}"))
 }
 
+/// Applies `--engine`, which selects the fast-mode engine: either
+/// choice implies fast (functional) mode, and only a run without the
+/// flag keeps the cycle-accurate model.
+fn with_engine(exec_opts: ExecOptions, engine: Option<ExecEngine>) -> ExecOptions {
+    match engine {
+        Some(engine) => ExecOptions {
+            mode: ExecMode::Fast,
+            ..exec_opts.with_engine(engine)
+        },
+        None => exec_opts,
+    }
+}
+
 /// Executes one compiled stencil on random data through a [`Session`]
 /// (so every iteration exercises the plan cache), checks it against the
 /// reference evaluator, prints the measured rate, and — under
@@ -434,18 +447,13 @@ fn run_compiled(
 
     let source_refs: Vec<&CmArray> = sources.iter().collect();
     let coeff_refs: Vec<&CmArray> = coeffs.iter().collect();
-    let mut exec_opts = match opts.threads {
-        Some(n) => ExecOptions::default().with_threads(n),
-        None => ExecOptions::default(),
-    };
-    if let Some(engine) = opts.engine {
-        // The lockstep engine is functional-only: the cycle-accurate
-        // pipeline model runs node by node on the scalar path.
-        exec_opts = exec_opts.with_engine(engine);
-        if engine == ExecEngine::Lockstep {
-            exec_opts.mode = ExecMode::Fast;
-        }
-    }
+    let mut exec_opts = with_engine(
+        match opts.threads {
+            Some(n) => ExecOptions::default().with_threads(n),
+            None => ExecOptions::default(),
+        },
+        opts.engine,
+    );
     if opts.temporal > 1 {
         // Temporal tiling lives on the fast-mode lockstep engine; honor
         // an explicit --engine scalar (the plan will clamp and record
@@ -1143,16 +1151,9 @@ fn serve_tenant(
 ) -> TenantStats {
     use cmcc_obs::Counter;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    let mut exec_opts = ExecOptions::default().with_threads(1);
-    if let Some(engine) = opts.engine {
-        // `--engine lockstep` serves lane-resident plans, which are
-        // eligible for the concurrent region path (the lockstep engine
-        // is functional-only, so it implies fast mode).
-        exec_opts = exec_opts.with_engine(engine);
-        if engine == ExecEngine::Lockstep {
-            exec_opts.mode = ExecMode::Fast;
-        }
-    }
+    // `--engine lockstep` serves lane-resident plans, which are eligible
+    // for the concurrent region path.
+    let exec_opts = with_engine(ExecOptions::default().with_threads(1), opts.engine);
     let mut stats = TenantStats {
         tenant,
         statements: 0,

@@ -60,6 +60,40 @@ fn runs_and_verifies_with_run_flag() {
     assert!(stdout.contains("Mflops"), "{stdout}");
 }
 
+/// `--engine` selects the fast-mode engine, so either value runs
+/// functionally; only a run without it keeps the cycle model.
+#[test]
+fn engine_flag_selects_a_fast_mode_engine() {
+    let source = "R = 0.5 * CSHIFT(X, 2, 1) + 0.5 * X\n";
+    let run = |extra: &[&str]| {
+        let args: Vec<&str> = ["--run", "--subgrid", "8x8"]
+            .iter()
+            .chain(extra)
+            .copied()
+            .collect();
+        let (stdout, stderr, code) = run_stdin(&args, source);
+        assert_eq!(code, 0, "{extra:?}\nstdout: {stdout}\nstderr: {stderr}");
+        assert!(
+            stdout.contains("[verified bit-exact]"),
+            "{extra:?}: {stdout}"
+        );
+        stdout
+    };
+    let scalar = run(&["--engine", "scalar"]);
+    assert!(
+        scalar.contains("functional (scalar) [scalar engine requested]"),
+        "{scalar}"
+    );
+    assert!(!scalar.contains("cycles"), "{scalar}");
+    let default = run(&[]);
+    assert!(default.contains(" cycles, "), "{default}");
+    let lockstep = run(&["--engine", "lockstep", "--threads", "2"]);
+    assert!(
+        lockstep.contains("functional (lockstep, lane-resident)"),
+        "{lockstep}"
+    );
+}
+
 #[test]
 fn multi_directive_compiles_fused_statements() {
     let (stdout, _, code) = run_stdin(

@@ -43,10 +43,12 @@ pub struct ExecOptions {
     /// Host threads kernel execution fans out over (clamped to
     /// `1..=node_count`; `1` is the serial path). The scalar engine
     /// splits whole nodes across threads; the lockstep engine splits
-    /// lanes within each step. Results and [`Measurement`]s are
-    /// bit-identical for every value — the node reduction is
-    /// deterministic — so this knob trades wall-clock time only.
-    /// Defaults to the host's available parallelism.
+    /// each row sweep's output rows into bands of contiguous rows, one
+    /// per thread, over its one lane mirror. Results and
+    /// [`Measurement`]s are bit-identical for every value — the node
+    /// reduction is deterministic, and each point's chain stays on one
+    /// thread — so this knob trades wall-clock time only. Defaults to
+    /// the host's available parallelism.
     pub threads: usize,
     /// Fuse this many time steps per halo exchange (temporal tiling).
     /// `1` (the default) is the classic one-exchange-per-execute loop.

@@ -997,8 +997,7 @@ mod tests {
             let node_cycles = program.run(&mut node_m);
 
             // Lane-domain: an identical machine, with the exchange
-            // running purely on the mirror (two thread groups, so copies
-            // cross a group boundary).
+            // running purely on the mirror.
             let (mut lane_m, _, h2) = setup(1);
             let view = LaneView::new(&[(h2.field().base(), h2.field().len(), true)]).unwrap();
             let lane = LaneExchangeProgram::translate(&program, &view)
@@ -1017,7 +1016,7 @@ mod tests {
             let mut mirror = LaneMirror::new();
             {
                 let (_, mems) = lane_m.exec_parts_mut();
-                mirror.ensure(view.words(), mems.len(), 2);
+                mirror.ensure(view.words(), mems.len());
                 mirror.gather(&view, mems);
                 assert_eq!(lane.run(&mut mirror), node_cycles);
                 mirror.scatter(&view, mems);
@@ -1133,7 +1132,7 @@ mod tests {
         let mut mirror = LaneMirror::new();
         {
             let (_, mems) = lane_m.exec_parts_mut();
-            mirror.ensure(view.words(), mems.len(), 2);
+            mirror.ensure(view.words(), mems.len());
             mirror.gather(&view, mems);
             lane.run(&mut mirror);
             mirror.scatter(&view, mems);

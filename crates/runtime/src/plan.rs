@@ -36,8 +36,11 @@ use crate::array::CmArray;
 use crate::convolve::ExecOptions;
 use crate::error::RuntimeError;
 use crate::halo::{ExchangeProgram, FillProgram, HaloBuffer, LaneExchangeProgram, LaneFillProgram};
-use crate::strips::{full_strip, halfstrips, plan_strips};
-use cmcc_cm2::exec::{ExecEngine, ExecMode, FieldLayout, ResolvedStrip, StripContext, StripRun};
+use crate::strips::{full_strip, halfstrips, plan_strips, HalfStrip, Strip};
+use cmcc_cm2::exec::{
+    fast_counts, ExecEngine, ExecMode, FieldLayout, ResolvedStrip, StripContext, StripRun,
+};
+use cmcc_cm2::isa::Kernel;
 use cmcc_cm2::kernels::{self, RowCoeff, RowProgram, RowRun, RowStep, RowTerm};
 use cmcc_cm2::lane::{LaneMirror, LaneRange, LaneView, RectCopy, RegionStage};
 use cmcc_cm2::machine::Machine;
@@ -194,14 +197,13 @@ pub enum PlanLifetime {
 #[derive(Debug)]
 pub struct CompiledPlan {
     /// The strip schedule resolved against the build-time binding — the
-    /// baseline instances rebase from (never mutated).
+    /// baseline instances rebase from (never mutated). Empty on temporal
+    /// plans, which have no scalar body.
     strips: Vec<ResolvedStrip>,
-    /// The fast-mode counters and the step count of one run of
-    /// `strips` on every node, summed once here: what each lane execute
-    /// reports, so `Measurement`s and step counters match the scalar
-    /// engine's without replaying the schedule.
-    lane_run: StripRun,
-    lane_steps: u64,
+    /// What one run of the node schedule reports, counted at build: the
+    /// lane body reports it without running that schedule, so its
+    /// `Measurement`s and step counters match the scalar engine's.
+    counts: ScheduleCounts,
     /// The statement's terms in accumulation order — taps, then bias
     /// terms: the stencil IR the lane body's row program is lowered
     /// from.
@@ -247,10 +249,6 @@ pub struct CompiledPlan {
     opts: ExecOptions,
     fingerprint: u64,
     lifetime: PlanLifetime,
-    /// Resolved half-strips per kernel width (index 0 → width 8, then
-    /// 4, 2, 1) — the paper's strip-mine distribution, replayed verbatim
-    /// by every execute and reported through `cmcc_obs`.
-    strip_widths: [u64; 4],
     /// The temporal-tiling schedule: `Some` when the plan fuses two or
     /// more time steps per halo exchange ([`ExecOptions::temporal_depth`]
     /// honored), `None` for the classic one-step plan.
@@ -654,14 +652,11 @@ impl CompiledPlan {
 
         // Constant pages: one word each of 1.0 and 0.0, plus one page
         // per literal coefficient (streamed with a zero row stride).
-        // Temporal plans widen the pages by the deepest intermediate
-        // margin so extended-region columns stay in bounds.
         let consts = alloc(machine, 2)?;
-        let page_cols = sub_cols + 2 * coeff_pad;
         let mut pages: Vec<Option<(Field, f32)>> = Vec::with_capacity(spec.coeffs.len());
         for c in &spec.coeffs {
             match c {
-                CoeffSpec::Literal(v) => pages.push(Some((alloc(machine, page_cols)?, *v))),
+                CoeffSpec::Literal(v) => pages.push(Some((alloc(machine, sub_cols)?, *v))),
                 CoeffSpec::Named(_) => pages.push(None),
             }
         }
@@ -753,13 +748,9 @@ impl CompiledPlan {
             .map(|halo| FillProgram::boundary(halo, grid, stencil.boundary(), stencil.fill()))
             .collect();
 
-        // Coefficient address tables, indexed like `MemRef::Coeff.array`.
-        // Temporal plans read named coefficients through their plan-owned
-        // halo buffers (margin positions included) instead of the bound
-        // arrays directly; literal pages carry the margin as a column
-        // offset (their row stride is zero either way).
+        // Coefficient address tables, indexed like `MemRef::Coeff.array`:
+        // a named coefficient is its bound array, a literal its page.
         let mut named_iter = binding.coeffs().iter();
-        let mut coeff_halo_iter = coeff_halos.iter();
         let mut named_slots = Vec::with_capacity(binding.coeffs().len());
         let coeff_layouts: Vec<FieldLayout> = spec
             .coeffs
@@ -769,104 +760,50 @@ impl CompiledPlan {
             .map(|(i, (c, page))| match c {
                 CoeffSpec::Named(_) => {
                     named_slots.push(i as u16);
-                    let bound = named_iter.next().expect("coefficient count was validated");
-                    match coeff_halo_iter.next() {
-                        Some(halo) => halo.layout(),
-                        None => bound.layout(),
-                    }
+                    named_iter
+                        .next()
+                        .expect("coefficient count was validated")
+                        .layout()
                 }
                 CoeffSpec::Literal(_) => {
                     let (page, _) = page.expect("literal page was allocated");
-                    // The row offset keeps margin-shifted rows (down to
-                    // `-coeff_pad`) non-negative; with a zero row stride
-                    // it never moves the address.
                     FieldLayout {
                         base: page.base(),
                         row_stride: 0,
-                        row_offset: coeff_pad as i64,
-                        col_offset: coeff_pad as i64,
+                        row_offset: 0,
+                        col_offset: 0,
                     }
                 }
             })
             .collect();
 
-        // The strip schedule, resolved: identical on every node (SIMD),
-        // built once in strip-mine order (strip by strip, half-strips
-        // within each), with every memory operand turned into an
-        // absolute address.
-        // Temporal plans concatenate one sub-schedule per fused inner
-        // step: step `j` computes a `(depth-1-j)·radius`-deep extension
-        // of the subgrid (reads reach one radius further — exactly the
-        // previous step's write margin), reading the deepened source
-        // halo (step 0) or the previous scratch state, and writing the
-        // next scratch state or (final step) the interior of the
-        // destination buffer — the mirror stages it into the result, and
-        // the next execute of a ping-pong reads it in place. No engine
-        // runs this node schedule (the lane body sweeps the row program
-        // lowered below); it fixes the plan's counters and dispatches.
-        let src_layouts: Vec<FieldLayout> = halos.iter().map(HaloBuffer::layout).collect();
-        let mut strips = Vec::new();
-        let mut strip_widths = [0u64; 4];
-        for step in 0..depth {
-            let margin = (depth - 1 - step) * pad;
-            let step_srcs: Vec<FieldLayout> = if step == 0 {
-                src_layouts.clone()
-            } else {
-                vec![scratch[(step - 1) % 2].layout()]
-            };
-            let step_res = if depth == 1 {
-                result.layout()
-            } else if step + 1 == depth {
-                dest.expect("temporal plans run the lane body").layout()
-            } else {
-                scratch[step % 2].layout()
-            };
-            let halves = if opts.half_strips {
-                halfstrips(sub_rows + 2 * margin)
-            } else {
-                full_strip(sub_rows + 2 * margin)
-            };
-            for strip in plan_strips(compiled, sub_cols + 2 * margin) {
-                let sk = compiled
-                    .widest_kernel_for(strip.width)
-                    .expect("plan_strips used compiled widths");
-                assert_eq!(
-                    sk.width, strip.width,
-                    "the widest kernel must fit the strip exactly"
-                );
-                for half in &halves {
-                    let kernel = match half.walk {
-                        Walk::North => &sk.north,
-                        Walk::South => &sk.south,
-                    };
+        // The classic plan's node schedule, resolved for the scalar
+        // engine: identical on every node (SIMD), in strip-mine order,
+        // with every memory operand turned into an absolute address.
+        // Temporal plans have no scalar body and resolve nothing.
+        let strips: Vec<ResolvedStrip> = if depth == 1 {
+            let srcs: Vec<FieldLayout> = halos.iter().map(HaloBuffer::layout).collect();
+            strip_mine(compiled, opts.half_strips, sub_rows, sub_cols)
+                .into_iter()
+                .map(|(kernel, strip, half)| {
                     let ctx = StripContext {
-                        srcs: &step_srcs,
-                        res: step_res,
+                        srcs: &srcs,
+                        res: result.layout(),
                         coeffs: &coeff_layouts,
                         ones_addr,
                         zeros_addr,
-                        start_row: half.start_row as i64 - margin as i64,
+                        start_row: half.start_row as i64,
                         lines: half.lines,
-                        col0: strip.col0 as i64 - margin as i64,
+                        col0: strip.col0 as i64,
                     };
-                    let mut resolved = ResolvedStrip::new(kernel, &ctx);
-                    if depth > 1 {
-                        // Scratch, halo and coefficient-halo addresses
-                        // are plan-owned and never move on rebind.
-                        resolved.freeze_slots(true, true);
-                    }
-                    strips.push(resolved);
-                    if let Some(slot) = width_slot(strip.width) {
-                        strip_widths[slot] += 1;
-                    }
-                }
-            }
-        }
-        let mut lane_run = StripRun::default();
-        for strip in &strips {
-            lane_run.absorb(&strip.fast_counts());
-        }
-        let lane_steps = strips.iter().map(ResolvedStrip::steps).sum();
+                    ResolvedStrip::new(kernel, &ctx)
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let counts =
+            ScheduleCounts::of(compiled, opts.half_strips, (sub_rows, sub_cols), depth, pad);
 
         // The IR the lane body sweeps: taps in statement order, then bias
         // terms, each coefficient a literal's value, `1.0` for a unit tap,
@@ -906,8 +843,7 @@ impl CompiledPlan {
         let cfg = machine.config();
         let mut cp = CompiledPlan {
             strips,
-            lane_run,
-            lane_steps,
+            counts,
             terms,
             pad,
             lane: None,
@@ -930,7 +866,6 @@ impl CompiledPlan {
             opts: *opts,
             fingerprint: compiled.fingerprint(),
             lifetime,
-            strip_widths,
             temporal: (depth > 1).then_some(TemporalPlan {
                 depth,
                 scratch,
@@ -1437,8 +1372,7 @@ impl PlanInstance {
             .lane_view
             .as_ref()
             .expect("mirrored plans are lane-mapped");
-        self.lane_mirror
-            .ensure(view.words(), nodes, cp.opts.threads);
+        self.lane_mirror.ensure(view.words(), nodes);
         let gathered = |r: &LaneRange| !r.writable && !r.private && !cp.is_halo(r.node_base);
         if self.lane_held.is_empty() {
             self.lane_mirror.gather(view, mems);
@@ -1534,12 +1468,12 @@ impl PlanInstance {
         self.lane_pending = Some((dest, self.result.field()));
         // The row sweeps stand in for the whole node schedule: its
         // counters, summed at build, are this execute's.
-        cmcc_obs::add(cmcc_obs::Counter::LockstepSteps, cp.lane_steps);
-        cmcc_obs::add(cmcc_obs::Counter::KernelizedSteps, cp.lane_steps);
-        tally.run = cp.lane_run;
+        cmcc_obs::add(cmcc_obs::Counter::LockstepSteps, cp.counts.steps);
+        cmcc_obs::add(cmcc_obs::Counter::KernelizedSteps, cp.counts.steps);
+        tally.run = cp.counts.run;
         for (step, sweep) in lane.program.steps().iter().enumerate() {
             let _t = cmcc_obs::trace::scope(cmcc_obs::trace::TraceOp::KernelSweep, step as u64);
-            kernels::sweep(sweep, self.lane_mirror.groups_mut());
+            kernels::sweep(sweep, &mut self.lane_mirror, cp.opts.threads);
             if step + 1 < depth {
                 schedule.scratch_fills[step % 2].run(&mut self.lane_mirror);
             }
@@ -1634,7 +1568,7 @@ impl PlanInstance {
         cmcc_obs::add(cmcc_obs::Counter::ScatterWords, d.scattered);
         cmcc_obs::add(cmcc_obs::Counter::InteriorRefreshWords, d.row_gathered);
         cmcc_obs::add(cmcc_obs::Counter::MirrorAllocations, d.allocations);
-        for (slot, &n) in cp.strip_widths.iter().enumerate() {
+        for (slot, &n) in cp.counts.strip_widths.iter().enumerate() {
             cmcc_obs::add(WIDTH_COUNTERS[slot], n);
         }
 
@@ -1660,7 +1594,7 @@ impl PlanInstance {
 
         // One front-end microcode dispatch per half-strip, plus the
         // call overhead.
-        let frontend = cp.call_overhead + cp.dispatch * self.strips.len() as u64;
+        let frontend = cp.call_overhead + cp.dispatch * cp.counts.dispatches;
 
         Measurement {
             useful_flops: cp.useful_flops,
@@ -2130,11 +2064,6 @@ impl ExecutionPlan {
         self.shared.lifetime
     }
 
-    /// Pre-resolved half-strip runs per iteration (front-end dispatches).
-    pub fn dispatches(&self) -> usize {
-        self.inst.strips.len()
-    }
-
     /// Lane-mirror buffer allocations performed so far. Steady state
     /// (repeated `execute` without rebinding a different shape) must not
     /// move this counter; benches and tests assert on the delta.
@@ -2196,6 +2125,87 @@ impl ExecutionPlan {
     /// occupy.
     pub fn words(&self) -> usize {
         self.shared.words()
+    }
+}
+
+/// The strip-mine schedule of a `rows × cols` region, in execution
+/// order — strip by strip, half-strips within each: every half-strip's
+/// kernel, its strip and its half.
+fn strip_mine(
+    compiled: &CompiledStencil,
+    half_strips: bool,
+    rows: usize,
+    cols: usize,
+) -> Vec<(&Kernel, Strip, HalfStrip)> {
+    let halves = if half_strips {
+        halfstrips(rows)
+    } else {
+        full_strip(rows)
+    };
+    let mut schedule = Vec::new();
+    for strip in plan_strips(compiled, cols) {
+        let sk = compiled
+            .widest_kernel_for(strip.width)
+            .expect("plan_strips used compiled widths");
+        assert_eq!(
+            sk.width, strip.width,
+            "the widest kernel must fit the strip exactly"
+        );
+        for &half in &halves {
+            let kernel = match half.walk {
+                Walk::North => &sk.north,
+                Walk::South => &sk.south,
+            };
+            schedule.push((kernel, strip, half));
+        }
+    }
+    schedule
+}
+
+/// What one run of a plan's node schedule reports on every node,
+/// counted from each half-strip's kernel and line count without
+/// resolving an address: the same whether the scalar engine runs the
+/// schedule or the lane body stands in for it.
+#[derive(Debug, Default)]
+struct ScheduleCounts {
+    /// The fast-mode counters, summed over every half-strip.
+    run: StripRun,
+    /// Dynamic steps issued.
+    steps: u64,
+    /// Half-strips per kernel width (index 0 → width 8, then 4, 2, 1) —
+    /// the paper's strip-mine distribution, reported through `cmcc_obs`.
+    strip_widths: [u64; 4],
+    /// Half-strips: one front-end microcode dispatch each.
+    dispatches: u64,
+}
+
+impl ScheduleCounts {
+    /// Counts the schedule of every fused step of a `depth`-deep plan
+    /// over a `rows × cols` subgrid: step `j` covers the subgrid
+    /// widened by a `(depth−1−j)·pad`-deep margin on every side.
+    fn of(
+        compiled: &CompiledStencil,
+        half_strips: bool,
+        (rows, cols): (usize, usize),
+        depth: usize,
+        pad: usize,
+    ) -> Self {
+        let mut counts = ScheduleCounts::default();
+        for step in 0..depth {
+            let margin = 2 * (depth - 1 - step) * pad;
+            for (kernel, strip, half) in
+                strip_mine(compiled, half_strips, rows + margin, cols + margin)
+            {
+                let run = fast_counts(kernel, half.lines);
+                counts.steps += run.macs + run.loads + run.stores + run.nops;
+                counts.run.absorb(&run);
+                if let Some(slot) = width_slot(strip.width) {
+                    counts.strip_widths[slot] += 1;
+                }
+                counts.dispatches += 1;
+            }
+        }
+        counts
     }
 }
 

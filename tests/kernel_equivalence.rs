@@ -2,8 +2,8 @@
 //! program lowered from the stencil IR at plan build must be
 //! *indistinguishable* from the scalar engine running the compiled
 //! schedule — bit-identical result arrays and exactly equal
-//! [`Measurement`]s — across every paper pattern, lane-group widths
-//! (thread counts), fused depths, edge and remainder subgrid shapes,
+//! [`Measurement`]s — across every paper pattern, thread counts (bands
+//! of output rows), fused depths, edge and remainder subgrid shapes,
 //! `EOSHIFT BOUNDARY=` fill values, named coefficients on temporal
 //! plans, rebind ping-pong and arbitrary random stencils. The two
 //! engines derive each point independently — one from the compiled
@@ -329,7 +329,7 @@ fn scalar_steps(
 }
 
 /// `executes` lockstep executes of `source` at `depth` fused steps on
-/// `threads` lane groups, ping-ponging between `a` and `b`, must
+/// `threads` threads, ping-ponging between `a` and `b`, must
 /// lane-map and match the scalar engine iterated `depth × executes`
 /// times bit for bit — and, at depth 1, measure exactly what it
 /// measures.
@@ -358,8 +358,8 @@ fn assert_sweeps_match_iterated_scalar(
     }
 }
 
-/// Every paper pattern × lane groups of 16, 8 and 6/5 lanes (1, 2 and 3
-/// threads on the 16-node board) × fused depths 1, 2 and 4, over two
+/// Every paper pattern × 1, 2 and 3 threads (each sweep cut into that
+/// many bands of output rows) × fused depths 1, 2 and 4, over two
 /// ping-pong executes — so both directions of the row program run, and
 /// the temporal plans read their named coefficients in place from the
 /// coefficient halos — matches the iterated scalar engine bit for bit.
@@ -405,7 +405,7 @@ fn eoshift_boundary_fill_values_sweep_exactly() {
 }
 
 /// Every paper pattern, a bias statement and five-point heat fused four
-/// deep run *fully* on the row sweeps at every lane-group width: every
+/// deep run *fully* on the row sweeps at every thread count: every
 /// plan lane-maps, every lockstep step is booked as a kernelized one,
 /// a classic plan books exactly the steps of the scalar engine's
 /// schedule, and an execute matches the scalar engine bit for bit.

@@ -5,7 +5,7 @@
 //! them.
 //!
 //! Every paper pattern runs at temporal depth 1, 2 and 4 on one and two
-//! lane groups, in three shapes of time loop: an X↔R ping-pong, a
+//! threads, in three shapes of time loop: an X↔R ping-pong, a
 //! rotation through three buffers, and an in-place update. Between
 //! executes the loop is disturbed in every way that must force a
 //! refresh: a host write to the held array, another plan's execute

@@ -328,11 +328,14 @@ fn ring_overflow_counts_drops_and_preserves_prefix() {
     obs::set_enabled(false);
 }
 
-/// Every traced multi-thread sweep records on lane workers that
+/// Every traced multi-thread sweep records on band workers that
 /// `thread::scope` spawns and joins. Their rings must come back: after
-/// hundreds of traced two-group executes, no more rings exist than
-/// threads ever recorded at once, and every exited worker's slices are
-/// still in the trace, one thread track each.
+/// hundreds of traced two-band executes, no more rings exist than
+/// threads ever recorded at once, and every exited worker's slice is
+/// still in the trace, one thread track each. A two-thread execute
+/// spawns exactly one worker — the caller sweeps the other band — and
+/// nothing else: no thread but the caller and the sweep workers records
+/// an event, so the copy phases run on the caller.
 #[test]
 fn exited_workers_return_their_rings_and_keep_their_slices() {
     let _g = lock();
@@ -366,28 +369,37 @@ fn exited_workers_return_their_rings_and_keep_their_slices() {
         rings.allocated < EXECUTES,
         "{rings:?}: every sweep's workers kept a ring"
     );
-    let workers: Vec<usize> = trace::threads()
+    let threads = trace::threads();
+    let caller = threads
         .iter()
-        .filter(|t| {
-            t.events
-                .iter()
-                .any(|e| e.op == TraceOp::ExecuteWorkers && e.kind == TraceKind::Begin)
-        })
-        .map(|t| t.tid)
+        .find(|t| t.events.iter().any(|e| e.op == TraceOp::Execute))
+        .expect("the caller traced its executes")
+        .tid;
+    let workers: Vec<&ThreadTrace> = threads
+        .iter()
+        .filter(|t| t.tid != caller && !t.events.is_empty())
         .collect();
-    let slices = pair_slices(&trace::threads())
+    for t in &workers {
+        assert!(
+            t.events.iter().all(|e| e.op == TraceOp::ExecuteWorkers),
+            "thread {} recorded outside a band sweep: {:?}",
+            t.tid,
+            t.events
+        );
+    }
+    let slices = pair_slices(&threads)
         .iter()
         .filter(|s| s.op == TraceOp::ExecuteWorkers)
         .count();
     assert_eq!(
         slices,
         2 * EXECUTES,
-        "one worker slice per lane group per execute"
+        "one worker slice per band per execute"
     );
     assert_eq!(
         workers.len(),
-        2 * EXECUTES,
-        "one thread track per exited worker"
+        EXECUTES,
+        "one thread track per exited worker, one worker per execute"
     );
     trace::reset_trace();
     assert!(trace::threads().iter().all(|t| t.events.is_empty()));
