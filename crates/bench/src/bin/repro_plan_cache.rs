@@ -4,13 +4,13 @@
 //! board two ways:
 //!
 //! * **rebuild** — a [`convolve()`] call per iteration: it builds a
-//!   scoped plan (allocates halo buffers and constant pages, fills them
-//!   on every node, compiles the exchange, resolves the strip schedule
-//!   and — on the lockstep engine — lowers the stencil IR into a row
-//!   program over the lane mirror), executes it once from a cold mirror,
-//!   and releases it — on every call;
+//!   plan (allocates halo buffers and constant pages from the persistent
+//!   arena, fills them on every node, compiles the exchange, strip-mines
+//!   the subgrid and — on the lockstep engine — lowers the stencil IR
+//!   into a row program over the lane mirror), executes it once from a
+//!   cold mirror, and releases it — on every call;
 //! * **planned** — one [`ExecutionPlan`] built up front, then 100
-//!   allocation-free executes of the pre-resolved schedule.
+//!   allocation-free executes of the same schedule.
 //!
 //! A cycle-accurate verification pass first checks the two paths produce
 //! bit-identical results and equal `Measurement`s; the timed loops
@@ -34,7 +34,7 @@ use cmcc_cm2::exec::ExecMode;
 use cmcc_core::patterns::PaperPattern;
 use cmcc_runtime::array::CmArray;
 use cmcc_runtime::convolve::{convolve, ExecOptions};
-use cmcc_runtime::plan::{ExecutionPlan, PlanLifetime, StencilBinding};
+use cmcc_runtime::plan::{ExecutionPlan, StencilBinding};
 use std::time::Instant;
 
 const SUBGRID: (usize, usize) = (16, 16);
@@ -89,13 +89,8 @@ fn main() {
     let build_start = Instant::now();
     let binding = StencilBinding::new(&plan_w.compiled, &plan_w.r, &[&plan_w.x], &coeff_refs)
         .expect("bench arguments are valid");
-    let mut plan = ExecutionPlan::build(
-        &mut plan_w.machine,
-        &binding,
-        &cycle_opts,
-        PlanLifetime::Persistent,
-    )
-    .expect("bench plan builds");
+    let mut plan = ExecutionPlan::build(&mut plan_w.machine, &binding, &cycle_opts)
+        .expect("bench plan builds");
     let plan_m = plan.execute(&mut plan_w.machine).expect("bench plan runs");
     let first_call_secs = build_start.elapsed().as_secs_f64();
     let planned_r = plan_w.r.gather(&plan_w.machine);
@@ -108,7 +103,7 @@ fn main() {
     let measurement_equal = rebuild_m == plan_m;
     println!("  verification (cycle mode): bit-identical: {bit_identical}; measurements equal: {measurement_equal}");
 
-    // Rebuild path, timed: a scoped plan built, run and released per
+    // Rebuild path, timed: a plan built, run and released per
     // iteration.
     let allocs_before = rebuild_w.machine.alloc_count();
     let start = Instant::now();
@@ -135,13 +130,8 @@ fn main() {
     // part of a plan's identity), then execute `iters` times.
     plan.release(&mut plan_w.machine);
     let build_start = Instant::now();
-    plan = ExecutionPlan::build(
-        &mut plan_w.machine,
-        &binding,
-        &fast_opts,
-        PlanLifetime::Persistent,
-    )
-    .expect("bench plan builds");
+    plan =
+        ExecutionPlan::build(&mut plan_w.machine, &binding, &fast_opts).expect("bench plan builds");
     let build_secs = build_start.elapsed().as_secs_f64();
     let fast_m = plan.execute(&mut plan_w.machine).expect("bench plan runs");
     let steady_allocs_before = plan_w.machine.alloc_count();

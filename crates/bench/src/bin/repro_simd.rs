@@ -47,7 +47,7 @@ use cmcc_cm2::timing::Measurement;
 use cmcc_core::patterns::PaperPattern;
 use cmcc_runtime::array::CmArray;
 use cmcc_runtime::convolve::ExecOptions;
-use cmcc_runtime::plan::{ExecutionPlan, PlanLifetime, StencilBinding};
+use cmcc_runtime::plan::{ExecutionPlan, StencilBinding};
 use cmcc_runtime::ExecEngine;
 use std::time::Instant;
 
@@ -82,8 +82,8 @@ impl Pass {
         let refs: Vec<&CmArray> = w.coeffs.iter().collect();
         let binding =
             StencilBinding::new(&w.compiled, &w.r, &[&w.x], &refs).expect("bench binding is valid");
-        let mut plan = ExecutionPlan::build(&mut w.machine, &binding, &opts, PlanLifetime::Scoped)
-            .expect("bench plan builds");
+        let mut plan =
+            ExecutionPlan::build(&mut w.machine, &binding, &opts).expect("bench plan builds");
         // Lane-mapped means the build lowered a row program: one it
         // refused would leave the plan on the scalar engine.
         assert_eq!(

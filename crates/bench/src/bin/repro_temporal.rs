@@ -41,7 +41,7 @@
 
 use cmcc_cm2::config::MachineConfig;
 use cmcc_runtime::convolve::ExecOptions;
-use cmcc_runtime::plan::{ExecutionPlan, PlanLifetime, StencilBinding};
+use cmcc_runtime::plan::{ExecutionPlan, StencilBinding};
 use cmcc_runtime::ExecEngine;
 use std::time::Instant;
 
@@ -90,8 +90,8 @@ fn run_loop(
     let opts = (*opts).with_temporal_depth(depth);
     let binding =
         StencilBinding::new(&w.compiled, &w.r, &[&w.x], &[]).expect("bench binding is valid");
-    let mut plan = ExecutionPlan::build(&mut w.machine, &binding, &opts, PlanLifetime::Scoped)
-        .expect("bench plan builds");
+    let mut plan =
+        ExecutionPlan::build(&mut w.machine, &binding, &opts).expect("bench plan builds");
     assert_eq!(
         plan.temporal_depth(),
         depth,
@@ -127,13 +127,8 @@ fn run_loop(
         let tail_opts = opts.with_temporal_depth(1);
         let tail_binding =
             StencilBinding::new(&w.compiled, to, &[from], &[]).expect("tail binding is valid");
-        let mut tail_plan = ExecutionPlan::build(
-            &mut w.machine,
-            &tail_binding,
-            &tail_opts,
-            PlanLifetime::Scoped,
-        )
-        .expect("tail plan builds");
+        let mut tail_plan = ExecutionPlan::build(&mut w.machine, &tail_binding, &tail_opts)
+            .expect("tail plan builds");
         for t in 0..tail {
             tail_plan
                 .execute(&mut w.machine)
@@ -182,8 +177,8 @@ fn measure_interleaved(
             let opts = (*opts).with_temporal_depth(depth);
             let binding = StencilBinding::new(&w.compiled, &w.r, &[&w.x], &[])
                 .expect("bench binding is valid");
-            let plan = ExecutionPlan::build(&mut w.machine, &binding, &opts, PlanLifetime::Scoped)
-                .expect("bench plan builds");
+            let plan =
+                ExecutionPlan::build(&mut w.machine, &binding, &opts).expect("bench plan builds");
             Setup {
                 w,
                 plan,

@@ -493,22 +493,8 @@ pub enum ResolvedOp {
     Nop,
 }
 
-/// Which plan-bound buffer a pre-resolved address points into,
-/// determining how [`ResolvedStrip::rebase`] adjusts it when the plan is
-/// rebound to different arrays of the same shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResolvedSlot {
-    /// The result array (rebased by the new result's base delta).
-    Result,
-    /// Coefficient array `n` (rebased by that coefficient's base delta).
-    Coeff(u16),
-    /// A plan-owned buffer — halo, constant, or literal page — whose
-    /// address never changes over the plan's lifetime.
-    Fixed,
-}
-
 /// One pre-resolved step: an operation, the concrete address of its
-/// first occurrence, the per-period address stride, and the rebase slot.
+/// first occurrence, and the per-period address stride.
 ///
 /// Kernel addresses are affine in the line index: pattern line `p` of a
 /// kernel with period `L` executes at lines `p, p+L, p+2L, …`, and each
@@ -525,12 +511,10 @@ pub struct ResolvedPart {
     /// Address advance per kernel period (0 for prologue parts, constant
     /// pages, and literal coefficient pages).
     pub delta: i64,
-    /// How to rebase `addr` when the plan is rebound.
-    pub slot: ResolvedSlot,
 }
 
-/// A half-strip with every memory address pre-resolved — the executable
-/// payload of a cached execution plan.
+/// A half-strip with every memory address pre-resolved — what the scalar
+/// engine runs for one binding of an execution plan.
 ///
 /// Built once from a kernel and its [`StripContext`]; executed many
 /// times by [`run_resolved_strip`], which replays the same operation
@@ -560,35 +544,23 @@ impl ResolvedStrip {
         let stored = period.min(ctx.lines);
         let resolve_part = |part: &DynamicPart, row: i64, delta_periods: i64| -> ResolvedPart {
             let (op, mref) = decompose(part);
-            let (addr, slot, stride) = match mref {
-                None => (0, ResolvedSlot::Fixed, 0),
+            // The per-period delta follows the referenced layout's stride.
+            let (addr, stride) = match mref {
+                None => (0, 0),
                 Some(m) => {
-                    let addr = resolve(m, row, ctx);
-                    // The slot governs rebasing only; the stride (and
-                    // hence the per-period delta) always follows the
-                    // referenced layout. Sources are `Fixed` because
-                    // kernels read plan-owned halo buffers, but their
-                    // addresses still walk row by row.
-                    let (slot, stride) = match m {
-                        MemRef::Source { array, .. } => (
-                            ResolvedSlot::Fixed,
-                            ctx.srcs[array as usize].row_stride as i64,
-                        ),
-                        MemRef::Coeff { array, .. } => (
-                            ResolvedSlot::Coeff(array),
-                            ctx.coeffs[array as usize].row_stride as i64,
-                        ),
-                        MemRef::Result { .. } => (ResolvedSlot::Result, ctx.res.row_stride as i64),
-                        MemRef::Ones | MemRef::Zeros => (ResolvedSlot::Fixed, 0),
+                    let stride = match m {
+                        MemRef::Source { array, .. } => ctx.srcs[array as usize].row_stride,
+                        MemRef::Coeff { array, .. } => ctx.coeffs[array as usize].row_stride,
+                        MemRef::Result { .. } => ctx.res.row_stride,
+                        MemRef::Ones | MemRef::Zeros => 0,
                     };
-                    (addr, slot, stride)
+                    (resolve(m, row, ctx), stride as i64)
                 }
             };
             ResolvedPart {
                 op,
                 addr,
                 delta: delta_periods * i64::from(kernel.row_step) * stride,
-                slot,
             }
         };
         let prologue = kernel
@@ -623,34 +595,6 @@ impl ResolvedStrip {
             .map(|l| self.body[l % self.body.len().max(1)].len())
             .sum();
         (self.prologue.len() + body) as u64
-    }
-
-    /// Shifts every result-slot address by `result_delta` words and every
-    /// coefficient-slot address for array `i` by `coeff_deltas[i]` —
-    /// rebinding the strip to different arrays of identical shape without
-    /// rebuilding it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a coefficient slot indexes past `coeff_deltas` or an
-    /// adjustment would move an address below zero.
-    pub fn rebase(&mut self, result_delta: i64, coeff_deltas: &[i64]) {
-        let shift = |part: &mut ResolvedPart| {
-            let delta = match part.slot {
-                ResolvedSlot::Result => result_delta,
-                ResolvedSlot::Coeff(i) => coeff_deltas[i as usize],
-                ResolvedSlot::Fixed => 0,
-            };
-            if delta != 0 {
-                let moved = part.addr as i64 + delta;
-                assert!(moved >= 0, "rebase moved address below zero");
-                part.addr = moved as usize;
-            }
-        };
-        self.prologue.iter_mut().for_each(&shift);
-        for pattern in &mut self.body {
-            pattern.iter_mut().for_each(&shift);
-        }
     }
 }
 
@@ -1096,47 +1040,6 @@ mod tests {
             };
             differential(&kernel, &ctx, ExecMode::Cycle);
             differential(&kernel, &ctx, ExecMode::Fast);
-        }
-    }
-
-    #[test]
-    fn resolved_strip_rebases_result_and_coeffs() {
-        let kernel = identity_kernel();
-        let (mut mem, [src, res, coeff], ones, zeros) = setup();
-        let coeffs = [coeff];
-        let srcs = [src];
-        let ctx = StripContext {
-            srcs: &srcs,
-            res,
-            coeffs: &coeffs,
-            ones_addr: ones,
-            zeros_addr: zeros,
-            start_row: 3,
-            lines: 4,
-            col0: 1,
-        };
-        // Build at one binding, rebase to another: result moved from 16
-        // to 52, coefficients unmoved.
-        let mut strip = ResolvedStrip::new(&kernel, &ctx);
-        strip.rebase(36, &[0]);
-        let moved_res = FieldLayout { base: 52, ..res };
-        let ctx_moved = StripContext {
-            res: moved_res,
-            ..ctx.clone()
-        };
-        let direct = ResolvedStrip::new(&kernel, &ctx_moved);
-        assert_eq!(strip, direct);
-        // And execution lands in the new result field. (Memory map in
-        // `setup` is 64 words; 52..68 overflows, so use a bigger one.)
-        let mut big = NodeMemory::new(80);
-        for a in 0..64 {
-            big.write(a, mem.read(a));
-        }
-        mem = big;
-        run_resolved_strip(&strip, &mut mem, &cfg(), ExecMode::Fast).unwrap();
-        for row in 0..4 {
-            let want = 2.0 * (row as f32 * 4.0 + 2.0);
-            assert_eq!(mem.read(52 + row * 4 + 1), want, "row {row}");
         }
     }
 

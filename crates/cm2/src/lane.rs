@@ -634,11 +634,6 @@ impl MirrorPool {
         }
     }
 
-    /// The most retired mirrors the pool will hold.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Hands out a pooled mirror, or a fresh empty one when the pool is
     /// dry. Pooled contents are unspecified — prime before use.
     pub fn take(&self) -> LaneMirror {

@@ -40,8 +40,8 @@ pub mod timing;
 
 pub use config::MachineConfig;
 pub use exec::{
-    ExecEngine, ExecMode, FieldLayout, HazardError, ResolvedOp, ResolvedPart, ResolvedSlot,
-    ResolvedStrip, StripContext, StripRun,
+    ExecEngine, ExecMode, FieldLayout, HazardError, ResolvedOp, ResolvedPart, ResolvedStrip,
+    StripContext, StripRun,
 };
 pub use grid::{Direction, NodeGrid, NodeId};
 pub use isa::{DynamicPart, Kernel, MacAcc, MemRef, Reg, StaticPart};

@@ -29,9 +29,6 @@
 //!                      (default 1 — tenants run their batch share
 //!                      sequentially). Conflicting executes queue in
 //!                      fair FIFO order on the session's lease table
-//!   --mirror-pool N    retired lane mirrors the session recycles
-//!                      across tenant instances (default 32); takes
-//!                      past the supply count as MirrorPoolMisses
 //!   --iters N          iterations per stencil for --run (default 1);
 //!                      the execution plan is built once and replayed,
 //!                      reporting first-iteration vs steady-state time
@@ -74,7 +71,7 @@
 //!   -h, --help         this text
 //! ```
 
-use cmcc::{LeaseStats, PlanCacheStats, Session, DEFAULT_MIRROR_POOL_CAPACITY};
+use cmcc::{LeaseStats, PlanCacheStats, Session};
 use cmcc_cm2::config::MachineConfig;
 use cmcc_cm2::exec::{ExecEngine, ExecMode};
 use cmcc_cm2::machine::Machine;
@@ -106,7 +103,6 @@ struct Options {
     serve: bool,
     workers: usize,
     quota: usize,
-    mirror_pool: usize,
     iters: usize,
     temporal: usize,
     subgrid: (usize, usize),
@@ -122,7 +118,7 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: cmcc [--run] [--serve] [--workers N] [--quota N] [--mirror-pool N] \
+        "usage: cmcc [--run] [--serve] [--workers N] [--quota N] \
          [--iters N] [--temporal K] \
          [--subgrid RxC] [--threads N] [--engine scalar|lockstep] [--profile[=json]] \
          [--trace FILE] [--drift-tol F] \
@@ -138,7 +134,6 @@ fn parse_args() -> Options {
         serve: false,
         workers: 4,
         quota: 1,
-        mirror_pool: DEFAULT_MIRROR_POOL_CAPACITY,
         iters: 1,
         temporal: 1,
         subgrid: (64, 64),
@@ -167,13 +162,6 @@ fn parse_args() -> Options {
                 let Some(n) = args.next() else { usage() };
                 match n.parse::<usize>() {
                     Ok(n) if n > 0 => opts.quota = n,
-                    _ => usage(),
-                }
-            }
-            "--mirror-pool" => {
-                let Some(n) = args.next() else { usage() };
-                match n.parse::<usize>() {
-                    Ok(n) => opts.mirror_pool = n,
                     _ => usage(),
                 }
             }
@@ -420,7 +408,7 @@ fn run_compiled(
     cfg: &MachineConfig,
     opts: &Options,
 ) -> Result<PlanCacheStats, Box<dyn std::error::Error>> {
-    let mut session = Session::with_config_and_mirror_pool(cfg.clone(), opts.mirror_pool)?;
+    let mut session = Session::with_config(cfg.clone())?;
     let rows = opts.subgrid.0 * session.machine().grid().rows();
     let cols = opts.subgrid.1 * session.machine().grid().cols();
     let mut rng = Rng::new(0xCC);
@@ -1263,7 +1251,7 @@ fn serve_batch(
     // Serve always runs the flight recorder: the per-tenant latency and
     // lease-contention attribution below are distilled from its events.
     cmcc_obs::trace::set_trace_enabled(true);
-    let session = Session::with_config_and_mirror_pool(cfg.clone(), opts.mirror_pool)?;
+    let session = Session::with_config(cfg.clone())?;
     let tenants: Vec<TenantStats> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..opts.workers)
             .map(|w| {

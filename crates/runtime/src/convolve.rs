@@ -13,7 +13,7 @@
 use crate::array::CmArray;
 use crate::error::RuntimeError;
 use crate::halo::ExchangePrimitive;
-use crate::plan::{ExecutionPlan, PlanLifetime, StencilBinding};
+use crate::plan::{ExecutionPlan, StencilBinding};
 use cmcc_cm2::exec::{ExecEngine, ExecMode};
 use cmcc_cm2::machine::Machine;
 use cmcc_cm2::timing::Measurement;
@@ -188,18 +188,16 @@ pub fn convolve_multi(
     opts: &ExecOptions,
 ) -> Result<Measurement, RuntimeError> {
     // The four phases run back to back: bind (validate), plan (allocate
-    // temporaries, compile the exchange, resolve the schedule), execute,
+    // temporaries, compile the exchange and the schedule), execute,
     // release. Temporary allocations live only for this call (§5: the
     // run-time library "takes care of allocating temporary memory
-    // space"); callers that iterate keep the plan instead — see
+    // space") and go back to the arena whether or not the execute
+    // succeeds; callers that iterate keep the plan instead — see
     // [`crate::plan`] and the session-level plan cache.
     let binding = StencilBinding::new(compiled, result, sources, coeffs)?;
-    let mark = machine.alloc_mark();
-    let outcome = (|| {
-        let mut plan = ExecutionPlan::build(machine, &binding, opts, PlanLifetime::Scoped)?;
-        plan.execute(machine)
-    })();
-    machine.release_to(mark);
+    let mut plan = ExecutionPlan::build(machine, &binding, opts)?;
+    let outcome = plan.execute(machine);
+    plan.release(machine);
     outcome
 }
 
@@ -454,10 +452,16 @@ mod tests {
         let x = CmArray::new(&mut m, 8, 8).unwrap();
         let r = CmArray::new(&mut m, 8, 8).unwrap();
         let before = m.alloc_mark();
+        let persistent = m.persistent_used();
         for _ in 0..5 {
             convolve(&mut m, &compiled, &r, &x, &[], &ExecOptions::default()).unwrap();
         }
         assert_eq!(m.alloc_mark(), before, "temporaries must be released");
+        assert_eq!(
+            m.persistent_used(),
+            persistent,
+            "plan fields must go back to the arena"
+        );
     }
 
     #[test]

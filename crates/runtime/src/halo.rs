@@ -21,6 +21,7 @@ use crate::error::RuntimeError;
 use cmcc_cm2::config::MachineConfig;
 use cmcc_cm2::exec::FieldLayout;
 use cmcc_cm2::grid::{Direction, NodeGrid, NodeId};
+use cmcc_cm2::lane::{LaneMirror, LaneView};
 use cmcc_cm2::machine::Machine;
 use cmcc_cm2::memory::{copy_between, Field};
 use cmcc_cm2::news::{
@@ -51,7 +52,9 @@ pub struct HaloBuffer {
 
 impl HaloBuffer {
     /// Allocates a `(sub_rows + 2·pad) × (sub_cols + 2·pad)` buffer on
-    /// every node.
+    /// every node from the persistent arena, so it outlives per-call
+    /// `alloc_mark` scopes. Must be returned with
+    /// [`HaloBuffer::release`].
     ///
     /// # Errors
     ///
@@ -59,36 +62,6 @@ impl HaloBuffer {
     /// subgrid (one exchange could not fill it), or
     /// [`RuntimeError::OutOfMemory`].
     pub fn new(
-        machine: &mut Machine,
-        sub_rows: usize,
-        sub_cols: usize,
-        pad: usize,
-    ) -> Result<Self, RuntimeError> {
-        if pad > sub_rows || pad > sub_cols {
-            return Err(RuntimeError::SubgridTooSmall {
-                pad,
-                sub_rows,
-                sub_cols,
-            });
-        }
-        let field = machine.alloc_field((sub_rows + 2 * pad) * (sub_cols + 2 * pad))?;
-        Ok(HaloBuffer {
-            field,
-            pad,
-            sub_rows,
-            sub_cols,
-        })
-    }
-
-    /// Like [`HaloBuffer::new`], but allocated from the persistent arena
-    /// so the buffer outlives per-call `alloc_mark` scopes — the form an
-    /// [`crate::plan::ExecutionPlan`] owns. Must be returned with
-    /// [`HaloBuffer::release`].
-    ///
-    /// # Errors
-    ///
-    /// As [`HaloBuffer::new`].
-    pub fn new_persistent(
         machine: &mut Machine,
         sub_rows: usize,
         sub_cols: usize,
@@ -110,35 +83,7 @@ impl HaloBuffer {
         })
     }
 
-    /// Wraps an already-allocated `field` in halo-buffer addressing —
-    /// no allocation, no ownership. Temporal plans use this to give
-    /// their scratch states (plain persistent fields) halo geometry so
-    /// fill programs and strip layouts can be built over them.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `field` is not exactly
-    /// `(sub_rows + 2·pad) × (sub_cols + 2·pad)` words.
-    pub(crate) fn over(field: Field, sub_rows: usize, sub_cols: usize, pad: usize) -> Self {
-        assert_eq!(
-            field.len(),
-            (sub_rows + 2 * pad) * (sub_cols + 2 * pad),
-            "field length does not match the padded shape"
-        );
-        HaloBuffer {
-            field,
-            pad,
-            sub_rows,
-            sub_cols,
-        }
-    }
-
-    /// Returns a persistently allocated buffer to the arena.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer was not created with
-    /// [`HaloBuffer::new_persistent`].
+    /// Returns the buffer to the persistent arena.
     pub fn release(self, machine: &mut Machine) {
         machine.free_field_persistent(self.field);
     }
@@ -546,8 +491,16 @@ fn hull(runs: impl Iterator<Item = (usize, usize)>) -> Range<usize> {
     .unwrap_or(0..0)
 }
 
-/// A precomputed batch of constant-value node-memory fills: the
-/// beyond-global-edge frame of one padded buffer.
+/// The lane word where the `len`-word node-memory run at `addr` starts
+/// in `view`, or `None` when the run is not wholly inside one viewed
+/// range.
+pub(crate) fn lane_run(view: &LaneView, addr: usize, len: usize) -> Option<usize> {
+    let (word, range) = view.locate(addr)?;
+    (addr + len <= range.node_base + range.len).then_some(word)
+}
+
+/// The beyond-global-edge frame of one padded buffer, as constant-value
+/// fills addressed in lane words.
 ///
 /// Temporal tiling needs this as a *standalone* step: each fused inner
 /// step writes its whole extended region — including positions beyond
@@ -557,76 +510,37 @@ fn hull(runs: impl Iterator<Item = (usize, usize)>) -> Range<usize> {
 /// the span list is empty and nothing needs restoring — the margin
 /// recomputes the wrapped values bit-identically).
 #[derive(Debug, Clone, PartialEq)]
-pub struct FillProgram {
-    fills: Vec<(NodeId, usize, usize)>,
-    fill: f32,
-    /// The address span the fills store into, stamped by each run.
-    writes: Range<usize>,
-}
-
-impl FillProgram {
-    /// The beyond-global-edge fill frame of `halo` under `boundary`:
-    /// empty for [`Boundary::Circular`], the beyond-edge spans under
-    /// [`Boundary::ZeroFill`].
-    pub fn boundary(halo: &HaloBuffer, grid: NodeGrid, boundary: Boundary, fill: f32) -> Self {
-        let fills = match boundary {
-            Boundary::ZeroFill => boundary_fill_spans(halo, grid),
-            Boundary::Circular => Vec::new(),
-        };
-        let writes = hull(fills.iter().map(|&(_, addr, len)| (addr, len)));
-        FillProgram {
-            fills,
-            fill,
-            writes,
-        }
-    }
-
-    /// Whether one run writes anything at all.
-    pub fn is_empty(&self) -> bool {
-        self.fills.is_empty()
-    }
-
-    /// Executes the fills against node memory, stamping their span.
-    pub fn run(&self, machine: &mut Machine) {
-        let mems = machine.write_nodes([self.writes.clone()]);
-        for &(node, addr, len) in &self.fills {
-            mems[node.0].fill_range(addr, len, self.fill);
-        }
-    }
-}
-
-/// A [`FillProgram`] translated onto a lane mirror — the same spans
-/// addressed in lane words, for plans whose fused steps never leave the
-/// mirror.
-#[derive(Debug, Clone, PartialEq)]
 pub struct LaneFillProgram {
     fills: Vec<(usize, usize, usize)>,
     fill: f32,
 }
 
 impl LaneFillProgram {
-    /// Translates `program`'s spans into the lane word space of `view`.
-    /// Returns `None` when any span is not fully inside one viewed range.
-    pub fn translate(program: &FillProgram, view: &cmcc_cm2::lane::LaneView) -> Option<Self> {
-        let fills = program
-            .fills
-            .iter()
-            .map(|&(node, addr, len)| {
-                let (word, range) = view.locate(addr)?;
-                if addr + len > range.node_base + range.len {
-                    return None;
-                }
-                Some((node.0, word, len))
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(LaneFillProgram {
-            fills,
-            fill: program.fill,
-        })
+    /// The beyond-global-edge fill frame of `halo` under `boundary` —
+    /// empty for [`Boundary::Circular`], the spans a
+    /// [`Boundary::ZeroFill`] exchange fills otherwise — in the lane
+    /// word space of `view`. Returns `None` when any span is not fully
+    /// inside one viewed range.
+    pub fn boundary(
+        halo: &HaloBuffer,
+        grid: NodeGrid,
+        boundary: Boundary,
+        fill: f32,
+        view: &LaneView,
+    ) -> Option<Self> {
+        let spans = match boundary {
+            Boundary::ZeroFill => boundary_fill_spans(halo, grid),
+            Boundary::Circular => Vec::new(),
+        };
+        let fills = spans
+            .into_iter()
+            .map(|(node, addr, len)| Some((node.0, lane_run(view, addr, len)?, len)))
+            .collect::<Option<_>>()?;
+        Some(LaneFillProgram { fills, fill })
     }
 
     /// Executes the fills on the mirror.
-    pub fn run(&self, mirror: &mut cmcc_cm2::lane::LaneMirror) {
+    pub fn run(&self, mirror: &mut LaneMirror) {
         for &(node, word, len) in &self.fills {
             mirror.fill_lane_run(node, word, len, self.fill);
         }
@@ -663,9 +577,6 @@ struct LaneSpanCopy {
 /// the kernels execute in. Cycle accounting is inherited unchanged from
 /// the source program, so `Measurement`s are identical to the node-domain
 /// path.
-///
-/// [`LaneMirror`]: cmcc_cm2::lane::LaneMirror
-/// [`LaneView`]: cmcc_cm2::lane::LaneView
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneExchangeProgram {
     copies: Vec<LaneSpanCopy>,
@@ -686,14 +597,7 @@ impl LaneExchangeProgram {
     /// one viewed range — then the plan cannot run the lane body. (For a
     /// plan that mirrors its halo buffers whole, every run maps; the
     /// guard only matters for hand-built views.)
-    pub fn translate(program: &ExchangeProgram, view: &cmcc_cm2::lane::LaneView) -> Option<Self> {
-        let map_run = |addr: usize, len: usize| -> Option<usize> {
-            let (word, range) = view.locate(addr)?;
-            if addr + len > range.node_base + range.len {
-                return None;
-            }
-            Some(word)
-        };
+    pub fn translate(program: &ExchangeProgram, view: &LaneView) -> Option<Self> {
         // Exchange copies commute: every source run is interior words
         // (never written by the exchange) and every destination run is
         // a halo word written exactly once, so the copy list can be
@@ -703,8 +607,8 @@ impl LaneExchangeProgram {
         // batch them into spans.
         let mut mapped = Vec::with_capacity(program.copies.len());
         for op in &program.copies {
-            let src = map_run(op.src, op.len)?;
-            let dst = map_run(op.dst, op.len)?;
+            let src = lane_run(view, op.src, op.len)?;
+            let dst = lane_run(view, op.dst, op.len)?;
             mapped.push((src, dst, op));
         }
         mapped.sort_by_key(|&(src, dst, op)| (src, dst, op.len, op.from.0));
@@ -735,7 +639,7 @@ impl LaneExchangeProgram {
         let fills = program
             .fills
             .iter()
-            .map(|&(node, addr, len)| Some((node.0, map_run(addr, len)?, len)))
+            .map(|&(node, addr, len)| Some((node.0, lane_run(view, addr, len)?, len)))
             .collect::<Option<Vec<_>>>()?;
         Some(LaneExchangeProgram {
             copies,
@@ -831,7 +735,7 @@ impl LaneExchangeProgram {
     /// Panics if a node index or lane word is outside the mirror — the
     /// mirror must have been shaped for the same machine and view the
     /// program was translated against.
-    pub fn run(&self, mirror: &mut cmcc_cm2::lane::LaneMirror) -> u64 {
+    pub fn run(&self, mirror: &mut LaneMirror) -> u64 {
         let _t = cmcc_obs::trace::scope(
             cmcc_obs::trace::TraceOp::HaloExchange,
             self.words_moved() as u64,
@@ -976,7 +880,6 @@ mod tests {
 
     #[test]
     fn lane_exchange_matches_node_exchange() {
-        use cmcc_cm2::lane::{LaneMirror, LaneView};
         for (boundary, corners) in [
             (Boundary::Circular, true),
             (Boundary::Circular, false),
@@ -1037,7 +940,6 @@ mod tests {
     /// view listing them the other way round.
     #[test]
     fn swapped_exchange_matches_translation_with_the_ranges_traded() {
-        use cmcc_cm2::lane::LaneView;
         for (boundary, corners) in [(Boundary::Circular, true), (Boundary::ZeroFill, false)] {
             let (mut m, _, h) = setup(2);
             let other = HaloBuffer::new(&mut m, 2, 2, 2).unwrap();
@@ -1064,7 +966,6 @@ mod tests {
 
     #[test]
     fn lane_exchange_translation_requires_whole_runs() {
-        use cmcc_cm2::lane::LaneView;
         let (m, _, h) = setup(1);
         let program = ExchangeProgram::new(
             &h,
@@ -1086,63 +987,45 @@ mod tests {
 
     #[test]
     fn fill_program_writes_exactly_the_beyond_edge_frame() {
-        use cmcc_cm2::lane::{LaneMirror, LaneView};
-        // Poison the whole padded buffer, run the fill program, and
-        // check that beyond-global-edge positions (and only those) were
-        // overwritten — on nodes at every board position.
-        let (mut m, _, h) = setup(1);
-        for node in m.grid().iter() {
-            let base = h.field().base();
-            m.mem_mut(node).fill_range(base, h.field().len(), -9.0);
-        }
-        let program = FillProgram::boundary(&h, m.grid(), Boundary::ZeroFill, 7.5);
-        assert!(!program.is_empty());
-        program.run(&mut m);
-        let grid = m.grid();
-        for node in grid.iter() {
-            let (gr, gc) = grid.coords(node);
-            for r in -1..3_i64 {
-                for c in -1..3_i64 {
-                    let beyond = (r < 0 && gr == 0)
-                        || (r >= 2 && gr == grid.rows() - 1)
-                        || (c < 0 && gc == 0)
-                        || (c >= 2 && gc == grid.cols() - 1);
-                    let want = if beyond { 7.5 } else { -9.0 };
-                    assert_eq!(
-                        read(&m, &h, node, r, c),
-                        want,
-                        "node {node} logical ({r}, {c})"
-                    );
+        // Poison the whole padded buffer, run the lane fill program on a
+        // mirror of it, and check that beyond-global-edge positions (and
+        // only those) were overwritten — on nodes at every board
+        // position. Circular boundaries have nothing to restore.
+        for (boundary, fill) in [(Boundary::ZeroFill, 7.5), (Boundary::Circular, -9.0)] {
+            let (mut m, _, h) = setup(1);
+            for node in m.grid().iter() {
+                m.mem_mut(node)
+                    .fill_range(h.field().base(), h.field().len(), -9.0);
+            }
+            let view = LaneView::new(&[(h.field().base(), h.field().len(), true)]).unwrap();
+            let grid = m.grid();
+            let program = LaneFillProgram::boundary(&h, grid, boundary, 7.5, &view)
+                .expect("a whole-buffer view maps every span");
+            let mut mirror = LaneMirror::new();
+            {
+                let (_, mems) = m.exec_parts_mut();
+                mirror.ensure(view.words(), mems.len());
+                mirror.gather(&view, mems);
+                program.run(&mut mirror);
+                mirror.scatter(&view, mems);
+            }
+            for node in grid.iter() {
+                let (gr, gc) = grid.coords(node);
+                for r in -1..3_i64 {
+                    for c in -1..3_i64 {
+                        let beyond = (r < 0 && gr == 0)
+                            || (r >= 2 && gr == grid.rows() - 1)
+                            || (c < 0 && gc == 0)
+                            || (c >= 2 && gc == grid.cols() - 1);
+                        let want = if beyond { fill } else { -9.0 };
+                        assert_eq!(
+                            read(&m, &h, node, r, c),
+                            want,
+                            "{boundary:?}: node {node} logical ({r}, {c})"
+                        );
+                    }
                 }
             }
-        }
-        // Circular has nothing to restore.
-        assert!(FillProgram::boundary(&h, grid, Boundary::Circular, 7.5).is_empty());
-
-        // The lane translation writes the same words.
-        let (mut lane_m, _, h2) = setup(1);
-        for node in lane_m.grid().iter() {
-            let base = h2.field().base();
-            lane_m
-                .mem_mut(node)
-                .fill_range(base, h2.field().len(), -9.0);
-        }
-        let view = LaneView::new(&[(h2.field().base(), h2.field().len(), true)]).unwrap();
-        let lane = LaneFillProgram::translate(&program, &view).expect("whole-buffer view maps");
-        let mut mirror = LaneMirror::new();
-        {
-            let (_, mems) = lane_m.exec_parts_mut();
-            mirror.ensure(view.words(), mems.len());
-            mirror.gather(&view, mems);
-            lane.run(&mut mirror);
-            mirror.scatter(&view, mems);
-        }
-        for node in m.grid().iter() {
-            assert_eq!(
-                m.mem(node).field(h.field()),
-                lane_m.mem(node).field(h2.field()),
-                "lane fill diverged on {node}"
-            );
         }
     }
 

@@ -16,9 +16,9 @@
 //!   (useful flops, cycles by phase);
 //! * [`plan`] — the compile → bind → plan → execute pipeline:
 //!   [`plan::ExecutionPlan`] captures every per-call decision (halo
-//!   buffers, exchange programs, constant pages, pre-resolved kernel
-//!   schedules) once, so iterative applications replay only data movement
-//!   and arithmetic;
+//!   buffers, exchange programs, constant pages, the strip-mine schedule
+//!   and the row program) once, so iterative applications replay only
+//!   data movement and arithmetic;
 //! * [`mod@reference`] — a host-side golden model with Fortran
 //!   `CSHIFT`/`EOSHIFT` semantics, matched bit for bit by compiled
 //!   execution.
@@ -60,9 +60,7 @@ pub use cmcc_cm2::exec::ExecEngine;
 pub use convolve::{convolve, convolve_multi, ExecOptions};
 pub use error::RuntimeError;
 pub use halo::{ExchangePrimitive, ExchangeProgram, HaloBuffer};
-pub use plan::{
-    CompiledPlan, ExecutionPlan, LeaseRange, PlanInstance, PlanLifetime, StencilBinding,
-};
+pub use plan::{CompiledPlan, ExecutionPlan, LeaseRange, PlanInstance, StencilBinding};
 pub use reference::{reference_convolve, reference_convolve_multi, CoeffValue};
 pub use strips::{full_strip, halfstrips, plan_strips, HalfStrip, Strip};
 pub use volume::{convolve_volume, CmVolume};

@@ -14,15 +14,18 @@
 //!    arrays to the compiled stencil and validates shapes and counts
 //!    once;
 //! 3. **plan** — [`ExecutionPlan::build`] allocates halo buffers and
-//!    constant pages, compiles the halo exchange into an
-//!    [`ExchangeProgram`] per source, and pre-resolves the entire strip
-//!    schedule into [`ResolvedStrip`]s (every kernel operand address
-//!    computed ahead of time);
+//!    constant pages from the persistent arena, compiles the halo
+//!    exchange into an [`ExchangeProgram`] per source, strip-mines the
+//!    subgrid, and lowers the stencil IR into the lane body's row
+//!    program;
 //! 4. **execute** — [`ExecutionPlan::execute`] performs only the halo
-//!    exchange, the pre-resolved kernel runs (or, on the lane body, the
-//!    row sweeps lowered from the stencil IR at build), and the paper's
-//!    cycle accounting. No allocation, no address computation, no
-//!    schedule construction.
+//!    exchange, the row sweeps (or, on the scalar engine, the kernel
+//!    runs of the strip schedule, resolved to absolute addresses the
+//!    first time that engine runs a binding), and the paper's cycle
+//!    accounting. No allocation, no schedule construction;
+//! 5. **release** — [`ExecutionPlan::release`] returns the plan's fields
+//!    to the arena after its last execute (a failed build returns
+//!    whatever it had allocated by itself).
 //!
 //! Results and [`Measurement`]s are bit-identical to running the
 //! compiler's kernels with per-step address resolution
@@ -35,7 +38,7 @@
 use crate::array::CmArray;
 use crate::convolve::ExecOptions;
 use crate::error::RuntimeError;
-use crate::halo::{ExchangeProgram, FillProgram, HaloBuffer, LaneExchangeProgram, LaneFillProgram};
+use crate::halo::{lane_run, ExchangeProgram, HaloBuffer, LaneExchangeProgram, LaneFillProgram};
 use crate::strips::{full_strip, halfstrips, plan_strips, HalfStrip, Strip};
 use cmcc_cm2::exec::{
     fast_counts, ExecEngine, ExecMode, FieldLayout, ResolvedStrip, StripContext, StripRun,
@@ -169,37 +172,26 @@ impl<'a> StencilBinding<'a> {
     }
 }
 
-/// Where a plan's node-memory fields live, which decides how they are
-/// reclaimed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanLifetime {
-    /// Fields come from the bump region and are reclaimed by the caller's
-    /// [`Machine::release_to`] — the one-shot [`crate::convolve()`] path.
-    Scoped,
-    /// Fields come from the persistent arena and survive across calls
-    /// until [`ExecutionPlan::release`] — the cached-plan path.
-    Persistent,
-}
-
 /// The immutable half of an execution plan: everything plan-build
 /// computes that does **not** depend on which concrete arrays a tenant
-/// binds — the resolved strip schedule (against the build-time binding,
-/// the rebase baseline), the row program lowered from the stencil IR,
-/// the compiled halo-exchange programs, and the plan-owned node-memory
-/// fields (halo buffers, constant and literal pages).
+/// binds — the strip-mine schedule and the kernels it names, the row
+/// program lowered from the stencil IR, the compiled halo-exchange
+/// programs, and the plan-owned node-memory fields (halo buffers,
+/// constant and literal pages). It holds no bound array's address: only
+/// the shape and the argument counts every binding must match.
 ///
 /// A `CompiledPlan` is shared between any number of [`PlanInstance`]s
 /// through an [`Arc`]: the session plan cache hands every tenant the same
 /// artifact, and evicting it from the cache cannot invalidate in-flight
 /// instances — the `Arc` keeps it alive until the last instance drops.
-/// Its node-memory fields are returned to the persistent arena by
-/// [`CompiledPlan::release`] once ownership is unique.
+/// Its node-memory fields come from the persistent arena and are
+/// returned to it by [`CompiledPlan::release`] once ownership is unique.
 #[derive(Debug)]
 pub struct CompiledPlan {
-    /// The strip schedule resolved against the build-time binding — the
-    /// baseline instances rebase from (never mutated). Empty on temporal
-    /// plans, which have no scalar body.
-    strips: Vec<ResolvedStrip>,
+    /// The classic plan's node schedule, unresolved: the scalar engine
+    /// resolves it against the binding it runs. Empty on temporal plans,
+    /// which have no scalar body.
+    node: NodeSchedule,
     /// What one run of the node schedule reports, counted at build: the
     /// lane body reports it without running that schedule, so its
     /// `Measurement`s and step counters match the scalar engine's.
@@ -228,27 +220,24 @@ pub struct CompiledPlan {
     dest: Option<HaloBuffer>,
     exchanges: Vec<ExchangeProgram>,
     consts: Field,
-    /// Literal coefficient pages, in `spec.coeffs` order (named entries
-    /// skipped): the field plus the constant streamed through it.
-    literal_pages: Vec<(Field, f32)>,
-    /// Indices into `spec.coeffs` of the named coefficients, parallel to
-    /// `coeffs` — the rebase slots an instance binding must shift.
-    named_slots: Vec<u16>,
-    /// Total coefficient slots (`spec.coeffs.len()`): rebase deltas must
-    /// cover literal slots too (always zero — their pages never move).
-    coeff_slot_count: usize,
-    /// The build-time binding: the baseline `strips` were resolved
-    /// against, from which instance bindings compute rebase deltas.
-    result: CmArray,
-    sources: Vec<CmArray>,
-    coeffs: Vec<CmArray>,
+    /// One entry per coefficient slot, in `spec.coeffs` order: a
+    /// literal's page (its constant streamed with a zero row stride), or
+    /// `None` for a named coefficient, which the binding supplies.
+    pages: Vec<Option<Field>>,
+    /// Every node-memory field the plan owns — the ones above and the
+    /// temporal plan's — in allocation order: what [`Self::release`]
+    /// returns to the arena.
+    owned: OwnedFields,
+    /// Global rows and columns of every bound array.
+    shape: (usize, usize),
+    /// Per-node subgrid rows and columns of every bound array.
+    sub: (usize, usize),
     useful_flops: u64,
     call_overhead: u64,
     dispatch: u64,
     nodes: usize,
     opts: ExecOptions,
     fingerprint: u64,
-    lifetime: PlanLifetime,
     /// The temporal-tiling schedule: `Some` when the plan fuses two or
     /// more time steps per halo exchange ([`ExecOptions::temporal_depth`]
     /// honored), `None` for the classic one-step plan.
@@ -268,9 +257,10 @@ pub struct CompiledPlan {
 struct TemporalPlan {
     /// Fused time steps per execute (≥ 2).
     depth: usize,
-    /// Ping-pong intermediate-state buffers, each padded to the full
-    /// `depth·radius` frame: none for depth 1, one for depth 2, two
-    /// beyond (consecutive states always land in different buffers).
+    /// Ping-pong intermediate-state buffers, plain halo buffers padded
+    /// to the full `depth·radius` frame: none for depth 1, one for depth
+    /// 2, two beyond (consecutive states always land in different
+    /// buffers).
     scratch: Vec<HaloBuffer>,
     /// Per-named-coefficient halo buffers, padded `(depth−1)·radius`:
     /// intermediate steps read coefficients at margin positions, which
@@ -334,18 +324,19 @@ struct LaneDirection {
 
 impl LaneSchedule {
     /// Direction 0 from its row `program` (lowered over `view`), the
-    /// halo `exchanges` and the scratch `fills` translated onto `view`,
-    /// plus the swap of source 0's halo (the view's first range) and
-    /// the destination buffer (its last) that direction 1 trades.
+    /// halo `exchanges` translated onto `view` and the temporal
+    /// `scratch_fills` (addressed over `view`), plus the swap of source
+    /// 0's halo (the view's first range) and the destination buffer (its
+    /// last) that direction 1 trades.
     ///
     /// # Errors
     ///
-    /// Why the schedule cannot run on the lane mirror: an exchange or
-    /// fill run outside one viewed range.
+    /// Why the schedule cannot run on the lane mirror: an exchange run
+    /// outside one viewed range.
     fn new(
         program: RowProgram,
         exchanges: &[&ExchangeProgram],
-        fills: &[FillProgram],
+        scratch_fills: Vec<LaneFillProgram>,
         view: &LaneView,
     ) -> Result<Self, &'static str> {
         let exchanges = exchanges
@@ -353,11 +344,6 @@ impl LaneSchedule {
             .map(|p| LaneExchangeProgram::translate(p, view))
             .collect::<Option<_>>()
             .ok_or("a halo exchange run lies outside the lane view")?;
-        let scratch_fills = fills
-            .iter()
-            .map(|p| LaneFillProgram::translate(p, view))
-            .collect::<Option<_>>()
-            .ok_or("a boundary fill run lies outside the lane view")?;
         let ranges = view.ranges();
         let (a, b) = (ranges[0], ranges[ranges.len() - 1]);
         assert_eq!(
@@ -410,9 +396,10 @@ struct Held {
 }
 
 /// The mutable half of an execution plan: one tenant's binding and
-/// execution state over a shared [`CompiledPlan`] — the rebased strip
-/// schedule, the lane view over the tenant's arrays, and the persistent
-/// lane mirror with the record of what it holds.
+/// execution state over a shared [`CompiledPlan`] — the strip schedule
+/// resolved against the tenant's arrays (once the scalar engine runs
+/// it), the lane view over them, and the persistent lane mirror with the
+/// record of what it holds.
 ///
 /// Instances are cheap to create (no machine allocation — they reuse the
 /// compiled plan's halo buffers and pages) and fully independent: two
@@ -421,15 +408,12 @@ struct Held {
 /// by the caller (the session's machine lock).
 #[derive(Debug, Clone)]
 pub struct PlanInstance {
-    /// The shared schedule rebased onto this instance's binding — once
-    /// `pending_rebase` is applied.
-    strips: Vec<ResolvedStrip>,
-    /// Rebase deltas (result, then one per coefficient slot) that
-    /// rebinds accumulated but `strips` does not reflect yet. Only the
-    /// scalar engine reads `strips`, so a rebind stays O(ranges) and the
-    /// scalar engine applies the sum first (rebasing is a translation,
-    /// so deltas add).
-    pending_rebase: Option<(i64, Vec<i64>)>,
+    /// The shared node schedule resolved against this instance's result
+    /// and named coefficients. `None` until the scalar engine first runs
+    /// the binding, and again after a rebind moves either; a source move
+    /// keeps it, because kernels read sources through the plan-owned
+    /// halos. A lane-mapped instance never resolves it.
+    strips: Option<Vec<ResolvedStrip>>,
     /// A private lane schedule, used only when the shared plan has none
     /// to offer — it was built from a binding the mirror cannot hold
     /// (aliased arrays) and this instance's binding is clean. `None`
@@ -495,8 +479,8 @@ pub struct PlanInstance {
 }
 
 /// Everything a stencil call decides ahead of its first iteration:
-/// halo buffers, compiled exchange programs, constant/literal pages, and
-/// the fully address-resolved strip schedule.
+/// halo buffers, compiled exchange programs, constant/literal pages, the
+/// strip-mine schedule and the row program.
 ///
 /// Internally an `ExecutionPlan` is a shared immutable [`CompiledPlan`]
 /// (held through an [`Arc`], so cloned plans and concurrent tenants share
@@ -506,16 +490,17 @@ pub struct PlanInstance {
 /// Build once with [`ExecutionPlan::build`], run any number of times with
 /// [`ExecutionPlan::execute`], retarget to other same-shape arrays with
 /// [`ExecutionPlan::rebind`], or attach a fresh instance to an existing
-/// artifact with [`ExecutionPlan::from_shared`]. A steady-state execute
-/// performs **zero** field allocations (observable via
-/// [`Machine::alloc_count`]) and zero schedule rebuilds.
+/// artifact with [`ExecutionPlan::from_shared`], and hand the fields back
+/// with [`ExecutionPlan::release`]. A steady-state execute performs
+/// **zero** field allocations (observable via [`Machine::alloc_count`])
+/// and zero schedule rebuilds.
 ///
 /// # Examples
 ///
 /// ```
 /// use cmcc_cm2::{Machine, MachineConfig};
 /// use cmcc_core::Compiler;
-/// use cmcc_runtime::{CmArray, ExecOptions, ExecutionPlan, PlanLifetime, StencilBinding};
+/// use cmcc_runtime::{CmArray, ExecOptions, ExecutionPlan, StencilBinding};
 ///
 /// let mut machine = Machine::new(MachineConfig::tiny_4())?;
 /// let compiled = Compiler::new(machine.config().clone())
@@ -525,12 +510,7 @@ pub struct PlanInstance {
 /// x.fill(&mut machine, 4.0);
 ///
 /// let binding = StencilBinding::new(&compiled, &r, &[&x], &[])?;
-/// let mut plan = ExecutionPlan::build(
-///     &mut machine,
-///     &binding,
-///     &ExecOptions::default(),
-///     PlanLifetime::Persistent,
-/// )?;
+/// let mut plan = ExecutionPlan::build(&mut machine, &binding, &ExecOptions::default())?;
 /// let first = plan.execute(&mut machine)?;
 /// let again = plan.execute(&mut machine)?;
 /// assert_eq!(r.get(&machine, 3, 3), 4.0);
@@ -547,14 +527,14 @@ pub struct ExecutionPlan {
 impl CompiledPlan {
     /// Plans every *shared* per-call decision for `binding` under `opts`.
     ///
-    /// Allocates the halo buffers and constant pages (from the region
-    /// `lifetime` selects), fills the constant pages, compiles one
-    /// [`ExchangeProgram`] per source, resolves the complete strip
-    /// schedule to absolute operand addresses, and lowers the stencil IR
-    /// into the lane body's row program, checked once here. The result
-    /// is immutable: tenants attach to it with
-    /// [`ExecutionPlan::from_shared`], which rebases onto their arrays
-    /// without touching the artifact.
+    /// Allocates the halo buffers and constant pages from the persistent
+    /// arena, fills the constant pages, compiles one [`ExchangeProgram`]
+    /// per source, strip-mines the subgrid for the scalar engine, and
+    /// lowers the stencil IR into the lane body's row program, checked
+    /// once here. The result is immutable: tenants attach to it with
+    /// [`ExecutionPlan::from_shared`] without touching the artifact. A
+    /// build that fails after its first allocation returns every field
+    /// it took to the arena.
     ///
     /// Counts one `PlanBuilds` — the exactly-once build assertion
     /// concurrent sessions rely on.
@@ -566,18 +546,35 @@ impl CompiledPlan {
         machine: &mut Machine,
         binding: &StencilBinding<'_>,
         opts: &ExecOptions,
-        lifetime: PlanLifetime,
     ) -> Result<Self, RuntimeError> {
         let _span = cmcc_obs::span(cmcc_obs::Phase::PlanBuild);
         cmcc_obs::add(cmcc_obs::Counter::PlanBuilds, 1);
+        let mut owned = OwnedFields::default();
+        match Self::build_into(machine, binding, opts, &mut owned) {
+            Ok(cp) => Ok(CompiledPlan { owned, ..cp }),
+            Err(e) => {
+                owned.release(machine);
+                Err(e)
+            }
+        }
+    }
+
+    /// [`Self::build`]'s body: allocates every field through `owned`,
+    /// which the caller hands to the plan or, on an error, back to the
+    /// arena. The returned plan's own `owned` is empty.
+    fn build_into(
+        machine: &mut Machine,
+        binding: &StencilBinding<'_>,
+        opts: &ExecOptions,
+        owned: &mut OwnedFields,
+    ) -> Result<Self, RuntimeError> {
         let compiled = binding.compiled();
         let spec = compiled.spec();
         let stencil = compiled.stencil();
         let result = *binding.result();
-        let sub_rows = result.sub_rows();
-        let sub_cols = result.sub_cols();
+        let sub = (result.sub_rows(), result.sub_cols());
+        let (sub_rows, sub_cols) = sub;
         let pad = stencil.borders().max_width() as usize;
-        let persistent = lifetime == PlanLifetime::Persistent;
 
         // Temporal tiling: fuse `depth` time steps per halo exchange by
         // deepening the halo to `depth·radius` and recomputing margin
@@ -623,187 +620,100 @@ impl CompiledPlan {
         let halos: Vec<HaloBuffer> = binding
             .sources()
             .iter()
-            .map(|_| {
-                if persistent {
-                    HaloBuffer::new_persistent(machine, sub_rows, sub_cols, halo_pad)
-                } else {
-                    HaloBuffer::new(machine, sub_rows, sub_cols, halo_pad)
-                }
-            })
+            .map(|_| owned.halo(machine, sub, halo_pad))
             .collect::<Result<_, _>>()?;
-
-        let alloc = |machine: &mut Machine, len: usize| {
-            if persistent {
-                machine.alloc_field_persistent(len)
-            } else {
-                machine.alloc_field(len)
-            }
-        };
         let lane_eligible = opts.mode == ExecMode::Fast && opts.engine == ExecEngine::Lockstep;
         let dest = if lane_eligible {
-            Some(if persistent {
-                HaloBuffer::new_persistent(machine, sub_rows, sub_cols, halo_pad)?
-            } else {
-                HaloBuffer::new(machine, sub_rows, sub_cols, halo_pad)?
-            })
+            Some(owned.halo(machine, sub, halo_pad)?)
         } else {
             None
         };
 
         // Constant pages: one word each of 1.0 and 0.0, plus one page
         // per literal coefficient (streamed with a zero row stride).
-        let consts = alloc(machine, 2)?;
-        let mut pages: Vec<Option<(Field, f32)>> = Vec::with_capacity(spec.coeffs.len());
-        for c in &spec.coeffs {
-            match c {
-                CoeffSpec::Literal(v) => pages.push(Some((alloc(machine, sub_cols)?, *v))),
-                CoeffSpec::Named(_) => pages.push(None),
-            }
-        }
-        let ones_addr = consts.addr(0);
-        let zeros_addr = consts.addr(1);
-        let filled = pages.iter().flatten().map(|(page, _)| page.range());
+        let consts = owned.field(machine, 2)?;
+        let pages: Vec<Option<Field>> = spec
+            .coeffs
+            .iter()
+            .map(|c| match c {
+                CoeffSpec::Literal(_) => owned.field(machine, sub_cols).map(Some),
+                CoeffSpec::Named(_) => Ok(None),
+            })
+            .collect::<Result<_, _>>()?;
+        let filled = pages.iter().flatten().map(Field::range);
         for mem in machine.write_nodes(filled.chain([consts.range()])) {
-            mem.write(ones_addr, 1.0);
-            mem.write(zeros_addr, 0.0);
-            for &(page, value) in pages.iter().flatten() {
-                mem.fill_field(page, value);
+            mem.write(consts.addr(0), 1.0);
+            mem.write(consts.addr(1), 0.0);
+            for (page, c) in pages.iter().zip(&spec.coeffs) {
+                if let (Some(page), CoeffSpec::Literal(v)) = (page, c) {
+                    mem.fill_field(*page, *v);
+                }
             }
         }
 
-        // The halo exchange, compiled: neighbor lookups, copy addresses,
+        // Temporal plans read named coefficients at margin positions,
+        // which live on neighbor nodes: each gets its own (shallower)
+        // halo buffer and exchange, refreshed alongside the source halo.
+        // Their intermediate states ping-pong through scratch buffers
+        // padded to the full halo frame, so every step's extended write
+        // region (and the next step's reads one radius beyond it) stays
+        // in bounds at non-negative padded coordinates.
+        let temporal = if depth > 1 {
+            let coeff_halos = binding
+                .coeffs()
+                .iter()
+                .map(|_| owned.halo(machine, sub, coeff_pad))
+                .collect::<Result<_, _>>()?;
+            let scratch = (0..depth.min(3) - 1)
+                .map(|_| owned.halo(machine, sub, halo_pad))
+                .collect::<Result<_, _>>()?;
+            Some(TemporalPlan {
+                depth,
+                scratch,
+                coeff_halos,
+            })
+        } else {
+            None
+        };
+
+        // The halo exchanges, compiled: neighbor lookups, copy addresses,
         // fill spans, and the cycle price are all fixed by (shape, grid,
-        // boundary, primitive).
-        // Fused steps always need corners: composing the stencil with
-        // itself reaches diagonal neighbors even when one application
-        // does not.
+        // boundary, primitive). Fused steps always need corners:
+        // composing the stencil with itself reaches diagonal neighbors
+        // even when one application does not.
         let need_corners = if opts.skip_corners_when_possible {
             stencil.needs_corner_exchange() || depth > 1
         } else {
             pad > 0
         };
-        let grid = machine.grid();
-        let exchanges: Vec<ExchangeProgram> = halos
-            .iter()
-            .map(|halo| {
-                ExchangeProgram::new(
-                    halo,
-                    grid,
-                    machine.config(),
-                    stencil.boundary(),
-                    stencil.fill(),
-                    need_corners,
-                    opts.primitive,
-                )
-            })
-            .collect();
-
-        // Temporal plans read named coefficients at margin positions,
-        // which live on neighbor nodes: each gets its own (shallower)
-        // halo buffer and exchange, refreshed alongside the source halo.
-        let mut coeff_halos: Vec<HaloBuffer> = Vec::new();
-        let mut coeff_exchanges: Vec<ExchangeProgram> = Vec::new();
-        if depth > 1 {
-            for _ in binding.coeffs() {
-                let halo = if persistent {
-                    HaloBuffer::new_persistent(machine, sub_rows, sub_cols, coeff_pad)?
-                } else {
-                    HaloBuffer::new(machine, sub_rows, sub_cols, coeff_pad)?
-                };
-                coeff_exchanges.push(ExchangeProgram::new(
-                    &halo,
-                    grid,
-                    machine.config(),
-                    stencil.boundary(),
-                    stencil.fill(),
-                    need_corners,
-                    opts.primitive,
-                ));
-                coeff_halos.push(halo);
-            }
-        }
-
-        // Intermediate-state scratch, ping-ponged between inner steps.
-        // Padded to the full halo frame so every step's extended write
-        // region (and the next step's reads one radius beyond it) stays
-        // in bounds at non-negative padded coordinates.
-        let scratch_count = match depth {
-            1 => 0,
-            2 => 1,
-            _ => 2,
+        let (grid, cfg) = (machine.grid(), machine.config());
+        let exchange = |halo: &HaloBuffer| {
+            ExchangeProgram::new(
+                halo,
+                grid,
+                cfg,
+                stencil.boundary(),
+                stencil.fill(),
+                need_corners,
+                opts.primitive,
+            )
         };
-        let scratch: Vec<HaloBuffer> = (0..scratch_count)
-            .map(|_| {
-                let words = (sub_rows + 2 * halo_pad) * (sub_cols + 2 * halo_pad);
-                Ok(HaloBuffer::over(
-                    alloc(machine, words)?,
-                    sub_rows,
-                    sub_cols,
-                    halo_pad,
-                ))
-            })
-            .collect::<Result<_, RuntimeError>>()?;
-        let scratch_fills: Vec<FillProgram> = scratch
+        let exchanges: Vec<ExchangeProgram> = halos.iter().map(exchange).collect();
+        let coeff_exchanges: Vec<ExchangeProgram> = temporal
             .iter()
-            .map(|halo| FillProgram::boundary(halo, grid, stencil.boundary(), stencil.fill()))
+            .flat_map(|tp| &tp.coeff_halos)
+            .map(exchange)
             .collect();
 
-        // Coefficient address tables, indexed like `MemRef::Coeff.array`:
-        // a named coefficient is its bound array, a literal its page.
-        let mut named_iter = binding.coeffs().iter();
-        let mut named_slots = Vec::with_capacity(binding.coeffs().len());
-        let coeff_layouts: Vec<FieldLayout> = spec
-            .coeffs
-            .iter()
-            .zip(&pages)
-            .enumerate()
-            .map(|(i, (c, page))| match c {
-                CoeffSpec::Named(_) => {
-                    named_slots.push(i as u16);
-                    named_iter
-                        .next()
-                        .expect("coefficient count was validated")
-                        .layout()
-                }
-                CoeffSpec::Literal(_) => {
-                    let (page, _) = page.expect("literal page was allocated");
-                    FieldLayout {
-                        base: page.base(),
-                        row_stride: 0,
-                        row_offset: 0,
-                        col_offset: 0,
-                    }
-                }
-            })
-            .collect();
-
-        // The classic plan's node schedule, resolved for the scalar
-        // engine: identical on every node (SIMD), in strip-mine order,
-        // with every memory operand turned into an absolute address.
-        // Temporal plans have no scalar body and resolve nothing.
-        let strips: Vec<ResolvedStrip> = if depth == 1 {
-            let srcs: Vec<FieldLayout> = halos.iter().map(HaloBuffer::layout).collect();
-            strip_mine(compiled, opts.half_strips, sub_rows, sub_cols)
-                .into_iter()
-                .map(|(kernel, strip, half)| {
-                    let ctx = StripContext {
-                        srcs: &srcs,
-                        res: result.layout(),
-                        coeffs: &coeff_layouts,
-                        ones_addr,
-                        zeros_addr,
-                        start_row: half.start_row as i64,
-                        lines: half.lines,
-                        col0: strip.col0 as i64,
-                    };
-                    ResolvedStrip::new(kernel, &ctx)
-                })
-                .collect()
+        // The classic plan's node schedule, for the scalar engine: the
+        // strips in strip-mine order and one copy of each kernel they
+        // name. Temporal plans have no scalar body.
+        let node = if depth == 1 {
+            NodeSchedule::of(compiled, opts.half_strips, sub_rows, sub_cols)
         } else {
-            Vec::new()
+            NodeSchedule::default()
         };
-        let counts =
-            ScheduleCounts::of(compiled, opts.half_strips, (sub_rows, sub_cols), depth, pad);
+        let counts = ScheduleCounts::of(compiled, opts.half_strips, sub, depth, pad);
 
         // The IR the lane body sweeps: taps in statement order, then bias
         // terms, each coefficient a literal's value, `1.0` for a unit tap,
@@ -840,9 +750,8 @@ impl CompiledPlan {
             }))
             .collect();
 
-        let cfg = machine.config();
         let mut cp = CompiledPlan {
-            strips,
+            node,
             counts,
             terms,
             pad,
@@ -851,12 +760,10 @@ impl CompiledPlan {
             dest,
             exchanges,
             consts,
-            literal_pages: pages.into_iter().flatten().collect(),
-            named_slots,
-            coeff_slot_count: spec.coeffs.len(),
-            result,
-            sources: binding.sources().to_vec(),
-            coeffs: binding.coeffs().to_vec(),
+            pages,
+            owned: OwnedFields::default(),
+            shape: (result.rows(), result.cols()),
+            sub,
             useful_flops: stencil.useful_flops_per_point()
                 * (result.rows() * result.cols()) as u64
                 * depth as u64,
@@ -865,12 +772,7 @@ impl CompiledPlan {
             nodes: machine.node_count(),
             opts: *opts,
             fingerprint: compiled.fingerprint(),
-            lifetime,
-            temporal: (depth > 1).then_some(TemporalPlan {
-                depth,
-                scratch,
-                coeff_halos,
-            }),
+            temporal,
             temporal_fallback,
         };
 
@@ -891,12 +793,24 @@ impl CompiledPlan {
                 cp.exchanges.iter().chain(&coeff_exchanges).collect();
             cp.lane = instance_lane_view(&cp, binding.coeffs(), &result).and_then(|view| {
                 let program = cp.lane_program(&view, binding.coeffs()).ok()?;
-                LaneSchedule::new(program, &exchanges, &scratch_fills, &view).ok()
+                // The beyond-global-edge fill fix-up of each scratch state.
+                let fills = cp
+                    .temporal
+                    .iter()
+                    .flat_map(|tp| &tp.scratch)
+                    .map(|s| {
+                        LaneFillProgram::boundary(
+                            s,
+                            grid,
+                            stencil.boundary(),
+                            stencil.fill(),
+                            &view,
+                        )
+                    })
+                    .collect::<Option<_>>()?;
+                LaneSchedule::new(program, &exchanges, fills, &view).ok()
             });
             if cp.temporal.is_some() && cp.lane.is_none() {
-                if persistent {
-                    cp.release(machine);
-                }
                 return Err(RuntimeError::Unfusable {
                     reason: "the fused schedule does not map onto the lane mirror",
                 });
@@ -936,7 +850,7 @@ impl CompiledPlan {
         coeffs: &[CmArray],
     ) -> Result<RowProgram, &'static str> {
         let depth = self.temporal_depth();
-        let (sub_rows, sub_cols) = (self.result.sub_rows(), self.result.sub_cols());
+        let (sub_rows, sub_cols) = self.sub;
         let dest = self.dest.expect("lane plans have a destination buffer");
         // The run of `layout` whose first point is logical `(row, col)`.
         let run = |layout: FieldLayout, row: i64, col: i64| -> Result<RowRun, &'static str> {
@@ -1001,7 +915,8 @@ impl CompiledPlan {
     }
 
     /// Validates that a candidate binding can attach to this artifact:
-    /// argument counts equal the build binding's, every array has the
+    /// argument counts equal the build binding's (one source per halo
+    /// buffer, one array per named coefficient slot), every array has the
     /// compiled shape, and (temporal plans) the result aliases no named
     /// coefficient. `what` prefixes error messages ("rebind", "bound").
     fn validate_binding(
@@ -1011,27 +926,27 @@ impl CompiledPlan {
         sources: &[&CmArray],
         coeffs: &[&CmArray],
     ) -> Result<(), RuntimeError> {
-        if sources.len() != self.sources.len() {
+        if sources.len() != self.halos.len() {
             return Err(RuntimeError::WrongSourceCount {
-                expected: self.sources.len(),
+                expected: self.halos.len(),
                 got: sources.len(),
             });
         }
-        if coeffs.len() != self.coeffs.len() {
+        let named = self.pages.iter().filter(|page| page.is_none()).count();
+        if coeffs.len() != named {
             return Err(RuntimeError::WrongCoeffCount {
-                expected: self.coeffs.len(),
+                expected: named,
                 got: coeffs.len(),
             });
         }
+        let (rows, cols) = self.shape;
         let check = |kind: &str, arr: &CmArray| -> Result<(), RuntimeError> {
-            if !arr.same_shape(&self.result) {
+            if (arr.rows(), arr.cols()) != self.shape {
                 return Err(RuntimeError::ShapeMismatch {
                     what: format!(
-                        "{what} {kind} is {}x{} but the plan was built for {}x{}",
+                        "{what} {kind} is {}x{} but the plan was built for {rows}x{cols}",
                         arr.rows(),
                         arr.cols(),
-                        self.result.rows(),
-                        self.result.cols()
                     ),
                 });
             }
@@ -1065,12 +980,12 @@ impl CompiledPlan {
 
     /// Global rows of the compiled shape.
     pub fn rows(&self) -> usize {
-        self.result.rows()
+        self.shape.0
     }
 
     /// Global columns of the compiled shape.
     pub fn cols(&self) -> usize {
-        self.result.cols()
+        self.shape.1
     }
 
     /// The execution options the artifact was built under.
@@ -1078,33 +993,11 @@ impl CompiledPlan {
         &self.opts
     }
 
-    /// Where the artifact's node-memory fields live.
-    pub fn lifetime(&self) -> PlanLifetime {
-        self.lifetime
-    }
-
     /// Words of node memory the artifact's halo buffers (the
     /// destination buffer included), constant pages, and (temporal
     /// plans) coefficient halos and scratch states occupy.
     pub fn words(&self) -> usize {
-        self.halos
-            .iter()
-            .chain(&self.dest)
-            .map(HaloBuffer::words)
-            .sum::<usize>()
-            + self.consts.len()
-            + self
-                .literal_pages
-                .iter()
-                .map(|(p, _)| p.len())
-                .sum::<usize>()
-            + self.temporal.as_ref().map_or(0, |tp| {
-                tp.coeff_halos
-                    .iter()
-                    .chain(&tp.scratch)
-                    .map(HaloBuffer::words)
-                    .sum::<usize>()
-            })
+        self.owned.words()
     }
 
     /// Fused time steps per execute: the effective temporal depth (1 for
@@ -1119,59 +1012,65 @@ impl CompiledPlan {
         self.temporal_fallback
     }
 
-    /// Returns the artifact's persistent fields to the arena. The caller
+    /// Resolves the node schedule against a binding whose result is
+    /// `result` and whose named coefficients are `coeffs`: identical on
+    /// every node (SIMD), in strip-mine order, with every memory operand
+    /// turned into an absolute address. A named coefficient is read from
+    /// its bound array, a literal from its page.
+    fn resolve_strips(&self, result: &CmArray, coeffs: &[CmArray]) -> Vec<ResolvedStrip> {
+        let srcs: Vec<FieldLayout> = self.halos.iter().map(HaloBuffer::layout).collect();
+        let mut named = coeffs.iter();
+        let coeffs: Vec<FieldLayout> = self
+            .pages
+            .iter()
+            .map(|page| match page {
+                Some(page) => FieldLayout {
+                    base: page.base(),
+                    row_stride: 0,
+                    row_offset: 0,
+                    col_offset: 0,
+                },
+                None => named
+                    .next()
+                    .expect("coefficient count was validated")
+                    .layout(),
+            })
+            .collect();
+        self.node
+            .strips
+            .iter()
+            .map(|&(kernel, strip, half)| {
+                let ctx = StripContext {
+                    srcs: &srcs,
+                    res: result.layout(),
+                    coeffs: &coeffs,
+                    ones_addr: self.consts.addr(0),
+                    zeros_addr: self.consts.addr(1),
+                    start_row: half.start_row as i64,
+                    lines: half.lines,
+                    col0: strip.col0 as i64,
+                };
+                ResolvedStrip::new(&self.node.kernels[kernel], &ctx)
+            })
+            .collect()
+    }
+
+    /// Returns the artifact's fields to the persistent arena. The caller
     /// must hold the *only* reference (the session sweeps retired plans
     /// through [`Arc::try_unwrap`] before calling this), because
     /// instances read the halo buffers and pages on every execute.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the artifact was built with [`PlanLifetime::Scoped`] —
-    /// scoped fields fall away with the caller's [`Machine::release_to`].
     pub fn release(self, machine: &mut Machine) {
-        assert_eq!(
-            self.lifetime,
-            PlanLifetime::Persistent,
-            "scoped plans are reclaimed by release_to, not release"
-        );
-        if let Some(tp) = self.temporal {
-            for halo in tp.scratch.into_iter().rev() {
-                halo.release(machine);
-            }
-            for halo in tp.coeff_halos.into_iter().rev() {
-                halo.release(machine);
-            }
-        }
-        for &(page, _) in self.literal_pages.iter().rev() {
-            machine.free_field_persistent(page);
-        }
-        machine.free_field_persistent(self.consts);
-        if let Some(dest) = self.dest {
-            dest.release(machine);
-        }
-        for halo in self.halos.into_iter().rev() {
-            halo.release(machine);
-        }
+        self.owned.release(machine);
     }
 }
 
 impl PlanInstance {
     /// Creates the per-tenant state for `cp` bound to `binding`'s
-    /// arrays: rebases the shared schedule onto them and maps it onto
-    /// the lane mirror. Performs no machine allocation.
+    /// arrays and maps it onto the lane mirror. Performs no machine
+    /// allocation and resolves no strip.
     fn for_binding(cp: &CompiledPlan, binding: &StencilBinding<'_>) -> Self {
-        let (result, coeffs) = (binding.result(), binding.coeffs());
-        // Rebase the shared schedule onto this binding, lazily like a
-        // rebind. Same-shape arrays differ only in their base addresses,
-        // so the deltas against the build binding are all it takes.
-        let result_delta = result.field().base() as i64 - cp.result.field().base() as i64;
-        let mut coeff_deltas = vec![0i64; cp.coeff_slot_count];
-        for ((&slot, old), new) in cp.named_slots.iter().zip(&cp.coeffs).zip(coeffs) {
-            coeff_deltas[slot as usize] = new.field().base() as i64 - old.field().base() as i64;
-        }
         let mut inst = PlanInstance {
-            strips: cp.strips.clone(),
-            pending_rebase: Some((result_delta, coeff_deltas)),
+            strips: None,
             lane_override: None,
             lane_view: None,
             lane_fallback: None,
@@ -1184,9 +1083,9 @@ impl PlanInstance {
             lane_epoch: 0,
             lane_rebind_moved: 0,
             stage: RegionStage::new(),
-            result: *result,
+            result: *binding.result(),
             sources: binding.sources().to_vec(),
-            coeffs: coeffs.to_vec(),
+            coeffs: binding.coeffs().to_vec(),
         };
         inst.map_lanes(cp);
         inst
@@ -1223,7 +1122,7 @@ impl PlanInstance {
             // scratch fills to translate.
             let program = cp.lane_program(&view, &self.coeffs)?;
             let exchanges: Vec<&ExchangeProgram> = cp.exchanges.iter().collect();
-            self.lane_override = Some(LaneSchedule::new(program, &exchanges, &[], &view)?);
+            self.lane_override = Some(LaneSchedule::new(program, &exchanges, Vec::new(), &view)?);
         }
         // Refresh pairs: each source into its halo, then (temporal
         // plans) each named coefficient into its coefficient halo, then
@@ -1249,16 +1148,6 @@ impl PlanInstance {
         self.lane_buffers.resize(self.lane_interiors.len(), None);
         self.lane_view = Some(view);
         Ok(())
-    }
-
-    /// Brings `strips` onto the current binding: applies the rebase
-    /// deltas rebinds accumulated. Runs before anything reads `strips`.
-    fn apply_pending_rebase(&mut self) {
-        if let Some((result_delta, coeff_deltas)) = self.pending_rebase.take() {
-            for strip in &mut self.strips {
-                strip.rebase(result_delta, &coeff_deltas);
-            }
-        }
     }
 
     /// The bound array refresh pair `k` copies into its halo: sources
@@ -1526,9 +1415,11 @@ impl PlanInstance {
             tally.exchange_words += program.words_moved();
             tally.comm += program.run(machine);
         }
-        self.apply_pending_rebase();
+        let strips = self
+            .strips
+            .get_or_insert_with(|| cp.resolve_strips(&self.result, &self.coeffs));
         tally.run = machine.run_resolved_all(
-            &self.strips,
+            strips,
             [self.result.field().range()],
             cp.opts.mode,
             cp.opts.threads,
@@ -1620,43 +1511,28 @@ impl PlanInstance {
         cmcc_obs::add(cmcc_obs::Counter::PlanRebinds, 1);
         cp.validate_binding("rebind", result, sources, coeffs)?;
 
-        let result_delta = result.field().base() as i64 - self.result.field().base() as i64;
-        let mut coeff_deltas = vec![0i64; cp.coeff_slot_count];
-        let mut moved_coeffs = Vec::new();
-        for (k, ((&slot, old), new)) in cp
-            .named_slots
-            .iter()
-            .zip(&self.coeffs)
-            .zip(coeffs)
-            .enumerate()
-        {
-            let delta = new.field().base() as i64 - old.field().base() as i64;
-            coeff_deltas[slot as usize] = delta;
-            if delta != 0 {
-                moved_coeffs.push(k);
-            }
-        }
+        let result_moved = result.field() != self.result.field();
+        let moved_coeffs: Vec<usize> = (0..coeffs.len())
+            .filter(|&k| coeffs[k].field() != self.coeffs[k].field())
+            .collect();
         let any_source = self
             .sources
             .iter()
             .zip(sources)
-            .any(|(old, new)| old.field().base() != new.field().base());
-        if result_delta == 0 && moved_coeffs.is_empty() && !any_source {
+            .any(|(old, new)| old.field() != new.field());
+        if !result_moved && moved_coeffs.is_empty() && !any_source {
             // Identical binding (the plan-cache hit replaying the same
-            // arrays): nothing to rebase and the lane view is unchanged.
+            // arrays): the resolved strips and the lane view still hold.
             // Writes to the bound arrays are caught by the execute's
             // write-stamp check, not here.
             self.lane_rebind_moved = 0;
             return Ok(());
         }
-        if result_delta != 0 || !moved_coeffs.is_empty() {
-            let (result_sum, coeff_sums) = self
-                .pending_rebase
-                .get_or_insert_with(|| (0, vec![0; cp.coeff_slot_count]));
-            *result_sum += result_delta;
-            for (sum, delta) in coeff_sums.iter_mut().zip(&coeff_deltas) {
-                *sum += delta;
-            }
+        if result_moved || !moved_coeffs.is_empty() {
+            // The scalar engine re-resolves against the new arrays the
+            // next time it runs; kernels read sources through the
+            // plan-owned halos, so a source move keeps the strips.
+            self.strips = None;
         }
 
         self.result = *result;
@@ -1768,9 +1644,12 @@ impl PlanInstance {
 impl ExecutionPlan {
     /// Plans every per-call decision for `binding` under `opts`.
     ///
-    /// Builds the shared [`CompiledPlan`] (halo buffers, constant pages,
-    /// exchange programs, the resolved strip schedule and the row
-    /// program) and attaches the binding's own [`PlanInstance`] to it.
+    /// Builds the shared [`CompiledPlan`] (halo buffers and constant
+    /// pages from the persistent arena, exchange programs, the
+    /// strip-mine schedule and the row program) and attaches the
+    /// binding's own [`PlanInstance`] to it. Return the fields with
+    /// [`Self::release`] after the last execute; a build that fails
+    /// returns whatever it had allocated itself.
     ///
     /// # Errors
     ///
@@ -1782,9 +1661,8 @@ impl ExecutionPlan {
         machine: &mut Machine,
         binding: &StencilBinding<'_>,
         opts: &ExecOptions,
-        lifetime: PlanLifetime,
     ) -> Result<Self, RuntimeError> {
-        let shared = CompiledPlan::build(machine, binding, opts, lifetime)?;
+        let shared = CompiledPlan::build(machine, binding, opts)?;
         let inst = PlanInstance::for_binding(&shared, binding);
         Ok(ExecutionPlan {
             shared: Arc::new(shared),
@@ -1794,8 +1672,8 @@ impl ExecutionPlan {
 
     /// Attaches a fresh per-tenant instance to an existing shared
     /// artifact — the multi-tenant fast path: no machine access, no
-    /// field allocation, no strip resolution, just a rebase of the
-    /// shared schedule onto this binding's arrays.
+    /// field allocation, no strip resolution, just this binding's lane
+    /// view over the shared schedule.
     ///
     /// # Errors
     ///
@@ -1834,9 +1712,10 @@ impl ExecutionPlan {
         &self.shared
     }
 
-    /// Runs one iteration: halo exchange, pre-resolved kernel execution,
-    /// and the paper's accounting. Performs no field allocation and no
-    /// schedule construction.
+    /// Runs one iteration: halo exchange, the row sweeps or the kernel
+    /// runs, and the paper's accounting. Performs no field allocation and
+    /// no schedule construction; the scalar engine resolves the strip
+    /// schedule against the bound arrays the first time it runs them.
     ///
     /// A [`Self::lane_mapped`] plan runs the lane body — the same one
     /// [`Self::execute_region`] runs — and commits its staged writes at
@@ -1947,7 +1826,7 @@ impl ExecutionPlan {
             push(halo.field(), owned_writable);
         }
         push(cp.consts, false);
-        for &(page, _) in &cp.literal_pages {
+        for &page in cp.pages.iter().flatten() {
             push(page, false);
         }
         if let Some(tp) = &cp.temporal {
@@ -1969,17 +1848,17 @@ impl ExecutionPlan {
     }
 
     /// Retargets the plan to different arrays of identical shape without
-    /// rebuilding anything: source swaps are free (sources are read
-    /// through the plan's own halo buffers each iteration) and
-    /// result/coefficient swaps shift the resolved addresses.
+    /// rebuilding anything shared.
     ///
     /// O(ranges) work: the lane view and the interior copies are
     /// recomputed over the new arrays; the row program and halo
     /// programs are kept (lane addresses are rebind-invariant), and so
     /// is the mirror's contents — the next execute re-reads only the
-    /// ranges whose base moved (see [`Self::execute`]). The node-domain
-    /// strip schedule's rebase is deferred to the scalar engine that
-    /// reads it.
+    /// ranges whose base moved (see [`Self::execute`]). A moved result
+    /// or named coefficient drops the instance's resolved strips, which
+    /// the scalar engine re-resolves the next time it runs; a moved
+    /// source keeps them (sources are read through the plan's own halo
+    /// buffers).
     ///
     /// This is what makes ping-pong time stepping (`swap(cur, next)`) and
     /// volume sweeps reuse one plan.
@@ -2000,18 +1879,10 @@ impl ExecutionPlan {
         self.inst.rebind(&self.shared, result, sources, coeffs)
     }
 
-    /// Returns the plan's persistent fields to the arena — if this was
+    /// Returns the plan's fields to the persistent arena — if this was
     /// the artifact's last instance. While other instances (or the plan
     /// cache) still hold the shared artifact, the fields stay live and
     /// this is a no-op beyond dropping the instance.
-    ///
-    /// Scoped plans skip this — their fields fall away with the caller's
-    /// [`Machine::release_to`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan was built with [`PlanLifetime::Scoped`] and
-    /// this was the last reference to the artifact.
     pub fn release(self, machine: &mut Machine) {
         let ExecutionPlan { shared, inst } = self;
         drop(inst);
@@ -2057,11 +1928,6 @@ impl ExecutionPlan {
     /// The execution options the plan was built under.
     pub fn options(&self) -> &ExecOptions {
         &self.shared.opts
-    }
-
-    /// Where the plan's fields live.
-    pub fn lifetime(&self) -> PlanLifetime {
-        self.shared.lifetime
     }
 
     /// Lane-mirror buffer allocations performed so far. Steady state
@@ -2160,6 +2026,84 @@ fn strip_mine(
         }
     }
     schedule
+}
+
+/// A classic plan's node schedule with no address resolved: what the
+/// scalar engine resolves against the binding it runs
+/// ([`CompiledPlan::resolve_strips`]).
+#[derive(Debug, Default)]
+struct NodeSchedule {
+    /// One copy of each kernel the schedule names: one per strip width
+    /// and walk.
+    kernels: Vec<Kernel>,
+    /// Every half-strip in execution order: its kernel's index in
+    /// `kernels`, its strip and its half.
+    strips: Vec<(usize, Strip, HalfStrip)>,
+}
+
+impl NodeSchedule {
+    /// The strip-mine schedule of a `rows × cols` subgrid.
+    fn of(compiled: &CompiledStencil, half_strips: bool, rows: usize, cols: usize) -> Self {
+        let mut kernels: Vec<&Kernel> = Vec::new();
+        let strips = strip_mine(compiled, half_strips, rows, cols)
+            .into_iter()
+            .map(|(kernel, strip, half)| {
+                let k = match kernels.iter().position(|&k| std::ptr::eq(k, kernel)) {
+                    Some(k) => k,
+                    None => {
+                        kernels.push(kernel);
+                        kernels.len() - 1
+                    }
+                };
+                (k, strip, half)
+            })
+            .collect();
+        NodeSchedule {
+            kernels: kernels.into_iter().cloned().collect(),
+            strips,
+        }
+    }
+}
+
+/// The node-memory fields a plan owns, in allocation order, all from the
+/// persistent arena. A build allocates through one and hands it to the
+/// finished plan — or, when it fails part-way, straight back to the
+/// arena.
+#[derive(Debug, Default)]
+struct OwnedFields(Vec<Field>);
+
+impl OwnedFields {
+    /// Allocates `len` words on every node.
+    fn field(&mut self, machine: &mut Machine, len: usize) -> Result<Field, RuntimeError> {
+        let field = machine.alloc_field_persistent(len)?;
+        self.0.push(field);
+        Ok(field)
+    }
+
+    /// Allocates a `pad`-deep halo buffer around a `(rows, cols)`
+    /// subgrid.
+    fn halo(
+        &mut self,
+        machine: &mut Machine,
+        (rows, cols): (usize, usize),
+        pad: usize,
+    ) -> Result<HaloBuffer, RuntimeError> {
+        let halo = HaloBuffer::new(machine, rows, cols, pad)?;
+        self.0.push(halo.field());
+        Ok(halo)
+    }
+
+    /// Words per node the fields occupy.
+    fn words(&self) -> usize {
+        self.0.iter().map(Field::len).sum()
+    }
+
+    /// Returns every field to the arena.
+    fn release(self, machine: &mut Machine) {
+        for field in self.0.into_iter().rev() {
+            machine.free_field_persistent(field);
+        }
+    }
 }
 
 /// What one run of a plan's node schedule reports on every node,
@@ -2414,10 +2358,7 @@ fn lane_interior_copies<'a>(
             let hl = halo.layout();
             let sl = src.layout();
             let f = halo.field();
-            let (lane0, range) = view.locate(f.base())?;
-            if f.base() + f.len() > range.node_base + range.len {
-                return None;
-            }
+            let lane0 = lane_run(view, f.base(), f.len())?;
             Some(RectCopy {
                 node0: sl.addr(0, 0),
                 node_stride: sl.row_stride,
@@ -2469,8 +2410,7 @@ mod tests {
         let fresh = convolve(&mut m, &compiled, &r_fresh, &x, &refs, &opts).unwrap();
 
         let binding = StencilBinding::new(&compiled, &r_plan, &[&x], &refs).unwrap();
-        let mut plan =
-            ExecutionPlan::build(&mut m, &binding, &opts, PlanLifetime::Persistent).unwrap();
+        let mut plan = ExecutionPlan::build(&mut m, &binding, &opts).unwrap();
         for _ in 0..3 {
             let planned = plan.execute(&mut m).unwrap();
             assert_eq!(planned, fresh);
@@ -2491,13 +2431,7 @@ mod tests {
         let r = CmArray::new(&mut m, 8, 8).unwrap();
         x.fill(&mut m, 1.0);
         let binding = StencilBinding::new(&compiled, &r, &[&x], &[]).unwrap();
-        let mut plan = ExecutionPlan::build(
-            &mut m,
-            &binding,
-            &ExecOptions::fast(),
-            PlanLifetime::Persistent,
-        )
-        .unwrap();
+        let mut plan = ExecutionPlan::build(&mut m, &binding, &ExecOptions::fast()).unwrap();
         let allocs = m.alloc_count();
         let mark = m.alloc_mark();
         for _ in 0..10 {
@@ -2524,13 +2458,7 @@ mod tests {
         let refs: Vec<&CmArray> = coeffs.iter().collect();
         let r = CmArray::new(&mut m, 8, 8).unwrap();
         let binding = StencilBinding::new(&compiled, &r, &[&x], &refs).unwrap();
-        let mut plan = ExecutionPlan::build(
-            &mut m,
-            &binding,
-            &ExecOptions::fast(),
-            PlanLifetime::Persistent,
-        )
-        .unwrap();
+        let mut plan = ExecutionPlan::build(&mut m, &binding, &ExecOptions::fast()).unwrap();
         assert!(plan.lane_mapped(), "a clean binding lane-maps");
 
         // The first execute shapes the mirror; every later one recycles it.
@@ -2548,6 +2476,10 @@ mod tests {
             "steady state must not grow or reshape the lane mirror"
         );
         assert_eq!(m.alloc_count(), node_allocs, "execute must not allocate");
+        assert!(
+            plan.inst.strips.is_none(),
+            "a lane-mapped instance resolves no strips"
+        );
 
         // The lane body's steady state copies only the staged result,
         // strictly fewer words than the scalar engine's per-execute
@@ -2557,7 +2489,6 @@ mod tests {
             &mut m,
             &binding2,
             &ExecOptions::fast().with_engine(ExecEngine::Scalar),
-            PlanLifetime::Persistent,
         )
         .unwrap();
         assert!(!baseline.lane_mapped());
@@ -2579,13 +2510,7 @@ mod tests {
         let refs: Vec<&CmArray> = coeffs.iter().collect();
         let before = m.persistent_used();
         let binding = StencilBinding::new(&compiled, &r, &[&x], &refs).unwrap();
-        let plan = ExecutionPlan::build(
-            &mut m,
-            &binding,
-            &ExecOptions::default(),
-            PlanLifetime::Persistent,
-        )
-        .unwrap();
+        let plan = ExecutionPlan::build(&mut m, &binding, &ExecOptions::default()).unwrap();
         assert!(m.persistent_used() > before);
         plan.release(&mut m);
         assert_eq!(m.persistent_used(), before);
@@ -2609,9 +2534,12 @@ mod tests {
         let opts = ExecOptions::default();
 
         let binding = StencilBinding::new(&compiled, &r1, &[&x1], &[&c1]).unwrap();
-        let mut plan =
-            ExecutionPlan::build(&mut m, &binding, &opts, PlanLifetime::Persistent).unwrap();
+        let mut plan = ExecutionPlan::build(&mut m, &binding, &opts).unwrap();
         plan.execute(&mut m).unwrap();
+        // Kernels read sources through the plan's halo buffers: a source
+        // move keeps the strips the scalar engine resolved.
+        plan.rebind(&r1, &[&x2], &[&c1]).unwrap();
+        assert!(plan.inst.strips.is_some());
         plan.rebind(&r2, &[&x2], &[&c2]).unwrap();
         let rebound = plan.execute(&mut m).unwrap();
 
@@ -2639,13 +2567,7 @@ mod tests {
         let r = CmArray::new(&mut m, 8, 8).unwrap();
         let wrong = CmArray::new(&mut m, 8, 12).unwrap();
         let binding = StencilBinding::new(&compiled, &r, &[&x], &[&c]).unwrap();
-        let mut plan = ExecutionPlan::build(
-            &mut m,
-            &binding,
-            &ExecOptions::default(),
-            PlanLifetime::Persistent,
-        )
-        .unwrap();
+        let mut plan = ExecutionPlan::build(&mut m, &binding, &ExecOptions::default()).unwrap();
         assert!(matches!(
             plan.rebind(&wrong, &[&x], &[&c]),
             Err(RuntimeError::ShapeMismatch { .. })
@@ -2682,15 +2604,13 @@ mod tests {
 
         let scalar_opts = ExecOptions::fast().with_engine(ExecEngine::Scalar);
         let b = StencilBinding::new(&compiled, &r_scalar, &[&x], &refs).unwrap();
-        let mut scalar_plan =
-            ExecutionPlan::build(&mut m, &b, &scalar_opts, PlanLifetime::Persistent).unwrap();
+        let mut scalar_plan = ExecutionPlan::build(&mut m, &b, &scalar_opts).unwrap();
         assert!(!scalar_plan.lane_mapped());
         let scalar_meas = scalar_plan.execute(&mut m).unwrap();
 
         let lock_opts = ExecOptions::fast().with_engine(ExecEngine::Lockstep);
         let b = StencilBinding::new(&compiled, &r_lock, &[&x], &refs).unwrap();
-        let mut lock_plan =
-            ExecutionPlan::build(&mut m, &b, &lock_opts, PlanLifetime::Persistent).unwrap();
+        let mut lock_plan = ExecutionPlan::build(&mut m, &b, &lock_opts).unwrap();
         assert!(lock_plan.lane_mapped());
         let lock_meas = lock_plan.execute(&mut m).unwrap();
 
@@ -2720,7 +2640,7 @@ mod tests {
         // represent one buffer in two roles, so the plan must fall back —
         // and still compute the correct result through the scalar path.
         let b = StencilBinding::new(&compiled, &c, &[&x], &[&c]).unwrap();
-        let mut plan = ExecutionPlan::build(&mut m, &b, &opts, PlanLifetime::Persistent).unwrap();
+        let mut plan = ExecutionPlan::build(&mut m, &b, &opts).unwrap();
         assert!(!plan.lane_mapped());
         plan.execute(&mut m).unwrap();
         assert_eq!(c.get(&m, 3, 3), 6.0);
@@ -2728,7 +2648,7 @@ mod tests {
 
         // A clean binding keeps the lockstep engine.
         let b = StencilBinding::new(&compiled, &r, &[&x], &[&c]).unwrap();
-        let plan = ExecutionPlan::build(&mut m, &b, &opts, PlanLifetime::Persistent).unwrap();
+        let plan = ExecutionPlan::build(&mut m, &b, &opts).unwrap();
         assert!(plan.lane_mapped());
         plan.release(&mut m);
     }
@@ -2751,20 +2671,39 @@ mod tests {
         let opts = ExecOptions::fast();
 
         let binding = StencilBinding::new(&compiled, &r1, &[&x1], &[&c1]).unwrap();
-        let mut plan =
-            ExecutionPlan::build(&mut m, &binding, &opts, PlanLifetime::Persistent).unwrap();
+        let mut plan = ExecutionPlan::build(&mut m, &binding, &opts).unwrap();
         assert!(plan.lane_mapped());
         plan.execute(&mut m).unwrap();
         plan.rebind(&r2, &[&x2], &[&c2]).unwrap();
         assert!(plan.lane_mapped(), "rebind must keep the lane view");
         plan.execute(&mut m).unwrap();
 
-        // Rebinding onto an aliased pair turns the engine off…
+        // Rebinding onto an aliased pair turns the engine off: the
+        // scalar engine runs the binding the lane rebinds moved the
+        // result and the coefficient to, and matches a fresh scalar
+        // convolve over the same aliasing…
+        let c_alias = CmArray::new(&mut m, 8, 8).unwrap();
+        let c1_values = c1.gather(&m);
+        c_alias.scatter(&mut m, &c1_values);
         plan.rebind(&c1, &[&x1], &[&c1]).unwrap();
         assert!(!plan.lane_mapped());
-        // …and a clean rebind turns it back on.
+        let aliased = plan.execute(&mut m).unwrap();
+        let fresh = convolve(
+            &mut m,
+            &compiled,
+            &c_alias,
+            &x1,
+            &[&c_alias],
+            &ExecOptions::fast().with_engine(ExecEngine::Scalar),
+        )
+        .unwrap();
+        assert_eq!(aliased, fresh);
+        assert_eq!(c1.gather(&m), c_alias.gather(&m));
+        // …and a clean rebind turns it back on, dropping the strips
+        // resolved for the moved result.
         plan.rebind(&r1, &[&x1], &[&c1]).unwrap();
         assert!(plan.lane_mapped());
+        assert!(plan.inst.strips.is_none());
         plan.execute(&mut m).unwrap();
 
         let r_fresh = CmArray::new(&mut m, 8, 8).unwrap();

@@ -17,7 +17,7 @@
 use crate::array::CmArray;
 use crate::convolve::ExecOptions;
 use crate::error::RuntimeError;
-use crate::plan::{ExecutionPlan, PlanLifetime, StencilBinding};
+use crate::plan::{ExecutionPlan, StencilBinding};
 use cmcc_cm2::machine::Machine;
 use cmcc_cm2::timing::Measurement;
 use cmcc_core::compiler::CompiledStencil;
@@ -143,7 +143,8 @@ pub fn convolve_volume(
 
     let depth = source.depth() as i64;
     // A shared zero plane backs out-of-range depth reads under EOSHIFT
-    // semantics. Allocated only when some plane needs it.
+    // semantics: a temporary of this call, allocated only when some
+    // plane needs it.
     let needs_zero = compiled.stencil().boundary() == Boundary::ZeroFill
         && plane_offsets.iter().any(|&o| o != 0);
     let mark = machine.alloc_mark();
@@ -157,13 +158,10 @@ pub fn convolve_volume(
         } else {
             None
         };
-        // One plan serves the whole volume: every plane has the same
-        // shape, so plane `p` is a rebind — a pure address shift — rather
-        // than a fresh round of allocation and schedule building.
-        let mut plan: Option<ExecutionPlan> = None;
-        let mut total: Option<Measurement> = None;
-        for p in 0..depth {
-            let sources: Vec<&CmArray> = plane_offsets
+        // Kernel source `s` of output plane `p` reads plane
+        // `p + plane_offsets[s]`.
+        let sources = |p: i64| -> Vec<&CmArray> {
+            plane_offsets
                 .iter()
                 .map(|&off| {
                     let q = p + i64::from(off);
@@ -178,30 +176,27 @@ pub fn convolve_volume(
                         }
                     }
                 })
-                .collect();
-            let coeff_planes: Vec<&CmArray> = coeffs.iter().map(|c| c.plane(p as usize)).collect();
-            let result_plane = result.plane(p as usize);
-            let m = match &mut plan {
-                None => {
-                    let binding =
-                        StencilBinding::new(compiled, result_plane, &sources, &coeff_planes)?;
-                    let mut built =
-                        ExecutionPlan::build(machine, &binding, opts, PlanLifetime::Scoped)?;
-                    let m = built.execute(machine)?;
-                    plan = Some(built);
-                    m
-                }
-                Some(plan) => {
-                    plan.rebind(result_plane, &sources, &coeff_planes)?;
-                    plan.execute(machine)?
-                }
-            };
-            total = Some(match total {
-                None => m,
-                Some(t) => t.combine(&m),
-            });
-        }
-        Ok(total.expect("volumes have at least one plane"))
+                .collect()
+        };
+        let coeff_planes =
+            |p: i64| -> Vec<&CmArray> { coeffs.iter().map(|c| c.plane(p as usize)).collect() };
+        // One plan serves the whole volume: every plane has the same
+        // shape, so plane `p` is a rebind — a pure address shift — rather
+        // than a fresh round of allocation and schedule building.
+        let binding =
+            StencilBinding::new(compiled, result.plane(0), &sources(0), &coeff_planes(0))?;
+        let mut plan = ExecutionPlan::build(machine, &binding, opts)?;
+        let mut sweep = || -> Result<Measurement, RuntimeError> {
+            let mut total = plan.execute(machine)?;
+            for p in 1..depth {
+                plan.rebind(result.plane(p as usize), &sources(p), &coeff_planes(p))?;
+                total = total.combine(&plan.execute(machine)?);
+            }
+            Ok(total)
+        };
+        let swept = sweep();
+        plan.release(machine);
+        swept
     })();
     machine.release_to(mark);
     outcome

@@ -71,7 +71,7 @@ pub use cmcc_cm2::{CycleBreakdown, Machine, MachineConfig, Measurement};
 pub use cmcc_core::{CompileError, CompiledStencil, Compiler, PaperPattern};
 pub use cmcc_runtime::{
     convolve, convolve_multi, convolve_volume, CmArray, CmVolume, CompiledPlan, ExecEngine,
-    ExecOptions, ExecutionPlan, LeaseRange, PlanLifetime, RuntimeError, StencilBinding,
+    ExecOptions, ExecutionPlan, LeaseRange, RuntimeError, StencilBinding,
 };
 
 use cmcc_cm2::lane::{MirrorPool, RegionStage};
@@ -245,10 +245,10 @@ pub struct PlanCacheStats {
 /// keeps alive.
 const DEFAULT_PLAN_CACHE_CAPACITY: usize = 8;
 
-/// Default number of retired lane mirrors the session pool holds for
-/// recycling across tenant instances (see
-/// [`Session::with_config_and_mirror_pool`] to override).
-pub const DEFAULT_MIRROR_POOL_CAPACITY: usize = 32;
+/// Retired lane mirrors the session pool holds for recycling across
+/// tenant instances; takes past the pool's supply are counted as
+/// [`cmcc_obs::Counter::MirrorPoolMisses`].
+const MIRROR_POOL_CAPACITY: usize = 32;
 
 /// Mutable state of the region-lease table, behind one mutex.
 #[derive(Debug, Default)]
@@ -575,7 +575,7 @@ impl SessionShared {
         cmcc_obs::add(cmcc_obs::Counter::PlanCacheMisses, 1);
         let built = {
             let mut machine = self.machine_write();
-            CompiledPlan::build(&mut machine, binding, opts, PlanLifetime::Persistent)
+            CompiledPlan::build(&mut machine, binding, opts)
         };
         match built {
             Ok(cp) => {
@@ -641,10 +641,10 @@ struct LocalPlan {
 ///
 /// Every `run*` call is served through a **plan cache**: the first call
 /// for a given (statement fingerprint, array shape, options) builds a
-/// shared [`CompiledPlan`] — halo buffers, exchange programs,
-/// pre-resolved strip schedule — and later calls replay it through a
-/// handle-local [`runtime::PlanInstance`], rebased onto whichever arrays
-/// are passed. Results and [`Measurement`]s are bit-identical to
+/// shared [`CompiledPlan`] — halo buffers, exchange programs, the
+/// strip-mine schedule and the row program — and later calls replay it
+/// through a handle-local [`runtime::PlanInstance`], rebound to whichever
+/// arrays are passed. Results and [`Measurement`]s are bit-identical to
 /// uncached execution. The cache is bounded (least-recently-used plans
 /// are evicted and their node memory freed once their last in-flight
 /// instance retires) and is scoped to the session's shared state, so a
@@ -704,29 +704,12 @@ impl Drop for Session {
 }
 
 impl Session {
-    /// A session on the given machine configuration, with the default
-    /// mirror-pool capacity ([`DEFAULT_MIRROR_POOL_CAPACITY`]).
+    /// A session on the given machine configuration.
     ///
     /// # Errors
     ///
     /// [`SessionError::Machine`] if the configuration is invalid.
     pub fn with_config(config: MachineConfig) -> Result<Self, SessionError> {
-        Self::with_config_and_mirror_pool(config, DEFAULT_MIRROR_POOL_CAPACITY)
-    }
-
-    /// A session on the given machine configuration holding at most
-    /// `mirror_pool` retired lane mirrors for recycling across tenant
-    /// instances. Size it to the expected number of concurrently
-    /// resident plans; takes past the pool's supply are counted as
-    /// [`cmcc_obs::Counter::MirrorPoolMisses`].
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Machine`] if the configuration is invalid.
-    pub fn with_config_and_mirror_pool(
-        config: MachineConfig,
-        mirror_pool: usize,
-    ) -> Result<Self, SessionError> {
         let machine = Machine::new(config.clone()).map_err(SessionError::Machine)?;
         Ok(Session {
             shared: Arc::new(SessionShared {
@@ -734,7 +717,7 @@ impl Session {
                 compiler: Compiler::new(config.clone()),
                 config,
                 cache: PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY),
-                mirrors: MirrorPool::new(mirror_pool),
+                mirrors: MirrorPool::new(MIRROR_POOL_CAPACITY),
                 leases: LeaseTable::default(),
             }),
             plans: Vec::new(),
@@ -901,10 +884,11 @@ impl Session {
         self.last_key = Some(key);
 
         if shared.cache.capacity.load(Ordering::Relaxed) == 0 {
-            // Caching disabled: build, run, and free in one breath. The
-            // build allocates and releases node memory, so this path
-            // leases the whole machine — it conflicts with (and so
-            // serializes against) every concurrent execute.
+            // Caching disabled: build, run, and free in one breath (the
+            // fields go back to the arena whether or not the execute
+            // succeeds). The build allocates and releases node memory, so
+            // this path leases the whole machine — it conflicts with (and
+            // so serializes against) every concurrent execute.
             shared.cache.misses.fetch_add(1, Ordering::Relaxed);
             cmcc_obs::add(cmcc_obs::Counter::PlanCacheMisses, 1);
             let whole_machine = vec![LeaseRange {
@@ -918,11 +902,10 @@ impl Session {
             }
             let measurement = {
                 let mut machine = shared.machine_write();
-                let mut plan =
-                    ExecutionPlan::build(&mut machine, &binding, opts, PlanLifetime::Persistent)?;
-                let measurement = plan.execute(&mut machine)?;
+                let mut plan = ExecutionPlan::build(&mut machine, &binding, opts)?;
+                let measurement = plan.execute(&mut machine);
                 plan.release(&mut machine);
-                measurement
+                measurement?
             };
             drop(lease);
             self.last_report = cmcc_obs::snapshot().delta(&before);
@@ -987,7 +970,7 @@ impl Session {
         drop(lease);
         self.last_report = cmcc_obs::snapshot().delta(&before);
 
-        self.evict_over_capacity();
+        self.evict_over_capacity(Some(key));
         self.trim_local_instances();
         shared.sweep_retired();
         Ok(measurement)
@@ -995,10 +978,14 @@ impl Session {
 
     /// Evicts global-LRU cache entries until the cache fits its
     /// capacity. Entries mid-build (slot lock held by a builder) are
-    /// skipped — they are by definition the most recently wanted.
+    /// skipped — they are by definition the most recently wanted — and
+    /// so is `keep`, the entry the calling run just executed: its tick
+    /// dates from the run's lookup, so another tenant that looked up
+    /// newer entries meanwhile would otherwise make the run evict the
+    /// plan it just ran and drop its own instance with it.
     /// Evicted artifacts move to the retired list; their node memory is
     /// reclaimed by the next sweep once the last instance drops.
-    fn evict_over_capacity(&mut self) {
+    fn evict_over_capacity(&mut self, keep: Option<PlanKey>) {
         let shared = Arc::clone(&self.shared);
         let cache = &shared.cache;
         let capacity = cache.capacity.load(Ordering::Relaxed);
@@ -1017,6 +1004,9 @@ impl Session {
         for &(_, si, key) in entries.iter() {
             if to_evict == 0 {
                 break;
+            }
+            if keep == Some(key) {
+                continue;
             }
             let removed = {
                 let mut guard = cache.shards[si].write().unwrap_or_else(|e| e.into_inner());
@@ -1125,12 +1115,6 @@ impl Session {
         self.shared.leases.stats()
     }
 
-    /// The shared mirror pool's capacity (see
-    /// [`Session::with_config_and_mirror_pool`]).
-    pub fn mirror_pool_capacity(&self) -> usize {
-        self.shared.mirrors.capacity()
-    }
-
     /// Mirror takes this session served with a fresh allocation because
     /// the pool was empty — the lifetime total behind
     /// [`cmcc_obs::Counter::MirrorPoolMisses`].
@@ -1176,7 +1160,7 @@ impl Session {
             .cache
             .capacity
             .store(capacity, Ordering::Relaxed);
-        self.evict_over_capacity();
+        self.evict_over_capacity(None);
         self.trim_local_instances();
         self.shared.sweep_retired();
     }
@@ -1280,6 +1264,30 @@ mod tests {
     }
 
     #[test]
+    fn a_run_never_evicts_the_plan_it_just_ran() {
+        let mut a = Session::tiny().unwrap();
+        let mut b = a.clone();
+        let x = a.array(4, 4).unwrap();
+        let r = a.array(4, 4).unwrap();
+        let first = a.compile("R = 0.5 * X + 0.5 * CSHIFT(X, 2, 1)").unwrap();
+        let second = b.compile("R = 0.25 * X + 0.75 * CSHIFT(X, 1, 1)").unwrap();
+        a.run(&first, &r, &x, &[]).unwrap();
+        // Another tenant looks up a newer entry while `a`'s run is still
+        // in flight; `a`'s eviction pass then finds the cache one over
+        // capacity, with `a`'s entry the oldest.
+        b.run(&second, &r, &x, &[]).unwrap();
+        a.shared.cache.capacity.store(1, Ordering::Relaxed);
+        let key = a.last_key.unwrap();
+        a.evict_over_capacity(Some(key));
+        assert!(
+            a.last_plan().is_some(),
+            "the run evicted the plan it just ran"
+        );
+        assert_eq!(a.cached_plans(), 1);
+        assert_eq!(a.plan_cache_stats().evictions, 1);
+    }
+
+    #[test]
     fn a_commit_outside_the_lease_panics_with_node_memory_untouched() {
         let mut s = Session::tiny().unwrap();
         let c = s.compile("R = 0.5 * X + 0.5 * CSHIFT(X, 2, 1)").unwrap();
@@ -1293,13 +1301,7 @@ mod tests {
             .with_engine(ExecEngine::Lockstep)
             .with_threads(1);
         let binding = StencilBinding::new(&c, &r, &[&x], &[]).unwrap();
-        let mut plan = ExecutionPlan::build(
-            &mut s.machine_mut(),
-            &binding,
-            &opts,
-            PlanLifetime::Persistent,
-        )
-        .unwrap();
+        let mut plan = ExecutionPlan::build(&mut s.machine_mut(), &binding, &opts).unwrap();
         assert!(plan.lane_mapped());
         let mut stage = RegionStage::new();
         plan.execute_region(s.machine(), &mut stage);

@@ -17,9 +17,7 @@
 //! machine read guard while two handles queue on the lease table.
 
 use cmcc::cm2::exec::{ExecEngine, ExecMode};
-use cmcc::runtime::{
-    CmArray, ExecOptions, ExecutionPlan, PlanLifetime, RuntimeError, StencilBinding,
-};
+use cmcc::runtime::{CmArray, ExecOptions, ExecutionPlan, RuntimeError, StencilBinding};
 use cmcc::{CompiledStencil, LeaseStats, Session, SessionError};
 use std::time::{Duration, Instant};
 
@@ -251,13 +249,7 @@ fn in_place_temporal_bindings_lane_map_and_match_iterated_scalar() {
         let a = s.array(case.x.rows(), case.x.cols()).unwrap();
         a.scatter(&mut s.machine_mut(), &x0);
         let binding = StencilBinding::new(&case.compiled_reader, &a, &[&a], &[&case.c]).unwrap();
-        let mut plan = ExecutionPlan::build(
-            &mut s.machine_mut(),
-            &binding,
-            &opts,
-            PlanLifetime::Persistent,
-        )
-        .unwrap();
+        let mut plan = ExecutionPlan::build(&mut s.machine_mut(), &binding, &opts).unwrap();
         assert_eq!(
             plan.temporal_depth(),
             depth,
@@ -310,23 +302,11 @@ fn temporal_result_aliasing_a_coefficient_is_refused() {
     for depth in [2, 4] {
         let opts = exec_opts().with_temporal_depth(depth);
         let aliased = StencilBinding::new(&compiled, &c, &[&x], &[&c]).unwrap();
-        let err = ExecutionPlan::build(
-            &mut s.machine_mut(),
-            &aliased,
-            &opts,
-            PlanLifetime::Persistent,
-        )
-        .unwrap_err();
+        let err = ExecutionPlan::build(&mut s.machine_mut(), &aliased, &opts).unwrap_err();
         assert!(refused(&err), "build: {err}");
 
         let clean = StencilBinding::new(&compiled, &r, &[&x], &[&c]).unwrap();
-        let mut plan = ExecutionPlan::build(
-            &mut s.machine_mut(),
-            &clean,
-            &opts,
-            PlanLifetime::Persistent,
-        )
-        .unwrap();
+        let mut plan = ExecutionPlan::build(&mut s.machine_mut(), &clean, &opts).unwrap();
         assert_eq!(plan.temporal_depth(), depth);
         let err = ExecutionPlan::from_shared(plan.shared(), &aliased).unwrap_err();
         assert!(refused(&err), "from_shared: {err}");

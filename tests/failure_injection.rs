@@ -9,7 +9,8 @@ use cmcc::cm2::{ExecMode, Machine, MachineConfig};
 use cmcc::core::Compiler;
 use cmcc::prelude::*;
 use cmcc::runtime::reference::{reference_convolve, CoeffValue};
-use cmcc::runtime::{convolve, ExecOptions, RuntimeError};
+use cmcc::runtime::{convolve, ExecOptions, ExecutionPlan, RuntimeError, StencilBinding};
+use cmcc::SessionError;
 
 fn setup(
     statement: &str,
@@ -121,9 +122,13 @@ fn boundary_discipline_changes_results_at_edges_only() {
 }
 
 /// Memory exhaustion surfaces as a clean error, not corruption: a
-/// machine too small for the temporaries refuses the call.
+/// machine too small for the temporaries refuses the call and keeps none
+/// of the node memory it took — whether its first allocation failed or
+/// a later one.
 #[test]
 fn out_of_memory_is_a_clean_refusal() {
+    // Node memory in use: the bump mark and the persistent arena.
+    let held = |machine: &Machine| (machine.alloc_mark(), machine.persistent_used());
     let cfg = MachineConfig {
         node_memory_words: 50, // room for the arrays, not the halo
         ..MachineConfig::tiny_4()
@@ -134,7 +139,7 @@ fn out_of_memory_is_a_clean_refusal() {
         .unwrap();
     let x = CmArray::new(&mut machine, 8, 8).unwrap(); // 16 words/node
     let r = CmArray::new(&mut machine, 8, 8).unwrap();
-    let mark = machine.alloc_mark();
+    let before = held(&machine);
     let err = convolve(
         &mut machine,
         &compiled,
@@ -146,5 +151,46 @@ fn out_of_memory_is_a_clean_refusal() {
     .unwrap_err();
     assert!(matches!(err, RuntimeError::OutOfMemory(_)), "{err}");
     // And the failed call released whatever it had allocated.
-    assert_eq!(machine.alloc_mark(), mark);
+    assert_eq!(held(&machine), before);
+
+    // The three-point blur at 256² on four nodes, in fast mode: node
+    // memory holds the two 128² subgrids and one 130² halo, but not the
+    // lane body's destination buffer, so the allocation after the first
+    // one fails — in a one-shot call, a plan build and a session run.
+    let blur = "R = 0.25 * CSHIFT(X, 1, -1) + 0.25 * CSHIFT(X, 1, 1) + 0.5 * X";
+    let cfg = MachineConfig {
+        node_memory_words: 2 * 128 * 128 + 130 * 130 + 1_000,
+        ..MachineConfig::tiny_4()
+    };
+    let fast = ExecOptions::fast();
+    let mut machine = Machine::new(cfg.clone()).unwrap();
+    let compiled = Compiler::new(cfg.clone()).compile_assignment(blur).unwrap();
+    let x = CmArray::new(&mut machine, 256, 256).unwrap();
+    let r = CmArray::new(&mut machine, 256, 256).unwrap();
+    let before = held(&machine);
+    let err = convolve(&mut machine, &compiled, &r, &x, &[], &fast).unwrap_err();
+    assert!(matches!(err, RuntimeError::OutOfMemory(_)), "{err}");
+    assert_eq!(held(&machine), before, "convolve kept node memory");
+    let binding = StencilBinding::new(&compiled, &r, &[&x], &[]).unwrap();
+    let err = ExecutionPlan::build(&mut machine, &binding, &fast).unwrap_err();
+    assert!(matches!(err, RuntimeError::OutOfMemory(_)), "{err}");
+    assert_eq!(held(&machine), before, "a failed build kept node memory");
+
+    let mut session = Session::with_config(cfg).unwrap();
+    let compiled = session.compile(blur).unwrap();
+    let x = session.array(256, 256).unwrap();
+    let r = session.array(256, 256).unwrap();
+    let before = held(&session.machine());
+    for _ in 0..2 {
+        let err = session.run_with(&compiled, &r, &x, &[], &fast).unwrap_err();
+        assert!(
+            matches!(err, SessionError::Runtime(RuntimeError::OutOfMemory(_))),
+            "{err}"
+        );
+        assert_eq!(
+            held(&session.machine()),
+            before,
+            "a failed run kept node memory"
+        );
+    }
 }

@@ -22,9 +22,7 @@ use cmcc::core::recognize::CoeffSpec;
 use cmcc::core::stencil::{Boundary, Stencil, Tap};
 use cmcc::core::{CompileError, Compiler};
 use cmcc::obs::{self, Counter};
-use cmcc::runtime::{
-    CmArray, ExecOptions, ExecutionPlan, PlanLifetime, RuntimeError, StencilBinding,
-};
+use cmcc::runtime::{CmArray, ExecOptions, ExecutionPlan, RuntimeError, StencilBinding};
 use cmcc::{ExecEngine, Measurement, PaperPattern};
 use cmcc_testkit::{property, Rng};
 
@@ -98,8 +96,7 @@ fn run_plan_case(
     let refs: Vec<&CmArray> = coeffs.iter().collect();
     let r = CmArray::new(&mut machine, rows, cols).unwrap();
     let binding = StencilBinding::new(&compiled, &r, &[&x], &refs).unwrap();
-    let mut plan = ExecutionPlan::build(&mut machine, &binding, opts, PlanLifetime::Scoped)
-        .expect("paper patterns plan");
+    let mut plan = ExecutionPlan::build(&mut machine, &binding, opts).expect("paper patterns plan");
     assert_engine(&plan, opts, &format!("{} at {rows}x{cols}", pattern.name()));
     let m = plan.execute(&mut machine).expect("paper patterns run");
     let bits = r.gather(&machine).iter().map(|v| v.to_bits()).collect();
@@ -191,8 +188,7 @@ fn kernel_tier_ping_pong_rebind_stays_exact() {
             .collect();
         let refs: Vec<&CmArray> = coeffs.iter().collect();
         let binding = StencilBinding::new(&compiled, &b, &[&a], &refs).unwrap();
-        let mut plan =
-            ExecutionPlan::build(&mut machine, &binding, opts, PlanLifetime::Scoped).unwrap();
+        let mut plan = ExecutionPlan::build(&mut machine, &binding, opts).unwrap();
         for step in 0..steps {
             assert_engine(&plan, opts, &format!("step {step}"));
             plan.execute(&mut machine).unwrap();
@@ -272,8 +268,7 @@ impl Case {
     fn plan(&mut self, result: &CmArray, opts: &ExecOptions) -> ExecutionPlan {
         let refs: Vec<&CmArray> = self.coeffs.iter().collect();
         let binding = StencilBinding::new(&self.compiled, result, &[&self.a], &refs).unwrap();
-        ExecutionPlan::build(&mut self.machine, &binding, opts, PlanLifetime::Scoped)
-            .expect("plan builds")
+        ExecutionPlan::build(&mut self.machine, &binding, opts).expect("plan builds")
     }
 
     fn bits(&self, array: &CmArray) -> Vec<u32> {
@@ -555,13 +550,12 @@ fn property_kernel_tier_is_indistinguishable() {
             let refs: Vec<&CmArray> = coeffs.iter().collect();
             let r = CmArray::new(&mut machine, rows, cols).unwrap();
             let binding = StencilBinding::new(&compiled, &r, &[&x], &refs).unwrap();
-            let mut plan =
-                match ExecutionPlan::build(&mut machine, &binding, opts, PlanLifetime::Scoped) {
-                    Ok(p) => p,
-                    // Halo deeper than the subgrid is a legal refusal.
-                    Err(RuntimeError::SubgridTooSmall { .. }) => return None,
-                    Err(e) => panic!("plan error on `{source}`: {e}"),
-                };
+            let mut plan = match ExecutionPlan::build(&mut machine, &binding, opts) {
+                Ok(p) => p,
+                // Halo deeper than the subgrid is a legal refusal.
+                Err(RuntimeError::SubgridTooSmall { .. }) => return None,
+                Err(e) => panic!("plan error on `{source}`: {e}"),
+            };
             assert_engine(&plan, opts, &format!("`{source}` at {rows}x{cols}"));
             let m = plan.execute(&mut machine).expect("plan executes");
             let (mut cur, mut nxt) = (r, x);
@@ -656,8 +650,7 @@ fn temporal_telemetry_counts_exchanges_fused_steps_and_fallbacks() {
         b.fill(&mut machine, 0.0);
         let opts = lockstep_fast().with_temporal_depth(depth);
         let binding = StencilBinding::new(&compiled, &b, &[&a], &[]).unwrap();
-        let mut plan =
-            ExecutionPlan::build(&mut machine, &binding, &opts, PlanLifetime::Scoped).unwrap();
+        let mut plan = ExecutionPlan::build(&mut machine, &binding, &opts).unwrap();
         assert_eq!(plan.temporal_depth(), depth, "depth should take effect");
         assert!(plan.lane_mapped(), "depth {depth}: lane-maps");
         // This thread's counts only: other tests in this binary execute
@@ -701,7 +694,6 @@ fn temporal_telemetry_counts_exchanges_fused_steps_and_fallbacks() {
         &mut machine,
         &binding,
         &lockstep_fast().with_temporal_depth(16),
-        PlanLifetime::Scoped,
     )
     .unwrap();
     let delta = obs::thread_snapshot().delta(&before);
@@ -735,13 +727,7 @@ fn aliased_fallback_records_no_lockstep_steps() {
     // Result aliased to the coefficient array: the lane mirror cannot
     // represent one buffer in two roles.
     let binding = StencilBinding::new(&compiled, &c, &[&x], &[&c]).unwrap();
-    let mut plan = ExecutionPlan::build(
-        &mut machine,
-        &binding,
-        &lockstep_fast(),
-        PlanLifetime::Scoped,
-    )
-    .unwrap();
+    let mut plan = ExecutionPlan::build(&mut machine, &binding, &lockstep_fast()).unwrap();
     assert!(!plan.lane_mapped(), "aliased binding must fall back");
     assert_eq!(
         plan.lane_fallback(),
@@ -775,7 +761,7 @@ fn every_scalar_fallback_names_its_reason() {
     let r = CmArray::new(&mut machine, 8, 8).unwrap();
     let mut build = |result: &CmArray, opts: ExecOptions| {
         let binding = StencilBinding::new(&compiled, result, &[&x], &[&c]).unwrap();
-        ExecutionPlan::build(&mut machine, &binding, &opts, PlanLifetime::Scoped).unwrap()
+        ExecutionPlan::build(&mut machine, &binding, &opts).unwrap()
     };
     let cases = [
         (r, ExecOptions::default(), Some("cycle-accurate mode")),

@@ -15,7 +15,7 @@
 use cmcc::cm2::{Machine, MachineConfig};
 use cmcc::core::recognize::CoeffSpec;
 use cmcc::core::Compiler;
-use cmcc::runtime::{convolve, CmArray, ExecOptions, ExecutionPlan, PlanLifetime, StencilBinding};
+use cmcc::runtime::{convolve, CmArray, ExecOptions, ExecutionPlan, StencilBinding};
 use cmcc::{ExecEngine, Measurement, PaperPattern};
 use cmcc_testkit::{property, Rng};
 
@@ -169,8 +169,7 @@ fn lockstep_plan_reuse_and_rebind_stay_exact() {
 
     let opts = lockstep_fast();
     let binding = StencilBinding::new(&compiled, &r1, &[&x1], &refs).unwrap();
-    let mut plan =
-        ExecutionPlan::build(&mut machine, &binding, &opts, PlanLifetime::Scoped).unwrap();
+    let mut plan = ExecutionPlan::build(&mut machine, &binding, &opts).unwrap();
     assert!(plan.lane_mapped(), "clean binding lane-maps");
     let m1 = plan.execute(&mut machine).unwrap();
     assert_eq!(m1, plan.execute(&mut machine).unwrap(), "replay is exact");
@@ -283,8 +282,7 @@ fn resident_ping_pong_iteration_matches_scalar() {
             .collect();
         let refs: Vec<&CmArray> = coeffs.iter().collect();
         let binding = StencilBinding::new(&compiled, &b, &[&a], &refs).unwrap();
-        let mut plan =
-            ExecutionPlan::build(&mut machine, &binding, opts, PlanLifetime::Scoped).unwrap();
+        let mut plan = ExecutionPlan::build(&mut machine, &binding, opts).unwrap();
         for step in 0..steps {
             plan.execute(&mut machine).unwrap();
             let (from, to) = if step % 2 == 0 { (&b, &a) } else { (&a, &b) };
@@ -384,8 +382,7 @@ fn run_time_stepped(
         *opts
     };
     let binding = StencilBinding::new(&compiled, &b, &[&a], &refs).unwrap();
-    let mut plan =
-        ExecutionPlan::build(&mut machine, &binding, &opts, PlanLifetime::Scoped).unwrap();
+    let mut plan = ExecutionPlan::build(&mut machine, &binding, &opts).unwrap();
     let executes = steps / depth;
     for e in 0..executes {
         plan.execute(&mut machine).unwrap();
@@ -481,21 +478,14 @@ fn temporal_tail_steps_via_shallow_plan_stay_exact() {
 
     let deep_opts = lockstep_fast().with_temporal_depth(depth);
     let binding = StencilBinding::new(&compiled, &b, &[&a], &refs).unwrap();
-    let mut deep =
-        ExecutionPlan::build(&mut machine, &binding, &deep_opts, PlanLifetime::Scoped).unwrap();
+    let mut deep = ExecutionPlan::build(&mut machine, &binding, &deep_opts).unwrap();
     assert_eq!(deep.temporal_depth(), depth, "depth should take effect");
     deep.execute(&mut machine).unwrap(); // steps 1..=3 → b
     deep.rebind(&a, &[&b], &refs).unwrap();
     deep.execute(&mut machine).unwrap(); // steps 4..=6 → a
 
     let tail_binding = StencilBinding::new(&compiled, &b, &[&a], &refs).unwrap();
-    let mut tail = ExecutionPlan::build(
-        &mut machine,
-        &tail_binding,
-        &lockstep_fast(),
-        PlanLifetime::Scoped,
-    )
-    .unwrap();
+    let mut tail = ExecutionPlan::build(&mut machine, &tail_binding, &lockstep_fast()).unwrap();
     tail.execute(&mut machine).unwrap(); // step 7 → b
 
     let got: Vec<u32> = b.gather(&machine).iter().map(|v| v.to_bits()).collect();
@@ -516,7 +506,7 @@ fn temporal_depth_clamps_with_a_reason() {
             let (a, b, coeffs) = arrays;
             let refs: Vec<&CmArray> = coeffs.iter().collect();
             let binding = StencilBinding::new(&compiled, b, &[a], &refs).unwrap();
-            ExecutionPlan::build(machine, &binding, opts, PlanLifetime::Scoped).unwrap()
+            ExecutionPlan::build(machine, &binding, opts).unwrap()
         };
     let mut machine = Machine::new(cfg).expect("tiny_4 is valid");
     // 8×8 global on the 2×2 board → 4×4 subgrids: depth 8 needs an

@@ -13,9 +13,7 @@ use std::sync::Mutex;
 
 use cmcc::core::recognize::CoeffSpec;
 use cmcc::obs::{self, Counter};
-use cmcc::runtime::{
-    CmArray, ExecEngine, ExecOptions, ExecutionPlan, PlanLifetime, StencilBinding,
-};
+use cmcc::runtime::{CmArray, ExecEngine, ExecOptions, ExecutionPlan, StencilBinding};
 use cmcc::{Compiler, Machine, MachineConfig, PaperPattern, Session};
 
 /// Serializes tests that touch the global counter registry.
@@ -156,13 +154,7 @@ fn steady_state_copy_words_match_analytic_prediction() {
     x.fill_with(&mut m, |row, col| (row * 3 + col) as f32 * 0.5);
 
     let binding = StencilBinding::new(&compiled, &r, &[&x], &[]).unwrap();
-    let mut plan = ExecutionPlan::build(
-        &mut m,
-        &binding,
-        &ExecOptions::default(),
-        PlanLifetime::Persistent,
-    )
-    .unwrap();
+    let mut plan = ExecutionPlan::build(&mut m, &binding, &ExecOptions::default()).unwrap();
     plan.execute(&mut m).unwrap(); // priming iteration (full mirror gather)
 
     let before = obs::snapshot();
@@ -215,13 +207,7 @@ fn ping_pong_copy_words_match_the_rebind_cycle_model() {
         .collect();
     let refs: Vec<&CmArray> = coeffs.iter().collect();
     let binding = StencilBinding::new(&compiled, &r, &[&x], &refs).unwrap();
-    let mut plan = ExecutionPlan::build(
-        &mut m,
-        &binding,
-        &ExecOptions::fast(),
-        PlanLifetime::Persistent,
-    )
-    .unwrap();
+    let mut plan = ExecutionPlan::build(&mut m, &binding, &ExecOptions::fast()).unwrap();
     assert!(plan.lane_mapped());
     plan.execute(&mut m).unwrap(); // priming iteration
 
@@ -275,7 +261,6 @@ fn ping_pong_copy_words_match_the_rebind_cycle_model() {
         &mut m,
         &binding,
         &ExecOptions::fast().with_engine(ExecEngine::Scalar),
-        PlanLifetime::Persistent,
     )
     .unwrap();
     scalar.execute(&mut m).unwrap();

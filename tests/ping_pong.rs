@@ -24,7 +24,7 @@ use cmcc::core::compiler::CompiledStencil;
 use cmcc::core::recognize::CoeffSpec;
 use cmcc::core::Compiler;
 use cmcc::obs::{self, Counter, RunReport};
-use cmcc::runtime::{CmArray, ExecOptions, ExecutionPlan, PlanLifetime, StencilBinding};
+use cmcc::runtime::{CmArray, ExecOptions, ExecutionPlan, StencilBinding};
 use cmcc::{ExecEngine, PaperPattern};
 use std::sync::Mutex;
 
@@ -117,8 +117,7 @@ impl Oracle {
         let scalar = ExecOptions::fast()
             .with_engine(ExecEngine::Scalar)
             .with_threads(1);
-        let plan = ExecutionPlan::build(&mut machine, &binding, &scalar, PlanLifetime::Persistent)
-            .unwrap();
+        let plan = ExecutionPlan::build(&mut machine, &binding, &scalar).unwrap();
         Oracle {
             machine,
             a,
@@ -174,22 +173,10 @@ fn run_case(pattern: PaperPattern, depth: usize, threads: usize, shape: Loop) {
         .compile_assignment("R = 0.5 * X + 0.25 * CSHIFT(X, 1, 1)")
         .unwrap();
     let other_binding = StencilBinding::new(&other_compiled, &bufs[0], &[&other_src], &[]).unwrap();
-    let mut other = ExecutionPlan::build(
-        &mut m,
-        &other_binding,
-        &lockstep(1, 1),
-        PlanLifetime::Persistent,
-    )
-    .unwrap();
+    let mut other = ExecutionPlan::build(&mut m, &other_binding, &lockstep(1, 1)).unwrap();
 
     let binding = StencilBinding::new(&compiled, &bufs[1], &[&bufs[0]], &refs).unwrap();
-    let mut plan = ExecutionPlan::build(
-        &mut m,
-        &binding,
-        &lockstep(threads, depth),
-        PlanLifetime::Persistent,
-    )
-    .unwrap();
+    let mut plan = ExecutionPlan::build(&mut m, &binding, &lockstep(threads, depth)).unwrap();
     assert!(plan.lane_mapped(), "{what}: lane-mapped");
     assert_eq!(plan.temporal_depth(), depth, "{what}: depth");
     let source_words = (m.node_count() * bufs[0].field().len()) as u64;
@@ -412,13 +399,8 @@ fn undisturbed_reruns_refresh_and_exchange_nothing_at_every_depth() {
                     .collect();
                 x.scatter(&mut m, &state);
                 let binding = StencilBinding::new(&compiled, &r, &[&x], &refs).unwrap();
-                let mut plan = ExecutionPlan::build(
-                    &mut m,
-                    &binding,
-                    &lockstep(threads, depth),
-                    PlanLifetime::Persistent,
-                )
-                .unwrap();
+                let mut plan =
+                    ExecutionPlan::build(&mut m, &binding, &lockstep(threads, depth)).unwrap();
                 assert!(plan.lane_mapped(), "{what}: lane-mapped");
                 assert_eq!(plan.temporal_depth(), depth, "{what}: depth");
                 let want = bits(&oracle.advance(&state, depth));

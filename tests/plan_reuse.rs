@@ -11,7 +11,7 @@ use cmcc::cm2::{Machine, MachineConfig};
 use cmcc::core::recognize::CoeffSpec;
 use cmcc::core::Compiler;
 use cmcc::runtime::{
-    convolve, CmArray, ExchangePrimitive, ExecOptions, ExecutionPlan, PlanLifetime, StencilBinding,
+    convolve, CmArray, ExchangePrimitive, ExecOptions, ExecutionPlan, StencilBinding,
 };
 use cmcc::{Measurement, PaperPattern, Session};
 
@@ -105,13 +105,7 @@ fn plan_reuse_is_bit_identical_to_fresh_convolve() {
 
                 let binding =
                     StencilBinding::new(&case.compiled, &case.r, &[&case.x], &refs).unwrap();
-                let mut plan = ExecutionPlan::build(
-                    &mut case.machine,
-                    &binding,
-                    &opts,
-                    PlanLifetime::Persistent,
-                )
-                .unwrap();
+                let mut plan = ExecutionPlan::build(&mut case.machine, &binding, &opts).unwrap();
                 for iter in 0..3 {
                     let planned = plan.execute(&mut case.machine).unwrap();
                     assert_eq!(
@@ -136,7 +130,7 @@ fn plan_reuse_is_bit_identical_to_fresh_convolve() {
 }
 
 /// A ping-pong time-stepping chain (swap result/source each step) through
-/// one rebased plan must equal the same chain run through fresh convolve
+/// one rebound plan must equal the same chain run through fresh convolve
 /// calls.
 #[test]
 fn ping_pong_chain_matches_fresh_convolve_chain() {
@@ -167,13 +161,7 @@ fn ping_pong_chain_matches_fresh_convolve_chain() {
         let mut next = CmArray::new(&mut m, 8, 8).unwrap();
         cur.fill_with(&mut m, |r, c| ((r * 5 + c) % 9) as f32);
         let binding = StencilBinding::new(&compiled, &next, &[&cur], &[]).unwrap();
-        let mut plan = ExecutionPlan::build(
-            &mut m,
-            &binding,
-            &ExecOptions::fast(),
-            PlanLifetime::Persistent,
-        )
-        .unwrap();
+        let mut plan = ExecutionPlan::build(&mut m, &binding, &ExecOptions::fast()).unwrap();
         for _ in 0..steps {
             plan.rebind(&next, &[&cur], &[]).unwrap();
             plan.execute(&mut m).unwrap();
@@ -204,13 +192,7 @@ fn steady_state_iterations_allocate_nothing() {
     a.fill(&mut m, 1.0);
 
     let binding = StencilBinding::new(&compiled, &b, &[&a], &refs).unwrap();
-    let mut plan = ExecutionPlan::build(
-        &mut m,
-        &binding,
-        &ExecOptions::default(),
-        PlanLifetime::Persistent,
-    )
-    .unwrap();
+    let mut plan = ExecutionPlan::build(&mut m, &binding, &ExecOptions::default()).unwrap();
     plan.execute(&mut m).unwrap(); // warm-up (still allocation-free, but be strict below)
 
     let allocs = m.alloc_count();

@@ -19,7 +19,7 @@ use cmcc::cm2::lane::RegionStage;
 use cmcc::obs::hist::Histogram;
 use cmcc::obs::trace::{self, ThreadTrace, TraceKind, TraceOp, TRACE_OP_COUNT, TRACE_RING_CAP};
 use cmcc::obs::{self, Counter};
-use cmcc::runtime::{CmArray, ExecOptions, ExecutionPlan, PlanLifetime, StencilBinding};
+use cmcc::runtime::{CmArray, ExecOptions, ExecutionPlan, StencilBinding};
 use cmcc::{Machine, MachineConfig, PaperPattern, Session};
 
 /// Serializes tests that touch the global recorder registry.
@@ -238,7 +238,7 @@ fn execute_region_releases_the_machine_between_refresh_and_sweep() {
         .with_threads(1)
         .with_temporal_depth(2);
     let binding = StencilBinding::new(&c, &r, &[&x], &[&coeff]).unwrap();
-    let mut plan = ExecutionPlan::build(&mut m, &binding, &opts, PlanLifetime::Persistent).unwrap();
+    let mut plan = ExecutionPlan::build(&mut m, &binding, &opts).unwrap();
     assert_eq!(plan.temporal_depth(), 2, "{:?}", plan.temporal_fallback());
     assert!(plan.lane_mapped());
     let mut stage = RegionStage::new();
@@ -353,7 +353,7 @@ fn exited_workers_return_their_rings_and_keep_their_slices() {
     let opts = ExecOptions::fast()
         .with_engine(ExecEngine::Lockstep)
         .with_threads(2);
-    let mut plan = ExecutionPlan::build(&mut m, &binding, &opts, PlanLifetime::Persistent).unwrap();
+    let mut plan = ExecutionPlan::build(&mut m, &binding, &opts).unwrap();
     const EXECUTES: usize = 300;
     for _ in 0..EXECUTES {
         plan.execute(&mut m).unwrap();
