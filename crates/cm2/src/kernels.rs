@@ -30,17 +30,32 @@
 //! the differential suites compare them bit for bit.
 //!
 //! **Invariants.** [`RowProgram::new`] checks, once per program and in
-//! every build profile, that every run lies inside one viewed range,
-//! that each step's destination lies in a writable lane-private range
-//! and that no destination row overlaps a run the same step reads. The
-//! sweep relies on them to accumulate straight into the destination
-//! rows, and to hand each thread its own band of those rows while all
-//! of them read the rest of the mirror; a program that fails them is
-//! refused at build, never at sweep time.
+//! every build profile, against the plan's lane layout (its
+//! [`LaneBuffer`]s), that every run lies inside one buffer, that each
+//! step's destination lies in a swept buffer and that no destination
+//! row overlaps a run the same step reads. The sweep relies on them to
+//! accumulate straight into the destination rows, and to hand each
+//! thread its own band of those rows while all of them read the rest of
+//! the mirror; a program that fails them is refused at build, never at
+//! sweep time.
 
 use std::ops::Range;
 
-use crate::lane::{LaneMirror, LaneView};
+use crate::lane::LaneMirror;
+
+/// One buffer of a plan's lane layout, as the build checks see it: `len`
+/// lane words from lane word `base`. The row sweeps write only `swept`
+/// buffers (a plan's scratch states and destination); the others are
+/// filled by copies into the mirror and only read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneBuffer {
+    /// First lane word.
+    pub base: usize,
+    /// Length in lane words.
+    pub len: usize,
+    /// Whether the row sweeps write the buffer.
+    pub swept: bool,
+}
 
 /// A rectangle of lane words swept one output row at a time: row `r`
 /// starts at lane word `word + r·stride` and spans the step's `cols`
@@ -111,31 +126,31 @@ impl RowStep {
         })
     }
 
-    /// The build-time invariants of the module docs, against `view`.
-    fn check(&self, view: &LaneView) -> Result<(), &'static str> {
+    /// The build-time invariants of the module docs, against `buffers`.
+    fn check(&self, buffers: &[LaneBuffer]) -> Result<(), &'static str> {
         if self.rows == 0 || self.cols == 0 {
             return Err("an empty output region");
         }
         if self.terms.is_empty() {
             return Err("a step without terms");
         }
-        let range_of = |run: RowRun| {
+        let buffer_of = |run: RowRun| {
             let (lo, hi) = self.hull(run);
-            view.ranges()
+            buffers
                 .iter()
-                .find(|r| (r.lane_base..r.lane_base + r.len).contains(&lo))
-                .filter(|r| hi < r.lane_base + r.len)
+                .find(|b| (b.base..b.base + b.len).contains(&lo))
+                .filter(|b| hi < b.base + b.len)
         };
-        let dest = range_of(self.dest).ok_or("a destination run leaves its viewed range")?;
-        if !(dest.writable && dest.private) {
-            return Err("a destination outside the writable lane-private ranges");
+        let dest = buffer_of(self.dest).ok_or("a destination run leaves its buffer")?;
+        if !dest.swept {
+            return Err("a destination outside the swept buffers");
         }
         if self.dest.stride < self.cols {
             return Err("destination rows that overlap each other");
         }
         let (lo, hi) = self.hull(self.dest);
         for run in self.reads() {
-            range_of(run).ok_or("a term run leaves its viewed range")?;
+            buffer_of(run).ok_or("a term run leaves its buffer")?;
             let (l, h) = self.hull(run);
             if l <= hi && lo <= h {
                 return Err("a destination row overlaps a run the step reads");
@@ -146,25 +161,25 @@ impl RowStep {
 }
 
 /// A statement lowered to lane words: one [`RowStep`] per fused step,
-/// each checked against the lane view at construction.
+/// each checked against the lane layout at construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowProgram {
     steps: Vec<RowStep>,
 }
 
 impl RowProgram {
-    /// Checks every step against `view` (see the module docs) and
-    /// returns the program.
+    /// Checks every step against the lane layout `buffers` (see the
+    /// module docs) and returns the program.
     ///
     /// # Errors
     ///
     /// The reason, when a step has an empty region or no terms, a run
-    /// leaves its viewed range, a destination is not a writable
-    /// lane-private range or its rows overlap each other, or a
-    /// destination row overlaps a run the same step reads.
-    pub fn new(steps: Vec<RowStep>, view: &LaneView) -> Result<RowProgram, &'static str> {
+    /// leaves its buffer, a destination is not in a swept buffer or its
+    /// rows overlap each other, or a destination row overlaps a run the
+    /// same step reads.
+    pub fn new(steps: Vec<RowStep>, buffers: &[LaneBuffer]) -> Result<RowProgram, &'static str> {
         for step in &steps {
-            step.check(view)?;
+            step.check(buffers)?;
         }
         Ok(RowProgram { steps })
     }
@@ -174,13 +189,13 @@ impl RowProgram {
         &self.steps
     }
 
-    /// This program with the lane words of two equal-length viewed
-    /// ranges, starting at words `a` and `b`, exchanged: what lowering
-    /// through a view in which the two ranges trade lane words returns.
-    /// The exchange moves whole ranges, so every run stays inside one
-    /// range and every destination stays disjoint from what its step
-    /// reads; the checks `new` made carry over.
-    pub fn with_ranges_swapped(&self, a: usize, b: usize, len: usize) -> RowProgram {
+    /// This program with the lane words of two equal-length buffers,
+    /// starting at words `a` and `b`, exchanged: what lowering against a
+    /// layout in which the two buffers trade lane words returns. The
+    /// exchange moves whole buffers, so every run stays inside one buffer
+    /// and every destination stays disjoint from what its step reads;
+    /// the checks `new` made carry over.
+    pub fn with_buffers_swapped(&self, a: usize, b: usize, len: usize) -> RowProgram {
         let swap = |run: RowRun| {
             let word = if (a..a + len).contains(&run.word) {
                 run.word - a + b
@@ -226,7 +241,7 @@ impl RowProgram {
 ///
 /// # Panics
 ///
-/// Panics if the mirror is smaller than the view `step` was checked
+/// Panics if the mirror is smaller than the layout `step` was checked
 /// against, or if a worker thread panics.
 pub fn sweep(step: &RowStep, mirror: &mut LaneMirror, threads: usize) {
     let n = mirror.nodes();
@@ -497,6 +512,14 @@ mod tests {
             self.rows * self.stride
         }
 
+        fn lane_buffer(&self, swept: bool) -> LaneBuffer {
+            LaneBuffer {
+                base: self.base,
+                len: self.len(),
+                swept,
+            }
+        }
+
         fn word(&self, r: i64, c: i64) -> usize {
             let (r, c) = (r + self.pad as i64, c + self.pad as i64);
             assert!(r >= 0 && c >= 0);
@@ -528,12 +551,12 @@ mod tests {
         sources: Vec<Buf>,
         coeffs: Vec<Buf>,
         dest: Buf,
-        view: LaneView,
+        buffers: Vec<LaneBuffer>,
     }
 
     /// `sources` halo buffers of pad 2, `coeffs` unpadded arrays and a
-    /// private destination of pad 1, all `rows × cols`, laid out in view
-    /// order.
+    /// swept destination of pad 1, all `rows × cols`, laid out one after
+    /// another.
     fn layout(sources: usize, coeffs: usize, rows: usize, cols: usize) -> Layout {
         let mut next = 0;
         let mut take = |pad: usize| {
@@ -544,20 +567,17 @@ mod tests {
         let sources: Vec<Buf> = (0..sources).map(|_| take(2)).collect();
         let coeffs: Vec<Buf> = (0..coeffs).map(|_| take(0)).collect();
         let dest = take(1);
-        // Node bases are irrelevant to the sweep; place the ranges one
-        // after another at the lane words they get.
-        let mut ranges: Vec<(usize, usize, bool, bool)> = sources
+        let buffers = sources
             .iter()
             .chain(&coeffs)
-            .map(|b| (b.base, b.len(), false, false))
+            .map(|b| b.lane_buffer(false))
+            .chain([dest.lane_buffer(true)])
             .collect();
-        ranges.push((dest.base, dest.len(), true, true));
-        let view = LaneView::new_with_private(&ranges).unwrap();
         Layout {
             sources,
             coeffs,
             dest,
-            view,
+            buffers,
         }
     }
 
@@ -666,9 +686,9 @@ mod tests {
     ) {
         let cols = 7;
         let lay = layout(sources, coeffs, rows, cols);
-        let program = RowProgram::new(vec![lay.step(rows, cols, terms)], &lay.view)
+        let program = RowProgram::new(vec![lay.step(rows, cols, terms)], &lay.buffers)
             .expect("a well-formed program");
-        let words = lay.view.words();
+        let words = lay.dest.base + lay.dest.len();
         let before = filled(words, n);
         let mut after = before.clone();
         sweep(&program.steps()[0], &mut after, threads);
@@ -792,10 +812,9 @@ mod tests {
     }
 
     /// The build-time checks: a well-formed program passes; a tap whose
-    /// run leaves its range, a destination that overlaps a source, a
-    /// destination outside the private writable ranges and destination
-    /// rows that overlap each other are refused by `new`, never met at
-    /// sweep time.
+    /// run leaves its buffer, a destination that overlaps a source, a
+    /// destination outside the swept buffers and destination rows that
+    /// overlap each other are refused by `new`, never met at sweep time.
     #[test]
     fn malformed_programs_are_refused_at_build() {
         let (rows, cols) = (5, 7);
@@ -805,19 +824,19 @@ mod tests {
             (Some((0, 1, 1)), K::Scalar(2.0)),
         ];
         let good = lay.step(rows, cols, &terms);
-        assert!(RowProgram::new(vec![good.clone()], &lay.view).is_ok());
+        assert!(RowProgram::new(vec![good.clone()], &lay.buffers).is_ok());
         let refused =
-            |step: RowStep| RowProgram::new(vec![good.clone(), step], &lay.view).unwrap_err();
+            |step: RowStep| RowProgram::new(vec![good.clone(), step], &lay.buffers).unwrap_err();
 
         // A tap three rows down: its run leaves the pad-2 source buffer.
         let mut step = good.clone();
         step.terms[0].data = Some(lay.sources[0].run(3, 0));
-        assert_eq!(refused(step), "a term run leaves its viewed range");
+        assert_eq!(refused(step), "a term run leaves its buffer");
 
         // A coefficient run past its array.
         let mut step = good.clone();
         step.terms[0].coeff = RowCoeff::Run(lay.coeffs[0].run(1, 0));
-        assert_eq!(refused(step), "a term run leaves its viewed range");
+        assert_eq!(refused(step), "a term run leaves its buffer");
 
         // The destination on top of what the step reads.
         let mut step = good.clone();
@@ -827,27 +846,24 @@ mod tests {
             "a destination row overlaps a run the step reads"
         );
 
-        // The destination in a read-only gathered range.
+        // The destination in a buffer the sweeps only read.
         let mut step = good.clone();
         step.dest = lay.sources[0].run(0, 0);
         step.terms = vec![RowTerm {
             data: None,
             coeff: RowCoeff::Scalar(1.0),
         }];
-        assert_eq!(
-            refused(step),
-            "a destination outside the writable lane-private ranges"
-        );
+        assert_eq!(refused(step), "a destination outside the swept buffers");
 
         // Destination rows that overlap each other.
         let mut step = good.clone();
         step.dest.stride = cols - 1;
         assert_eq!(refused(step), "destination rows that overlap each other");
 
-        // A destination run that leaves its range.
+        // A destination run that leaves its buffer.
         let mut step = good.clone();
         step.rows = rows + 3;
-        assert_eq!(refused(step), "a destination run leaves its viewed range");
+        assert_eq!(refused(step), "a destination run leaves its buffer");
 
         let mut step = good.clone();
         step.terms.clear();
@@ -857,23 +873,18 @@ mod tests {
         assert_eq!(refused(step), "an empty output region");
     }
 
-    /// Swapping two ranges' lane words commutes with the sweep: the
-    /// swapped program over a mirror whose two ranges trade contents
+    /// Swapping two buffers' lane words commutes with the sweep: the
+    /// swapped program over a mirror whose two buffers trade contents
     /// leaves the swapped image of what the original leaves.
     #[test]
     fn swapped_program_sweeps_the_swapped_mirror() {
         let (rows, cols) = (5, 7);
         let lay = layout(1, 1, rows, cols);
         // A destination shaped like source 0 (pad 2) so the two trade.
-        let dest = Buf::new(lay.view.words(), rows, cols, 2);
-        let mut ranges: Vec<(usize, usize, bool, bool)> = lay
-            .view
-            .ranges()
-            .iter()
-            .map(|r| (r.lane_base, r.len, r.writable, r.private))
-            .collect();
-        ranges.push((dest.base, dest.len(), true, true));
-        let view = LaneView::new_with_private(&ranges).unwrap();
+        let dest = Buf::new(lay.dest.base + lay.dest.len(), rows, cols, 2);
+        let mut buffers = lay.buffers.clone();
+        buffers.push(dest.lane_buffer(true));
+        let words = dest.base + dest.len();
         let mut step = lay.step(
             rows,
             cols,
@@ -891,9 +902,9 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         step.dest = dest.run(0, 0);
-        let program = RowProgram::new(vec![step], &view).unwrap();
+        let program = RowProgram::new(vec![step], &buffers).unwrap();
         let (a, b, len) = (lay.sources[0].base, dest.base, dest.len());
-        let swapped = program.with_ranges_swapped(a, b, len);
+        let swapped = program.with_buffers_swapped(a, b, len);
         let swap = |lanes: &LaneMirror| {
             let mut out = lanes.clone();
             for w in 0..len {
@@ -903,7 +914,7 @@ mod tests {
             out
         };
         for n in [1, 5, 16] {
-            let lanes = filled(view.words(), n);
+            let lanes = filled(words, n);
             let run = |program: &RowProgram, mut lanes: LaneMirror| {
                 sweep(&program.steps()[0], &mut lanes, 1);
                 lanes
@@ -911,7 +922,7 @@ mod tests {
             let direct = run(&program, lanes.clone());
             let through_swap = run(&swapped, swap(&lanes));
             let bits = |l: &LaneMirror| -> Vec<u32> {
-                (0..view.words())
+                (0..words)
                     .flat_map(|w| l.word(w).iter().map(|v| v.to_bits()).collect::<Vec<_>>())
                     .collect()
             };

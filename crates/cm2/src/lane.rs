@@ -13,193 +13,26 @@
 //! LLVM autovectorizes.
 //!
 //! Node memory is large and mostly untouched by any one statement, so
-//! the lane mirror covers only the address ranges a plan's lane body
-//! reads or writes: a [`LaneView`] records those ranges once (halo
-//! buffers, coefficient arrays, lane-private buffers the sweeps write)
-//! and provides the node-address → lane-word translation plus the
-//! gathers that move data from per-node memories into the mirror. The
-//! one copy back is [`LaneMirror::stage`]: a strided rectangle of the
-//! mirror — the interior of the buffer holding a plan's result —
-//! transposed into a [`RegionStage`] for the caller to commit.
+//! the lane mirror holds only the buffers a plan's lane body reads or
+//! writes, laid out one after another from the plan's shape alone
+//! (source halos, coefficients, scratch states, the destination). Two
+//! copies cross between node memory and the mirror, each a strided
+//! [`RectCopy`]: a refresh fills a buffer's interior from the array it
+//! holds ([`LaneMirror::gather_rows`], [`LaneMirror::gather_rect`]), and
+//! the stage ([`LaneMirror::stage`]) transposes the interior of the
+//! buffer holding a plan's result into a [`RegionStage`] for the caller
+//! to commit.
 
 use crate::memory::NodeMemory;
-
-/// One contiguous node-memory range mirrored into lane storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneRange {
-    /// First node-memory address of the range.
-    pub node_base: usize,
-    /// First lane word (index into the mirror, in words) of the range.
-    pub lane_base: usize,
-    /// Length in words.
-    pub len: usize,
-    /// Whether sweeps may store into the range.
-    pub writable: bool,
-    /// Whether the range is lane-private: sweeps may store into it
-    /// (when also `writable`), but it has no node-memory image — it is
-    /// skipped by both gather and scatter. Execution plans keep their
-    /// destination buffer and temporal scratch states here.
-    pub private: bool,
-}
-
-impl LaneRange {
-    fn contains(&self, addr: usize) -> bool {
-        addr >= self.node_base && addr < self.node_base + self.len
-    }
-
-    /// The whole range as one run.
-    fn rect(&self) -> RectCopy {
-        RectCopy {
-            node0: self.node_base,
-            node_stride: self.len,
-            lane0: self.lane_base,
-            lane_stride: self.len,
-            rows: 1,
-            cols: self.len,
-        }
-    }
-}
-
-/// The address map of a lockstep execution: which node-memory ranges are
-/// mirrored into lane storage, and where each lands.
-///
-/// Built once per execution plan. Ranges keep their insertion order, so
-/// rebuilding a view from same-length ranges (a plan rebind: a
-/// coefficient array moved, its length did not) yields identical lane
-/// addresses — lowered row programs and exchanges stay valid and only
-/// the gather bases change.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LaneView {
-    ranges: Vec<LaneRange>,
-    words: usize,
-}
-
-impl LaneView {
-    /// Builds a view over `(node_base, len, writable)` ranges, assigning
-    /// lane words in order.
-    ///
-    /// Returns `None` when any two ranges overlap in node memory (the
-    /// caller bound one array to two roles; the scalar engine handles
-    /// that aliasing, the lane mirror cannot) or when a range is empty.
-    pub fn new(ranges: &[(usize, usize, bool)]) -> Option<LaneView> {
-        let with_private: Vec<(usize, usize, bool, bool)> = ranges
-            .iter()
-            .map(|&(base, len, writable)| (base, len, writable, false))
-            .collect();
-        Self::new_with_private(&with_private)
-    }
-
-    /// [`LaneView::new`] over `(node_base, len, writable, private)`
-    /// ranges. Private ranges reserve lane words like any other but are
-    /// excluded from gather and scatter — lane-resident scratch with no
-    /// node-memory image. Their `node_base` must still be a real,
-    /// non-overlapping node allocation so `locate` stays unambiguous
-    /// (temporal plans back scratch with plan-owned node fields, whose
-    /// addresses the resolved schedule names).
-    pub fn new_with_private(ranges: &[(usize, usize, bool, bool)]) -> Option<LaneView> {
-        let mut out = Vec::with_capacity(ranges.len());
-        let mut lane_base = 0;
-        for &(node_base, len, writable, private) in ranges {
-            if len == 0 {
-                return None;
-            }
-            out.push(LaneRange {
-                node_base,
-                lane_base,
-                len,
-                writable,
-                private,
-            });
-            lane_base += len;
-        }
-        // Overlap check: sort by node base, adjacent ranges must not meet.
-        let mut sorted: Vec<&LaneRange> = out.iter().collect();
-        sorted.sort_by_key(|r| r.node_base);
-        for pair in sorted.windows(2) {
-            if pair[0].node_base + pair[0].len > pair[1].node_base {
-                return None;
-            }
-        }
-        Some(LaneView {
-            ranges: out,
-            words: lane_base,
-        })
-    }
-
-    /// Total lane words the view mirrors.
-    pub fn words(&self) -> usize {
-        self.words
-    }
-
-    /// Lane words a full [`LaneMirror::gather`] copies per node (every
-    /// non-private range).
-    pub fn gather_words(&self) -> usize {
-        self.ranges
-            .iter()
-            .filter(|r| !r.private)
-            .map(|r| r.len)
-            .sum()
-    }
-
-    /// Lane words a [`LaneMirror::scatter`] copies back per node
-    /// (writable, non-private ranges).
-    pub fn scatter_words(&self) -> usize {
-        self.scattered().map(|r| r.len).sum()
-    }
-
-    /// The writable, non-private ranges — what a scatter copies back —
-    /// in view order.
-    fn scattered(&self) -> impl Iterator<Item = &LaneRange> + '_ {
-        self.ranges.iter().filter(|r| r.writable && !r.private)
-    }
-
-    /// The mirrored ranges, in insertion order.
-    pub fn ranges(&self) -> &[LaneRange] {
-        &self.ranges
-    }
-
-    /// This view with ranges `i` and `j` trading lane words: node
-    /// addresses of range `i` translate into the lane words `j` held and
-    /// the other way round. A plan runs its second direction on exactly
-    /// this translation, derived by swapping lane words in place
-    /// ([`crate::kernels::RowProgram::with_ranges_swapped`] and the
-    /// exchange programs' counterpart); tests check the two agree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two ranges differ in length.
-    #[cfg(test)]
-    pub(crate) fn swapped(&self, i: usize, j: usize) -> LaneView {
-        let mut view = self.clone();
-        assert_eq!(
-            view.ranges[i].len, view.ranges[j].len,
-            "only equal-length ranges can trade lane words"
-        );
-        let lane_i = view.ranges[i].lane_base;
-        view.ranges[i].lane_base = view.ranges[j].lane_base;
-        view.ranges[j].lane_base = lane_i;
-        view
-    }
-
-    /// The range containing node address `addr`, and the address's lane
-    /// word within the mirror. `None` when the address is outside every
-    /// range.
-    pub fn locate(&self, addr: usize) -> Option<(usize, &LaneRange)> {
-        self.ranges
-            .iter()
-            .find(|r| r.contains(addr))
-            .map(|r| (r.lane_base + (addr - r.node_base), r))
-    }
-}
 
 /// A strided rectangle paired between node memory and the lane mirror:
 /// `rows` runs of `cols` words, at node addresses `node0 + r*node_stride`
 /// and lane words `lane0 + r*lane_stride`, the same on every lane.
 ///
-/// The execution plan precomputes one per source to refresh a halo
-/// buffer's interior in the mirror (node → lane, the lane-domain
-/// `fill_interior`), and one per destination buffer to stage its interior
-/// into the result array (lane → node, [`LaneMirror::stage`]).
+/// The execution plan pairs each lane buffer's interior with the array
+/// it is refreshed from (node → lane, the lane-domain `fill_interior`),
+/// and the interior of the buffer holding its result with the result
+/// array (lane → node, [`LaneMirror::stage`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RectCopy {
     /// Node-memory address of the rectangle's first word.
@@ -216,11 +49,11 @@ pub struct RectCopy {
     pub cols: usize,
 }
 
-/// The lane mirror: every viewed word of every node, word-major, in one
-/// buffer.
+/// The lane mirror: every lane buffer's words on every node, word-major,
+/// in one buffer.
 ///
 /// Word `w`'s lanes occupy `data[w*nodes .. (w+1)*nodes]`, one entry per
-/// node, in node order. Gathers, the stage and the lane-domain exchange
+/// node, in node order. Refreshes, the stage and the lane-domain exchange
 /// copies and fills are each one serial pass over this buffer; host
 /// threads share it only inside a sweep, which splits a step's output
 /// rows into bands ([`crate::kernels::sweep`]).
@@ -257,7 +90,7 @@ impl LaneMirror {
     /// no-op when the shape already matches; otherwise the buffer is
     /// recycled when its length allows, and the allocation counter
     /// records every time it had to be resized. Reshaping leaves the
-    /// contents unspecified — gather before running.
+    /// contents unspecified — refresh before running.
     ///
     /// # Panics
     ///
@@ -282,15 +115,21 @@ impl LaneMirror {
         self.nodes
     }
 
+    /// Lane words per node (zero before the first `ensure`).
+    pub fn words(&self) -> usize {
+        self.words
+    }
+
     /// Buffer (re)allocations performed since the mirror was created.
     /// Constant across steady-state reuse.
     pub fn allocations(&self) -> u64 {
         self.allocations
     }
 
-    /// Machine-total words copied into the mirror by full-view gathers
-    /// since the mirror was created. Monotonic; callers difference it
-    /// around a run to attribute traffic.
+    /// Machine-total words copied into the mirror by
+    /// [`LaneMirror::gather_rect`] since the mirror was created.
+    /// Monotonic; callers difference it around a run to attribute
+    /// traffic.
     pub fn gathered_words(&self) -> u64 {
         self.gathered_words
     }
@@ -301,8 +140,8 @@ impl LaneMirror {
         self.row_gathered_words
     }
 
-    /// Machine-total words copied back toward node memories: staged
-    /// ([`Self::stage`]) or scattered directly (writable ranges only).
+    /// Machine-total words staged toward node memories
+    /// ([`Self::stage`]).
     pub fn scattered_words(&self) -> u64 {
         self.scattered_words
     }
@@ -337,21 +176,6 @@ impl LaneMirror {
         &mut self.data[w * self.nodes..(w + 1) * self.nodes]
     }
 
-    /// Copies every non-private viewed range of every node into the
-    /// mirror. Private ranges are lane-resident scratch with no node
-    /// image — their contents are left as-is.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mems.len()` differs from the mirrored node count or a
-    /// range is out of a node memory's bounds.
-    pub fn gather(&mut self, view: &LaneView, mems: &[NodeMemory]) {
-        for range in view.ranges().iter().filter(|r| !r.private) {
-            self.copy_in(mems, &range.rect());
-        }
-        self.gathered_words += (view.gather_words() * self.nodes) as u64;
-    }
-
     /// Copies the rectangle `rect` describes from every node's memory
     /// into the mirror.
     ///
@@ -367,9 +191,9 @@ impl LaneMirror {
         self.row_gathered_words += self.copy_in(mems, rect) as u64;
     }
 
-    /// Like [`LaneMirror::gather_rows`], but counts the words as
-    /// (partial) gather traffic — used to re-prime individual read-only
-    /// ranges after a rebind instead of re-gathering the whole view.
+    /// Like [`LaneMirror::gather_rows`], but counts the words as gather
+    /// traffic — the refresh of a classic plan's named coefficient,
+    /// which the sweeps read in place.
     ///
     /// # Panics
     ///
@@ -406,12 +230,11 @@ impl LaneMirror {
         rect.rows * rect.cols * nodes
     }
 
-    /// The lane→node transpose shared by [`Self::scatter`] and
-    /// [`Self::stage`]: copies the lane side of `rect` into `dsts`, one
-    /// `rows × cols`-word node-major run per lane (row `r` at
-    /// `r*cols`), a tile of [`SCATTER_TILE`] words per row at a time.
-    /// `rect`'s node side is the caller's business: each run in `dsts`
-    /// already stands for it.
+    /// The lane→node transpose behind [`Self::stage`]: copies the lane
+    /// side of `rect` into `dsts`, one `rows × cols`-word node-major run
+    /// per lane (row `r` at `r*cols`), a tile of [`SCATTER_TILE`] words
+    /// per row at a time. `rect`'s node side is the caller's business:
+    /// each run in `dsts` already stands for it.
     ///
     /// Reading `nodes` interleaved streams (the gathers) is cheap, but
     /// writing them is not: word-outer, lane-inner order writes one word
@@ -436,27 +259,6 @@ impl LaneMirror {
                 }
             }
         }
-    }
-
-    /// Copies every *writable*, non-private viewed range from the mirror
-    /// back into `mems` — the direct copy-back for callers that own the
-    /// node memories outright (hand-built views); execution plans stage
-    /// their result instead ([`LaneMirror::stage`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mems.len()` differs from the mirrored node count or a
-    /// range is out of a node memory's bounds.
-    pub fn scatter(&mut self, view: &LaneView, mems: &mut [NodeMemory]) {
-        assert_eq!(mems.len(), self.nodes, "one node memory per lane");
-        for range in view.scattered() {
-            let mut dsts: Vec<&mut [f32]> = mems
-                .iter_mut()
-                .map(|m| m.slice_mut(range.node_base, range.len))
-                .collect();
-            self.transpose_rect(&range.rect(), &mut dsts);
-        }
-        self.scattered_words += (view.scatter_words() * self.nodes) as u64;
     }
 
     /// Transposes the lane side of `rect` into `stage`'s node-major
@@ -603,7 +405,7 @@ impl RegionStage {
 /// A bounded free-list of [`LaneMirror`]s shared across plan instances.
 ///
 /// Tenants of a concurrent session come and go, and each instance owns a
-/// mirror sized `view.words() × nodes`. Without pooling, every new
+/// mirror sized to its plan's lane layout: `words × nodes`. Without pooling, every new
 /// instance pays a fresh mirror allocation even when an identically
 /// shaped tenant just retired. The pool recycles retired mirrors:
 /// [`MirrorPool::take`] hands out the most recently returned one (its
@@ -720,107 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn view_assigns_lane_words_in_order() {
-        let view = LaneView::new(&[(100, 4, false), (10, 2, true)]).unwrap();
-        assert_eq!(view.words(), 6);
-        assert_eq!(view.locate(100), Some((0, &view.ranges()[0])));
-        assert_eq!(view.locate(103).unwrap().0, 3);
-        assert_eq!(view.locate(10).unwrap().0, 4);
-        assert_eq!(view.locate(11).unwrap().0, 5);
-        assert!(view.locate(104).is_none());
-        assert!(view.locate(12).is_none());
-        assert!(view.locate(0).is_none());
-    }
-
-    #[test]
-    fn overlapping_or_empty_ranges_are_rejected() {
-        assert!(LaneView::new(&[(0, 4, false), (3, 4, false)]).is_none());
-        assert!(LaneView::new(&[(0, 4, false), (0, 4, true)]).is_none());
-        assert!(LaneView::new(&[(0, 0, false)]).is_none());
-        // Touching (adjacent) ranges are fine.
-        assert!(LaneView::new(&[(0, 4, false), (4, 4, false)]).is_some());
-    }
-
-    #[test]
-    fn gather_transposes_node_major() {
-        let view = LaneView::new(&[(2, 3, true)]).unwrap();
-        let mut mems: Vec<NodeMemory> = (0..2).map(|_| NodeMemory::new(8)).collect();
-        for (n, mem) in mems.iter_mut().enumerate() {
-            for w in 0..3 {
-                mem.write(2 + w, (10 * n + w) as f32);
-            }
-        }
-        let mut lanes = mirror(view.words(), 2);
-        lanes.gather(&view, &mems);
-        assert_eq!(lanes.word(0), &[0.0, 10.0]);
-        assert_eq!(lanes.word(1), &[1.0, 11.0]);
-        assert_eq!(lanes.word(2), &[2.0, 12.0]);
-        assert_eq!(lanes.gathered_words(), 6);
-    }
-
-    #[test]
-    fn scatter_writes_only_writable_ranges() {
-        let view = LaneView::new(&[(0, 2, false), (4, 2, true)]).unwrap();
-        let mut mems: Vec<NodeMemory> = (0..2).map(|_| NodeMemory::new(8)).collect();
-        let mut lanes = mirror(view.words(), 2);
-        for w in 0..4 {
-            lanes
-                .word_mut(w)
-                .copy_from_slice(&[(w) as f32, (w + 10) as f32]);
-        }
-        lanes.scatter(&view, &mut mems);
-        // Read-only range untouched…
-        assert_eq!(mems[0].read(0), 0.0);
-        assert_eq!(mems[1].read(1), 0.0);
-        // …writable range landed, lane-per-node.
-        assert_eq!(mems[0].read(4), 2.0);
-        assert_eq!(mems[1].read(4), 12.0);
-        assert_eq!(mems[0].read(5), 3.0);
-        assert_eq!(mems[1].read(5), 13.0);
-        assert_eq!(lanes.scattered_words(), 4);
-    }
-
-    #[test]
-    fn private_ranges_are_skipped_by_gather_and_scatter() {
-        // word layout: [ro 0..2, private rw 4..6, rw 8..10]
-        let view = LaneView::new_with_private(&[
-            (0, 2, false, false),
-            (4, 2, true, true),
-            (8, 2, true, false),
-        ])
-        .unwrap();
-        assert_eq!(view.words(), 6);
-        assert_eq!(view.gather_words(), 4);
-        assert_eq!(view.scatter_words(), 2);
-        let mut mems: Vec<NodeMemory> = (0..2).map(|_| NodeMemory::new(12)).collect();
-        for (n, mem) in mems.iter_mut().enumerate() {
-            mem.write(4, 100.0 + n as f32);
-            mem.write(5, 200.0 + n as f32);
-        }
-        let mut lanes = mirror(view.words(), 2);
-        for w in 0..6 {
-            lanes
-                .word_mut(w)
-                .copy_from_slice(&[w as f32, (w + 10) as f32]);
-        }
-        lanes.gather(&view, &mems);
-        // Private lane words survive the gather untouched…
-        assert_eq!(lanes.word(2), &[2.0, 12.0]);
-        assert_eq!(lanes.word(3), &[3.0, 13.0]);
-        // …while the plain writable range was gathered over. Emulate a
-        // kernel rewriting it so the scatter has something to land.
-        lanes.word_mut(4).copy_from_slice(&[4.0, 14.0]);
-        lanes.word_mut(5).copy_from_slice(&[5.0, 15.0]);
-        lanes.scatter(&view, &mut mems);
-        // …and the node image behind them survives the scatter.
-        assert_eq!(mems[0].read(4), 100.0);
-        assert_eq!(mems[1].read(5), 201.0);
-        // The plain writable range still lands.
-        assert_eq!(mems[0].read(8), 4.0);
-        assert_eq!(mems[1].read(9), 15.0);
-    }
-
-    #[test]
     fn mirror_reuse_performs_no_allocations() {
         let mut mirror = mirror(6, 4);
         let after_first = mirror.allocations();
@@ -894,6 +595,10 @@ mod tests {
         mirror(6, 7).copy_lane_span(0, 6, 2, 1, 4, 2);
     }
 
+    /// `gather_rows` lands a strided node rectangle at strided lane
+    /// words, node-major input transposed lane-major, and counts it as
+    /// refresh traffic; `gather_rect` lands the same words and counts
+    /// them as gather traffic.
     #[test]
     fn mirror_gather_rows_mirrors_a_node_rectangle() {
         let mut mems: Vec<NodeMemory> = (0..3).map(|_| NodeMemory::new(16)).collect();
@@ -902,72 +607,52 @@ mod tests {
                 mem.write(w, (100 * n + w) as f32);
             }
         }
-        let mut mirror = mirror(12, 3);
         // 2 rows × 3 cols from node address 4, stride 4 → lane words 1..,
         // stride 5.
-        mirror.gather_rows(
-            &mems,
-            &RectCopy {
-                node0: 4,
-                node_stride: 4,
-                lane0: 1,
-                lane_stride: 5,
-                rows: 2,
-                cols: 3,
-            },
-        );
+        let rect = RectCopy {
+            node0: 4,
+            node_stride: 4,
+            lane0: 1,
+            lane_stride: 5,
+            rows: 2,
+            cols: 3,
+        };
+        let mut rows = mirror(12, 3);
+        rows.gather_rows(&mems, &rect);
         for n in 0..3 {
-            assert_eq!(mirror.word(1)[n], (100 * n + 4) as f32);
-            assert_eq!(mirror.word(3)[n], (100 * n + 6) as f32);
-            assert_eq!(mirror.word(6)[n], (100 * n + 8) as f32);
-            assert_eq!(mirror.word(8)[n], (100 * n + 10) as f32);
+            assert_eq!(rows.word(1)[n], (100 * n + 4) as f32);
+            assert_eq!(rows.word(3)[n], (100 * n + 6) as f32);
+            assert_eq!(rows.word(6)[n], (100 * n + 8) as f32);
+            assert_eq!(rows.word(8)[n], (100 * n + 10) as f32);
         }
-        assert_eq!(mirror.row_gathered_words(), 18);
-        assert_eq!(mirror.gathered_words(), 0);
+        assert_eq!(rows.row_gathered_words(), 18);
+        assert_eq!(rows.gathered_words(), 0);
+
+        let mut gathered = mirror(12, 3);
+        gathered.gather_rect(&mems, &rect);
+        for w in 0..12 {
+            assert_eq!(gathered.word(w), rows.word(w), "word {w}");
+        }
+        assert_eq!(gathered.gathered_words(), 18);
+        assert_eq!(gathered.row_gathered_words(), 0);
     }
 
-    #[test]
-    fn gather_scatter_round_trips() {
-        let view = LaneView::new(&[(1, 5, true)]).unwrap();
-        let mut mems: Vec<NodeMemory> = (0..3).map(|_| NodeMemory::new(8)).collect();
-        for (n, mem) in mems.iter_mut().enumerate() {
-            for w in 0..5 {
-                mem.write(1 + w, (n * 100 + w * 7) as f32);
-            }
-        }
-        let before: Vec<NodeMemory> = mems.clone();
-        let mut lanes = mirror(view.words(), 3);
-        lanes.gather(&view, &mems);
-        lanes.scatter(&view, &mut mems);
-        assert_eq!(mems, before);
-    }
-
-    /// The tiled lane→node transpose, both as a direct scatter and as a
-    /// strided stage committed by `RegionStage::apply`, lands exactly
-    /// what an element-wise copy would, across lane counts below, at and
-    /// above 16 lanes and run lengths from one word through full tiles
-    /// with a ragged tail — and writes nothing else: read-only and
-    /// private ranges and the guard words around and between ranges keep
+    /// The tiled lane→node transpose, as a strided stage committed by
+    /// `RegionStage::apply`, lands exactly what an element-wise copy
+    /// would, across lane counts below, at and above 16 lanes and run
+    /// lengths from one word through full tiles with a ragged tail — and
+    /// writes nothing else: the guard words around the staged run keep
     /// their contents.
     #[test]
-    fn tiled_scatter_matches_elementwise_reference() {
+    fn tiled_stage_matches_elementwise_reference() {
         let guard = |node: usize, addr: usize| -((node * 1_000 + addr) as f32) - 0.5;
         for nodes in [1, 3, 8, 15, 16, 17, 33] {
             for len in [1, 15, 16, 17, 300] {
-                // [guard 3][ro len][guard 2][private len][guard 2]
-                // [rw len][guard 3][rw 4·len+1][guard 5]
-                let ro = 3;
-                let private = ro + len + 2;
-                let rw = private + len + 2;
-                let rw2 = rw + len + 3;
-                let size = rw2 + 4 * len + 1 + 5;
-                let view = LaneView::new_with_private(&[
-                    (ro, len, false, false),
-                    (private, len, true, true),
-                    (rw, len, true, false),
-                    (rw2, 4 * len + 1, true, false),
-                ])
-                .unwrap();
+                // Node memory: [guard 3][staged 2·len][guard 5]. The stage
+                // reads two strided rows of a `4·len + 1`-word mirror
+                // (every other `len`-word run, one word in).
+                let (node0, words) = (3, 4 * len + 1);
+                let size = node0 + 2 * len + 5;
                 let fresh: Vec<NodeMemory> = (0..nodes)
                     .map(|node| {
                         let mut mem = NodeMemory::new(size);
@@ -977,83 +662,52 @@ mod tests {
                         mem
                     })
                     .collect();
-                // The element-wise references: each written word is its
-                // lane's value of the matching lane word.
-                let value = |node: usize, lane_word: usize| (node * 100_003 + lane_word) as f32;
-                let mut want = fresh.clone();
-                for range in view.scattered() {
-                    for (node, mem) in want.iter_mut().enumerate() {
-                        for w in 0..range.len {
-                            mem.write(range.node_base + w, value(node, range.lane_base + w));
-                        }
-                    }
-                }
-                // The stage: two strided rows of the last range's lanes
-                // (every other `len`-word run, one word in) onto the
-                // dense node run at its start.
-                let last = view.ranges()[3];
                 let rect = RectCopy {
-                    node0: last.node_base,
+                    node0,
                     node_stride: len,
-                    lane0: last.lane_base + 1,
+                    lane0: 1,
                     lane_stride: 2 * len,
                     rows: 2,
                     cols: len,
                 };
-                let mut want_staged = fresh.clone();
-                for (node, mem) in want_staged.iter_mut().enumerate() {
+                // The element-wise reference: each staged word is its
+                // lane's value of the matching lane word.
+                let value = |node: usize, lane_word: usize| (node * 100_003 + lane_word) as f32;
+                let mut want = fresh.clone();
+                for (node, mem) in want.iter_mut().enumerate() {
                     for r in 0..2 {
                         for c in 0..len {
                             let lane_word = rect.lane0 + r * rect.lane_stride + c;
-                            mem.write(rect.node0 + r * len + c, value(node, lane_word));
+                            mem.write(node0 + r * len + c, value(node, lane_word));
                         }
                     }
                 }
-                let mut mirror = mirror(view.words(), nodes);
-                for w in 0..view.words() {
+                let mut mirror = mirror(words, nodes);
+                for w in 0..words {
                     for (node, v) in mirror.word_mut(w).iter_mut().enumerate() {
                         *v = value(node, w);
                     }
                 }
                 let case = format!("{nodes} lanes, len {len}");
-                let mut direct = fresh.clone();
-                mirror.scatter(&view, &mut direct);
                 let mut stage = RegionStage::new();
                 mirror.stage(&rect, &mut stage);
-                assert_eq!(stage.ranges(), &[(rect.node0, 2 * len)]);
+                assert_eq!(stage.ranges(), &[(node0, 2 * len)]);
                 assert_eq!(stage.words(), 2 * len * nodes);
+                assert_eq!(mirror.scattered_words(), (2 * len * nodes) as u64);
                 let mut staged = fresh.clone();
                 stage.apply(&mut staged);
-                for (path, got, want) in [
-                    ("scatter", &direct, &want),
-                    ("stage", &staged, &want_staged),
-                ] {
-                    for node in 0..nodes {
-                        let bits = |mems: &[NodeMemory]| -> Vec<u32> {
-                            mems[node]
-                                .slice(0, size)
-                                .iter()
-                                .map(|v| v.to_bits())
-                                .collect()
-                        };
-                        assert_eq!(bits(got), bits(want), "{path}: {case}, node {node}");
-                    }
+                let bits = |mem: &NodeMemory| -> Vec<u32> {
+                    mem.slice(0, size).iter().map(|v| v.to_bits()).collect()
+                };
+                for node in 0..nodes {
+                    assert_eq!(
+                        bits(&staged[node]),
+                        bits(&want[node]),
+                        "{case}, node {node}"
+                    );
                 }
             }
         }
-    }
-
-    /// Swapping two ranges trades their lane words and nothing else.
-    #[test]
-    fn swapped_view_trades_lane_words_of_two_ranges() {
-        let view = LaneView::new(&[(100, 4, false), (10, 2, false), (50, 4, true)]).unwrap();
-        let swapped = view.swapped(0, 2);
-        assert_eq!(swapped.words(), view.words());
-        assert_eq!(swapped.locate(100).unwrap().0, 6);
-        assert_eq!(swapped.locate(53).unwrap().0, 3);
-        assert_eq!(swapped.locate(11).unwrap().0, 5);
-        assert!(swapped.locate(53).unwrap().1.writable);
-        assert_eq!(swapped.swapped(0, 2), view);
     }
 
     #[test]

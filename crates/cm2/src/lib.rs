@@ -45,8 +45,8 @@ pub use exec::{
 };
 pub use grid::{Direction, NodeGrid, NodeId};
 pub use isa::{DynamicPart, Kernel, MacAcc, MemRef, Reg, StaticPart};
-pub use kernels::{RowCoeff, RowProgram, RowRun, RowStep, RowTerm};
-pub use lane::{LaneMirror, LaneRange, LaneView};
+pub use kernels::{LaneBuffer, RowCoeff, RowProgram, RowRun, RowStep, RowTerm};
+pub use lane::LaneMirror;
 pub use machine::Machine;
 pub use memory::{Field, FieldAllocator, NodeMemory, OutOfMemory};
 pub use news::{corner_exchange_cycles, news_exchange_cycles, old_exchange_cycles, ExchangeShape};

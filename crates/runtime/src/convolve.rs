@@ -53,10 +53,10 @@ pub struct ExecOptions {
     /// Fuse this many time steps per halo exchange (temporal tiling).
     /// `1` (the default) is the classic one-exchange-per-execute loop.
     /// With `k > 1` the plan deepens every halo to `k·radius`, and a
-    /// single `execute` applies the stencil `k` times — ping-ponging
-    /// between lane-private scratch states with a shrinking valid
-    /// region per inner step — before one interior refresh, one
-    /// exchange, and one writable-only scatter. Callers therefore
+    /// single `execute` refreshes and exchanges once, then applies the
+    /// stencil `k` times — ping-ponging between scratch states on the
+    /// lane mirror with a shrinking valid region per inner step — and
+    /// stages the result once. Callers therefore
     /// advance `k` time steps per `execute`; query the plan's
     /// effective depth via `ExecutionPlan::temporal_depth()` (the
     /// planner clamps back to `1` — and counts `TemporalFallbacks` —

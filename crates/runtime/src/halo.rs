@@ -14,14 +14,17 @@
 //! (The paper's temporary storage was arranged as separate pieces, which
 //! is what made half-strip boundary handling delicate; the contiguous
 //! layout is a simplification that preserves all the costs we model —
-//! see DESIGN.md.)
+//! see DESIGN.md.) The same contiguous layout, placed at a lane word
+//! instead of a node address ([`Padded`]), is a lane buffer of an
+//! execution plan's mirror; the exchange and fill programs are generated
+//! against a placement, so one generator serves both address spaces.
 
 use crate::array::CmArray;
 use crate::error::RuntimeError;
 use cmcc_cm2::config::MachineConfig;
 use cmcc_cm2::exec::FieldLayout;
 use cmcc_cm2::grid::{Direction, NodeGrid, NodeId};
-use cmcc_cm2::lane::{LaneMirror, LaneView};
+use cmcc_cm2::lane::{LaneMirror, RectCopy};
 use cmcc_cm2::machine::Machine;
 use cmcc_cm2::memory::{copy_between, Field};
 use cmcc_cm2::news::{
@@ -41,13 +44,92 @@ pub enum ExchangePrimitive {
     OldPerDirection,
 }
 
+/// A padded buffer's placement: a `sub_rows × sub_cols` subgrid ringed
+/// `pad` deep on all four sides, row-major from `base` — a node-memory
+/// address for a [`HaloBuffer`], a lane word for a lane buffer of an
+/// execution plan's mirror.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Padded {
+    base: usize,
+    pad: usize,
+    sub_rows: usize,
+    sub_cols: usize,
+}
+
+impl Padded {
+    /// Places a `pad`-deep ring around a `sub_rows × sub_cols` subgrid
+    /// at `base`.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::SubgridTooSmall`] when the halo is deeper than the
+    /// subgrid (one exchange could not fill it).
+    pub fn new(
+        base: usize,
+        (sub_rows, sub_cols): (usize, usize),
+        pad: usize,
+    ) -> Result<Self, RuntimeError> {
+        if pad > sub_rows || pad > sub_cols {
+            return Err(RuntimeError::SubgridTooSmall {
+                pad,
+                sub_rows,
+                sub_cols,
+            });
+        }
+        Ok(Padded {
+            base,
+            pad,
+            sub_rows,
+            sub_cols,
+        })
+    }
+
+    /// The address (or lane word) of the first word.
+    pub fn base(&self) -> usize {
+        self.base
+    }
+
+    /// Words the buffer spans: `(sub_rows + 2·pad) × (sub_cols + 2·pad)`.
+    pub fn words(&self) -> usize {
+        (self.sub_rows + 2 * self.pad) * (self.sub_cols + 2 * self.pad)
+    }
+
+    /// Address arithmetic: logical subgrid coordinates, halo at negative
+    /// offsets.
+    pub fn layout(&self) -> FieldLayout {
+        FieldLayout {
+            base: self.base,
+            row_stride: self.sub_cols + 2 * self.pad,
+            row_offset: self.pad as i64,
+            col_offset: self.pad as i64,
+        }
+    }
+
+    /// The copy between `array`'s subgrid (the node side) and this
+    /// buffer's interior (the lane side): a lane buffer's refresh from
+    /// `array` or the stage of its interior into `array` — or, placed at
+    /// a node address, [`HaloBuffer::fill_interior`].
+    pub fn interior_copy(&self, array: &CmArray) -> RectCopy {
+        RectCopy {
+            node0: array.field().base(),
+            node_stride: array.sub_cols(),
+            lane0: self.addr(self.pad, self.pad),
+            lane_stride: self.sub_cols + 2 * self.pad,
+            rows: array.sub_rows(),
+            cols: array.sub_cols(),
+        }
+    }
+
+    fn addr(&self, padded_row: usize, padded_col: usize) -> usize {
+        self.base + padded_row * (self.sub_cols + 2 * self.pad) + padded_col
+    }
+}
+
 /// A padded per-node buffer holding a subgrid plus its halo ring.
 #[derive(Debug, Clone, Copy)]
 pub struct HaloBuffer {
     field: Field,
-    pad: usize,
-    sub_rows: usize,
-    sub_cols: usize,
+    at: Padded,
 }
 
 impl HaloBuffer {
@@ -67,19 +149,14 @@ impl HaloBuffer {
         sub_cols: usize,
         pad: usize,
     ) -> Result<Self, RuntimeError> {
-        if pad > sub_rows || pad > sub_cols {
-            return Err(RuntimeError::SubgridTooSmall {
-                pad,
-                sub_rows,
-                sub_cols,
-            });
-        }
-        let field = machine.alloc_field_persistent((sub_rows + 2 * pad) * (sub_cols + 2 * pad))?;
+        let at = Padded::new(0, (sub_rows, sub_cols), pad)?;
+        let field = machine.alloc_field_persistent(at.words())?;
         Ok(HaloBuffer {
             field,
-            pad,
-            sub_rows,
-            sub_cols,
+            at: Padded {
+                base: field.base(),
+                ..at
+            },
         })
     }
 
@@ -93,20 +170,20 @@ impl HaloBuffer {
         self.field
     }
 
+    /// Where the buffer lies in node memory.
+    pub fn placement(&self) -> Padded {
+        self.at
+    }
+
     /// Halo depth.
     pub fn pad(&self) -> usize {
-        self.pad
+        self.at.pad
     }
 
     /// Address arithmetic: logical subgrid coordinates, halo at negative
     /// offsets.
     pub fn layout(&self) -> FieldLayout {
-        FieldLayout {
-            base: self.field.base(),
-            row_stride: self.sub_cols + 2 * self.pad,
-            row_offset: self.pad as i64,
-            col_offset: self.pad as i64,
-        }
+        self.at.layout()
     }
 
     /// Words of temporary storage per node (the space cost of padding,
@@ -115,24 +192,22 @@ impl HaloBuffer {
         self.field.len()
     }
 
-    fn addr(&self, padded_row: usize, padded_col: usize) -> usize {
-        self.field.base() + padded_row * (self.sub_cols + 2 * self.pad) + padded_col
-    }
-
     /// Copies each node's subgrid of `src` into the buffer interior,
     /// stamping the interior rows as written.
     ///
     /// SIMD addressing makes the copy plan node-independent, so the
     /// addresses are computed once and replayed on every node.
     pub fn fill_interior(&self, machine: &mut Machine, src: &CmArray) -> usize {
-        assert_eq!(src.sub_rows(), self.sub_rows);
-        assert_eq!(src.sub_cols(), self.sub_cols);
-        let src_layout = src.layout();
-        let src0 = src_layout.addr(0, 0);
-        let src_stride = src_layout.row_stride;
-        let dst0 = self.addr(self.pad, self.pad);
-        let dst_stride = self.sub_cols + 2 * self.pad;
-        let (rows, cols) = (self.sub_rows, self.sub_cols);
+        assert_eq!(src.sub_rows(), self.at.sub_rows);
+        assert_eq!(src.sub_cols(), self.at.sub_cols);
+        let RectCopy {
+            node0: src0,
+            node_stride: src_stride,
+            lane0: dst0,
+            lane_stride: dst_stride,
+            rows,
+            cols,
+        } = self.at.interior_copy(src);
         let _t = cmcc_obs::trace::scope(
             cmcc_obs::trace::TraceOp::InteriorRefresh,
             (rows * cols) as u64,
@@ -183,7 +258,7 @@ impl HaloBuffer {
         primitive: ExchangePrimitive,
     ) -> u64 {
         let program = ExchangeProgram::new(
-            self,
+            &self.at,
             machine.grid(),
             machine.config(),
             boundary,
@@ -241,7 +316,7 @@ struct CopyOp {
 /// The paper performs "interprocessor communication for an entire stencil
 /// computation … at the beginning all at once" (§5.1); an
 /// `ExchangeProgram` is that step compiled ahead of time for a fixed
-/// (buffer, grid, boundary, primitive) so iterative workloads replay it
+/// (placement, grid, boundary, primitive) so iterative workloads replay it
 /// without rebuilding. Every copy reads subgrid interior and writes the
 /// halo ring — disjoint regions — so the recorded order is immaterial to
 /// the result; it nevertheless preserves the order
@@ -265,10 +340,12 @@ pub struct ExchangeProgram {
 }
 
 impl ExchangeProgram {
-    /// Compiles the exchange for `halo` on `grid`.
+    /// Compiles the exchange of the buffer placed at `halo` on `grid`:
+    /// its node-memory form for a [`HaloBuffer`]'s placement, the copy
+    /// list of a [`LaneExchangeProgram`] for a lane buffer's.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        halo: &HaloBuffer,
+        halo: &Padded,
         grid: NodeGrid,
         cfg: &MachineConfig,
         boundary: Boundary,
@@ -446,7 +523,7 @@ impl ExchangeProgram {
 /// north/south edges so corner blocks beyond either boundary are
 /// covered too; the overlap is harmless (every span writes the same
 /// value).
-fn boundary_fill_spans(halo: &HaloBuffer, grid: NodeGrid) -> Vec<(NodeId, usize, usize)> {
+fn boundary_fill_spans(halo: &Padded, grid: NodeGrid) -> Vec<(NodeId, usize, usize)> {
     let p = halo.pad;
     let mut fills = Vec::new();
     if p == 0 {
@@ -491,14 +568,6 @@ fn hull(runs: impl Iterator<Item = (usize, usize)>) -> Range<usize> {
     .unwrap_or(0..0)
 }
 
-/// The lane word where the `len`-word node-memory run at `addr` starts
-/// in `view`, or `None` when the run is not wholly inside one viewed
-/// range.
-pub(crate) fn lane_run(view: &LaneView, addr: usize, len: usize) -> Option<usize> {
-    let (word, range) = view.locate(addr)?;
-    (addr + len <= range.node_base + range.len).then_some(word)
-}
-
 /// The beyond-global-edge frame of one padded buffer, as constant-value
 /// fills addressed in lane words.
 ///
@@ -516,27 +585,18 @@ pub struct LaneFillProgram {
 }
 
 impl LaneFillProgram {
-    /// The beyond-global-edge fill frame of `halo` under `boundary` —
-    /// empty for [`Boundary::Circular`], the spans a
-    /// [`Boundary::ZeroFill`] exchange fills otherwise — in the lane
-    /// word space of `view`. Returns `None` when any span is not fully
-    /// inside one viewed range.
-    pub fn boundary(
-        halo: &HaloBuffer,
-        grid: NodeGrid,
-        boundary: Boundary,
-        fill: f32,
-        view: &LaneView,
-    ) -> Option<Self> {
-        let spans = match boundary {
-            Boundary::ZeroFill => boundary_fill_spans(halo, grid),
+    /// The beyond-global-edge fill frame of the lane buffer placed at
+    /// `halo` under `boundary` — empty for [`Boundary::Circular`], the
+    /// spans a [`Boundary::ZeroFill`] exchange fills otherwise.
+    pub fn boundary(halo: &Padded, grid: NodeGrid, boundary: Boundary, fill: f32) -> Self {
+        let fills = match boundary {
+            Boundary::ZeroFill => boundary_fill_spans(halo, grid)
+                .into_iter()
+                .map(|(node, word, len)| (node.0, word, len))
+                .collect(),
             Boundary::Circular => Vec::new(),
         };
-        let fills = spans
-            .into_iter()
-            .map(|(node, addr, len)| Some((node.0, lane_run(view, addr, len)?, len)))
-            .collect::<Option<_>>()?;
-        Some(LaneFillProgram { fills, fill })
+        LaneFillProgram { fills, fill }
     }
 
     /// Executes the fills on the mirror.
@@ -553,8 +613,8 @@ impl LaneFillProgram {
 ///
 /// Halo exchanges emit the same word run for every node along an edge,
 /// with source and destination lanes each advancing by one node — so
-/// translate-time coalescing turns per-node scalar copies into whole
-/// lane sub-slice moves ([`cmcc_cm2::lane::LaneMirror::copy_lane_span`]).
+/// coalescing turns per-node scalar copies into whole lane sub-slice
+/// moves ([`cmcc_cm2::lane::LaneMirror::copy_lane_span`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LaneSpanCopy {
     from0: usize,
@@ -565,18 +625,17 @@ struct LaneSpanCopy {
     len: usize,
 }
 
-/// An [`ExchangeProgram`] translated onto a [`LaneMirror`]: every copy's
-/// node-memory addresses mapped through a [`LaneView`] into lane words,
-/// so the halo exchange moves words directly between lane columns of the
-/// mirror and never touches `NodeMemory`.
+/// The halo exchange of a lane buffer: an [`ExchangeProgram`] generated
+/// at the buffer's lane base, its copies batched into span copies, so
+/// the exchange moves words directly between lane columns of the
+/// [`LaneMirror`] and never touches `NodeMemory`.
 ///
 /// This is the communication half of the lane-resident steady state: an
 /// iterative workload keeps its operands in the mirror across time steps,
 /// and the exchange — including the skippable corner step, which is baked
-/// into the source program's copy list — runs in the same address space
-/// the kernels execute in. Cycle accounting is inherited unchanged from
-/// the source program, so `Measurement`s are identical to the node-domain
-/// path.
+/// into the generated copy list — runs in the same address space
+/// the kernels execute in. Cycle accounting comes from the same
+/// generator, so `Measurement`s are identical to the node-domain path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneExchangeProgram {
     copies: Vec<LaneSpanCopy>,
@@ -585,40 +644,30 @@ pub struct LaneExchangeProgram {
     fills: Vec<(usize, usize, usize)>,
     fill: f32,
     cycles: u64,
-    /// Edge-step words, inherited verbatim from the source program.
+    /// Edge-step words, as the generated program counts them.
     edge_words: usize,
 }
 
 impl LaneExchangeProgram {
-    /// Translates `program`'s copies and fills into the lane word space
-    /// of `view`.
-    ///
-    /// Returns `None` when any copied or filled run is not fully inside
-    /// one viewed range — then the plan cannot run the lane body. (For a
-    /// plan that mirrors its halo buffers whole, every run maps; the
-    /// guard only matters for hand-built views.)
-    pub fn translate(program: &ExchangeProgram, view: &LaneView) -> Option<Self> {
+    /// Batches `program` — generated at a lane buffer's base, so its
+    /// addresses are lane words — into span copies.
+    pub fn new(program: &ExchangeProgram) -> Self {
         // Exchange copies commute: every source run is interior words
         // (never written by the exchange) and every destination run is
         // a halo word written exactly once, so the copy list can be
-        // reordered freely. The source program walks nodes in the outer
-        // loop; regrouping by word run first lines up the adjacent-node
-        // copies of one edge direction so the coalescing pass below can
-        // batch them into spans.
-        let mut mapped = Vec::with_capacity(program.copies.len());
-        for op in &program.copies {
-            let src = lane_run(view, op.src, op.len)?;
-            let dst = lane_run(view, op.dst, op.len)?;
-            mapped.push((src, dst, op));
-        }
-        mapped.sort_by_key(|&(src, dst, op)| (src, dst, op.len, op.from.0));
+        // reordered freely. The program walks nodes in the outer loop;
+        // regrouping by word run first lines up the adjacent-node copies
+        // of one edge direction so the coalescing pass below can batch
+        // them into spans.
+        let mut sorted: Vec<&CopyOp> = program.copies.iter().collect();
+        sorted.sort_by_key(|op| (op.src, op.dst, op.len, op.from.0));
         let mut copies: Vec<LaneSpanCopy> = Vec::new();
-        for (src, dst, op) in mapped {
+        for op in sorted {
             // Coalesce with the previous batch when the word runs match
             // and both lanes advance by exactly one node.
             if let Some(last) = copies.last_mut() {
-                if last.src == src
-                    && last.dst == dst
+                if last.src == op.src
+                    && last.dst == op.dst
                     && last.len == op.len
                     && op.from.0 == last.from0 + last.count
                     && op.to.0 == last.to0 + last.count
@@ -631,41 +680,40 @@ impl LaneExchangeProgram {
                 from0: op.from.0,
                 to0: op.to.0,
                 count: 1,
-                src,
-                dst,
+                src: op.src,
+                dst: op.dst,
                 len: op.len,
             });
         }
-        let fills = program
-            .fills
-            .iter()
-            .map(|&(node, addr, len)| Some((node.0, lane_run(view, addr, len)?, len)))
-            .collect::<Option<Vec<_>>>()?;
-        Some(LaneExchangeProgram {
+        LaneExchangeProgram {
             copies,
-            fills,
+            fills: program
+                .fills
+                .iter()
+                .map(|&(node, word, len)| (node.0, word, len))
+                .collect(),
             fill: program.fill,
             cycles: program.cycles,
             edge_words: program.edge_words,
-        })
+        }
     }
 
-    /// This program with the lane words of two equal-length ranges,
+    /// This program with the lane words of two equal-length buffers,
     /// starting at words `a` and `b`, exchanged: exactly what
-    /// [`Self::translate`] returns through a view in which those two
-    /// ranges trade lane words (every run lies inside one range, and a
-    /// constant shift keeps the copy order and coalescing).
+    /// [`Self::new`] returns for the program generated at the other
+    /// buffer's base (every run lies inside one buffer, and a constant
+    /// shift keeps the copy order and coalescing).
     ///
     /// # Panics
     ///
-    /// Panics if a run straddles a swapped range's edge.
-    pub fn with_ranges_swapped(&self, a: usize, b: usize, len: usize) -> Self {
+    /// Panics if a run straddles a swapped buffer's edge.
+    pub fn with_buffers_swapped(&self, a: usize, b: usize, len: usize) -> Self {
         let swap = |word: usize, run: usize| {
             let inside = |base: usize| (base..base + len).contains(&word);
             let end_inside = |base: usize| (base..base + len).contains(&(word + run.max(1) - 1));
             assert!(
                 inside(a) == end_inside(a) && inside(b) == end_inside(b),
-                "an exchange run straddles a swapped range"
+                "an exchange run straddles a swapped buffer"
             );
             if inside(a) {
                 word - a + b
@@ -696,21 +744,21 @@ impl LaneExchangeProgram {
         }
     }
 
-    /// The communication cycles one run charges (the source program's).
+    /// The communication cycles one run charges (the generated program's).
     pub fn cycles(&self) -> u64 {
         self.cycles
     }
 
     /// Total words one run copies between lane columns, summed over the
-    /// whole machine — identical to the source program's
+    /// whole machine — identical to the generated program's
     /// [`ExchangeProgram::words_moved`].
     pub fn words_moved(&self) -> usize {
         self.copies.iter().map(|c| c.count * c.len).sum()
     }
 
     /// Number of batched span copies one run issues (each moving
-    /// `count × len` words); always at most the source program's copy
-    /// count, and strictly fewer whenever coalescing found a run of
+    /// `count × len` words); always at most the generated program's
+    /// copy count, and strictly fewer whenever coalescing found a run of
     /// adjacent nodes.
     pub fn span_count(&self) -> usize {
         self.copies.len()
@@ -733,8 +781,8 @@ impl LaneExchangeProgram {
     /// # Panics
     ///
     /// Panics if a node index or lane word is outside the mirror — the
-    /// mirror must have been shaped for the same machine and view the
-    /// program was translated against.
+    /// mirror must have been shaped for the same machine and lane layout
+    /// the program was generated against.
     pub fn run(&self, mirror: &mut LaneMirror) -> u64 {
         let _t = cmcc_obs::trace::scope(
             cmcc_obs::trace::TraceOp::HaloExchange,
@@ -878,6 +926,10 @@ mod tests {
         );
     }
 
+    /// The lane exchange of a buffer placed at lane word 0 leaves the
+    /// mirror holding exactly what the node exchange leaves in the halo
+    /// buffer, with the same cycle charge and word count, in fewer
+    /// (coalesced) copies.
     #[test]
     fn lane_exchange_matches_node_exchange() {
         for (boundary, corners) in [
@@ -886,129 +938,101 @@ mod tests {
             (Boundary::ZeroFill, true),
             (Boundary::ZeroFill, false),
         ] {
-            // Node-domain reference.
-            let (mut node_m, _, h) = setup(1);
-            let program = ExchangeProgram::new(
-                &h,
-                node_m.grid(),
-                node_m.config(),
-                boundary,
-                0.5,
-                corners,
-                ExchangePrimitive::News,
-            );
-            let node_cycles = program.run(&mut node_m);
-
-            // Lane-domain: an identical machine, with the exchange
-            // running purely on the mirror.
-            let (mut lane_m, _, h2) = setup(1);
-            let view = LaneView::new(&[(h2.field().base(), h2.field().len(), true)]).unwrap();
-            let lane = LaneExchangeProgram::translate(&program, &view)
-                .expect("a whole-buffer view maps every run");
+            let (mut m, _, h) = setup(1);
+            let at = Padded::new(0, (2, 2), 1).unwrap();
+            let len = at.words();
+            // The mirror starts from the node buffer's words.
+            let mut mirror = LaneMirror::new();
+            mirror.ensure(len, m.node_count());
+            let whole = RectCopy {
+                node0: h.field().base(),
+                node_stride: len,
+                lane0: 0,
+                lane_stride: len,
+                rows: 1,
+                cols: len,
+            };
+            mirror.gather_rows(m.exec_parts().1, &whole);
+            let generate = |at: &Padded| {
+                ExchangeProgram::new(
+                    at,
+                    m.grid(),
+                    m.config(),
+                    boundary,
+                    0.5,
+                    corners,
+                    ExchangePrimitive::News,
+                )
+            };
+            let program = generate(&h.placement());
+            let lane = LaneExchangeProgram::new(&generate(&at));
             assert_eq!(lane.words_moved(), program.words_moved());
             assert_eq!(lane.cycles(), program.cycles());
-            // Translate-time coalescing must have batched adjacent-node
-            // copies: the edge steps walk whole board rows/columns, so
-            // strictly fewer spans than source copies.
+            // Coalescing must have batched adjacent-node copies: the edge
+            // steps walk whole board rows/columns, so strictly fewer
+            // spans than copies.
             assert!(
                 lane.span_count() < program.copies.len(),
                 "no spans coalesced: {} spans from {} copies",
                 lane.span_count(),
                 program.copies.len()
             );
-            let mut mirror = LaneMirror::new();
-            {
-                let (_, mems) = lane_m.exec_parts_mut();
-                mirror.ensure(view.words(), mems.len());
-                mirror.gather(&view, mems);
-                assert_eq!(lane.run(&mut mirror), node_cycles);
-                mirror.scatter(&view, mems);
-            }
-            for node in node_m.grid().iter() {
+            let node_cycles = program.run(&mut m);
+            assert_eq!(lane.run(&mut mirror), node_cycles);
+            for node in m.grid().iter() {
+                let lanes: Vec<f32> = (0..len).map(|w| mirror.word(w)[node.0]).collect();
                 assert_eq!(
-                    node_m.mem(node).field(h.field()),
-                    lane_m.mem(node).field(h2.field()),
+                    m.mem(node).field(h.field()),
+                    &lanes[..],
                     "halo of {node} diverged ({boundary:?}, corners={corners})"
                 );
             }
         }
     }
 
-    /// Swapping two equal-length ranges' lane words in a translated
-    /// exchange gives exactly the translation through a view in which
-    /// the two ranges trade lane words — for two adjacent ranges, the
-    /// view listing them the other way round.
+    /// Swapping two equal-length buffers' lane words in a lane exchange
+    /// gives exactly the exchange generated at the other buffer's base.
     #[test]
-    fn swapped_exchange_matches_translation_with_the_ranges_traded() {
+    fn swapped_exchange_matches_generation_at_the_other_base() {
+        let m = Machine::new(MachineConfig::tiny_4()).unwrap();
         for (boundary, corners) in [(Boundary::Circular, true), (Boundary::ZeroFill, false)] {
-            let (mut m, _, h) = setup(2);
-            let other = HaloBuffer::new(&mut m, 2, 2, 2).unwrap();
-            let program = ExchangeProgram::new(
-                &h,
-                m.grid(),
-                m.config(),
-                boundary,
-                0.5,
-                corners,
-                ExchangePrimitive::News,
-            );
-            let len = h.field().len();
-            let (hb, ob) = (h.field().base(), other.field().base());
-            let view = LaneView::new(&[(hb, len, false), (ob, len, false)]).unwrap();
-            let traded = LaneView::new(&[(ob, len, false), (hb, len, false)]).unwrap();
-            let direct = LaneExchangeProgram::translate(&program, &view).unwrap();
-            let swapped = LaneExchangeProgram::translate(&program, &traded).unwrap();
+            let a = Padded::new(0, (2, 2), 2).unwrap();
+            let len = a.words();
+            let b = Padded::new(len, (2, 2), 2).unwrap();
+            let lane = |at: &Padded| {
+                LaneExchangeProgram::new(&ExchangeProgram::new(
+                    at,
+                    m.grid(),
+                    m.config(),
+                    boundary,
+                    0.5,
+                    corners,
+                    ExchangePrimitive::News,
+                ))
+            };
+            let (direct, swapped) = (lane(&a), lane(&b));
             assert_ne!(direct, swapped);
-            assert_eq!(direct.with_ranges_swapped(0, len, len), swapped);
-            assert_eq!(swapped.with_ranges_swapped(len, 0, len), direct);
+            assert_eq!(direct.with_buffers_swapped(0, len, len), swapped);
+            assert_eq!(swapped.with_buffers_swapped(len, 0, len), direct);
         }
     }
 
     #[test]
-    fn lane_exchange_translation_requires_whole_runs() {
-        let (m, _, h) = setup(1);
-        let program = ExchangeProgram::new(
-            &h,
-            m.grid(),
-            m.config(),
-            Boundary::Circular,
-            0.0,
-            true,
-            ExchangePrimitive::News,
-        );
-        assert!(program.words_moved() > 0);
-        // A view that splits the halo buffer mid-run cannot host the
-        // exchange: some copy's word run crosses the seam.
-        let base = h.field().base();
-        let len = h.field().len();
-        let split = LaneView::new(&[(base, 10, true), (base + 10, len - 10, true)]).unwrap();
-        assert!(LaneExchangeProgram::translate(&program, &split).is_none());
-    }
-
-    #[test]
     fn fill_program_writes_exactly_the_beyond_edge_frame() {
-        // Poison the whole padded buffer, run the lane fill program on a
-        // mirror of it, and check that beyond-global-edge positions (and
-        // only those) were overwritten — on nodes at every board
-        // position. Circular boundaries have nothing to restore.
+        // Poison a lane buffer, run its fill program, and check that
+        // beyond-global-edge positions (and only those) were
+        // overwritten — on nodes at every board position. Circular
+        // boundaries have nothing to restore.
+        let m = Machine::new(MachineConfig::tiny_4()).unwrap();
+        let grid = m.grid();
+        let at = Padded::new(0, (2, 2), 1).unwrap();
         for (boundary, fill) in [(Boundary::ZeroFill, 7.5), (Boundary::Circular, -9.0)] {
-            let (mut m, _, h) = setup(1);
-            for node in m.grid().iter() {
-                m.mem_mut(node)
-                    .fill_range(h.field().base(), h.field().len(), -9.0);
-            }
-            let view = LaneView::new(&[(h.field().base(), h.field().len(), true)]).unwrap();
-            let grid = m.grid();
-            let program = LaneFillProgram::boundary(&h, grid, boundary, 7.5, &view)
-                .expect("a whole-buffer view maps every span");
             let mut mirror = LaneMirror::new();
-            {
-                let (_, mems) = m.exec_parts_mut();
-                mirror.ensure(view.words(), mems.len());
-                mirror.gather(&view, mems);
-                program.run(&mut mirror);
-                mirror.scatter(&view, mems);
+            mirror.ensure(at.words(), m.node_count());
+            for w in 0..at.words() {
+                mirror.word_mut(w).fill(-9.0);
             }
+            LaneFillProgram::boundary(&at, grid, boundary, 7.5).run(&mut mirror);
             for node in grid.iter() {
                 let (gr, gc) = grid.coords(node);
                 for r in -1..3_i64 {
@@ -1019,7 +1043,7 @@ mod tests {
                             || (c >= 2 && gc == grid.cols() - 1);
                         let want = if beyond { fill } else { -9.0 };
                         assert_eq!(
-                            read(&m, &h, node, r, c),
+                            mirror.word(at.layout().addr(r, c))[node.0],
                             want,
                             "{boundary:?}: node {node} logical ({r}, {c})"
                         );

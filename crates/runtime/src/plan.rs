@@ -13,11 +13,11 @@
 //! 2. **bind** — [`StencilBinding`] attaches result/source/coefficient
 //!    arrays to the compiled stencil and validates shapes and counts
 //!    once;
-//! 3. **plan** — [`ExecutionPlan::build`] allocates halo buffers and
-//!    constant pages from the persistent arena, compiles the halo
-//!    exchange into an [`ExchangeProgram`] per source, strip-mines the
-//!    subgrid, and lowers the stencil IR into the lane body's row
-//!    program;
+//! 3. **plan** — [`ExecutionPlan::build`] allocates the scalar engine's
+//!    halo buffers and constant pages from the persistent arena,
+//!    compiles the halo exchange into an [`ExchangeProgram`] per source,
+//!    strip-mines the subgrid, lays the lane mirror out from the plan's
+//!    shape, and lowers the stencil IR into the lane body's row program;
 //! 4. **execute** — [`ExecutionPlan::execute`] performs only the halo
 //!    exchange, the row sweeps (or, on the scalar engine, the kernel
 //!    runs of the strip schedule, resolved to absolute addresses the
@@ -38,14 +38,14 @@
 use crate::array::CmArray;
 use crate::convolve::ExecOptions;
 use crate::error::RuntimeError;
-use crate::halo::{lane_run, ExchangeProgram, HaloBuffer, LaneExchangeProgram, LaneFillProgram};
+use crate::halo::{ExchangeProgram, HaloBuffer, LaneExchangeProgram, LaneFillProgram, Padded};
 use crate::strips::{full_strip, halfstrips, plan_strips, HalfStrip, Strip};
 use cmcc_cm2::exec::{
     fast_counts, ExecEngine, ExecMode, FieldLayout, ResolvedStrip, StripContext, StripRun,
 };
 use cmcc_cm2::isa::Kernel;
-use cmcc_cm2::kernels::{self, RowCoeff, RowProgram, RowRun, RowStep, RowTerm};
-use cmcc_cm2::lane::{LaneMirror, LaneRange, LaneView, RectCopy, RegionStage};
+use cmcc_cm2::kernels::{self, LaneBuffer, RowCoeff, RowProgram, RowRun, RowStep, RowTerm};
+use cmcc_cm2::lane::{LaneMirror, RegionStage};
 use cmcc_cm2::machine::Machine;
 use cmcc_cm2::memory::Field;
 use cmcc_cm2::timing::{CycleBreakdown, Measurement};
@@ -174,11 +174,11 @@ impl<'a> StencilBinding<'a> {
 
 /// The immutable half of an execution plan: everything plan-build
 /// computes that does **not** depend on which concrete arrays a tenant
-/// binds — the strip-mine schedule and the kernels it names, the row
-/// program lowered from the stencil IR, the compiled halo-exchange
-/// programs, and the plan-owned node-memory fields (halo buffers,
-/// constant and literal pages). It holds no bound array's address: only
-/// the shape and the argument counts every binding must match.
+/// binds — the scalar engine's node schedule and node-memory fields
+/// (halo buffers, constant and literal pages), and the lane mirror's
+/// layout with the row program and halo programs lowered against it. It
+/// holds no bound array's address: only the shape and the argument
+/// counts every binding must match.
 ///
 /// A `CompiledPlan` is shared between any number of [`PlanInstance`]s
 /// through an [`Arc`]: the session plan cache hands every tenant the same
@@ -188,84 +188,103 @@ impl<'a> StencilBinding<'a> {
 /// returned to it by [`CompiledPlan::release`] once ownership is unique.
 #[derive(Debug)]
 pub struct CompiledPlan {
-    /// The classic plan's node schedule, unresolved: the scalar engine
-    /// resolves it against the binding it runs. Empty on temporal plans,
-    /// which have no scalar body.
-    node: NodeSchedule,
+    /// The scalar engine's body: `None` on temporal plans, which have
+    /// none and so own no node field at all.
+    scalar: Option<ScalarBody>,
     /// What one run of the node schedule reports, counted at build: the
     /// lane body reports it without running that schedule, so its
     /// `Measurement`s and step counters match the scalar engine's.
     counts: ScheduleCounts,
-    /// The statement's terms in accumulation order — taps, then bias
-    /// terms: the stencil IR the lane body's row program is lowered
-    /// from.
-    terms: Vec<Term>,
-    /// The stencil's radius (its widest border).
-    pad: usize,
-    /// The row program and halo programs over the lane mirror, when the
-    /// build binding maps onto it (fast mode, lockstep engine, no array
-    /// aliasing the mirror cannot hold). Lane addresses depend only on
-    /// the view's range lengths and order — both rebind-invariant — so
-    /// every instance over same-shape arrays shares this schedule
-    /// verbatim. Always `Some` on temporal plans: their build fails
-    /// without it.
-    lane: Option<LaneSchedule>,
-    halos: Vec<HaloBuffer>,
-    /// A lane plan's destination buffer: a plan-owned field shaped like
-    /// source 0's halo buffer, which exists only on the mirror (its
-    /// node words are never read or written). Direction 0 reads source
-    /// 0's halo and writes this buffer's interior (a temporal plan's
-    /// final step does); direction 1 swaps the two. `None` off the lane
-    /// body (cycle mode, scalar engine).
-    dest: Option<HaloBuffer>,
-    exchanges: Vec<ExchangeProgram>,
-    consts: Field,
-    /// One entry per coefficient slot, in `spec.coeffs` order: a
-    /// literal's page (its constant streamed with a zero row stride), or
-    /// `None` for a named coefficient, which the binding supplies.
-    pages: Vec<Option<Field>>,
-    /// Every node-memory field the plan owns — the ones above and the
-    /// temporal plan's — in allocation order: what [`Self::release`]
-    /// returns to the arena.
+    /// The lane body, or why instances cannot run it: cycle-accurate
+    /// mode, the scalar engine requested, or a check the row program
+    /// failed. Lane addresses depend on the plan's shape alone, so every
+    /// instance shares it verbatim. Always `Ok` on temporal plans: their
+    /// build fails without it.
+    lane: Result<LaneSchedule, &'static str>,
+    /// Sources and named coefficients every binding supplies.
+    sources: usize,
+    named: usize,
+    /// Every node-memory field the plan owns — the scalar engine's — in
+    /// allocation order: what [`Self::release`] returns to the arena.
     owned: OwnedFields,
     /// Global rows and columns of every bound array.
     shape: (usize, usize),
-    /// Per-node subgrid rows and columns of every bound array.
-    sub: (usize, usize),
     useful_flops: u64,
     call_overhead: u64,
     dispatch: u64,
     nodes: usize,
     opts: ExecOptions,
     fingerprint: u64,
-    /// The temporal-tiling schedule: `Some` when the plan fuses two or
-    /// more time steps per halo exchange ([`ExecOptions::temporal_depth`]
-    /// honored), `None` for the classic one-step plan.
-    temporal: Option<TemporalPlan>,
+    /// Fused time steps per execute: 1 for the classic one-step plan,
+    /// two or more when temporal tiling shares one deepened halo
+    /// exchange between them ([`ExecOptions::temporal_depth`] honored).
+    depth: usize,
     /// Why a requested `temporal_depth > 1` was clamped back to 1, when
     /// it was. `None` when the request was honored (or never made).
     temporal_fallback: Option<&'static str>,
 }
 
-/// The shared artifacts of a temporally tiled plan: `depth` fused time
-/// steps share one deepened (`depth·radius`) halo exchange per execute,
-/// ping-ponging intermediate states through plan-owned scratch buffers.
-/// Every node computes a shrinking extended region per inner step — the
-/// classic redundant-compute trade: margin points are recomputed locally
-/// instead of communicated.
+/// A classic plan's scalar engine: its node schedule, unresolved (the
+/// engine resolves it against the binding it runs), and the node-memory
+/// fields it reads and writes.
 #[derive(Debug)]
-struct TemporalPlan {
-    /// Fused time steps per execute (≥ 2).
-    depth: usize,
-    /// Ping-pong intermediate-state buffers, plain halo buffers padded
-    /// to the full `depth·radius` frame: none for depth 1, one for depth
-    /// 2, two beyond (consecutive states always land in different
-    /// buffers).
-    scratch: Vec<HaloBuffer>,
-    /// Per-named-coefficient halo buffers, padded `(depth−1)·radius`:
-    /// intermediate steps read coefficients at margin positions, which
-    /// live on neighbor nodes just like source halo words do.
-    coeff_halos: Vec<HaloBuffer>,
+struct ScalarBody {
+    node: NodeSchedule,
+    /// One halo buffer per source, refreshed and exchanged in node
+    /// memory every execute.
+    halos: Vec<HaloBuffer>,
+    exchanges: Vec<ExchangeProgram>,
+    /// One word each of 1.0 and 0.0.
+    consts: Field,
+    /// One entry per coefficient slot, in `spec.coeffs` order: a
+    /// literal's page (its constant streamed with a zero row stride), or
+    /// `None` for a named coefficient, which the binding supplies.
+    pages: Vec<Option<Field>>,
+}
+
+impl ScalarBody {
+    /// Resolves the node schedule against a binding whose result is
+    /// `result` and whose named coefficients are `coeffs`: identical on
+    /// every node (SIMD), in strip-mine order, with every memory operand
+    /// turned into an absolute address. A named coefficient is read from
+    /// its bound array, a literal from its page.
+    fn resolve_strips(&self, result: &CmArray, coeffs: &[CmArray]) -> Vec<ResolvedStrip> {
+        let srcs: Vec<FieldLayout> = self.halos.iter().map(HaloBuffer::layout).collect();
+        let mut named = coeffs.iter();
+        let coeffs: Vec<FieldLayout> = self
+            .pages
+            .iter()
+            .map(|page| match page {
+                Some(page) => FieldLayout {
+                    base: page.base(),
+                    row_stride: 0,
+                    row_offset: 0,
+                    col_offset: 0,
+                },
+                None => named
+                    .next()
+                    .expect("coefficient count was validated")
+                    .layout(),
+            })
+            .collect();
+        self.node
+            .strips
+            .iter()
+            .map(|&(kernel, strip, half)| {
+                let ctx = StripContext {
+                    srcs: &srcs,
+                    res: result.layout(),
+                    coeffs: &coeffs,
+                    ones_addr: self.consts.addr(0),
+                    zeros_addr: self.consts.addr(1),
+                    start_row: half.start_row as i64,
+                    lines: half.lines,
+                    col0: strip.col0 as i64,
+                };
+                ResolvedStrip::new(&self.node.kernels[kernel], &ctx)
+            })
+            .collect()
+    }
 }
 
 /// One term of the statement in accumulation order: the stencil IR the
@@ -287,21 +306,29 @@ enum TermCoeff {
     Named(usize),
 }
 
-/// The rebind-invariant lane form of a plan: per direction, the row
-/// program and every halo exchange, plus the temporal scratch fix-ups,
-/// all addressed in lane words of one view shape.
+/// The lane body of a plan: the mirror's layout, fixed by the plan's
+/// shape alone, and per direction the row program and every halo
+/// exchange lowered against it, plus the temporal scratch fix-ups.
 #[derive(Debug, Clone)]
 struct LaneSchedule {
+    /// Every lane buffer, one after another from lane word 0: one halo
+    /// per source; one buffer per named coefficient — the coefficient
+    /// itself (pad 0) on a classic plan, its `(depth−1)·radius` halo on
+    /// a temporal one, whose intermediate steps read coefficients at
+    /// margin positions; the temporal scratch states (none at depth 1,
+    /// one at depth 2, two beyond); and the destination, shaped like
+    /// source 0's halo. The sources and coefficients are refreshed from
+    /// their bound arrays; the scratch states and the destination are
+    /// written by the sweeps.
+    buffers: Vec<Padded>,
     /// Direction 0: reads source 0's halo buffer.
     forward: LaneDirection,
     /// Direction 1 — the same schedule with source 0's halo and the
     /// destination buffer trading lane words, so an execute can read
-    /// whichever buffer already holds its source — as `(a, b, len)`:
-    /// the two ranges' first lane words and their length.
-    swap: (usize, usize, usize),
-    /// Direction 1, derived from direction 0 the first time an execute
-    /// reads the destination buffer: a plan that never does (an
-    /// unchanged binding run again) never pays for it.
+    /// whichever buffer already holds its source — derived from
+    /// direction 0 the first time an execute reads the destination
+    /// buffer: a plan that never does (an unchanged binding run again)
+    /// never pays for it.
     backward: OnceLock<LaneDirection>,
     /// The beyond-global-edge fill fix-up per temporal scratch buffer: a
     /// zero-fill boundary requires margin reads past the global edge to
@@ -318,74 +345,211 @@ struct LaneDirection {
     /// The statement lowered to lane words, one step per fused step.
     program: RowProgram,
     /// One halo exchange per source, then (temporal plans) one per
-    /// coefficient halo.
+    /// coefficient halo; a classic plan's coefficients have no ring.
     exchanges: Vec<LaneExchangeProgram>,
 }
 
 impl LaneSchedule {
-    /// Direction 0 from its row `program` (lowered over `view`), the
-    /// halo `exchanges` translated onto `view` and the temporal
-    /// `scratch_fills` (addressed over `view`), plus the swap of source
-    /// 0's halo (the view's first range) and the destination buffer (its
-    /// last) that direction 1 trades.
-    ///
-    /// # Errors
-    ///
-    /// Why the schedule cannot run on the lane mirror: an exchange run
-    /// outside one viewed range.
-    fn new(
-        program: RowProgram,
-        exchanges: &[&ExchangeProgram],
-        scratch_fills: Vec<LaneFillProgram>,
-        view: &LaneView,
-    ) -> Result<Self, &'static str> {
-        let exchanges = exchanges
-            .iter()
-            .map(|p| LaneExchangeProgram::translate(p, view))
-            .collect::<Option<_>>()
-            .ok_or("a halo exchange run lies outside the lane view")?;
-        let ranges = view.ranges();
-        let (a, b) = (ranges[0], ranges[ranges.len() - 1]);
-        assert_eq!(
-            a.len, b.len,
-            "the destination is shaped like source 0's halo"
-        );
-        Ok(LaneSchedule {
-            forward: LaneDirection { program, exchanges },
-            swap: (a.lane_base, b.lane_base, a.len),
-            backward: OnceLock::new(),
-            scratch_fills,
-        })
+    /// Mirror words per node.
+    fn words(&self) -> usize {
+        self.buffers.last().map_or(0, |b| b.base() + b.words())
     }
 
-    /// Direction `dir`'s schedule. Direction 1 is direction 0 with the
-    /// two swapped ranges' lane words exchanged — row program and
-    /// exchanges alike: lowering and translation decide by range, so
-    /// that is exactly what they return through a view in which the
-    /// ranges trade lane words, and nothing is lowered twice.
+    /// Machine-total words the halo exchange of buffer `k` moves; zero
+    /// for a classic plan's coefficient, which has no ring.
+    fn exchange_words(&self, k: usize) -> usize {
+        let exchanges = &self.forward.exchanges;
+        exchanges.get(k).map_or(0, LaneExchangeProgram::words_moved)
+    }
+
+    /// Direction `dir`'s schedule. Direction 1 is direction 0 with
+    /// source 0's halo and the destination buffer trading lane words —
+    /// row program and exchanges alike: lowering and generation decide
+    /// by buffer, so that is exactly what they return for a layout in
+    /// which the two buffers trade lane words, and nothing is lowered
+    /// twice.
     fn direction(&self, dir: usize) -> &LaneDirection {
         if dir == 0 {
             return &self.forward;
         }
         self.backward.get_or_init(|| {
-            let (a, b, len) = self.swap;
+            let (a, b) = (self.buffers[0], self.buffers[self.buffers.len() - 1]);
+            assert_eq!(
+                a.words(),
+                b.words(),
+                "the destination is shaped like source 0's halo"
+            );
+            let (a, b, len) = (a.base(), b.base(), a.words());
             let forward = &self.forward;
             LaneDirection {
-                program: forward.program.with_ranges_swapped(a, b, len),
+                program: forward.program.with_buffers_swapped(a, b, len),
                 exchanges: forward
                     .exchanges
                     .iter()
-                    .map(|x| x.with_ranges_swapped(a, b, len))
+                    .map(|x| x.with_buffers_swapped(a, b, len))
                     .collect(),
             }
         })
     }
 }
 
-/// What one halo-shaped lane buffer's interior holds.
+/// The stencil IR the lane body sweeps: the statement's taps in
+/// statement order, then its bias terms, each coefficient a literal's
+/// value, `1.0` for a unit tap, or a named array in binding order.
+fn statement_terms(compiled: &CompiledStencil) -> Vec<Term> {
+    let mut named = 0;
+    let coeffs: Vec<TermCoeff> = compiled
+        .spec()
+        .coeffs
+        .iter()
+        .map(|c| match c {
+            CoeffSpec::Literal(v) => TermCoeff::Scalar(*v),
+            CoeffSpec::Named(_) => {
+                named += 1;
+                TermCoeff::Named(named - 1)
+            }
+        })
+        .collect();
+    let stencil = compiled.stencil();
+    stencil
+        .taps()
+        .iter()
+        .map(|tap| Term {
+            tap: Some((
+                usize::from(tap.source),
+                i64::from(tap.offset.drow),
+                i64::from(tap.offset.dcol),
+            )),
+            coeff: match tap.coeff {
+                CoeffRef::Array(a) => coeffs[a],
+                CoeffRef::Unit => TermCoeff::Scalar(1.0),
+            },
+        })
+        .chain(stencil.bias().iter().map(|&a| Term {
+            tap: None,
+            coeff: coeffs[a],
+        }))
+        .collect()
+}
+
+/// The lane buffers of a `depth`-deep plan with `sources` sources and
+/// `named` named coefficients over a `sub` subgrid, stencil radius `pad`,
+/// laid out one after another from lane word 0 in
+/// [`LaneSchedule::buffers`] order. Step `j` of `depth` writes a
+/// `(depth−1−j)·radius`-deep extension of the subgrid, so step 0 reads
+/// `depth·radius` deep (the source halos), every step reads coefficients
+/// up to `(depth−1)·radius` beyond the edge, and the scratch states and
+/// the destination are framed like the source halos.
+///
+/// # Errors
+///
+/// [`RuntimeError::SubgridTooSmall`] when a buffer's halo is deeper
+/// than the subgrid.
+fn lane_layout(
+    sub: (usize, usize),
+    (sources, named): (usize, usize),
+    depth: usize,
+    pad: usize,
+) -> Result<Vec<Padded>, RuntimeError> {
+    let (halo, coeff) = (depth * pad, (depth - 1) * pad);
+    // The scratch states, then the destination.
+    let swept = depth.min(3);
+    let pads = std::iter::repeat_n(halo, sources)
+        .chain(std::iter::repeat_n(coeff, named))
+        .chain(std::iter::repeat_n(halo, swept));
+    let mut base = 0;
+    pads.map(|pad| {
+        let buffer = Padded::new(base, sub, pad)?;
+        base += buffer.words();
+        Ok(buffer)
+    })
+    .collect()
+}
+
+/// Lowers `terms` into direction 0's row program against the lane
+/// layout `buffers` ([`lane_layout`]). Step `j` of `depth` writes the
+/// `(depth−1−j)·radius`-deep extension of the subgrid — into the next
+/// scratch state, or (the last step) the destination buffer's interior
+/// — reading source halos (step 0) or the previous scratch state; a
+/// named coefficient is read in place, from its buffer.
+///
+/// # Errors
+///
+/// Why the program cannot run: a run starting outside its buffer, or a
+/// check [`RowProgram::new`] refuses.
+fn lower(
+    terms: &[Term],
+    buffers: &[Padded],
+    (sources, named): (usize, usize),
+    (sub_rows, sub_cols): (usize, usize),
+    depth: usize,
+    pad: usize,
+) -> Result<RowProgram, &'static str> {
+    let refreshed = sources + named;
+    let scratch = |i: usize| &buffers[refreshed + i % 2];
+    // The run of `buffer` whose first point is logical `(row, col)`.
+    let run = |buffer: &Padded, row: i64, col: i64| -> Result<RowRun, &'static str> {
+        let layout = buffer.layout();
+        let (r, c) = (row + layout.row_offset, col + layout.col_offset);
+        if r < 0 || c < 0 {
+            return Err("a term run starts outside its buffer");
+        }
+        Ok(RowRun {
+            word: layout.base + r as usize * layout.row_stride + c as usize,
+            stride: layout.row_stride,
+        })
+    };
+    let steps = (0..depth)
+        .map(|step| {
+            let m = ((depth - 1 - step) * pad) as i64;
+            let srcs = if step == 0 {
+                &buffers[..sources]
+            } else {
+                std::slice::from_ref(scratch(step - 1))
+            };
+            let out = if step + 1 == depth {
+                &buffers[buffers.len() - 1]
+            } else {
+                scratch(step)
+            };
+            let terms = terms
+                .iter()
+                .map(|term| {
+                    let data = match term.tap {
+                        Some((s, dr, dc)) => Some(run(&srcs[s], dr - m, dc - m)?),
+                        None => None,
+                    };
+                    let coeff = match term.coeff {
+                        TermCoeff::Scalar(v) => RowCoeff::Scalar(v),
+                        TermCoeff::Named(k) => RowCoeff::Run(run(&buffers[sources + k], -m, -m)?),
+                    };
+                    Ok(RowTerm { data, coeff })
+                })
+                .collect::<Result<_, &'static str>>()?;
+            Ok(RowStep {
+                rows: sub_rows + 2 * m as usize,
+                cols: sub_cols + 2 * m as usize,
+                dest: run(out, -m, -m)?,
+                terms,
+            })
+        })
+        .collect::<Result<_, &'static str>>()?;
+    let checked: Vec<LaneBuffer> = buffers
+        .iter()
+        .enumerate()
+        .map(|(i, b)| LaneBuffer {
+            base: b.base(),
+            len: b.words(),
+            swept: i >= refreshed,
+        })
+        .collect();
+    RowProgram::new(steps, &checked)
+}
+
+/// What one lane buffer holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Held {
-    /// The node-memory array whose words it holds.
+    /// The node-memory array whose words its interior holds.
     array: Field,
     /// The write epoch as of which it holds them: a later stamp on
     /// `array` makes the buffer stale.
@@ -398,8 +562,8 @@ struct Held {
 /// The mutable half of an execution plan: one tenant's binding and
 /// execution state over a shared [`CompiledPlan`] — the strip schedule
 /// resolved against the tenant's arrays (once the scalar engine runs
-/// it), the lane view over them, and the persistent lane mirror with the
-/// record of what it holds.
+/// it), and the persistent lane mirror with the record of what it
+/// holds.
 ///
 /// Instances are cheap to create (no machine allocation — they reuse the
 /// compiled plan's halo buffers and pages) and fully independent: two
@@ -414,45 +578,20 @@ pub struct PlanInstance {
     /// keeps it, because kernels read sources through the plan-owned
     /// halos. A lane-mapped instance never resolves it.
     strips: Option<Vec<ResolvedStrip>>,
-    /// A private lane schedule, used only when the shared plan has none
-    /// to offer — it was built from a binding the mirror cannot hold
-    /// (aliased arrays) and this instance's binding is clean. `None`
-    /// means the instance runs the shared schedule; lane addresses are
-    /// rebind-invariant, so that is the common case.
-    lane_override: Option<LaneSchedule>,
-    /// The node-memory ↔ lane-word map of the lane body. `Some` exactly
-    /// when `execute` runs it; `None` when the engine is scalar, the mode
-    /// is cycle-accurate, or the current binding cannot be mapped
-    /// (aliased arrays) — then the scalar engine runs the plan, and
-    /// `lane_fallback` says why. Rebind recomputes it in place.
-    lane_view: Option<LaneView>,
-    /// Why the scalar engine runs this binding; `None` exactly when
-    /// `lane_view` is `Some`.
+    /// Why the scalar engine runs this binding: the artifact's reason,
+    /// or a result that overlaps a named coefficient
+    /// ([`aliasing_refusal`]). `None` exactly when `execute` runs the
+    /// lane body. Rebind recomputes it.
     lane_fallback: Option<&'static str>,
     /// The instance-owned persistent lane mirror. Shaped on first
     /// execute, recycled afterwards (zero steady-state allocations);
-    /// `lane_held` and `lane_buffers` record what it holds. Poolable
-    /// across instances via
-    /// [`ExecutionPlan::take_mirror`] / [`ExecutionPlan::install_mirror`].
+    /// `lane_buffers` records what it holds. Poolable across instances
+    /// via [`ExecutionPlan::take_mirror`] / [`ExecutionPlan::install_mirror`].
     lane_mirror: LaneMirror,
-    /// The interior of each halo-shaped lane buffer, node side on the
-    /// array its refresh copies from (the lane-domain `fill_interior`):
-    /// one per refresh pair — sources first, then (temporal plans) the
-    /// bound named-coefficient arrays into their halos — then a classic
-    /// plan's destination buffer (node side on source 0, which direction
-    /// 1 reads from it). Empty unless lane-mapped.
-    lane_interiors: Vec<RectCopy>,
-    /// The node base each viewed range's lane words were last gathered
-    /// from, parallel to the view's ranges. Empty while the mirror holds
-    /// garbage (before the first execute, after a pool swap): the next
-    /// execute then gathers the whole view. Only the *gathered* ranges
-    /// (read-only, not lane-private, not a halo buffer) are consulted
-    /// afterwards — halo words come from the refresh and exchange,
-    /// destination and scratch words from the row sweeps.
-    lane_held: Vec<Option<usize>>,
-    /// What each buffer of `lane_interiors` holds; `None` is garbage. A
-    /// pair whose buffer holds its array skips the refresh, and skips
-    /// the exchange too once the buffer's ring is exchanged.
+    /// What each lane buffer holds, in layout order; `None` is garbage.
+    /// A source or coefficient buffer that holds its array skips the
+    /// refresh, and skips the exchange too once its ring is exchanged.
+    /// Scratch states never hold anything across executes.
     lane_buffers: Vec<Option<Held>>,
     /// The direction the execute in flight runs: 1 when the destination
     /// buffer already holds source 0, else 0.
@@ -461,13 +600,11 @@ pub struct PlanInstance {
     /// for, until [`ExecutionPlan::committed`] reports the commit's
     /// epoch: only then does the buffer count as holding the result.
     lane_pending: Option<(usize, Field)>,
-    /// The [`Machine::write_epoch`] the mirror was last synced at: a
-    /// held range stamped later holds newer words.
+    /// The [`Machine::write_epoch`] the mirror was last synced at.
     lane_epoch: u64,
     /// Machine-total words the last rebind added to the next execute's
-    /// re-read beyond a ping-pong swap: the named coefficients it moved
-    /// (gathered ranges, or coefficient-halo refreshes on temporal
-    /// plans).
+    /// re-read beyond a ping-pong swap: the refreshes (and, on temporal
+    /// plans, exchanges) of the named coefficients it moved.
     lane_rebind_moved: usize,
     /// The staged writes of a direct [`ExecutionPlan::execute`], recycled
     /// across executes; empty until the first one (the session stages
@@ -527,9 +664,11 @@ pub struct ExecutionPlan {
 impl CompiledPlan {
     /// Plans every *shared* per-call decision for `binding` under `opts`.
     ///
-    /// Allocates the halo buffers and constant pages from the persistent
-    /// arena, fills the constant pages, compiles one [`ExchangeProgram`]
-    /// per source, strip-mines the subgrid for the scalar engine, and
+    /// Allocates the scalar engine's halo buffers and constant pages from
+    /// the persistent arena (classic plans: a temporal plan has no scalar
+    /// body and owns no node field), fills the constant pages, compiles
+    /// one [`ExchangeProgram`] per source, strip-mines the subgrid for the
+    /// scalar engine, lays the lane mirror out from the plan's shape and
     /// lowers the stencil IR into the lane body's row program, checked
     /// once here. The result is immutable: tenants attach to it with
     /// [`ExecutionPlan::from_shared`] without touching the artifact. A
@@ -575,6 +714,7 @@ impl CompiledPlan {
         let sub = (result.sub_rows(), result.sub_cols());
         let (sub_rows, sub_cols) = sub;
         let pad = stencil.borders().max_width() as usize;
+        let (sources, named) = (binding.sources().len(), binding.coeffs().len());
 
         // Temporal tiling: fuse `depth` time steps per halo exchange by
         // deepening the halo to `depth·radius` and recomputing margin
@@ -610,75 +750,42 @@ impl CompiledPlan {
             }
         };
         check_fusable(depth, &result, binding.coeffs().iter())?;
-        // The deepest margin any inner step computes: step j writes a
-        // `(depth-1-j)·radius`-deep extension of the subgrid, so step 0
-        // reads `depth·radius` (the source halo) and every step reads
-        // coefficients at up to `(depth-1)·radius` beyond the edge.
-        let halo_pad = depth * pad;
-        let coeff_pad = (depth - 1) * pad;
 
-        let halos: Vec<HaloBuffer> = binding
-            .sources()
-            .iter()
-            .map(|_| owned.halo(machine, sub, halo_pad))
-            .collect::<Result<_, _>>()?;
-        let lane_eligible = opts.mode == ExecMode::Fast && opts.engine == ExecEngine::Lockstep;
-        let dest = if lane_eligible {
-            Some(owned.halo(machine, sub, halo_pad)?)
-        } else {
-            None
-        };
-
-        // Constant pages: one word each of 1.0 and 0.0, plus one page
-        // per literal coefficient (streamed with a zero row stride).
-        let consts = owned.field(machine, 2)?;
-        let pages: Vec<Option<Field>> = spec
-            .coeffs
-            .iter()
-            .map(|c| match c {
-                CoeffSpec::Literal(_) => owned.field(machine, sub_cols).map(Some),
-                CoeffSpec::Named(_) => Ok(None),
-            })
-            .collect::<Result<_, _>>()?;
-        let filled = pages.iter().flatten().map(Field::range);
-        for mem in machine.write_nodes(filled.chain([consts.range()])) {
-            mem.write(consts.addr(0), 1.0);
-            mem.write(consts.addr(1), 0.0);
-            for (page, c) in pages.iter().zip(&spec.coeffs) {
-                if let (Some(page), CoeffSpec::Literal(v)) = (page, c) {
-                    mem.fill_field(*page, *v);
+        // The scalar engine's node fields, classic plans only: one halo
+        // buffer per source, the constant pair (one word each of 1.0 and
+        // 0.0) and one page per literal coefficient (streamed with a zero
+        // row stride).
+        let node_fields = if depth == 1 {
+            let halos: Vec<HaloBuffer> = (0..sources)
+                .map(|_| owned.halo(machine, sub, pad))
+                .collect::<Result<_, _>>()?;
+            let consts = owned.field(machine, 2)?;
+            let pages: Vec<Option<Field>> = spec
+                .coeffs
+                .iter()
+                .map(|c| match c {
+                    CoeffSpec::Literal(_) => owned.field(machine, sub_cols).map(Some),
+                    CoeffSpec::Named(_) => Ok(None),
+                })
+                .collect::<Result<_, _>>()?;
+            let filled = pages.iter().flatten().map(Field::range);
+            for mem in machine.write_nodes(filled.chain([consts.range()])) {
+                mem.write(consts.addr(0), 1.0);
+                mem.write(consts.addr(1), 0.0);
+                for (page, c) in pages.iter().zip(&spec.coeffs) {
+                    if let (Some(page), CoeffSpec::Literal(v)) = (page, c) {
+                        mem.fill_field(*page, *v);
+                    }
                 }
             }
-        }
-
-        // Temporal plans read named coefficients at margin positions,
-        // which live on neighbor nodes: each gets its own (shallower)
-        // halo buffer and exchange, refreshed alongside the source halo.
-        // Their intermediate states ping-pong through scratch buffers
-        // padded to the full halo frame, so every step's extended write
-        // region (and the next step's reads one radius beyond it) stays
-        // in bounds at non-negative padded coordinates.
-        let temporal = if depth > 1 {
-            let coeff_halos = binding
-                .coeffs()
-                .iter()
-                .map(|_| owned.halo(machine, sub, coeff_pad))
-                .collect::<Result<_, _>>()?;
-            let scratch = (0..depth.min(3) - 1)
-                .map(|_| owned.halo(machine, sub, halo_pad))
-                .collect::<Result<_, _>>()?;
-            Some(TemporalPlan {
-                depth,
-                scratch,
-                coeff_halos,
-            })
+            Some((halos, consts, pages))
         } else {
             None
         };
 
         // The halo exchanges, compiled: neighbor lookups, copy addresses,
-        // fill spans, and the cycle price are all fixed by (shape, grid,
-        // boundary, primitive). Fused steps always need corners:
+        // fill spans, and the cycle price are all fixed by (placement,
+        // grid, boundary, primitive). Fused steps always need corners:
         // composing the stencil with itself reaches diagonal neighbors
         // even when one application does not.
         let need_corners = if opts.skip_corners_when_possible {
@@ -687,9 +794,9 @@ impl CompiledPlan {
             pad > 0
         };
         let (grid, cfg) = (machine.grid(), machine.config());
-        let exchange = |halo: &HaloBuffer| {
+        let exchange = |at: &Padded| {
             ExchangeProgram::new(
-                halo,
+                at,
                 grid,
                 cfg,
                 stencil.boundary(),
@@ -698,72 +805,62 @@ impl CompiledPlan {
                 opts.primitive,
             )
         };
-        let exchanges: Vec<ExchangeProgram> = halos.iter().map(exchange).collect();
-        let coeff_exchanges: Vec<ExchangeProgram> = temporal
-            .iter()
-            .flat_map(|tp| &tp.coeff_halos)
-            .map(exchange)
-            .collect();
-
-        // The classic plan's node schedule, for the scalar engine: the
-        // strips in strip-mine order and one copy of each kernel they
-        // name. Temporal plans have no scalar body.
-        let node = if depth == 1 {
-            NodeSchedule::of(compiled, opts.half_strips, sub_rows, sub_cols)
-        } else {
-            NodeSchedule::default()
-        };
-        let counts = ScheduleCounts::of(compiled, opts.half_strips, sub, depth, pad);
-
-        // The IR the lane body sweeps: taps in statement order, then bias
-        // terms, each coefficient a literal's value, `1.0` for a unit tap,
-        // or a named array in binding order.
-        let mut named = 0;
-        let coeff_terms: Vec<TermCoeff> = spec
-            .coeffs
-            .iter()
-            .map(|c| match c {
-                CoeffSpec::Literal(v) => TermCoeff::Scalar(*v),
-                CoeffSpec::Named(_) => {
-                    named += 1;
-                    TermCoeff::Named(named - 1)
-                }
-            })
-            .collect();
-        let terms = stencil
-            .taps()
-            .iter()
-            .map(|tap| Term {
-                tap: Some((
-                    usize::from(tap.source),
-                    i64::from(tap.offset.drow),
-                    i64::from(tap.offset.dcol),
-                )),
-                coeff: match tap.coeff {
-                    CoeffRef::Array(a) => coeff_terms[a],
-                    CoeffRef::Unit => TermCoeff::Scalar(1.0),
-                },
-            })
-            .chain(stencil.bias().iter().map(|&a| Term {
-                tap: None,
-                coeff: coeff_terms[a],
-            }))
-            .collect();
-
-        let mut cp = CompiledPlan {
-            node,
-            counts,
-            terms,
-            pad,
-            lane: None,
+        let scalar = node_fields.map(|(halos, consts, pages)| ScalarBody {
+            node: NodeSchedule::of(compiled, opts.half_strips, sub_rows, sub_cols),
+            exchanges: halos.iter().map(|h| exchange(&h.placement())).collect(),
             halos,
-            dest,
-            exchanges,
             consts,
             pages,
+        });
+
+        // The lane body: the mirror laid out from the shape alone, the
+        // stencil IR lowered against it, and the halo exchanges and
+        // scratch fills generated at its lane bases. A refused row
+        // program keeps a classic plan on the scalar engine; a temporal
+        // plan, which has no other body, is refused.
+        let lane = if opts.mode != ExecMode::Fast {
+            Err("cycle-accurate mode")
+        } else if opts.engine != ExecEngine::Lockstep {
+            Err("scalar engine requested")
+        } else {
+            let buffers = lane_layout(sub, (sources, named), depth, pad)?;
+            let terms = statement_terms(compiled);
+            lower(&terms, &buffers, (sources, named), sub, depth, pad).map(|program| {
+                // Sources, and a temporal plan's coefficient halos.
+                let rings = if depth > 1 { sources + named } else { sources };
+                let scratch = &buffers[sources + named..buffers.len() - 1];
+                LaneSchedule {
+                    forward: LaneDirection {
+                        program,
+                        exchanges: buffers[..rings]
+                            .iter()
+                            .map(|b| LaneExchangeProgram::new(&exchange(b)))
+                            .collect(),
+                    },
+                    backward: OnceLock::new(),
+                    scratch_fills: scratch
+                        .iter()
+                        .map(|b| {
+                            LaneFillProgram::boundary(b, grid, stencil.boundary(), stencil.fill())
+                        })
+                        .collect(),
+                    buffers,
+                }
+            })
+        };
+        if depth > 1 && lane.is_err() {
+            return Err(RuntimeError::Unfusable {
+                reason: "the fused schedule does not map onto the lane mirror",
+            });
+        }
+        Ok(CompiledPlan {
+            scalar,
+            counts: ScheduleCounts::of(compiled, opts.half_strips, sub, depth, pad),
+            lane,
+            sources,
+            named,
             owned: OwnedFields::default(),
             shape: (result.rows(), result.cols()),
-            sub,
             useful_flops: stencil.useful_flops_per_point()
                 * (result.rows() * result.cols()) as u64
                 * depth as u64,
@@ -772,151 +869,34 @@ impl CompiledPlan {
             nodes: machine.node_count(),
             opts: *opts,
             fingerprint: compiled.fingerprint(),
-            temporal,
+            depth,
             temporal_fallback,
-        };
-
-        // The lane mapping: mirror exactly the buffers the lane body
-        // reads and writes, lower the stencil IR into a row program over
-        // them and translate the halo programs into lane words. The view
-        // fails on aliased arrays, the program when a check refuses it,
-        // a translation when a run escapes its buffer; a classic plan
-        // then runs on the scalar engine, and a temporal plan, which has
-        // no other body, is refused. Only the schedule is kept: lane
-        // addresses depend on range lengths and order alone, both
-        // binding-invariant, so the artifact shares it with every
-        // instance; the view itself (its gather bases) and the interior
-        // refresh copies are per-binding and are recomputed by
-        // [`PlanInstance::for_binding`].
-        if lane_eligible {
-            let exchanges: Vec<&ExchangeProgram> =
-                cp.exchanges.iter().chain(&coeff_exchanges).collect();
-            cp.lane = instance_lane_view(&cp, binding.coeffs(), &result).and_then(|view| {
-                let program = cp.lane_program(&view, binding.coeffs()).ok()?;
-                // The beyond-global-edge fill fix-up of each scratch state.
-                let fills = cp
-                    .temporal
-                    .iter()
-                    .flat_map(|tp| &tp.scratch)
-                    .map(|s| {
-                        LaneFillProgram::boundary(
-                            s,
-                            grid,
-                            stencil.boundary(),
-                            stencil.fill(),
-                            &view,
-                        )
-                    })
-                    .collect::<Option<_>>()?;
-                LaneSchedule::new(program, &exchanges, fills, &view).ok()
-            });
-            if cp.temporal.is_some() && cp.lane.is_none() {
-                return Err(RuntimeError::Unfusable {
-                    reason: "the fused schedule does not map onto the lane mirror",
-                });
-            }
-        }
-        Ok(cp)
+        })
     }
 
-    /// Why instances of this artifact cannot run the lane body, if
-    /// they cannot: it needs fast mode on the lockstep engine.
-    fn lane_ineligible(&self) -> Option<&'static str> {
-        if self.opts.mode != ExecMode::Fast {
-            Some("cycle-accurate mode")
-        } else if self.opts.engine != ExecEngine::Lockstep {
-            Some("scalar engine requested")
-        } else {
-            None
-        }
+    /// The lane schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless instances of the plan can run the lane body.
+    fn lane_schedule(&self) -> &LaneSchedule {
+        self.lane
+            .as_ref()
+            .expect("lane-mapped plans have a lane schedule")
     }
 
-    /// Lowers the statement's terms into direction 0's row program over
-    /// `view`, for a binding whose named coefficients are `coeffs`. Step
-    /// `j` of `depth` writes the `(depth−1−j)·radius`-deep extension of
-    /// the subgrid — into the next scratch state, or (the last step) the
-    /// destination buffer's interior — reading source halos (step 0) or
-    /// the previous scratch state; a named coefficient is read in place,
-    /// from its bound array (classic plans) or its coefficient halo
-    /// (temporal plans).
-    ///
-    /// # Errors
-    ///
-    /// Why the program cannot run: a run outside its buffer or the view,
-    /// or a check [`RowProgram::new`] refuses.
-    fn lane_program(
-        &self,
-        view: &LaneView,
-        coeffs: &[CmArray],
-    ) -> Result<RowProgram, &'static str> {
-        let depth = self.temporal_depth();
-        let (sub_rows, sub_cols) = self.sub;
-        let dest = self.dest.expect("lane plans have a destination buffer");
-        // The run of `layout` whose first point is logical `(row, col)`.
-        let run = |layout: FieldLayout, row: i64, col: i64| -> Result<RowRun, &'static str> {
-            let (r, c) = (row + layout.row_offset, col + layout.col_offset);
-            if r < 0 || c < 0 {
-                return Err("a term run starts outside its buffer");
-            }
-            let addr = layout.base + r as usize * layout.row_stride + c as usize;
-            let (word, _) = view
-                .locate(addr)
-                .ok_or("a term run lies outside the lane view")?;
-            Ok(RowRun {
-                word,
-                stride: layout.row_stride,
-            })
-        };
-        let coeff_layouts: Vec<FieldLayout> = match &self.temporal {
-            Some(tp) => tp.coeff_halos.iter().map(HaloBuffer::layout).collect(),
-            None => coeffs.iter().map(CmArray::layout).collect(),
-        };
-        let steps = (0..depth)
-            .map(|step| {
-                let m = ((depth - 1 - step) * self.pad) as i64;
-                let scratch = |i: usize| match &self.temporal {
-                    Some(tp) => tp.scratch[i % 2].layout(),
-                    None => unreachable!("only fused steps pass through scratch"),
-                };
-                let srcs: Vec<FieldLayout> = if step == 0 {
-                    self.halos.iter().map(HaloBuffer::layout).collect()
-                } else {
-                    vec![scratch(step - 1)]
-                };
-                let out = if step + 1 == depth {
-                    dest.layout()
-                } else {
-                    scratch(step)
-                };
-                let terms = self
-                    .terms
-                    .iter()
-                    .map(|term| {
-                        let data = match term.tap {
-                            Some((s, dr, dc)) => Some(run(srcs[s], dr - m, dc - m)?),
-                            None => None,
-                        };
-                        let coeff = match term.coeff {
-                            TermCoeff::Scalar(v) => RowCoeff::Scalar(v),
-                            TermCoeff::Named(k) => RowCoeff::Run(run(coeff_layouts[k], -m, -m)?),
-                        };
-                        Ok(RowTerm { data, coeff })
-                    })
-                    .collect::<Result<_, &'static str>>()?;
-                Ok(RowStep {
-                    rows: sub_rows + 2 * m as usize,
-                    cols: sub_cols + 2 * m as usize,
-                    dest: run(out, -m, -m)?,
-                    terms,
-                })
-            })
-            .collect::<Result<_, &'static str>>()?;
-        RowProgram::new(steps, view)
+    /// Why a binding of `result` and the named coefficients `coeffs`
+    /// runs on the scalar engine, if it does: the artifact's reason, or
+    /// the aliasing rule's ([`aliasing_refusal`]).
+    fn lane_fallback(&self, result: &CmArray, coeffs: &[CmArray]) -> Option<&'static str> {
+        match &self.lane {
+            Err(reason) => Some(reason),
+            Ok(_) => aliasing_refusal(result, coeffs.iter()),
+        }
     }
 
     /// Validates that a candidate binding can attach to this artifact:
-    /// argument counts equal the build binding's (one source per halo
-    /// buffer, one array per named coefficient slot), every array has the
+    /// argument counts equal the build binding's, every array has the
     /// compiled shape, and (temporal plans) the result aliases no named
     /// coefficient. `what` prefixes error messages ("rebind", "bound").
     fn validate_binding(
@@ -926,16 +906,15 @@ impl CompiledPlan {
         sources: &[&CmArray],
         coeffs: &[&CmArray],
     ) -> Result<(), RuntimeError> {
-        if sources.len() != self.halos.len() {
+        if sources.len() != self.sources {
             return Err(RuntimeError::WrongSourceCount {
-                expected: self.halos.len(),
+                expected: self.sources,
                 got: sources.len(),
             });
         }
-        let named = self.pages.iter().filter(|page| page.is_none()).count();
-        if coeffs.len() != named {
+        if coeffs.len() != self.named {
             return Err(RuntimeError::WrongCoeffCount {
-                expected: named,
+                expected: self.named,
                 got: coeffs.len(),
             });
         }
@@ -962,17 +941,6 @@ impl CompiledPlan {
         check_fusable(self.temporal_depth(), result, coeffs.iter().copied())
     }
 
-    /// Whether `base` starts one of the plan's halo buffers (source or,
-    /// temporal plans, coefficient halos): ranges whose mirror words the
-    /// interior refresh and exchange define, never a gather.
-    fn is_halo(&self, base: usize) -> bool {
-        self.halos
-            .iter()
-            .chain(self.temporal.iter().flat_map(|tp| &tp.coeff_halos))
-            .chain(&self.dest)
-            .any(|h| h.field().base() == base)
-    }
-
     /// The [`CompiledStencil::fingerprint`] this artifact was built from.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
@@ -993,9 +961,9 @@ impl CompiledPlan {
         &self.opts
     }
 
-    /// Words of node memory the artifact's halo buffers (the
-    /// destination buffer included), constant pages, and (temporal
-    /// plans) coefficient halos and scratch states occupy.
+    /// Words of node memory per node the artifact owns: a classic plan's
+    /// halo buffers, constant pair and literal pages — what the scalar
+    /// engine reads. A temporal plan owns none.
     pub fn words(&self) -> usize {
         self.owned.words()
     }
@@ -1003,56 +971,13 @@ impl CompiledPlan {
     /// Fused time steps per execute: the effective temporal depth (1 for
     /// classic plans, including clamped requests).
     pub fn temporal_depth(&self) -> usize {
-        self.temporal.as_ref().map_or(1, |tp| tp.depth)
+        self.depth
     }
 
     /// Why a requested temporal depth above 1 was clamped back to one
     /// step per exchange, when it was.
     pub fn temporal_fallback(&self) -> Option<&'static str> {
         self.temporal_fallback
-    }
-
-    /// Resolves the node schedule against a binding whose result is
-    /// `result` and whose named coefficients are `coeffs`: identical on
-    /// every node (SIMD), in strip-mine order, with every memory operand
-    /// turned into an absolute address. A named coefficient is read from
-    /// its bound array, a literal from its page.
-    fn resolve_strips(&self, result: &CmArray, coeffs: &[CmArray]) -> Vec<ResolvedStrip> {
-        let srcs: Vec<FieldLayout> = self.halos.iter().map(HaloBuffer::layout).collect();
-        let mut named = coeffs.iter();
-        let coeffs: Vec<FieldLayout> = self
-            .pages
-            .iter()
-            .map(|page| match page {
-                Some(page) => FieldLayout {
-                    base: page.base(),
-                    row_stride: 0,
-                    row_offset: 0,
-                    col_offset: 0,
-                },
-                None => named
-                    .next()
-                    .expect("coefficient count was validated")
-                    .layout(),
-            })
-            .collect();
-        self.node
-            .strips
-            .iter()
-            .map(|&(kernel, strip, half)| {
-                let ctx = StripContext {
-                    srcs: &srcs,
-                    res: result.layout(),
-                    coeffs: &coeffs,
-                    ones_addr: self.consts.addr(0),
-                    zeros_addr: self.consts.addr(1),
-                    start_row: half.start_row as i64,
-                    lines: half.lines,
-                    col0: strip.col0 as i64,
-                };
-                ResolvedStrip::new(&self.node.kernels[kernel], &ctx)
-            })
-            .collect()
     }
 
     /// Returns the artifact's fields to the persistent arena. The caller
@@ -1066,18 +991,13 @@ impl CompiledPlan {
 
 impl PlanInstance {
     /// Creates the per-tenant state for `cp` bound to `binding`'s
-    /// arrays and maps it onto the lane mirror. Performs no machine
-    /// allocation and resolves no strip.
+    /// arrays. Performs no machine allocation and resolves no strip.
     fn for_binding(cp: &CompiledPlan, binding: &StencilBinding<'_>) -> Self {
-        let mut inst = PlanInstance {
+        PlanInstance {
             strips: None,
-            lane_override: None,
-            lane_view: None,
-            lane_fallback: None,
+            lane_fallback: cp.lane_fallback(binding.result(), binding.coeffs()),
             lane_mirror: LaneMirror::new(),
-            lane_interiors: Vec::new(),
-            lane_held: Vec::new(),
-            lane_buffers: Vec::new(),
+            lane_buffers: vec![None; cp.lane.as_ref().map_or(0, |l| l.buffers.len())],
             lane_dir: 0,
             lane_pending: None,
             lane_epoch: 0,
@@ -1086,72 +1006,11 @@ impl PlanInstance {
             result: *binding.result(),
             sources: binding.sources().to_vec(),
             coeffs: binding.coeffs().to_vec(),
-        };
-        inst.map_lanes(cp);
-        inst
-    }
-
-    /// The lane schedule the instance runs when lane-mapped: the shared
-    /// one, or its private one when the artifact has none.
-    fn lane_schedule<'a>(&'a self, cp: &'a CompiledPlan) -> Option<&'a LaneSchedule> {
-        cp.lane.as_ref().or(self.lane_override.as_ref())
-    }
-
-    /// Maps the current binding onto the lane mirror: the view over the
-    /// bound arrays (its gather bases follow every rebind), a private
-    /// schedule when the shared artifact has none, and the interior
-    /// copies, which read the bound arrays. Leaves the instance unmapped
-    /// — on the scalar engine, with the reason in `lane_fallback` — when
-    /// any part fails.
-    fn map_lanes(&mut self, cp: &CompiledPlan) {
-        self.lane_view = None;
-        self.lane_interiors.clear();
-        self.lane_fallback = self.try_map_lanes(cp).err();
-    }
-
-    /// [`Self::map_lanes`]'s body, or why the binding cannot map.
-    fn try_map_lanes(&mut self, cp: &CompiledPlan) -> Result<(), &'static str> {
-        if let Some(reason) = cp.lane_ineligible() {
-            return Err(reason);
         }
-        let view = instance_lane_view(cp, &self.coeffs, &self.result)
-            .ok_or("bound arrays overlap in node memory")?;
-        if self.lane_schedule(cp).is_none() {
-            // Only classic plans get here (a temporal build maps its
-            // schedule or fails), so there are no coefficient halos or
-            // scratch fills to translate.
-            let program = cp.lane_program(&view, &self.coeffs)?;
-            let exchanges: Vec<&ExchangeProgram> = cp.exchanges.iter().collect();
-            self.lane_override = Some(LaneSchedule::new(program, &exchanges, Vec::new(), &view)?);
-        }
-        // Refresh pairs: each source into its halo, then (temporal
-        // plans) each named coefficient into its coefficient halo, then
-        // the destination buffer, which holds source 0 when direction 1
-        // reads it.
-        let coeffs: &[CmArray] = if cp.temporal.is_some() {
-            &self.coeffs
-        } else {
-            &[]
-        };
-        let halos = cp
-            .halos
-            .iter()
-            .chain(cp.temporal.iter().flat_map(|tp| &tp.coeff_halos))
-            .chain(&cp.dest);
-        let arrays = self
-            .sources
-            .iter()
-            .chain(coeffs)
-            .chain(cp.dest.iter().map(|_| &self.sources[0]));
-        self.lane_interiors = lane_interior_copies(&view, halos.zip(arrays))
-            .ok_or("a halo buffer lies outside the lane view")?;
-        self.lane_buffers.resize(self.lane_interiors.len(), None);
-        self.lane_view = Some(view);
-        Ok(())
     }
 
-    /// The bound array refresh pair `k` copies into its halo: sources
-    /// first, then (temporal plans) the named coefficients.
+    /// The bound array lane buffer `k` is refreshed from: the sources
+    /// first, then the named coefficients.
     fn refresh_array(&self, k: usize) -> CmArray {
         match k.checked_sub(self.sources.len()) {
             None => self.sources[k],
@@ -1159,20 +1018,19 @@ impl PlanInstance {
         }
     }
 
-    /// Marks the mirror's contents as garbage: the next execute gathers
-    /// the whole view and refreshes every halo.
+    /// Marks the mirror's contents as garbage: the next execute
+    /// refreshes every buffer.
     fn forget_mirror(&mut self) {
-        self.lane_held.clear();
         self.lane_buffers.fill(None);
         self.lane_pending = None;
     }
 
-    /// The buffer refresh pair `k` reads in direction `dir`: its own,
-    /// except source 0 in direction 1, which reads the destination
-    /// buffer (the last of `lane_interiors`).
+    /// The buffer that holds array `k` of [`Self::refresh_array`] in
+    /// direction `dir`: its own, except source 0 in direction 1, which
+    /// is read from the destination buffer (the last).
     fn source_buffer(&self, k: usize, dir: usize) -> usize {
         if k == 0 && dir == 1 {
-            self.lane_interiors.len() - 1
+            self.lane_buffers.len() - 1
         } else {
             k
         }
@@ -1197,25 +1055,14 @@ impl PlanInstance {
         }
     }
 
-    /// Forgets every held range whose node-memory source moved or was
-    /// written since the mirror's last sync and every buffer whose array
-    /// was written since the epoch it holds it as of, and records this
-    /// sync's epoch. Runs before the execute takes node memory, so the
-    /// epoch precedes the execute's own stamps. A commit never reported
-    /// by [`Self::committed`] leaves its buffer unheld.
+    /// Forgets every buffer whose array was written since the epoch it
+    /// holds it as of, and records this sync's epoch. Runs before the
+    /// execute takes node memory, so the epoch precedes the execute's
+    /// own stamps. A commit never reported by [`Self::committed`] leaves
+    /// its buffer unheld.
     fn invalidate_stale(&mut self, machine: &Machine) {
         self.lane_pending = None;
-        let since = std::mem::replace(&mut self.lane_epoch, machine.write_epoch());
-        let view = self
-            .lane_view
-            .as_ref()
-            .expect("mirrored plans are lane-mapped");
-        for (held, range) in self.lane_held.iter_mut().zip(view.ranges()) {
-            let words = range.node_base..range.node_base + range.len;
-            if *held != Some(range.node_base) || machine.written_since(words, since) {
-                *held = None;
-            }
-        }
+        self.lane_epoch = machine.write_epoch();
         for buffer in &mut self.lane_buffers {
             if buffer.is_some_and(|h| machine.written_since(h.array.range(), h.epoch)) {
                 *buffer = None;
@@ -1246,45 +1093,17 @@ impl PlanInstance {
         self.compute_phase(cp, tally, stage)
     }
 
-    /// Re-reads exactly what [`Self::invalidate_stale`] left unheld: the
-    /// whole view when the mirror holds nothing yet, else the gathered
-    /// ranges that moved or were written. Then picks the direction —
-    /// the one reading the buffer that already holds source 0, if one
-    /// does — and refreshes the interior of every pair whose buffer does
-    /// not hold its array. Refreshed buffers stay unexchanged until the
-    /// compute phase has exchanged them.
+    /// Picks the direction — the one reading the buffer that already
+    /// holds source 0, if one does — and refreshes every source and
+    /// coefficient buffer that does not hold its array once
+    /// [`Self::invalidate_stale`] has run: the execute's only reads of
+    /// node memory. Refreshed buffers stay unexchanged until the compute
+    /// phase has exchanged them.
     fn read_phase(&mut self, cp: &CompiledPlan, machine: &Machine, tally: &mut ExecTally) {
         self.invalidate_stale(machine);
         let (_, mems) = machine.exec_parts();
-        let nodes = cp.nodes;
-        let view = self
-            .lane_view
-            .as_ref()
-            .expect("mirrored plans are lane-mapped");
-        self.lane_mirror.ensure(view.words(), nodes);
-        let gathered = |r: &LaneRange| !r.writable && !r.private && !cp.is_halo(r.node_base);
-        if self.lane_held.is_empty() {
-            self.lane_mirror.gather(view, mems);
-            tally.predicted += view.gather_words() * nodes;
-            self.lane_held
-                .extend(view.ranges().iter().map(|r| Some(r.node_base)));
-        } else {
-            for (range, held) in view.ranges().iter().zip(&mut self.lane_held) {
-                if held.is_none() && gathered(range) {
-                    let rect = RectCopy {
-                        node0: range.node_base,
-                        node_stride: 0,
-                        lane0: range.lane_base,
-                        lane_stride: 0,
-                        rows: 1,
-                        cols: range.len,
-                    };
-                    self.lane_mirror.gather_rect(mems, &rect);
-                    tally.predicted += range.len * nodes;
-                    *held = Some(range.node_base);
-                }
-            }
-        }
+        let lane = cp.lane_schedule();
+        self.lane_mirror.ensure(lane.words(), cp.nodes);
         let holds = |buffers: &[Option<Held>], b: usize, array: Field| {
             buffers[b].is_some_and(|h| h.array == array)
         };
@@ -1293,22 +1112,28 @@ impl PlanInstance {
             !holds(&self.lane_buffers, 0, source)
                 && holds(&self.lane_buffers, self.source_buffer(0, 1), source),
         );
-        let pairs = self.sources.len() + cp.temporal.as_ref().map_or(0, |tp| tp.coeff_halos.len());
-        for k in 0..pairs {
+        for k in 0..cp.sources + cp.named {
             let b = self.source_buffer(k, self.lane_dir);
-            let array = self.refresh_array(k).field();
-            if holds(&self.lane_buffers, b, array) {
+            let array = self.refresh_array(k);
+            if holds(&self.lane_buffers, b, array.field()) {
                 continue;
             }
-            let interior = &self.lane_interiors[b];
-            let _t = cmcc_obs::trace::scope(
-                cmcc_obs::trace::TraceOp::InteriorRefresh,
-                (interior.rows * interior.cols) as u64,
-            );
-            self.lane_mirror.gather_rows(mems, interior);
-            tally.predicted += interior.rows * interior.cols * nodes;
+            let copy = lane.buffers[b].interior_copy(&array);
+            if k < lane.forward.exchanges.len() {
+                // A halo: the lane-domain `fill_interior`.
+                let _t = cmcc_obs::trace::scope(
+                    cmcc_obs::trace::TraceOp::InteriorRefresh,
+                    (copy.rows * copy.cols) as u64,
+                );
+                self.lane_mirror.gather_rows(mems, &copy);
+            } else {
+                // A classic plan's coefficient, which the sweeps read in
+                // place: its copy counts as a gather.
+                self.lane_mirror.gather_rect(mems, &copy);
+            }
+            tally.predicted += copy.rows * copy.cols * cp.nodes;
             self.lane_buffers[b] = Some(Held {
-                array,
+                array: array.field(),
                 epoch: self.lane_epoch,
                 exchanged: false,
             });
@@ -1324,13 +1149,9 @@ impl PlanInstance {
         mut tally: ExecTally,
         stage: &mut RegionStage,
     ) -> Measurement {
-        let depth = cp.temporal_depth();
+        let depth = cp.depth;
         let dir = self.lane_dir;
-        let schedule = cp
-            .lane
-            .as_ref()
-            .or(self.lane_override.as_ref())
-            .expect("mapped plans have a lane schedule");
+        let schedule = cp.lane_schedule();
         let lane = schedule.direction(dir);
         for (k, exchange) in lane.exchanges.iter().enumerate() {
             // The modeled NEWS cycles are charged every iteration —
@@ -1369,11 +1190,7 @@ impl PlanInstance {
         }
         // Transpose the destination's interior into the result's stage;
         // the caller commits it with `Machine::apply_stage`.
-        let rect = RectCopy {
-            node0: self.result.field().base(),
-            node_stride: self.result.sub_cols(),
-            ..self.lane_interiors[dest]
-        };
+        let rect = schedule.buffers[dest].interior_copy(&self.result);
         tally.predicted += rect.rows * rect.cols * cp.nodes;
         self.lane_mirror.stage(&rect, stage);
         self.finish(cp, tally)
@@ -1386,7 +1203,7 @@ impl PlanInstance {
         cp: &CompiledPlan,
         machine: &mut Machine,
     ) -> Result<Measurement, RuntimeError> {
-        if self.lane_view.is_some() {
+        if self.lane_fallback.is_none() {
             // The lane body, committed at once: the caller holds the
             // machine exclusively, so nothing runs between the staged
             // writes and their commit.
@@ -1404,20 +1221,19 @@ impl PlanInstance {
             return Ok(m);
         }
         // The scalar engine: the oracle and the cycle model. Temporal
-        // plans have no scalar body: their build maps the schedule or
-        // fails, and their view holds only plan-owned buffers and the
-        // result, so every binding that passes `check_fusable` maps.
-        assert!(cp.temporal.is_none(), "temporal plans are lane-mapped");
+        // plans have no scalar body: their build lowers the lane body or
+        // fails, and every binding that passes `check_fusable` maps.
+        let body = cp.scalar.as_ref().expect("temporal plans are lane-mapped");
         let _span = cmcc_obs::span(cmcc_obs::Phase::Execute);
         let mut tally = ExecTally::new(&self.lane_mirror);
-        for ((halo, program), src) in cp.halos.iter().zip(&cp.exchanges).zip(&self.sources) {
+        for ((halo, program), src) in body.halos.iter().zip(&body.exchanges).zip(&self.sources) {
             tally.interior_words += halo.fill_interior(machine, src);
             tally.exchange_words += program.words_moved();
             tally.comm += program.run(machine);
         }
         let strips = self
             .strips
-            .get_or_insert_with(|| cp.resolve_strips(&self.result, &self.coeffs));
+            .get_or_insert_with(|| body.resolve_strips(&self.result, &self.coeffs));
         tally.run = machine.run_resolved_all(
             strips,
             [self.result.field().range()],
@@ -1442,7 +1258,7 @@ impl PlanInstance {
         } = tally;
         let d = MirrorWords::of(&self.lane_mirror).minus(&mirror_base);
         cmcc_obs::add(
-            if self.lane_view.is_some() {
+            if self.lane_fallback.is_none() {
                 cmcc_obs::Counter::LaneResidentRuns
             } else {
                 cmcc_obs::Counter::ScalarRuns
@@ -1466,8 +1282,8 @@ impl PlanInstance {
         // Every build proves the copy model against observed traffic: the
         // words this execute moved are exactly what its re-reads predict
         // — the analytic `steady_state_copy_words` on the scalar engine,
-        // and the staged result plus the re-gathered ranges, refreshed
-        // buffers and run exchanges on the lane body. Both sides are counted
+        // and the staged result plus the refreshed buffers and run
+        // exchanges on the lane body. Both sides are counted
         // anyway, and on the lane body a mismatch panics before the
         // caller commits the stage, so node memory stays untouched.
         let observed =
@@ -1476,7 +1292,7 @@ impl PlanInstance {
             observed, predicted as u64,
             "execute copy words diverged from the copy model"
         );
-        if self.lane_view.is_some() {
+        if self.lane_fallback.is_none() {
             assert_eq!(
                 d.lane_copied, exchange_words as u64,
                 "lane exchange moved a different word count than its program records"
@@ -1522,7 +1338,7 @@ impl PlanInstance {
             .any(|(old, new)| old.field() != new.field());
         if !result_moved && moved_coeffs.is_empty() && !any_source {
             // Identical binding (the plan-cache hit replaying the same
-            // arrays): the resolved strips and the lane view still hold.
+            // arrays): the resolved strips and the engine still hold.
             // Writes to the bound arrays are caught by the execute's
             // write-stamp check, not here.
             self.lane_rebind_moved = 0;
@@ -1541,33 +1357,21 @@ impl PlanInstance {
         self.coeffs.clear();
         self.coeffs.extend(coeffs.iter().map(|c| **c));
 
-        // Remap against the new arrays. The ranges keep their order and
-        // lengths (shapes were just validated), so lane addresses and
-        // the lane schedule stay valid; only the view's gather bases and
-        // the interior copies move. A rebind can also unmap the plan
-        // (the new binding aliases arrays) or map it again. The mirror
+        // The lane schedule depends on the shape alone, so it stays
+        // valid; only the aliasing rule is checked again, which can put
+        // the instance on the scalar engine or take it off. The mirror
         // keeps its contents and its records of what each buffer holds:
         // the next execute reads its source from the buffer that holds
         // it — a ping-pong's last result — and re-reads only what moved.
-        self.map_lanes(cp);
-        let nodes = cp.nodes;
-        self.lane_rebind_moved = match (&self.lane_view, self.lane_schedule(cp)) {
-            (Some(_), Some(schedule)) => moved_coeffs
+        self.lane_fallback = cp.lane_fallback(&self.result, &self.coeffs);
+        self.lane_rebind_moved = if self.lane_fallback.is_none() {
+            let lane = cp.lane_schedule();
+            moved_coeffs
                 .iter()
-                .map(|&k| {
-                    let c = self.coeffs[k];
-                    match cp.temporal {
-                        // Temporal plans read coefficients through their
-                        // halos: a moved array re-runs that refresh pair.
-                        Some(_) => {
-                            c.sub_rows() * c.sub_cols() * nodes
-                                + schedule.forward.exchanges[self.sources.len() + k].words_moved()
-                        }
-                        None => c.field().len() * nodes,
-                    }
-                })
-                .sum(),
-            _ => 0,
+                .map(|&k| self.subgrid_words(cp) + lane.exchange_words(cp.sources + k))
+                .sum()
+        } else {
+            0
         };
         Ok(())
     }
@@ -1575,49 +1379,44 @@ impl PlanInstance {
     /// Machine-total words copied per steady-state `execute` — the body
     /// behind [`ExecutionPlan::steady_state_copy_words`].
     fn steady_copy_words(&self, cp: &CompiledPlan) -> usize {
-        let (Some(_), Some(schedule)) = (&self.lane_view, self.lane_schedule(cp)) else {
+        let subgrid = self.subgrid_words(cp);
+        if self.lane_fallback.is_some() {
             // The scalar engine refreshes every source interior and runs
             // every exchange per execute.
-            let interior: usize = self
-                .sources
-                .iter()
-                .map(|s| s.sub_rows() * s.sub_cols())
-                .sum();
-            return interior * cp.nodes
-                + cp.exchanges
+            let body = cp.scalar.as_ref().expect("temporal plans are lane-mapped");
+            return subgrid * self.sources.len()
+                + body
+                    .exchanges
                     .iter()
                     .map(ExchangeProgram::words_moved)
                     .sum::<usize>();
-        };
+        }
         // The result is staged every execute. Source 0's buffer still
         // holds it, exchanged, unless the commit rewrote source 0 (an
         // in-place update, read next time from the destination: exchange
         // only; a partial overlap: refresh and exchange again).
+        let lane = cp.lane_schedule();
         let result = self.result.field();
-        let exchange0 = schedule.forward.exchanges[0].words_moved();
+        let exchange0 = lane.exchange_words(0);
         let source0 = if self.sources[0].field() == result {
             exchange0
         } else if overlaps(self.sources[0].field(), result) {
-            self.refresh_words(cp, 0) + exchange0
+            subgrid + exchange0
         } else {
             0
         };
-        // Other pairs stay held unless the commit wrote their array; the
-        // last buffer is the destination.
-        let others: usize = (1..self.lane_interiors.len() - 1)
+        // Other sources and coefficients stay held unless the commit
+        // wrote their array.
+        let others: usize = (1..cp.sources + cp.named)
             .filter(|&k| overlaps(self.refresh_array(k).field(), result))
-            .map(|k| self.refresh_words(cp, k) + schedule.forward.exchanges[k].words_moved())
+            .map(|k| subgrid + lane.exchange_words(k))
             .sum();
-        source0 + others + self.stage_words(cp)
+        source0 + others + subgrid
     }
 
-    /// Machine-total words the interior refresh of pair `k` copies.
-    fn refresh_words(&self, cp: &CompiledPlan, k: usize) -> usize {
-        self.lane_interiors[k].rows * self.lane_interiors[k].cols * cp.nodes
-    }
-
-    /// Machine-total words one execute stages into the result.
-    fn stage_words(&self, cp: &CompiledPlan) -> usize {
+    /// Machine-total words of one subgrid copy: a buffer's refresh, or
+    /// the stage of the result.
+    fn subgrid_words(&self, cp: &CompiledPlan) -> usize {
         self.result.field().len() * cp.nodes
     }
 
@@ -1630,24 +1429,24 @@ impl PlanInstance {
     /// steady-state figure (every execute already pays the full
     /// refresh).
     fn rebind_cycle_copy_words(&self, cp: &CompiledPlan) -> usize {
-        let (Some(_), Some(schedule)) = (&self.lane_view, self.lane_schedule(cp)) else {
+        if self.lane_fallback.is_some() {
             return self.steady_copy_words(cp);
-        };
-        let exchanges = &schedule.forward.exchanges;
+        }
+        let (lane, subgrid) = (cp.lane_schedule(), self.subgrid_words(cp));
         let others: usize = (1..self.sources.len())
-            .map(|k| self.refresh_words(cp, k) + exchanges[k].words_moved())
+            .map(|k| subgrid + lane.exchange_words(k))
             .sum();
-        exchanges[0].words_moved() + others + self.lane_rebind_moved + self.stage_words(cp)
+        lane.exchange_words(0) + others + self.lane_rebind_moved + subgrid
     }
 }
 
 impl ExecutionPlan {
     /// Plans every per-call decision for `binding` under `opts`.
     ///
-    /// Builds the shared [`CompiledPlan`] (halo buffers and constant
-    /// pages from the persistent arena, exchange programs, the
-    /// strip-mine schedule and the row program) and attaches the
-    /// binding's own [`PlanInstance`] to it. Return the fields with
+    /// Builds the shared [`CompiledPlan`] (the scalar engine's halo
+    /// buffers and constant pages from the persistent arena, exchange
+    /// programs, the strip-mine schedule, the lane layout and the row
+    /// program) and attaches the binding's own [`PlanInstance`] to it. Return the fields with
     /// [`Self::release`] after the last execute; a build that fails
     /// returns whatever it had allocated itself.
     ///
@@ -1672,8 +1471,8 @@ impl ExecutionPlan {
 
     /// Attaches a fresh per-tenant instance to an existing shared
     /// artifact — the multi-tenant fast path: no machine access, no
-    /// field allocation, no strip resolution, just this binding's lane
-    /// view over the shared schedule.
+    /// field allocation, no strip resolution, just this binding over
+    /// the shared schedule.
     ///
     /// # Errors
     ///
@@ -1722,18 +1521,16 @@ impl ExecutionPlan {
     /// once through [`Machine::apply_stage`]; its mirror and stage
     /// buffers are recycled, so a steady state allocates nothing. The
     /// body re-reads node memory only where its mirror is out of date:
-    /// each viewed read-only range (the coefficient arrays of a classic
-    /// plan) is re-read exactly when its node base moved since
-    /// the mirror's last sync or its write stamps
-    /// ([`Machine::written_since`]) are newer, and each source (interior
-    /// refresh + exchange) unless a mirror buffer holds it — refreshed
-    /// from it, or written as the result of a commit that reported its
-    /// epoch — with no stamp on it since. Writes by anyone else count —
-    /// host scatters, another plan's execute — so an unchanged binding
-    /// over unchanged arrays, and the next step of a ping-pong, touch no
-    /// `NodeMemory` beyond writing the result. Every
-    /// other plan runs on the scalar engine. Every execute stamps the
-    /// ranges it writes (its writable [`Self::lease_ranges`]).
+    /// each source (interior refresh + exchange) and named coefficient
+    /// is re-read unless a mirror buffer holds it — refreshed from it,
+    /// or (a source) written as the result of a commit that reported its
+    /// epoch — with no write stamp on it since
+    /// ([`Machine::written_since`]). Writes by anyone else count — host
+    /// scatters, another plan's execute — so an unchanged binding over
+    /// unchanged arrays, and the next step of a ping-pong, touch no
+    /// `NodeMemory` beyond writing the result. Every other plan runs on
+    /// the scalar engine. Every execute stamps the ranges it writes (its
+    /// writable [`Self::lease_ranges`]).
     ///
     /// # Errors
     ///
@@ -1743,21 +1540,21 @@ impl ExecutionPlan {
     }
 
     /// Whether `execute` runs the lane body: fast mode, the lockstep
-    /// engine, and a binding the lane mirror can hold (no aliased arrays
-    /// on a classic plan). Its only node-memory write is the staged
+    /// engine, and a binding whose result overlaps no named coefficient.
+    /// Its only node-memory write is the staged
     /// result, and it cannot fail, so such a plan may also run
     /// region-leased ([`Self::execute_region`]). False means the scalar
     /// engine — the oracle and the cycle model — runs it, writing node
     /// memory mid-execute under an exclusive borrow.
     pub fn lane_mapped(&self) -> bool {
-        self.inst.lane_view.is_some()
+        self.inst.lane_fallback.is_none()
     }
 
     /// Runs the lane body under *shared* machine access, holding
     /// `machine` — a read guard, or any other shared borrow — only for
     /// the read phase. That phase is the only one that reads node
-    /// memory: it re-gathers the stale mirror ranges and refreshes the
-    /// interior of every stale halo. Then `machine` is dropped, and the
+    /// memory: it refreshes every stale source and coefficient buffer.
+    /// Then `machine` is dropped, and the
     /// halo exchanges, the fused sweeps and the transpose of the result
     /// into `stage` run on the private mirror alone. The caller commits
     /// the stage with [`Machine::apply_stage`] under a brief exclusive
@@ -1799,62 +1596,42 @@ impl ExecutionPlan {
 
     /// The node-memory ranges this plan's next execute touches, with
     /// write flags — what the session leases before admitting the
-    /// execute. Covers the bound arrays (result writable; sources and
-    /// coefficients read-only) plus every plan-owned field: halo
-    /// buffers and the destination buffer, the constant pair, literal
-    /// coefficient pages, and — temporal plans — coefficient halos and
-    /// ping-pong scratch. The result is leased writable though the lane
-    /// body does not view it: its commit writes it. On the
-    /// lane body the plan-owned fields are read-only (the refresh and
-    /// exchange run on the instance's private mirror); on the scalar
-    /// engine `fill_interior` and the exchange write them, so two
-    /// instances of one shared artifact must serialize.
+    /// execute. The bound arrays always: sources and coefficients
+    /// read-only, the result writable (the lane body's commit writes
+    /// it). The plan-owned fields — halo buffers, the constant pair and
+    /// literal pages — only when the scalar engine runs the instance,
+    /// and then writable: `fill_interior` and the exchange write the
+    /// halos, so two scalar instances of one shared artifact must
+    /// serialize. The lane body reads no plan-owned word.
     pub fn lease_ranges(&self) -> Vec<LeaseRange> {
-        let cp = &*self.shared;
-        let owned_writable = !self.lane_mapped();
-        let mut out = Vec::new();
-        let mut push = |f: Field, writable: bool| {
-            if !f.is_empty() {
-                out.push(LeaseRange {
-                    start: f.base(),
-                    end: f.base() + f.len(),
-                    writable,
-                });
-            }
+        let owned: &[Field] = if self.lane_mapped() {
+            &[]
+        } else {
+            &self.shared.owned.0
         };
-        for halo in cp.halos.iter().chain(&cp.dest) {
-            push(halo.field(), owned_writable);
-        }
-        push(cp.consts, false);
-        for &page in cp.pages.iter().flatten() {
-            push(page, false);
-        }
-        if let Some(tp) = &cp.temporal {
-            for halo in &tp.coeff_halos {
-                push(halo.field(), owned_writable);
-            }
-            for halo in &tp.scratch {
-                push(halo.field(), owned_writable);
-            }
-        }
-        for s in &self.inst.sources {
-            push(s.field(), false);
-        }
-        for c in &self.inst.coeffs {
-            push(c.field(), false);
-        }
-        push(self.inst.result.field(), true);
-        out
+        let inst = &self.inst;
+        let bound = inst.sources.iter().chain(&inst.coeffs);
+        owned
+            .iter()
+            .map(|&f| (f, true))
+            .chain(bound.map(|a| (a.field(), false)))
+            .chain([(inst.result.field(), true)])
+            .filter(|(f, _)| !f.is_empty())
+            .map(|(f, writable)| LeaseRange {
+                start: f.base(),
+                end: f.base() + f.len(),
+                writable,
+            })
+            .collect()
     }
 
     /// Retargets the plan to different arrays of identical shape without
     /// rebuilding anything shared.
     ///
-    /// O(ranges) work: the lane view and the interior copies are
-    /// recomputed over the new arrays; the row program and halo
-    /// programs are kept (lane addresses are rebind-invariant), and so
-    /// is the mirror's contents — the next execute re-reads only the
-    /// ranges whose base moved (see [`Self::execute`]). A moved result
+    /// O(arrays) work: the lane schedule is kept (lane addresses depend
+    /// on the shape alone), and so is the mirror's contents — the next
+    /// execute re-reads only the buffers whose array moved (see
+    /// [`Self::execute`]). A moved result
     /// or named coefficient drops the instance's resolved strips, which
     /// the scalar engine re-resolves the next time it runs; a moved
     /// source keeps them (sources are read through the plan's own halo
@@ -1893,8 +1670,8 @@ impl ExecutionPlan {
 
     /// Detaches the instance's lane mirror, for pooling across tenants.
     /// The plan falls back to an unprimed (but still valid) state: its
-    /// next execute re-shapes whatever mirror it holds and gathers the
-    /// whole view.
+    /// next execute re-shapes whatever mirror it holds and refreshes
+    /// every buffer.
     pub fn take_mirror(&mut self) -> LaneMirror {
         self.inst.forget_mirror();
         std::mem::take(&mut self.inst.lane_mirror)
@@ -1903,7 +1680,7 @@ impl ExecutionPlan {
     /// Installs a (possibly recycled) lane mirror into the instance.
     /// The mirror's buffers are reused when shapes match — this is how
     /// the session mirror pool keeps steady-state allocations at zero
-    /// across tenants; contents are treated as garbage and re-gathered
+    /// across tenants; contents are treated as garbage and refreshed
     /// whole.
     pub fn install_mirror(&mut self, mirror: LaneMirror) {
         self.inst.lane_mirror = mirror;
@@ -1940,7 +1717,7 @@ impl ExecutionPlan {
     /// Machine-total words copied per steady-state `execute` under the
     /// current engine. The lane body reaches a fixed point: while the
     /// binding holds and nobody writes the bound read-only arrays, the
-    /// mirror's source halos and read-only ranges stay current, so a
+    /// mirror's source and coefficient buffers stay current, so a
     /// steady iteration copies nothing but the staged result — plus, on
     /// an in-place update, the exchange of the source it reads back from
     /// the mirror.
@@ -1957,8 +1734,8 @@ impl ExecutionPlan {
     /// 0 is the last result — moves on the lane body: source 0's halo
     /// exchange (the mirror holds its words, so there is no refresh),
     /// every other source's refresh and exchange, the staged result,
-    /// plus the read-only ranges (or, on temporal plans, coefficient
-    /// halos) the last rebind moved. Equals
+    /// plus the refreshes (and, on temporal plans, exchanges) of the
+    /// coefficients the last rebind moved. Equals
     /// [`Self::steady_state_copy_words`] on the scalar engine, where
     /// every execute already pays the full refresh.
     pub fn rebind_cycle_copy_words(&self) -> usize {
@@ -1980,15 +1757,16 @@ impl ExecutionPlan {
 
     /// Why `execute` runs the scalar engine instead of the lane body:
     /// "cycle-accurate mode", "scalar engine requested", "bound arrays
-    /// overlap in node memory", or the check the row program failed
+    /// overlap in node memory" (the result overlaps a named
+    /// coefficient), or the check the row program failed
     /// ([`cmcc_cm2::kernels::RowProgram::new`]). `None` exactly when the
     /// plan is [`Self::lane_mapped`]. Follows every rebind.
     pub fn lane_fallback(&self) -> Option<&'static str> {
         self.inst.lane_fallback
     }
 
-    /// Words of node memory the plan's halo buffers and constant pages
-    /// occupy.
+    /// Words of node memory per node the plan owns: a classic plan's
+    /// halo buffers and constant pages, none on a temporal plan.
     pub fn words(&self) -> usize {
         self.shared.words()
     }
@@ -2259,72 +2037,31 @@ impl MirrorWords {
     }
 }
 
-/// The lane view over a binding of `cp`, or `None` when the mirror
-/// cannot hold it.
-///
-/// The view mirrors the node-memory ranges the lane body reads or
-/// writes, in a fixed order: halo buffers and the named coefficients
-/// (read-only), then the destination buffer (writable,
-/// **lane-private**: it has no node-memory image, so no gather copies
-/// it). Literal and unit coefficients are scalars of the row program,
-/// so the constant and literal pages stay in node memory for the scalar
-/// engine alone. The result array is not viewed: the stage transposes
-/// the destination buffer's interior into it. The order and lengths are
-/// rebind-invariant, which is what keeps lowered row programs valid
-/// across rebinds. Temporal plans replace the coefficient *arrays* with
-/// the plan-owned coefficient halos (refreshed like source halos) and
-/// add the ping-pong scratch states as writable lane-private ranges —
-/// produced and consumed entirely on the mirror within one execute.
-///
-/// A result that overlaps a gathered range would make the mirror's copy
-/// of that range stale the moment the result is committed, so such a
-/// binding is refused here: a classic plan whose result aliases a named
-/// coefficient runs on the scalar engine (a temporal one never gets
-/// here, [`check_fusable`] refuses it first). The view's own overlap
-/// check rejects a classic binding that aliases two named coefficients.
-/// A result aliased onto a source maps: the commit stamps the source,
-/// and the next execute reads it from the destination buffer.
-fn instance_lane_view(cp: &CompiledPlan, coeffs: &[CmArray], result: &CmArray) -> Option<LaneView> {
-    let temporal = cp.temporal.is_some();
-    if !temporal && coeffs.iter().any(|c| overlaps(c.field(), result.field())) {
-        return None;
-    }
-    let mut ranges = Vec::new();
-    let mut push = |f: Field, writable: bool, private: bool| {
-        ranges.push((f.base(), f.len(), writable, private));
-    };
-    for halo in &cp.halos {
-        push(halo.field(), false, false);
-    }
-    match &cp.temporal {
-        Some(tp) => {
-            for halo in &tp.coeff_halos {
-                push(halo.field(), false, false);
-            }
-            for halo in &tp.scratch {
-                push(halo.field(), true, true);
-            }
-        }
-        None => {
-            for c in coeffs {
-                push(c.field(), false, false);
-            }
-        }
-    }
-    if let Some(dest) = &cp.dest {
-        push(dest.field(), true, true);
-    }
-    LaneView::new_with_private(&ranges)
-}
-
 /// Whether two node-memory fields share an address.
 fn overlaps(a: Field, b: Field) -> bool {
     a.base() < b.base() + b.len() && b.base() < a.base() + a.len()
 }
 
-/// The one binding rule temporal tiling adds, shared by the build,
-/// `from_shared` and `rebind`: a fused execute reads each named
-/// coefficient once, at its start, while `depth` separate executes
+/// The one aliasing rule, shared by the build, `from_shared` and
+/// `rebind`: a result that overlaps a named coefficient. Returns the
+/// reason a classic plan then runs the scalar engine, which reads the
+/// coefficient in place — the lane body would have to refresh the
+/// coefficient's buffer after every commit; a temporal plan cannot fuse
+/// such a binding at all ([`check_fusable`]). Any other aliasing maps:
+/// every source and coefficient slot is refreshed into a lane buffer of
+/// its own, and a result aliased onto a source is read back from the
+/// destination buffer.
+fn aliasing_refusal<'a>(
+    result: &CmArray,
+    mut coeffs: impl Iterator<Item = &'a CmArray>,
+) -> Option<&'static str> {
+    coeffs
+        .any(|c| overlaps(c.field(), result.field()))
+        .then_some("bound arrays overlap in node memory")
+}
+
+/// The aliasing rule for temporal tiling: a fused execute reads each
+/// named coefficient once, at its start, while `depth` separate executes
 /// would see a result that aliases a coefficient overwrite it between
 /// steps — so that binding cannot fuse. (A source may alias the result:
 /// a separate step also reads its whole source before writing.) A clamp
@@ -2334,41 +2071,14 @@ fn overlaps(a: Field, b: Field) -> bool {
 fn check_fusable<'a>(
     depth: usize,
     result: &CmArray,
-    mut coeffs: impl Iterator<Item = &'a CmArray>,
+    coeffs: impl Iterator<Item = &'a CmArray>,
 ) -> Result<(), RuntimeError> {
-    if depth > 1 && coeffs.any(|c| overlaps(c.field(), result.field())) {
+    if depth > 1 && aliasing_refusal(result, coeffs).is_some() {
         return Err(RuntimeError::Unfusable {
             reason: "the result aliases a named coefficient",
         });
     }
     Ok(())
-}
-
-/// Translates each halo's interior refresh onto the lane mirror: one
-/// [`RectCopy`] per halo pairs the mirror rows holding its interior with
-/// the (mirror-external) bound array — the lane-domain `fill_interior`.
-/// Returns `None` when any halo buffer is not wholly inside one viewed
-/// range (then the plan runs on the scalar engine).
-fn lane_interior_copies<'a>(
-    view: &LaneView,
-    pairs: impl Iterator<Item = (&'a HaloBuffer, &'a CmArray)>,
-) -> Option<Vec<RectCopy>> {
-    pairs
-        .map(|(halo, src)| {
-            let hl = halo.layout();
-            let sl = src.layout();
-            let f = halo.field();
-            let lane0 = lane_run(view, f.base(), f.len())?;
-            Some(RectCopy {
-                node0: sl.addr(0, 0),
-                node_stride: sl.row_stride,
-                lane0: lane0 + (hl.addr(0, 0) - f.base()),
-                lane_stride: hl.row_stride,
-                rows: src.sub_rows(),
-                cols: src.sub_cols(),
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -2514,6 +2224,66 @@ mod tests {
         assert!(m.persistent_used() > before);
         plan.release(&mut m);
         assert_eq!(m.persistent_used(), before);
+    }
+
+    /// Leases follow what the engine touches: a lane-mapped plan leases
+    /// exactly its bound arrays — sources and coefficients read-only, the
+    /// result writable — and an instance the scalar engine runs leases
+    /// every plan-owned field too, writable.
+    #[test]
+    fn leases_follow_what_the_engine_touches() {
+        let mut m = machine();
+        let compiled = compile(&m, "R = C * CSHIFT(X, 1, -1) + 0.5 * X");
+        let x = CmArray::new(&mut m, 8, 8).unwrap();
+        let c = CmArray::new(&mut m, 8, 8).unwrap();
+        let r = CmArray::new(&mut m, 8, 8).unwrap();
+        let lease = |f: Field, writable: bool| LeaseRange {
+            start: f.base(),
+            end: f.base() + f.len(),
+            writable,
+        };
+        let owned = |plan: &ExecutionPlan| -> Vec<LeaseRange> {
+            plan.shared()
+                .owned
+                .0
+                .iter()
+                .map(|&f| lease(f, true))
+                .collect()
+        };
+        let binding = StencilBinding::new(&compiled, &r, &[&x], &[&c]).unwrap();
+        let mut lane = ExecutionPlan::build(&mut m, &binding, &ExecOptions::fast()).unwrap();
+        assert!(lane.lane_mapped());
+        let bound = [
+            lease(x.field(), false),
+            lease(c.field(), false),
+            lease(r.field(), true),
+        ];
+        assert_eq!(lane.lease_ranges(), bound);
+
+        let scalar_opts = ExecOptions::fast().with_engine(ExecEngine::Scalar);
+        let scalar = ExecutionPlan::build(&mut m, &binding, &scalar_opts).unwrap();
+        assert_eq!(
+            owned(&scalar).len(),
+            3,
+            "the source halo, the constant pair and the literal page"
+        );
+        assert_eq!(
+            scalar.lease_ranges(),
+            [&owned(&scalar)[..], &bound].concat()
+        );
+
+        // The aliasing rule puts the lane plan's instance on the scalar
+        // engine: it leases its artifact's fields too.
+        lane.rebind(&c, &[&x], &[&c]).unwrap();
+        assert!(!lane.lane_mapped());
+        let aliased = [
+            lease(x.field(), false),
+            lease(c.field(), false),
+            lease(c.field(), true),
+        ];
+        assert_eq!(lane.lease_ranges(), [&owned(&lane)[..], &aliased].concat());
+        scalar.release(&mut m);
+        lane.release(&mut m);
     }
 
     #[test]
@@ -2675,7 +2445,7 @@ mod tests {
         assert!(plan.lane_mapped());
         plan.execute(&mut m).unwrap();
         plan.rebind(&r2, &[&x2], &[&c2]).unwrap();
-        assert!(plan.lane_mapped(), "rebind must keep the lane view");
+        assert!(plan.lane_mapped(), "rebind must keep the lane body");
         plan.execute(&mut m).unwrap();
 
         // Rebinding onto an aliased pair turns the engine off: the

@@ -6,11 +6,12 @@
 //! `schedule::tests::stripped_drain_bubbles_trip_the_hazard_detector`.)
 
 use cmcc::cm2::{ExecMode, Machine, MachineConfig};
+use cmcc::core::recognize::CoeffSpec;
 use cmcc::core::Compiler;
 use cmcc::prelude::*;
 use cmcc::runtime::reference::{reference_convolve, CoeffValue};
 use cmcc::runtime::{convolve, ExecOptions, ExecutionPlan, RuntimeError, StencilBinding};
-use cmcc::SessionError;
+use cmcc::{ExecEngine, SessionError};
 
 fn setup(
     statement: &str,
@@ -154,12 +155,13 @@ fn out_of_memory_is_a_clean_refusal() {
     assert_eq!(held(&machine), before);
 
     // The three-point blur at 256² on four nodes, in fast mode: node
-    // memory holds the two 128² subgrids and one 130² halo, but not the
-    // lane body's destination buffer, so the allocation after the first
-    // one fails — in a one-shot call, a plan build and a session run.
+    // memory holds the two 128² subgrids, the scalar engine's 130² source
+    // halo and its constant pair, but not its 128-word literal pages, so
+    // an allocation after the first one fails — in a one-shot call, a
+    // plan build and a session run.
     let blur = "R = 0.25 * CSHIFT(X, 1, -1) + 0.25 * CSHIFT(X, 1, 1) + 0.5 * X";
     let cfg = MachineConfig {
-        node_memory_words: 2 * 128 * 128 + 130 * 130 + 1_000,
+        node_memory_words: 2 * 128 * 128 + 130 * 130 + 100,
         ..MachineConfig::tiny_4()
     };
     let fast = ExecOptions::fast();
@@ -193,4 +195,83 @@ fn out_of_memory_is_a_clean_refusal() {
             "a failed run kept node memory"
         );
     }
+}
+
+/// The lane body takes no node memory the scalar engine does not: the
+/// 256² three-point blur on four nodes, with node memory for its two
+/// 128² subgrids, one 130² source halo and 1,000 words more, builds
+/// lane-mapped in fast mode and matches the scalar engine bit for bit.
+#[test]
+fn a_lane_plan_fits_wherever_the_scalar_engine_fits() {
+    let blur = "R = 0.25 * CSHIFT(X, 1, -1) + 0.25 * CSHIFT(X, 1, 1) + 0.5 * X";
+    let cfg = MachineConfig {
+        node_memory_words: 2 * 128 * 128 + 130 * 130 + 1_000,
+        ..MachineConfig::tiny_4()
+    };
+    let mut machine = Machine::new(cfg.clone()).unwrap();
+    let compiled = Compiler::new(cfg).compile_assignment(blur).unwrap();
+    let x = CmArray::new(&mut machine, 256, 256).unwrap();
+    x.fill_with(&mut machine, |r, c| ((r * 13 + c * 7) % 19) as f32 - 9.0);
+    let r = CmArray::new(&mut machine, 256, 256).unwrap();
+    let binding = StencilBinding::new(&compiled, &r, &[&x], &[]).unwrap();
+    let mut run = |engine| {
+        let opts = ExecOptions::fast().with_engine(engine);
+        let mut plan = ExecutionPlan::build(&mut machine, &binding, &opts).unwrap();
+        let lane_mapped = plan.lane_mapped();
+        let measurement = plan.execute(&mut machine).unwrap();
+        plan.release(&mut machine);
+        let bits: Vec<u32> = r.gather(&machine).iter().map(|v| v.to_bits()).collect();
+        (lane_mapped, measurement, bits)
+    };
+    let (lane_mapped, lane_m, lane_bits) = run(ExecEngine::Lockstep);
+    let (scalar_mapped, scalar_m, scalar_bits) = run(ExecEngine::Scalar);
+    assert!(lane_mapped, "the lockstep plan runs the lane body");
+    assert!(!scalar_mapped);
+    assert_eq!(lane_m, scalar_m);
+    assert_eq!(lane_bits, scalar_bits);
+}
+
+/// A temporal plan has no scalar body and owns no node field: a depth-4
+/// heat plan builds on a machine whose node memory holds only its two
+/// arrays, and its four fused steps match four steps of the reference.
+#[test]
+fn a_temporal_plan_owns_no_node_memory() {
+    let heat = "R = 0.5 * X + 0.125 * CSHIFT(X, 1, -1) + 0.125 * CSHIFT(X, 1, 1) \
+                + 0.125 * CSHIFT(X, 2, -1) + 0.125 * CSHIFT(X, 2, 1)";
+    let (rows, cols) = (32, 32); // 16×16 subgrids on four nodes
+    let cfg = MachineConfig {
+        node_memory_words: 2 * 16 * 16,
+        ..MachineConfig::tiny_4()
+    };
+    let mut machine = Machine::new(cfg.clone()).unwrap();
+    let compiled = Compiler::new(cfg).compile_assignment(heat).unwrap();
+    let x = CmArray::new(&mut machine, rows, cols).unwrap();
+    x.fill_with(&mut machine, |r, c| ((r * 13 + c * 7) % 19) as f32 - 9.0);
+    let r = CmArray::new(&mut machine, rows, cols).unwrap();
+    let literals: Vec<CoeffValue<'_>> = compiled
+        .spec()
+        .coeffs
+        .iter()
+        .map(|c| match c {
+            CoeffSpec::Literal(v) => CoeffValue::Literal(*v),
+            CoeffSpec::Named(_) => unreachable!("the heat statement has literals only"),
+        })
+        .collect();
+    let mut want = x.gather(&machine);
+    for _ in 0..4 {
+        want = reference_convolve(compiled.stencil(), rows, cols, &want, &literals);
+    }
+    let binding = StencilBinding::new(&compiled, &r, &[&x], &[]).unwrap();
+    let opts = ExecOptions::fast().with_temporal_depth(4);
+    let mut plan = ExecutionPlan::build(&mut machine, &binding, &opts).unwrap();
+    assert_eq!(plan.temporal_depth(), 4);
+    assert_eq!(plan.words(), 0);
+    assert!(plan.lane_mapped());
+    plan.execute(&mut machine).unwrap();
+    let got = r.gather(&machine);
+    assert!(got
+        .iter()
+        .zip(&want)
+        .all(|(a, b)| a.to_bits() == b.to_bits()));
+    plan.release(&mut machine);
 }

@@ -748,51 +748,74 @@ fn aliased_fallback_records_no_lockstep_steps() {
 }
 
 /// Every scalar-engine fallback names its reason, rebinds included, and
-/// every lane-mapped plan names none.
+/// every lane-mapped plan names none. The one aliasing the lane body
+/// refuses is a result over a named coefficient: two coefficient slots
+/// bound to one array each refresh a lane buffer of their own, so that
+/// binding lane-maps — and matches the scalar engine bit for bit.
 #[test]
 fn every_scalar_fallback_names_its_reason() {
     let cfg = MachineConfig::tiny_4();
     let compiled = Compiler::new(cfg.clone())
-        .compile_assignment("R = C * CSHIFT(X, 1, -1) + 0.5 * X")
+        .compile_assignment("R = C1 * CSHIFT(X, 1, -1) + C2 * X + 0.5 * CSHIFT(X, 2, 1)")
         .expect("statement compiles");
     let mut machine = Machine::new(cfg).expect("tiny_4 is valid");
     let x = CmArray::new(&mut machine, 8, 8).unwrap();
+    x.fill_with(&mut machine, |r, c| {
+        ((r * 7 + c * 3) % 11) as f32 * 0.25 - 1.0
+    });
     let c = CmArray::new(&mut machine, 8, 8).unwrap();
+    c.fill_with(&mut machine, |r, c| ((r + 2 * c) % 5) as f32 * 0.5 - 0.75);
+    let d = CmArray::new(&mut machine, 8, 8).unwrap();
     let r = CmArray::new(&mut machine, 8, 8).unwrap();
-    let mut build = |result: &CmArray, opts: ExecOptions| {
-        let binding = StencilBinding::new(&compiled, result, &[&x], &[&c]).unwrap();
-        ExecutionPlan::build(&mut machine, &binding, &opts).unwrap()
+    let build = |machine: &mut Machine, result: &CmArray, coeffs: [&CmArray; 2], opts| {
+        let binding = StencilBinding::new(&compiled, result, &[&x], &coeffs).unwrap();
+        ExecutionPlan::build(machine, &binding, &opts).unwrap()
     };
+    let overlap = Some("bound arrays overlap in node memory");
     let cases = [
-        (r, ExecOptions::default(), Some("cycle-accurate mode")),
-        (r, scalar_fast(), Some("scalar engine requested")),
         (
-            c,
-            lockstep_fast(),
-            Some("bound arrays overlap in node memory"),
+            r,
+            [&c, &d],
+            ExecOptions::default(),
+            Some("cycle-accurate mode"),
         ),
-        (r, lockstep_fast(), None),
-        (r, lockstep_fast().with_threads(3), None),
-        (r, lockstep_fast().with_temporal_depth(2), None),
+        (r, [&c, &d], scalar_fast(), Some("scalar engine requested")),
+        (c, [&c, &d], lockstep_fast(), overlap),
+        (d, [&c, &d], lockstep_fast(), overlap),
+        (r, [&c, &d], lockstep_fast(), None),
+        (r, [&c, &c], lockstep_fast(), None),
+        (r, [&c, &d], lockstep_fast().with_threads(3), None),
+        (r, [&c, &d], lockstep_fast().with_temporal_depth(2), None),
     ];
-    for (result, opts, reason) in cases {
-        let plan = build(&result, opts);
+    for (result, coeffs, opts, reason) in cases {
+        let plan = build(&mut machine, &result, coeffs, opts);
         assert_eq!(plan.lane_fallback(), reason, "{opts:?}");
         assert_eq!(plan.lane_mapped(), reason.is_none(), "{opts:?}");
         assert_eq!(
             opts.mode == ExecMode::Cycle,
             reason == Some("cycle-accurate mode")
         );
+        plan.release(&mut machine);
     }
+    // Two slots bound to one array, on both engines.
+    let mut run = |opts| {
+        let mut plan = build(&mut machine, &r, [&c, &c], opts);
+        let m = plan.execute(&mut machine).unwrap();
+        plan.release(&mut machine);
+        let bits: Vec<u32> = r.gather(&machine).iter().map(|v| v.to_bits()).collect();
+        (m, bits)
+    };
+    let (lane_m, lane_bits) = run(lockstep_fast());
+    let (scalar_m, scalar_bits) = run(scalar_fast());
+    assert_eq!(lane_bits, scalar_bits, "two slots, one array: results");
+    assert_eq!(lane_m, scalar_m, "two slots, one array: measurement");
+
     // A rebind onto an aliased binding names the reason; a clean rebind
     // clears it.
-    let mut plan = build(&r, lockstep_fast());
-    plan.rebind(&c, &[&x], &[&c]).unwrap();
-    assert_eq!(
-        plan.lane_fallback(),
-        Some("bound arrays overlap in node memory")
-    );
-    plan.rebind(&r, &[&x], &[&c]).unwrap();
+    let mut plan = build(&mut machine, &r, [&c, &d], lockstep_fast());
+    plan.rebind(&c, &[&x], &[&c, &d]).unwrap();
+    assert_eq!(plan.lane_fallback(), overlap);
+    plan.rebind(&r, &[&x], &[&c, &c]).unwrap();
     assert_eq!(plan.lane_fallback(), None);
     assert!(plan.lane_mapped());
 }

@@ -176,7 +176,7 @@ fn lockstep_plan_reuse_and_rebind_stay_exact() {
     let got1 = r1.gather(&machine);
 
     plan.rebind(&r2, &[&x2], &refs).unwrap();
-    assert!(plan.lane_mapped(), "rebind keeps the lane view");
+    assert!(plan.lane_mapped(), "rebind keeps the lane body");
     plan.execute(&mut machine).unwrap();
     let got2 = r2.gather(&machine);
 

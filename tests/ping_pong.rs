@@ -10,13 +10,17 @@
 //! executes the loop is disturbed in every way that must force a
 //! refresh: a host write to the held array, another plan's execute
 //! writing it, a region execute whose stage is dropped uncommitted, a
-//! mirror pool round trip (`take_mirror` / `install_mirror`), and a
-//! rebind to an array the plan does not hold. Every execute is checked
-//! bit for bit against the iterated scalar engine, its copy words
-//! against the plan's own model, and its `InteriorRefreshWords` against
-//! zero (undisturbed) or the source's words (disturbed). An unchanged
-//! binding run again — temporal plans included, whose final fused step
-//! writes the destination buffer too — refreshes and exchanges nothing.
+//! mirror pool round trip (`take_mirror` / `install_mirror`) that hands
+//! the plan back a mirror whose every word is NaN, and a rebind to an
+//! array the plan does not hold. Every execute is checked bit for bit
+//! against the iterated scalar engine, its copy words against the plan's
+//! own model, and its `InteriorRefreshWords` against zero (undisturbed)
+//! or the source's words (disturbed); the priming execute copies exactly
+//! every refresh, every exchange and the stage. The NaN mirror shows the
+//! lane body reads only words it refreshed, exchanged, filled or swept.
+//! An unchanged binding run again — temporal plans included, whose final
+//! fused step writes the destination buffer too — refreshes and
+//! exchanges nothing.
 
 use cmcc::cm2::lane::RegionStage;
 use cmcc::cm2::{Machine, MachineConfig};
@@ -230,7 +234,10 @@ fn run_case(pattern: PaperPattern, depth: usize, threads: usize, shape: Loop) {
             }
         }
         if disturbance == Disturbance::MirrorSwap {
-            let mirror = plan.take_mirror();
+            let mut mirror = plan.take_mirror();
+            for w in 0..mirror.words() {
+                mirror.word_mut(w).fill(f32::NAN);
+            }
             plan.install_mirror(mirror);
         }
 
@@ -255,8 +262,8 @@ fn run_case(pattern: PaperPattern, depth: usize, threads: usize, shape: Loop) {
 
         let refresh = got.get(Counter::InteriorRefreshWords);
         let Some(cold) = &cold else {
-            // The priming execute: the whole view, every halo.
-            assert!(got.get(Counter::GatherWords) > 0, "{case}: priming gather");
+            let nodes = m.node_count();
+            assert_priming_copy(&got, &compiled, nodes, &bufs[0], coeffs.len(), depth, &case);
             cold = Some(got);
             state = want;
             cur = next;
@@ -317,6 +324,61 @@ fn run_case(pattern: PaperPattern, depth: usize, threads: usize, shape: Loop) {
     other.release(&mut m);
     plan.release(&mut m);
     oracle.plan.release(&mut oracle.machine);
+}
+
+/// The priming execute's exact copy, the mirror holding nothing yet:
+/// every refresh — the source, and each named coefficient (a classic
+/// plan's counted as a gather, a temporal plan's coefficient halo as an
+/// interior refresh) — every exchange — the source halo `depth·radius`
+/// deep, a temporal plan's coefficient halos `(depth−1)·radius` deep —
+/// and the stage.
+fn assert_priming_copy(
+    got: &RunReport,
+    compiled: &CompiledStencil,
+    nodes: usize,
+    source: &CmArray,
+    named: usize,
+    depth: usize,
+    case: &str,
+) {
+    let (subgrid, sub) = ((nodes * source.field().len()) as u64, source.sub_rows());
+    let stencil = compiled.stencil();
+    let radius = stencil.borders().max_width() as usize;
+    let corners = depth > 1 || stencil.needs_corner_exchange();
+    // Machine-total words one exchange of a `pad`-deep ring moves.
+    let ring = |pad: usize| (nodes * (4 * pad * sub + usize::from(corners) * 4 * pad * pad)) as u64;
+    let named = named as u64;
+    let (refreshed, gathered, coeff_rings, exchanges) = if depth > 1 {
+        let rings = named * ring((depth - 1) * radius);
+        (subgrid + named * subgrid, 0, rings, 1 + named)
+    } else {
+        (subgrid, named * subgrid, 0, 1)
+    };
+    assert_eq!(
+        got.get(Counter::InteriorRefreshWords),
+        refreshed,
+        "{case}: priming refresh"
+    );
+    assert_eq!(
+        got.get(Counter::GatherWords),
+        gathered,
+        "{case}: priming gather"
+    );
+    assert_eq!(
+        got.get(Counter::ExchangeEdgeWords) + got.get(Counter::ExchangeCornerWords),
+        ring(depth * radius) + coeff_rings,
+        "{case}: priming exchange words"
+    );
+    assert_eq!(
+        got.get(Counter::HaloExchanges),
+        exchanges,
+        "{case}: priming exchanges"
+    );
+    assert_eq!(
+        got.get(Counter::ScatterWords),
+        subgrid,
+        "{case}: priming stage"
+    );
 }
 
 /// The array a step writes when reading `cur`: the other buffer of a
