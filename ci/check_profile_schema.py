@@ -2,8 +2,8 @@
 """Validate the stability of the `cmcc --profile=json` schema.
 
 Reads driver output on stdin, finds the single-line JSON profile object
-(the line opening with ``{"schema":"cmcc-profile-v7"``), and checks every
-documented key of the cmcc-profile-v7 schema (DESIGN.md §13/§18) is
+(the line opening with ``{"schema":"cmcc-profile-v8"``), and checks every
+documented key of the cmcc-profile-v8 schema (DESIGN.md §13/§18) is
 present with a sane type — including the region-lease block
 (``leases.*``), the lease and trace counters under ``report.exec``, the
 model-drift cross-check under ``derived``, and the flight-recorder
@@ -12,8 +12,8 @@ diagnostic on any missing or mistyped field, so CI fails when the schema
 drifts without a version bump.
 
 With ``--serve`` it instead validates the ``cmcc --serve --profile=json``
-output: the single ``cmcc-serve-v4`` line with per-tenant stats and
-latency histograms, the sharded plan-cache aggregate, the lease totals
+output: the single ``cmcc-serve-v5`` line with per-tenant stats and
+latency histograms, the plan-cache aggregate, the lease totals
 and contention attribution (``latency.lease.*``, whose
 ``waits_consistent`` flag must be true — the traced conflicted waits
 agree with the lease table's conflict counter), the build-once flag
@@ -67,8 +67,8 @@ import json
 import numbers
 import sys
 
-SCHEMA = "cmcc-profile-v7"
-SERVE_SCHEMA = "cmcc-serve-v4"
+SCHEMA = "cmcc-profile-v8"
+SERVE_SCHEMA = "cmcc-serve-v5"
 
 # The operations latency.phases keys (crates/obs/src/trace.rs order).
 LATENCY_PHASES = [
@@ -144,8 +144,7 @@ EXPECTED = [
     ("plan_cache.misses", numbers.Integral),
     ("plan_cache.evictions", numbers.Integral),
     ("plan_cache.capacity", numbers.Integral),
-    ("plan_cache.shards", list),
-    ("plan_cache.shard_evictions", list),
+    ("plan_cache.cached", numbers.Integral),
     ("plan_cache.shared_in_flight", numbers.Integral),
     ("leases.region_grants", numbers.Integral),
     ("leases.conflicts", numbers.Integral),
@@ -405,7 +404,7 @@ def check_bench_serve(path):
     )
 
 
-# (dotted path, expected type) for the aggregate half of cmcc-serve-v4.
+# (dotted path, expected type) for the aggregate half of cmcc-serve-v5.
 SERVE_EXPECTED = [
     ("schema", str),
     ("workers", numbers.Integral),
@@ -423,8 +422,7 @@ SERVE_EXPECTED = [
     ("plan_cache.misses", numbers.Integral),
     ("plan_cache.evictions", numbers.Integral),
     ("plan_cache.capacity", numbers.Integral),
-    ("plan_cache.shards", list),
-    ("plan_cache.shard_evictions", list),
+    ("plan_cache.cached", numbers.Integral),
     ("plan_cache.shared_in_flight", numbers.Integral),
     ("latency.phases", dict),
     ("latency.lease.time_to_grant", dict),
@@ -512,11 +510,6 @@ def check_serve():
         errors.append(
             "serve: tenant plan_builds sum %s != cache misses %s" % (builds, misses)
         )
-    for key in ("plan_cache.shards", "plan_cache.shard_evictions"):
-        value, found = lookup(batch, key)
-        if found and isinstance(value, list):
-            if not all(isinstance(v, numbers.Integral) for v in value):
-                errors.append("serve: %s has non-integer entries" % key)
     if errors:
         sys.exit("\n".join(errors))
     print(

@@ -402,114 +402,6 @@ impl RegionStage {
     }
 }
 
-/// A bounded free-list of [`LaneMirror`]s shared across plan instances.
-///
-/// Tenants of a concurrent session come and go, and each instance owns a
-/// mirror sized to its plan's lane layout: `words × nodes`. Without pooling, every new
-/// instance pays a fresh mirror allocation even when an identically
-/// shaped tenant just retired. The pool recycles retired mirrors:
-/// [`MirrorPool::take`] hands out the most recently returned one (its
-/// buffers are reshaped by the next `ensure`, which is a no-op when the
-/// shape matches — [`LaneMirror::allocations`] then stays flat), and
-/// [`MirrorPool::put`] accepts a mirror back until the pool is full.
-///
-/// The pool is a plain mutex around a vec: take/put happen once per
-/// instance creation/retirement, never on the per-iteration path.
-#[derive(Debug, Default)]
-pub struct MirrorPool {
-    free: std::sync::Mutex<Vec<LaneMirror>>,
-    capacity: usize,
-    reused: std::sync::atomic::AtomicU64,
-    returned: std::sync::atomic::AtomicU64,
-    missed: std::sync::atomic::AtomicU64,
-}
-
-impl MirrorPool {
-    /// An empty pool holding at most `capacity` retired mirrors.
-    pub fn new(capacity: usize) -> Self {
-        MirrorPool {
-            free: std::sync::Mutex::new(Vec::new()),
-            capacity,
-            reused: std::sync::atomic::AtomicU64::new(0),
-            returned: std::sync::atomic::AtomicU64::new(0),
-            missed: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// Hands out a pooled mirror, or a fresh empty one when the pool is
-    /// dry. Pooled contents are unspecified — prime before use.
-    pub fn take(&self) -> LaneMirror {
-        self.take_counted().0
-    }
-
-    /// Like [`MirrorPool::take`], but also reports whether the take
-    /// missed (found the free list empty and had to hand out a fresh
-    /// mirror) — the signal the session turns into its
-    /// `mirror_pool_misses` telemetry.
-    pub fn take_counted(&self) -> (LaneMirror, bool) {
-        let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
-        match free.pop() {
-            Some(m) => {
-                self.reused
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                (m, false)
-            }
-            None => {
-                self.missed
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                (LaneMirror::new(), true)
-            }
-        }
-    }
-
-    /// Returns a retired mirror to the pool; dropped when the pool is
-    /// full or the mirror never allocated (nothing worth recycling).
-    pub fn put(&self, mirror: LaneMirror) {
-        if mirror.nodes() == 0 {
-            return;
-        }
-        let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
-        if free.len() < self.capacity {
-            free.push(mirror);
-            self.returned
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-
-    /// Mirrors currently waiting in the pool.
-    pub fn len(&self) -> usize {
-        self.free.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Whether the pool is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// How many takes were served from the pool instead of allocating.
-    pub fn reuses(&self) -> u64 {
-        self.reused.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// How many retired mirrors were accepted back into the pool.
-    pub fn returns(&self) -> u64 {
-        self.returned.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// How many takes found the pool dry and allocated a fresh mirror.
-    /// The first take per distinct shape always misses; a steadily
-    /// climbing count under a stable tenant load means the capacity is
-    /// too small for the working set.
-    pub fn misses(&self) -> u64 {
-        self.missed.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Drops every pooled mirror (their host buffers free immediately).
-    pub fn clear(&self) {
-        self.free.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -708,42 +600,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn mirror_pool_recycles_shaped_mirrors_without_reallocating() {
-        let pool = MirrorPool::new(2);
-        assert!(pool.is_empty());
-
-        // A fresh take allocates nothing by itself; shaping it does.
-        let mut m = pool.take();
-        assert_eq!(pool.reuses(), 0);
-        m.ensure(6, 4);
-        let allocs = m.allocations();
-        assert!(allocs > 0);
-
-        // Unshaped mirrors are not worth pooling.
-        pool.put(LaneMirror::new());
-        assert!(pool.is_empty());
-
-        pool.put(m);
-        assert_eq!(pool.len(), 1);
-        assert_eq!(pool.returns(), 1);
-
-        // A same-shape tenant reuses the buffer: `ensure` is a no-op
-        // and the allocation counter stays flat.
-        let mut again = pool.take();
-        assert_eq!(pool.reuses(), 1);
-        again.ensure(6, 4);
-        assert_eq!(again.allocations(), allocs);
-
-        // The pool is bounded: a third return on capacity 2 is dropped.
-        pool.put(again);
-        pool.put(mirror(3, 2));
-        pool.put(mirror(3, 2));
-        assert_eq!(pool.len(), 2);
-
-        pool.clear();
-        assert!(pool.is_empty());
     }
 }

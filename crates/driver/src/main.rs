@@ -19,9 +19,9 @@
 //!                      batch concurrently on a pool of tenant threads
 //!                      sharing one machine and one plan cache, and print
 //!                      per-tenant stats (plan builds, cache hits, kernel
-//!                      mix) plus aggregate cache/shard occupancy and
+//!                      mix) plus aggregate cache occupancy and
 //!                      region-lease totals. With --profile=json, emits
-//!                      one `cmcc-serve-v4` line with per-tenant latency
+//!                      one `cmcc-serve-v5` line with per-tenant latency
 //!                      histograms and lease-contention attribution
 //!   --workers N        tenant threads for --serve (default 4)
 //!   --quota N          admission control for --serve: each tenant may
@@ -46,7 +46,7 @@
 //!                      no cycle counts are reported, only wall-clock timing
 //!   --profile[=json]   enable telemetry and print a per-statement profile
 //!                      after each --run: a human-readable table, or one
-//!                      schema-stable JSON line (`cmcc-profile-v7`) with
+//!                      schema-stable JSON line (`cmcc-profile-v8`) with
 //!                      derived rates, bytes/iteration against the
 //!                      analytic steady-state prediction (surfaced as the
 //!                      `model_drift` field, enforced by --drift-tol),
@@ -76,7 +76,7 @@ use cmcc_cm2::config::MachineConfig;
 use cmcc_cm2::exec::{ExecEngine, ExecMode};
 use cmcc_cm2::machine::Machine;
 use cmcc_cm2::timing::Measurement;
-use cmcc_core::compiler::Compiler;
+use cmcc_core::compiler::{CompiledStencil, Compiler};
 use cmcc_core::pictogram::render_stencil;
 use cmcc_core::program::{compile_program, UnitOutcome};
 use cmcc_core::recognize::CoeffSpec;
@@ -93,7 +93,7 @@ use std::process::ExitCode;
 enum ProfileMode {
     /// Human-readable counter table plus derived rates.
     Table,
-    /// One schema-stable JSON line per statement (`cmcc-profile-v7`).
+    /// One schema-stable JSON line per statement (`cmcc-profile-v8`).
     Json,
 }
 
@@ -403,38 +403,14 @@ fn with_engine(exec_opts: ExecOptions, engine: Option<ExecEngine>) -> ExecOption
 /// plan-cache statistics for the driver's summary line.
 fn run_compiled(
     statement: usize,
-    compiled: &cmcc_core::compiler::CompiledStencil,
+    compiled: &CompiledStencil,
     compile_report: &cmcc_obs::RunReport,
     cfg: &MachineConfig,
     opts: &Options,
 ) -> Result<PlanCacheStats, Box<dyn std::error::Error>> {
     let mut session = Session::with_config(cfg.clone())?;
-    let rows = opts.subgrid.0 * session.machine().grid().rows();
-    let cols = opts.subgrid.1 * session.machine().grid().cols();
-    let mut rng = Rng::new(0xCC);
-    let spec = compiled.spec();
-
-    let mut fill = |machine: &mut Machine| -> Result<CmArray, Box<dyn std::error::Error>> {
-        let a = CmArray::new(machine, rows, cols)?;
-        let data: Vec<f32> = (0..rows * cols).map(|_| rng.f32_in(-1.0, 1.0)).collect();
-        a.scatter(machine, &data);
-        Ok(a)
-    };
-    let sources: Vec<CmArray> = (0..spec.sources.len().max(1))
-        .map(|_| fill(&mut session.machine_mut()))
-        .collect::<Result<_, _>>()?;
-    let named = spec
-        .coeffs
-        .iter()
-        .filter(|c| matches!(c, CoeffSpec::Named(_)))
-        .count();
-    let coeffs: Vec<CmArray> = (0..named)
-        .map(|_| fill(&mut session.machine_mut()))
-        .collect::<Result<_, _>>()?;
-    let r = CmArray::new(&mut session.machine_mut(), rows, cols)?;
-
-    let source_refs: Vec<&CmArray> = sources.iter().collect();
-    let coeff_refs: Vec<&CmArray> = coeffs.iter().collect();
+    let inputs = Inputs::new(&mut session, compiled, opts.subgrid, 0xCC)?;
+    let (rows, cols) = (inputs.result.rows(), inputs.result.cols());
     let mut exec_opts = with_engine(
         match opts.threads {
             Some(n) => ExecOptions::default().with_threads(n),
@@ -460,56 +436,18 @@ fn run_compiled(
     let stmt_scope = cmcc_obs::trace::scope(cmcc_obs::trace::TraceOp::Statement, statement as u64);
     let full_before = cmcc_obs::snapshot();
     let build_start = std::time::Instant::now();
-    let m = session.run_with_multi(compiled, &r, &source_refs, &coeff_refs, &exec_opts)?;
+    let m = inputs.run(&mut session, compiled, &exec_opts)?;
     let first_iter = build_start.elapsed();
     let steady_before = cmcc_obs::snapshot();
     let steady_start = std::time::Instant::now();
-    for _ in 1..opts.iters {
-        let again = session.run_with_multi(compiled, &r, &source_refs, &coeff_refs, &exec_opts)?;
-        if again != m {
-            return Err("iterations disagree on a fixed input (nondeterminism?)".into());
-        }
-    }
+    inputs.rerun(&mut session, compiled, &exec_opts, &m, opts.iters - 1)?;
     let steady_total = steady_start.elapsed();
     let steady_report = cmcc_obs::snapshot().delta(&steady_before);
     let full_report = cmcc_obs::snapshot().delta(&full_before);
     drop(stmt_scope);
-
-    // Verify against the golden model.
-    let machine = session.machine();
-    let source_hosts: Vec<Vec<f32>> = sources.iter().map(|a| a.gather(&machine)).collect();
-    let source_slices: Vec<&[f32]> = source_hosts.iter().map(Vec::as_slice).collect();
-    let coeff_hosts: Vec<Vec<f32>> = coeffs.iter().map(|a| a.gather(&machine)).collect();
-    let mut host_iter = coeff_hosts.iter();
-    let values: Vec<CoeffValue<'_>> = spec
-        .coeffs
-        .iter()
-        .map(|c| match c {
-            CoeffSpec::Named(_) => CoeffValue::Array(host_iter.next().expect("counted")),
-            CoeffSpec::Literal(v) => CoeffValue::Literal(*v),
-        })
-        .collect();
-    // One execute advances the plan's effective temporal depth worth of
-    // time steps (1 unless --temporal took effect), so the golden model
-    // iterates the depth-1 reference that many times.
+    inputs.verify(&session, compiled)?;
     let depth = session.last_plan().map_or(1, |p| p.temporal_depth());
-    let mut want =
-        reference_convolve_multi(compiled.stencil(), rows, cols, &source_slices, &values);
-    for _ in 1..depth {
-        want = reference_convolve_multi(compiled.stencil(), rows, cols, &[&want], &values);
-    }
-    let got = r.gather(&machine);
-    let exact = got
-        .iter()
-        .zip(&want)
-        .all(|(a, b)| a.to_bits() == b.to_bits());
-    if !exact {
-        return Err(format!(
-            "results diverge from the reference evaluator for `{}`",
-            unparse_spec(spec)
-        )
-        .into());
-    }
+    let nodes = session.machine().node_count();
 
     // Label the path the plan actually executed: the lane body, or the
     // scalar engine and why (cycle mode and unmappable bindings
@@ -530,11 +468,7 @@ fn run_compiled(
             .unwrap_or_default();
         print!(
             "    ran {}x{} ({}x{} per node): functional ({engine}){why} on {} nodes",
-            rows,
-            cols,
-            opts.subgrid.0,
-            opts.subgrid.1,
-            machine.node_count(),
+            rows, cols, opts.subgrid.0, opts.subgrid.1, nodes,
         );
     } else {
         print!(
@@ -545,7 +479,7 @@ fn run_compiled(
             opts.subgrid.1,
             m.cycles.total(),
             m.mflops(cfg),
-            machine.node_count(),
+            nodes,
         );
         if opts.full_machine {
             print!(
@@ -618,11 +552,12 @@ fn run_compiled(
                 ExecMode::Cycle => "cycle",
                 ExecMode::Fast => "fast",
             },
-            nodes: machine.node_count(),
+            nodes,
             iters: opts.iters,
             m,
             derived,
             stats: session.plan_cache_stats(),
+            cached: session.cached_plans(),
             leases: session.lease_stats(),
             latency: phase_hists(&slices),
             report: full_report,
@@ -636,6 +571,127 @@ fn run_compiled(
         }
     }
     Ok(session.plan_cache_stats())
+}
+
+/// One statement's random inputs on a session's machine, plus the
+/// result array its runs write: what `--run` and `--serve` verify.
+struct Inputs {
+    sources: Vec<CmArray>,
+    coeffs: Vec<CmArray>,
+    result: CmArray,
+}
+
+impl Inputs {
+    /// Allocates the statement's sources and named coefficients, filled
+    /// with values in [-1, 1) drawn from `seed`, and its result array,
+    /// each `subgrid` per node.
+    fn new(
+        session: &mut Session,
+        compiled: &CompiledStencil,
+        subgrid: (usize, usize),
+        seed: u64,
+    ) -> Result<Self, Box<dyn std::error::Error>> {
+        let rows = subgrid.0 * session.machine().grid().rows();
+        let cols = subgrid.1 * session.machine().grid().cols();
+        let spec = compiled.spec();
+        let mut rng = Rng::new(seed);
+        let mut fill = |machine: &mut Machine| -> Result<CmArray, Box<dyn std::error::Error>> {
+            let a = CmArray::new(machine, rows, cols)?;
+            let data: Vec<f32> = (0..rows * cols).map(|_| rng.f32_in(-1.0, 1.0)).collect();
+            a.scatter(machine, &data);
+            Ok(a)
+        };
+        let named = spec
+            .coeffs
+            .iter()
+            .filter(|c| matches!(c, CoeffSpec::Named(_)))
+            .count();
+        Ok(Inputs {
+            sources: (0..spec.sources.len().max(1))
+                .map(|_| fill(&mut session.machine_mut()))
+                .collect::<Result<_, _>>()?,
+            coeffs: (0..named)
+                .map(|_| fill(&mut session.machine_mut()))
+                .collect::<Result<_, _>>()?,
+            result: CmArray::new(&mut session.machine_mut(), rows, cols)?,
+        })
+    }
+
+    /// One run through the session's plan cache.
+    fn run(
+        &self,
+        session: &mut Session,
+        compiled: &CompiledStencil,
+        exec_opts: &ExecOptions,
+    ) -> Result<Measurement, cmcc::SessionError> {
+        let sources: Vec<&CmArray> = self.sources.iter().collect();
+        let coeffs: Vec<&CmArray> = self.coeffs.iter().collect();
+        session.run_with_multi(compiled, &self.result, &sources, &coeffs, exec_opts)
+    }
+
+    /// Runs `times` more times, failing unless every run repeats
+    /// `first`.
+    fn rerun(
+        &self,
+        session: &mut Session,
+        compiled: &CompiledStencil,
+        exec_opts: &ExecOptions,
+        first: &Measurement,
+        times: usize,
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        for _ in 0..times {
+            if self.run(session, compiled, exec_opts)? != *first {
+                return Err("iterations disagree on a fixed input (nondeterminism?)".into());
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks the result bit for bit against the reference evaluator.
+    /// One execute advances the last run's plan by its temporal depth (1
+    /// unless temporal tiling took effect; clamped depths report 1), so
+    /// the depth-1 reference is iterated that many times.
+    fn verify(
+        &self,
+        session: &Session,
+        compiled: &CompiledStencil,
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        let machine = session.machine();
+        let source_hosts: Vec<Vec<f32>> = self.sources.iter().map(|a| a.gather(&machine)).collect();
+        let coeff_hosts: Vec<Vec<f32>> = self.coeffs.iter().map(|a| a.gather(&machine)).collect();
+        let got = self.result.gather(&machine);
+        drop(machine);
+        let spec = compiled.spec();
+        let source_slices: Vec<&[f32]> = source_hosts.iter().map(Vec::as_slice).collect();
+        let mut host_iter = coeff_hosts.iter();
+        let values: Vec<CoeffValue<'_>> = spec
+            .coeffs
+            .iter()
+            .map(|c| match c {
+                CoeffSpec::Named(_) => CoeffValue::Array(host_iter.next().expect("counted")),
+                CoeffSpec::Literal(v) => CoeffValue::Literal(*v),
+            })
+            .collect();
+        let (rows, cols) = (self.result.rows(), self.result.cols());
+        let depth = session.last_plan().map_or(1, |p| p.temporal_depth());
+        let mut want =
+            reference_convolve_multi(compiled.stencil(), rows, cols, &source_slices, &values);
+        for _ in 1..depth {
+            want = reference_convolve_multi(compiled.stencil(), rows, cols, &[&want], &values);
+        }
+        let exact = got
+            .iter()
+            .zip(&want)
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        if !exact {
+            return Err(format!(
+                "results diverge from the reference evaluator for `{}`",
+                unparse_spec(spec)
+            )
+            .into());
+        }
+        Ok(())
+    }
 }
 
 /// Rates and traffic derived from one profiled run.
@@ -767,6 +823,8 @@ struct Profile {
     m: Measurement,
     derived: Derived,
     stats: PlanCacheStats,
+    /// Plans cached when the profile was taken.
+    cached: usize,
     leases: LeaseStats,
     /// Per-operation duration histograms distilled from this
     /// statement's flight-recorder slices, indexed by `TraceOp`.
@@ -923,26 +981,14 @@ impl Profile {
         }
     }
 
-    /// One compact JSON line. The key set is the `cmcc-profile-v7`
-    /// schema (v6 less the exec count of lockstep steps run outside the
-    /// kernels — there are none): CI validates it, so changes must bump
-    /// the version.
+    /// One compact JSON line. The key set is the `cmcc-profile-v8`
+    /// schema (v7 with the plan cache's two per-shard arrays replaced by
+    /// one `cached` count): CI validates it, so changes must bump the
+    /// version.
     fn to_json(&self) -> String {
-        let shards: Vec<String> = self
-            .stats
-            .shard_occupancy
-            .iter()
-            .map(|n| n.to_string())
-            .collect();
-        let shard_evictions: Vec<String> = self
-            .stats
-            .shard_evictions
-            .iter()
-            .map(|n| n.to_string())
-            .collect();
         format!(
             concat!(
-                "{{\"schema\":\"cmcc-profile-v7\",\"statement\":{},",
+                "{{\"schema\":\"cmcc-profile-v8\",\"statement\":{},",
                 "\"engine\":\"{}\",\"mode\":\"{}\",\"nodes\":{},\"iters\":{},",
                 "\"measurement\":{{\"useful_flops\":{},\"cycles\":{{\"comm\":{},",
                 "\"compute\":{},\"frontend\":{},\"total\":{}}},\"nodes\":{}}},",
@@ -952,8 +998,7 @@ impl Profile {
                 "\"bytes_per_iter_predicted\":{},\"model_drift\":{},",
                 "\"model_drift_ok\":{}}},",
                 "\"plan_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},",
-                "\"capacity\":{},\"shards\":[{}],\"shard_evictions\":[{}],",
-                "\"shared_in_flight\":{}}},",
+                "\"capacity\":{},\"cached\":{},\"shared_in_flight\":{}}},",
                 "\"leases\":{{\"region_grants\":{},\"conflicts\":{},",
                 "\"peak_concurrent\":{},\"live\":{}}},",
                 "\"latency\":{{\"phases\":{}}},\"report\":{}}}"
@@ -983,8 +1028,7 @@ impl Profile {
             self.stats.misses,
             self.stats.evictions,
             self.stats.capacity,
-            shards.join(","),
-            shard_evictions.join(","),
+            self.cached,
             self.stats.shared_in_flight,
             self.leases.region_grants,
             self.leases.conflicts,
@@ -1013,10 +1057,6 @@ struct TenantStats {
     errors: Vec<String>,
 }
 
-/// Executes one served statement through a tenant's session handle:
-/// compile, allocate and fill deterministic inputs, run `--iters` times
-/// through the shared plan cache, and verify bit-exactly against the
-/// reference evaluator.
 /// Splits an optional `@temporal=K ` prefix off a served statement
 /// line, returning the requested depth and the bare statement.
 fn parse_serve_directive(line: &str) -> Result<(usize, &str), String> {
@@ -1032,6 +1072,10 @@ fn parse_serve_directive(line: &str) -> Result<(usize, &str), String> {
     }
 }
 
+/// Executes one served statement through a tenant's session handle:
+/// compile, allocate and fill deterministic inputs, run `--iters` times
+/// through the shared plan cache, and verify bit-exactly against the
+/// reference evaluator.
 fn serve_one(
     session: &mut Session,
     tenant: usize,
@@ -1051,77 +1095,12 @@ fn serve_one(
             .with_engine(ExecEngine::Lockstep);
         exec_opts.mode = ExecMode::Fast;
     }
-    let exec_opts = &exec_opts;
     let compiled = session.compile(statement)?;
-    let spec = compiled.spec();
-    let rows = opts.subgrid.0 * session.machine().grid().rows();
-    let cols = opts.subgrid.1 * session.machine().grid().cols();
-    let mut rng = Rng::new(0xCC ^ ((tenant as u64) << 32) ^ index as u64);
-    let mut fill = |machine: &mut Machine| -> Result<CmArray, Box<dyn std::error::Error>> {
-        let a = CmArray::new(machine, rows, cols)?;
-        let data: Vec<f32> = (0..rows * cols).map(|_| rng.f32_in(-1.0, 1.0)).collect();
-        a.scatter(machine, &data);
-        Ok(a)
-    };
-    let sources: Vec<CmArray> = (0..spec.sources.len().max(1))
-        .map(|_| fill(&mut session.machine_mut()))
-        .collect::<Result<_, _>>()?;
-    let named = spec
-        .coeffs
-        .iter()
-        .filter(|c| matches!(c, CoeffSpec::Named(_)))
-        .count();
-    let coeffs: Vec<CmArray> = (0..named)
-        .map(|_| fill(&mut session.machine_mut()))
-        .collect::<Result<_, _>>()?;
-    let r = CmArray::new(&mut session.machine_mut(), rows, cols)?;
-    let source_refs: Vec<&CmArray> = sources.iter().collect();
-    let coeff_refs: Vec<&CmArray> = coeffs.iter().collect();
-
-    let m = session.run_with_multi(&compiled, &r, &source_refs, &coeff_refs, exec_opts)?;
-    for _ in 1..opts.iters {
-        let again = session.run_with_multi(&compiled, &r, &source_refs, &coeff_refs, exec_opts)?;
-        if again != m {
-            return Err("iterations disagree on a fixed input (nondeterminism?)".into());
-        }
-    }
-
-    let (got, source_hosts, coeff_hosts) = {
-        let machine = session.machine();
-        let source_hosts: Vec<Vec<f32>> = sources.iter().map(|a| a.gather(&machine)).collect();
-        let coeff_hosts: Vec<Vec<f32>> = coeffs.iter().map(|a| a.gather(&machine)).collect();
-        (r.gather(&machine), source_hosts, coeff_hosts)
-    };
-    let source_slices: Vec<&[f32]> = source_hosts.iter().map(Vec::as_slice).collect();
-    let mut host_iter = coeff_hosts.iter();
-    let values: Vec<CoeffValue<'_>> = spec
-        .coeffs
-        .iter()
-        .map(|c| match c {
-            CoeffSpec::Named(_) => CoeffValue::Array(host_iter.next().expect("counted")),
-            CoeffSpec::Literal(v) => CoeffValue::Literal(*v),
-        })
-        .collect();
-    // A temporal plan advances `depth` steps per execute; iterate the
-    // depth-1 reference to match (clamped depths report 1 here).
-    let depth = session.last_plan().map_or(1, |p| p.temporal_depth());
-    let mut want =
-        reference_convolve_multi(compiled.stencil(), rows, cols, &source_slices, &values);
-    for _ in 1..depth {
-        want = reference_convolve_multi(compiled.stencil(), rows, cols, &[&want], &values);
-    }
-    let exact = got
-        .iter()
-        .zip(&want)
-        .all(|(a, b)| a.to_bits() == b.to_bits());
-    if !exact {
-        return Err(format!(
-            "results diverge from the reference evaluator for `{}`",
-            unparse_spec(spec)
-        )
-        .into());
-    }
-    Ok(())
+    let seed = 0xCC ^ ((tenant as u64) << 32) ^ index as u64;
+    let inputs = Inputs::new(session, &compiled, opts.subgrid, seed)?;
+    let m = inputs.run(session, &compiled, &exec_opts)?;
+    inputs.rerun(session, &compiled, &exec_opts, &m, opts.iters - 1)?;
+    inputs.verify(session, &compiled)
 }
 
 /// One tenant's full pass over the batch, under the tenant's admission
@@ -1369,16 +1348,7 @@ fn serve_batch(
             eprintln!("  tenant {}: SERVE FAILED: {e}", t.tenant);
         }
     }
-    let occupancy: Vec<String> = cache
-        .shard_occupancy
-        .iter()
-        .map(|n| n.to_string())
-        .collect();
-    let shard_ev: Vec<String> = cache
-        .shard_evictions
-        .iter()
-        .map(|n| n.to_string())
-        .collect();
+    let cached = session.cached_plans();
     println!(
         "serve totals: plan cache {} hits / {} misses / {} evictions (capacity {}), \
          build-once {}",
@@ -1396,9 +1366,7 @@ fn serve_batch(
         },
     );
     println!(
-        "  shards: occupancy [{}] evictions [{}] shared_in_flight={}",
-        occupancy.join(" "),
-        shard_ev.join(" "),
+        "  cached: {cached} plans, shared_in_flight={}",
         cache.shared_in_flight,
     );
     println!(
@@ -1468,12 +1436,11 @@ fn serve_batch(
             .collect();
         println!(
             concat!(
-                "{{\"schema\":\"cmcc-serve-v4\",\"workers\":{},\"quota\":{},",
+                "{{\"schema\":\"cmcc-serve-v5\",\"workers\":{},\"quota\":{},",
                 "\"statements\":{},",
                 "\"iters\":{},\"build_once\":{},\"drained\":{},\"tenants\":[{}],",
                 "\"plan_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},",
-                "\"capacity\":{},\"shards\":[{}],\"shard_evictions\":[{}],",
-                "\"shared_in_flight\":{}}},",
+                "\"capacity\":{},\"cached\":{},\"shared_in_flight\":{}}},",
                 "\"leases\":{{\"region_grants\":{},\"conflicts\":{},",
                 "\"peak_concurrent\":{},\"live\":{}}},",
                 "\"latency\":{{\"phases\":{},\"lease\":{{\"time_to_grant\":{},",
@@ -1491,8 +1458,7 @@ fn serve_batch(
             cache.misses,
             cache.evictions,
             cache.capacity,
-            occupancy.join(","),
-            shard_ev.join(","),
+            cached,
             cache.shared_in_flight,
             leases.region_grants,
             leases.conflicts,

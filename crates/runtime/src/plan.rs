@@ -585,7 +585,7 @@ pub struct PlanInstance {
     lane_fallback: Option<&'static str>,
     /// The instance-owned persistent lane mirror. Shaped on first
     /// execute, recycled afterwards (zero steady-state allocations);
-    /// `lane_buffers` records what it holds. Poolable across instances
+    /// `lane_buffers` records what it holds. Reusable across instances
     /// via [`ExecutionPlan::take_mirror`] / [`ExecutionPlan::install_mirror`].
     lane_mirror: LaneMirror,
     /// What each lane buffer holds, in layout order; `None` is garbage.
@@ -1668,7 +1668,7 @@ impl ExecutionPlan {
         }
     }
 
-    /// Detaches the instance's lane mirror, for pooling across tenants.
+    /// Detaches the instance's lane mirror, for reuse by another tenant.
     /// The plan falls back to an unprimed (but still valid) state: its
     /// next execute re-shapes whatever mirror it holds and refreshes
     /// every buffer.
@@ -1679,8 +1679,8 @@ impl ExecutionPlan {
 
     /// Installs a (possibly recycled) lane mirror into the instance.
     /// The mirror's buffers are reused when shapes match — this is how
-    /// the session mirror pool keeps steady-state allocations at zero
-    /// across tenants; contents are treated as garbage and refreshed
+    /// a session hands a retired instance's mirror to a new tenant
+    /// without allocating; contents are treated as garbage and refreshed
     /// whole.
     pub fn install_mirror(&mut self, mirror: LaneMirror) {
         self.inst.lane_mirror = mirror;

@@ -38,12 +38,13 @@
 //! # Concurrency
 //!
 //! A [`Session`] is a cheap clonable handle over shared state: the
-//! machine (behind a read-write lock), the compiler, a sharded plan
-//! cache of immutable [`CompiledPlan`] artifacts, and a lane-mirror
-//! pool. Clone the session once per thread and run concurrently — the
-//! first tenant to request a given (statement, shape, options) builds
-//! its plan exactly once (a per-entry build lock serializes racing
-//! tenants onto the same artifact), and every handle keeps its own
+//! machine (behind a read-write lock), the compiler, and a plan cache of
+//! immutable [`CompiledPlan`] artifacts behind one lock, which also keeps
+//! retired instances' lane mirrors for reuse. Clone the session once per
+//! thread and run concurrently — the first tenant to request a given
+//! (statement, shape, options) builds its plan exactly once (a per-entry
+//! build lock serializes racing tenants onto the same artifact, and no
+//! build holds the cache lock), and every handle keeps its own
 //! mutable [`runtime::PlanInstance`] state, so tenants never observe
 //! each other's bindings.
 //!
@@ -74,13 +75,16 @@ pub use cmcc_runtime::{
     ExecOptions, ExecutionPlan, LeaseRange, RuntimeError, StencilBinding,
 };
 
-use cmcc_cm2::lane::{MirrorPool, RegionStage};
+use cmcc_cm2::lane::{LaneMirror, RegionStage};
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{
+    Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard,
+    RwLockWriteGuard,
+};
 
 /// Everything needed for typical use, in one import.
 pub mod prelude {
@@ -145,76 +149,98 @@ struct PlanKey {
     opts: ExecOptions,
 }
 
-/// Number of shards in the concurrent plan cache. Lookups hash the
-/// plan key (statement fingerprint, shape, options) to a shard, so
-/// tenants working on distinct stencils rarely touch the same lock.
-pub const PLAN_CACHE_SHARDS: usize = 8;
-
-/// One cache entry's build-once cell. The slot is created *before* the
-/// plan exists: the first tenant to lock `plan` and find `None` builds
-/// the artifact while racing tenants block on the same mutex and wake to
-/// a populated slot — the per-fingerprint build lock that makes "built
-/// exactly once" a structural guarantee rather than a race outcome.
-#[derive(Debug)]
-struct PlanSlot {
-    plan: Mutex<Option<Arc<CompiledPlan>>>,
-    /// Global LRU tick of the last lookup (monotonic, cache-wide).
-    last_used: AtomicU64,
-}
+/// One cache entry's build-once cell. The tenant that publishes an entry
+/// locks its fresh slot before the cache lock is released, so that tenant
+/// builds the artifact while racing tenants block on the same mutex and
+/// wake to a populated slot — the per-key build lock that makes "built
+/// exactly once" a structural guarantee rather than a race outcome. A
+/// racing tenant that wakes to an empty slot found a failed build.
+type PlanSlot = Mutex<Option<Arc<CompiledPlan>>>;
 
 #[derive(Debug)]
 struct CacheEntry {
     key: PlanKey,
     slot: Arc<PlanSlot>,
+    /// Cache tick of the last lookup: the LRU order.
+    last_used: u64,
 }
 
-/// The sharded concurrent plan cache: [`PLAN_CACHE_SHARDS`] independent
-/// `RwLock`ed entry lists plus global (atomic) accounting. The capacity
-/// bound and LRU order are global across shards — eviction scans every
-/// shard — so the cache behaves like one LRU map that merely avoids a
-/// single lock on the lookup path.
-#[derive(Debug)]
-struct PlanCache {
-    shards: [RwLock<Vec<CacheEntry>>; PLAN_CACHE_SHARDS],
-    capacity: AtomicUsize,
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    shard_evictions: [AtomicU64; PLAN_CACHE_SHARDS],
+impl CacheEntry {
+    /// The built artifact; `None` while a builder holds the slot (an
+    /// entry mid-build is by definition the most recently wanted) or
+    /// once its build failed.
+    fn built(&self) -> Option<Arc<CompiledPlan>> {
+        self.slot.try_lock().ok()?.as_ref().cloned()
+    }
+}
+
+/// Everything the plan cache keeps behind its one lock.
+#[derive(Debug, Default)]
+struct CacheState {
+    entries: Vec<CacheEntry>,
+    capacity: usize,
+    tick: u64,
+    evictions: u64,
     /// Evicted artifacts still referenced by in-flight instances. The
     /// `Arc` keeps the artifact (and its node-memory fields) alive;
     /// sweeps reclaim each one when its last instance drops.
-    retired: Mutex<Vec<Arc<CompiledPlan>>>,
+    retired: Vec<Arc<CompiledPlan>>,
+    /// Lane mirrors of retired instances, handed to new instances so a
+    /// same-shaped tenant allocates nothing; at most
+    /// [`MIRROR_POOL_CAPACITY`].
+    mirrors: Vec<LaneMirror>,
+    /// Mirror takes that found `mirrors` empty.
+    mirror_misses: u64,
 }
 
-impl PlanCache {
-    fn new(capacity: usize) -> Self {
-        PlanCache {
-            shards: std::array::from_fn(|_| RwLock::new(Vec::new())),
-            capacity: AtomicUsize::new(capacity),
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            shard_evictions: std::array::from_fn(|_| AtomicU64::new(0)),
-            retired: Mutex::new(Vec::new()),
+impl CacheState {
+    /// Keeps a retired instance's lane mirror for a later instance while
+    /// there is room; a mirror that was never shaped holds nothing worth
+    /// keeping.
+    fn recycle(&mut self, mirror: LaneMirror) {
+        if mirror.nodes() > 0 && self.mirrors.len() < MIRROR_POOL_CAPACITY {
+            self.mirrors.push(mirror);
         }
     }
 
-    fn shard_index(key: &PlanKey) -> usize {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % PLAN_CACHE_SHARDS
+    /// The most recently retired lane mirror, or a fresh one counted as a
+    /// [`cmcc_obs::Counter::MirrorPoolMisses`]. Its contents are
+    /// unspecified: the instance primes it before use.
+    fn take_mirror(&mut self) -> LaneMirror {
+        self.mirrors.pop().unwrap_or_else(|| {
+            self.mirror_misses += 1;
+            cmcc_obs::add(cmcc_obs::Counter::MirrorPoolMisses, 1);
+            LaneMirror::new()
+        })
     }
+}
 
-    fn retire(&self, cp: Arc<CompiledPlan>) {
-        self.retired
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(cp);
+/// The session's plan cache: one LRU list behind one mutex, plus the hit
+/// and miss counters, which are atomics because hits and misses are
+/// decided under a slot lock.
+///
+/// Lock order, on every path: lease table → cache → slot → machine. A
+/// builder holds its slot across the build, which takes the machine
+/// write lock; a slot holder never takes the cache lock; and the cache
+/// lock only ever try-locks a slot, so its holder waits on nothing and
+/// no build or execute runs under it.
+#[derive(Debug, Default)]
+struct PlanCache {
+    state: Mutex<CacheState>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl PlanCache {
+    fn lock(&self) -> MutexGuard<'_, CacheState> {
+        unpoison(self.state.lock())
     }
+}
+
+/// The one poison policy for every lock in this crate: a lock whose
+/// holder panicked is taken over in whatever state the panic left.
+fn unpoison<G>(acquired: LockResult<G>) -> G {
+    acquired.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Hit/miss counters plus occupancy for a session's plan cache.
@@ -226,15 +252,11 @@ pub struct PlanCacheStats {
     /// Runs that built (and cached) a fresh plan — one per distinct
     /// artifact, however many tenants raced for it.
     pub misses: u64,
-    /// Cached plans evicted (LRU bound or capacity shrink), summed over
-    /// shards.
+    /// Cached plans evicted: by the LRU bound, by a capacity shrink, or
+    /// after their run at capacity zero.
     pub evictions: u64,
-    /// The cache's current plan capacity (global, across all shards).
+    /// The cache's current plan capacity.
     pub capacity: usize,
-    /// Plans currently cached, per shard.
-    pub shard_occupancy: [usize; PLAN_CACHE_SHARDS],
-    /// Evictions performed, per shard. Sums to `evictions`.
-    pub shard_evictions: [u64; PLAN_CACHE_SHARDS],
     /// Shared artifacts currently held beyond the cache itself: cached
     /// plans with at least one live tenant instance, plus evicted plans
     /// kept alive by in-flight instances awaiting their final sweep.
@@ -245,8 +267,8 @@ pub struct PlanCacheStats {
 /// keeps alive.
 const DEFAULT_PLAN_CACHE_CAPACITY: usize = 8;
 
-/// Retired lane mirrors the session pool holds for recycling across
-/// tenant instances; takes past the pool's supply are counted as
+/// Retired lane mirrors the plan cache keeps for new instances; takes
+/// past that supply are counted as
 /// [`cmcc_obs::Counter::MirrorPoolMisses`].
 const MIRROR_POOL_CAPACITY: usize = 32;
 
@@ -315,7 +337,7 @@ impl LeaseTable {
             cmcc_obs::trace::TraceOp::LeaseAcquire,
             0,
         );
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = unpoison(self.state.lock());
         let ticket = st.next_ticket;
         st.next_ticket += 1;
         let blocked = |st: &LeaseState| {
@@ -331,7 +353,7 @@ impl LeaseTable {
             st.conflicts += 1;
             st.queue.push_back((ticket, ranges.clone()));
             while blocked(&st) {
-                st = self.granted.wait(st).unwrap_or_else(|e| e.into_inner());
+                st = unpoison(self.granted.wait(st));
             }
             let pos = st
                 .queue
@@ -370,7 +392,7 @@ impl LeaseTable {
     }
 
     fn stats(&self) -> LeaseStats {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let st = unpoison(self.state.lock());
         LeaseStats {
             region_grants: self.region_grants.load(Ordering::Relaxed),
             conflicts: st.conflicts,
@@ -383,7 +405,7 @@ impl LeaseTable {
 
 impl Drop for LeaseGuard<'_> {
     fn drop(&mut self) {
-        let mut st = self.table.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = unpoison(self.table.state.lock());
         st.live.retain(|(t, _)| *t != self.ticket);
         st.in_flight -= 1;
         drop(st);
@@ -417,15 +439,15 @@ pub struct LeaseStats {
 }
 
 /// The state every [`Session`] handle shares: the machine behind a
-/// read-write lock, the compiler, the sharded plan cache, the
-/// lane-mirror pool, and the region-lease table that admits executes.
+/// read-write lock, the compiler, the plan cache (which also keeps the
+/// lane mirrors of retired instances), and the region-lease table that
+/// admits executes.
 #[derive(Debug)]
 struct SessionShared {
     machine: RwLock<Machine>,
     compiler: Compiler,
     config: MachineConfig,
     cache: PlanCache,
-    mirrors: MirrorPool,
     leases: LeaseTable,
 }
 
@@ -477,13 +499,13 @@ fn traced_lock<T>(write: bool, take: impl FnOnce() -> T) -> T {
 impl SessionShared {
     fn machine_read(&self) -> MachineGuard<'_> {
         traced_lock(false, || MachineGuard {
-            inner: self.machine.read().unwrap_or_else(|e| e.into_inner()),
+            inner: unpoison(self.machine.read()),
         })
     }
 
     fn machine_write(&self) -> MachineGuardMut<'_> {
         traced_lock(true, || MachineGuardMut {
-            inner: self.machine.write().unwrap_or_else(|e| e.into_inner()),
+            inner: unpoison(self.machine.write()),
         })
     }
 
@@ -514,117 +536,101 @@ impl SessionShared {
     }
 
     /// The cache-aware lookup: returns the shared artifact for `key`,
-    /// building it exactly once across all handles and threads.
-    ///
-    /// Lock order (must never be violated elsewhere): lease table →
-    /// shard lock → slot build lock → machine lock. The machine lock is
-    /// always innermost (builds take it *without* a lease — they only
-    /// touch freshly allocated fields, and the write lock itself
-    /// excludes every concurrent reader), and eviction only ever
-    /// *try*-locks slots.
+    /// building it exactly once across all handles and threads. The
+    /// build takes the machine write lock without a lease: it only
+    /// touches freshly allocated fields, and the write lock itself
+    /// excludes every concurrent reader. [`PlanCache`] states the lock
+    /// order.
     fn lookup_or_build(
         &self,
         binding: &StencilBinding<'_>,
         key: PlanKey,
         opts: &ExecOptions,
     ) -> Result<Arc<CompiledPlan>, SessionError> {
-        let cache = &self.cache;
-        let shard = &cache.shards[PlanCache::shard_index(&key)];
-        // Fast path: find the entry under the shard read lock.
-        let found = {
-            let guard = shard.read().unwrap_or_else(|e| e.into_inner());
-            guard
-                .iter()
-                .find(|e| e.key == key)
-                .map(|e| Arc::clone(&e.slot))
-        };
-        let slot = match found {
-            Some(slot) => slot,
-            None => {
-                let mut guard = shard.write().unwrap_or_else(|e| e.into_inner());
-                match guard.iter().find(|e| e.key == key) {
-                    Some(e) => Arc::clone(&e.slot),
-                    None => {
-                        let slot = Arc::new(PlanSlot {
-                            plan: Mutex::new(None),
-                            last_used: AtomicU64::new(0),
-                        });
-                        guard.push(CacheEntry {
-                            key,
-                            slot: Arc::clone(&slot),
-                        });
-                        slot
-                    }
+        loop {
+            let mut cache = self.cache.lock();
+            cache.tick += 1;
+            let tick = cache.tick;
+            let found = cache.entries.iter_mut().find(|e| e.key == key).map(|e| {
+                e.last_used = tick;
+                Arc::clone(&e.slot)
+            });
+            let created = found.is_none();
+            let slot = found.unwrap_or_else(|| {
+                let slot = Arc::<PlanSlot>::default();
+                cache.entries.push(CacheEntry {
+                    key,
+                    slot: Arc::clone(&slot),
+                    last_used: tick,
+                });
+                slot
+            });
+            // The build-once lock. The creator takes its fresh slot before
+            // the entry is published; racing tenants block here and wake
+            // to the populated slot.
+            let mut plan = if created {
+                let plan = unpoison(slot.lock());
+                drop(cache);
+                plan
+            } else {
+                drop(cache);
+                unpoison(slot.lock())
+            };
+            if let Some(cp) = plan.as_ref() {
+                self.cache.hits.fetch_add(1, Ordering::Relaxed);
+                cmcc_obs::add(cmcc_obs::Counter::PlanCacheHits, 1);
+                return Ok(Arc::clone(cp));
+            }
+            if !created {
+                // Its builder failed: drop the dead entry (the builder does
+                // too) and look the key up afresh.
+                drop(plan);
+                self.unpublish(&slot);
+                continue;
+            }
+            self.cache.misses.fetch_add(1, Ordering::Relaxed);
+            cmcc_obs::add(cmcc_obs::Counter::PlanCacheMisses, 1);
+            let built = CompiledPlan::build(&mut self.machine_write(), binding, opts);
+            return match built {
+                Ok(cp) => {
+                    let cp = Arc::new(cp);
+                    *plan = Some(Arc::clone(&cp));
+                    Ok(cp)
                 }
-            }
-        };
-        slot.last_used.store(
-            cache.tick.fetch_add(1, Ordering::Relaxed) + 1,
-            Ordering::Relaxed,
-        );
-
-        // The build-once lock: whoever finds the slot empty builds;
-        // racing tenants block here and wake to the populated slot.
-        let mut plan_guard = slot.plan.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(cp) = plan_guard.as_ref() {
-            cache.hits.fetch_add(1, Ordering::Relaxed);
-            cmcc_obs::add(cmcc_obs::Counter::PlanCacheHits, 1);
-            return Ok(Arc::clone(cp));
-        }
-        cache.misses.fetch_add(1, Ordering::Relaxed);
-        cmcc_obs::add(cmcc_obs::Counter::PlanCacheMisses, 1);
-        let built = {
-            let mut machine = self.machine_write();
-            CompiledPlan::build(&mut machine, binding, opts)
-        };
-        match built {
-            Ok(cp) => {
-                let cp = Arc::new(cp);
-                *plan_guard = Some(Arc::clone(&cp));
-                Ok(cp)
-            }
-            Err(e) => {
-                // Unpublish the empty entry so the next tenant retries
-                // as a builder instead of adopting a dead slot.
-                drop(plan_guard);
-                let mut guard = shard.write().unwrap_or_else(|e2| e2.into_inner());
-                guard.retain(|entry| !(entry.key == key && Arc::ptr_eq(&entry.slot, &slot)));
-                Err(e.into())
-            }
+                Err(e) => {
+                    // Unpublish the empty entry so the next lookup builds
+                    // afresh instead of adopting a dead slot.
+                    drop(plan);
+                    self.unpublish(&slot);
+                    Err(e.into())
+                }
+            };
         }
     }
 
-    /// Frees every retired artifact whose last instance has dropped.
-    /// Drains the retired list *before* touching the machine lock, so
-    /// the machine lock stays innermost.
+    /// Removes the entry that owns `slot`, if it is still cached.
+    fn unpublish(&self, slot: &Arc<PlanSlot>) {
+        self.cache
+            .lock()
+            .entries
+            .retain(|e| !Arc::ptr_eq(&e.slot, slot));
+    }
+
+    /// Frees every retired artifact whose last instance has dropped. The
+    /// cache lock is released before the machine lock is taken.
     fn sweep_retired(&self) {
-        let drained: Vec<Arc<CompiledPlan>> = {
-            let mut retired = self.cache.retired.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *retired)
-        };
-        if drained.is_empty() {
-            return;
-        }
-        let mut still_shared = Vec::new();
-        let mut free = Vec::new();
-        for arc in drained {
-            match Arc::try_unwrap(arc) {
-                Ok(cp) => free.push(cp),
-                Err(arc) => still_shared.push(arc),
-            }
-        }
+        let free: Vec<CompiledPlan> = self
+            .cache
+            .lock()
+            .retired
+            .extract_if(.., |cp| Arc::strong_count(cp) == 1)
+            .filter_map(|cp| Arc::try_unwrap(cp).ok())
+            .collect();
         if !free.is_empty() {
             let mut machine = self.machine_write();
             for cp in free {
                 cp.release(&mut machine);
             }
-        }
-        if !still_shared.is_empty() {
-            self.cache
-                .retired
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .extend(still_shared);
         }
     }
 }
@@ -653,8 +659,8 @@ struct LocalPlan {
 /// plan.
 ///
 /// `Session` is a **cheap clonable handle**: clones share the machine,
-/// compiler, plan cache, cache statistics, and mirror pool, while each
-/// clone keeps its own plan instances and per-handle report. Clone one
+/// compiler, plan cache (with its statistics and retired lane mirrors),
+/// and lease table, while each clone keeps its own plan instances and per-handle report. Clone one
 /// session per thread for concurrent multi-tenant execution; a plan is
 /// built exactly once no matter how many tenants race for it.
 ///
@@ -678,9 +684,9 @@ pub struct Session {
 }
 
 impl Clone for Session {
-    /// Clones the handle: the machine, compiler, plan cache, mirror
-    /// pool, and lease table are shared; plan instances and per-handle
-    /// state start empty.
+    /// Clones the handle: the machine, compiler, plan cache, and lease
+    /// table are shared; plan instances and per-handle state start
+    /// empty.
     fn clone(&self) -> Self {
         Session {
             shared: Arc::clone(&self.shared),
@@ -694,12 +700,10 @@ impl Clone for Session {
 }
 
 impl Drop for Session {
-    /// Retires this handle's instances, recycling their lane mirrors
-    /// into the shared pool for future tenants.
+    /// Retires this handle's instances; the plan cache keeps their lane
+    /// mirrors for future tenants.
     fn drop(&mut self) {
-        for mut entry in self.plans.drain(..) {
-            self.shared.mirrors.put(entry.plan.take_mirror());
-        }
+        self.retire_instances(|_| true);
     }
 }
 
@@ -716,8 +720,13 @@ impl Session {
                 machine: RwLock::new(machine),
                 compiler: Compiler::new(config.clone()),
                 config,
-                cache: PlanCache::new(DEFAULT_PLAN_CACHE_CAPACITY),
-                mirrors: MirrorPool::new(MIRROR_POOL_CAPACITY),
+                cache: PlanCache {
+                    state: Mutex::new(CacheState {
+                        capacity: DEFAULT_PLAN_CACHE_CAPACITY,
+                        ..CacheState::default()
+                    }),
+                    ..PlanCache::default()
+                },
                 leases: LeaseTable::default(),
             }),
             plans: Vec::new(),
@@ -851,7 +860,7 @@ impl Session {
     ///
     /// This is the cache-aware core every other `run*` method funnels
     /// into: the shared artifact is looked up (or built, exactly once
-    /// across all handles) in the sharded cache, and this handle's
+    /// across all handles) in the plan cache, and this handle's
     /// instance over it is rebound to the given arrays (no allocation, no
     /// schedule rebuild on the steady path). The execute then leases the
     /// node-memory ranges it touches. A lane-mapped instance reads node
@@ -883,56 +892,42 @@ impl Session {
         let before = cmcc_obs::snapshot();
         self.last_key = Some(key);
 
-        if shared.cache.capacity.load(Ordering::Relaxed) == 0 {
-            // Caching disabled: build, run, and free in one breath (the
-            // fields go back to the arena whether or not the execute
-            // succeeds). The build allocates and releases node memory, so
-            // this path leases the whole machine — it conflicts with (and
-            // so serializes against) every concurrent execute.
-            shared.cache.misses.fetch_add(1, Ordering::Relaxed);
-            cmcc_obs::add(cmcc_obs::Counter::PlanCacheMisses, 1);
-            let whole_machine = vec![LeaseRange {
-                start: 0,
-                end: usize::MAX,
-                writable: true,
-            }];
-            let (lease, conflicted) = shared.leases.acquire(whole_machine);
-            if conflicted {
-                cmcc_obs::add(cmcc_obs::Counter::LeaseConflicts, 1);
-            }
-            let measurement = {
-                let mut machine = shared.machine_write();
-                let mut plan = ExecutionPlan::build(&mut machine, &binding, opts)?;
-                let measurement = plan.execute(&mut machine);
-                plan.release(&mut machine);
-                measurement?
-            };
-            drop(lease);
-            self.last_report = cmcc_obs::snapshot().delta(&before);
-            self.last_key = None;
-            return Ok(measurement);
-        }
-
         let cp = shared.lookup_or_build(&binding, key, opts)?;
+        let run = self.run_instance(cp, key, &binding, result, sources, coeffs);
+        if run.is_ok() {
+            self.last_report = cmcc_obs::snapshot().delta(&before);
+        }
+        // A failed run settles too: at capacity zero its plan goes either
+        // way.
+        self.settle(Some(key));
+        run
+    }
 
-        // This handle's instance over the artifact: reuse it when it
-        // still tracks the cached artifact, replace it when the cache
-        // entry was evicted and rebuilt behind our back.
+    /// Runs this handle's instance over `cp` on the bound arrays. The
+    /// instance is reused while it still tracks `cp` and replaced when the
+    /// cache entry was evicted and rebuilt behind our back. The execute
+    /// leases the node-memory ranges it touches. `cp` drops on return, so
+    /// the caller's eviction pass can free an artifact this run evicts.
+    fn run_instance(
+        &mut self,
+        cp: Arc<CompiledPlan>,
+        key: PlanKey,
+        binding: &StencilBinding<'_>,
+        result: &CmArray,
+        sources: &[&CmArray],
+        coeffs: &[&CmArray],
+    ) -> Result<Measurement, SessionError> {
+        let shared = Arc::clone(&self.shared);
         self.local_tick += 1;
         let existing = self.plans.iter().position(|e| e.key == key);
         let idx = match existing {
             Some(i) if Arc::ptr_eq(self.plans[i].plan.shared(), &cp) => i,
-            other => {
-                if let Some(i) = other {
-                    let mut stale = self.plans.swap_remove(i);
-                    shared.mirrors.put(stale.plan.take_mirror());
+            stale => {
+                if stale.is_some() {
+                    self.retire_instances(|e| e.key == key);
                 }
-                let mut plan = ExecutionPlan::from_shared(&cp, &binding)?;
-                let (mirror, missed) = shared.mirrors.take_counted();
-                if missed {
-                    cmcc_obs::add(cmcc_obs::Counter::MirrorPoolMisses, 1);
-                }
-                plan.install_mirror(mirror);
+                let mut plan = ExecutionPlan::from_shared(&cp, binding)?;
+                plan.install_mirror(shared.cache.lock().take_mirror());
                 self.plans.push(LocalPlan {
                     key,
                     plan,
@@ -953,7 +948,7 @@ impl Session {
         if conflicted {
             cmcc_obs::add(cmcc_obs::Counter::LeaseConflicts, 1);
         }
-        let measurement = if plan.lane_mapped() {
+        if plan.lane_mapped() {
             // The region body: read node memory under the shared lock
             // (the guard drops inside `execute_region`), compute and
             // stage on the mirror lock-free, then commit.
@@ -961,150 +956,88 @@ impl Session {
             cmcc_obs::add(cmcc_obs::Counter::RegionLeases, 1);
             let measurement = plan.execute_region(shared.machine_read(), &mut self.stage);
             plan.committed(shared.commit(&self.stage, &lease.ranges));
-            measurement
+            Ok(measurement)
         } else {
             // The scalar engine writes node memory in place.
-            let mut machine = shared.machine_write();
-            plan.execute(&mut machine)?
-        };
-        drop(lease);
-        self.last_report = cmcc_obs::snapshot().delta(&before);
-
-        self.evict_over_capacity(Some(key));
-        self.trim_local_instances();
-        shared.sweep_retired();
-        Ok(measurement)
+            Ok(plan.execute(&mut shared.machine_write())?)
+        }
     }
 
-    /// Evicts global-LRU cache entries until the cache fits its
-    /// capacity. Entries mid-build (slot lock held by a builder) are
-    /// skipped — they are by definition the most recently wanted — and
-    /// so is `keep`, the entry the calling run just executed: its tick
-    /// dates from the run's lookup, so another tenant that looked up
-    /// newer entries meanwhile would otherwise make the run evict the
-    /// plan it just ran and drop its own instance with it.
-    /// Evicted artifacts move to the retired list; their node memory is
-    /// reclaimed by the next sweep once the last instance drops.
-    fn evict_over_capacity(&mut self, keep: Option<PlanKey>) {
-        let shared = Arc::clone(&self.shared);
-        let cache = &shared.cache;
-        let capacity = cache.capacity.load(Ordering::Relaxed);
-        let mut entries: Vec<(u64, usize, PlanKey)> = Vec::new();
-        for (si, shard) in cache.shards.iter().enumerate() {
-            let guard = shard.read().unwrap_or_else(|e| e.into_inner());
-            for e in guard.iter() {
-                entries.push((e.slot.last_used.load(Ordering::Relaxed), si, e.key));
-            }
-        }
-        if entries.len() <= capacity {
-            return;
-        }
-        entries.sort_unstable_by_key(|&(tick, _, _)| tick);
-        let mut to_evict = entries.len() - capacity;
-        for &(_, si, key) in entries.iter() {
-            if to_evict == 0 {
-                break;
-            }
-            if keep == Some(key) {
-                continue;
-            }
-            let removed = {
-                let mut guard = cache.shards[si].write().unwrap_or_else(|e| e.into_inner());
-                match guard.iter().position(|e| e.key == key) {
-                    Some(pos) => {
-                        // Skip entries a builder currently holds.
-                        let ready = guard[pos]
-                            .slot
-                            .plan
-                            .try_lock()
-                            .map(|g| g.is_some())
-                            .unwrap_or(false);
-                        if ready {
-                            Some(guard.swap_remove(pos).slot)
-                        } else {
-                            None
-                        }
-                    }
-                    None => None,
-                }
-            };
-            if let Some(slot) = removed {
-                to_evict -= 1;
-                cache.evictions.fetch_add(1, Ordering::Relaxed);
-                cache.shard_evictions[si].fetch_add(1, Ordering::Relaxed);
+    /// Brings the cache back within its capacity: evicts least recently
+    /// used entries, retires this handle's instances over the evicted
+    /// plans and its least recently used instances beyond the capacity,
+    /// and frees every retired artifact no instance holds any more.
+    ///
+    /// Entries mid-build are skipped, and so is `keep`, the entry the
+    /// calling run just executed, unless the capacity is zero: its tick
+    /// dates from the run's lookup, so another tenant that looked up newer
+    /// entries meanwhile would otherwise make the run evict the plan it
+    /// just ran and drop its own instance with it. At capacity zero every
+    /// run's entry is evicted after the run.
+    fn settle(&mut self, keep: Option<PlanKey>) {
+        let mut evicted = Vec::new();
+        let capacity = {
+            let mut cache = self.shared.cache.lock();
+            let keep = keep.filter(|_| cache.capacity > 0);
+            while cache.entries.len() > cache.capacity {
+                let victim = cache
+                    .entries
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, e)| Some(e.key) != keep)
+                    .filter_map(|(i, e)| Some((e.last_used, i, e.built()?)))
+                    .min_by_key(|&(tick, ..)| tick);
+                let Some((_, i, cp)) = victim else {
+                    break;
+                };
+                evicted.push(cache.entries.swap_remove(i).key);
+                cache.retired.push(cp);
+                cache.evictions += 1;
                 cmcc_obs::add(cmcc_obs::Counter::PlanCacheEvictions, 1);
-                // Our own instance over the evicted artifact is dead
-                // weight now — retire it so the sweep can free the
-                // artifact as soon as every other handle's has gone.
-                self.drop_local_instance(&key);
-                if let Some(cp) = slot.plan.lock().unwrap_or_else(|e| e.into_inner()).take() {
-                    cache.retire(cp);
-                }
             }
-        }
-    }
-
-    fn drop_local_instance(&mut self, key: &PlanKey) {
-        if let Some(i) = self.plans.iter().position(|e| e.key == *key) {
-            let mut old = self.plans.swap_remove(i);
-            self.shared.mirrors.put(old.plan.take_mirror());
-        }
-    }
-
-    /// Bounds this handle's instance list by the cache capacity,
-    /// retiring least-recently-used instances (their mirrors recycle
-    /// through the pool).
-    fn trim_local_instances(&mut self) {
-        let cap = self.shared.cache.capacity.load(Ordering::Relaxed).max(1);
-        while self.plans.len() > cap {
-            let Some(i) = self
-                .plans
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
-            else {
-                break;
-            };
-            let mut old = self.plans.swap_remove(i);
-            self.shared.mirrors.put(old.plan.take_mirror());
-        }
-    }
-
-    /// Plan-cache hit/miss/eviction counters, capacity, per-shard
-    /// occupancy and evictions, and the in-flight shared-plan count.
-    /// Shared across handle clones (one cache, one set of numbers).
-    pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        let cache = &self.shared.cache;
-        let mut stats = PlanCacheStats {
-            hits: cache.hits.load(Ordering::Relaxed),
-            misses: cache.misses.load(Ordering::Relaxed),
-            evictions: cache.evictions.load(Ordering::Relaxed),
-            capacity: cache.capacity.load(Ordering::Relaxed),
-            ..PlanCacheStats::default()
+            cache.capacity
         };
-        for (i, shard) in cache.shards.iter().enumerate() {
-            stats.shard_evictions[i] = cache.shard_evictions[i].load(Ordering::Relaxed);
-            let guard = shard.read().unwrap_or_else(|e| e.into_inner());
-            stats.shard_occupancy[i] = guard.len();
-            for e in guard.iter() {
-                if let Ok(slot) = e.slot.plan.try_lock() {
-                    if let Some(cp) = slot.as_ref() {
-                        if Arc::strong_count(cp) > 1 {
-                            stats.shared_in_flight += 1;
-                        }
-                    }
-                }
-            }
+        // Our own instances over evicted artifacts are dead weight now:
+        // retire them so the sweep can free each artifact as soon as every
+        // other handle's instance has gone too.
+        if !evicted.is_empty() {
+            self.retire_instances(|e| evicted.contains(&e.key));
         }
-        stats.shared_in_flight += self
-            .shared
-            .cache
-            .retired
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len();
-        stats
+        while self.plans.len() > capacity {
+            let lru = self.plans.iter().map(|e| e.last_used).min();
+            self.retire_instances(|e| Some(e.last_used) == lru);
+        }
+        self.shared.sweep_retired();
+    }
+
+    /// Drops this handle's instances that `retire` picks; the plan cache
+    /// keeps their lane mirrors for later instances.
+    fn retire_instances(&mut self, mut retire: impl FnMut(&LocalPlan) -> bool) {
+        let mut cache = self.shared.cache.lock();
+        for mut old in self.plans.extract_if(.., |e| retire(e)) {
+            cache.recycle(old.plan.take_mirror());
+        }
+    }
+
+    /// Plan-cache hit/miss/eviction counters, capacity, and the in-flight
+    /// shared-plan count. Shared across handle clones (one cache, one set
+    /// of numbers).
+    pub fn plan_cache_stats(&self) -> PlanCacheStats {
+        let cache = self.shared.cache.lock();
+        let instantiated = cache
+            .entries
+            .iter()
+            .filter(|e| {
+                matches!(e.slot.try_lock().as_deref(), Ok(Some(cp)) if Arc::strong_count(cp) > 1)
+            })
+            .count();
+        PlanCacheStats {
+            hits: self.shared.cache.hits.load(Ordering::Relaxed),
+            misses: self.shared.cache.misses.load(Ordering::Relaxed),
+            evictions: cache.evictions,
+            capacity: cache.capacity,
+            shared_in_flight: instantiated + cache.retired.len(),
+        }
     }
 
     /// A snapshot of the region-lease table shared by every clone of
@@ -1116,10 +1049,10 @@ impl Session {
     }
 
     /// Mirror takes this session served with a fresh allocation because
-    /// the pool was empty — the lifetime total behind
+    /// the plan cache held no retired mirror — the lifetime total behind
     /// [`cmcc_obs::Counter::MirrorPoolMisses`].
     pub fn mirror_pool_misses(&self) -> u64 {
-        self.shared.mirrors.misses()
+        self.shared.cache.lock().mirror_misses
     }
 
     /// Telemetry recorded by the most recent `run*` call on *this
@@ -1140,29 +1073,18 @@ impl Session {
         self.plans.iter().find(|e| e.key == key).map(|e| &e.plan)
     }
 
-    /// Number of plans currently cached, across all shards.
+    /// Number of plans currently cached.
     pub fn cached_plans(&self) -> usize {
-        self.shared
-            .cache
-            .shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
+        self.shared.cache.lock().entries.len()
     }
 
-    /// Changes how many plans the cache keeps globally (evicting
-    /// immediately if the new bound is smaller — eviction accounting,
-    /// including the per-shard counters, reflects the shrink). A
-    /// capacity of zero disables caching for subsequent runs. Shared
-    /// across handle clones.
+    /// Changes how many plans the cache keeps globally, evicting
+    /// immediately if the new bound is smaller. At capacity zero each
+    /// run's plan is evicted (and its node memory freed) right after the
+    /// run. Shared across handle clones.
     pub fn set_plan_cache_capacity(&mut self, capacity: usize) {
-        self.shared
-            .cache
-            .capacity
-            .store(capacity, Ordering::Relaxed);
-        self.evict_over_capacity(None);
-        self.trim_local_instances();
-        self.shared.sweep_retired();
+        self.shared.cache.lock().capacity = capacity;
+        self.settle(None);
     }
 
     /// Drops every cached plan and frees its node memory (for artifacts
@@ -1173,28 +1095,15 @@ impl Session {
     /// option changes key new plans), but explicit invalidation keeps
     /// the escape hatch cheap.
     pub fn clear_plan_cache(&mut self) {
-        for mut entry in self.plans.drain(..) {
-            self.shared.mirrors.put(entry.plan.take_mirror());
-        }
+        self.retire_instances(|_| true);
         self.last_key = None;
-        let cache = &self.shared.cache;
-        for shard in &cache.shards {
-            let drained: Vec<CacheEntry> = {
-                let mut guard = shard.write().unwrap_or_else(|e| e.into_inner());
-                guard.drain(..).collect()
-            };
-            for entry in drained {
-                if let Some(cp) = entry
-                    .slot
-                    .plan
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                {
-                    cache.retire(cp);
-                }
-            }
-        }
+        let drained = std::mem::take(&mut self.shared.cache.lock().entries);
+        // Outside the cache lock: a slot still being built is waited for.
+        let built: Vec<Arc<CompiledPlan>> = drained
+            .into_iter()
+            .filter_map(|e| unpoison(e.slot.lock()).take())
+            .collect();
+        self.shared.cache.lock().retired.extend(built);
         self.shared.sweep_retired();
     }
 
@@ -1257,10 +1166,7 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(r.get(&b.machine(), 1, 1), 3.0);
         assert!(stats.shared_in_flight >= 1);
-        assert_eq!(
-            stats.shard_occupancy.iter().sum::<usize>(),
-            a.cached_plans()
-        );
+        assert_eq!(a.cached_plans(), 1);
     }
 
     #[test]
@@ -1276,15 +1182,62 @@ mod tests {
         // in flight; `a`'s eviction pass then finds the cache one over
         // capacity, with `a`'s entry the oldest.
         b.run(&second, &r, &x, &[]).unwrap();
-        a.shared.cache.capacity.store(1, Ordering::Relaxed);
+        a.shared.cache.lock().capacity = 1;
         let key = a.last_key.unwrap();
-        a.evict_over_capacity(Some(key));
+        a.settle(Some(key));
         assert!(
             a.last_plan().is_some(),
             "the run evicted the plan it just ran"
         );
         assert_eq!(a.cached_plans(), 1);
         assert_eq!(a.plan_cache_stats().evictions, 1);
+    }
+
+    #[test]
+    fn retired_mirrors_are_bounded_shaped_and_reused_without_allocating() {
+        cmcc_obs::set_enabled(true);
+        let mut s = Session::tiny().unwrap();
+        let c = s.compile("R = 0.5 * X + 0.5 * CSHIFT(X, 2, 1)").unwrap();
+        let x = s.array(4, 4).unwrap();
+        let r = s.array(4, 4).unwrap();
+        let lane = ExecOptions::fast()
+            .with_engine(ExecEngine::Lockstep)
+            .with_threads(1);
+        let kept = || s.shared.cache.lock().mirrors.len();
+        let tenant = |opts: &ExecOptions| {
+            let mut t = s.clone();
+            t.run_with(&c, &r, &x, &[], opts).unwrap();
+            t
+        };
+
+        // The scalar engine never shapes its mirror: retiring it keeps
+        // nothing.
+        drop(tenant(&ExecOptions::default()));
+        assert_eq!(kept(), 0, "an unshaped mirror was kept");
+        assert_eq!(s.mirror_pool_misses(), 1);
+
+        // Retired shaped mirrors are kept up to the bound.
+        let tenants: Vec<Session> = (0..MIRROR_POOL_CAPACITY + 2)
+            .map(|_| tenant(&lane))
+            .collect();
+        drop(tenants);
+        assert_eq!(
+            kept(),
+            MIRROR_POOL_CAPACITY,
+            "the kept mirrors are unbounded"
+        );
+        let misses = s.mirror_pool_misses();
+        assert_eq!(misses, MIRROR_POOL_CAPACITY as u64 + 3);
+
+        // A same-shaped tenant takes one and allocates nothing.
+        let before = cmcc_obs::thread_snapshot();
+        let reused = tenant(&lane);
+        let delta = cmcc_obs::thread_snapshot().delta(&before);
+        assert_eq!(delta.get(cmcc_obs::Counter::MirrorAllocations), 0);
+        assert_eq!(s.mirror_pool_misses(), misses, "the take missed");
+        assert_eq!(kept(), MIRROR_POOL_CAPACITY - 1);
+        drop(reused);
+        assert_eq!(kept(), MIRROR_POOL_CAPACITY);
     }
 
     #[test]

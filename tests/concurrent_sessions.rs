@@ -1,11 +1,12 @@
 //! Concurrent multi-tenant sessions: N thread tenants sharing one
-//! machine and one sharded plan cache. Pins the stencil-as-a-service
+//! machine and one plan cache. Pins the stencil-as-a-service
 //! guarantees: a cold cache builds each distinct plan exactly once no
 //! matter how many tenants race for it, every tenant's results are
-//! bit-identical to a sequential single-session oracle, per-tenant
-//! thread-local stats sum to the shared cache's totals, and the
-//! steady state allocates no lane mirrors after warmup (mirrors recycle
-//! through the session pool across tenant lifetimes).
+//! bit-identical to a sequential single-session oracle — also while
+//! racing tenants evict each other's plans — per-tenant thread-local
+//! stats sum to the shared cache's totals, and the steady state
+//! allocates no lane mirrors after warmup (the plan cache hands a
+//! retired tenant's mirror to the next tenant's instance).
 
 use cmcc::cm2::exec::{ExecEngine, ExecMode};
 use cmcc::obs::Counter;
@@ -89,19 +90,17 @@ fn tenant_pass(session: &mut Session, barrier: &Barrier) -> (Vec<Vec<f32>>, u64,
     )
 }
 
-/// N racing tenants on a cold cache: exactly M = `STENCILS.len()` plan
-/// builds, bit-identical results against a sequential oracle session,
-/// and per-tenant counters that sum to the shared cache's statistics.
-#[test]
-fn racing_tenants_build_each_plan_exactly_once_and_match_oracle() {
-    cmcc::obs::set_enabled(true);
-    const TENANTS: usize = 4;
+const TENANTS: usize = 4;
 
+/// Races `TENANTS` handles of `session` through [`tenant_pass`] on a
+/// cold cache and checks every tenant's results bit for bit against a
+/// sequential oracle session. Returns the tenants' summed plan builds,
+/// cache hits and cache misses.
+fn race_against_oracle(session: &Session) -> (u64, u64, u64) {
     // Sequential oracle: its own session, machine, and cache.
     let mut oracle = Session::tiny().unwrap();
     let (oracle_results, ..) = tenant_pass(&mut oracle, &Barrier::new(1));
 
-    let session = Session::tiny().unwrap();
     let barrier = Barrier::new(TENANTS);
     let tenants: Vec<(Vec<Vec<f32>>, u64, u64, u64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..TENANTS)
@@ -126,11 +125,23 @@ fn racing_tenants_build_each_plan_exactly_once_and_match_oracle() {
             assert!(exact, "tenant diverges from the sequential oracle");
         }
     }
+    tenants
+        .iter()
+        .fold((0, 0, 0), |(b, h, m), (_, tb, th, tm)| {
+            (b + tb, h + th, m + tm)
+        })
+}
+
+/// N racing tenants on a cold cache: exactly M = `STENCILS.len()` plan
+/// builds, bit-identical results against a sequential oracle session,
+/// and per-tenant counters that sum to the shared cache's statistics.
+#[test]
+fn racing_tenants_build_each_plan_exactly_once_and_match_oracle() {
+    cmcc::obs::set_enabled(true);
+    let session = Session::tiny().unwrap();
+    let (builds, hits, misses) = race_against_oracle(&session);
 
     let stats = session.plan_cache_stats();
-    let builds: u64 = tenants.iter().map(|(_, b, ..)| b).sum();
-    let hits: u64 = tenants.iter().map(|(_, _, h, _)| h).sum();
-    let misses: u64 = tenants.iter().map(|(_, _, _, m)| m).sum();
     let total_runs = (TENANTS * STENCILS.len() * ITERS) as u64;
     assert_eq!(
         builds,
@@ -141,25 +152,47 @@ fn racing_tenants_build_each_plan_exactly_once_and_match_oracle() {
     assert_eq!(misses, stats.misses, "tenant misses sum to the cache total");
     assert_eq!(hits, stats.hits, "tenant hits sum to the cache total");
     assert_eq!(stats.hits + stats.misses, total_runs);
-    assert_eq!(
-        stats.shard_occupancy.iter().sum::<usize>(),
-        session.cached_plans(),
-        "shard occupancy sums to the cached-plan count"
-    );
     assert_eq!(session.cached_plans(), STENCILS.len());
-    assert_eq!(
-        stats.shard_evictions.iter().sum::<u64>(),
-        stats.evictions,
-        "per-shard evictions sum to the eviction total"
-    );
+    assert_eq!(stats.evictions, 0, "the plans fit the default capacity");
     // Tenant handles have dropped, so no artifact is shared beyond the
     // cache any more.
     assert_eq!(stats.shared_in_flight, 0);
 }
 
+/// More keys than the capacity: racing tenants evict each other's plans
+/// and rebuild them, yet every result stays bit-identical to the oracle,
+/// every miss is one build, and once the tenants are gone clearing the
+/// cache returns every plan's node memory.
+#[test]
+fn racing_tenants_over_capacity_evict_and_still_match_oracle() {
+    cmcc::obs::set_enabled(true);
+    let mut session = Session::tiny().unwrap();
+    let capacity = STENCILS.len() - 1;
+    session.set_plan_cache_capacity(capacity);
+    let (builds, hits, misses) = race_against_oracle(&session);
+
+    let stats = session.plan_cache_stats();
+    let total_runs = (TENANTS * STENCILS.len() * ITERS) as u64;
+    assert_eq!(builds, stats.misses, "every miss is one build");
+    assert_eq!(misses, stats.misses, "tenant misses sum to the cache total");
+    assert_eq!(hits, stats.hits, "tenant hits sum to the cache total");
+    assert_eq!(stats.hits + stats.misses, total_runs);
+    assert!(
+        stats.evictions > 0,
+        "three keys never fit a capacity of two"
+    );
+    assert!(session.cached_plans() <= capacity);
+    session.clear_plan_cache();
+    assert_eq!(
+        session.machine().persistent_used(),
+        0,
+        "an evicted or cleared plan kept its node memory"
+    );
+}
+
 /// After warmup the steady state allocates nothing: the tenant's lane
-/// mirror is reused run over run, and when a tenant handle retires its
-/// mirror recycles through the session pool into the next tenant's
+/// mirror is reused run over run, and when a tenant handle retires, the
+/// plan cache keeps its mirror and hands it to the next tenant's
 /// instance instead of a fresh allocation.
 #[test]
 fn steady_state_mirror_allocations_stay_flat_across_tenants() {
@@ -206,14 +239,14 @@ fn steady_state_mirror_allocations_stay_flat_across_tenants() {
     );
 
     // A second tenant warms up on the shared artifact, then retires —
-    // its shaped mirror lands in the session pool.
+    // the plan cache keeps its shaped mirror.
     {
         let mut tenant = session.clone();
         tenant
             .run_with_multi(&compiled, &r, &[&x], &[], &opts)
             .unwrap();
     }
-    // A third tenant's fresh instance takes the pooled mirror: priming
+    // A third tenant's fresh instance takes the kept mirror: priming
     // gathers run, but no new mirror storage is allocated.
     let mut tenant = session.clone();
     let before = cmcc::obs::thread_snapshot();
@@ -224,6 +257,6 @@ fn steady_state_mirror_allocations_stay_flat_across_tenants() {
     assert_eq!(
         delta.get(Counter::MirrorAllocations),
         0,
-        "a recycled pool mirror must serve the new tenant without reallocating"
+        "a recycled mirror must serve the new tenant without reallocating"
     );
 }

@@ -10,7 +10,7 @@
 //! executes the loop is disturbed in every way that must force a
 //! refresh: a host write to the held array, another plan's execute
 //! writing it, a region execute whose stage is dropped uncommitted, a
-//! mirror pool round trip (`take_mirror` / `install_mirror`) that hands
+//! mirror reuse round trip (`take_mirror` / `install_mirror`) that hands
 //! the plan back a mirror whose every word is NaN, and a rebind to an
 //! array the plan does not hold. Every execute is checked bit for bit
 //! against the iterated scalar engine, its copy words against the plan's

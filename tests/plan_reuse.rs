@@ -326,23 +326,39 @@ fn sessions_have_independent_caches() {
 }
 
 /// The LRU bound: capacity K keeps at most K plans; evicted plans return
-/// their node memory to the persistent arena.
+/// their node memory to the persistent arena. Capacity 0 runs the same
+/// path and evicts each run's plan right after the run.
 #[test]
 fn lru_eviction_frees_node_memory() {
-    let mut s = Session::tiny().unwrap();
-    s.set_plan_cache_capacity(2);
-    let c = s.compile("R = 1.0 * X").unwrap();
     let shapes = [(8usize, 8usize), (16, 8), (8, 12), (16, 12)];
-    for (rows, cols) in shapes {
-        let x = s.array(rows, cols).unwrap();
-        let r = s.array(rows, cols).unwrap();
-        s.run(&c, &r, &x, &[]).unwrap();
-        assert!(s.cached_plans() <= 2);
+    for capacity in [2, 0] {
+        let mut s = Session::tiny().unwrap();
+        s.set_plan_cache_capacity(capacity);
+        let c = s.compile("R = 1.0 * X").unwrap();
+        for (rows, cols) in shapes {
+            let x = s.array(rows, cols).unwrap();
+            let r = s.array(rows, cols).unwrap();
+            s.run(&c, &r, &x, &[]).unwrap();
+            assert!(s.cached_plans() <= capacity);
+            if capacity == 0 {
+                assert!(s.last_plan().is_none(), "capacity 0 kept an instance");
+                assert_eq!(
+                    s.machine().persistent_used(),
+                    0,
+                    "capacity 0 kept a plan's node memory"
+                );
+                let stats = s.plan_cache_stats();
+                assert_eq!(stats.evictions, stats.misses, "every run's plan is evicted");
+            }
+        }
+        assert_eq!(s.cached_plans(), capacity);
+        assert_eq!(s.plan_cache_stats().misses, 4);
+        assert_eq!(
+            s.machine().persistent_used() > 0,
+            capacity > 0,
+            "cached plans hold node memory"
+        );
+        s.clear_plan_cache();
+        assert_eq!(s.machine().persistent_used(), 0, "all plans released");
     }
-    assert_eq!(s.cached_plans(), 2);
-    assert_eq!(s.plan_cache_stats().misses, 4);
-    let used = s.machine().persistent_used();
-    s.clear_plan_cache();
-    assert!(s.machine().persistent_used() < used);
-    assert_eq!(s.machine().persistent_used(), 0, "all plans released");
 }

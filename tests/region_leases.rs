@@ -3,10 +3,11 @@
 //! through the region path with zero conflicts (the conflict predicate
 //! predicts exactly which executes must serialize); an overlapping
 //! execute waits its FIFO turn, is counted, runs the same region body
-//! and still produces bit-identical results; a failed execute releases
-//! its lease; and a tenant releasing a plan while a neighbor holds a
-//! lease on an adjacent field range neither deadlocks nor corrupts the
-//! neighbor's results. After every drain the lease table must be empty.
+//! and still produces bit-identical results; a failed run leaves no
+//! lease and no plan behind; and a tenant releasing a plan while a
+//! neighbor holds a lease on an adjacent field range neither deadlocks
+//! nor corrupts the neighbor's results. After every drain the lease
+//! table must be empty.
 //!
 //! Overlap in time is forced, not hoped for: a test holds a machine
 //! read guard, which parks each region execute at its commit with its
@@ -269,44 +270,61 @@ fn overlapping_executes_wait_their_fifo_turn_counted_and_run_the_region_body() {
     assert_eq!(stats.queued, 0);
 }
 
-/// A failed execute must release its lease. With caching disabled the
-/// whole build + execute runs under one whole-machine lease, so a plan
-/// build that dies on node-memory exhaustion exercises the error path
-/// while the lease is held.
+/// A failed run leaves nothing behind. Once array fillers hold the node
+/// memory the plan's halo fields need, the plan build fails: no lease is
+/// live or queued, the cache entry is unpublished (a retry is a second
+/// miss and a second build), and the failed build's node memory is back
+/// in the arena.
 #[test]
 fn failed_execute_releases_its_lease() {
+    cmcc::obs::set_enabled(true);
     let mut s = Session::tiny().unwrap();
-    s.set_plan_cache_capacity(0);
-    // Temporal fusion allocates array-sized scratch fields at plan
-    // build, so exhausting memory with array-shaped fillers guarantees
-    // the build fails once allocation does.
-    let opts = ExecOptions::default()
-        .with_threads(1)
-        .with_temporal_depth(3);
+    let opts = ExecOptions::default().with_threads(1);
     let c = s.compile("R = 0.5 * X + 0.5 * CSHIFT(X, 2, 1)").unwrap();
     let x = s.array(8, 12).unwrap();
     let r = s.array(8, 12).unwrap();
     x.fill(&mut s.machine_mut(), 1.0);
     s.run_with_multi(&c, &r, &[&x], &[], &opts)
         .expect("runs while memory is plentiful");
-    assert_eq!(s.lease_stats().live, 0);
-
+    // Freed plan fields return to the arena, where the fillers take them.
+    s.clear_plan_cache();
     let mut fillers = Vec::new();
     while let Ok(a) = s.array(8, 12) {
         fillers.push(a);
     }
-    let failed = s.run_with_multi(&c, &r, &[&x], &[], &opts);
-    assert!(
-        failed.is_err(),
-        "plan build must fail with node memory exhausted"
-    );
-    let stats = s.lease_stats();
-    assert_eq!(stats.live, 0, "failed execute leaked its lease");
-    assert_eq!(stats.queued, 0);
-    // The table is not wedged: the retry acquires immediately (and
-    // fails the same way, not by blocking behind a ghost lease).
-    assert!(s.run_with_multi(&c, &r, &[&x], &[], &opts).is_err());
-    assert_eq!(s.lease_stats().live, 0);
+
+    let used = s.machine().persistent_used();
+    for attempt in 1..=2 {
+        let misses = s.plan_cache_stats().misses;
+        let before = cmcc::obs::thread_snapshot();
+        let failed = s.run_with_multi(&c, &r, &[&x], &[], &opts);
+        let builds = cmcc::obs::thread_snapshot()
+            .delta(&before)
+            .get(cmcc::obs::Counter::PlanBuilds);
+        assert!(
+            failed.is_err(),
+            "attempt {attempt}: the plan build must fail with node memory exhausted"
+        );
+        let stats = s.lease_stats();
+        assert_eq!(stats.live, 0, "attempt {attempt}: a lease leaked");
+        assert_eq!(stats.queued, 0);
+        assert_eq!(
+            s.cached_plans(),
+            0,
+            "attempt {attempt}: a failed build stayed published"
+        );
+        assert_eq!(
+            s.plan_cache_stats().misses,
+            misses + 1,
+            "attempt {attempt}: every attempt is one miss"
+        );
+        assert_eq!(builds, 1, "attempt {attempt}: every attempt is one build");
+        assert_eq!(
+            s.machine().persistent_used(),
+            used,
+            "attempt {attempt}: the failed build kept node memory"
+        );
+    }
 }
 
 /// One tenant releases its plan (cache clear retires the artifact and
