@@ -5,7 +5,7 @@
 //! functional mode, once with the node-outer scalar engine and once
 //! with the lockstep engine — the lane body every lane-mapped plan
 //! runs: the resident mirror, the row sweeps lowered from the stencil
-//! IR, and the staged writes committed at once. Both use a persistent execution plan (built
+//! IR, and the result committed at once. Both use a persistent execution plan (built
 //! once, replayed), a single host thread, and identically seeded data.
 //! The ratio covers the executor (per-step dispatch amortized over all
 //! node lanes, contiguous lane-major inner loops — the paper's §4.3

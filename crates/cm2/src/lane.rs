@@ -18,10 +18,9 @@
 //! (source halos, coefficients, scratch states, the destination). Two
 //! copies cross between node memory and the mirror, each a strided
 //! [`RectCopy`]: a refresh fills a buffer's interior from the array it
-//! holds ([`LaneMirror::gather_rows`], [`LaneMirror::gather_rect`]), and
-//! the stage ([`LaneMirror::stage`]) transposes the interior of the
-//! buffer holding a plan's result into a [`RegionStage`] for the caller
-//! to commit.
+//! holds ([`LaneMirror::gather`]), and the commit's scatter
+//! ([`LaneMirror::scatter`]) transposes the interior of the buffer
+//! holding a plan's result straight into the result array.
 
 use crate::memory::NodeMemory;
 
@@ -32,7 +31,7 @@ use crate::memory::NodeMemory;
 /// The execution plan pairs each lane buffer's interior with the array
 /// it is refreshed from (node → lane, the lane-domain `fill_interior`),
 /// and the interior of the buffer holding its result with the result
-/// array (lane → node, [`LaneMirror::stage`]).
+/// array (lane → node, [`LaneMirror::scatter`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RectCopy {
     /// Node-memory address of the rectangle's first word.
@@ -53,7 +52,7 @@ pub struct RectCopy {
 /// in one buffer.
 ///
 /// Word `w`'s lanes occupy `data[w*nodes .. (w+1)*nodes]`, one entry per
-/// node, in node order. Refreshes, the stage and the lane-domain exchange
+/// node, in node order. Refreshes, the scatter and the lane-domain exchange
 /// copies and fills are each one serial pass over this buffer; host
 /// threads share it only inside a sweep, which splits a step's output
 /// rows into bands ([`crate::kernels::sweep`]).
@@ -68,10 +67,6 @@ pub struct LaneMirror {
     nodes: usize,
     words: usize,
     allocations: u64,
-    gathered_words: u64,
-    row_gathered_words: u64,
-    scattered_words: u64,
-    lane_copied_words: u64,
 }
 
 /// Words per lane that [`LaneMirror::transpose_rect`] transposes as one
@@ -86,24 +81,22 @@ impl LaneMirror {
         LaneMirror::default()
     }
 
-    /// Shapes the mirror to `words` lane words across `nodes` nodes. A
-    /// no-op when the shape already matches; otherwise the buffer is
-    /// recycled when its length allows, and the allocation counter
-    /// records every time it had to be resized. Reshaping leaves the
-    /// contents unspecified — refresh before running.
+    /// Shapes the mirror to `words` lane words across `nodes` nodes,
+    /// resizing the buffer in place while its capacity allows; the
+    /// allocation counter records every time it had to grow past that.
+    /// Reshaping leaves the contents unspecified — refresh before
+    /// running.
     ///
     /// # Panics
     ///
     /// Panics if `nodes` is zero.
     pub fn ensure(&mut self, words: usize, nodes: usize) {
         assert!(nodes > 0, "lane mirror needs at least one node");
-        if self.nodes == nodes && self.words == words {
-            return;
-        }
         let needed = words * nodes;
-        if self.data.len() != needed {
+        if needed > self.data.capacity() {
             self.allocations += 1;
-            self.data.clear();
+            self.data = vec![0.0; needed];
+        } else {
             self.data.resize(needed, 0.0);
         }
         self.nodes = nodes;
@@ -124,32 +117,6 @@ impl LaneMirror {
     /// Constant across steady-state reuse.
     pub fn allocations(&self) -> u64 {
         self.allocations
-    }
-
-    /// Machine-total words copied into the mirror by
-    /// [`LaneMirror::gather_rect`] since the mirror was created.
-    /// Monotonic; callers difference it around a run to attribute
-    /// traffic.
-    pub fn gathered_words(&self) -> u64 {
-        self.gathered_words
-    }
-
-    /// Machine-total words copied into the mirror by rectangle gathers
-    /// ([`LaneMirror::gather_rows`] — the lane-domain interior refresh).
-    pub fn row_gathered_words(&self) -> u64 {
-        self.row_gathered_words
-    }
-
-    /// Machine-total words staged toward node memories
-    /// ([`Self::stage`]).
-    pub fn scattered_words(&self) -> u64 {
-        self.scattered_words
-    }
-
-    /// Words moved between lane columns by [`LaneMirror::copy_lane_span`]
-    /// (the lane-domain halo exchange).
-    pub fn lane_copied_words(&self) -> u64 {
-        self.lane_copied_words
     }
 
     /// The whole buffer, word-major: what a row sweep indexes (word `w`'s
@@ -177,35 +144,15 @@ impl LaneMirror {
     }
 
     /// Copies the rectangle `rect` describes from every node's memory
-    /// into the mirror.
-    ///
-    /// This is the lane-domain equivalent of a per-node strided copy: the
-    /// plan uses it to refresh a halo buffer's interior directly in the
-    /// mirror, without touching the node-side halo storage.
+    /// into the mirror, and returns the machine-total words it moved:
+    /// the lane-domain equivalent of a per-node strided copy, which
+    /// refreshes a lane buffer's interior from the array it holds.
     ///
     /// # Panics
     ///
     /// Panics if `mems.len()` differs from the mirrored node count or a
     /// run is out of bounds on either side.
-    pub fn gather_rows(&mut self, mems: &[NodeMemory], rect: &RectCopy) {
-        self.row_gathered_words += self.copy_in(mems, rect) as u64;
-    }
-
-    /// Like [`LaneMirror::gather_rows`], but counts the words as gather
-    /// traffic — the refresh of a classic plan's named coefficient,
-    /// which the sweeps read in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mems.len()` differs from the mirrored node count or a
-    /// run is out of bounds.
-    pub fn gather_rect(&mut self, mems: &[NodeMemory], rect: &RectCopy) {
-        self.gathered_words += self.copy_in(mems, rect) as u64;
-    }
-
-    /// The node→lane copy behind every gather; returns the
-    /// machine-total words it moved.
-    fn copy_in(&mut self, mems: &[NodeMemory], rect: &RectCopy) -> usize {
+    pub fn gather(&mut self, mems: &[NodeMemory], rect: &RectCopy) -> usize {
         assert_eq!(mems.len(), self.nodes, "one node memory per lane");
         let nodes = self.nodes;
         for r in 0..rect.rows {
@@ -230,16 +177,15 @@ impl LaneMirror {
         rect.rows * rect.cols * nodes
     }
 
-    /// The lane→node transpose behind [`Self::stage`]: copies the lane
-    /// side of `rect` into `dsts`, one `rows × cols`-word node-major run
-    /// per lane (row `r` at `r*cols`), a tile of [`SCATTER_TILE`] words
-    /// per row at a time. `rect`'s node side is the caller's business:
-    /// each run in `dsts` already stands for it.
+    /// The lane→node transpose behind [`Self::scatter`]: copies the lane
+    /// side of `rect` into `dsts`, one run per lane starting at the
+    /// rectangle's first node word (row `r` at `r*node_stride`), a tile
+    /// of [`SCATTER_TILE`] words per row at a time.
     ///
     /// Reading `nodes` interleaved streams (the gathers) is cheap, but
     /// writing them is not: word-outer, lane-inner order writes one word
     /// to every lane's run before moving on, and at 16 lanes with runs
-    /// 64 KiB apart (a 512² stage) all 16 write streams map to one L1
+    /// 64 KiB apart (a 512² result) all 16 write streams map to one L1
     /// set, more than it has ways. On a Xeon guest with a 48 KiB L1d that
     /// cost 4.4–5.5 ns/word, against 0.83 for the gather. Tiling writes
     /// each lane's tile whole before the next lane's (the tile's source
@@ -251,7 +197,7 @@ impl LaneMirror {
             let w = rect.lane0 + r * rect.lane_stride;
             let src = &self.data[w * nodes..(w + rect.cols) * nodes];
             for (t, tile) in src.chunks(SCATTER_TILE * nodes).enumerate() {
-                let w0 = r * rect.cols + t * SCATTER_TILE;
+                let w0 = r * rect.node_stride + t * SCATTER_TILE;
                 for (lane, dst) in dsts.iter_mut().enumerate() {
                     for (slot, row) in dst[w0..].iter_mut().zip(tile.chunks_exact(nodes)) {
                         *slot = row[lane];
@@ -261,29 +207,24 @@ impl LaneMirror {
         }
     }
 
-    /// Transposes the lane side of `rect` into `stage`'s node-major
-    /// buffer, node range `rect.node0 .. rect.node0 + rows·cols`, instead
-    /// of writing node memory: the lane execute's only output. An
-    /// execute that holds no exclusive machine borrow cannot write node
-    /// memory, so its result is staged here and committed later with
-    /// [`RegionStage::apply`]. Counts the staged words as scattered (the
-    /// commit itself counts nothing), so traffic telemetry does not
-    /// depend on who commits. The stage buffer is recycled across
-    /// executes.
+    /// Transposes the lane side of `rect` into every node's memory at
+    /// its node side — a lane execute's only write to node memory, made
+    /// by its commit under the machine write lock — and returns the
+    /// machine-total words it moved.
     ///
     /// # Panics
     ///
-    /// Panics unless `rect`'s node side is dense (`node_stride == cols`).
-    pub fn stage(&mut self, rect: &RectCopy, stage: &mut RegionStage) {
-        assert_eq!(
-            rect.node_stride, rect.cols,
-            "a stage lands one dense node run"
-        );
-        let len = rect.rows * rect.cols;
-        stage.shape((rect.node0, len), self.nodes);
-        let mut dsts: Vec<&mut [f32]> = stage.buf.chunks_exact_mut(len).collect();
+    /// Panics if `mems.len()` differs from the mirrored node count or a
+    /// run is out of bounds on either side.
+    pub fn scatter(&self, rect: &RectCopy, mems: &mut [NodeMemory]) -> usize {
+        assert_eq!(mems.len(), self.nodes, "one node memory per lane");
+        let span = rect.rows.saturating_sub(1) * rect.node_stride + rect.cols;
+        let mut dsts: Vec<&mut [f32]> = mems
+            .iter_mut()
+            .map(|m| m.slice_mut(rect.node0, span))
+            .collect();
         self.transpose_rect(rect, &mut dsts);
-        self.scattered_words += (len * self.nodes) as u64;
+        rect.rows * rect.cols * self.nodes
     }
 
     /// Copies `len` lane words from word `src` on into `dst..`, for
@@ -317,7 +258,6 @@ impl LaneMirror {
             let s = (src + w) * nodes + from0;
             self.data.copy_within(s..s + count, (dst + w) * nodes + to0);
         }
-        self.lane_copied_words += (count * len) as u64;
     }
 
     /// Fills `len` lane words starting at `w0` of node `node`'s lane
@@ -331,73 +271,6 @@ impl LaneMirror {
         assert!(node < self.nodes, "node out of range");
         for w in w0..w0 + len {
             self.data[w * self.nodes + node] = value;
-        }
-    }
-}
-
-/// The result of one lane-resident execute, staged off to the side in
-/// node-major order.
-///
-/// Region-leased executes read node memory under a *shared* machine
-/// lock and compute with no machine lock at all (many tenants at once),
-/// so they cannot write node memory directly. [`LaneMirror::stage`]
-/// transposes the destination buffer's interior into this buffer without
-/// touching the machine — the expensive lane-major → node-major
-/// transpose — and [`RegionStage::apply`] then commits it under a brief
-/// exclusive lock as one contiguous slice copy per node.
-///
-/// The buffer is recycled across executes (a steady state stages
-/// allocation-free), and [`RegionStage::ranges`] exposes exactly which
-/// node range the commit will touch so the caller can assert it is
-/// contained in the execute's leased writable ranges.
-#[derive(Debug, Clone, Default)]
-pub struct RegionStage {
-    /// The staged `(node_base, len)` range; `None` until the first stage.
-    range: Option<(usize, usize)>,
-    /// Node-major: lane `n`'s words at `n*len..(n+1)*len`.
-    buf: Vec<f32>,
-    nodes: usize,
-}
-
-impl RegionStage {
-    /// An empty stage; shaped by the first [`LaneMirror::stage`].
-    pub fn new() -> Self {
-        RegionStage::default()
-    }
-
-    /// The staged `(node_base, len)` node range — one entry, or none
-    /// before the first [`LaneMirror::stage`].
-    pub fn ranges(&self) -> &[(usize, usize)] {
-        self.range.as_slice()
-    }
-
-    /// Machine-total staged words.
-    pub fn words(&self) -> usize {
-        self.range.map_or(0, |(_, len)| len) * self.nodes
-    }
-
-    /// Reshapes to stage `range`, recycling the buffer.
-    fn shape(&mut self, range: (usize, usize), nodes: usize) {
-        self.nodes = nodes;
-        self.range = Some(range);
-        self.buf.resize(range.1 * nodes, 0.0);
-    }
-
-    /// Commits the staged words to node memories: each node's run is one
-    /// contiguous slice copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mems.len()` differs from the staged node count or the
-    /// range is out of a node memory's bounds.
-    pub fn apply(&self, mems: &mut [NodeMemory]) {
-        let Some((node_base, len)) = self.range else {
-            return;
-        };
-        assert_eq!(mems.len(), self.nodes, "one node memory per staged lane");
-        for (node, m) in mems.iter_mut().enumerate() {
-            m.slice_mut(node_base, len)
-                .copy_from_slice(&self.buf[node * len..(node + 1) * len]);
         }
     }
 }
@@ -431,6 +304,13 @@ mod tests {
         assert_eq!(mirror.allocations(), after_first);
         mirror.ensure(8, 4);
         assert_eq!(mirror.allocations(), after_first + 1);
+        // Shrinking resizes in place, and growing back within the
+        // capacity allocates nothing either.
+        mirror.ensure(2, 4);
+        assert_eq!((mirror.words(), mirror.nodes()), (2, 4));
+        assert_eq!(mirror.allocations(), after_first + 1, "a shrink allocated");
+        mirror.ensure(8, 4);
+        assert_eq!(mirror.allocations(), after_first + 1, "a regrow allocated");
     }
 
     /// `copy_lane_span` lands exactly what `count` per-node copies of
@@ -475,7 +355,6 @@ mod tests {
                     "span ({from0},{to0},{count}): word {w}"
                 );
             }
-            assert_eq!(spanned.lane_copied_words(), (count * len) as u64);
         }
     }
 
@@ -487,12 +366,11 @@ mod tests {
         mirror(6, 7).copy_lane_span(0, 6, 2, 1, 4, 2);
     }
 
-    /// `gather_rows` lands a strided node rectangle at strided lane
-    /// words, node-major input transposed lane-major, and counts it as
-    /// refresh traffic; `gather_rect` lands the same words and counts
-    /// them as gather traffic.
+    /// `gather` lands a strided node rectangle at strided lane words,
+    /// node-major input transposed lane-major, and returns the
+    /// machine-total words it moved.
     #[test]
-    fn mirror_gather_rows_mirrors_a_node_rectangle() {
+    fn mirror_gather_mirrors_a_node_rectangle() {
         let mut mems: Vec<NodeMemory> = (0..3).map(|_| NodeMemory::new(16)).collect();
         for (n, mem) in mems.iter_mut().enumerate() {
             for w in 0..16 {
@@ -510,41 +388,31 @@ mod tests {
             cols: 3,
         };
         let mut rows = mirror(12, 3);
-        rows.gather_rows(&mems, &rect);
+        assert_eq!(rows.gather(&mems, &rect), 18);
         for n in 0..3 {
             assert_eq!(rows.word(1)[n], (100 * n + 4) as f32);
             assert_eq!(rows.word(3)[n], (100 * n + 6) as f32);
             assert_eq!(rows.word(6)[n], (100 * n + 8) as f32);
             assert_eq!(rows.word(8)[n], (100 * n + 10) as f32);
         }
-        assert_eq!(rows.row_gathered_words(), 18);
-        assert_eq!(rows.gathered_words(), 0);
-
-        let mut gathered = mirror(12, 3);
-        gathered.gather_rect(&mems, &rect);
-        for w in 0..12 {
-            assert_eq!(gathered.word(w), rows.word(w), "word {w}");
-        }
-        assert_eq!(gathered.gathered_words(), 18);
-        assert_eq!(gathered.row_gathered_words(), 0);
     }
 
-    /// The tiled lane→node transpose, as a strided stage committed by
-    /// `RegionStage::apply`, lands exactly what an element-wise copy
-    /// would, across lane counts below, at and above 16 lanes and run
-    /// lengths from one word through full tiles with a ragged tail — and
-    /// writes nothing else: the guard words around the staged run keep
+    /// The tiled lane→node transpose, as a scatter into guarded node
+    /// memories, lands exactly what an element-wise copy would, across
+    /// lane counts below, at and above 16 lanes and run lengths from one
+    /// word through full tiles with a ragged tail — and writes nothing
+    /// else: the guard words around and between the scattered runs keep
     /// their contents.
     #[test]
-    fn tiled_stage_matches_elementwise_reference() {
+    fn tiled_scatter_matches_elementwise_reference() {
         let guard = |node: usize, addr: usize| -((node * 1_000 + addr) as f32) - 0.5;
         for nodes in [1, 3, 8, 15, 16, 17, 33] {
             for len in [1, 15, 16, 17, 300] {
-                // Node memory: [guard 3][staged 2·len][guard 5]. The stage
-                // reads two strided rows of a `4·len + 1`-word mirror
-                // (every other `len`-word run, one word in).
+                // Node memory: [guard 3][run len][guard 2][run len][guard
+                // 5]. The scatter reads two strided rows of a `4·len +
+                // 1`-word mirror (every other `len`-word run, one word in).
                 let (node0, words) = (3, 4 * len + 1);
-                let size = node0 + 2 * len + 5;
+                let size = node0 + 2 * len + 2 + 5;
                 let fresh: Vec<NodeMemory> = (0..nodes)
                     .map(|node| {
                         let mut mem = NodeMemory::new(size);
@@ -556,13 +424,13 @@ mod tests {
                     .collect();
                 let rect = RectCopy {
                     node0,
-                    node_stride: len,
+                    node_stride: len + 2,
                     lane0: 1,
                     lane_stride: 2 * len,
                     rows: 2,
                     cols: len,
                 };
-                // The element-wise reference: each staged word is its
+                // The element-wise reference: each scattered word is its
                 // lane's value of the matching lane word.
                 let value = |node: usize, lane_word: usize| (node * 100_003 + lane_word) as f32;
                 let mut want = fresh.clone();
@@ -570,7 +438,7 @@ mod tests {
                     for r in 0..2 {
                         for c in 0..len {
                             let lane_word = rect.lane0 + r * rect.lane_stride + c;
-                            mem.write(node0 + r * len + c, value(node, lane_word));
+                            mem.write(node0 + r * rect.node_stride + c, value(node, lane_word));
                         }
                     }
                 }
@@ -581,19 +449,14 @@ mod tests {
                     }
                 }
                 let case = format!("{nodes} lanes, len {len}");
-                let mut stage = RegionStage::new();
-                mirror.stage(&rect, &mut stage);
-                assert_eq!(stage.ranges(), &[(node0, 2 * len)]);
-                assert_eq!(stage.words(), 2 * len * nodes);
-                assert_eq!(mirror.scattered_words(), (2 * len * nodes) as u64);
-                let mut staged = fresh.clone();
-                stage.apply(&mut staged);
+                let mut scattered = fresh.clone();
+                assert_eq!(mirror.scatter(&rect, &mut scattered), 2 * len * nodes);
                 let bits = |mem: &NodeMemory| -> Vec<u32> {
                     mem.slice(0, size).iter().map(|v| v.to_bits()).collect()
                 };
                 for node in 0..nodes {
                     assert_eq!(
-                        bits(&staged[node]),
+                        bits(&scattered[node]),
                         bits(&want[node]),
                         "{case}, node {node}"
                     );

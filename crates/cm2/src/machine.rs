@@ -16,7 +16,6 @@
 use crate::config::MachineConfig;
 use crate::exec::{run_resolved_strip, ExecMode, HazardError, ResolvedStrip, StripRun};
 use crate::grid::{NodeGrid, NodeId};
-use crate::lane::RegionStage;
 use crate::memory::{copy_between, Field, FieldAllocator, NodeMemory, OutOfMemory, WriteStamps};
 use std::ops::Range;
 
@@ -258,7 +257,7 @@ impl Machine {
     /// a region-leased execute runs against — many tenants may hold it
     /// simultaneously under a shared machine lock, because a lane-resident
     /// execute only *reads* node memory (gathers into its private mirror)
-    /// and defers its writes to a staged scatter applied later.
+    /// and defers its one write, the result, to a commit made later.
     pub fn exec_parts(&self) -> (&MachineConfig, &[NodeMemory]) {
         (&self.config, &self.nodes)
     }
@@ -350,21 +349,6 @@ impl Machine {
             }
         }
         Ok(reduced.expect("machine has at least one node"))
-    }
-
-    /// Commits a lane execute's staged result (see
-    /// [`RegionStage::apply`]), stamping exactly the staged range, and
-    /// returns the write epoch it stamped. The executing plan holds its
-    /// result in the mirror as of that epoch: until a later stamp lands
-    /// on the range, the mirror and node memory agree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stage was shaped for a different node count.
-    pub fn apply_stage(&mut self, stage: &RegionStage) -> u64 {
-        let ranges = stage.ranges().iter().map(|&(base, len)| base..base + len);
-        stage.apply(self.write_nodes(ranges));
-        self.write_epoch()
     }
 }
 

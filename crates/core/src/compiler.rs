@@ -416,6 +416,33 @@ mod tests {
         assert!(c.widest_kernel_for(0).is_none());
     }
 
+    /// Shifts past `MAX_SHIFT`, given at once or accumulated by nesting,
+    /// are refused with a typed recognition error in every build, instead
+    /// of overflowing the column-span arithmetic (a debug panic, and a
+    /// wrapped register count in release). The largest allowed shift
+    /// still reaches the register check.
+    #[test]
+    fn out_of_range_shifts_are_typed_errors() {
+        use crate::recognize::MAX_SHIFT;
+        let compile = |src: &str| Compiler::default().compile_assignment(src);
+        for src in [
+            "R = C1*CSHIFT(X,1,2147483647) + X".to_owned(),
+            "R = C1*CSHIFT(X,2,-9223372036854775807) + X".to_owned(),
+            format!("R = C1*CSHIFT(CSHIFT(X,1,{MAX_SHIFT}),1,1) + X"),
+        ] {
+            let err = compile(&src).unwrap_err();
+            assert!(
+                matches!(&err, CompileError::Recognize(e) if e.message().contains("out of range")),
+                "{src}: {err}"
+            );
+        }
+        let err = compile(&format!("R = C1*CSHIFT(X,1,{MAX_SHIFT}) + X")).unwrap_err();
+        assert!(
+            matches!(err, CompileError::NoFeasibleWidth { needed, .. } if needed as i64 > MAX_SHIFT),
+            "{err}"
+        );
+    }
+
     #[test]
     fn huge_stencil_fails_with_register_feedback() {
         // A 1×41 row stencil: 41 cells even at width 1 > 31 registers.

@@ -487,6 +487,11 @@ fn is_shift_call(expr: &Expr) -> bool {
         || name.value.eq_ignore_ascii_case("EOSHIFT"))
 }
 
+/// The largest total shift along one dimension a stencil term may
+/// carry. Far beyond any subgrid's halo, it keeps every later offset,
+/// column span and register count well inside `i32`.
+pub const MAX_SHIFT: i64 = 1 << 20;
+
 /// Parses `s(x) ::= x | CSHIFT(s(x), k, m) | EOSHIFT(s(x), k, m)`.
 fn parse_shifted(expr: &Expr) -> Result<ShiftedRef, RecognizeError> {
     match expr {
@@ -516,6 +521,21 @@ fn parse_shifted(expr: &Expr) -> Result<ShiftedRef, RecognizeError> {
             if !(1..=2).contains(&dim) {
                 return Err(RecognizeError::new(
                     format!("DIM={dim} is out of range: compiled stencils are two-dimensional"),
+                    *span,
+                ));
+            }
+            let along = if dim == 1 {
+                shifted.offset.drow
+            } else {
+                shifted.offset.dcol
+            };
+            let total = i64::from(along).saturating_add(shift);
+            if !(-MAX_SHIFT..=MAX_SHIFT).contains(&total) {
+                return Err(RecognizeError::new(
+                    format!(
+                        "shifts along DIM={dim} total {total}, out of range \
+                         (at most {MAX_SHIFT} either way)"
+                    ),
                     *span,
                 ));
             }

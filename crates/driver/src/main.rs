@@ -22,7 +22,9 @@
 //!                      mix) plus aggregate cache occupancy and
 //!                      region-lease totals. With --profile=json, emits
 //!                      one `cmcc-serve-v5` line with per-tenant latency
-//!                      histograms and lease-contention attribution
+//!                      histograms and lease-contention attribution. A
+//!                      line the compiler refuses is reported and skipped;
+//!                      it does not fail the batch
 //!   --workers N        tenant threads for --serve (default 4)
 //!   --quota N          admission control for --serve: each tenant may
 //!                      have at most N statement executes in flight
@@ -1161,6 +1163,11 @@ fn serve_tenant(
             let span = cmcc_obs::trace::scope(cmcc_obs::trace::TraceOp::Statement, i as u64);
             match serve_one(&mut handle, tenant, i, &statements[i], &exec_opts, opts) {
                 Ok(()) => served += 1,
+                // A line the compiler refuses is the client's error: it
+                // is reported, and the batch serves on.
+                Err(e) if matches!(e.downcast_ref(), Some(cmcc::SessionError::Compile(_))) => {
+                    eprintln!("  tenant {tenant}: refused statement {}: {e}", i + 1);
+                }
                 Err(e) => errors.push(format!("statement {}: {e}", i + 1)),
             }
             drop(span);

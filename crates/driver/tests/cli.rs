@@ -111,6 +111,33 @@ fn parse_errors_render_to_stderr() {
     assert!(stderr.contains("error"), "{stderr}");
 }
 
+/// A `--serve` line nested far past the parser's limit is refused on
+/// every tenant thread with its parse error, instead of overflowing the
+/// thread's stack and aborting every tenant: the other lines are
+/// served, and the batch exits 0.
+#[test]
+fn serve_refuses_a_too_deep_line_and_serves_the_rest() {
+    let deep = format!("R = {}X{}", "(".repeat(10_000), ")".repeat(10_000));
+    let batch = format!(
+        "R = 0.5 * CSHIFT(X, 2, 1) + 0.5 * X\n{deep}\nR = 0.25 * CSHIFT(X, 1, -1) + 0.75 * X\n"
+    );
+    let (stdout, stderr, code) =
+        run_stdin(&["--serve", "--workers", "2", "--subgrid", "8x8"], &batch);
+    assert_eq!(code, 0, "stdout: {stdout}\nstderr: {stderr}");
+    for tenant in 0..2 {
+        assert!(
+            stderr.contains(&format!(
+                "tenant {tenant}: refused statement 2: parse error: expression nested more than"
+            )),
+            "{stderr}"
+        );
+        assert!(
+            stdout.contains(&format!("tenant {tenant}: 2 statements, 2 runs")),
+            "{stdout}"
+        );
+    }
+}
+
 #[test]
 fn missing_file_is_reported() {
     let out = cmcc()

@@ -11,6 +11,15 @@ use crate::lexer::lex;
 use crate::span::Spanned;
 use crate::token::{Token, TokenKind};
 
+/// The deepest expression the parser accepts. A statement's nesting
+/// depth is the most levels on one path from its root to a leaf, where
+/// every binary operator, sign, call, parenthesis and operand is one
+/// level. Every later stage walks the expression tree recursively, so a
+/// deeper statement is refused here — with a [`ParseError`] — before it
+/// can exhaust a thread's stack. The deepest accepted statement runs on
+/// a default-sized (2 MiB) thread stack in an unoptimized build.
+pub const MAX_NESTING: usize = 128;
+
 /// Parses a single assignment statement, e.g.
 /// `R = C1 * CSHIFT(X, DIM=1, SHIFT=-1) + C3 * X`.
 ///
@@ -125,7 +134,7 @@ pub fn parse_program(source: &str) -> Result<Program> {
 pub fn parse_expression(source: &str) -> Result<Expr> {
     let mut p = Parser::new(source)?;
     p.skip_newlines();
-    let expr = p.expression()?;
+    let (expr, _) = p.expression()?;
     p.skip_newlines();
     p.expect_eof()?;
     Ok(expr)
@@ -134,6 +143,9 @@ pub fn parse_expression(source: &str) -> Result<Expr> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Factors open on the call stack: every recursion of the expression
+    /// grammar passes through [`Parser::factor`].
+    open: usize,
 }
 
 impl Parser {
@@ -141,6 +153,7 @@ impl Parser {
         Ok(Parser {
             tokens: lex(source)?,
             pos: 0,
+            open: 0,
         })
     }
 
@@ -180,6 +193,18 @@ impl Parser {
     fn unexpected(&self, what: &str) -> ParseError {
         let tok = self.peek();
         ParseError::new(format!("{what}, found {}", tok.kind.describe()), tok.span)
+    }
+
+    /// The nesting depth of a node whose deepest part is `depth` deep,
+    /// refused past [`MAX_NESTING`].
+    fn deeper(&self, depth: usize) -> Result<usize> {
+        if depth >= MAX_NESTING {
+            return Err(ParseError::new(
+                format!("expression nested more than {MAX_NESTING} levels deep"),
+                self.peek().span,
+            ));
+        }
+        Ok(depth + 1)
     }
 
     fn skip_newlines(&mut self) {
@@ -236,111 +261,118 @@ impl Parser {
         }
     }
 
+    // Each expression production returns its result's nesting depth
+    // (see `MAX_NESTING`) alongside it.
+
     // expression := term (('+' | '-') term)*
-    fn expression(&mut self) -> Result<Expr> {
-        let mut lhs = self.term()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.term()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
+    fn expression(&mut self) -> Result<(Expr, usize)> {
+        self.chain(Self::term, |kind| match kind {
+            TokenKind::Plus => Some(BinOp::Add),
+            TokenKind::Minus => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
     // term := factor (('*' | '/') factor)*
-    fn term(&mut self) -> Result<Expr> {
-        let mut lhs = self.factor()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                _ => break,
-            };
+    fn term(&mut self) -> Result<(Expr, usize)> {
+        self.chain(Self::factor, |kind| match kind {
+            TokenKind::Star => Some(BinOp::Mul),
+            TokenKind::Slash => Some(BinOp::Div),
+            _ => None,
+        })
+    }
+
+    /// A left-associative chain of `operand`s joined by the operators
+    /// `op` recognizes.
+    fn chain(
+        &mut self,
+        operand: fn(&mut Self) -> Result<(Expr, usize)>,
+        op: fn(&TokenKind) -> Option<BinOp>,
+    ) -> Result<(Expr, usize)> {
+        let (mut lhs, mut depth) = operand(self)?;
+        while let Some(op) = op(&self.peek().kind) {
             self.bump();
-            let rhs = self.factor()?;
+            let (rhs, rhs_depth) = operand(self)?;
+            depth = self.deeper(depth.max(rhs_depth))?;
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
             };
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
     // factor := ('+' | '-') factor | primary
-    fn factor(&mut self) -> Result<Expr> {
+    //
+    // Every recursion of the grammar passes through here, and each open
+    // factor is at least one level of its result's depth, so refusing
+    // the factor past `MAX_NESTING` bounds the parser's own recursion.
+    fn factor(&mut self) -> Result<(Expr, usize)> {
+        self.deeper(self.open)?;
+        self.open += 1;
+        let parsed = self.signed();
+        self.open -= 1;
+        parsed
+    }
+
+    fn signed(&mut self) -> Result<(Expr, usize)> {
         let tok = self.peek().clone();
-        match tok.kind {
-            TokenKind::Plus => {
-                self.bump();
-                let operand = self.factor()?;
-                let span = tok.span.merge(operand.span());
-                Ok(Expr::Unary {
-                    op: UnaryOp::Plus,
-                    operand: Box::new(operand),
-                    span,
-                })
-            }
-            TokenKind::Minus => {
-                self.bump();
-                let operand = self.factor()?;
-                let span = tok.span.merge(operand.span());
-                Ok(Expr::Unary {
-                    op: UnaryOp::Neg,
-                    operand: Box::new(operand),
-                    span,
-                })
-            }
-            _ => self.primary(),
-        }
+        let op = match tok.kind {
+            TokenKind::Plus => UnaryOp::Plus,
+            TokenKind::Minus => UnaryOp::Neg,
+            _ => return self.primary(),
+        };
+        self.bump();
+        let (operand, depth) = self.factor()?;
+        let span = tok.span.merge(operand.span());
+        let unary = Expr::Unary {
+            op,
+            operand: Box::new(operand),
+            span,
+        };
+        Ok((unary, self.deeper(depth)?))
     }
 
     // primary := name | name '(' args ')' | literal | '(' expression ')'
-    fn primary(&mut self) -> Result<Expr> {
+    fn primary(&mut self) -> Result<(Expr, usize)> {
         let tok = self.peek().clone();
-        match tok.kind {
+        let leaf = match tok.kind {
             TokenKind::Ident(name) => {
                 self.bump();
                 let name = Spanned::new(name, tok.span);
                 if self.at(&TokenKind::LParen) {
-                    self.call(name)
-                } else {
-                    Ok(Expr::Name(name))
+                    return self.call(name);
                 }
+                Expr::Name(name)
             }
             TokenKind::Int(v) => {
                 self.bump();
-                Ok(Expr::IntLit(Spanned::new(v, tok.span)))
+                Expr::IntLit(Spanned::new(v, tok.span))
             }
             TokenKind::Real(v) => {
                 self.bump();
-                Ok(Expr::RealLit(Spanned::new(v, tok.span)))
+                Expr::RealLit(Spanned::new(v, tok.span))
             }
             TokenKind::LParen => {
                 self.bump();
-                let inner = self.expression()?;
+                let (inner, depth) = self.expression()?;
                 self.expect(TokenKind::RParen)?;
-                Ok(inner)
+                return Ok((inner, self.deeper(depth)?));
             }
-            _ => Err(self.unexpected("expected an expression")),
-        }
+            _ => return Err(self.unexpected("expected an expression")),
+        };
+        Ok((leaf, 1))
     }
 
-    fn call(&mut self, name: Spanned<String>) -> Result<Expr> {
+    fn call(&mut self, name: Spanned<String>) -> Result<(Expr, usize)> {
         self.expect(TokenKind::LParen)?;
-        let mut args = Vec::new();
+        let (mut args, mut depth) = (Vec::new(), 0);
         if !self.at(&TokenKind::RParen) {
             loop {
-                args.push(self.argument()?);
+                let (arg, arg_depth) = self.argument()?;
+                args.push(arg);
+                depth = depth.max(arg_depth);
                 if !self.eat(&TokenKind::Comma) {
                     break;
                 }
@@ -348,11 +380,11 @@ impl Parser {
         }
         let close = self.expect(TokenKind::RParen)?;
         let span = name.span.merge(close.span);
-        Ok(Expr::Call { name, args, span })
+        Ok((Expr::Call { name, args, span }, self.deeper(depth)?))
     }
 
     // argument := IDENT '=' expression | expression
-    fn argument(&mut self) -> Result<Arg> {
+    fn argument(&mut self) -> Result<(Arg, usize)> {
         // Keyword form requires lookahead: IDENT followed by '='.
         if let TokenKind::Ident(name) = &self.peek().kind {
             let name = name.clone();
@@ -360,18 +392,19 @@ impl Parser {
             if self.tokens.get(self.pos + 1).map(|t| &t.kind) == Some(&TokenKind::Equals) {
                 self.bump(); // ident
                 self.bump(); // '='
-                let value = self.expression()?;
-                return Ok(Arg::keyword(Spanned::new(name, span), value));
+                let (value, depth) = self.expression()?;
+                return Ok((Arg::keyword(Spanned::new(name, span), value), depth));
             }
         }
-        Ok(Arg::positional(self.expression()?))
+        let (value, depth) = self.expression()?;
+        Ok((Arg::positional(value), depth))
     }
 
     // assignment := IDENT '=' expression
     fn assignment(&mut self) -> Result<Assign> {
         let target = self.ident()?;
         self.expect(TokenKind::Equals)?;
-        let value = self.expression()?;
+        let (value, _) = self.expression()?;
         let span = target.span.merge(value.span());
         Ok(Assign {
             target,
@@ -635,5 +668,40 @@ END
         let e = parse_expression("F()").unwrap();
         let Expr::Call { args, .. } = e else { panic!() };
         assert!(args.is_empty());
+    }
+
+    /// Every operator, sign, call, parenthesis and operand on a path is
+    /// one level: exactly `MAX_NESTING` levels parse, one more does not,
+    /// and hostile nesting — 10,000-level parentheses, a 100,000-term
+    /// sum — is refused before the parser's recursion or a deep tree can
+    /// exhaust the stack.
+    #[test]
+    fn nesting_past_the_limit_is_refused() {
+        let wrap = |n: usize, open: &str, close: &str| {
+            format!("R = {}X{}", open.repeat(n - 1), close.repeat(n - 1))
+        };
+        let shapes: [&dyn Fn(usize) -> String; 5] = [
+            &|n| wrap(n, "(", ")"),
+            &|n| wrap(n, "CSHIFT(", ", 1, 1)"),
+            &|n| wrap(n, "-", ""),
+            &|n| format!("R = {}", vec!["X"; n].join(" + ")),
+            // A deep operand on the left of a chain counts with the chain.
+            &|n| wrap(n - 1, "-", "") + " + X",
+        ];
+        for shape in shapes {
+            assert!(
+                parse_assignment(&shape(MAX_NESTING)).is_ok(),
+                "{}",
+                shape(3)
+            );
+            for n in [MAX_NESTING + 1, 10_000, 100_000] {
+                assert!(
+                    parse_assignment(&shape(n))
+                        .is_err_and(|e| e.message().contains("nested more than 128 levels")),
+                    "{}, {n} levels",
+                    shape(3)
+                );
+            }
+        }
     }
 }

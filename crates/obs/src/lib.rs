@@ -128,8 +128,8 @@ pub enum Counter {
     /// means the pool capacity is too small for the working set.
     MirrorPoolMisses,
     /// Region leases granted: executes that ran the region body (read
-    /// phase under the shared machine lock, lock-free compute, staged
-    /// commit), conflicted or not.
+    /// phase under the shared machine lock, lock-free compute, a commit
+    /// under the write lock), conflicted or not.
     RegionLeases,
     /// Lease conflicts: executes that found a conflicting live or
     /// earlier-queued lease and waited their FIFO turn before running.

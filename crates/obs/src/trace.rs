@@ -100,8 +100,10 @@ pub enum TraceOp {
     /// One fused step's row sweep (one time step of the lane body).
     /// `arg` on the begin event is the step index within the execute.
     KernelSweep,
-    /// A `RegionStage` commit window: staged halo writes applied to the
-    /// machine under the write lock.
+    /// A lane execute's commit window: its result transposed from the
+    /// lane mirror straight into node memory under exclusive machine
+    /// access (the session's write lock). `arg` on the begin event is the
+    /// result's words per node.
     RegionCommit,
     /// A lease request in the region-lease table, from request to
     /// grant — the slice duration *is* the time-to-grant, and `arg` on

@@ -56,7 +56,7 @@ pub struct ExecOptions {
     /// single `execute` refreshes and exchanges once, then applies the
     /// stencil `k` times — ping-ponging between scratch states on the
     /// lane mirror with a shrinking valid region per inner step — and
-    /// stages the result once. Callers therefore
+    /// commits the result once. Callers therefore
     /// advance `k` time steps per `execute`; query the plan's
     /// effective depth via `ExecutionPlan::temporal_depth()` (the
     /// planner clamps back to `1` — and counts `TemporalFallbacks` —

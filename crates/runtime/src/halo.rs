@@ -107,7 +107,7 @@ impl Padded {
 
     /// The copy between `array`'s subgrid (the node side) and this
     /// buffer's interior (the lane side): a lane buffer's refresh from
-    /// `array` or the stage of its interior into `array` — or, placed at
+    /// `array` or the scatter of its interior into `array` — or, placed at
     /// a node address, [`HaloBuffer::fill_interior`].
     pub fn interior_copy(&self, array: &CmArray) -> RectCopy {
         RectCopy {
@@ -952,7 +952,7 @@ mod tests {
                 rows: 1,
                 cols: len,
             };
-            mirror.gather_rows(m.exec_parts().1, &whole);
+            mirror.gather(m.exec_parts().1, &whole);
             let generate = |at: &Padded| {
                 ExchangeProgram::new(
                     at,

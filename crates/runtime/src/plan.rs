@@ -45,7 +45,7 @@ use cmcc_cm2::exec::{
 };
 use cmcc_cm2::isa::Kernel;
 use cmcc_cm2::kernels::{self, LaneBuffer, RowCoeff, RowProgram, RowRun, RowStep, RowTerm};
-use cmcc_cm2::lane::{LaneMirror, RegionStage};
+use cmcc_cm2::lane::LaneMirror;
 use cmcc_cm2::machine::Machine;
 use cmcc_cm2::memory::Field;
 use cmcc_cm2::timing::{CycleBreakdown, Measurement};
@@ -53,7 +53,7 @@ use cmcc_core::compiler::CompiledStencil;
 use cmcc_core::recognize::CoeffSpec;
 use cmcc_core::regalloc::Walk;
 use cmcc_core::stencil::CoeffRef;
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::sync::{Arc, OnceLock};
 
 /// A compiled stencil bound to concrete distributed arrays, with all
@@ -596,20 +596,17 @@ pub struct PlanInstance {
     /// The direction the execute in flight runs: 1 when the destination
     /// buffer already holds source 0, else 0.
     lane_dir: usize,
-    /// The buffer the last execute wrote and the result array it staged
-    /// for, until [`ExecutionPlan::committed`] reports the commit's
-    /// epoch: only then does the buffer count as holding the result.
-    lane_pending: Option<(usize, Field)>,
+    /// The last lane execute until its commit: the buffer holding its
+    /// result, the result array bound when it ran (the commit writes
+    /// there, whatever the plan was rebound to since), and its
+    /// measurement. Only the commit makes the buffer hold the result.
+    lane_pending: Option<(usize, CmArray, Measurement)>,
     /// The [`Machine::write_epoch`] the mirror was last synced at.
     lane_epoch: u64,
     /// Machine-total words the last rebind added to the next execute's
     /// re-read beyond a ping-pong swap: the refreshes (and, on temporal
     /// plans, exchanges) of the named coefficients it moved.
     lane_rebind_moved: usize,
-    /// The staged writes of a direct [`ExecutionPlan::execute`], recycled
-    /// across executes; empty until the first one (the session stages
-    /// region executes into its own buffer).
-    stage: RegionStage,
     result: CmArray,
     sources: Vec<CmArray>,
     coeffs: Vec<CmArray>,
@@ -735,7 +732,10 @@ impl CompiledPlan {
                 Some("multi-source stencil")
             } else if pad == 0 {
                 Some("pointwise stencil")
-            } else if requested_depth * pad > sub_rows.min(sub_cols) {
+            } else if requested_depth
+                .checked_mul(pad)
+                .is_none_or(|margin| margin > sub_rows.min(sub_cols))
+            {
                 Some("subgrid smaller than depth x radius")
             } else {
                 None
@@ -1002,7 +1002,6 @@ impl PlanInstance {
             lane_pending: None,
             lane_epoch: 0,
             lane_rebind_moved: 0,
-            stage: RegionStage::new(),
             result: *binding.result(),
             sources: binding.sources().to_vec(),
             coeffs: binding.coeffs().to_vec(),
@@ -1043,23 +1042,32 @@ impl PlanInstance {
         self.source_buffer(0, 1 - dir)
     }
 
-    /// Records that the stage the last execute filled was committed at
-    /// `epoch`: its destination buffer now holds the result array.
-    fn committed(&mut self, epoch: u64) {
-        if let Some((b, array)) = self.lane_pending.take() {
-            self.lane_buffers[b] = Some(Held {
-                array,
-                epoch,
-                exchanged: false,
-            });
-        }
+    /// Commits the last lane execute. See [`ExecutionPlan::commit`].
+    fn commit(&mut self, cp: &CompiledPlan, machine: &mut Machine) -> Measurement {
+        let (buffer, result, measurement) = self
+            .lane_pending
+            .take()
+            .expect("a commit follows an uncommitted execute_region");
+        let rect = cp.lane_schedule().buffers[buffer].interior_copy(&result);
+        let _t = cmcc_obs::trace::scope(
+            cmcc_obs::trace::TraceOp::RegionCommit,
+            (rect.rows * rect.cols) as u64,
+        );
+        let mems = machine.write_nodes([result.field().range()]);
+        let words = self.lane_mirror.scatter(&rect, mems);
+        cmcc_obs::add(cmcc_obs::Counter::ScatterWords, words as u64);
+        self.lane_buffers[buffer] = Some(Held {
+            array: result.field(),
+            epoch: machine.write_epoch(),
+            exchanged: false,
+        });
+        measurement
     }
 
     /// Forgets every buffer whose array was written since the epoch it
     /// holds it as of, and records this sync's epoch. Runs before the
     /// execute takes node memory, so the epoch precedes the execute's
-    /// own stamps. A commit never reported by [`Self::committed`] leaves
-    /// its buffer unheld.
+    /// own stamps. An execute never committed leaves its buffer unheld.
     fn invalidate_stale(&mut self, machine: &Machine) {
         self.lane_pending = None;
         self.lane_epoch = machine.write_epoch();
@@ -1070,27 +1078,17 @@ impl PlanInstance {
         }
     }
 
-    /// Runs the lane body once over the shared artifact `cp`, in its two
-    /// phases. The read phase ([`Self::read_phase`]) is the only part
-    /// that reads node memory, through `machine` — any shared borrow,
-    /// such as the session's read guard. Then `machine` is dropped: the
-    /// compute phase ([`Self::compute_phase`]) touches only the
-    /// instance's private mirror and stages the result into `stage` for
-    /// the caller to commit (and report with [`Self::committed`]). One `execute` span covers both
-    /// phases. Only lane-mapped instances may run it — the caller checks
-    /// [`ExecutionPlan::lane_mapped`] — and it cannot fail, so this
-    /// returns a bare [`Measurement`].
-    fn execute_region<G: Deref<Target = Machine>>(
-        &mut self,
-        cp: &CompiledPlan,
-        machine: G,
-        stage: &mut RegionStage,
-    ) -> Measurement {
+    /// Runs the lane body once over the shared artifact `cp`: the read
+    /// phase ([`Self::read_phase`]) through `machine`, which it then
+    /// drops, and the compute phase ([`Self::compute_phase`]) on the
+    /// private mirror, under one `execute` span. See
+    /// [`ExecutionPlan::execute_region`].
+    fn execute_region<G: Deref<Target = Machine>>(&mut self, cp: &CompiledPlan, machine: G) {
         let _span = cmcc_obs::span(cmcc_obs::Phase::Execute);
         let mut tally = ExecTally::new(&self.lane_mirror);
         self.read_phase(cp, &machine, &mut tally);
         drop(machine);
-        self.compute_phase(cp, tally, stage)
+        self.compute_phase(cp, tally);
     }
 
     /// Picks the direction — the one reading the buffer that already
@@ -1119,18 +1117,23 @@ impl PlanInstance {
                 continue;
             }
             let copy = lane.buffers[b].interior_copy(&array);
-            if k < lane.forward.exchanges.len() {
+            let words = if k < lane.forward.exchanges.len() {
                 // A halo: the lane-domain `fill_interior`.
                 let _t = cmcc_obs::trace::scope(
                     cmcc_obs::trace::TraceOp::InteriorRefresh,
                     (copy.rows * copy.cols) as u64,
                 );
-                self.lane_mirror.gather_rows(mems, &copy);
+                let words = self.lane_mirror.gather(mems, &copy);
+                cmcc_obs::add(cmcc_obs::Counter::InteriorRefreshWords, words as u64);
+                words
             } else {
                 // A classic plan's coefficient, which the sweeps read in
                 // place: its copy counts as a gather.
-                self.lane_mirror.gather_rect(mems, &copy);
-            }
+                let words = self.lane_mirror.gather(mems, &copy);
+                cmcc_obs::add(cmcc_obs::Counter::GatherWords, words as u64);
+                words
+            };
+            tally.interior_words += words;
             tally.predicted += copy.rows * copy.cols * cp.nodes;
             self.lane_buffers[b] = Some(Held {
                 array: array.field(),
@@ -1140,15 +1143,10 @@ impl PlanInstance {
         }
     }
 
-    /// Runs every halo exchange the read phase left pending, every fused
-    /// step, and the stage transpose — all on the private mirror, with
-    /// no access to node memory.
-    fn compute_phase(
-        &mut self,
-        cp: &CompiledPlan,
-        mut tally: ExecTally,
-        stage: &mut RegionStage,
-    ) -> Measurement {
+    /// Runs every halo exchange the read phase left pending and every
+    /// fused step — all on the private mirror, with no access to node
+    /// memory — and records the result as awaiting its commit.
+    fn compute_phase(&mut self, cp: &CompiledPlan, mut tally: ExecTally) {
         let depth = cp.depth;
         let dir = self.lane_dir;
         let schedule = cp.lane_schedule();
@@ -1172,10 +1170,9 @@ impl PlanInstance {
             held.exchanged = true;
         }
         // The destination is about to be overwritten; it holds the
-        // result only once the commit reports its epoch.
+        // result only once the commit has written it.
         let dest = self.dest_buffer(dir);
         self.lane_buffers[dest] = None;
-        self.lane_pending = Some((dest, self.result.field()));
         // The row sweeps stand in for the whole node schedule: its
         // counters, summed at build, are this execute's.
         cmcc_obs::add(cmcc_obs::Counter::LockstepSteps, cp.counts.steps);
@@ -1188,12 +1185,7 @@ impl PlanInstance {
                 schedule.scratch_fills[step % 2].run(&mut self.lane_mirror);
             }
         }
-        // Transpose the destination's interior into the result's stage;
-        // the caller commits it with `Machine::apply_stage`.
-        let rect = schedule.buffers[dest].interior_copy(&self.result);
-        tally.predicted += rect.rows * rect.cols * cp.nodes;
-        self.lane_mirror.stage(&rect, stage);
-        self.finish(cp, tally)
+        self.lane_pending = Some((dest, self.result, self.finish(cp, tally)));
     }
 
     /// Runs one iteration over the shared artifact `cp`. See
@@ -1205,20 +1197,9 @@ impl PlanInstance {
     ) -> Result<Measurement, RuntimeError> {
         if self.lane_fallback.is_none() {
             // The lane body, committed at once: the caller holds the
-            // machine exclusively, so nothing runs between the staged
-            // writes and their commit.
-            let mut stage = std::mem::take(&mut self.stage);
-            let m = self.execute_region(cp, &*machine, &mut stage);
-            let epoch = {
-                let _t = cmcc_obs::trace::scope(
-                    cmcc_obs::trace::TraceOp::RegionCommit,
-                    stage.ranges().len() as u64,
-                );
-                machine.apply_stage(&stage)
-            };
-            self.committed(epoch);
-            self.stage = stage;
-            return Ok(m);
+            // machine exclusively, so nothing runs in between.
+            self.execute_region(cp, &*machine);
+            return Ok(self.commit(cp, machine));
         }
         // The scalar engine: the oracle and the cycle model. Temporal
         // plans have no scalar body: their build lowers the lane body or
@@ -1253,10 +1234,9 @@ impl PlanInstance {
             comm,
             interior_words,
             exchange_words,
-            mirror_base,
+            allocations,
             predicted,
         } = tally;
-        let d = MirrorWords::of(&self.lane_mirror).minus(&mirror_base);
         cmcc_obs::add(
             if self.lane_fallback.is_none() {
                 cmcc_obs::Counter::LaneResidentRuns
@@ -1271,10 +1251,10 @@ impl PlanInstance {
             cmcc_obs::Counter::TotalFlops,
             2 * run.macs * cp.nodes as u64,
         );
-        cmcc_obs::add(cmcc_obs::Counter::GatherWords, d.gathered);
-        cmcc_obs::add(cmcc_obs::Counter::ScatterWords, d.scattered);
-        cmcc_obs::add(cmcc_obs::Counter::InteriorRefreshWords, d.row_gathered);
-        cmcc_obs::add(cmcc_obs::Counter::MirrorAllocations, d.allocations);
+        cmcc_obs::add(
+            cmcc_obs::Counter::MirrorAllocations,
+            self.lane_mirror.allocations() - allocations,
+        );
         for (slot, &n) in cp.counts.strip_widths.iter().enumerate() {
             cmcc_obs::add(WIDTH_COUNTERS[slot], n);
         }
@@ -1282,22 +1262,16 @@ impl PlanInstance {
         // Every build proves the copy model against observed traffic: the
         // words this execute moved are exactly what its re-reads predict
         // — the analytic `steady_state_copy_words` on the scalar engine,
-        // and the staged result plus the refreshed buffers and run
-        // exchanges on the lane body. Both sides are counted
+        // and the refreshed buffers and run exchanges on the lane body,
+        // whose commit then moves the result. Both sides are counted
         // anyway, and on the lane body a mismatch panics before the
-        // caller commits the stage, so node memory stays untouched.
-        let observed =
-            (interior_words + exchange_words) as u64 + d.row_gathered + d.gathered + d.scattered;
+        // execute's result awaits a commit, so node memory stays
+        // untouched.
         assert_eq!(
-            observed, predicted as u64,
+            interior_words + exchange_words,
+            predicted,
             "execute copy words diverged from the copy model"
         );
-        if self.lane_fallback.is_none() {
-            assert_eq!(
-                d.lane_copied, exchange_words as u64,
-                "lane exchange moved a different word count than its program records"
-            );
-        }
 
         // One front-end microcode dispatch per half-strip, plus the
         // call overhead.
@@ -1391,7 +1365,7 @@ impl PlanInstance {
                     .map(ExchangeProgram::words_moved)
                     .sum::<usize>();
         }
-        // The result is staged every execute. Source 0's buffer still
+        // The result is committed every execute. Source 0's buffer still
         // holds it, exchanged, unless the commit rewrote source 0 (an
         // in-place update, read next time from the destination: exchange
         // only; a partial overlap: refresh and exchange again).
@@ -1415,7 +1389,7 @@ impl PlanInstance {
     }
 
     /// Machine-total words of one subgrid copy: a buffer's refresh, or
-    /// the stage of the result.
+    /// the commit of the result.
     fn subgrid_words(&self, cp: &CompiledPlan) -> usize {
         self.result.field().len() * cp.nodes
     }
@@ -1423,7 +1397,7 @@ impl PlanInstance {
     /// Machine-total words copied by the execute after a ping-pong
     /// rebind on the lane body, whose source 0 is the last result: that
     /// source's buffer holds it, so it only exchanges; every other
-    /// source refreshes and exchanges; the result is staged; and
+    /// source refreshes and exchanges; the result is committed; and
     /// whatever the last rebind moved beyond that (see
     /// `lane_rebind_moved`) is re-read. On the scalar engine this is the
     /// steady-state figure (every execute already pays the full
@@ -1516,19 +1490,17 @@ impl ExecutionPlan {
     /// no schedule construction; the scalar engine resolves the strip
     /// schedule against the bound arrays the first time it runs them.
     ///
-    /// A [`Self::lane_mapped`] plan runs the lane body — the same one
-    /// [`Self::execute_region`] runs — and commits its staged writes at
-    /// once through [`Machine::apply_stage`]; its mirror and stage
-    /// buffers are recycled, so a steady state allocates nothing. The
+    /// A [`Self::lane_mapped`] plan runs the lane body —
+    /// [`Self::execute_region`] — and its [`Self::commit`] back to back;
+    /// its mirror is recycled, so a steady state allocates nothing. The
     /// body re-reads node memory only where its mirror is out of date:
     /// each source (interior refresh + exchange) and named coefficient
     /// is re-read unless a mirror buffer holds it — refreshed from it,
-    /// or (a source) written as the result of a commit that reported its
-    /// epoch — with no write stamp on it since
-    /// ([`Machine::written_since`]). Writes by anyone else count — host
-    /// scatters, another plan's execute — so an unchanged binding over
-    /// unchanged arrays, and the next step of a ping-pong, touch no
-    /// `NodeMemory` beyond writing the result. Every other plan runs on
+    /// or (a source) written by a commit as a result — with no write
+    /// stamp on it since ([`Machine::written_since`]). Writes by anyone
+    /// else count — host scatters, another plan's execute — so an
+    /// unchanged binding over unchanged arrays, and the next step of a
+    /// ping-pong, touch no `NodeMemory` beyond writing the result. Every other plan runs on
     /// the scalar engine. Every execute stamps the ranges it writes (its
     /// writable [`Self::lease_ranges`]).
     ///
@@ -1541,11 +1513,11 @@ impl ExecutionPlan {
 
     /// Whether `execute` runs the lane body: fast mode, the lockstep
     /// engine, and a binding whose result overlaps no named coefficient.
-    /// Its only node-memory write is the staged
-    /// result, and it cannot fail, so such a plan may also run
-    /// region-leased ([`Self::execute_region`]). False means the scalar
-    /// engine — the oracle and the cycle model — runs it, writing node
-    /// memory mid-execute under an exclusive borrow.
+    /// Its only node-memory write is its commit of the result, and it
+    /// cannot fail, so such a plan may also run region-leased
+    /// ([`Self::execute_region`], then [`Self::commit`]). False means the
+    /// scalar engine — the oracle and the cycle model — runs it, writing
+    /// node memory mid-execute under an exclusive borrow.
     pub fn lane_mapped(&self) -> bool {
         self.inst.lane_fallback.is_none()
     }
@@ -1554,44 +1526,52 @@ impl ExecutionPlan {
     /// `machine` — a read guard, or any other shared borrow — only for
     /// the read phase. That phase is the only one that reads node
     /// memory: it refreshes every stale source and coefficient buffer.
-    /// Then `machine` is dropped, and the
-    /// halo exchanges, the fused sweeps and the transpose of the result
-    /// into `stage` run on the private mirror alone. The caller commits
-    /// the stage with [`Machine::apply_stage`] under a brief exclusive
-    /// lock, while still holding the lease over this plan's
-    /// [`ExecutionPlan::lease_ranges`] — no conflicting execute can run
-    /// between the read phase and the commit — and reports the epoch it
-    /// returns with [`Self::committed`]. One `execute`
-    /// trace span covers both phases.
+    /// Then `machine` is dropped, and the halo exchanges and the fused
+    /// sweeps run on the private mirror alone, leaving the result there.
+    /// [`Self::commit`] then writes it to node memory under exclusive
+    /// access; the session makes that commit under a brief write lock,
+    /// while still holding the lease over this plan's
+    /// [`ExecutionPlan::lease_ranges`], so no conflicting execute can run
+    /// between the read phase and the commit. One `execute` trace span
+    /// covers both phases. An execute left uncommitted writes nothing:
+    /// the next one forgets it and refreshes whatever it overwrote.
     ///
     /// Results, [`Measurement`]s, and telemetry are bit-identical to
-    /// [`ExecutionPlan::execute`], which runs the same body (staged
-    /// words count as scatter words at stage time; the commit itself
-    /// counts nothing).
+    /// [`ExecutionPlan::execute`], which runs the same body and commit.
     ///
     /// # Panics
     ///
     /// Panics if the plan is not [`ExecutionPlan::lane_mapped`].
-    pub fn execute_region<G: Deref<Target = Machine>>(
-        &mut self,
-        machine: G,
-        stage: &mut RegionStage,
-    ) -> Measurement {
-        self.inst.execute_region(&self.shared, machine, stage)
+    pub fn execute_region<G: Deref<Target = Machine>>(&mut self, machine: G) {
+        self.inst.execute_region(&self.shared, machine);
     }
 
-    /// Hands the plan the write epoch the commit of its last
-    /// [`Self::execute_region`] stamped — the value
-    /// [`Machine::apply_stage`] returned for that stage. From then on
-    /// the destination buffer counts as holding the result array as of
-    /// that epoch, so an execute that next reads the result (a
-    /// ping-pong step, an in-place update) reads it from the mirror
-    /// instead of refreshing it from node memory. A stage that is never
-    /// committed, or whose commit is never reported, leaves the buffer
-    /// unheld: the next execute refreshes as usual.
-    /// [`Self::execute`] commits and reports by itself.
-    pub fn committed(&mut self, epoch: u64) {
-        self.inst.committed(epoch);
+    /// Commits the last [`Self::execute_region`]: transposes its result
+    /// from the lane mirror straight into the result array bound when it
+    /// ran — the lane body's one node-memory write, stamped exactly there
+    /// ([`Self::uncommitted`] names the range) — and returns the
+    /// execute's [`Measurement`]. From then on the mirror buffer counts
+    /// as holding the result array as of that stamp, so an execute that
+    /// next reads the result (a ping-pong step, an in-place update) reads
+    /// it from the mirror instead of refreshing it from node memory.
+    /// Counts the result as scatter words. [`Self::execute`] commits by
+    /// itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless an `execute_region` awaits its commit.
+    pub fn commit(&mut self, machine: &mut Machine) -> Measurement {
+        self.inst.commit(&self.shared, machine)
+    }
+
+    /// The node-memory range [`Self::commit`] writes, while an
+    /// [`Self::execute_region`] awaits its commit: the result array bound
+    /// when that execute ran. The session checks it lies inside the
+    /// execute's lease before taking the write lock.
+    pub fn uncommitted(&self) -> Option<Range<usize>> {
+        self.inst
+            .lane_pending
+            .map(|(_, result, _)| result.field().range())
     }
 
     /// The node-memory ranges this plan's next execute touches, with
@@ -1718,7 +1698,7 @@ impl ExecutionPlan {
     /// current engine. The lane body reaches a fixed point: while the
     /// binding holds and nobody writes the bound read-only arrays, the
     /// mirror's source and coefficient buffers stay current, so a
-    /// steady iteration copies nothing but the staged result — plus, on
+    /// steady iteration copies nothing but the committed result — plus, on
     /// an in-place update, the exchange of the source it reads back from
     /// the mirror.
     /// The scalar engine refreshes per iteration: the interior source
@@ -1733,7 +1713,7 @@ impl ExecutionPlan {
     /// Machine-total words the execute after a ping-pong rebind — source
     /// 0 is the last result — moves on the lane body: source 0's halo
     /// exchange (the mirror holds its words, so there is no refresh),
-    /// every other source's refresh and exchange, the staged result,
+    /// every other source's refresh and exchange, the committed result,
     /// plus the refreshes (and, on temporal plans, exchanges) of the
     /// coefficients the last rebind moved. Equals
     /// [`Self::steady_state_copy_words`] on the scalar engine, where
@@ -1953,14 +1933,16 @@ fn width_slot(width: usize) -> Option<usize> {
 
 /// What one execute accumulated on its way to the shared epilogue
 /// ([`PlanInstance::finish`]): the kernel run, modeled exchange cycles,
-/// observed copy traffic, and the copy words the debug cross-check
-/// expects.
+/// observed copy traffic, and the copy words the cross-check expects.
 struct ExecTally {
     run: StripRun,
     comm: u64,
+    /// Machine-total words the refreshes of halos and lane buffers
+    /// copied from bound arrays.
     interior_words: usize,
     exchange_words: usize,
-    mirror_base: MirrorWords,
+    /// The mirror's allocation count at execute entry.
+    allocations: u64,
     /// Machine-total copy words the execute's re-reads predict.
     predicted: usize,
 }
@@ -1973,7 +1955,7 @@ impl ExecTally {
             comm: 0,
             interior_words: 0,
             exchange_words: 0,
-            mirror_base: MirrorWords::of(mirror),
+            allocations: mirror.allocations(),
             predicted: 0,
         }
     }
@@ -2001,39 +1983,6 @@ impl LeaseRange {
     /// overlap and at least one side writes.
     pub fn conflicts(&self, other: &LeaseRange) -> bool {
         self.start < other.end && other.start < self.end && (self.writable || other.writable)
-    }
-}
-
-/// Snapshot of [`LaneMirror`]'s monotonic word counters, differenced
-/// around one execute to attribute that execute's mirror traffic.
-#[derive(Clone, Copy)]
-struct MirrorWords {
-    gathered: u64,
-    row_gathered: u64,
-    scattered: u64,
-    lane_copied: u64,
-    allocations: u64,
-}
-
-impl MirrorWords {
-    fn of(mirror: &LaneMirror) -> Self {
-        MirrorWords {
-            gathered: mirror.gathered_words(),
-            row_gathered: mirror.row_gathered_words(),
-            scattered: mirror.scattered_words(),
-            lane_copied: mirror.lane_copied_words(),
-            allocations: mirror.allocations(),
-        }
-    }
-
-    fn minus(&self, base: &MirrorWords) -> MirrorWords {
-        MirrorWords {
-            gathered: self.gathered - base.gathered,
-            row_gathered: self.row_gathered - base.row_gathered,
-            scattered: self.scattered - base.scattered,
-            lane_copied: self.lane_copied - base.lane_copied,
-            allocations: self.allocations - base.allocations,
-        }
     }
 }
 
@@ -2191,7 +2140,7 @@ mod tests {
             "a lane-mapped instance resolves no strips"
         );
 
-        // The lane body's steady state copies only the staged result,
+        // The lane body's steady state copies only the committed result,
         // strictly fewer words than the scalar engine's per-execute
         // refresh and exchange, and measures the same.
         let binding2 = StencilBinding::new(&compiled, &r, &[&x], &refs).unwrap();
@@ -2205,6 +2154,50 @@ mod tests {
         assert_eq!(baseline.execute(&mut m).unwrap(), first);
         assert!(plan.steady_state_copy_words() < baseline.steady_state_copy_words());
         baseline.release(&mut m);
+        plan.release(&mut m);
+    }
+
+    /// A lane execute writes node memory only in its commit: after
+    /// `execute_region` nothing is scattered and the write epoch has not
+    /// moved; the commit stamps the result's range and nothing the plan
+    /// reads, counts the result as scatter words, and returns what
+    /// `execute` measures.
+    #[test]
+    fn a_lane_execute_writes_node_memory_only_in_its_commit() {
+        cmcc_obs::set_enabled(true);
+        let mut m = machine();
+        let compiled = compile(&m, "R = C * CSHIFT(X, 1, -1) + 0.5 * X");
+        let x = CmArray::new(&mut m, 8, 8).unwrap();
+        let c = CmArray::new(&mut m, 8, 8).unwrap();
+        let r = CmArray::new(&mut m, 8, 8).unwrap();
+        x.fill_with(&mut m, |row, col| (row * 8 + col) as f32);
+        c.fill(&mut m, 0.25);
+        let binding = StencilBinding::new(&compiled, &r, &[&x], &[&c]).unwrap();
+        let mut plan = ExecutionPlan::build(&mut m, &binding, &ExecOptions::fast()).unwrap();
+        assert!(plan.lane_mapped());
+
+        let (epoch, before) = (m.write_epoch(), cmcc_obs::thread_snapshot());
+        plan.execute_region(&m);
+        let computed = cmcc_obs::thread_snapshot().delta(&before);
+        assert_eq!(computed.get(cmcc_obs::Counter::ScatterWords), 0);
+        assert_eq!(m.write_epoch(), epoch, "execute_region wrote node memory");
+        assert_eq!(plan.uncommitted(), Some(r.field().range()));
+
+        let measurement = plan.commit(&mut m);
+        let committed = cmcc_obs::thread_snapshot().delta(&before);
+        assert_eq!(
+            committed.get(cmcc_obs::Counter::ScatterWords),
+            (r.field().len() * m.node_count()) as u64
+        );
+        assert!(m.written_since(r.field().range(), epoch));
+        for bound in [&x, &c] {
+            assert!(
+                !m.written_since(bound.field().range(), epoch),
+                "the commit stamped a bound source or coefficient"
+            );
+        }
+        assert_eq!(plan.uncommitted(), None);
+        assert_eq!(plan.execute(&mut m).unwrap(), measurement);
         plan.release(&mut m);
     }
 

@@ -53,9 +53,10 @@
 //! don't conflict (disjoint, or read-read overlap) proceed
 //! concurrently. A lane-mapped run holds the *shared* machine lock only
 //! while it reads node memory, computes on its private lane mirror
-//! with no machine lock at all, and commits its staged writes under a
-//! brief exclusive lock. A conflicting run waits its turn in fair FIFO
-//! order, is counted, and then runs the same body, bit-identically.
+//! with no machine lock at all, and commits its result from the mirror
+//! straight into node memory under a brief exclusive lock. A conflicting
+//! run waits its turn in fair FIFO order, is counted, and then runs the
+//! same body, bit-identically.
 //! See [`Session::lease_stats`].
 
 #![warn(missing_docs)]
@@ -75,7 +76,7 @@ pub use cmcc_runtime::{
     ExecOptions, ExecutionPlan, LeaseRange, RuntimeError, StencilBinding,
 };
 
-use cmcc_cm2::lane::{LaneMirror, RegionStage};
+use cmcc_cm2::lane::LaneMirror;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
@@ -424,8 +425,9 @@ impl Drop for LeaseGuard<'_> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LeaseStats {
     /// Executes that ran the region body: a read phase under the shared
-    /// machine lock, lock-free compute on the lane mirror, and a staged
-    /// commit. Conflicted executes count here too, once granted.
+    /// machine lock, lock-free compute on the lane mirror, and a commit
+    /// under the write lock. Conflicted executes count here too, once
+    /// granted.
     pub region_grants: u64,
     /// Requests that conflicted with a live or earlier-queued lease and
     /// waited their FIFO turn before running.
@@ -509,30 +511,24 @@ impl SessionShared {
         })
     }
 
-    /// Commits a region execute's staged writes under a brief write
-    /// lock and returns the write epoch the commit stamped, which the
-    /// caller hands back to the plan ([`ExecutionPlan::committed`]). The
-    /// execute dropped its read lock after the read phase, so only the
-    /// lease keeps other writers off these words: every staged range
-    /// must lie inside one of the lease's writable ranges. That is
-    /// checked in every build, before node memory (or the lock) is
-    /// touched.
-    fn commit(&self, stage: &RegionStage, lease: &[LeaseRange]) -> u64 {
-        let leased = |&(base, len): &(usize, usize)| {
+    /// Commits `plan`'s region execute under a brief write lock: the
+    /// plan transposes its result from the lane mirror straight into
+    /// node memory ([`ExecutionPlan::commit`]). The execute dropped its
+    /// read lock after the read phase, so only the lease keeps other
+    /// writers off these words: the range the commit writes must lie
+    /// inside one of the lease's writable ranges. That is checked in
+    /// every build, before node memory (or the lock) is touched.
+    fn commit(&self, plan: &mut ExecutionPlan, lease: &[LeaseRange]) -> Measurement {
+        let writes = plan
+            .uncommitted()
+            .expect("a region execute awaits its commit");
+        assert!(
             lease
                 .iter()
-                .any(|r| r.writable && r.start <= base && base + len <= r.end)
-        };
-        assert!(
-            stage.ranges().iter().all(leased),
-            "staged commit escapes the lease's writable ranges"
+                .any(|r| r.writable && r.start <= writes.start && writes.end <= r.end),
+            "commit escapes the lease's writable ranges"
         );
-        let mut machine = self.machine_write();
-        let _t = cmcc_obs::trace::scope(
-            cmcc_obs::trace::TraceOp::RegionCommit,
-            stage.ranges().len() as u64,
-        );
-        machine.apply_stage(stage)
+        plan.commit(&mut self.machine_write())
     }
 
     /// The cache-aware lookup: returns the shared artifact for `key`,
@@ -678,9 +674,6 @@ pub struct Session {
     last_report: cmcc_obs::RunReport,
     /// Cache key of the most recent `run*` call, for [`Session::last_plan`].
     last_key: Option<PlanKey>,
-    /// This handle's staged-scatter buffer, recycled across region
-    /// executes so the stage allocates nothing per run.
-    stage: RegionStage,
 }
 
 impl Clone for Session {
@@ -694,7 +687,6 @@ impl Clone for Session {
             local_tick: 0,
             last_report: cmcc_obs::RunReport::default(),
             last_key: None,
-            stage: RegionStage::new(),
         }
     }
 }
@@ -733,7 +725,6 @@ impl Session {
             local_tick: 0,
             last_report: cmcc_obs::RunReport::default(),
             last_key: None,
-            stage: RegionStage::new(),
         })
     }
 
@@ -950,13 +941,12 @@ impl Session {
         }
         if plan.lane_mapped() {
             // The region body: read node memory under the shared lock
-            // (the guard drops inside `execute_region`), compute and
-            // stage on the mirror lock-free, then commit.
+            // (the guard drops inside `execute_region`), compute on the
+            // mirror lock-free, then commit under the write lock.
             shared.leases.region_grants.fetch_add(1, Ordering::Relaxed);
             cmcc_obs::add(cmcc_obs::Counter::RegionLeases, 1);
-            let measurement = plan.execute_region(shared.machine_read(), &mut self.stage);
-            plan.committed(shared.commit(&self.stage, &lease.ranges));
-            Ok(measurement)
+            plan.execute_region(shared.machine_read());
+            Ok(shared.commit(plan, &lease.ranges))
         } else {
             // The scalar engine writes node memory in place.
             Ok(plan.execute(&mut shared.machine_write())?)
@@ -1200,15 +1190,17 @@ mod tests {
         let c = s.compile("R = 0.5 * X + 0.5 * CSHIFT(X, 2, 1)").unwrap();
         let x = s.array(4, 4).unwrap();
         let r = s.array(4, 4).unwrap();
+        let (small_x, small_r) = (s.array(2, 2).unwrap(), s.array(2, 2).unwrap());
         let lane = ExecOptions::fast()
             .with_engine(ExecEngine::Lockstep)
             .with_threads(1);
         let kept = || s.shared.cache.lock().mirrors.len();
-        let tenant = |opts: &ExecOptions| {
+        let tenant_on = |r: &CmArray, x: &CmArray, opts: &ExecOptions| {
             let mut t = s.clone();
-            t.run_with(&c, &r, &x, &[], opts).unwrap();
+            t.run_with(&c, r, x, &[], opts).unwrap();
             t
         };
+        let tenant = |opts: &ExecOptions| tenant_on(&r, &x, opts);
 
         // The scalar engine never shapes its mirror: retiring it keeps
         // nothing.
@@ -1238,6 +1230,15 @@ mod tests {
         assert_eq!(kept(), MIRROR_POOL_CAPACITY - 1);
         drop(reused);
         assert_eq!(kept(), MIRROR_POOL_CAPACITY);
+
+        // A smaller-shaped tenant takes a larger retired mirror and
+        // resizes it in place: no allocation either.
+        let before = cmcc_obs::thread_snapshot();
+        let smaller = tenant_on(&small_r, &small_x, &lane);
+        let delta = cmcc_obs::thread_snapshot().delta(&before);
+        assert_eq!(delta.get(cmcc_obs::Counter::MirrorAllocations), 0);
+        assert_eq!(s.mirror_pool_misses(), misses, "the take missed");
+        drop(smaller);
     }
 
     #[test]
@@ -1256,25 +1257,25 @@ mod tests {
         let binding = StencilBinding::new(&c, &r, &[&x], &[]).unwrap();
         let mut plan = ExecutionPlan::build(&mut s.machine_mut(), &binding, &opts).unwrap();
         assert!(plan.lane_mapped());
-        let mut stage = RegionStage::new();
-        plan.execute_region(s.machine(), &mut stage);
+        plan.execute_region(s.machine());
         let own = plan.lease_ranges();
         // Rebound to `other`, the plan leases other words than the ones
-        // staged for `r`: the stage lies outside every writable range.
+        // its pending commit writes for `r`: they lie outside every
+        // writable range.
         plan.rebind(&other, &[&x], &[]).unwrap();
         let shifted = plan.lease_ranges();
 
         let shared = Arc::clone(&s.shared);
         let escaped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shared.commit(&stage, &shifted)
+            shared.commit(&mut plan, &shifted)
         }));
-        assert!(escaped.is_err(), "a stage outside its lease committed");
+        assert!(escaped.is_err(), "a commit outside its lease wrote");
         let untouched = |a: &CmArray| a.gather(&s.machine()).iter().all(|&v| v == -1.0);
         assert!(
             untouched(&r) && untouched(&other),
             "the refused commit touched node memory"
         );
-        shared.commit(&stage, &own);
+        shared.commit(&mut plan, &own);
         assert!(r.gather(&s.machine()).iter().all(|&v| v == 2.0));
         plan.release(&mut s.machine_mut());
     }

@@ -530,16 +530,19 @@ fn temporal_depth_clamps_with_a_reason() {
         .collect();
     let arrays = (a, b, coeffs);
 
-    let small = build(
-        &mut machine,
-        &arrays,
-        &lockstep_fast().with_temporal_depth(8),
-    );
-    assert_eq!(small.temporal_depth(), 1, "oversized depth must clamp");
-    assert_eq!(
-        small.temporal_fallback(),
-        Some("subgrid smaller than depth x radius")
-    );
+    // `usize::MAX` overflows depth × radius too: that must clamp, not wrap.
+    for depth in [8, usize::MAX] {
+        let small = build(
+            &mut machine,
+            &arrays,
+            &lockstep_fast().with_temporal_depth(depth),
+        );
+        assert_eq!(small.temporal_depth(), 1, "oversized depth must clamp");
+        assert_eq!(
+            small.temporal_fallback(),
+            Some("subgrid smaller than depth x radius")
+        );
+    }
 
     let scalar = build(&mut machine, &arrays, &scalar_fast().with_temporal_depth(4));
     assert_eq!(scalar.temporal_depth(), 1);

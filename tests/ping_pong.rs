@@ -9,20 +9,19 @@
 //! rotation through three buffers, and an in-place update. Between
 //! executes the loop is disturbed in every way that must force a
 //! refresh: a host write to the held array, another plan's execute
-//! writing it, a region execute whose stage is dropped uncommitted, a
+//! writing it, a region execute left uncommitted, a
 //! mirror reuse round trip (`take_mirror` / `install_mirror`) that hands
 //! the plan back a mirror whose every word is NaN, and a rebind to an
 //! array the plan does not hold. Every execute is checked bit for bit
 //! against the iterated scalar engine, its copy words against the plan's
 //! own model, and its `InteriorRefreshWords` against zero (undisturbed)
 //! or the source's words (disturbed); the priming execute copies exactly
-//! every refresh, every exchange and the stage. The NaN mirror shows the
+//! every refresh, every exchange and the result. The NaN mirror shows the
 //! lane body reads only words it refreshed, exchanged, filled or swept.
 //! An unchanged binding run again — temporal plans included, whose final
 //! fused step writes the destination buffer too — refreshes and
 //! exchanges nothing.
 
-use cmcc::cm2::lane::RegionStage;
 use cmcc::cm2::{Machine, MachineConfig};
 use cmcc::core::compiler::CompiledStencil;
 use cmcc::core::recognize::CoeffSpec;
@@ -51,7 +50,7 @@ enum Disturbance {
     None,
     HostWrite,
     OtherPlan,
-    DroppedStage,
+    Uncommitted,
     MirrorSwap,
     UnheldSource,
 }
@@ -66,7 +65,7 @@ const SCHEDULE: [Disturbance; 12] = [
     Disturbance::None,
     Disturbance::OtherPlan,
     Disturbance::None,
-    Disturbance::DroppedStage,
+    Disturbance::Uncommitted,
     Disturbance::None,
     Disturbance::MirrorSwap,
     Disturbance::None,
@@ -186,7 +185,6 @@ fn run_case(pattern: PaperPattern, depth: usize, threads: usize, shape: Loop) {
     let source_words = (m.node_count() * bufs[0].field().len()) as u64;
 
     let mut cur = bufs[0];
-    let mut stage = RegionStage::new();
     let mut cold: Option<RunReport> = None;
     // Whether the plan's last execute went uncommitted.
     let mut after_drop = false;
@@ -204,21 +202,24 @@ fn run_case(pattern: PaperPattern, depth: usize, threads: usize, shape: Loop) {
                 other.execute(&mut m).unwrap();
                 state = cur.gather(&m);
             }
-            Disturbance::DroppedStage => {
-                // A region execute whose stage nobody commits: node
-                // memory keeps the old result, so the step's roles
-                // advance over the stale array.
+            Disturbance::Uncommitted => {
+                // A region execute nobody commits: it moves every copy
+                // word of the model but the result's and writes no node
+                // word, so node memory keeps the old result and the
+                // step's roles advance over the stale array.
                 let next = target(shape, &bufs, cur);
                 plan.rebind(&next, &[&cur], &refs).unwrap();
                 let model = model(&plan, shape);
-                let before = obs::thread_snapshot();
-                plan.execute_region(&m, &mut stage);
+                let result_words = (m.node_count() * next.field().len()) as u64;
+                let (before, epoch) = (obs::thread_snapshot(), m.write_epoch());
+                plan.execute_region(&m);
                 let dropped = obs::thread_snapshot().delta(&before);
                 assert_eq!(
                     dropped.copy_words(),
-                    model,
-                    "{case}: dropped execute copy words"
+                    model - result_words,
+                    "{case}: uncommitted execute copy words"
                 );
+                assert_eq!(m.write_epoch(), epoch, "{case}: uncommitted write");
                 assert_eq!(
                     dropped.get(Counter::InteriorRefreshWords),
                     0,
@@ -287,7 +288,7 @@ fn run_case(pattern: PaperPattern, depth: usize, threads: usize, shape: Loop) {
                 // the array it now reads (or never made its result held).
                 assert_eq!(
                     refresh, source_words,
-                    "{case}: refresh after a dropped stage"
+                    "{case}: refresh after an uncommitted execute"
                 );
                 assert_eq!(got.copy_words(), model + refresh, "{case}: copy words");
             }
@@ -311,7 +312,7 @@ fn run_case(pattern: PaperPattern, depth: usize, threads: usize, shape: Loop) {
                     "{case}: re-prime refreshes the source"
                 );
             }
-            Disturbance::DroppedStage => unreachable!("handled above"),
+            Disturbance::Uncommitted => unreachable!("handled above"),
             Disturbance::HostWrite | Disturbance::OtherPlan | Disturbance::UnheldSource => {
                 assert_eq!(refresh, source_words, "{case}: refresh");
                 assert_eq!(got.copy_words(), model + refresh, "{case}: copy words");
@@ -331,7 +332,7 @@ fn run_case(pattern: PaperPattern, depth: usize, threads: usize, shape: Loop) {
 /// plan's counted as a gather, a temporal plan's coefficient halo as an
 /// interior refresh) — every exchange — the source halo `depth·radius`
 /// deep, a temporal plan's coefficient halos `(depth−1)·radius` deep —
-/// and the stage.
+/// and the commit of the result.
 fn assert_priming_copy(
     got: &RunReport,
     compiled: &CompiledStencil,
@@ -377,7 +378,7 @@ fn assert_priming_copy(
     assert_eq!(
         got.get(Counter::ScatterWords),
         subgrid,
-        "{case}: priming stage"
+        "{case}: priming commit"
     );
 }
 
@@ -435,7 +436,7 @@ fn in_place_updates_swap_roles_and_refresh_exactly_when_disturbed() {
 /// An unchanged binding run again — `R = f(X)` with nothing written in
 /// between — reads its source from the halo buffer the first execute
 /// refreshed and exchanged: every later execute refreshes and exchanges
-/// nothing, copies only its staged result, and stays bit-identical to
+/// nothing, copies only its committed result, and stays bit-identical to
 /// the iterated scalar engine. Temporal plans included: their last
 /// fused step writes the destination buffer, never source 0's halo.
 #[test]
@@ -488,7 +489,7 @@ fn undisturbed_reruns_refresh_and_exchange_nothing_at_every_depth() {
                     assert_eq!(
                         got.copy_words(),
                         got.get(Counter::ScatterWords),
-                        "{what}, run {run}: only the staged result moves"
+                        "{what}, run {run}: only the committed result moves"
                     );
                 }
                 plan.release(&mut m);

@@ -15,7 +15,6 @@ use std::ops::Deref;
 use std::sync::Mutex;
 
 use cmcc::cm2::exec::ExecEngine;
-use cmcc::cm2::lane::RegionStage;
 use cmcc::obs::hist::Histogram;
 use cmcc::obs::trace::{self, ThreadTrace, TraceKind, TraceOp, TRACE_OP_COUNT, TRACE_RING_CAP};
 use cmcc::obs::{self, Counter};
@@ -241,8 +240,7 @@ fn execute_region_releases_the_machine_between_refresh_and_sweep() {
     let mut plan = ExecutionPlan::build(&mut m, &binding, &opts).unwrap();
     assert_eq!(plan.temporal_depth(), 2, "{:?}", plan.temporal_fallback());
     assert!(plan.lane_mapped());
-    let mut stage = RegionStage::new();
-    plan.execute_region(MarkedGuard(&m), &mut stage);
+    plan.execute_region(MarkedGuard(&m));
     trace::set_trace_enabled(false);
 
     let threads = trace::threads();
@@ -283,7 +281,7 @@ fn execute_region_releases_the_machine_between_refresh_and_sweep() {
         execute_begin[0] < refresh_ends[0] && *sweeps.last().unwrap() < execute_end[0],
         "one execute span must cover both phases"
     );
-    m.apply_stage(&stage);
+    plan.commit(&mut m);
     plan.release(&mut m);
 }
 
