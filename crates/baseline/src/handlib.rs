@@ -21,12 +21,12 @@
 //! bracketing the 1989 prize figure of 5.6 Gflops.
 
 use cmcc_cm2::machine::Machine;
+use cmcc_cm2::news::{old_exchange_cycles, ExchangeShape};
 use cmcc_cm2::timing::{CycleBreakdown, Measurement};
 use cmcc_core::offset::Offset;
 use cmcc_core::recognize::{CoeffSpec, StencilSpec};
 use cmcc_runtime::array::CmArray;
 use cmcc_runtime::error::RuntimeError;
-use cmcc_runtime::halo::{ExchangePrimitive, HaloBuffer};
 use cmcc_runtime::reference::{reference_convolve, CoeffValue};
 use std::fmt;
 
@@ -175,13 +175,11 @@ pub fn handlib_convolve(
     let cfg = machine.config().clone();
     let sub_rows = source.sub_rows() as u64;
     let sub_cols = source.sub_cols() as u64;
-    let comm = HaloBuffer::exchange_cost(
+    // A two-deep halo on all four sides, one direction at a time, no
+    // corner step (the cross has no diagonal taps).
+    let comm = old_exchange_cycles(
         &cfg,
-        source.sub_rows(),
-        source.sub_cols(),
-        2,
-        false,
-        ExchangePrimitive::OldPerDirection,
+        ExchangeShape::symmetric(2 * source.sub_cols(), 2 * source.sub_rows()),
     );
     // Width-4 strips, whole-row register rings over the 8-column bounding
     // box, one startup per strip, every memory word transposed.

@@ -20,12 +20,11 @@
 
 use cmcc_bench::Workload;
 use cmcc_cm2::config::{MachineConfig, FPU_REGISTERS};
+use cmcc_cm2::news::ExchangePrimitive;
 use cmcc_core::columns::plan_rings;
 use cmcc_core::compiler::Compiler;
 use cmcc_core::multistencil::Multistencil;
 use cmcc_core::patterns::PaperPattern;
-use cmcc_runtime::convolve::ExecOptions;
-use cmcc_runtime::halo::ExchangePrimitive;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -98,12 +97,16 @@ fn corner_skip() {
     );
     for pattern in [PaperPattern::Cross5, PaperPattern::Square9] {
         for subgrid in [(64usize, 64usize), (256, 256)] {
-            let mut w = Workload::new(cfg(), pattern, subgrid);
-            let skip = w.run(&ExecOptions::default());
-            let noskip = w.run(&ExecOptions {
-                skip_corners_when_possible: false,
-                ..ExecOptions::default()
-            });
+            let skip = Workload::new(cfg(), pattern, subgrid).measure();
+            let noskip = Workload::new(
+                MachineConfig {
+                    skip_corners_when_possible: false,
+                    ..cfg()
+                },
+                pattern,
+                subgrid,
+            )
+            .measure();
             let saved = noskip.cycles.comm.saturating_sub(skip.cycles.comm);
             println!(
                 "{:<18} {:>4}x{:<4} {:>12} {:>12} {:>9}",
@@ -134,11 +137,16 @@ fn comm_primitive() {
     ];
     for (name, source) in cases {
         let mut w = Workload::from_source(cfg(), &source, (128, 128));
-        let new = w.run(&ExecOptions::default());
-        let old = w.run(&ExecOptions {
-            primitive: ExchangePrimitive::OldPerDirection,
-            ..ExecOptions::default()
-        });
+        let new = w.measure();
+        let old = Workload::from_source(
+            MachineConfig {
+                primitive: ExchangePrimitive::OldPerDirection,
+                ..cfg()
+            },
+            &source,
+            (128, 128),
+        )
+        .measure();
         println!(
             "{:<28} {:>7} {:>12} {:>12} {:>7.2}x",
             name,
@@ -236,12 +244,16 @@ fn half_strips() {
         "subgrid", "half-strips", "full strips", "overhead"
     );
     for subgrid in [(16usize, 16usize), (64, 64), (256, 256)] {
-        let mut w = Workload::new(cfg(), PaperPattern::Cross5, subgrid);
-        let half = w.run(&ExecOptions::default());
-        let full = w.run(&ExecOptions {
-            half_strips: false,
-            ..ExecOptions::default()
-        });
+        let half = Workload::new(cfg(), PaperPattern::Cross5, subgrid).measure();
+        let full = Workload::new(
+            MachineConfig {
+                half_strips: false,
+                ..cfg()
+            },
+            PaperPattern::Cross5,
+            subgrid,
+        )
+        .measure();
         let h = half.cycles.compute + half.cycles.frontend;
         let f = full.cycles.compute + full.cycles.frontend;
         println!(

@@ -30,7 +30,6 @@
 
 use cmcc_bench::Workload;
 use cmcc_cm2::config::MachineConfig;
-use cmcc_cm2::exec::ExecMode;
 use cmcc_core::patterns::PaperPattern;
 use cmcc_runtime::array::CmArray;
 use cmcc_runtime::convolve::{convolve, ExecOptions};
@@ -45,10 +44,7 @@ fn main() {
     // Serial execution: the benchmark isolates plan reuse, not host
     // threading, and the serial path is wall-clock reproducible.
     let cycle_opts = ExecOptions::serial();
-    let fast_opts = ExecOptions {
-        mode: ExecMode::Fast,
-        ..ExecOptions::serial()
-    };
+    let fast_opts = ExecOptions::fast().with_threads(1);
 
     println!("Plan-cache benchmark: rebuild-per-iteration vs compile-once/run-many");
     println!(

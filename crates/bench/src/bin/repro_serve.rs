@@ -28,7 +28,6 @@
 
 use cmcc::obs::{self, Phase};
 use cmcc::{LeaseStats, Session};
-use cmcc_cm2::exec::{ExecEngine, ExecMode};
 use cmcc_core::compiler::CompiledStencil;
 use cmcc_core::patterns::PaperPattern;
 use cmcc_core::recognize::CoeffSpec;
@@ -110,11 +109,7 @@ fn bits_equal(a: &[f32], b: &[f32]) -> bool {
 /// Lane-resident lockstep execution (region-eligible), one host thread
 /// per tenant so the pool's parallelism comes from the lease table.
 fn exec_opts() -> ExecOptions {
-    let mut opts = ExecOptions::default()
-        .with_threads(1)
-        .with_engine(ExecEngine::Lockstep);
-    opts.mode = ExecMode::Fast;
-    opts
+    ExecOptions::fast().with_threads(1)
 }
 
 fn main() {

@@ -7,6 +7,13 @@
 //! which the paper's measurements were taken, and
 //! [`MachineConfig::full_machine_2048`], the full 65,536-processor CM-2
 //! (2,048 floating-point nodes) to which the paper extrapolates.
+//!
+//! Three fields are choices of the machine's microcode and run-time
+//! library rather than constants: the grid primitive, the half-strip
+//! split and the corner-exchange skip. Every preset takes the paper's
+//! choice; an ablation builds a second config with one of them flipped.
+
+use crate::news::ExchangePrimitive;
 
 /// Number of 32-bit registers in the Weitek WTL3164 register file.
 ///
@@ -87,6 +94,22 @@ pub struct MachineConfig {
     /// communications wires along it"); a 32-bit word therefore costs on
     /// the order of 16 cycles per element per direction.
     pub comm_cycles_per_element: u32,
+    /// Which grid primitive the halo exchange uses. Paper §4.1: the new
+    /// microcoded primitive "allows each node to pass data to all four
+    /// neighbors simultaneously"; [`ExchangePrimitive::OldPerDirection`]
+    /// is the older one-direction-at-a-time primitive (the communication
+    /// ablation and the 1989 library baseline).
+    pub primitive: ExchangePrimitive,
+    /// Whether the run-time library runs each strip as two half-strips.
+    /// Paper §5.2: the microcode is kept simple "at the cost of having
+    /// to start up the microcode loop twice as many times"; `false` is
+    /// the full-strip ablation.
+    pub half_strips: bool,
+    /// Whether the run-time library skips the corner-exchange step for
+    /// stencils without diagonal taps. Paper §5.1: the step "may be
+    /// omitted", and "the test is very easy and quick"; `false` is the
+    /// corner ablation.
+    pub skip_corners_when_possible: bool,
 }
 
 impl MachineConfig {
@@ -109,6 +132,9 @@ impl MachineConfig {
             call_overhead_cycles: 4000,
             comm_startup_cycles: 64,
             comm_cycles_per_element: 16,
+            primitive: ExchangePrimitive::News,
+            half_strips: true,
+            skip_corners_when_possible: true,
         }
     }
 

@@ -90,23 +90,35 @@ pub enum ExecMode {
     Fast,
 }
 
-/// Which engine executes resolved schedules in [`ExecMode::Fast`].
+/// Which engine executes a stencil, and so whether it is timed.
 ///
-/// [`ExecMode::Cycle`] always runs the scalar engine — the pipeline
-/// model is inherently per-node sequential. The engine choice only
-/// affects fast mode, where both engines produce bit-identical memory
-/// and counters; `Lockstep` runs the machine's own loop order
-/// (node-inner) over node-major lane storage, sweeping whole subgrid
-/// rows of all nodes from a program lowered from the stencil IR at plan
-/// build ([`crate::kernels`]).
+/// `Cycle` runs the scalar engine under the pipeline model, which is
+/// inherently per-node sequential. The two fast engines skip the model
+/// and produce bit-identical memory and counters; `Lockstep` runs the
+/// machine's own loop order (node-inner) over node-major lane storage,
+/// sweeping whole subgrid rows of all nodes from a program lowered from
+/// the stencil IR at plan build ([`crate::kernels`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecEngine {
-    /// Node-outer scalar interpreter: the oracle, and the only engine
-    /// for cycle mode.
-    Scalar,
-    /// Node-inner row sweeps over node lanes.
+    /// The node-outer scalar interpreter in [`ExecMode::Cycle`]: the
+    /// paper's cycle counts.
     #[default]
+    Cycle,
+    /// The node-outer scalar interpreter in [`ExecMode::Fast`]: the
+    /// oracle.
+    Scalar,
+    /// Node-inner row sweeps over node lanes, in [`ExecMode::Fast`].
     Lockstep,
+}
+
+impl ExecEngine {
+    /// The mode the scalar engine runs in under this choice.
+    pub fn mode(self) -> ExecMode {
+        match self {
+            ExecEngine::Cycle => ExecMode::Cycle,
+            ExecEngine::Scalar | ExecEngine::Lockstep => ExecMode::Fast,
+        }
+    }
 }
 
 /// Cycle and operation counts for one executed half-strip.

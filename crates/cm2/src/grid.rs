@@ -186,7 +186,6 @@ impl NodeGrid {
 }
 
 fn bits_for(n: usize) -> u32 {
-    debug_assert!(n > 0);
     usize::BITS - (n - 1).leading_zeros()
 }
 

@@ -49,6 +49,9 @@ pub use kernels::{LaneBuffer, RowCoeff, RowProgram, RowRun, RowStep, RowTerm};
 pub use lane::LaneMirror;
 pub use machine::Machine;
 pub use memory::{Field, FieldAllocator, NodeMemory, OutOfMemory};
-pub use news::{corner_exchange_cycles, news_exchange_cycles, old_exchange_cycles, ExchangeShape};
+pub use news::{
+    corner_exchange_cycles, exchange_cycles, news_exchange_cycles, old_exchange_cycles,
+    ExchangePrimitive, ExchangeShape,
+};
 pub use sequencer::{ScratchMemory, ScratchOverflow, DEFAULT_SCRATCH_ENTRIES};
 pub use timing::{CycleBreakdown, Measurement};

@@ -11,8 +11,23 @@
 //!
 //! Actual data movement between node memories is performed by
 //! [`crate::machine::Machine::copy_region`]; this module prices it.
+//! Which primitive a machine has is a property of its microcode,
+//! [`MachineConfig::primitive`]; [`exchange_cycles`] prices an exchange
+//! under it.
 
 use crate::config::MachineConfig;
+
+/// Which grid-communication primitive a machine's run-time library uses
+/// for the halo exchange (the data moved is identical; §4.1 describes
+/// the new primitive's advantage).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum ExchangePrimitive {
+    /// The paper's new microcoded primitive: all four neighbors at once.
+    #[default]
+    News,
+    /// The older primitive: one direction at a time.
+    OldPerDirection,
+}
 
 /// Element counts to exchange with each of the four neighbors in one
 /// communication step.
@@ -80,6 +95,15 @@ pub fn old_exchange_cycles(cfg: &MachineConfig, shape: ExchangeShape) -> u64 {
             u64::from(cfg.comm_startup_cycles) + u64::from(cfg.comm_cycles_per_element) * n as u64
         })
         .sum()
+}
+
+/// Cycles for one edge-exchange step on `cfg`'s machine, priced by the
+/// primitive it has ([`MachineConfig::primitive`]).
+pub fn exchange_cycles(cfg: &MachineConfig, shape: ExchangeShape) -> u64 {
+    match cfg.primitive {
+        ExchangePrimitive::News => news_exchange_cycles(cfg, shape),
+        ExchangePrimitive::OldPerDirection => old_exchange_cycles(cfg, shape),
+    }
 }
 
 /// Cycles for the third (corner) exchange step: each node forwards corner

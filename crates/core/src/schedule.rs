@@ -130,7 +130,7 @@ pub fn emit_kernel_with(
         body,
         useful_flops_per_line: width as u64 * stencil.useful_flops_per_point(),
     };
-    debug_assert_eq!(kernel.validate(), Ok(()));
+    assert_eq!(kernel.validate(), Ok(()));
     let info = info_for(&kernel, &plan, &regs, width, walk, ms.cell_count());
     Ok((kernel, info))
 }
@@ -443,7 +443,7 @@ fn emit_bias_only(
         body: vec![parts],
         useful_flops_per_line: width as u64 * stencil.useful_flops_per_point(),
     };
-    debug_assert_eq!(kernel.validate(), Ok(()));
+    assert_eq!(kernel.validate(), Ok(()));
     let info = KernelInfo {
         width,
         walk,

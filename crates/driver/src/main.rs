@@ -75,7 +75,7 @@
 
 use cmcc::{LeaseStats, PlanCacheStats, Session};
 use cmcc_cm2::config::MachineConfig;
-use cmcc_cm2::exec::{ExecEngine, ExecMode};
+use cmcc_cm2::exec::ExecEngine;
 use cmcc_cm2::machine::Machine;
 use cmcc_cm2::timing::Measurement;
 use cmcc_core::compiler::{CompiledStencil, Compiler};
@@ -109,7 +109,8 @@ struct Options {
     temporal: usize,
     subgrid: (usize, usize),
     threads: Option<usize>,
-    engine: Option<ExecEngine>,
+    /// `--engine`: a fast engine, or the cycle model without the flag.
+    engine: ExecEngine,
     profile: Option<ProfileMode>,
     trace: Option<String>,
     drift_tol: f64,
@@ -140,7 +141,7 @@ fn parse_args() -> Options {
         temporal: 1,
         subgrid: (64, 64),
         threads: None,
-        engine: None,
+        engine: ExecEngine::Cycle,
         profile: None,
         trace: None,
         drift_tol: 0.0,
@@ -204,8 +205,8 @@ fn parse_args() -> Options {
             "--engine" => {
                 let Some(e) = args.next() else { usage() };
                 match e.as_str() {
-                    "scalar" => opts.engine = Some(ExecEngine::Scalar),
-                    "lockstep" => opts.engine = Some(ExecEngine::Lockstep),
+                    "scalar" => opts.engine = ExecEngine::Scalar,
+                    "lockstep" => opts.engine = ExecEngine::Lockstep,
                     _ => usage(),
                 }
             }
@@ -385,19 +386,6 @@ fn write_trace_file(opts: &Options) -> Result<(), String> {
         .map_err(|e| format!("cannot write trace `{file}`: {e}"))
 }
 
-/// Applies `--engine`, which selects the fast-mode engine: either
-/// choice implies fast (functional) mode, and only a run without the
-/// flag keeps the cycle-accurate model.
-fn with_engine(exec_opts: ExecOptions, engine: Option<ExecEngine>) -> ExecOptions {
-    match engine {
-        Some(engine) => ExecOptions {
-            mode: ExecMode::Fast,
-            ..exec_opts.with_engine(engine)
-        },
-        None => exec_opts,
-    }
-}
-
 /// Executes one compiled stencil on random data through a [`Session`]
 /// (so every iteration exercises the plan cache), checks it against the
 /// reference evaluator, prints the measured rate, and — under
@@ -413,22 +401,18 @@ fn run_compiled(
     let mut session = Session::with_config(cfg.clone())?;
     let inputs = Inputs::new(&mut session, compiled, opts.subgrid, 0xCC)?;
     let (rows, cols) = (inputs.result.rows(), inputs.result.cols());
-    let mut exec_opts = with_engine(
-        match opts.threads {
-            Some(n) => ExecOptions::default().with_threads(n),
-            None => ExecOptions::default(),
-        },
-        opts.engine,
-    );
-    if opts.temporal > 1 {
-        // Temporal tiling lives on the fast-mode lockstep engine; honor
-        // an explicit --engine scalar (the plan will clamp and record
-        // why), otherwise select the engine that can carry the depth.
-        exec_opts = exec_opts.with_temporal_depth(opts.temporal);
-        exec_opts.mode = ExecMode::Fast;
-        if opts.engine.is_none() {
-            exec_opts = exec_opts.with_engine(ExecEngine::Lockstep);
-        }
+    // Temporal tiling lives on the lockstep engine; honor an explicit
+    // --engine scalar (the plan will clamp and record why), otherwise
+    // select the engine that can carry the depth.
+    let engine = match opts.engine {
+        ExecEngine::Cycle if opts.temporal > 1 => ExecEngine::Lockstep,
+        engine => engine,
+    };
+    let mut exec_opts = ExecOptions::default()
+        .with_engine(engine)
+        .with_temporal_depth(opts.temporal);
+    if let Some(n) = opts.threads {
+        exec_opts = exec_opts.with_threads(n);
     }
 
     // Compile-once/run-many through the plan cache: the first call
@@ -455,7 +439,7 @@ fn run_compiled(
     // scalar engine and why (cycle mode and unmappable bindings
     // included).
     let lane_mapped = session.last_plan().is_some_and(|p| p.lane_mapped());
-    if exec_opts.mode == ExecMode::Fast {
+    if exec_opts.engine != ExecEngine::Cycle {
         // Functional engines skip the pipeline model, so there is no
         // cycle count to convert into a rate — report wall-clock only.
         let engine = if lane_mapped {
@@ -536,7 +520,7 @@ fn run_compiled(
         // Distill this statement's flight-recorder events (everything
         // that began after the statement started, on any thread) into
         // the per-phase latency histograms.
-        let slices = pair_slices(&cmcc_obs::trace::threads(), stmt_start_ns);
+        let slices = cmcc_obs::trace::pair_slices(&cmcc_obs::trace::threads(), stmt_start_ns);
         let drift_failure = (!derived.model_drift_ok).then(|| {
             format!(
                 "steady-state copy traffic drifted {:+.4}% from the analytic model \
@@ -550,9 +534,10 @@ fn run_compiled(
         let profile = Profile {
             statement,
             engine,
-            mode: match exec_opts.mode {
-                ExecMode::Cycle => "cycle",
-                ExecMode::Fast => "fast",
+            mode: if exec_opts.engine == ExecEngine::Cycle {
+                "cycle"
+            } else {
+                "fast"
             },
             nodes,
             iters: opts.iters,
@@ -561,7 +546,7 @@ fn run_compiled(
             stats: session.plan_cache_stats(),
             cached: session.cached_plans(),
             leases: session.lease_stats(),
-            latency: phase_hists(&slices),
+            latency: cmcc_obs::trace::phase_hists(&slices),
             report: full_report,
         };
         match mode {
@@ -724,10 +709,12 @@ struct Derived {
     bytes_per_iter_predicted: f64,
     /// Signed relative drift of the observed steady-state copy traffic
     /// from the analytic prediction:
-    /// `(observed - predicted) / predicted`. This is the release-mode
-    /// form of the `cfg(debug_assertions)` copy-words cross-check — the
-    /// class of bug the PR-5 lane re-prime fix was caught by. 0 when the
-    /// check is not applicable (see `model_drift_checked`).
+    /// `(observed - predicted) / predicted`. Every execute already
+    /// asserts its own copy words against its re-reads, in every build
+    /// (`PlanInstance::finish`); this checks the whole steady state's
+    /// counters against `steady_state_copy_words` from outside the plan
+    /// — a lane mirror re-primed when nothing changed shows up here. 0
+    /// when the check is not applicable (see `model_drift_checked`).
     model_drift: f64,
     /// Whether the drift was measurable: a steady state was observed
     /// (`--iters > 1`) and the plan predicts nonzero traffic.
@@ -750,7 +737,7 @@ fn derive_metrics(
     full_report: &cmcc_obs::RunReport,
     drift_tol: f64,
 ) -> Derived {
-    let cycle_mode = exec_opts.mode == ExecMode::Cycle;
+    let cycle_mode = exec_opts.engine == ExecEngine::Cycle;
     let effective_gflops = if cycle_mode { m.gflops(cfg) } else { 0.0 };
     let model_fraction = if cycle_mode && m.cycles.total() > 0 {
         m.useful_flops as f64 / (2.0 * m.cycles.total() as f64 * m.nodes as f64)
@@ -834,47 +821,6 @@ struct Profile {
     report: cmcc_obs::RunReport,
 }
 
-/// One begin/end-paired flight-recorder slice.
-struct Slice {
-    op: cmcc_obs::trace::TraceOp,
-    tenant: Option<u32>,
-    dur_ns: u64,
-    /// The end event's argument (e.g. the conflicted flag of a
-    /// `lease_acquire` slice).
-    end_arg: u64,
-}
-
-/// Pairs each thread's begin/end events stack-wise per operation and
-/// returns the completed slices whose begin timestamp is at or after
-/// `since_ns` (0 keeps everything). Unmatched ends (begin before the
-/// recorder was reset or dropped on overflow) are ignored.
-fn pair_slices(threads: &[cmcc_obs::trace::ThreadTrace], since_ns: u64) -> Vec<Slice> {
-    use cmcc_obs::trace::{TraceKind, TRACE_OP_COUNT};
-    let mut slices = Vec::new();
-    for t in threads {
-        let mut stacks: Vec<Vec<u64>> = vec![Vec::new(); TRACE_OP_COUNT];
-        for e in &t.events {
-            match e.kind {
-                TraceKind::Begin => stacks[e.op as usize].push(e.ts_ns),
-                TraceKind::End => {
-                    if let Some(start) = stacks[e.op as usize].pop() {
-                        if start >= since_ns {
-                            slices.push(Slice {
-                                op: e.op,
-                                tenant: e.tenant,
-                                dur_ns: e.ts_ns.saturating_sub(start),
-                                end_arg: e.arg,
-                            });
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    slices
-}
-
 /// The operations the `latency.phases` JSON object keys, in schema
 /// order (compile phases are excluded — the report's `compile` object
 /// already times them).
@@ -890,17 +836,6 @@ const LATENCY_PHASES: [cmcc_obs::trace::TraceOp; 10] = [
     cmcc_obs::trace::TraceOp::LeaseAcquire,
     cmcc_obs::trace::TraceOp::LeaseHeld,
 ];
-
-/// Per-operation duration histograms over a slice set.
-fn phase_hists(slices: &[Slice]) -> Vec<cmcc_obs::hist::Histogram> {
-    let mut hists: Vec<cmcc_obs::hist::Histogram> = (0..cmcc_obs::trace::TRACE_OP_COUNT)
-        .map(|_| cmcc_obs::hist::Histogram::new())
-        .collect();
-    for s in slices {
-        hists[s.op as usize].record(s.dur_ns);
-    }
-    hists
-}
 
 /// Renders the fixed `latency.phases` object: one histogram summary per
 /// [`LATENCY_PHASES`] operation.
@@ -1095,7 +1030,6 @@ fn serve_one(
         exec_opts = exec_opts
             .with_temporal_depth(temporal)
             .with_engine(ExecEngine::Lockstep);
-        exec_opts.mode = ExecMode::Fast;
     }
     let compiled = session.compile(statement)?;
     let seed = 0xCC ^ ((tenant as u64) << 32) ^ index as u64;
@@ -1122,7 +1056,9 @@ fn serve_tenant(
     use std::sync::atomic::{AtomicUsize, Ordering};
     // `--engine lockstep` serves lane-resident plans, which are eligible
     // for the concurrent region path.
-    let exec_opts = with_engine(ExecOptions::default().with_threads(1), opts.engine);
+    let exec_opts = ExecOptions::default()
+        .with_threads(1)
+        .with_engine(opts.engine);
     let mut stats = TenantStats {
         tenant,
         statements: 0,
@@ -1267,8 +1203,8 @@ fn serve_batch(
     // conflict counter — a structural cross-check between two
     // independent observers — unless the ring overflowed and dropped
     // events.
-    let slices = pair_slices(&cmcc_obs::trace::threads(), 0);
-    let hists = phase_hists(&slices);
+    let slices = cmcc_obs::trace::pair_slices(&cmcc_obs::trace::threads(), 0);
+    let hists = cmcc_obs::trace::phase_hists(&slices);
     let mut time_to_grant = cmcc_obs::hist::Histogram::new();
     let mut conflicted_waits: u64 = 0;
     let mut tenant_stmt: Vec<cmcc_obs::hist::Histogram> = (0..opts.workers)

@@ -18,6 +18,7 @@
 
 use crate::ast::{Arg, Assign, BinOp, Expr, UnaryOp};
 use crate::error::{ParseError, Result};
+use crate::parser::MAX_NESTING;
 use crate::span::{Span, Spanned};
 
 /// A parsed `defstencil` definition.
@@ -92,13 +93,19 @@ impl Sexp {
 
 /// Reads a single s-expression from `source`.
 ///
+/// Lists nest at most [`MAX_NESTING`] deep, the Fortran parser's bound:
+/// the reader, the lowering and the tree's drop all recurse once per
+/// level, so a deeper form is refused before it can exhaust the stack.
+///
 /// # Errors
 ///
-/// Returns a [`ParseError`] on unbalanced parentheses or trailing input.
+/// Returns a [`ParseError`] on unbalanced parentheses, lists nested
+/// deeper than [`MAX_NESTING`], or trailing input.
 pub fn read_sexp(source: &str) -> Result<Sexp> {
     let mut reader = Reader {
         bytes: source.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     reader.skip_ws();
     let sexp = reader.read()?;
@@ -115,6 +122,8 @@ pub fn read_sexp(source: &str) -> Result<Sexp> {
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Lists open around the read position.
+    depth: usize,
 }
 
 impl Reader<'_> {
@@ -140,6 +149,13 @@ impl Reader<'_> {
             )),
             Some(b'(') => {
                 let start = self.pos;
+                if self.depth == MAX_NESTING {
+                    return Err(ParseError::new(
+                        format!("s-expression nested more than {MAX_NESTING} lists deep"),
+                        Span::point(start),
+                    ));
+                }
+                self.depth += 1;
                 self.pos += 1;
                 let mut items = Vec::new();
                 loop {
@@ -150,6 +166,7 @@ impl Reader<'_> {
                         }
                         Some(b')') => {
                             self.pos += 1;
+                            self.depth -= 1;
                             return Ok(Sexp::List(items, Span::new(start, self.pos)));
                         }
                         _ => items.push(self.read()?),
@@ -451,5 +468,30 @@ mod tests {
             lower_atom(&Spanned::new("x".into(), Span::point(0))).unwrap(),
             Expr::Name(_)
         ));
+    }
+
+    /// `(defstencil s (r x) (single-float single-float) (:= r E))` whose
+    /// expression `E` nests `depth` additions around `x`: the whole form
+    /// is `depth + 2` lists deep.
+    fn nested_defstencil(depth: usize) -> String {
+        format!(
+            "(defstencil s (r x) (single-float single-float) (:= r {}x{}))",
+            "(+ ".repeat(depth),
+            " 1)".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        for depth in [10_000, 100_000] {
+            let err = parse_defstencil(&nested_defstencil(depth)).unwrap_err();
+            assert!(err.message().contains("nested"), "{err}");
+        }
+        let at_limit = format!("{}x{}", "(".repeat(MAX_NESTING), ")".repeat(MAX_NESTING));
+        assert!(read_sexp(&at_limit).is_ok());
+        let past = format!("({at_limit})");
+        assert!(read_sexp(&past).is_err());
+        let def = parse_defstencil(&nested_defstencil(MAX_NESTING - 2)).unwrap();
+        assert_eq!(def.name, "s");
     }
 }

@@ -30,6 +30,7 @@
 //! enable it with [`set_trace_enabled`] or the `CMCC_TRACE` environment
 //! variable (latched on first use, like `CMCC_PROFILE`).
 
+use crate::hist::Histogram;
 use std::cell::{Cell, OnceCell};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -529,6 +530,60 @@ pub fn total_drops() -> u64 {
         .map(|r| r.drops.load(Ordering::Relaxed))
         .chain(reg.retired.iter().map(|t| t.drops))
         .sum()
+}
+
+/// One begin/end-paired flight-recorder slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slice {
+    /// The operation the slice times.
+    pub op: TraceOp,
+    /// The recording thread's tenant id, if one was set.
+    pub tenant: Option<u32>,
+    /// End timestamp minus begin timestamp.
+    pub dur_ns: u64,
+    /// The end event's argument (e.g. the conflicted flag of a
+    /// `lease_acquire` slice).
+    pub end_arg: u64,
+}
+
+/// Pairs each thread's begin/end events stack-wise per operation and
+/// returns the completed slices whose begin timestamp is at or after
+/// `since_ns` (0 keeps everything). Unmatched ends (begin before the
+/// recorder was reset or dropped on overflow) are ignored.
+pub fn pair_slices(threads: &[ThreadTrace], since_ns: u64) -> Vec<Slice> {
+    let mut slices = Vec::new();
+    for t in threads {
+        let mut stacks: Vec<Vec<u64>> = vec![Vec::new(); TRACE_OP_COUNT];
+        for e in &t.events {
+            match e.kind {
+                TraceKind::Begin => stacks[e.op as usize].push(e.ts_ns),
+                TraceKind::End => {
+                    if let Some(start) = stacks[e.op as usize].pop() {
+                        if start >= since_ns {
+                            slices.push(Slice {
+                                op: e.op,
+                                tenant: e.tenant,
+                                dur_ns: e.ts_ns.saturating_sub(start),
+                                end_arg: e.arg,
+                            });
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    slices
+}
+
+/// Per-operation duration histograms over a slice set, indexed by
+/// `TraceOp as usize`.
+pub fn phase_hists(slices: &[Slice]) -> Vec<Histogram> {
+    let mut hists: Vec<Histogram> = (0..TRACE_OP_COUNT).map(|_| Histogram::new()).collect();
+    for s in slices {
+        hists[s.op as usize].record(s.dur_ns);
+    }
+    hists
 }
 
 fn escape_json(s: &str, out: &mut String) {

@@ -12,34 +12,27 @@
 
 use crate::array::CmArray;
 use crate::error::RuntimeError;
-use crate::halo::ExchangePrimitive;
 use crate::plan::{ExecutionPlan, StencilBinding};
-use cmcc_cm2::exec::{ExecEngine, ExecMode};
+use cmcc_cm2::exec::ExecEngine;
 use cmcc_cm2::machine::Machine;
 use cmcc_cm2::timing::Measurement;
 use cmcc_core::compiler::CompiledStencil;
 
-/// Execution options for one stencil call. Part of a plan-cache key
-/// (hence `Hash`): plans built under different options are distinct.
+/// Execution options for one stencil call: what a caller picks per run.
+/// Part of a plan-cache key (hence `Hash`): plans built under different
+/// options are distinct. How the machine's run-time library exchanges
+/// halos and splits strips is not an option but a property of the
+/// machine ([`cmcc_cm2::MachineConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExecOptions {
-    /// Cycle-accurate (timed) or fast functional execution.
-    pub mode: ExecMode,
-    /// Which engine runs fast mode: the node-outer scalar path or the
-    /// lockstep row sweeps over node lanes (bit-identical results; cycle
-    /// mode always runs scalar). Plans fall back to scalar when a binding
-    /// cannot be lane-mapped (array aliasing, or a row program the build
-    /// refuses) and say why ([`crate::ExecutionPlan::lane_fallback`]).
+    /// Which engine runs the stencil: the scalar engine under the cycle
+    /// model (the default), or one of the two fast functional engines —
+    /// the node-outer scalar path or the lockstep row sweeps over node
+    /// lanes (bit-identical results). A lockstep plan falls back to the
+    /// scalar engine when a binding cannot be lane-mapped (array
+    /// aliasing, or a row program the build refuses) and says why
+    /// ([`crate::ExecutionPlan::lane_fallback`]).
     pub engine: ExecEngine,
-    /// Process strips as two half-strips (the paper's scheme) or as one
-    /// full pass (the ablation's alternative).
-    pub half_strips: bool,
-    /// Which communication primitive prices the halo exchange.
-    pub primitive: ExchangePrimitive,
-    /// Skip the corner-exchange step when the stencil has no diagonal
-    /// taps ("the test is very easy and quick", §5.1). Disabled only by
-    /// the corner ablation.
-    pub skip_corners_when_possible: bool,
     /// Host threads kernel execution fans out over (clamped to
     /// `1..=node_count`; `1` is the serial path). The scalar engine
     /// splits whole nodes across threads; the lockstep engine splits
@@ -60,7 +53,7 @@ pub struct ExecOptions {
     /// advance `k` time steps per `execute`; query the plan's
     /// effective depth via `ExecutionPlan::temporal_depth()` (the
     /// planner clamps back to `1` — and counts `TemporalFallbacks` —
-    /// when the request cannot be honored: scalar engine, cycle mode,
+    /// when the request cannot be honored: the cycle or scalar engine,
     /// multi-source stencils, pointwise stencils, or subgrids smaller
     /// than `k·radius`; a binding whose result aliases a named
     /// coefficient is refused instead). Part of the plan-cache key like
@@ -71,11 +64,7 @@ pub struct ExecOptions {
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
-            mode: ExecMode::Cycle,
-            engine: ExecEngine::default(),
-            half_strips: true,
-            primitive: ExchangePrimitive::News,
-            skip_corners_when_possible: true,
+            engine: ExecEngine::Cycle,
             threads: default_threads(),
             temporal_depth: 1,
         }
@@ -90,13 +79,11 @@ fn default_threads() -> usize {
 }
 
 impl ExecOptions {
-    /// Fast functional execution (no timing) — for applications that
-    /// iterate many time steps and validate results rather than cycles.
+    /// Fast functional execution (no timing) on the lockstep engine —
+    /// for applications that iterate many time steps and validate
+    /// results rather than cycles.
     pub fn fast() -> Self {
-        ExecOptions {
-            mode: ExecMode::Fast,
-            ..Self::default()
-        }
+        Self::default().with_engine(ExecEngine::Lockstep)
     }
 
     /// Today's serial execution path (`threads = 1`) — for
@@ -113,7 +100,7 @@ impl ExecOptions {
         ExecOptions { threads, ..self }
     }
 
-    /// The same options with a pinned fast-mode engine.
+    /// The same options with a pinned engine.
     pub fn with_engine(self, engine: ExecEngine) -> Self {
         ExecOptions { engine, ..self }
     }
@@ -206,6 +193,7 @@ mod tests {
     use super::*;
     use crate::reference::{reference_convolve, CoeffValue};
     use cmcc_cm2::config::MachineConfig;
+    use cmcc_cm2::news::ExchangePrimitive;
     use cmcc_core::compiler::Compiler;
     use cmcc_core::patterns::PaperPattern;
     use cmcc_core::recognize::CoeffSpec;
@@ -216,7 +204,7 @@ mod tests {
 
     /// Runs `compiled` on an 8×12 problem and compares against the
     /// reference evaluator, bit for bit.
-    fn check(source_text: &str, mode: ExecMode) {
+    fn check(source_text: &str, engine: ExecEngine) {
         let mut m = machine();
         let compiled = Compiler::new(m.config().clone())
             .compile_assignment(source_text)
@@ -243,10 +231,7 @@ mod tests {
         let r = CmArray::new(&mut m, rows, cols).unwrap();
 
         let refs: Vec<&CmArray> = coeff_arrays.iter().collect();
-        let opts = ExecOptions {
-            mode,
-            ..ExecOptions::default()
-        };
+        let opts = ExecOptions::default().with_engine(engine);
         let measurement = convolve(&mut m, &compiled, &r, &x, &refs, &opts).unwrap();
 
         // Host-side golden model.
@@ -274,9 +259,11 @@ mod tests {
                 want[i]
             );
         }
-        match mode {
-            ExecMode::Cycle => assert!(measurement.cycles.total() > 0),
-            ExecMode::Fast => assert_eq!(measurement.cycles.compute, 0),
+        match engine {
+            ExecEngine::Cycle => assert!(measurement.cycles.total() > 0),
+            ExecEngine::Scalar | ExecEngine::Lockstep => {
+                assert_eq!(measurement.cycles.compute, 0)
+            }
         }
         assert_eq!(
             measurement.useful_flops,
@@ -287,20 +274,20 @@ mod tests {
     #[test]
     fn all_paper_patterns_match_reference() {
         for p in PaperPattern::ALL {
-            check(&p.fortran(), ExecMode::Cycle);
+            check(&p.fortran(), ExecEngine::Cycle);
         }
     }
 
     #[test]
     fn fast_mode_matches_reference_too() {
-        check(&PaperPattern::Square9.fortran(), ExecMode::Fast);
+        check(&PaperPattern::Square9.fortran(), ExecEngine::Lockstep);
     }
 
     #[test]
     fn literal_coefficients_and_unit_taps() {
         check(
             "R = 0.25 * CSHIFT(X, 1, -1) + X + 0.25 * CSHIFT(X, 1, +1) + B",
-            ExecMode::Cycle,
+            ExecEngine::Cycle,
         );
     }
 
@@ -310,7 +297,7 @@ mod tests {
         // filled with the BOUNDARY= constant, machine and reference alike.
         check(
             "R = 0.5 * EOSHIFT(X, 1, -1, BOUNDARY=100.0) + 0.5 * X",
-            ExecMode::Cycle,
+            ExecEngine::Cycle,
         );
         // And observably: the top row blends toward 100.
         let mut m = machine();
@@ -329,7 +316,7 @@ mod tests {
     fn eoshift_boundary() {
         check(
             "R = C1 * EOSHIFT(X, 1, -1) + C2 * X + C3 * EOSHIFT(X, 2, +1)",
-            ExecMode::Cycle,
+            ExecEngine::Cycle,
         );
     }
 
@@ -337,13 +324,14 @@ mod tests {
     fn wide_border_stencil() {
         check(
             "R = C1 * CSHIFT(X, 2, -2) + C2 * X + C3 * CSHIFT(CSHIFT(X, 1, +2), 2, +1)",
-            ExecMode::Cycle,
+            ExecEngine::Cycle,
         );
     }
 
-    #[test]
-    fn full_strip_option_matches_reference() {
-        let mut m = machine();
+    /// The five-point cross on an 8×8 problem, run once on a machine
+    /// described by `cfg`: its measurement and result.
+    fn cross5_on(cfg: MachineConfig) -> (Measurement, Vec<f32>) {
+        let mut m = Machine::new(cfg).unwrap();
         let compiled = Compiler::new(m.config().clone())
             .compile_assignment(&PaperPattern::Cross5.fortran())
             .unwrap();
@@ -357,30 +345,20 @@ mod tests {
             })
             .collect();
         let refs: Vec<&CmArray> = coeffs.iter().collect();
-        let r_half = CmArray::new(&mut m, 8, 8).unwrap();
-        let r_full = CmArray::new(&mut m, 8, 8).unwrap();
-        let half = convolve(
-            &mut m,
-            &compiled,
-            &r_half,
-            &x,
-            &refs,
-            &ExecOptions::default(),
-        )
-        .unwrap();
-        let full = convolve(
-            &mut m,
-            &compiled,
-            &r_full,
-            &x,
-            &refs,
-            &ExecOptions {
-                half_strips: false,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(r_half.gather(&m), r_full.gather(&m));
+        let r = CmArray::new(&mut m, 8, 8).unwrap();
+        let measurement =
+            convolve(&mut m, &compiled, &r, &x, &refs, &ExecOptions::default()).unwrap();
+        (measurement, r.gather(&m))
+    }
+
+    #[test]
+    fn full_strip_option_matches_reference() {
+        let (half, r_half) = cross5_on(MachineConfig::tiny_4());
+        let (full, r_full) = cross5_on(MachineConfig {
+            half_strips: false,
+            ..MachineConfig::tiny_4()
+        });
+        assert_eq!(r_half, r_full);
         // Full strips pay one startup per strip rather than two.
         assert!(full.cycles.compute < half.cycles.compute);
         assert!(full.cycles.frontend < half.cycles.frontend);
@@ -388,57 +366,21 @@ mod tests {
 
     #[test]
     fn corner_skip_saves_cycles_for_cross() {
-        let mut m = machine();
-        let compiled = Compiler::new(m.config().clone())
-            .compile_assignment(&PaperPattern::Cross5.fortran())
-            .unwrap();
-        let x = CmArray::new(&mut m, 8, 8).unwrap();
-        let r = CmArray::new(&mut m, 8, 8).unwrap();
-        let coeffs: Vec<CmArray> = (0..5)
-            .map(|_| CmArray::new(&mut m, 8, 8).unwrap())
-            .collect();
-        let refs: Vec<&CmArray> = coeffs.iter().collect();
-        let skip = convolve(&mut m, &compiled, &r, &x, &refs, &ExecOptions::default()).unwrap();
-        let noskip = convolve(
-            &mut m,
-            &compiled,
-            &r,
-            &x,
-            &refs,
-            &ExecOptions {
-                skip_corners_when_possible: false,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
+        let (skip, _) = cross5_on(MachineConfig::tiny_4());
+        let (noskip, _) = cross5_on(MachineConfig {
+            skip_corners_when_possible: false,
+            ..MachineConfig::tiny_4()
+        });
         assert!(noskip.cycles.comm > skip.cycles.comm);
     }
 
     #[test]
     fn old_primitive_costs_more() {
-        let mut m = machine();
-        let compiled = Compiler::new(m.config().clone())
-            .compile_assignment(&PaperPattern::Cross5.fortran())
-            .unwrap();
-        let x = CmArray::new(&mut m, 8, 8).unwrap();
-        let r = CmArray::new(&mut m, 8, 8).unwrap();
-        let coeffs: Vec<CmArray> = (0..5)
-            .map(|_| CmArray::new(&mut m, 8, 8).unwrap())
-            .collect();
-        let refs: Vec<&CmArray> = coeffs.iter().collect();
-        let new = convolve(&mut m, &compiled, &r, &x, &refs, &ExecOptions::default()).unwrap();
-        let old = convolve(
-            &mut m,
-            &compiled,
-            &r,
-            &x,
-            &refs,
-            &ExecOptions {
-                primitive: ExchangePrimitive::OldPerDirection,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
+        let (new, _) = cross5_on(MachineConfig::tiny_4());
+        let (old, _) = cross5_on(MachineConfig {
+            primitive: ExchangePrimitive::OldPerDirection,
+            ..MachineConfig::tiny_4()
+        });
         assert!(old.cycles.comm > new.cycles.comm);
         assert_eq!(old.cycles.compute, new.cycles.compute);
     }

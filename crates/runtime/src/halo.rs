@@ -27,22 +27,9 @@ use cmcc_cm2::grid::{Direction, NodeGrid, NodeId};
 use cmcc_cm2::lane::{LaneMirror, RectCopy};
 use cmcc_cm2::machine::Machine;
 use cmcc_cm2::memory::{copy_between, Field};
-use cmcc_cm2::news::{
-    corner_exchange_cycles, news_exchange_cycles, old_exchange_cycles, ExchangeShape,
-};
+use cmcc_cm2::news::{corner_exchange_cycles, exchange_cycles, ExchangeShape};
 use cmcc_core::stencil::Boundary;
 use std::ops::Range;
-
-/// Which grid-communication primitive prices the exchange (the data moved
-/// is identical; §4.1 describes the new primitive's advantage).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ExchangePrimitive {
-    /// The paper's new microcoded primitive: all four neighbors at once.
-    #[default]
-    News,
-    /// The older primitive: one direction at a time.
-    OldPerDirection,
-}
 
 /// A padded buffer's placement: a `sub_rows × sub_cols` subgrid ringed
 /// `pad` deep on all four sides, row-major from `base` — a node-memory
@@ -225,21 +212,15 @@ impl HaloBuffer {
     }
 
     /// Performs the halo exchange and returns the communication cycles
-    /// charged.
+    /// charged, priced by the machine's grid primitive.
     ///
     /// Step one exchanges edge sections with the four NEWS neighbors
     /// simultaneously; step two (skipped when `need_corners` is false)
     /// exchanges the four corner sections with diagonal neighbors. With
     /// [`Boundary::ZeroFill`], halo regions beyond the global array edge
     /// are zeroed afterward instead of keeping the torus-wrapped data.
-    pub fn exchange(
-        &self,
-        machine: &mut Machine,
-        boundary: Boundary,
-        need_corners: bool,
-        primitive: ExchangePrimitive,
-    ) -> u64 {
-        self.exchange_with_fill(machine, boundary, 0.0, need_corners, primitive)
+    pub fn exchange(&self, machine: &mut Machine, boundary: Boundary, need_corners: bool) -> u64 {
+        self.exchange_with_fill(machine, boundary, 0.0, need_corners)
     }
 
     /// [`HaloBuffer::exchange`] with an explicit end-off fill value
@@ -255,7 +236,6 @@ impl HaloBuffer {
         boundary: Boundary,
         fill: f32,
         need_corners: bool,
-        primitive: ExchangePrimitive,
     ) -> u64 {
         let program = ExchangeProgram::new(
             &self.at,
@@ -264,38 +244,8 @@ impl HaloBuffer {
             boundary,
             fill,
             need_corners,
-            primitive,
         );
         program.run(machine)
-    }
-
-    /// Predicted exchange cost in cycles without performing any data
-    /// movement — used by the baselines and cost ablations.
-    pub fn exchange_cost(
-        cfg: &MachineConfig,
-        sub_rows: usize,
-        sub_cols: usize,
-        pad: usize,
-        need_corners: bool,
-        primitive: ExchangePrimitive,
-    ) -> u64 {
-        if pad == 0 {
-            return 0;
-        }
-        let shape = ExchangeShape {
-            north: pad * sub_cols,
-            south: pad * sub_cols,
-            east: pad * sub_rows,
-            west: pad * sub_rows,
-        };
-        let mut cycles = match primitive {
-            ExchangePrimitive::News => news_exchange_cycles(cfg, shape),
-            ExchangePrimitive::OldPerDirection => old_exchange_cycles(cfg, shape),
-        };
-        if need_corners {
-            cycles += corner_exchange_cycles(cfg, pad * pad);
-        }
-        cycles
     }
 }
 
@@ -316,10 +266,10 @@ struct CopyOp {
 /// The paper performs "interprocessor communication for an entire stencil
 /// computation … at the beginning all at once" (§5.1); an
 /// `ExchangeProgram` is that step compiled ahead of time for a fixed
-/// (placement, grid, boundary, primitive) so iterative workloads replay it
-/// without rebuilding. Every copy reads subgrid interior and writes the
-/// halo ring — disjoint regions — so the recorded order is immaterial to
-/// the result; it nevertheless preserves the order
+/// (placement, grid, machine config, boundary) so iterative workloads
+/// replay it without rebuilding. Every copy reads subgrid interior and
+/// writes the halo ring — disjoint regions — so the recorded order is
+/// immaterial to the result; it nevertheless preserves the order
 /// [`HaloBuffer::exchange_with_fill`] historically used, keeping the two
 /// paths step-for-step identical.
 #[derive(Debug, Clone, PartialEq)]
@@ -342,8 +292,8 @@ pub struct ExchangeProgram {
 impl ExchangeProgram {
     /// Compiles the exchange of the buffer placed at `halo` on `grid`:
     /// its node-memory form for a [`HaloBuffer`]'s placement, the copy
-    /// list of a [`LaneExchangeProgram`] for a lane buffer's.
-    #[allow(clippy::too_many_arguments)]
+    /// list of a [`LaneExchangeProgram`] for a lane buffer's. `cfg`'s
+    /// grid primitive prices it.
     pub fn new(
         halo: &Padded,
         grid: NodeGrid,
@@ -351,7 +301,6 @@ impl ExchangeProgram {
         boundary: Boundary,
         fill: f32,
         need_corners: bool,
-        primitive: ExchangePrimitive,
     ) -> Self {
         let p = halo.pad;
         let mut copies = Vec::new();
@@ -402,16 +351,10 @@ impl ExchangeProgram {
                     });
                 }
             }
-            let shape = ExchangeShape {
-                north: p * halo.sub_cols,
-                south: p * halo.sub_cols,
-                east: p * halo.sub_rows,
-                west: p * halo.sub_rows,
-            };
-            cycles = match primitive {
-                ExchangePrimitive::News => news_exchange_cycles(cfg, shape),
-                ExchangePrimitive::OldPerDirection => old_exchange_cycles(cfg, shape),
-            };
+            cycles = exchange_cycles(
+                cfg,
+                ExchangeShape::symmetric(p * halo.sub_cols, p * halo.sub_rows),
+            );
             edge_words = copies.iter().map(|c| c.len).sum();
 
             // Step two: corner sections from the four diagonal neighbors.
@@ -837,7 +780,7 @@ mod tests {
     #[test]
     fn circular_exchange_wraps_the_torus() {
         let (mut m, _, h) = setup(1);
-        h.exchange(&mut m, Boundary::Circular, true, ExchangePrimitive::News);
+        h.exchange(&mut m, Boundary::Circular, true);
         let n00 = m.grid().id(0, 0); // global rows 0..2, cols 0..2
                                      // North halo of node (0,0) wraps to global row 3.
         assert_eq!(read(&m, &h, n00, -1, 0), 30.0);
@@ -857,7 +800,7 @@ mod tests {
     #[test]
     fn skipping_corners_leaves_them_unwritten() {
         let (mut m, _, h) = setup(1);
-        h.exchange(&mut m, Boundary::Circular, false, ExchangePrimitive::News);
+        h.exchange(&mut m, Boundary::Circular, false);
         let n00 = m.grid().id(0, 0);
         // Edges arrive…
         assert_eq!(read(&m, &h, n00, -1, 0), 30.0);
@@ -868,7 +811,7 @@ mod tests {
     #[test]
     fn zero_fill_clears_global_edges_only() {
         let (mut m, _, h) = setup(1);
-        h.exchange(&mut m, Boundary::ZeroFill, true, ExchangePrimitive::News);
+        h.exchange(&mut m, Boundary::ZeroFill, true);
         let n00 = m.grid().id(0, 0);
         // Global north edge: zeros.
         assert_eq!(read(&m, &h, n00, -1, 0), 0.0);
@@ -892,7 +835,7 @@ mod tests {
         a.fill_with(&mut m, |r, c| (10 * r + c) as f32);
         let h = HaloBuffer::new(&mut m, 4, 4, 2).unwrap();
         h.fill_interior(&mut m, &a);
-        h.exchange(&mut m, Boundary::Circular, true, ExchangePrimitive::News);
+        h.exchange(&mut m, Boundary::Circular, true);
         let n00 = m.grid().id(0, 0);
         assert_eq!(read(&m, &h, n00, -2, 0), 60.0); // global row 6
         assert_eq!(read(&m, &h, n00, -1, 3), 73.0); // row 7, col 3
@@ -908,22 +851,6 @@ mod tests {
             HaloBuffer::new(&mut m, 2, 8, 3),
             Err(RuntimeError::SubgridTooSmall { .. })
         ));
-    }
-
-    #[test]
-    fn cost_model_matches_primitives() {
-        let cfg = MachineConfig::test_board_16();
-        let news = HaloBuffer::exchange_cost(&cfg, 64, 64, 1, false, ExchangePrimitive::News);
-        let old =
-            HaloBuffer::exchange_cost(&cfg, 64, 64, 1, false, ExchangePrimitive::OldPerDirection);
-        assert!(old > news);
-        let with_corners =
-            HaloBuffer::exchange_cost(&cfg, 64, 64, 1, true, ExchangePrimitive::News);
-        assert!(with_corners > news);
-        assert_eq!(
-            HaloBuffer::exchange_cost(&cfg, 64, 64, 0, true, ExchangePrimitive::News),
-            0
-        );
     }
 
     /// The lane exchange of a buffer placed at lane word 0 leaves the
@@ -954,15 +881,7 @@ mod tests {
             };
             mirror.gather(m.exec_parts().1, &whole);
             let generate = |at: &Padded| {
-                ExchangeProgram::new(
-                    at,
-                    m.grid(),
-                    m.config(),
-                    boundary,
-                    0.5,
-                    corners,
-                    ExchangePrimitive::News,
-                )
+                ExchangeProgram::new(at, m.grid(), m.config(), boundary, 0.5, corners)
             };
             let program = generate(&h.placement());
             let lane = LaneExchangeProgram::new(&generate(&at));
@@ -1007,7 +926,6 @@ mod tests {
                     boundary,
                     0.5,
                     corners,
-                    ExchangePrimitive::News,
                 ))
             };
             let (direct, swapped) = (lane(&a), lane(&b));
@@ -1051,14 +969,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn exchange_cost_agrees_with_exchange() {
-        let (mut m, _, h) = setup(1);
-        let charged = h.exchange(&mut m, Boundary::Circular, true, ExchangePrimitive::News);
-        let predicted =
-            HaloBuffer::exchange_cost(m.config(), 2, 2, 1, true, ExchangePrimitive::News);
-        assert_eq!(charged, predicted);
     }
 }

@@ -59,7 +59,7 @@ pub use array::CmArray;
 pub use cmcc_cm2::exec::ExecEngine;
 pub use convolve::{convolve, convolve_multi, ExecOptions};
 pub use error::RuntimeError;
-pub use halo::{ExchangePrimitive, ExchangeProgram, HaloBuffer};
+pub use halo::{ExchangeProgram, HaloBuffer};
 pub use plan::{CompiledPlan, ExecutionPlan, LeaseRange, PlanInstance, StencilBinding};
 pub use reference::{reference_convolve, reference_convolve_multi, CoeffValue};
 pub use strips::{full_strip, halfstrips, plan_strips, HalfStrip, Strip};

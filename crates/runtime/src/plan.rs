@@ -40,9 +40,7 @@ use crate::convolve::ExecOptions;
 use crate::error::RuntimeError;
 use crate::halo::{ExchangeProgram, HaloBuffer, LaneExchangeProgram, LaneFillProgram, Padded};
 use crate::strips::{full_strip, halfstrips, plan_strips, HalfStrip, Strip};
-use cmcc_cm2::exec::{
-    fast_counts, ExecEngine, ExecMode, FieldLayout, ResolvedStrip, StripContext, StripRun,
-};
+use cmcc_cm2::exec::{fast_counts, ExecEngine, FieldLayout, ResolvedStrip, StripContext, StripRun};
 use cmcc_cm2::isa::Kernel;
 use cmcc_cm2::kernels::{self, LaneBuffer, RowCoeff, RowProgram, RowRun, RowStep, RowTerm};
 use cmcc_cm2::lane::LaneMirror;
@@ -724,9 +722,9 @@ impl CompiledPlan {
         let depth = if requested_depth == 1 {
             1
         } else {
-            let reason = if opts.mode != ExecMode::Fast {
+            let reason = if opts.engine == ExecEngine::Cycle {
                 Some("cycle-accurate mode")
-            } else if opts.engine != ExecEngine::Lockstep {
+            } else if opts.engine == ExecEngine::Scalar {
                 Some("scalar engine")
             } else if binding.sources().len() != 1 {
                 Some("multi-source stencil")
@@ -785,15 +783,15 @@ impl CompiledPlan {
 
         // The halo exchanges, compiled: neighbor lookups, copy addresses,
         // fill spans, and the cycle price are all fixed by (placement,
-        // grid, boundary, primitive). Fused steps always need corners:
-        // composing the stencil with itself reaches diagonal neighbors
-        // even when one application does not.
-        let need_corners = if opts.skip_corners_when_possible {
+        // grid, machine config, boundary). Fused steps always need
+        // corners: composing the stencil with itself reaches diagonal
+        // neighbors even when one application does not.
+        let (grid, cfg) = (machine.grid(), machine.config());
+        let need_corners = if cfg.skip_corners_when_possible {
             stencil.needs_corner_exchange() || depth > 1
         } else {
             pad > 0
         };
-        let (grid, cfg) = (machine.grid(), machine.config());
         let exchange = |at: &Padded| {
             ExchangeProgram::new(
                 at,
@@ -802,11 +800,10 @@ impl CompiledPlan {
                 stencil.boundary(),
                 stencil.fill(),
                 need_corners,
-                opts.primitive,
             )
         };
         let scalar = node_fields.map(|(halos, consts, pages)| ScalarBody {
-            node: NodeSchedule::of(compiled, opts.half_strips, sub_rows, sub_cols),
+            node: NodeSchedule::of(compiled, cfg.half_strips, sub_rows, sub_cols),
             exchanges: halos.iter().map(|h| exchange(&h.placement())).collect(),
             halos,
             consts,
@@ -818,9 +815,9 @@ impl CompiledPlan {
         // scratch fills generated at its lane bases. A refused row
         // program keeps a classic plan on the scalar engine; a temporal
         // plan, which has no other body, is refused.
-        let lane = if opts.mode != ExecMode::Fast {
+        let lane = if opts.engine == ExecEngine::Cycle {
             Err("cycle-accurate mode")
-        } else if opts.engine != ExecEngine::Lockstep {
+        } else if opts.engine == ExecEngine::Scalar {
             Err("scalar engine requested")
         } else {
             let buffers = lane_layout(sub, (sources, named), depth, pad)?;
@@ -855,7 +852,7 @@ impl CompiledPlan {
         }
         Ok(CompiledPlan {
             scalar,
-            counts: ScheduleCounts::of(compiled, opts.half_strips, sub, depth, pad),
+            counts: ScheduleCounts::of(compiled, cfg.half_strips, sub, depth, pad),
             lane,
             sources,
             named,
@@ -954,11 +951,6 @@ impl CompiledPlan {
     /// Global columns of the compiled shape.
     pub fn cols(&self) -> usize {
         self.shape.1
-    }
-
-    /// The execution options the artifact was built under.
-    pub fn options(&self) -> &ExecOptions {
-        &self.opts
     }
 
     /// Words of node memory per node the artifact owns: a classic plan's
@@ -1218,7 +1210,7 @@ impl PlanInstance {
         tally.run = machine.run_resolved_all(
             strips,
             [self.result.field().range()],
-            cp.opts.mode,
+            cp.opts.engine.mode(),
             cp.opts.threads,
         )?;
         tally.predicted = self.steady_copy_words(cp);
@@ -1511,8 +1503,8 @@ impl ExecutionPlan {
         self.inst.execute(&self.shared, machine)
     }
 
-    /// Whether `execute` runs the lane body: fast mode, the lockstep
-    /// engine, and a binding whose result overlaps no named coefficient.
+    /// Whether `execute` runs the lane body: the lockstep engine and a
+    /// binding whose result overlaps no named coefficient.
     /// Its only node-memory write is its commit of the result, and it
     /// cannot fail, so such a plan may also run region-leased
     /// ([`Self::execute_region`], then [`Self::commit`]). False means the
@@ -1680,11 +1672,6 @@ impl ExecutionPlan {
     /// Global columns of the bound arrays.
     pub fn cols(&self) -> usize {
         self.inst.result.cols()
-    }
-
-    /// The execution options the plan was built under.
-    pub fn options(&self) -> &ExecOptions {
-        &self.shared.opts
     }
 
     /// Lane-mirror buffer allocations performed so far. Steady state

@@ -8,7 +8,7 @@
 //! allocates no lane mirrors after warmup (the plan cache hands a
 //! retired tenant's mirror to the next tenant's instance).
 
-use cmcc::cm2::exec::{ExecEngine, ExecMode};
+use cmcc::cm2::exec::ExecEngine;
 use cmcc::obs::Counter;
 use cmcc::runtime::{CmArray, ExecOptions};
 use cmcc::Session;
@@ -197,12 +197,9 @@ fn racing_tenants_over_capacity_evict_and_still_match_oracle() {
 #[test]
 fn steady_state_mirror_allocations_stay_flat_across_tenants() {
     cmcc::obs::set_enabled(true);
-    let opts = ExecOptions {
-        mode: ExecMode::Fast,
-        ..ExecOptions::default()
-            .with_threads(1)
-            .with_engine(ExecEngine::Lockstep)
-    };
+    let opts = ExecOptions::default()
+        .with_threads(1)
+        .with_engine(ExecEngine::Lockstep);
     let mut session = Session::tiny().unwrap();
     let compiled = session.compile(STENCILS[0]).unwrap();
     let x = session.array(ROWS, COLS).unwrap();

@@ -1,12 +1,12 @@
 //! Integration tests spanning every crate: Fortran text in, verified
-//! distributed results out, through all three front ends and all
-//! execution options.
+//! distributed results out, through all three front ends, every engine
+//! and every machine config the ablations flip.
 
+use cmcc::cm2::ExchangePrimitive;
 use cmcc::core::recognize::CoeffSpec;
 use cmcc::prelude::*;
 use cmcc::runtime::reference::{reference_convolve, CoeffValue};
-use cmcc::runtime::ExchangePrimitive;
-use cmcc::ExecOptions as Opts;
+use cmcc::{ExecEngine, ExecOptions as Opts};
 
 /// Builds arrays for a spec, runs the compiled stencil, and checks every
 /// element against the reference evaluator, bit for bit. Returns the
@@ -147,52 +147,55 @@ fn three_front_ends_agree() {
     assert_eq!(outputs[1].1, outputs[2].1);
 }
 
+/// Every machine config the paper's ablations flip (grid primitive,
+/// half-strips, corner skip) × every engine × serial and threaded
+/// execution computes the same bits.
 #[test]
 fn every_option_combination_is_functionally_identical() {
-    let mut session = Session::tiny().unwrap();
-    let compiled = session.compile(&PaperPattern::Square9.fortran()).unwrap();
     let mut baseline: Option<Vec<u32>> = None;
-    for mode in [cmcc::cm2::ExecMode::Cycle, cmcc::cm2::ExecMode::Fast] {
-        for half_strips in [true, false] {
-            for primitive in [ExchangePrimitive::News, ExchangePrimitive::OldPerDirection] {
-                for skip in [true, false] {
-                    for threads in [1usize, 8] {
-                        for engine in [cmcc::ExecEngine::Scalar, cmcc::ExecEngine::Lockstep] {
-                            let opts = Opts {
-                                mode,
-                                engine,
-                                half_strips,
-                                primitive,
-                                skip_corners_when_possible: skip,
-                                threads,
-                                temporal_depth: 1,
-                            };
-                            let (rows, cols) = (8usize, 8usize);
-                            let x = session.array(rows, cols).unwrap();
-                            x.fill_with(&mut session.machine_mut(), |r, c| {
-                                ((r * 3 + c) % 7) as f32
-                            });
-                            let coeffs: Vec<CmArray> = (0..9)
-                                .map(|i| {
-                                    let a = session.array(rows, cols).unwrap();
-                                    a.fill(&mut session.machine_mut(), (i as f32 - 4.0) * 0.1);
-                                    a
-                                })
-                                .collect();
-                            let refs: Vec<&CmArray> = coeffs.iter().collect();
-                            let r = session.array(rows, cols).unwrap();
-                            session.run_with(&compiled, &r, &x, &refs, &opts).unwrap();
-                            let bits: Vec<u32> = r
-                                .gather(&session.machine())
-                                .iter()
-                                .map(|v| v.to_bits())
-                                .collect();
-                            match &baseline {
-                                None => baseline = Some(bits),
-                                Some(b) => {
-                                    assert_eq!(b, &bits, "options {opts:?} changed the result")
-                                }
-                            }
+    for half_strips in [true, false] {
+        for primitive in [ExchangePrimitive::News, ExchangePrimitive::OldPerDirection] {
+            for skip in [true, false] {
+                let mut session = Session::with_config(MachineConfig {
+                    half_strips,
+                    primitive,
+                    skip_corners_when_possible: skip,
+                    ..MachineConfig::tiny_4()
+                })
+                .unwrap();
+                let compiled = session.compile(&PaperPattern::Square9.fortran()).unwrap();
+                for threads in [1usize, 8] {
+                    for engine in [ExecEngine::Cycle, ExecEngine::Scalar, ExecEngine::Lockstep] {
+                        let opts = Opts {
+                            engine,
+                            threads,
+                            temporal_depth: 1,
+                        };
+                        let (rows, cols) = (8usize, 8usize);
+                        let x = session.array(rows, cols).unwrap();
+                        x.fill_with(&mut session.machine_mut(), |r, c| ((r * 3 + c) % 7) as f32);
+                        let coeffs: Vec<CmArray> = (0..9)
+                            .map(|i| {
+                                let a = session.array(rows, cols).unwrap();
+                                a.fill(&mut session.machine_mut(), (i as f32 - 4.0) * 0.1);
+                                a
+                            })
+                            .collect();
+                        let refs: Vec<&CmArray> = coeffs.iter().collect();
+                        let r = session.array(rows, cols).unwrap();
+                        session.run_with(&compiled, &r, &x, &refs, &opts).unwrap();
+                        let bits: Vec<u32> = r
+                            .gather(&session.machine())
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect();
+                        match &baseline {
+                            None => baseline = Some(bits),
+                            Some(b) => assert_eq!(
+                                b, &bits,
+                                "half_strips={half_strips} {primitive:?} skip={skip} \
+                                 options {opts:?} changed the result"
+                            ),
                         }
                     }
                 }

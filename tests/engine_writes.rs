@@ -16,7 +16,7 @@
 //! These live in their own test binary: the conflicted case holds a
 //! machine read guard while two handles queue on the lease table.
 
-use cmcc::cm2::exec::{ExecEngine, ExecMode};
+use cmcc::cm2::exec::ExecEngine;
 use cmcc::runtime::{CmArray, ExecOptions, ExecutionPlan, RuntimeError, StencilBinding};
 use cmcc::{CompiledStencil, LeaseStats, Session, SessionError};
 use std::time::{Duration, Instant};
@@ -25,11 +25,9 @@ const SUBGRID: (usize, usize) = (8, 8);
 
 /// Lane-resident lockstep execution: the only region-eligible mode.
 fn exec_opts() -> ExecOptions {
-    let mut opts = ExecOptions::default()
+    ExecOptions::default()
         .with_threads(1)
-        .with_engine(ExecEngine::Lockstep);
-    opts.mode = ExecMode::Fast;
-    opts
+        .with_engine(ExecEngine::Lockstep)
 }
 
 fn bits_equal(a: &[f32], b: &[f32]) -> bool {

@@ -5,7 +5,7 @@
 //! internals are accessible; see
 //! `schedule::tests::stripped_drain_bubbles_trip_the_hazard_detector`.)
 
-use cmcc::cm2::{ExecMode, Machine, MachineConfig};
+use cmcc::cm2::{Machine, MachineConfig};
 use cmcc::core::recognize::CoeffSpec;
 use cmcc::core::Compiler;
 use cmcc::prelude::*;
@@ -53,13 +53,10 @@ fn run(
     r: &CmArray,
     x: &CmArray,
     coeffs: &[CmArray],
-    mode: ExecMode,
+    engine: ExecEngine,
 ) -> Result<Vec<f32>, RuntimeError> {
     let refs: Vec<&CmArray> = coeffs.iter().collect();
-    let opts = ExecOptions {
-        mode,
-        ..ExecOptions::default()
-    };
+    let opts = ExecOptions::default().with_engine(engine);
     convolve(machine, compiled, r, x, &refs, &opts)?;
     Ok(r.gather(machine))
 }
@@ -69,7 +66,7 @@ fn run(
 #[test]
 fn unbroken_pipeline_matches() {
     let (mut machine, compiled, x, r, coeffs, want) = setup("R = C1 * CSHIFT(X, 1, -1) + C2 * X");
-    let got = run(&mut machine, &compiled, &r, &x, &coeffs, ExecMode::Cycle).unwrap();
+    let got = run(&mut machine, &compiled, &r, &x, &coeffs, ExecEngine::Cycle).unwrap();
     assert!(got
         .iter()
         .zip(&want)
@@ -84,7 +81,15 @@ fn perturbed_inputs_are_visible_in_results() {
     // Flip a single interior element of the source.
     let v = x.get(&machine, 3, 3);
     x.set(&mut machine, 3, 3, v + 1.0);
-    let got = run(&mut machine, &compiled, &r, &x, &coeffs, ExecMode::Fast).unwrap();
+    let got = run(
+        &mut machine,
+        &compiled,
+        &r,
+        &x,
+        &coeffs,
+        ExecEngine::Lockstep,
+    )
+    .unwrap();
     assert_ne!(got, want, "a one-element perturbation must be detected");
     // And it propagates exactly to the stencil's readers: (3,3) itself
     // and its south neighbor (4,3) which reads it through CSHIFT(1,-1).
@@ -108,8 +113,8 @@ fn boundary_discipline_changes_results_at_edges_only() {
     let zerofill = Compiler::new(machine.config().clone())
         .compile_assignment("R = C1 * EOSHIFT(X, 2, -1) + C2 * X")
         .unwrap();
-    let got_c = run(&mut machine, &circular, &r, &x, &coeffs, ExecMode::Cycle).unwrap();
-    let got_z = run(&mut machine, &zerofill, &r, &x, &coeffs, ExecMode::Cycle).unwrap();
+    let got_c = run(&mut machine, &circular, &r, &x, &coeffs, ExecEngine::Cycle).unwrap();
+    let got_z = run(&mut machine, &zerofill, &r, &x, &coeffs, ExecEngine::Cycle).unwrap();
     let cols = 8;
     for (i, (c, z)) in got_c.iter().zip(&got_z).enumerate() {
         if i % cols == 0 {

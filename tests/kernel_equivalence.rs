@@ -17,7 +17,7 @@
 
 use std::sync::Mutex;
 
-use cmcc::cm2::{ExecMode, Machine, MachineConfig};
+use cmcc::cm2::{Machine, MachineConfig};
 use cmcc::core::recognize::CoeffSpec;
 use cmcc::core::stencil::{Boundary, Stencil, Tap};
 use cmcc::core::{CompileError, Compiler};
@@ -792,7 +792,7 @@ fn every_scalar_fallback_names_its_reason() {
         assert_eq!(plan.lane_fallback(), reason, "{opts:?}");
         assert_eq!(plan.lane_mapped(), reason.is_none(), "{opts:?}");
         assert_eq!(
-            opts.mode == ExecMode::Cycle,
+            opts.engine == ExecEngine::Cycle,
             reason == Some("cycle-accurate mode")
         );
         plan.release(&mut machine);

@@ -27,12 +27,22 @@ fn run_case(
     cols: usize,
     opts: &ExecOptions,
 ) -> (Measurement, Vec<u32>) {
-    let cfg = MachineConfig::tiny_4();
+    run_case_on(MachineConfig::tiny_4(), pattern, rows, cols, opts)
+}
+
+/// [`run_case`] on a machine described by `cfg`.
+fn run_case_on(
+    cfg: MachineConfig,
+    pattern: PaperPattern,
+    rows: usize,
+    cols: usize,
+    opts: &ExecOptions,
+) -> (Measurement, Vec<u32>) {
     let compiler = Compiler::new(cfg.clone());
     let compiled = compiler
         .compile_assignment(&pattern.fortran())
         .expect("paper patterns compile");
-    let mut machine = Machine::new(cfg).expect("tiny_4 is valid");
+    let mut machine = Machine::new(cfg).expect("the config is valid");
     let x = CmArray::new(&mut machine, rows, cols).unwrap();
     x.fill_with(&mut machine, |r, c| {
         ((r * 31 + c * 7) % 41) as f32 * 0.125 - 2.5
@@ -227,12 +237,13 @@ fn lane_corner_skip_and_edge_shapes_stay_exact() {
     for pattern in [PaperPattern::Cross5, PaperPattern::Square9] {
         for skip in [true, false] {
             for (rows, cols) in [(16, 30), (8, 14), (10, 10)] {
-                let mut scalar = scalar_fast();
-                scalar.skip_corners_when_possible = skip;
-                let mut lane = lockstep_fast();
-                lane.skip_corners_when_possible = skip;
-                let (scalar_m, scalar_bits) = run_case(pattern, rows, cols, &scalar);
-                let (lane_m, lane_bits) = run_case(pattern, rows, cols, &lane);
+                let cfg = MachineConfig {
+                    skip_corners_when_possible: skip,
+                    ..MachineConfig::tiny_4()
+                };
+                let (scalar_m, scalar_bits) =
+                    run_case_on(cfg.clone(), pattern, rows, cols, &scalar_fast());
+                let (lane_m, lane_bits) = run_case_on(cfg, pattern, rows, cols, &lockstep_fast());
                 assert_eq!(
                     scalar_bits,
                     lane_bits,

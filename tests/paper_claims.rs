@@ -224,25 +224,20 @@ fn claim_unrolled_seismic_loop_wins() {
 /// it matters more for small arrays — the paper's observation).
 #[test]
 fn claim_corner_skip_matters_more_for_small_arrays() {
-    let opts_skip = ExecOptions::default();
-    let opts_noskip = ExecOptions {
+    let noskip = MachineConfig {
         skip_corners_when_possible: false,
-        ..ExecOptions::default()
+        ..MachineConfig::test_board_16()
     };
-    let mut small = Workload::new(
-        MachineConfig::test_board_16(),
-        PaperPattern::Cross5,
-        (64, 64),
-    );
-    let s_skip = small.run(&opts_skip).cycles.comm;
-    let s_noskip = small.run(&opts_noskip).cycles.comm;
-    let mut big = Workload::new(
-        MachineConfig::test_board_16(),
-        PaperPattern::Cross5,
-        (256, 256),
-    );
-    let b_skip = big.run(&opts_skip).cycles.comm;
-    let b_noskip = big.run(&opts_noskip).cycles.comm;
+    let comm = |cfg: MachineConfig, subgrid| {
+        Workload::new(cfg, PaperPattern::Cross5, subgrid)
+            .measure()
+            .cycles
+            .comm
+    };
+    let s_skip = comm(MachineConfig::test_board_16(), (64, 64));
+    let s_noskip = comm(noskip.clone(), (64, 64));
+    let b_skip = comm(MachineConfig::test_board_16(), (256, 256));
+    let b_noskip = comm(noskip, (256, 256));
     let saved_small = (s_noskip - s_skip) as f64 / s_noskip as f64;
     let saved_big = (b_noskip - b_skip) as f64 / b_noskip as f64;
     assert!(saved_small > saved_big);

@@ -1,8 +1,8 @@
 //! Differential suite for the parallel execution engine: for every
-//! paper pattern, both exchange primitives, both strip disciplines, and
-//! thread counts 1, 2, and 8, the threaded executor must be
-//! *indistinguishable* from the serial one — bit-identical result
-//! arrays and exactly equal [`Measurement`]s.
+//! paper pattern, both exchange primitives and both strip disciplines
+//! (four machine configs), and thread counts 1, 2, and 8, the threaded
+//! executor must be *indistinguishable* from the serial one —
+//! bit-identical result arrays and exactly equal [`Measurement`]s.
 //!
 //! The serial run (threads = 1) is the oracle; every other thread count
 //! is diffed against it. Because the simulated CM-2 is SIMD, every node
@@ -11,10 +11,10 @@
 //! accounting (the reduction takes the per-step maximum over nodes,
 //! which all agree).
 
-use cmcc::cm2::{Machine, MachineConfig};
+use cmcc::cm2::{ExchangePrimitive, Machine, MachineConfig};
 use cmcc::core::recognize::CoeffSpec;
 use cmcc::core::Compiler;
-use cmcc::runtime::{convolve, CmArray, ExchangePrimitive, ExecOptions};
+use cmcc::runtime::{convolve, CmArray, ExecOptions};
 use cmcc::{Measurement, PaperPattern};
 
 const THREADS: [usize; 2] = [2, 8];
@@ -22,12 +22,20 @@ const THREADS: [usize; 2] = [2, 8];
 /// One full convolution under `opts`; returns the measurement and the
 /// gathered result bits.
 fn run_case(pattern: PaperPattern, opts: &ExecOptions) -> (Measurement, Vec<u32>) {
-    let cfg = MachineConfig::tiny_4();
+    run_case_on(MachineConfig::tiny_4(), pattern, opts)
+}
+
+/// [`run_case`] on a machine described by `cfg`.
+fn run_case_on(
+    cfg: MachineConfig,
+    pattern: PaperPattern,
+    opts: &ExecOptions,
+) -> (Measurement, Vec<u32>) {
     let compiler = Compiler::new(cfg.clone());
     let compiled = compiler
         .compile_assignment(&pattern.fortran())
         .expect("paper patterns compile");
-    let mut machine = Machine::new(cfg).expect("tiny_4 is valid");
+    let mut machine = Machine::new(cfg).expect("the config is valid");
     let (rows, cols) = (8usize, 12usize);
     let x = CmArray::new(&mut machine, rows, cols).unwrap();
     x.fill_with(&mut machine, |r, c| {
@@ -63,15 +71,16 @@ fn threaded_execution_is_indistinguishable_from_serial() {
     for pattern in PaperPattern::ALL {
         for primitive in [ExchangePrimitive::News, ExchangePrimitive::OldPerDirection] {
             for half_strips in [true, false] {
-                let base = ExecOptions {
+                let cfg = MachineConfig {
                     primitive,
                     half_strips,
-                    ..ExecOptions::serial()
+                    ..MachineConfig::tiny_4()
                 };
-                let (serial_m, serial_bits) = run_case(pattern, &base);
+                let base = ExecOptions::serial();
+                let (serial_m, serial_bits) = run_case_on(cfg.clone(), pattern, &base);
                 for threads in THREADS {
                     let opts = base.with_threads(threads);
-                    let (m, bits) = run_case(pattern, &opts);
+                    let (m, bits) = run_case_on(cfg.clone(), pattern, &opts);
                     assert_eq!(
                         serial_bits,
                         bits,

@@ -2,21 +2,20 @@
 //! a plan built once and executed N times must be indistinguishable from
 //! N fresh [`convolve`] calls — bit-identical result arrays and exactly
 //! equal [`Measurement`]s — across the paper patterns, both exchange
-//! primitives, and serial and threaded execution. Also covers the
+//! primitives (a machine config each), and serial and threaded
+//! execution. Also covers the
 //! steady-state zero-allocation guarantee and the session-level plan
 //! cache (hits, shape-keyed misses, fingerprint-keyed misses, and
 //! per-session isolation).
 
-use cmcc::cm2::{Machine, MachineConfig};
+use cmcc::cm2::{ExchangePrimitive, Machine, MachineConfig};
 use cmcc::core::recognize::CoeffSpec;
 use cmcc::core::Compiler;
-use cmcc::runtime::{
-    convolve, CmArray, ExchangePrimitive, ExecOptions, ExecutionPlan, StencilBinding,
-};
+use cmcc::runtime::{convolve, CmArray, ExecOptions, ExecutionPlan, StencilBinding};
 use cmcc::{Measurement, PaperPattern, Session};
 
-/// Builds machine + arrays + compiled stencil for `pattern` on the tiny
-/// 2×2 board with deterministic data.
+/// Builds machine + arrays + compiled stencil for `pattern` on a 2×2
+/// board described by `cfg`, with deterministic data.
 struct Case {
     machine: Machine,
     compiled: cmcc::CompiledStencil,
@@ -26,13 +25,12 @@ struct Case {
 }
 
 impl Case {
-    fn new(pattern: PaperPattern) -> Self {
-        let cfg = MachineConfig::tiny_4();
+    fn new(cfg: MachineConfig, pattern: PaperPattern) -> Self {
         let compiler = Compiler::new(cfg.clone());
         let compiled = compiler
             .compile_assignment(&pattern.fortran())
             .expect("paper patterns compile");
-        let mut machine = Machine::new(cfg).expect("tiny_4 is valid");
+        let mut machine = Machine::new(cfg).expect("the config is valid");
         let (rows, cols) = (8, 12);
         let x = CmArray::new(&mut machine, rows, cols).unwrap();
         x.fill_with(&mut machine, |r, c| {
@@ -72,18 +70,21 @@ impl Case {
 
 /// Fresh convolve vs one-plan-three-executes must agree exactly:
 /// the same bits in the result array and the same `Measurement`, for
-/// every paper pattern × exchange primitive × serial/threaded execution.
+/// every paper pattern × exchange primitive (a machine config each) ×
+/// serial/threaded execution.
 #[test]
 fn plan_reuse_is_bit_identical_to_fresh_convolve() {
     for pattern in PaperPattern::ALL {
         for primitive in [ExchangePrimitive::News, ExchangePrimitive::OldPerDirection] {
             for threads in [1, 8] {
-                let opts = ExecOptions {
-                    primitive,
-                    threads,
-                    ..ExecOptions::default()
-                };
-                let mut case = Case::new(pattern);
+                let opts = ExecOptions::default().with_threads(threads);
+                let mut case = Case::new(
+                    MachineConfig {
+                        primitive,
+                        ..MachineConfig::tiny_4()
+                    },
+                    pattern,
+                );
                 let handles = case.coeff_handles();
                 let refs: Vec<&CmArray> = handles.iter().collect();
 

@@ -3,7 +3,7 @@
 //! host-side reference evaluator bit for bit, across widths, walks,
 //! boundaries, subgrid shapes — and host thread counts.
 
-use cmcc::cm2::{ExecMode, Machine, MachineConfig};
+use cmcc::cm2::{Machine, MachineConfig};
 use cmcc::core::columns::{gcd, lcm, plan_rings};
 use cmcc::core::multistencil::Multistencil;
 use cmcc::core::stencil::{Boundary, CoeffRef, Stencil, Tap};
@@ -254,10 +254,7 @@ fn cycle_and_fast_modes_agree() {
         let r = CmArray::new(&mut machine, rows, cols).unwrap();
 
         let cycle_opts = ExecOptions::default();
-        let fast_opts = ExecOptions {
-            mode: ExecMode::Fast,
-            ..ExecOptions::default()
-        };
+        let fast_opts = ExecOptions::fast();
         if convolve(&mut machine, &compiled, &r, &x, &refs, &cycle_opts).is_err() {
             return;
         }
@@ -465,7 +462,7 @@ fn multi_source_execution_matches_reference() {
 fn halo_exchange_matches_global_semantics() {
     property("halo_exchange_matches_global_semantics", 64, |rng| {
         use cmcc::core::Boundary;
-        use cmcc::runtime::{ExchangePrimitive, HaloBuffer};
+        use cmcc::runtime::HaloBuffer;
         let sub = rng.usize_in(2, 6);
         let pad = rng.usize_in(1, 3);
         let zerofill = rng.bool();
@@ -485,7 +482,7 @@ fn halo_exchange_matches_global_semantics() {
         } else {
             Boundary::Circular
         };
-        halo.exchange_with_fill(&mut machine, boundary, fill, true, ExchangePrimitive::News);
+        halo.exchange_with_fill(&mut machine, boundary, fill, true);
 
         let layout = halo.layout();
         for node in machine.grid().iter().collect::<Vec<_>>() {

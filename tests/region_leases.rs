@@ -15,7 +15,7 @@
 //! live or queued. The figures asserted are then exact on any core
 //! count.
 
-use cmcc::cm2::exec::{ExecEngine, ExecMode};
+use cmcc::cm2::exec::ExecEngine;
 use cmcc::core::recognize::CoeffSpec;
 use cmcc::runtime::{CmArray, ExecOptions};
 use cmcc::{CompiledStencil, LeaseStats, PaperPattern, Session};
@@ -36,11 +36,9 @@ const PATTERNS: [PaperPattern; 4] = [
 
 /// Lane-resident lockstep execution: the only region-eligible mode.
 fn exec_opts() -> ExecOptions {
-    let mut opts = ExecOptions::default()
+    ExecOptions::default()
         .with_threads(1)
-        .with_engine(ExecEngine::Lockstep);
-    opts.mode = ExecMode::Fast;
-    opts
+        .with_engine(ExecEngine::Lockstep)
 }
 
 /// Polls the session's lease table until `cond` holds.

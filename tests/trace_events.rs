@@ -28,39 +28,6 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// One paired begin/end slice (mirrors the driver's distillation).
-struct Slice {
-    op: TraceOp,
-    tenant: Option<u32>,
-    dur_ns: u64,
-    end_arg: u64,
-}
-
-/// Pairs begin/end events stack-wise per thread and operation.
-fn pair_slices(threads: &[ThreadTrace]) -> Vec<Slice> {
-    let mut slices = Vec::new();
-    for t in threads {
-        let mut stacks: Vec<Vec<u64>> = vec![Vec::new(); TRACE_OP_COUNT];
-        for e in &t.events {
-            match e.kind {
-                TraceKind::Begin => stacks[e.op as usize].push(e.ts_ns),
-                TraceKind::End => {
-                    if let Some(start) = stacks[e.op as usize].pop() {
-                        slices.push(Slice {
-                            op: e.op,
-                            tenant: e.tenant,
-                            dur_ns: e.ts_ns.saturating_sub(start),
-                            end_arg: e.arg,
-                        });
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    slices
-}
-
 /// Runs the five-point cross `iters` times through a fresh session.
 fn run_statement(session: &mut Session, iters: usize) {
     let c = session.compile(&PaperPattern::Cross5.fortran()).unwrap();
@@ -385,7 +352,7 @@ fn exited_workers_return_their_rings_and_keep_their_slices() {
             t.events
         );
     }
-    let slices = pair_slices(&threads)
+    let slices = trace::pair_slices(&threads, 0)
         .iter()
         .filter(|s| s.op == TraceOp::ExecuteWorkers)
         .count();
@@ -454,7 +421,7 @@ fn racing_tenants_split_blocked_and_executing_within_wall() {
 
     const WORKERS: usize = 4;
     let (threads, leases, walls) = race_tenants(WORKERS, 4);
-    let slices = pair_slices(&threads);
+    let slices = trace::pair_slices(&threads, 0);
 
     let mut blocked = [0u64; WORKERS];
     let mut executing = [0u64; WORKERS];
@@ -512,7 +479,7 @@ fn per_tenant_percentiles_match_sorted_oracle() {
 
     const WORKERS: usize = 3;
     let (threads, _leases, _walls) = race_tenants(WORKERS, 5);
-    let slices = pair_slices(&threads);
+    let slices = trace::pair_slices(&threads, 0);
 
     for w in 0..WORKERS as u32 {
         let mut durs: Vec<u64> = slices
