@@ -20,7 +20,6 @@
 
 use crate::config::{MachineConfig, FPU_REGISTERS};
 use crate::isa::{DynamicPart, Kernel, MacAcc, MemRef, Reg};
-use crate::memory::NodeMemory;
 use std::fmt;
 
 /// Address arithmetic for one array as laid out in node memory.
@@ -266,7 +265,7 @@ impl Fpu {
 pub fn run_strip(
     kernel: &Kernel,
     ctx: &StripContext<'_>,
-    mem: &mut NodeMemory,
+    mem: &mut [f32],
     cfg: &MachineConfig,
     mode: ExecMode,
 ) -> Result<StripRun, HazardError> {
@@ -281,7 +280,7 @@ pub fn run_strip(
 fn run_strip_impl<const CYCLE: bool>(
     kernel: &Kernel,
     ctx: &StripContext<'_>,
-    mem: &mut NodeMemory,
+    mem: &mut [f32],
     cfg: &MachineConfig,
 ) -> Result<StripRun, HazardError> {
     let mut fpu = Fpu::new();
@@ -361,7 +360,7 @@ fn step<const CYCLE: bool>(
     part: &DynamicPart,
     row: i64,
     ctx: &StripContext<'_>,
-    mem: &mut NodeMemory,
+    mem: &mut [f32],
     fpu: &mut Fpu,
     run: &mut StripRun,
     now: &mut u64,
@@ -387,7 +386,7 @@ fn step<const CYCLE: bool>(
 fn exec_resolved<const CYCLE: bool>(
     op: ResolvedOp,
     addr: usize,
-    mem: &mut NodeMemory,
+    mem: &mut [f32],
     fpu: &mut Fpu,
     run: &mut StripRun,
     now: &mut u64,
@@ -406,7 +405,7 @@ fn exec_resolved<const CYCLE: bool>(
                 run.reversals += 1;
                 fpu.commit_due(*now);
             }
-            let coeff_val = mem.read(addr);
+            let coeff_val = mem[addr];
             let data_val = if CYCLE {
                 fpu.read(data, *now)?
             } else {
@@ -446,7 +445,7 @@ fn exec_resolved<const CYCLE: bool>(
                 run.reversals += 1;
                 fpu.commit_due(*now);
             }
-            let value = mem.read(addr);
+            let value = mem[addr];
             if CYCLE {
                 fpu.pending
                     .push((*now + u64::from(cfg.load_commit_latency), dest, value));
@@ -466,7 +465,7 @@ fn exec_resolved<const CYCLE: bool>(
             } else {
                 fpu.regs[src.0 as usize]
             };
-            mem.write(addr, value);
+            mem[addr] = value;
             run.stores += 1;
         }
         ResolvedOp::Nop => {
@@ -650,7 +649,7 @@ pub fn fast_counts(kernel: &Kernel, lines: usize) -> StripRun {
 /// only).
 pub fn run_resolved_strip(
     strip: &ResolvedStrip,
-    mem: &mut NodeMemory,
+    mem: &mut [f32],
     cfg: &MachineConfig,
     mode: ExecMode,
 ) -> Result<StripRun, HazardError> {
@@ -662,7 +661,7 @@ pub fn run_resolved_strip(
 
 fn run_resolved_strip_impl<const CYCLE: bool>(
     strip: &ResolvedStrip,
-    mem: &mut NodeMemory,
+    mem: &mut [f32],
     cfg: &MachineConfig,
 ) -> Result<StripRun, HazardError> {
     let mut fpu = Fpu::new();
@@ -749,8 +748,8 @@ mod tests {
     }
 
     /// Memory map: [src 4x4 | res 4x4 | coeff 4x4 | ones | zeros].
-    fn setup() -> (NodeMemory, [FieldLayout; 3], usize, usize) {
-        let mut mem = NodeMemory::new(64);
+    fn setup() -> (Vec<f32>, [FieldLayout; 3], usize, usize) {
+        let mut mem = vec![0.0f32; 64];
         let src = FieldLayout {
             base: 0,
             row_stride: 4,
@@ -760,15 +759,15 @@ mod tests {
         let res = FieldLayout { base: 16, ..src };
         let coeff = FieldLayout { base: 32, ..src };
         for i in 0..16 {
-            mem.write(i, i as f32 + 1.0); // src = 1..16
-            mem.write(32 + i, 2.0); // coeff = 2.0
+            mem[i] = i as f32 + 1.0; // src = 1..16
+            mem[32 + i] = 2.0; // coeff = 2.0
         }
-        mem.write(48, 1.0); // ones
-        mem.write(49, 0.0); // zeros
+        mem[48] = 1.0; // ones
+        mem[49] = 0.0; // zeros
         (mem, [src, res, coeff], 48, 49)
     }
 
-    fn run(mode: ExecMode) -> (NodeMemory, StripRun) {
+    fn run(mode: ExecMode) -> (Vec<f32>, StripRun) {
         let (mut mem, [src, res, coeff], ones, zeros) = setup();
         let kernel = identity_kernel();
         let coeffs = [coeff];
@@ -793,7 +792,7 @@ mod tests {
         // Column 1 of src is [2, 6, 10, 14]; coeff 2.0 doubles it.
         // Lines walk north from row 3 to row 0.
         for row in 0..4 {
-            let got = mem.read(16 + row * 4 + 1);
+            let got = mem[16 + row * 4 + 1];
             let want = 2.0 * (row as f32 * 4.0 + 2.0);
             assert_eq!(got, want, "row {row}");
         }
@@ -1165,14 +1164,14 @@ mod tests {
             row_offset: 0,
             col_offset: 0,
         };
-        let mut mem = NodeMemory::new(128);
+        let mut mem = vec![0.0f32; 128];
         for i in 0..16 {
-            mem.write(i, (i + 1) as f32);
-            mem.write(32 + i, 2.0);
-            mem.write(64 + i, 3.0);
+            mem[i] = (i + 1) as f32;
+            mem[32 + i] = 2.0;
+            mem[64 + i] = 3.0;
         }
-        mem.write(120, 1.0);
-        mem.write(121, 0.0);
+        mem[120] = 1.0;
+        mem[121] = 0.0;
         let c3 = FieldLayout { base: 64, ..c2 };
         let coeffs = [c2, c3];
         let srcs = [src];
@@ -1189,8 +1188,8 @@ mod tests {
         run_strip(&kernel, &ctx, &mut mem, &cfg(), ExecMode::Cycle).unwrap();
         // Row 1 of src is [5, 6, 7]; result col0 = 2*5 + 3*6 = 28,
         // col1 = 2*6 + 3*7 = 33.
-        assert_eq!(mem.read(16 + 4), 28.0);
-        assert_eq!(mem.read(16 + 5), 33.0);
+        assert_eq!(mem[16 + 4], 28.0);
+        assert_eq!(mem[16 + 5], 33.0);
     }
 
     /// The counters counted from a kernel's operation stream equal what

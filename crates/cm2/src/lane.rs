@@ -22,8 +22,6 @@
 //! ([`LaneMirror::scatter`]) transposes the interior of the buffer
 //! holding a plan's result straight into the result array.
 
-use crate::memory::NodeMemory;
-
 /// A strided rectangle paired between node memory and the lane mirror:
 /// `rows` runs of `cols` words, at node addresses `node0 + r*node_stride`
 /// and lane words `lane0 + r*lane_stride`, the same on every lane.
@@ -69,10 +67,10 @@ pub struct LaneMirror {
     allocations: u64,
 }
 
-/// Words per lane that [`LaneMirror::transpose_rect`] transposes as one
-/// tile. 64 words (four cache lines per lane run) were never slower than
-/// the untiled loop at 4, 8, 16 or 32 lanes; 8-word tiles lost up to 15%
-/// at 8 lanes.
+/// Words per lane that [`LaneMirror::scatter`] transposes as one tile.
+/// 64 words (four cache lines per lane run) were never slower than the
+/// untiled loop at 4, 8, 16 or 32 lanes; 8-word tiles lost up to 15% at
+/// 8 lanes.
 const SCATTER_TILE: usize = 64;
 
 impl LaneMirror {
@@ -144,15 +142,16 @@ impl LaneMirror {
     }
 
     /// Copies the rectangle `rect` describes from every node's memory
-    /// into the mirror, and returns the machine-total words it moved:
-    /// the lane-domain equivalent of a per-node strided copy, which
-    /// refreshes a lane buffer's interior from the array it holds.
+    /// (`mems`, one slice per node in node order) into the mirror, and
+    /// returns the machine-total words it moved: the lane-domain
+    /// equivalent of a per-node strided copy, which refreshes a lane
+    /// buffer's interior from the array it holds.
     ///
     /// # Panics
     ///
     /// Panics if `mems.len()` differs from the mirrored node count or a
     /// run is out of bounds on either side.
-    pub fn gather(&mut self, mems: &[NodeMemory], rect: &RectCopy) -> usize {
+    pub fn gather(&mut self, mems: &[&[f32]], rect: &RectCopy) -> usize {
         assert_eq!(mems.len(), self.nodes, "one node memory per lane");
         let nodes = self.nodes;
         for r in 0..rect.rows {
@@ -161,26 +160,24 @@ impl LaneMirror {
             // Interleaved *read* streams are cheap; the transposed order
             // (lane-outer) would write one cache line per element. The
             // reverse direction is not symmetric — interleaved *write*
-            // streams are the slow case (see `transpose_rect`).
-            let srcs: Vec<&[f32]> = mems
-                .iter()
-                .map(|m| m.slice(rect.node0 + r * rect.node_stride, rect.cols))
-                .collect();
+            // streams are the slow case (see `scatter`).
+            let s0 = rect.node0 + r * rect.node_stride;
             let d0 = rect.lane0 + r * rect.lane_stride;
             let dst = &mut self.data[d0 * nodes..(d0 + rect.cols) * nodes];
             for (w, row) in dst.chunks_exact_mut(nodes).enumerate() {
-                for (slot, src) in row.iter_mut().zip(&srcs) {
-                    *slot = src[w];
+                for (slot, mem) in row.iter_mut().zip(mems) {
+                    *slot = mem[s0 + w];
                 }
             }
         }
         rect.rows * rect.cols * nodes
     }
 
-    /// The lane→node transpose behind [`Self::scatter`]: copies the lane
-    /// side of `rect` into `dsts`, one run per lane starting at the
-    /// rectangle's first node word (row `r` at `r*node_stride`), a tile
-    /// of [`SCATTER_TILE`] words per row at a time.
+    /// Transposes the lane side of `rect` into every node's memory at
+    /// its node side — a lane execute's only write to node memory, made
+    /// by its commit under the machine write lock — and returns the
+    /// machine-total words it moved. `mems` holds one slice per node, in
+    /// node order.
     ///
     /// Reading `nodes` interleaved streams (the gathers) is cheap, but
     /// writing them is not: word-outer, lane-inner order writes one word
@@ -189,42 +186,30 @@ impl LaneMirror {
     /// set, more than it has ways. On a Xeon guest with a 48 KiB L1d that
     /// cost 4.4–5.5 ns/word, against 0.83 for the gather. Tiling writes
     /// each lane's tile whole before the next lane's (the tile's source
-    /// rows, `SCATTER_TILE × nodes` words, stay cached across the lanes).
-    fn transpose_rect(&self, rect: &RectCopy, dsts: &mut [&mut [f32]]) {
-        let nodes = self.nodes;
-        assert_eq!(dsts.len(), nodes, "one destination run per lane");
-        for r in 0..rect.rows {
-            let w = rect.lane0 + r * rect.lane_stride;
-            let src = &self.data[w * nodes..(w + rect.cols) * nodes];
-            for (t, tile) in src.chunks(SCATTER_TILE * nodes).enumerate() {
-                let w0 = r * rect.node_stride + t * SCATTER_TILE;
-                for (lane, dst) in dsts.iter_mut().enumerate() {
-                    for (slot, row) in dst[w0..].iter_mut().zip(tile.chunks_exact(nodes)) {
-                        *slot = row[lane];
-                    }
-                }
-            }
-        }
-    }
-
-    /// Transposes the lane side of `rect` into every node's memory at
-    /// its node side — a lane execute's only write to node memory, made
-    /// by its commit under the machine write lock — and returns the
-    /// machine-total words it moved.
+    /// rows, `SCATTER_TILE × nodes` words, stay cached across the
+    /// lanes).
     ///
     /// # Panics
     ///
     /// Panics if `mems.len()` differs from the mirrored node count or a
     /// run is out of bounds on either side.
-    pub fn scatter(&self, rect: &RectCopy, mems: &mut [NodeMemory]) -> usize {
-        assert_eq!(mems.len(), self.nodes, "one node memory per lane");
-        let span = rect.rows.saturating_sub(1) * rect.node_stride + rect.cols;
-        let mut dsts: Vec<&mut [f32]> = mems
-            .iter_mut()
-            .map(|m| m.slice_mut(rect.node0, span))
-            .collect();
-        self.transpose_rect(rect, &mut dsts);
-        rect.rows * rect.cols * self.nodes
+    pub fn scatter(&self, rect: &RectCopy, mems: &mut [&mut [f32]]) -> usize {
+        let nodes = self.nodes;
+        assert_eq!(mems.len(), nodes, "one node memory per lane");
+        for r in 0..rect.rows {
+            let w = rect.lane0 + r * rect.lane_stride;
+            let src = &self.data[w * nodes..(w + rect.cols) * nodes];
+            for (t, tile) in src.chunks(SCATTER_TILE * nodes).enumerate() {
+                let w0 = rect.node0 + r * rect.node_stride + t * SCATTER_TILE;
+                let run = w0..w0 + tile.len() / nodes;
+                for (lane, mem) in mems.iter_mut().enumerate() {
+                    for (slot, row) in mem[run.clone()].iter_mut().zip(tile.chunks_exact(nodes)) {
+                        *slot = row[lane];
+                    }
+                }
+            }
+        }
+        rect.rows * rect.cols * nodes
     }
 
     /// Copies `len` lane words from word `src` on into `dst..`, for
@@ -371,12 +356,10 @@ mod tests {
     /// machine-total words it moved.
     #[test]
     fn mirror_gather_mirrors_a_node_rectangle() {
-        let mut mems: Vec<NodeMemory> = (0..3).map(|_| NodeMemory::new(16)).collect();
-        for (n, mem) in mems.iter_mut().enumerate() {
-            for w in 0..16 {
-                mem.write(w, (100 * n + w) as f32);
-            }
-        }
+        let mems: Vec<Vec<f32>> = (0..3)
+            .map(|n| (0..16).map(|w| (100 * n + w) as f32).collect())
+            .collect();
+        let views: Vec<&[f32]> = mems.iter().map(Vec::as_slice).collect();
         // 2 rows × 3 cols from node address 4, stride 4 → lane words 1..,
         // stride 5.
         let rect = RectCopy {
@@ -388,7 +371,7 @@ mod tests {
             cols: 3,
         };
         let mut rows = mirror(12, 3);
-        assert_eq!(rows.gather(&mems, &rect), 18);
+        assert_eq!(rows.gather(&views, &rect), 18);
         for n in 0..3 {
             assert_eq!(rows.word(1)[n], (100 * n + 4) as f32);
             assert_eq!(rows.word(3)[n], (100 * n + 6) as f32);
@@ -413,14 +396,8 @@ mod tests {
                 // 1`-word mirror (every other `len`-word run, one word in).
                 let (node0, words) = (3, 4 * len + 1);
                 let size = node0 + 2 * len + 2 + 5;
-                let fresh: Vec<NodeMemory> = (0..nodes)
-                    .map(|node| {
-                        let mut mem = NodeMemory::new(size);
-                        for addr in 0..size {
-                            mem.write(addr, guard(node, addr));
-                        }
-                        mem
-                    })
+                let fresh: Vec<Vec<f32>> = (0..nodes)
+                    .map(|node| (0..size).map(|addr| guard(node, addr)).collect())
                     .collect();
                 let rect = RectCopy {
                     node0,
@@ -438,7 +415,7 @@ mod tests {
                     for r in 0..2 {
                         for c in 0..len {
                             let lane_word = rect.lane0 + r * rect.lane_stride + c;
-                            mem.write(node0 + r * rect.node_stride + c, value(node, lane_word));
+                            mem[node0 + r * rect.node_stride + c] = value(node, lane_word);
                         }
                     }
                 }
@@ -450,10 +427,10 @@ mod tests {
                 }
                 let case = format!("{nodes} lanes, len {len}");
                 let mut scattered = fresh.clone();
-                assert_eq!(mirror.scatter(&rect, &mut scattered), 2 * len * nodes);
-                let bits = |mem: &NodeMemory| -> Vec<u32> {
-                    mem.slice(0, size).iter().map(|v| v.to_bits()).collect()
-                };
+                let mut views: Vec<&mut [f32]> =
+                    scattered.iter_mut().map(Vec::as_mut_slice).collect();
+                assert_eq!(mirror.scatter(&rect, &mut views), 2 * len * nodes);
+                let bits = |mem: &[f32]| -> Vec<u32> { mem.iter().map(|v| v.to_bits()).collect() };
                 for node in 0..nodes {
                     assert_eq!(
                         bits(&scattered[node]),
@@ -463,5 +440,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A rectangle running past the end of node memory panics instead of
+    /// landing a truncated run.
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn scatter_past_the_end_of_node_memory_panics() {
+        let mut mem = [0.0f32; 8];
+        let rect = RectCopy {
+            node0: 6,
+            node_stride: 4,
+            lane0: 0,
+            lane_stride: 4,
+            rows: 1,
+            cols: 4,
+        };
+        mirror(4, 1).scatter(&rect, &mut [&mut mem[..]]);
     }
 }

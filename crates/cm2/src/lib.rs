@@ -48,7 +48,7 @@ pub use isa::{DynamicPart, Kernel, MacAcc, MemRef, Reg, StaticPart};
 pub use kernels::{LaneBuffer, RowCoeff, RowProgram, RowRun, RowStep, RowTerm};
 pub use lane::LaneMirror;
 pub use machine::Machine;
-pub use memory::{Field, FieldAllocator, NodeMemory, OutOfMemory};
+pub use memory::{Field, FieldAllocator, OutOfMemory};
 pub use news::{
     corner_exchange_cycles, exchange_cycles, news_exchange_cycles, old_exchange_cycles,
     ExchangePrimitive, ExchangeShape,

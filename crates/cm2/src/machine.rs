@@ -1,23 +1,41 @@
 //! The simulated machine: a SIMD array of nodes plus the shared field
 //! allocator and the node grid.
 //!
+//! # Node memory
+//!
+//! Every node's words live in zeroed slabs of whole nodes, each at most
+//! 1 GiB: the 16-node test board is one 256 MiB allocation, the
+//! 2,048-node machine 32 of 1 GiB. An allocation that large comes back
+//! from the host allocator as fresh demand-zero pages (glibc maps
+//! anything past its 32 MiB mmap ceiling afresh), so building a machine
+//! costs microseconds and resident memory follows only the words a
+//! workload touches. One zeroed buffer per node would instead be served,
+//! once an earlier machine in the process has freed its nodes, from heap
+//! blocks the allocator must zero word by word. The machine hands out
+//! each node's memory as a plain `&[f32]` or `&mut [f32]`.
+//!
 //! # Parallel execution
 //!
 //! The real CM-2 runs every node *simultaneously*; this simulator can
-//! too. Per-node state lives in disjoint [`NodeMemory`] values, so the
-//! borrow checker proves that node executions cannot alias:
-//! [`Machine::run_resolved_all`] fans a pre-resolved strip schedule out
-//! across host threads over contiguous, disjoint chunks of nodes — one
-//! SIMD instruction stream, many cores. The strips and machine
-//! configuration are plain shared data (`Send + Sync`), so no locks are
-//! needed and results are bit-identical to the serial path by
-//! construction.
+//! too. Node memories are disjoint slices of the slabs
+//! (`chunks_exact_mut`), so the borrow checker proves that node
+//! executions cannot alias: [`Machine::run_resolved_all`] fans a
+//! pre-resolved strip schedule out across host threads over contiguous,
+//! disjoint chunks of nodes — one SIMD instruction stream, many cores.
+//! The strips and machine configuration are plain shared data
+//! (`Send + Sync`), so no locks are needed and results are bit-identical
+//! to the serial path by construction.
 
 use crate::config::MachineConfig;
 use crate::exec::{run_resolved_strip, ExecMode, HazardError, ResolvedStrip, StripRun};
 use crate::grid::{NodeGrid, NodeId};
-use crate::memory::{copy_between, Field, FieldAllocator, NodeMemory, OutOfMemory, WriteStamps};
+use crate::memory::{Field, FieldAllocator, OutOfMemory, WriteStamps};
 use std::ops::Range;
+
+/// Words of node memory one slab holds at most: 1 GiB of `f32`, 64 of
+/// the full machine's 16 MiB nodes. A node larger than that takes a slab
+/// of its own.
+const SLAB_WORDS: usize = 1 << 28;
 
 /// A simulated CM-2: `rows × cols` nodes, each with its own memory,
 /// executing identical instruction streams (SIMD).
@@ -25,37 +43,48 @@ use std::ops::Range;
 /// Every write to node memory leaves a word-exact write stamp: a
 /// monotone epoch per written address span, split exactly at write
 /// boundaries, in bounded memory. Writers that can name their ranges go
-/// through [`Machine::write_nodes`] and stamp exactly those; raw
-/// accessors that cannot ([`Machine::mem_mut`],
-/// [`Machine::mem_pair_mut`], [`Machine::exec_parts_mut`]) stamp all
-/// of memory. Readers that keep snapshots — execution plans' lane
-/// mirrors — compare the stamps against the [`Machine::write_epoch`]
-/// they synced at ([`Machine::written_since`]) and re-read only what
-/// moved on.
+/// through [`Machine::write_nodes`] and stamp exactly those; the raw
+/// accessor that cannot ([`Machine::mem_mut`]) stamps all of memory.
+/// Readers that keep snapshots — execution plans' lane mirrors — compare
+/// the stamps against the [`Machine::write_epoch`] they synced at
+/// ([`Machine::written_since`]) and re-read only what moved on.
 ///
 /// # Examples
 ///
 /// ```
 /// use cmcc_cm2::config::MachineConfig;
+/// use cmcc_cm2::grid::NodeId;
 /// use cmcc_cm2::machine::Machine;
 ///
 /// let mut machine = Machine::new(MachineConfig::tiny_4())?;
 /// let field = machine.alloc_field(64)?;
-/// machine.mem_mut(cmcc_cm2::grid::NodeId(0)).fill_field(field, 3.0);
-/// assert_eq!(machine.mem(cmcc_cm2::grid::NodeId(0)).field(field)[0], 3.0);
+/// machine.mem_mut(NodeId(0))[field.range()].fill(3.0);
+/// assert_eq!(machine.mem(NodeId(0))[field.base()], 3.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
 pub struct Machine {
     config: MachineConfig,
     grid: NodeGrid,
-    nodes: Vec<NodeMemory>,
+    /// Every node's memory in node order, `config.node_memory_words`
+    /// words per node, whole nodes packed into zeroed slabs of at most
+    /// [`SLAB_WORDS`] words. Only the last slab may hold fewer nodes.
+    slabs: Vec<Vec<f32>>,
     allocator: FieldAllocator,
     /// Word-exact stamps of every write to node memory. Resident
     /// execution plans compare them against the epoch their lane mirror
     /// was last synced at, so a write by anyone — host, another plan,
     /// this plan — to a range a mirror holds is seen at the next execute.
     stamps: WriteStamps,
+}
+
+/// Every node's memory in `slabs` of whole `words`-word nodes, mutably,
+/// in node order.
+fn node_slices(slabs: &mut [Vec<f32>], words: usize) -> Vec<&mut [f32]> {
+    slabs
+        .iter_mut()
+        .flat_map(|slab| slab.chunks_exact_mut(words))
+        .collect()
 }
 
 impl Machine {
@@ -68,14 +97,17 @@ impl Machine {
     pub fn new(config: MachineConfig) -> Result<Self, String> {
         config.validate()?;
         let grid = NodeGrid::new(config.grid_rows, config.grid_cols);
-        let nodes = (0..grid.len())
-            .map(|_| NodeMemory::new(config.node_memory_words))
+        let words = config.node_memory_words;
+        let slab_nodes = (SLAB_WORDS / words).max(1);
+        let slabs = (0..grid.len())
+            .step_by(slab_nodes)
+            .map(|first| vec![0.0; slab_nodes.min(grid.len() - first) * words])
             .collect();
-        let allocator = FieldAllocator::new(config.node_memory_words);
+        let allocator = FieldAllocator::new(words);
         Ok(Machine {
             config,
             grid,
-            nodes,
+            slabs,
             allocator,
             stamps: WriteStamps::default(),
         })
@@ -94,20 +126,20 @@ impl Machine {
         self.stamps.written_since(range, epoch)
     }
 
-    /// Every node memory, mutably, for stores confined to `ranges`: stamps
-    /// exactly those address ranges as written. The caller promises to
-    /// store nowhere else — this is the accessor every writer that can
-    /// name its ranges goes through (array scatter, plan build, halo
-    /// refresh, execute scatter), so a write to one array never
-    /// invalidates snapshots of another.
+    /// Every node's memory, mutably and in node order, for stores
+    /// confined to `ranges`: stamps exactly those address ranges as
+    /// written. The caller promises to store nowhere else — this is the
+    /// accessor every writer that can name its ranges goes through (array
+    /// scatter, plan build, halo refresh and exchange, the commit), so a
+    /// write to one array never invalidates snapshots of another.
     pub fn write_nodes(
         &mut self,
         ranges: impl IntoIterator<Item = Range<usize>>,
-    ) -> &mut [NodeMemory] {
+    ) -> Vec<&mut [f32]> {
         for range in ranges {
             self.stamps.stamp(range);
         }
-        &mut self.nodes
+        node_slices(&mut self.slabs, self.config.node_memory_words)
     }
 
     /// Stamps all of node memory: what a raw accessor that cannot name
@@ -185,13 +217,24 @@ impl Machine {
         self.allocator.release_to(mark);
     }
 
+    /// Node `id`'s slab and the words it spans there. For an `id` past
+    /// the last node, one of the two lies beyond the slabs, so indexing
+    /// with them panics.
+    fn locate(&self, id: NodeId) -> (usize, Range<usize>) {
+        let words = self.config.node_memory_words;
+        let slab_nodes = self.slabs[0].len() / words;
+        let first = id.0 % slab_nodes * words;
+        (id.0 / slab_nodes, first..first + words)
+    }
+
     /// One node's memory.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn mem(&self, id: NodeId) -> &NodeMemory {
-        &self.nodes[id.0]
+    pub fn mem(&self, id: NodeId) -> &[f32] {
+        let (slab, words) = self.locate(id);
+        &self.slabs[slab][words]
     }
 
     /// One node's memory, mutably. Stamps all of memory as written;
@@ -200,66 +243,26 @@ impl Machine {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn mem_mut(&mut self, id: NodeId) -> &mut NodeMemory {
+    pub fn mem_mut(&mut self, id: NodeId) -> &mut [f32] {
         self.stamp_all();
-        &mut self.nodes[id.0]
+        let (slab, words) = self.locate(id);
+        &mut self.slabs[slab][words]
     }
 
-    /// Two distinct nodes' memories, mutably. Stamps all of memory as
-    /// written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ids are equal or out of range.
-    pub fn mem_pair_mut(&mut self, a: NodeId, b: NodeId) -> (&mut NodeMemory, &mut NodeMemory) {
-        assert_ne!(a, b, "mem_pair_mut requires distinct nodes");
-        self.stamp_all();
-        if a.0 < b.0 {
-            let (lo, hi) = self.nodes.split_at_mut(b.0);
-            (&mut lo[a.0], &mut hi[0])
-        } else {
-            let (lo, hi) = self.nodes.split_at_mut(a.0);
-            (&mut hi[0], &mut lo[b.0])
-        }
-    }
-
-    /// Copies `len` words from `src_addr` on node `src` to `dst_addr` on
-    /// node `dst`. This is the data-movement half of a grid exchange; the
-    /// caller separately charges the cycle cost from [`crate::news`].
-    /// Stamps the destination run.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range nodes or addresses.
-    pub fn copy_region(
-        &mut self,
-        src: NodeId,
-        src_addr: usize,
-        dst: NodeId,
-        dst_addr: usize,
-        len: usize,
-    ) {
-        let mems = self.write_nodes(std::iter::once(dst_addr..dst_addr + len));
-        copy_between(mems, src.0, src_addr, dst.0, dst_addr, len);
-    }
-
-    /// The machine configuration together with every node memory as one
-    /// disjoint mutable slice — the split borrow the parallel engine
-    /// needs (config shared and immutable, node state exclusive). Stamps
-    /// all of memory as written.
-    pub fn exec_parts_mut(&mut self) -> (&MachineConfig, &mut [NodeMemory]) {
-        self.stamp_all();
-        (&self.config, &mut self.nodes)
-    }
-
-    /// The shared-borrow counterpart of [`Machine::exec_parts_mut`]: the
-    /// configuration plus every node memory, read-only. This is the view
-    /// a region-leased execute runs against — many tenants may hold it
-    /// simultaneously under a shared machine lock, because a lane-resident
-    /// execute only *reads* node memory (gathers into its private mirror)
-    /// and defers its one write, the result, to a commit made later.
-    pub fn exec_parts(&self) -> (&MachineConfig, &[NodeMemory]) {
-        (&self.config, &self.nodes)
+    /// The configuration plus every node's memory, read-only and in node
+    /// order. This is the view a region-leased execute runs against —
+    /// many tenants may hold it simultaneously under a shared machine
+    /// lock, because a lane-resident execute only *reads* node memory
+    /// (gathers into its private mirror) and defers its one write, the
+    /// result, to a commit made later.
+    pub fn exec_parts(&self) -> (&MachineConfig, Vec<&[f32]>) {
+        let words = self.config.node_memory_words;
+        let nodes = self
+            .slabs
+            .iter()
+            .flat_map(|slab| slab.chunks_exact(words))
+            .collect();
+        (&self.config, nodes)
     }
 
     /// Executes a pre-resolved strip sequence on every node, fanning the
@@ -305,9 +308,10 @@ impl Machine {
             cmcc_obs::Counter::ScalarSteps,
             strips.iter().map(|s| s.steps()).sum(),
         );
-        let threads = threads.clamp(1, self.nodes.len());
         let config = &self.config;
-        let run_node = |mem: &mut NodeMemory| -> Result<StripRun, HazardError> {
+        let mut nodes = node_slices(&mut self.slabs, config.node_memory_words);
+        let threads = threads.clamp(1, nodes.len());
+        let run_node = |mem: &mut [f32]| -> Result<StripRun, HazardError> {
             let mut total = StripRun::default();
             for strip in strips {
                 total.absorb(&run_resolved_strip(strip, mem, config, mode)?);
@@ -316,18 +320,17 @@ impl Machine {
         };
         let per_node: Vec<Result<StripRun, HazardError>> = if threads == 1 {
             let _cpu = cmcc_obs::span(cmcc_obs::Phase::ExecuteWorkers);
-            self.nodes.iter_mut().map(run_node).collect()
+            nodes.into_iter().map(run_node).collect()
         } else {
             let run_node = &run_node;
-            let chunk = self.nodes.len().div_ceil(threads);
+            let chunk = nodes.len().div_ceil(threads);
             std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .nodes
+                let handles: Vec<_> = nodes
                     .chunks_mut(chunk)
                     .map(|mems| {
                         scope.spawn(move || {
                             let _cpu = cmcc_obs::span(cmcc_obs::Phase::ExecuteWorkers);
-                            mems.iter_mut().map(run_node).collect::<Vec<_>>()
+                            mems.iter_mut().map(|mem| run_node(mem)).collect::<Vec<_>>()
                         })
                     })
                     .collect();
@@ -355,7 +358,6 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::Direction;
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::tiny_4()).unwrap()
@@ -381,64 +383,54 @@ mod tests {
         let f = m.alloc_field(8).unwrap();
         let n0 = m.grid().id(0, 0);
         let n1 = m.grid().id(0, 1);
-        m.mem_mut(n0).fill_field(f, 1.0);
-        m.mem_mut(n1).fill_field(f, 2.0);
-        assert_eq!(m.mem(n0).field(f)[0], 1.0);
-        assert_eq!(m.mem(n1).field(f)[0], 2.0);
-    }
-
-    #[test]
-    fn copy_region_moves_between_nodes() {
-        let mut m = machine();
-        let f = m.alloc_field(4).unwrap();
-        let a = m.grid().id(0, 0);
-        let b = m.grid().neighbor(a, Direction::East);
-        m.mem_mut(a).fill_field(f, 5.0);
-        m.copy_region(a, f.base(), b, f.base(), 4);
-        assert_eq!(m.mem(b).field(f), &[5.0; 4]);
-    }
-
-    #[test]
-    fn copy_region_within_one_node() {
-        let mut m = machine();
-        let f = m.alloc_field(8).unwrap();
-        let a = m.grid().id(1, 1);
-        m.mem_mut(a).write(f.addr(0), 9.0);
-        m.copy_region(a, f.base(), a, f.base() + 4, 2);
-        assert_eq!(m.mem(a).read(f.base() + 4), 9.0);
-    }
-
-    #[test]
-    fn mem_pair_mut_orders_do_not_matter() {
-        let mut m = machine();
-        let f = m.alloc_field(1).unwrap();
-        let a = m.grid().id(0, 0);
-        let b = m.grid().id(1, 1);
-        {
-            let (ma, mb) = m.mem_pair_mut(a, b);
-            ma.write(f.base(), 1.0);
-            mb.write(f.base(), 2.0);
-        }
-        {
-            let (mb2, ma2) = m.mem_pair_mut(b, a);
-            assert_eq!(mb2.read(f.base()), 2.0);
-            assert_eq!(ma2.read(f.base()), 1.0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "distinct")]
-    fn mem_pair_mut_same_node_panics() {
-        let mut m = machine();
-        let a = m.grid().id(0, 0);
-        let _ = m.mem_pair_mut(a, a);
+        m.mem_mut(n0)[f.range()].fill(1.0);
+        m.mem_mut(n1)[f.range()].fill(2.0);
+        assert_eq!(m.mem(n0)[f.base()], 1.0);
+        assert_eq!(m.mem(n1)[f.base()], 2.0);
     }
 
     #[test]
     fn exec_parts_expose_all_nodes() {
-        let mut m = machine();
-        let (cfg, nodes) = m.exec_parts_mut();
+        let m = machine();
+        let (cfg, nodes) = m.exec_parts();
         assert_eq!(cfg.node_count(), nodes.len());
+        assert!(nodes.iter().all(|n| n.len() == cfg.node_memory_words));
+    }
+
+    /// The test board's 16 nodes of 16 MiB are one 256 MiB slab.
+    #[test]
+    fn test_board_memory_is_one_allocation() {
+        let m = Machine::new(MachineConfig::test_board_16()).unwrap();
+        assert_eq!(m.slabs.len(), 1);
+        assert_eq!(m.slabs[0].len(), 16 << 22);
+    }
+
+    /// The full machine's 2,048 nodes of 16 MiB take 32 slabs of 64
+    /// nodes (one 32 GiB buffer would not allocate on a 16 GiB host).
+    /// Words read zero, and a word at the last address of node 63 and
+    /// one at the first address of node 64 — the first slab seam — are
+    /// seen on those two nodes only, through `mem` and `exec_parts`
+    /// alike.
+    #[test]
+    fn full_machine_slabs_split_at_whole_nodes() {
+        let mut m = Machine::new(MachineConfig::full_machine_2048()).unwrap();
+        assert_eq!(m.slabs.len(), 32);
+        assert!(m.slabs.iter().all(|slab| slab.len() == SLAB_WORDS));
+        let last = m.config().node_memory_words - 1;
+        m.mem_mut(NodeId(63))[last] = 1.0;
+        m.mem_mut(NodeId(64))[0] = 2.0;
+        let (_, nodes) = m.exec_parts();
+        assert_eq!(nodes.len(), 2048);
+        for (n, node) in nodes.iter().enumerate() {
+            let want = match n {
+                63 => (0.0, 1.0),
+                64 => (2.0, 0.0),
+                _ => (0.0, 0.0),
+            };
+            let mem = m.mem(NodeId(n));
+            assert_eq!((mem[0], mem[last]), want, "mem, node {n}");
+            assert_eq!((node[0], node[last]), want, "exec_parts, node {n}");
+        }
     }
 
     #[test]
@@ -448,7 +440,6 @@ mod tests {
         assert_send_sync::<crate::isa::Kernel>();
         assert_send_sync::<crate::exec::StripContext<'static>>();
         assert_send_sync::<ResolvedStrip>();
-        assert_send_sync::<NodeMemory>();
     }
 
     /// A minimal strip (one store of the ones page into the result field
@@ -460,8 +451,8 @@ mod tests {
         let consts = m.alloc_field(2).unwrap();
         let res = m.alloc_field(4).unwrap();
         for mem in m.write_nodes([consts.range()]) {
-            mem.write(consts.addr(0), 1.0);
-            mem.write(consts.addr(1), 0.0);
+            mem[consts.addr(0)] = 1.0;
+            mem[consts.addr(1)] = 0.0;
         }
         let kernel = Kernel {
             static_part: StaticPart::ChainedMac,
@@ -513,7 +504,7 @@ mod tests {
                 .unwrap();
             assert_eq!(run.stores, 12);
             for n in 0..m.node_count() {
-                assert_eq!(m.mem(NodeId(n)).field(res), &[1.0; 4]);
+                assert_eq!(&m.mem(NodeId(n))[res.range()], &[1.0; 4]);
             }
             runs_by_threads.push(run);
         }

@@ -4,7 +4,8 @@
 //! is SIMD, all nodes use the *same* addresses for the same arrays: the
 //! run-time library allocates a "field" (a named region) once and every
 //! node interprets the address identically. [`FieldAllocator`] hands out
-//! those shared addresses; [`NodeMemory`] is one node's storage.
+//! those shared addresses; a node's storage is a plain `[f32]` slice of
+//! the machine's node memory ([`crate::machine::Machine::mem`]).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -385,120 +386,16 @@ impl WriteStamps {
     }
 }
 
-/// One node's memory: a flat array of 32-bit floating-point words.
-///
-/// The real CM-2 stored data slicewise (one bit per bit-serial processor,
-/// §3); at the level this simulator models, a node's memory is simply an
-/// addressable vector of `f32`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeMemory {
-    words: Vec<f32>,
-}
-
-impl NodeMemory {
-    /// Allocates zeroed memory of `capacity` words.
-    pub fn new(capacity: usize) -> Self {
-        NodeMemory {
-            words: vec![0.0; capacity],
-        }
-    }
-
-    /// Capacity in words.
-    pub fn capacity(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Reads the word at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of bounds.
-    #[inline]
-    pub fn read(&self, addr: usize) -> f32 {
-        self.words[addr]
-    }
-
-    /// Writes the word at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of bounds.
-    #[inline]
-    pub fn write(&mut self, addr: usize, value: f32) {
-        self.words[addr] = value;
-    }
-
-    /// A slice view of a field.
-    pub fn field(&self, field: Field) -> &[f32] {
-        &self.words[field.base()..field.base() + field.len()]
-    }
-
-    /// A mutable slice view of a field.
-    pub fn field_mut(&mut self, field: Field) -> &mut [f32] {
-        &mut self.words[field.base()..field.base() + field.len()]
-    }
-
-    /// Fills a field with `value`.
-    pub fn fill_field(&mut self, field: Field, value: f32) {
-        self.field_mut(field).fill(value);
-    }
-
-    /// Fills `len` words starting at `addr` with `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn fill_range(&mut self, addr: usize, len: usize, value: f32) {
-        self.words[addr..addr + len].fill(value);
-    }
-
-    /// A slice view of `len` words starting at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn slice(&self, addr: usize, len: usize) -> &[f32] {
-        &self.words[addr..addr + len]
-    }
-
-    /// A mutable slice view of `len` words starting at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn slice_mut(&mut self, addr: usize, len: usize) -> &mut [f32] {
-        &mut self.words[addr..addr + len]
-    }
-
-    /// Copies `data` into memory starting at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn copy_from(&mut self, addr: usize, data: &[f32]) {
-        self.words[addr..addr + data.len()].copy_from_slice(data);
-    }
-
-    /// Copies `len` words from `src_addr` to `dst_addr` within this
-    /// memory (the regions may overlap).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either range is out of bounds.
-    pub fn copy_within(&mut self, src_addr: usize, dst_addr: usize, len: usize) {
-        self.words.copy_within(src_addr..src_addr + len, dst_addr);
-    }
-}
-
 /// Copies `len` words from `src_addr` on node `src` to `dst_addr` on node
-/// `dst` — one grid-exchange copy over a machine's node memories. The two
-/// nodes may coincide (the runs may then overlap).
+/// `dst` — one grid-exchange copy over a machine's node memories, one
+/// slice per node. The two nodes may coincide (the runs may then
+/// overlap).
 ///
 /// # Panics
 ///
 /// Panics on out-of-range nodes or addresses.
 pub fn copy_between(
-    mems: &mut [NodeMemory],
+    mems: &mut [&mut [f32]],
     src: usize,
     src_addr: usize,
     dst: usize,
@@ -506,13 +403,12 @@ pub fn copy_between(
     len: usize,
 ) {
     if src == dst {
-        mems[src].copy_within(src_addr, dst_addr, len);
-    } else if src < dst {
-        let (lo, hi) = mems.split_at_mut(dst);
-        hi[0].copy_from(dst_addr, lo[src].slice(src_addr, len));
+        mems[src].copy_within(src_addr..src_addr + len, dst_addr);
     } else {
-        let (lo, hi) = mems.split_at_mut(src);
-        lo[dst].copy_from(dst_addr, hi[0].slice(src_addr, len));
+        let [from, to] = mems
+            .get_disjoint_mut([src, dst])
+            .expect("exchange nodes in range");
+        to[dst_addr..dst_addr + len].copy_from_slice(&from[src_addr..src_addr + len]);
     }
 }
 
@@ -661,22 +557,14 @@ mod tests {
 
     #[test]
     fn copy_between_handles_either_node_order() {
-        let mut mems = vec![NodeMemory::new(4), NodeMemory::new(4)];
-        mems[1].write(0, 5.0);
+        let (mut n0, mut n1) = ([0.0f32; 4], [5.0f32, 0.0, 0.0, 0.0]);
+        let mut mems: [&mut [f32]; 2] = [&mut n0, &mut n1];
         copy_between(&mut mems, 1, 0, 0, 2, 1);
-        assert_eq!(mems[0].read(2), 5.0);
+        assert_eq!(mems[0][2], 5.0);
         copy_between(&mut mems, 0, 2, 1, 3, 1);
-        assert_eq!(mems[1].read(3), 5.0);
+        assert_eq!(mems[1][3], 5.0);
         copy_between(&mut mems, 1, 3, 1, 1, 1);
-        assert_eq!(mems[1].read(1), 5.0);
-    }
-
-    #[test]
-    fn memory_read_write_roundtrip() {
-        let mut m = NodeMemory::new(16);
-        m.write(3, 2.5);
-        assert_eq!(m.read(3), 2.5);
-        assert_eq!(m.read(0), 0.0);
+        assert_eq!(mems[1][1], 5.0);
     }
 
     #[test]
@@ -684,11 +572,11 @@ mod tests {
         let mut a = FieldAllocator::new(16);
         let _pad = a.alloc(2).unwrap();
         let f = a.alloc(3).unwrap();
-        let mut m = NodeMemory::new(16);
-        m.fill_field(f, 7.0);
-        assert_eq!(m.field(f), &[7.0, 7.0, 7.0]);
-        assert_eq!(m.read(1), 0.0); // padding untouched
-        assert_eq!(m.read(2), 7.0);
-        assert_eq!(m.read(5), 0.0);
+        let mut m = [0.0f32; 16];
+        m[f.range()].fill(7.0);
+        assert_eq!(&m[f.range()], &[7.0, 7.0, 7.0]);
+        assert_eq!(m[1], 0.0); // padding untouched
+        assert_eq!(m[2], 7.0);
+        assert_eq!(m[5], 0.0);
     }
 }

@@ -10,7 +10,8 @@
 //! while the old primitive pays for each direction in sequence.
 //!
 //! Actual data movement between node memories is performed by
-//! [`crate::machine::Machine::copy_region`]; this module prices it.
+//! [`crate::memory::copy_between`], one copy of a run-time library's
+//! exchange program at a time; this module prices it.
 //! Which primitive a machine has is a property of its microcode,
 //! [`MachineConfig::primitive`]; [`exchange_cycles`] prices an exchange
 //! under it.

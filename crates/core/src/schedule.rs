@@ -467,7 +467,6 @@ mod tests {
     use super::*;
     use crate::stencil::{Boundary, Tap};
     use cmcc_cm2::exec::{run_strip, ExecMode, FieldLayout, StripContext};
-    use cmcc_cm2::memory::NodeMemory;
 
     fn cfg() -> MachineConfig {
         MachineConfig::test_board_16()
@@ -708,15 +707,18 @@ mod tests {
         let res_words = rows * cols;
         let coeff_base = res_base + res_words;
         let words = coeff_base + n_coeffs * res_words + 2;
-        let mut mem = NodeMemory::new(words);
-        for i in 0..src_words {
-            mem.write(i, (i % 17) as f32 * 0.25 - 2.0);
+        let mut mem = vec![0.0f32; words];
+        for (i, word) in mem[..src_words].iter_mut().enumerate() {
+            *word = (i % 17) as f32 * 0.25 - 2.0;
         }
-        for i in 0..n_coeffs * res_words {
-            mem.write(coeff_base + i, (i % 5) as f32 * 0.5 + 0.1);
+        for (i, word) in mem[coeff_base..][..n_coeffs * res_words]
+            .iter_mut()
+            .enumerate()
+        {
+            *word = (i % 5) as f32 * 0.5 + 0.1;
         }
-        mem.write(words - 2, 1.0);
-        mem.write(words - 1, 0.0);
+        mem[words - 2] = 1.0;
+        mem[words - 1] = 0.0;
         let src = FieldLayout {
             base: 0,
             row_stride: src_stride,
@@ -750,7 +752,7 @@ mod tests {
         };
         run_strip(kernel, &ctx, &mut mem, machine_cfg, ExecMode::Cycle)?;
         Ok((res_base..res_base + res_words)
-            .map(|a| mem.read(a).to_bits())
+            .map(|a| mem[a].to_bits())
             .collect())
     }
 
@@ -784,13 +786,13 @@ mod tests {
         let ones_addr = words - 2;
         let zeros_addr = words - 1;
 
-        let mut mem = NodeMemory::new(words);
+        let mut mem = vec![0.0f32; words];
         // Source: a deterministic non-symmetric pattern, including halo.
         let src_at = |r: i64, c: i64| (3 + 2 * r + 5 * c + r * c) as f32 * 0.125;
         for r in -(pad as i64)..(rows + pad) as i64 {
             for c in -(pad as i64)..(cols + pad) as i64 {
                 let addr = ((r + pad as i64) * src_stride as i64 + (c + pad as i64)) as usize;
-                mem.write(addr, src_at(r, c));
+                mem[addr] = src_at(r, c);
             }
         }
         let coeff_at = |a: usize, r: i64, c: i64| (1 + a) as f32 * 0.5 + (r - c) as f32 * 0.0625;
@@ -798,12 +800,12 @@ mod tests {
             for r in 0..rows as i64 {
                 for c in 0..cols as i64 {
                     let addr = coeff_base + a * res_words + (r * cols as i64 + c) as usize;
-                    mem.write(addr, coeff_at(a, r, c));
+                    mem[addr] = coeff_at(a, r, c);
                 }
             }
         }
-        mem.write(ones_addr, 1.0);
-        mem.write(zeros_addr, 0.0);
+        mem[ones_addr] = 1.0;
+        mem[zeros_addr] = 0.0;
 
         let src = FieldLayout {
             base: 0,
@@ -863,13 +865,13 @@ mod tests {
                     want += coeff_at(a, r, c);
                 }
                 let addr = res_base + (r * cols as i64 + c) as usize;
-                let got = mem.read(addr);
+                let got = mem[addr];
                 assert_eq!(
                     got.to_bits(),
                     want.to_bits(),
                     "width {width} {walk:?} at ({r}, {c}): got {got}, want {want}"
                 );
-                assert_eq!(got.to_bits(), fast_mem.read(addr).to_bits());
+                assert_eq!(got.to_bits(), fast_mem[addr].to_bits());
             }
         }
     }

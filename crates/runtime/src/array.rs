@@ -136,9 +136,7 @@ impl CmArray {
     /// Panics if out of bounds.
     pub fn get(&self, machine: &Machine, r: usize, c: usize) -> f32 {
         let (node, lr, lc) = self.locate(machine, r, c);
-        machine
-            .mem(node)
-            .read(self.field.addr(lr * self.sub_cols + lc))
+        machine.mem(node)[self.field.addr(lr * self.sub_cols + lc)]
     }
 
     /// Writes global element `(r, c)`, stamping the array's field as
@@ -150,7 +148,7 @@ impl CmArray {
     pub fn set(&self, machine: &mut Machine, r: usize, c: usize, value: f32) {
         let (node, lr, lc) = self.locate(machine, r, c);
         let addr = self.field.addr(lr * self.sub_cols + lc);
-        machine.write_nodes([self.field.range()])[node.0].write(addr, value);
+        machine.write_nodes([self.field.range()])[node.0][addr] = value;
     }
 
     /// Scatters a row-major host buffer into the distributed array,
@@ -168,11 +166,11 @@ impl CmArray {
         let grid = machine.grid();
         for (i, mem) in machine
             .write_nodes([self.field.range()])
-            .iter_mut()
+            .into_iter()
             .enumerate()
         {
             let (gr, gc) = grid.coords(NodeId(i));
-            let sub = mem.field_mut(self.field);
+            let sub = &mut mem[self.field.range()];
             for lr in 0..self.sub_rows {
                 let global_row = gr * self.sub_rows + lr;
                 let src = global_row * self.cols + gc * self.sub_cols;
@@ -187,7 +185,7 @@ impl CmArray {
         let mut out = vec![0.0; self.rows * self.cols];
         for node in machine.grid().iter() {
             let (gr, gc) = machine.grid().coords(node);
-            let sub = machine.mem(node).field(self.field);
+            let sub = &machine.mem(node)[self.field.range()];
             for lr in 0..self.sub_rows {
                 let global_row = gr * self.sub_rows + lr;
                 let dst = global_row * self.cols + gc * self.sub_cols;
@@ -201,7 +199,7 @@ impl CmArray {
     /// Fills every element with `value`, stamping the array's field.
     pub fn fill(&self, machine: &mut Machine, value: f32) {
         for mem in machine.write_nodes([self.field.range()]) {
-            mem.fill_field(self.field, value);
+            mem[self.field.range()].fill(value);
         }
     }
 
@@ -298,7 +296,7 @@ mod tests {
         a.set(&mut m, 1, 1, 9.0); // node (0,0) local (1,1)
         let layout = a.layout();
         let node = m.grid().id(0, 0);
-        assert_eq!(m.mem(node).read(layout.addr(1, 1)), 9.0);
+        assert_eq!(m.mem(node)[layout.addr(1, 1)], 9.0);
     }
 
     #[test]

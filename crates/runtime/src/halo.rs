@@ -201,51 +201,15 @@ impl HaloBuffer {
         );
         let interior = dst0..dst0 + (rows - 1) * dst_stride + cols;
         let mems = machine.write_nodes([interior]);
-        for mem in mems.iter_mut() {
+        let words = rows * cols * mems.len();
+        for mem in mems {
             for lr in 0..rows {
-                mem.copy_within(src0 + lr * src_stride, dst0 + lr * dst_stride, cols);
+                let src = src0 + lr * src_stride;
+                mem.copy_within(src..src + cols, dst0 + lr * dst_stride);
             }
         }
-        let words = rows * cols * mems.len();
         cmcc_obs::add(cmcc_obs::Counter::InteriorRefreshWords, words as u64);
         words
-    }
-
-    /// Performs the halo exchange and returns the communication cycles
-    /// charged, priced by the machine's grid primitive.
-    ///
-    /// Step one exchanges edge sections with the four NEWS neighbors
-    /// simultaneously; step two (skipped when `need_corners` is false)
-    /// exchanges the four corner sections with diagonal neighbors. With
-    /// [`Boundary::ZeroFill`], halo regions beyond the global array edge
-    /// are zeroed afterward instead of keeping the torus-wrapped data.
-    pub fn exchange(&self, machine: &mut Machine, boundary: Boundary, need_corners: bool) -> u64 {
-        self.exchange_with_fill(machine, boundary, 0.0, need_corners)
-    }
-
-    /// [`HaloBuffer::exchange`] with an explicit end-off fill value
-    /// (Fortran's `EOSHIFT(…, BOUNDARY=v)`); meaningful only under
-    /// [`Boundary::ZeroFill`].
-    ///
-    /// Builds and immediately runs an [`ExchangeProgram`]; callers that
-    /// exchange repeatedly (cached execution plans) build the program
-    /// once and run it per iteration instead.
-    pub fn exchange_with_fill(
-        &self,
-        machine: &mut Machine,
-        boundary: Boundary,
-        fill: f32,
-        need_corners: bool,
-    ) -> u64 {
-        let program = ExchangeProgram::new(
-            &self.at,
-            machine.grid(),
-            machine.config(),
-            boundary,
-            fill,
-            need_corners,
-        );
-        program.run(machine)
     }
 }
 
@@ -267,11 +231,15 @@ struct CopyOp {
 /// computation … at the beginning all at once" (§5.1); an
 /// `ExchangeProgram` is that step compiled ahead of time for a fixed
 /// (placement, grid, machine config, boundary) so iterative workloads
-/// replay it without rebuilding. Every copy reads subgrid interior and
-/// writes the halo ring — disjoint regions — so the recorded order is
-/// immaterial to the result; it nevertheless preserves the order
-/// [`HaloBuffer::exchange_with_fill`] historically used, keeping the two
-/// paths step-for-step identical.
+/// replay it without rebuilding: step one exchanges edge sections with
+/// the four NEWS neighbors simultaneously, step two (skipped when
+/// `need_corners` is false) the four corner sections with the diagonal
+/// neighbors, and under [`Boundary::ZeroFill`] the halo beyond the global
+/// array edge then takes the fill value (Fortran's
+/// `EOSHIFT(…, BOUNDARY=v)`) instead of the torus-wrapped data. Every
+/// copy reads subgrid interior and writes the halo ring — disjoint
+/// regions — so the order the copies are recorded in (node by node,
+/// edges before corners) is immaterial to the result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExchangeProgram {
     copies: Vec<CopyOp>,
@@ -449,12 +417,12 @@ impl ExchangeProgram {
             cmcc_obs::Counter::ExchangeCornerWords,
             self.corner_words() as u64,
         );
-        let mems = machine.write_nodes([self.writes.clone()]);
+        let mut mems = machine.write_nodes([self.writes.clone()]);
         for op in &self.copies {
-            copy_between(mems, op.from.0, op.src, op.to.0, op.dst, op.len);
+            copy_between(&mut mems, op.from.0, op.src, op.to.0, op.dst, op.len);
         }
         for &(node, addr, len) in &self.fills {
-            mems[node.0].fill_range(addr, len, self.fill);
+            mems[node.0][addr..addr + len].fill(self.fill);
         }
         self.cycles
     }
@@ -571,7 +539,7 @@ struct LaneSpanCopy {
 /// The halo exchange of a lane buffer: an [`ExchangeProgram`] generated
 /// at the buffer's lane base, its copies batched into span copies, so
 /// the exchange moves words directly between lane columns of the
-/// [`LaneMirror`] and never touches `NodeMemory`.
+/// [`LaneMirror`] and never touches node memory.
 ///
 /// This is the communication half of the lane-resident steady state: an
 /// iterative workload keeps its operands in the mirror across time steps,
@@ -766,7 +734,21 @@ mod tests {
     /// Reads the halo buffer of `node` at logical subgrid coordinates
     /// (halo at negatives).
     fn read(m: &Machine, h: &HaloBuffer, node: cmcc_cm2::grid::NodeId, r: i64, c: i64) -> f32 {
-        m.mem(node).read(h.layout().addr(r, c))
+        m.mem(node)[h.layout().addr(r, c)]
+    }
+
+    /// Runs the exchange of `h` the way a plan does: the program built
+    /// once for its placement, then run.
+    fn exchange(m: &mut Machine, h: &HaloBuffer, boundary: Boundary, need_corners: bool) {
+        let program = ExchangeProgram::new(
+            &h.placement(),
+            m.grid(),
+            m.config(),
+            boundary,
+            0.0,
+            need_corners,
+        );
+        program.run(m);
     }
 
     #[test]
@@ -780,7 +762,7 @@ mod tests {
     #[test]
     fn circular_exchange_wraps_the_torus() {
         let (mut m, _, h) = setup(1);
-        h.exchange(&mut m, Boundary::Circular, true);
+        exchange(&mut m, &h, Boundary::Circular, true);
         let n00 = m.grid().id(0, 0); // global rows 0..2, cols 0..2
                                      // North halo of node (0,0) wraps to global row 3.
         assert_eq!(read(&m, &h, n00, -1, 0), 30.0);
@@ -800,7 +782,7 @@ mod tests {
     #[test]
     fn skipping_corners_leaves_them_unwritten() {
         let (mut m, _, h) = setup(1);
-        h.exchange(&mut m, Boundary::Circular, false);
+        exchange(&mut m, &h, Boundary::Circular, false);
         let n00 = m.grid().id(0, 0);
         // Edges arrive…
         assert_eq!(read(&m, &h, n00, -1, 0), 30.0);
@@ -811,7 +793,7 @@ mod tests {
     #[test]
     fn zero_fill_clears_global_edges_only() {
         let (mut m, _, h) = setup(1);
-        h.exchange(&mut m, Boundary::ZeroFill, true);
+        exchange(&mut m, &h, Boundary::ZeroFill, true);
         let n00 = m.grid().id(0, 0);
         // Global north edge: zeros.
         assert_eq!(read(&m, &h, n00, -1, 0), 0.0);
@@ -835,7 +817,7 @@ mod tests {
         a.fill_with(&mut m, |r, c| (10 * r + c) as f32);
         let h = HaloBuffer::new(&mut m, 4, 4, 2).unwrap();
         h.fill_interior(&mut m, &a);
-        h.exchange(&mut m, Boundary::Circular, true);
+        exchange(&mut m, &h, Boundary::Circular, true);
         let n00 = m.grid().id(0, 0);
         assert_eq!(read(&m, &h, n00, -2, 0), 60.0); // global row 6
         assert_eq!(read(&m, &h, n00, -1, 3), 73.0); // row 7, col 3
@@ -879,7 +861,7 @@ mod tests {
                 rows: 1,
                 cols: len,
             };
-            mirror.gather(m.exec_parts().1, &whole);
+            mirror.gather(&m.exec_parts().1, &whole);
             let generate = |at: &Padded| {
                 ExchangeProgram::new(at, m.grid(), m.config(), boundary, 0.5, corners)
             };
@@ -901,7 +883,7 @@ mod tests {
             for node in m.grid().iter() {
                 let lanes: Vec<f32> = (0..len).map(|w| mirror.word(w)[node.0]).collect();
                 assert_eq!(
-                    m.mem(node).field(h.field()),
+                    &m.mem(node)[h.field().range()],
                     &lanes[..],
                     "halo of {node} diverged ({boundary:?}, corners={corners})"
                 );

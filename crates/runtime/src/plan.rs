@@ -768,11 +768,11 @@ impl CompiledPlan {
                 .collect::<Result<_, _>>()?;
             let filled = pages.iter().flatten().map(Field::range);
             for mem in machine.write_nodes(filled.chain([consts.range()])) {
-                mem.write(consts.addr(0), 1.0);
-                mem.write(consts.addr(1), 0.0);
+                mem[consts.addr(0)] = 1.0;
+                mem[consts.addr(1)] = 0.0;
                 for (page, c) in pages.iter().zip(&spec.coeffs) {
                     if let (Some(page), CoeffSpec::Literal(v)) = (page, c) {
-                        mem.fill_field(*page, *v);
+                        mem[page.range()].fill(*v);
                     }
                 }
             }
@@ -1045,8 +1045,8 @@ impl PlanInstance {
             cmcc_obs::trace::TraceOp::RegionCommit,
             (rect.rows * rect.cols) as u64,
         );
-        let mems = machine.write_nodes([result.field().range()]);
-        let words = self.lane_mirror.scatter(&rect, mems);
+        let mut mems = machine.write_nodes([result.field().range()]);
+        let words = self.lane_mirror.scatter(&rect, &mut mems);
         cmcc_obs::add(cmcc_obs::Counter::ScatterWords, words as u64);
         self.lane_buffers[buffer] = Some(Held {
             array: result.field(),
@@ -1115,13 +1115,13 @@ impl PlanInstance {
                     cmcc_obs::trace::TraceOp::InteriorRefresh,
                     (copy.rows * copy.cols) as u64,
                 );
-                let words = self.lane_mirror.gather(mems, &copy);
+                let words = self.lane_mirror.gather(&mems, &copy);
                 cmcc_obs::add(cmcc_obs::Counter::InteriorRefreshWords, words as u64);
                 words
             } else {
                 // A classic plan's coefficient, which the sweeps read in
                 // place: its copy counts as a gather.
-                let words = self.lane_mirror.gather(mems, &copy);
+                let words = self.lane_mirror.gather(&mems, &copy);
                 cmcc_obs::add(cmcc_obs::Counter::GatherWords, words as u64);
                 words
             };
@@ -1492,8 +1492,8 @@ impl ExecutionPlan {
     /// stamp on it since ([`Machine::written_since`]). Writes by anyone
     /// else count — host scatters, another plan's execute — so an
     /// unchanged binding over unchanged arrays, and the next step of a
-    /// ping-pong, touch no `NodeMemory` beyond writing the result. Every other plan runs on
-    /// the scalar engine. Every execute stamps the ranges it writes (its
+    /// ping-pong, touch no node memory beyond writing the result. Every
+    /// other plan runs on the scalar engine. Every execute stamps the ranges it writes (its
     /// writable [`Self::lease_ranges`]).
     ///
     /// # Errors

@@ -1130,6 +1130,14 @@ mod tests {
         assert!(m.cycles.total() > 0);
     }
 
+    /// The full machine's 32 GiB of node memory comes in 1 GiB slabs:
+    /// one buffer that size fails to allocate on a host with less memory.
+    #[test]
+    fn full_machine_session_builds() {
+        let s = Session::full_machine().unwrap();
+        assert_eq!(s.machine().node_count(), 2048);
+    }
+
     #[test]
     fn compile_errors_surface() {
         let s = Session::tiny().unwrap();

@@ -462,7 +462,7 @@ fn multi_source_execution_matches_reference() {
 fn halo_exchange_matches_global_semantics() {
     property("halo_exchange_matches_global_semantics", 64, |rng| {
         use cmcc::core::Boundary;
-        use cmcc::runtime::HaloBuffer;
+        use cmcc::runtime::{ExchangeProgram, HaloBuffer};
         let sub = rng.usize_in(2, 6);
         let pad = rng.usize_in(1, 3);
         let zerofill = rng.bool();
@@ -482,7 +482,15 @@ fn halo_exchange_matches_global_semantics() {
         } else {
             Boundary::Circular
         };
-        halo.exchange_with_fill(&mut machine, boundary, fill, true);
+        ExchangeProgram::new(
+            &halo.placement(),
+            machine.grid(),
+            machine.config(),
+            boundary,
+            fill,
+            true,
+        )
+        .run(&mut machine);
 
         let layout = halo.layout();
         for node in machine.grid().iter().collect::<Vec<_>>() {
@@ -509,7 +517,7 @@ fn halo_exchange_matches_global_semantics() {
                             }
                         }
                     };
-                    let got = machine.mem(node).read(layout.addr(lr, lc));
+                    let got = machine.mem(node)[layout.addr(lr, lc)];
                     assert_eq!(
                         got.to_bits(),
                         want.to_bits(),
